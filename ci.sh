@@ -100,3 +100,10 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-sampling --test sharded_pari
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core sharded_store_training_is_bit_identical_to_in_core
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core sharded_store_training_is_bit_identical_to_in_core
 cargo run -q --release -p trkx-bench --bin oocore -- --tiny --out /tmp/BENCH_oocore_smoke.json
+
+# Frozen benchmark package: tier-1 never builds `benchmark/`, so a
+# public-API change that breaks it must fail here. Type-check it against
+# the workspace crates and run its own unit tests (same build directory
+# the benchmark driver uses).
+CARGO_TARGET_DIR=.bench_build cargo check --release --offline --manifest-path benchmark/Cargo.toml
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --manifest-path benchmark/Cargo.toml

@@ -21,10 +21,7 @@
 //! loss curves and the comm seconds the sync run pays.
 
 use trkx_bench::{arg_flag, arg_value, Table};
-use trkx_core::{
-    prepare_graphs, train_minibatch_hogwild, train_minibatch_simulated_opts, GnnTrainConfig,
-    SamplerKind,
-};
+use trkx_core::{prepare_graphs, train, GnnTrainConfig, SamplerKind, TrainSpec};
 use trkx_ddp::{AllReduceStrategy, DdpConfig};
 use trkx_sampling::ShadowConfig;
 
@@ -43,7 +40,8 @@ fn main() {
     let graphs = dataset.generate(n_graphs, 99);
     let prepared = prepare_graphs(&graphs);
     let n_train = (graphs.len() * 4 / 5).max(1);
-    let (train, val) = prepared.split_at(n_train);
+    let (train_set, val) = prepared.split_at(n_train);
+    let sampler = SamplerKind::Bulk { k: 2 * workers };
 
     let cfg = GnnTrainConfig {
         hidden,
@@ -90,14 +88,11 @@ fn main() {
     let mut loss_bits = Vec::new();
     for (name, strategy) in ladder {
         for overlap in [false, true] {
-            let r = train_minibatch_simulated_opts(
-                &cfg,
-                SamplerKind::Bulk { k: 2 * workers },
-                false,
-                DdpConfig::new(workers, strategy).with_overlap(overlap),
-                train,
+            let ddp = DdpConfig::new(workers, strategy).with_overlap(overlap);
+            let r = train(
+                &TrainSpec::simulated_ddp(&cfg, sampler, ddp),
+                train_set,
                 val,
-                Vec::new(),
             );
             let comm_s: f64 = r.epochs.iter().map(|e| e.timing.comm_virtual_s).sum();
             let exposed_s: f64 = r.epochs.iter().map(|e| e.timing.comm_exposed_s).sum();
@@ -142,22 +137,13 @@ fn main() {
     );
 
     println!("\n# Hogwild vs synchronous DDP, P={workers}");
-    let sync = train_minibatch_simulated_opts(
-        &cfg,
-        SamplerKind::Bulk { k: 2 * workers },
-        false,
-        DdpConfig::new(workers, AllReduceStrategy::Coalesced),
-        train,
-        val,
-        Vec::new(),
-    );
-    let hog = train_minibatch_hogwild(
-        &cfg,
-        SamplerKind::Bulk { k: 2 * workers },
-        workers,
-        train,
+    let coalesced = DdpConfig::new(workers, AllReduceStrategy::Coalesced);
+    let sync = train(
+        &TrainSpec::simulated_ddp(&cfg, sampler, coalesced),
+        train_set,
         val,
     );
+    let hog = train(&TrainSpec::hogwild(&cfg, sampler, workers), train_set, val);
     let mut curve = Table::new(&["epoch", "sync loss", "hogwild loss", "sync comm(s)"]);
     for (s, h) in sync.epochs.iter().zip(&hog.epochs) {
         curve.row(vec![

@@ -24,7 +24,7 @@
 //! As in the paper, the bulk factor `k` grows with the process count
 //! (more aggregate memory ⇒ more minibatches sampled per bulk call).
 //! Per-rank compute is measured with the single-thread DDP simulator
-//! (`train_minibatch_simulated`) so that worker timings are exact even on
+//! (`TrainSpec::simulated_ddp`) so that worker timings are exact even on
 //! machines with fewer cores than simulated GPUs; communication comes
 //! from the NVLink-3 α–β ring model. Paper shapes to reproduce: ours is
 //! ~1.3–2x faster per epoch than PyG-style across P; training time
@@ -32,7 +32,7 @@
 //! grows with P.
 
 use trkx_bench::{append_jsonl, arg_flag, arg_value, Table};
-use trkx_core::{prepare_graphs, train_minibatch_simulated_opts, GnnTrainConfig, SamplerKind};
+use trkx_core::{prepare_graphs, train, BatchingMode, GnnTrainConfig, SamplerKind, TrainSpec};
 use trkx_ddp::{AllReduceStrategy, DdpConfig};
 use trkx_detector::{DatasetConfig, EventGraph};
 use trkx_sampling::ShadowConfig;
@@ -57,13 +57,13 @@ fn run_dataset(
 ) {
     let prepared = prepare_graphs(graphs);
     let n_train = (graphs.len() * 4 / 5).max(1);
-    let (train, val) = prepared.split_at(n_train);
+    let (train_set, val) = prepared.split_at(n_train);
     println!(
         "\n## {}: {} train graphs, avg {:.0} vertices / {:.0} edges\n",
         dataset.name,
-        train.len(),
-        train.iter().map(|g| g.num_nodes as f64).sum::<f64>() / train.len() as f64,
-        train.iter().map(|g| g.num_edges() as f64).sum::<f64>() / train.len() as f64,
+        train_set.len(),
+        train_set.iter().map(|g| g.num_nodes as f64).sum::<f64>() / train_set.len() as f64,
+        train_set.iter().map(|g| g.num_edges() as f64).sum::<f64>() / train_set.len() as f64,
     );
 
     let arms = [
@@ -120,20 +120,15 @@ fn run_dataset(
             } else {
                 SamplerKind::Baseline
             };
-            let r = train_minibatch_simulated_opts(
-                &cfg,
-                sampler,
-                overlap,
-                DdpConfig {
-                    workers: p,
-                    strategy: arm.strategy,
-                    cost_model: trkx_ddp::CommCostModel::nvlink3(),
-                    comm_overlap,
-                },
-                train,
-                val,
-                Vec::new(),
-            );
+            let ddp = DdpConfig::new(p, arm.strategy).with_overlap(comm_overlap);
+            // The simulator models prefetching in the virtual clock only.
+            let batching = if overlap {
+                BatchingMode::prefetch()
+            } else {
+                BatchingMode::Sync
+            };
+            let spec = TrainSpec::simulated_ddp(&cfg, sampler, ddp).with_batching(batching);
+            let r = train(&spec, train_set, val);
             // Average over measured epochs.
             let n = r.epochs.len() as f64;
             let sample_s = r.epochs.iter().map(|e| e.timing.sampling_s).sum::<f64>() / n;

@@ -13,9 +13,7 @@
 //! degradation from the bulk implementation).
 
 use trkx_bench::{append_jsonl, arg_value, Table};
-use trkx_core::{
-    prepare_graphs, train_full_graph, train_minibatch, GnnTrainConfig, SamplerKind, TrainResult,
-};
+use trkx_core::{prepare_graphs, train, GnnTrainConfig, SamplerKind, TrainResult, TrainSpec};
 use trkx_ddp::DdpConfig;
 use trkx_detector::{split_80_10_10, DatasetConfig};
 use trkx_sampling::ShadowConfig;
@@ -33,12 +31,12 @@ fn main() {
     let graphs = dataset.generate(n_graphs, 404);
     let (tr, va, _te) = split_80_10_10(graphs.len());
     let prepared = prepare_graphs(&graphs);
-    let train = &prepared[tr];
+    let train_set = &prepared[tr];
     let val = &prepared[va];
     println!(
         "# Figure 4: convergence on {} ({} train / {} val graphs, {} epochs)\n",
         dataset.name,
-        train.len(),
+        train_set.len(),
         val.len(),
         epochs
     );
@@ -61,7 +59,7 @@ fn main() {
     // Full-graph arm: activation budget set to the median graph footprint
     // so that (as on a memory-limited GPU) the largest events are skipped.
     let icfg = cfg.ignn_config(dataset.num_vertex_features, dataset.num_edge_features);
-    let mut footprints: Vec<usize> = train
+    let mut footprints: Vec<usize> = train_set
         .iter()
         .map(|g| icfg.estimate_activation_floats(g.num_nodes, g.num_edges()))
         .collect();
@@ -69,22 +67,23 @@ fn main() {
     let budget = footprints[footprints.len() / 2];
 
     println!("training full-graph arm (budget {budget} activation floats)...");
-    let full = train_full_graph(&cfg, train, val, Some(budget));
+    let full = train(&TrainSpec::full_graph(&cfg, Some(budget)), train_set, val);
     println!(
         "  skipped {} / {} graphs\n",
         full.skipped_graphs,
-        train.len()
+        train_set.len()
     );
+    let minibatch = |sampler| {
+        train(
+            &TrainSpec::ddp(&cfg, sampler, DdpConfig::single()),
+            train_set,
+            val,
+        )
+    };
     println!("training ShaDow PyG-style baseline arm...");
-    let pyg = train_minibatch(&cfg, SamplerKind::Baseline, DdpConfig::single(), train, val);
+    let pyg = minibatch(SamplerKind::Baseline);
     println!("training ShaDow bulk (ours) arm...\n");
-    let ours = train_minibatch(
-        &cfg,
-        SamplerKind::Bulk { k: 4 },
-        DdpConfig::single(),
-        train,
-        val,
-    );
+    let ours = minibatch(SamplerKind::Bulk { k: 4 });
 
     let mut table = Table::new(&[
         "epoch", "full P", "full R", "PyG P", "PyG R", "ours P", "ours R",

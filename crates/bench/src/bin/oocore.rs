@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use trkx_bench::{arg_flag, arg_value};
 use trkx_core::{
-    prepare_graphs, prepare_graphs_sharded, train_minibatch, GnnTrainConfig, SamplerKind,
+    prepare_graphs, prepare_graphs_sharded, train, GnnTrainConfig, SamplerKind, TrainSpec,
 };
 use trkx_ddp::DdpConfig;
 use trkx_detector::{spill_adjacency, DatasetConfig};
@@ -143,9 +143,9 @@ fn main() {
     let pin = prepare_graphs(&train_graphs);
     let psh = prepare_graphs_sharded(&train_graphs, &dir.join("train"), shard_nodes, 2)
         .expect("prepare sharded training graphs");
-    let kind = SamplerKind::Bulk { k: 2 };
-    let a = train_minibatch(&tcfg, kind, DdpConfig::single(), &pin[..2], &pin[2..]);
-    let b = train_minibatch(&tcfg, kind, DdpConfig::single(), &psh[..2], &psh[2..]);
+    let spec = TrainSpec::ddp(&tcfg, SamplerKind::Bulk { k: 2 }, DdpConfig::single());
+    let a = train(&spec, &pin[..2], &pin[2..]);
+    let b = train(&spec, &psh[..2], &psh[2..]);
     let loss_bits_identical = a
         .epochs
         .iter()

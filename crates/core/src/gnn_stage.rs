@@ -1,16 +1,19 @@
-//! Stage 4: Interaction-GNN edge classification — full-graph training
-//! (the original Exa.TrkX approach, with OOM-skip emulation), minibatch
-//! ShaDow training with the PyG-style baseline sampler, and minibatch
-//! training with matrix-based bulk sampling plus coalesced all-reduce
-//! (the paper's contributions). Produces the per-epoch convergence curves
-//! of Figure 4 and the epoch-time breakdowns of Figure 3.
+//! Stage 4: Interaction-GNN edge classification. One trainer, [`train`],
+//! runs every schedule the paper compares — full-graph training (the
+//! original Exa.TrkX approach, with OOM-skip emulation), minibatch ShaDow
+//! training with the PyG-style baseline sampler or matrix-based bulk
+//! sampling, synchronous DDP with per-tensor / coalesced / bucketed
+//! all-reduce (threaded or simulated), and Hogwild — as a [`TrainSpec`]
+//! over a single rank step. Produces the per-epoch convergence curves of
+//! Figure 4 and the epoch-time breakdowns of Figure 3.
 
 use crate::train::{
-    plan_chunks, with_batch_source, BatchSource, BatchingMode, EpochCtx, EpochStats,
-    FullGraphSource, HogwildShared, Hook, SampledBatch, SampledBatchSource, ShardChunks, TrainLoop,
-    TrainStep, ValMetrics,
+    plan_chunks, with_batch_source, BatchSource, BatchingMode, EpochCtx, EpochReport, EpochStats,
+    FullGraphSource, HogwildShared, Hook, RoundRobin, SampledBatch, SampledBatchSource,
+    ShardChunks, TrainLoop, TrainStep, ValMetrics,
 };
 use rand::{rngs::StdRng, SeedableRng};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 use trkx_ddp::{run_workers, AllReducer, BucketScheduler, CommLink, DdpConfig, EpochTiming};
@@ -21,7 +24,7 @@ use trkx_sampling::{
     vertex_batches, BulkShadowSampler, SampledSubgraph, Sampler, SamplerGraph, ShadowConfig,
     ShadowSampler,
 };
-use trkx_tensor::{EdgePlans, Matrix, Tape};
+use trkx_tensor::{EdgePlans, Matrix, Tape, Var};
 
 /// An event graph converted to training-ready matrices plus the sampler
 /// view of its adjacency. Built once, reused every epoch.
@@ -246,15 +249,10 @@ impl GnnTrainConfig {
     }
 }
 
-/// One epoch's record — legacy alias for the unified harness's
-/// [`EpochReport`](crate::train::EpochReport) (loss, validation metrics,
-/// step count, lr, timing).
-pub use crate::train::EpochReport as EpochRecord;
-
 /// Outcome of a training run.
 pub struct TrainResult {
     pub model: InteractionGnn,
-    pub epochs: Vec<EpochRecord>,
+    pub epochs: Vec<EpochReport>,
     /// Full-graph training only: events skipped by the activation-memory
     /// budget (the paper's skip-too-large-graphs behaviour).
     pub skipped_graphs: usize,
@@ -305,197 +303,288 @@ pub fn evaluate_with(
     stats
 }
 
-/// Full-graph training (the original Exa.TrkX baseline): each training
-/// step feeds one entire event graph; graphs whose estimated activation
-/// footprint exceeds `activation_budget_floats` are skipped, shrinking
-/// the effective training set exactly as on a memory-limited GPU.
-pub fn train_full_graph(
-    cfg: &GnnTrainConfig,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-    activation_budget_floats: Option<usize>,
-) -> TrainResult {
-    train_full_graph_with_hooks(cfg, train, val, activation_budget_floats, Vec::new())
+/// Per-rank hook factory: called once per rank thread, on that thread,
+/// with the thread's first rank (the single-threaded modes call it once,
+/// with 0) to build its hook stack. Hooks must be deterministic functions
+/// of the reports they observe — every DDP rank sees identical metrics
+/// (replicas stay synchronised), so identical hook stacks make identical
+/// stop/LR decisions and the collectives stay aligned.
+pub type HookFactory = dyn Fn(usize) -> Vec<Box<dyn Hook>> + Sync;
+
+/// How a run's ranks execute and what joins their gradients.
+#[derive(Debug, Clone, Copy)]
+pub enum TrainMode {
+    /// The original Exa.TrkX baseline: each step feeds one entire event
+    /// graph; graphs whose estimated activation footprint exceeds the
+    /// budget are skipped, shrinking the effective training set exactly
+    /// as on a memory-limited GPU.
+    FullGraph {
+        activation_budget_floats: Option<usize>,
+    },
+    /// Minibatch ShaDow training with synchronous data parallelism: one
+    /// thread per rank and a real shared-memory all-reduce. `sampler`
+    /// picks the Fig. 3 comparison arm; the all-reduce strategy
+    /// (per-tensor / coalesced / bucketed, post-hoc or overlapped with
+    /// backward) comes from `ddp`.
+    Ddp {
+        sampler: SamplerKind,
+        ddp: DdpConfig,
+    },
+    /// The same synchronous run with every rank executed in turn on the
+    /// calling thread, so wall-clock measurements attribute each rank's
+    /// sampling and compute time exactly (with fewer cores than ranks,
+    /// threads timeshare and wall time stops meaning per-worker time).
+    /// The math is identical to [`TrainMode::Ddp`] bit for bit; the epoch
+    /// time reported is the slowest rank's compute plus the α–β model's
+    /// all-reduce time, which is what a real P-GPU system observes. It
+    /// cannot sample concurrently with itself, so
+    /// [`BatchingMode::Prefetch`] only flips the virtual-clock accounting
+    /// (`max(sampling, train)` instead of their sum). Figure 3 uses it.
+    SimulatedDdp {
+        sampler: SamplerKind,
+        ddp: DdpConfig,
+    },
+    /// Lock-free asynchronous SGD (Hogwild!): `workers` threads train
+    /// against one shared parameter store with no lockstep — no
+    /// collectives, no barriers, zero communication cost; the price is
+    /// gradient staleness and occasional lost updates, so convergence is
+    /// noisier than synchronous DDP (EXPERIMENTS.md §fig4). Schedule and
+    /// sharding are those of [`TrainMode::Ddp`], so mode comparisons hold
+    /// the per-worker workload fixed.
+    Hogwild {
+        sampler: SamplerKind,
+        workers: usize,
+    },
 }
 
-/// [`train_full_graph`] with a caller-supplied hook stack (telemetry,
-/// checkpointing, early stopping). Figure 4's convergence curves need
-/// every epoch, so the harness attaches no hooks by default — early
-/// stopping is strictly opt-in here.
-pub fn train_full_graph_with_hooks(
-    cfg: &GnnTrainConfig,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-    activation_budget_floats: Option<usize>,
-    hooks: Vec<Box<dyn Hook>>,
-) -> TrainResult {
-    train_full_graph_opts(
-        cfg,
-        train,
-        val,
-        activation_budget_floats,
-        BatchingMode::Sync,
-        hooks,
-    )
+/// Everything that describes a GNN training run; [`train`] executes it.
+#[derive(Clone, Copy)]
+pub struct TrainSpec<'a> {
+    pub cfg: &'a GnnTrainConfig,
+    pub mode: TrainMode,
+    /// `Prefetch` samples (or, full-graph, materialises) the next batch on
+    /// a background thread per rank while the current one trains. Seeds
+    /// are pure functions of the schedule, so the loss curves match
+    /// `Sync` bit for bit.
+    pub batching: BatchingMode,
+    /// `None` attaches no hooks — Figure 4's convergence curves need
+    /// every epoch, so early stopping is strictly opt-in. With hooks,
+    /// every rank thread runs the validation pass (not just the first),
+    /// so metric-driven hooks decide alike on every replica.
+    pub hooks: Option<&'a HookFactory>,
 }
 
-/// [`train_full_graph_with_hooks`] with an explicit [`BatchingMode`]:
-/// `Prefetch` materialises the next graph's matrices on a background
-/// thread while the current one trains. Batch order and loss curves are
-/// identical in both modes.
-pub fn train_full_graph_opts(
-    cfg: &GnnTrainConfig,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-    activation_budget_floats: Option<usize>,
-    mode: BatchingMode,
-    hooks: Vec<Box<dyn Hook>>,
-) -> TrainResult {
-    let (nf, ef) = (train[0].x.cols(), train[0].y.cols());
-    let icfg = cfg.ignn_config(nf, ef);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let model = InteractionGnn::new(icfg.clone(), &mut rng);
-    let pos_weight = cfg.derive_pos_weight(train);
-
-    let usable: Vec<&PreparedGraph> = train
-        .iter()
-        .filter(|g| {
-            activation_budget_floats
-                .map(|b| icfg.estimate_activation_floats(g.num_nodes, g.num_edges()) <= b)
-                .unwrap_or(true)
-        })
-        .collect();
-    let skipped_graphs = train.len() - usable.len();
-
-    let mut step = FullGraphStep {
-        model,
-        usable,
-        val,
-        pos_weight,
-        threshold: cfg.threshold,
-        mode,
-        val_tape: Tape::new(),
-        val_bind: Bindings::new(),
-    };
-    let epochs = TrainLoop::new(Adam::new(cfg.learning_rate), cfg.epochs)
-        .with_hooks(hooks)
-        .run(&mut step);
-    TrainResult {
-        model: step.model,
-        epochs,
-        skipped_graphs,
+impl<'a> TrainSpec<'a> {
+    fn new(cfg: &'a GnnTrainConfig, mode: TrainMode) -> Self {
+        Self {
+            cfg,
+            mode,
+            batching: BatchingMode::Sync,
+            hooks: None,
+        }
     }
-}
 
-/// Run one minibatch's forward/backward through the epoch context; shared
-/// by every GNN trainer (the batch is whatever its [`BatchSource`]
-/// produced — a sampled subgraph or a whole event graph).
-fn batch_forward_backward(
-    ctx: &mut EpochCtx,
-    model: &InteractionGnn,
-    batch: &SampledBatch,
-    pos_weight: f32,
-) -> f32 {
-    ctx.forward_backward(|tape, bind| {
-        if batch.labels.is_empty() {
-            return None;
-        }
-        let logits = model.forward_planned(tape, bind, &batch.x, &batch.y, &batch.plans);
-        Some(bce_with_logits(tape, logits, &batch.labels, pos_weight))
-    })
-}
-
-/// Forward half only (for the comm-overlapped step shape, where backward
-/// runs separately through [`EpochCtx::backward_comm`] once the model
-/// borrow is released and its `&mut Param` list can be collected).
-fn batch_forward(
-    ctx: &mut EpochCtx,
-    model: &InteractionGnn,
-    batch: &SampledBatch,
-    pos_weight: f32,
-) -> Option<trkx_tensor::Var> {
-    ctx.forward_only(|tape, bind| {
-        if batch.labels.is_empty() {
-            return None;
-        }
-        let logits = model.forward_planned(tape, bind, &batch.x, &batch.y, &batch.plans);
-        Some(bce_with_logits(tape, logits, &batch.labels, pos_weight))
-    })
-}
-
-/// One scheduler per replica, bucketed to the strategy's budget: layout
-/// and canonical fire order are pure functions of the (identical)
-/// parameter sizes, so every rank issues the same collective sequence.
-fn build_scheduler(model: &InteractionGnn, ddp: &DdpConfig) -> BucketScheduler {
-    let sizes: Vec<usize> = model.params().iter().map(|prm| prm.numel()).collect();
-    BucketScheduler::new(BucketLayout::from_sizes(
-        &sizes,
-        ddp.strategy.bucket_bytes(),
-    ))
-}
-
-/// The full-graph schedule: one optimizer step per (budget-surviving)
-/// event graph, pulled from a [`FullGraphSource`].
-struct FullGraphStep<'a> {
-    model: InteractionGnn,
-    usable: Vec<&'a PreparedGraph>,
-    val: &'a [PreparedGraph],
-    pos_weight: f32,
-    threshold: f32,
-    mode: BatchingMode,
-    val_tape: Tape,
-    val_bind: Bindings,
-}
-
-impl TrainStep for FullGraphStep<'_> {
-    fn train_epoch(&mut self, _epoch: usize, ctx: &mut EpochCtx) -> EpochStats {
-        let items: Vec<(usize, &PreparedGraph)> = self.usable.iter().copied().enumerate().collect();
-        let source = FullGraphSource::new(items);
-        let mut train_s = 0.0f64;
-        let mut loss_sum = 0.0f32;
-        let sampling_s = with_batch_source(self.mode, source, |src| {
-            while let Some(batch) = src.next_batch() {
-                let t = Instant::now();
-                loss_sum += batch_forward_backward(ctx, &self.model, &batch, self.pos_weight);
-                ctx.update(&mut self.model.params_mut());
-                train_s += t.elapsed().as_secs_f64();
-            }
-            src.sample_busy_s()
-        });
-        EpochStats {
-            loss_sum,
-            loss_denom: self.usable.len(),
-            steps: ctx.steps(),
-            timing: EpochTiming {
-                sampling_s,
-                train_s,
-                overlapped: self.mode.is_prefetch(),
-                ..Default::default()
+    pub fn full_graph(cfg: &'a GnnTrainConfig, activation_budget_floats: Option<usize>) -> Self {
+        Self::new(
+            cfg,
+            TrainMode::FullGraph {
+                activation_budget_floats,
             },
-            cache: None,
-        }
+        )
     }
 
-    fn validate(&mut self, _epoch: usize) -> Option<ValMetrics> {
-        let stats = evaluate_with(
-            &mut self.val_tape,
-            &mut self.val_bind,
-            &self.model,
-            self.val,
-            self.threshold,
-        );
-        Some(ValMetrics {
-            precision: stats.precision(),
-            recall: stats.recall(),
-        })
+    pub fn ddp(cfg: &'a GnnTrainConfig, sampler: SamplerKind, ddp: DdpConfig) -> Self {
+        Self::new(cfg, TrainMode::Ddp { sampler, ddp })
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.model.params_mut()
+    pub fn simulated_ddp(cfg: &'a GnnTrainConfig, sampler: SamplerKind, ddp: DdpConfig) -> Self {
+        Self::new(cfg, TrainMode::SimulatedDdp { sampler, ddp })
+    }
+
+    pub fn hogwild(cfg: &'a GnnTrainConfig, sampler: SamplerKind, workers: usize) -> Self {
+        Self::new(cfg, TrainMode::Hogwild { sampler, workers })
+    }
+
+    pub fn with_batching(mut self, batching: BatchingMode) -> Self {
+        self.batching = batching;
+        self
+    }
+
+    pub fn with_hooks(mut self, hooks: &'a HookFactory) -> Self {
+        self.hooks = Some(hooks);
+        self
     }
 }
 
-/// The per-epoch step schedule: `(graph index, global batch)` pairs.
+/// Where an epoch's batches come from.
+enum Batches<'a> {
+    /// One batch per budget-surviving event graph.
+    Full(Vec<&'a PreparedGraph>),
+    /// ShaDow minibatches, `chunk_size` schedule entries per sampler
+    /// call. One sampler serves every rank (and every rank's prefetch
+    /// thread): `Sampler` is `Sync` and holds no mutable state.
+    Sampled {
+        sampler: Box<dyn Sampler>,
+        chunk_size: usize,
+    },
+}
+
+/// What joins the ranks' gradients at the end of a step.
+enum Link {
+    /// Rank threads meet in a real shared-memory all-reduce.
+    Reduce(AllReducer),
+    /// Every rank runs on one thread and accumulates into one model
+    /// (replicas stay identical under synchronous DDP, so one suffices);
+    /// the α–β model charges what a real ring would take.
+    Model,
+    /// No lockstep: pull the shared weights before forward, push a racy
+    /// SGD update after backward.
+    Hogwild(HogwildShared),
+}
+
+/// Train the Interaction GNN as `spec` describes, validating on `val`
+/// after every epoch.
+pub fn train(spec: &TrainSpec, train: &[PreparedGraph], val: &[PreparedGraph]) -> TrainResult {
+    assert!(!train.is_empty(), "need training events");
+    let cfg = spec.cfg;
+    let icfg = cfg.ignn_config(train[0].x.cols(), train[0].y.cols());
+    let init_model = InteractionGnn::new(icfg.clone(), &mut StdRng::seed_from_u64(cfg.seed));
+    let pos_weight = cfg.derive_pos_weight(train);
+    let sampled = |kind: SamplerKind| Batches::Sampled {
+        sampler: kind.build(cfg.shadow),
+        chunk_size: kind.chunk_size(),
+    };
+
+    // A mode is a batch supply, a world size `p`, a thread count (one rank
+    // per thread, or every rank on one), the lockstep collectives'
+    // configuration (a single worker's where there are none) and a link.
+    let single = DdpConfig::single();
+    let (batches, p, threads, ddp, link) = match spec.mode {
+        TrainMode::FullGraph {
+            activation_budget_floats: budget,
+        } => {
+            let footprint =
+                |g: &PreparedGraph| icfg.estimate_activation_floats(g.num_nodes, g.num_edges());
+            let fits = |g: &&PreparedGraph| budget.is_none_or(|b| footprint(g) <= b);
+            let usable = train.iter().filter(fits).collect();
+            (Batches::Full(usable), 1, 1, single, Link::Model)
+        }
+        TrainMode::Ddp { sampler, ddp } => {
+            let reducer = AllReducer::new(ddp.workers, ddp.cost_model);
+            let p = ddp.workers;
+            (sampled(sampler), p, p, ddp, Link::Reduce(reducer))
+        }
+        TrainMode::SimulatedDdp { sampler, ddp } => {
+            (sampled(sampler), ddp.workers, 1, ddp, Link::Model)
+        }
+        TrainMode::Hogwild { sampler, workers } => {
+            let shared = HogwildShared::new(&init_model.params());
+            let p = workers.max(1);
+            (sampled(sampler), p, p, single, Link::Hogwild(shared))
+        }
+    };
+    // Per-tensor, coalesced and bucketed are all greedy bucket budgets, so
+    // one formula prices a step's collectives (zero at one worker) and one
+    // layout buckets them: a pure function of the (identical) parameter
+    // sizes, so every rank issues the same collective sequence.
+    let sizes: Vec<usize> = init_model.params().iter().map(|t| t.numel()).collect();
+    let tensor_bytes: Vec<usize> = sizes.iter().map(|n| n * 4).collect();
+    let bucket_bytes = ddp.strategy.bucket_bytes();
+    let step_comm_s = ddp
+        .cost_model
+        .bucketed_time(&tensor_bytes, bucket_bytes, ddp.workers);
+
+    let mut results = run_workers(threads, |thread| {
+        let local = p / threads;
+        let sched = ddp
+            .comm_overlap
+            .then(|| BucketScheduler::new(BucketLayout::from_sizes(&sizes, bucket_bytes)));
+        let mut step = RankStep {
+            spec,
+            ranks: thread * local..(thread + 1) * local,
+            p,
+            model: init_model.clone(),
+            batches: &batches,
+            link: &link,
+            ddp,
+            sched,
+            step_comm_s,
+            train,
+            val,
+            pos_weight,
+            run_validation: thread == 0 || spec.hooks.is_some(),
+            val_tape: Tape::new(),
+            val_bind: Bindings::new(),
+        };
+        let hooks = spec.hooks.map_or_else(Vec::new, |factory| factory(thread));
+        let trainer = match link {
+            // Plain SGD matches the racy shared update rule; the local
+            // optimizer step is overwritten by the next pull anyway.
+            Link::Hogwild(_) => TrainLoop::new(Sgd::new(cfg.learning_rate), cfg.epochs),
+            _ => TrainLoop::new(Adam::new(cfg.learning_rate), cfg.epochs),
+        };
+        let reports = trainer.with_hooks(hooks).run(&mut step);
+        (step.model, reports)
+    });
+
+    // The first thread's model and metrics; timings are the max across
+    // threads (a synchronous step advances at the slowest worker's pace).
+    // Deterministic hooks stop every rank at the same epoch.
+    let (mut model, mut epochs) = results.remove(0);
+    for (_, reports) in &results {
+        for (report, other) in epochs.iter_mut().zip(reports) {
+            report.timing.max_merge(&other.timing);
+        }
+    }
+    if let Link::Hogwild(shared) = &link {
+        // The trained model is whatever the shared store converged to.
+        shared.pull(&mut model.params_mut());
+    }
+    TrainResult {
+        model,
+        epochs,
+        skipped_graphs: match &batches {
+            Batches::Full(usable) => train.len() - usable.len(),
+            Batches::Sampled { .. } => 0,
+        },
+    }
+}
+
+/// [`train`] of [`TrainSpec::ddp`] under its pre-`TrainSpec` signature,
+/// kept because the frozen `benchmark/` package calls it.
+pub fn train_minibatch_opts(
+    cfg: &GnnTrainConfig,
+    sampler: SamplerKind,
+    mode: BatchingMode,
+    ddp: DdpConfig,
+    train: &[PreparedGraph],
+    val: &[PreparedGraph],
+    hook_factory: Option<&HookFactory>,
+) -> TrainResult {
+    let mut spec = TrainSpec::ddp(cfg, sampler, ddp).with_batching(mode);
+    spec.hooks = hook_factory;
+    self::train(&spec, train, val)
+}
+
+/// One minibatch's forward pass and loss (the batch is whatever its
+/// [`BatchSource`] produced — a sampled subgraph or a whole event graph);
+/// an empty shard declines to produce one.
+fn batch_loss<'b>(
+    model: &'b InteractionGnn,
+    batch: &'b SampledBatch,
+    pos_weight: f32,
+) -> impl FnOnce(&mut Tape, &mut Bindings) -> Option<Var> + 'b {
+    move |tape, bind| {
+        if batch.labels.is_empty() {
+            return None;
+        }
+        let logits = model.forward_planned(tape, bind, &batch.x, &batch.y, &batch.plans);
+        Some(bce_with_logits(tape, logits, &batch.labels, pos_weight))
+    }
+}
+
+/// The per-epoch step schedule: `(graph index, global batch)` pairs, the
+/// same on every rank (synchronous DDP).
 fn build_schedule(
     train: &[PreparedGraph],
     batch_size: usize,
@@ -514,641 +603,171 @@ fn build_schedule(
     schedule
 }
 
-/// Per-rank hook factory for the threaded DDP trainer: called once per
-/// rank, on that rank's thread, to build its hook stack. Hooks must be
-/// deterministic functions of the reports they observe — every rank sees
-/// identical metrics (replicas stay synchronised), so identical hook
-/// stacks make identical stop/LR decisions and the collectives stay
-/// aligned.
-pub type HookFactory = dyn Fn(usize) -> Vec<Box<dyn Hook>> + Sync;
-
-/// Minibatch ShaDow training with distributed data parallelism.
-///
-/// `sampler` picks the Fig. 3 comparison arm: `Baseline` is the
-/// sequential per-batch ShaDow (PyG-style), `Bulk { k }` samples `k`
-/// minibatches per bulk call with matrix-based sampling. The DDP
-/// strategy (per-tensor vs coalesced all-reduce) comes from `ddp`.
-pub fn train_minibatch(
-    cfg: &GnnTrainConfig,
-    sampler: SamplerKind,
-    ddp: DdpConfig,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-) -> TrainResult {
-    train_minibatch_with_hooks(cfg, sampler, ddp, train, val, None)
-}
-
-/// [`train_minibatch`] with a per-rank hook factory. When hooks are
-/// attached, *every* rank runs the validation pass (not just rank 0) so
-/// metric-driven hooks make the same decision on every replica.
-pub fn train_minibatch_with_hooks(
-    cfg: &GnnTrainConfig,
-    sampler: SamplerKind,
-    ddp: DdpConfig,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-    hook_factory: Option<&HookFactory>,
-) -> TrainResult {
-    train_minibatch_opts(
-        cfg,
-        sampler,
-        BatchingMode::Sync,
-        ddp,
-        train,
-        val,
-        hook_factory,
-    )
-}
-
-/// [`train_minibatch_with_hooks`] with an explicit [`BatchingMode`].
-/// Under `Prefetch`, every rank runs its own background sampling thread
-/// feeding a bounded queue, so step *t+1*'s sampling overlaps step *t*'s
-/// forward/backward. The sampler seeds are pure functions of the
-/// schedule, so prefetching reproduces sync-mode loss curves bit for bit.
-pub fn train_minibatch_opts(
-    cfg: &GnnTrainConfig,
-    sampler: SamplerKind,
-    mode: BatchingMode,
-    ddp: DdpConfig,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-    hook_factory: Option<&HookFactory>,
-) -> TrainResult {
-    let (nf, ef) = (train[0].x.cols(), train[0].y.cols());
-    let icfg = cfg.ignn_config(nf, ef);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let init_model = InteractionGnn::new(icfg, &mut rng);
-    let pos_weight = cfg.derive_pos_weight(train);
-    let p = ddp.workers;
-    let validate_all = hook_factory.is_some();
-
-    // Schedules are precomputed per epoch so every worker sees the same
-    // global batch sequence (synchronous DDP).
-    let schedules: Vec<Vec<(usize, Vec<u32>)>> = (0..cfg.epochs)
-        .map(|e| build_schedule(train, cfg.batch_size, cfg.seed, e))
-        .collect();
-
-    // One sampler instance serves every rank (and every rank's prefetch
-    // thread): `Sampler` is `Sync` and holds no mutable state.
-    let sampler_impl = sampler.build(cfg.shadow);
-    let chunk_size = sampler.chunk_size();
-
-    let reducer = AllReducer::new(p, ddp.cost_model);
-    let results = run_workers(p, |rank| {
-        let mut step = MinibatchRankStep {
-            rank,
-            p,
-            model: init_model.clone(),
-            cfg,
-            sampler: &*sampler_impl,
-            chunk_size,
-            mode,
-            strategy: ddp.strategy,
-            sched: ddp.comm_overlap.then(|| build_scheduler(&init_model, &ddp)),
-            reducer: &reducer,
-            schedules: &schedules,
-            train,
-            val,
-            pos_weight,
-            comm_seen: 0.0,
-            run_validation: rank == 0 || validate_all,
-            val_tape: Tape::new(),
-            val_bind: Bindings::new(),
-        };
-        let hooks = hook_factory.map_or_else(Vec::new, |f| f(rank));
-        let reports = TrainLoop::new(Adam::new(cfg.learning_rate), cfg.epochs)
-            .with_hooks(hooks)
-            .run(&mut step);
-        (step.model, reports)
-    });
-
-    // Assemble: rank-0 model + metrics; timings are the max across ranks
-    // (synchronous DDP advances at the slowest worker's pace).
-    let mut results = results;
-    let (model, rank0_reports) = results.remove(0);
-    let mut epochs = Vec::with_capacity(rank0_reports.len());
-    for (e, mut report) in rank0_reports.into_iter().enumerate() {
-        for (_, reports) in &results {
-            // Deterministic hooks stop every rank at the same epoch, so
-            // each rank reports the same number of epochs.
-            report.timing.max_merge(&reports[e].timing);
-        }
-        epochs.push(report);
-    }
-    TrainResult {
-        model,
-        epochs,
-        skipped_graphs: 0,
-    }
-}
-
-/// One DDP rank's schedule: its shard of every global batch, pulled from
-/// a [`BatchSource`] ([`ShardChunks`] slices the global chunk plan for
-/// this rank), with the gradient collective folded into each step's
-/// `sync`.
-struct MinibatchRankStep<'a> {
-    rank: usize,
+/// The one GNN training step: the ranks one thread runs, their batch
+/// streams, and the link that joins their gradients. Per optimizer step,
+/// each local rank's batch goes through forward/backward and is harvested
+/// into the thread's model (gradient accumulation when there are several),
+/// then the link finishes the step.
+struct RankStep<'a> {
+    spec: &'a TrainSpec<'a>,
+    /// One rank under threaded DDP and Hogwild; all `p` in the simulator.
+    ranks: Range<usize>,
     p: usize,
     model: InteractionGnn,
-    cfg: &'a GnnTrainConfig,
-    sampler: &'a dyn Sampler,
-    chunk_size: usize,
-    mode: BatchingMode,
-    strategy: trkx_ddp::AllReduceStrategy,
+    batches: &'a Batches<'a>,
+    link: &'a Link,
+    ddp: DdpConfig,
     /// `Some` when gradient communication overlaps backward: buckets fire
-    /// through the engine's grad-ready bridge instead of one post-backward
-    /// `sync_gradients` call. Gradients are bit-identical either way.
+    /// through the engine's grad-ready bridge instead of after the step.
+    /// Gradients are bit-identical either way.
     sched: Option<BucketScheduler>,
-    reducer: &'a AllReducer,
-    schedules: &'a [Vec<(usize, Vec<u32>)>],
+    /// Serial α–β cost of one step's collectives.
+    step_comm_s: f64,
     train: &'a [PreparedGraph],
     val: &'a [PreparedGraph],
     pos_weight: f32,
-    /// Reducer-reported virtual comm seconds already attributed to past
-    /// epochs (the reducer's counter is cumulative and shared).
-    comm_seen: f64,
     run_validation: bool,
     val_tape: Tape,
     val_bind: Bindings,
 }
 
-impl TrainStep for MinibatchRankStep<'_> {
-    fn train_epoch(&mut self, epoch: usize, ctx: &mut EpochCtx) -> EpochStats {
-        let rank = self.rank;
-        // This rank's batch stream: the global chunk plan, sharded.
-        let chunks = plan_chunks(
-            &self.schedules[epoch],
-            self.chunk_size,
-            self.cfg.seed,
-            epoch,
-        );
-        let sharded = ShardChunks::new(chunks.into_iter(), rank, self.p);
-        let source = SampledBatchSource::new(self.train, self.sampler, sharded);
-
-        let mut train_s = 0.0f64;
-        let mut loss_sum = 0.0f32;
-        let sampling_s = with_batch_source(self.mode, source, |src| {
+impl RankStep<'_> {
+    fn run_epoch<S: BatchSource + Send>(
+        &mut self,
+        ctx: &mut EpochCtx,
+        sources: Vec<S>,
+    ) -> EpochStats {
+        let (link, p, local) = (self.link, self.p, sources.len());
+        let (strategy, lr) = (self.ddp.strategy, self.spec.cfg.learning_rate);
+        // The simulator cannot sample concurrently with itself: it models
+        // prefetching in the virtual clock only (`overlapped` below).
+        let batching = match self.spec.mode {
+            TrainMode::SimulatedDdp { .. } => BatchingMode::Sync,
+            _ => self.spec.batching,
+        };
+        let mut rank_s = vec![0.0f64; local];
+        let (mut tail_s, mut comm_s, mut loss_sum) = (0.0f64, 0.0f64, 0.0f32);
+        let sampling_s = with_batch_source(batching, RoundRobin::new(sources), |src| {
+            let mut k = 0;
             while let Some(batch) = src.next_batch() {
+                let rank = self.ranks.start + k;
                 let t = Instant::now();
-                if let Some(sched) = self.sched.as_mut() {
-                    // Overlapped path: buckets all-reduce mid-backward as
-                    // their last parameter's gradient finalizes; empty
-                    // shards still flush every bucket at finish, so all
-                    // ranks issue the same collective sequence.
-                    let loss = batch_forward(ctx, &self.model, &batch, self.pos_weight);
-                    let link = CommLink::Reduce {
-                        reducer: self.reducer,
-                        rank,
-                    };
-                    let mut params = self.model.params_mut();
-                    loss_sum += ctx.backward_comm(loss, &mut params, sched, &link);
-                    ctx.apply_with(&mut params, |_| {});
-                } else {
-                    loss_sum += batch_forward_backward(ctx, &self.model, &batch, self.pos_weight);
-                    // The collective runs unconditionally inside the step
-                    // so every rank makes the same number of calls even
-                    // when its shard sampled no edges.
-                    let (reducer, strategy) = (self.reducer, self.strategy);
-                    ctx.update_with(&mut self.model.params_mut(), |params| {
-                        reducer.sync_gradients(rank, params, strategy);
-                    });
+                if let Link::Hogwild(shared) = link {
+                    shared.pull(&mut self.model.params_mut());
                 }
-                train_s += t.elapsed().as_secs_f64();
+                // One collective sequence per step: the last local rank's
+                // backward drives the bucket scheduler, whose bridge
+                // accumulates gradients exactly as `harvest` does; earlier
+                // ranks only accumulate. An empty shard still flushes
+                // every bucket, so all ranks issue the same collectives.
+                let sched = self.sched.as_mut().filter(|_| k + 1 == local);
+                let loss = if let Some(sched) = sched {
+                    let loss = ctx.forward_only(batch_loss(&self.model, &batch, self.pos_weight));
+                    let comm = match link {
+                        Link::Reduce(reducer) => CommLink::Reduce { reducer, rank },
+                        _ => CommLink::Model {
+                            cost: self.ddp.cost_model,
+                            workers: p,
+                        },
+                    };
+                    ctx.backward_comm(loss, &mut self.model.params_mut(), sched, &comm)
+                } else {
+                    let loss =
+                        ctx.forward_backward(batch_loss(&self.model, &batch, self.pos_weight));
+                    ctx.harvest(&mut self.model.params_mut());
+                    loss
+                };
+                if k == 0 {
+                    loss_sum += loss;
+                }
+                rank_s[k] += t.elapsed().as_secs_f64();
+                k += 1;
+                if k < local {
+                    continue;
+                }
+                k = 0;
+
+                let t = Instant::now();
+                let post_hoc = self.sched.is_none();
+                ctx.apply_with(&mut self.model.params_mut(), |params| match link {
+                    // Runs even when this rank's shard sampled no edges,
+                    // so every rank makes the same number of calls.
+                    Link::Reduce(reducer) if post_hoc => {
+                        reducer.sync_gradients(rank, params, strategy)
+                    }
+                    Link::Model if p > 1 => {
+                        let inv = 1.0 / p as f32;
+                        for prm in params.iter_mut() {
+                            prm.grad.apply(|v| v * inv);
+                        }
+                    }
+                    Link::Hogwild(shared) => shared.apply_grads(lr, params),
+                    // Overlapped buckets already reduced; one rank has
+                    // nothing to average.
+                    _ => {}
+                });
+                if post_hoc {
+                    comm_s += self.step_comm_s;
+                }
+                tail_s += t.elapsed().as_secs_f64();
             }
             src.sample_busy_s()
         });
 
-        // Per-epoch virtual comm delta (identical on every rank; rank 0's
-        // value is used).
-        let comm_total = self.reducer.virtual_comm_seconds();
-        let comm_epoch = comm_total - self.comm_seen;
-        self.comm_seen = comm_total;
-        // Exposed comm is per-rank (it depends on this rank's own compute
-        // gaps); `max_merge` across ranks keeps the slowest.
-        let comm_exposed = match self.sched.as_mut() {
-            Some(sched) => sched.take_stats().exposed_comm_s,
-            None => comm_epoch,
-        };
-
-        EpochStats {
-            loss_sum,
-            loss_denom: ctx.steps(),
-            steps: ctx.steps(),
-            timing: EpochTiming {
-                sampling_s,
-                train_s,
-                comm_virtual_s: comm_epoch,
-                comm_exposed_s: comm_exposed,
-                overlapped: self.mode.is_prefetch(),
-                comm_overlap: self.sched.is_some(),
-            },
-            cache: shard_cache_stats(self.train),
-        }
-    }
-
-    fn validate(&mut self, _epoch: usize) -> Option<ValMetrics> {
-        if !self.run_validation {
-            return None;
-        }
-        let stats = evaluate_with(
-            &mut self.val_tape,
-            &mut self.val_bind,
-            &self.model,
-            self.val,
-            self.cfg.threshold,
-        );
-        Some(ValMetrics {
-            precision: stats.precision(),
-            recall: stats.recall(),
-        })
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.model.params_mut()
-    }
-}
-
-/// Single-threaded *simulation* of the same synchronous DDP run as
-/// [`train_minibatch`]: ranks execute sequentially, so wall-clock
-/// measurements attribute each rank's sampling and compute time exactly
-/// (on machines with fewer cores than simulated GPUs, threads timeshare
-/// and wall time stops meaning per-worker time). The math is identical —
-/// identical replicas, averaged gradients, same per-rank sampler seeds —
-/// and the epoch time reported is `max over ranks of per-rank compute`
-/// plus the α–β model's all-reduce time, which is what a real P-GPU
-/// synchronous system observes. The Figure 3 harness uses this trainer.
-pub fn train_minibatch_simulated(
-    cfg: &GnnTrainConfig,
-    sampler: SamplerKind,
-    ddp: DdpConfig,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-) -> TrainResult {
-    train_minibatch_simulated_with_hooks(cfg, sampler, ddp, train, val, Vec::new())
-}
-
-/// [`train_minibatch_simulated`] with a caller-supplied hook stack. The
-/// simulator is single-threaded, so one hook stack observes the whole
-/// (virtual) cluster.
-pub fn train_minibatch_simulated_with_hooks(
-    cfg: &GnnTrainConfig,
-    sampler: SamplerKind,
-    ddp: DdpConfig,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-    hooks: Vec<Box<dyn Hook>>,
-) -> TrainResult {
-    train_minibatch_simulated_opts(cfg, sampler, false, ddp, train, val, hooks)
-}
-
-/// [`train_minibatch_simulated_with_hooks`] with overlap control. The
-/// simulator is single-threaded, so it cannot *run* sampling concurrently
-/// with compute — instead `overlap = true` flips the virtual-clock
-/// accounting: the epoch's [`EpochTiming`] is marked overlapped, so
-/// `total_s` charges `max(sampling, train)` the way a real prefetching
-/// loader would ([`VirtualClock::advance_overlapped`]). The math — losses,
-/// gradients, updates — is identical either way.
-///
-/// [`VirtualClock::advance_overlapped`]: trkx_ddp::VirtualClock::advance_overlapped
-pub fn train_minibatch_simulated_opts(
-    cfg: &GnnTrainConfig,
-    sampler: SamplerKind,
-    overlap: bool,
-    ddp: DdpConfig,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-    hooks: Vec<Box<dyn Hook>>,
-) -> TrainResult {
-    let (nf, ef) = (train[0].x.cols(), train[0].y.cols());
-    let icfg = cfg.ignn_config(nf, ef);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    // Replicas stay identical under synchronous DDP, so one model
-    // suffices: per-rank backward passes accumulate into its grads and
-    // the average is the same update every replica would apply.
-    let model = InteractionGnn::new(icfg, &mut rng);
-    let pos_weight = cfg.derive_pos_weight(train);
-    let tensor_bytes: Vec<usize> = model.params().iter().map(|prm| prm.numel() * 4).collect();
-    let sampler_impl = sampler.build(cfg.shadow);
-
-    let sched = ddp.comm_overlap.then(|| build_scheduler(&model, &ddp));
-    let mut step = SimulatedDdpStep {
-        model,
-        cfg,
-        sampler: &*sampler_impl,
-        chunk_size: sampler.chunk_size(),
-        overlap,
-        ddp,
-        sched,
-        tensor_bytes,
-        train,
-        val,
-        pos_weight,
-        val_tape: Tape::new(),
-        val_bind: Bindings::new(),
-    };
-    let epochs = TrainLoop::new(Adam::new(cfg.learning_rate), cfg.epochs)
-        .with_hooks(hooks)
-        .run(&mut step);
-    TrainResult {
-        model: step.model,
-        epochs,
-        skipped_graphs: 0,
-    }
-}
-
-/// The single-threaded DDP simulation schedule: per optimizer step, every
-/// rank's forward/backward accumulates into one model's gradients
-/// (gradient accumulation), then one averaged update plus the α–β-model
-/// collective charge.
-struct SimulatedDdpStep<'a> {
-    model: InteractionGnn,
-    cfg: &'a GnnTrainConfig,
-    sampler: &'a dyn Sampler,
-    chunk_size: usize,
-    /// Account sampling as overlapped with compute (`max` instead of sum
-    /// in the virtual clock); the math is unchanged.
-    overlap: bool,
-    ddp: DdpConfig,
-    /// `Some` when `ddp.comm_overlap`: the last simulated rank's backward
-    /// drives the bucket scheduler through an account-only
-    /// [`CommLink::Model`], yielding the serial-vs-exposed comm split.
-    sched: Option<BucketScheduler>,
-    tensor_bytes: Vec<usize>,
-    train: &'a [PreparedGraph],
-    val: &'a [PreparedGraph],
-    pos_weight: f32,
-    val_tape: Tape,
-    val_bind: Bindings,
-}
-
-impl TrainStep for SimulatedDdpStep<'_> {
-    fn train_epoch(&mut self, epoch: usize, ctx: &mut EpochCtx) -> EpochStats {
-        let cfg = self.cfg;
-        let p = self.ddp.workers;
-        let schedule = build_schedule(self.train, cfg.batch_size, cfg.seed, epoch);
-        let chunks = plan_chunks(&schedule, self.chunk_size, cfg.seed, epoch);
-        // One batch stream per simulated rank: the same global chunk plan,
-        // sharded. The streams are equal-length by construction (one batch
-        // per schedule entry, empty shards included), so ranks can pull in
-        // lockstep — one batch each per optimizer step.
-        let mut sources: Vec<_> = (0..p)
-            .map(|rank| {
-                SampledBatchSource::new(
-                    self.train,
-                    self.sampler,
-                    ShardChunks::new(chunks.clone().into_iter(), rank, p),
-                )
-            })
-            .collect();
-
-        let mut train_rank = vec![0.0f64; p];
-        let mut comm_s = 0.0f64;
-        let mut loss_sum = 0.0f32;
-
-        loop {
-            let step_batches: Vec<Option<SampledBatch>> =
-                sources.iter_mut().map(|s| s.next_batch()).collect();
-            if step_batches[0].is_none() {
-                debug_assert!(step_batches.iter().all(|b| b.is_none()));
-                break;
-            }
-            // All ranks backward (accumulating), then average, one update.
-            for (rank, batch) in step_batches.iter().enumerate() {
-                let batch = batch.as_ref().expect("rank batch streams are equal length");
-                let t = Instant::now();
-                let sched = if rank + 1 == p {
-                    self.sched.as_mut()
-                } else {
-                    None
-                };
-                if let Some(sched) = sched {
-                    // Last rank's backward drives the bucket scheduler
-                    // (account-only link): the bridge accumulates its
-                    // gradients exactly as `harvest` would, while the α–β
-                    // model splits comm into serial vs exposed against
-                    // this rank's real backward compute gaps.
-                    let loss = batch_forward(ctx, &self.model, batch, self.pos_weight);
-                    let link = CommLink::Model {
-                        cost: self.ddp.cost_model,
-                        workers: p,
-                    };
-                    let mut params = self.model.params_mut();
-                    let loss = ctx.backward_comm(loss, &mut params, sched, &link);
-                    if rank == 0 {
-                        loss_sum += loss;
-                    }
-                } else {
-                    let loss = batch_forward_backward(ctx, &self.model, batch, self.pos_weight);
-                    if rank == 0 {
-                        loss_sum += loss;
-                    }
-                    ctx.harvest(&mut self.model.params_mut());
-                }
-                train_rank[rank] += t.elapsed().as_secs_f64();
-            }
-            // Average accumulated gradients; charge the collective unless
-            // the scheduler already accounted it bucket by bucket.
-            let inv = 1.0 / p as f32;
-            let (ddp, tensor_bytes) = (self.ddp, &self.tensor_bytes);
-            let comm_overlap = self.sched.is_some();
-            ctx.apply_with(&mut self.model.params_mut(), |params| {
-                for prm in params.iter_mut() {
-                    prm.grad.apply(|v| v * inv);
-                }
-                if p > 1 && !comm_overlap {
-                    comm_s += match ddp.strategy {
-                        trkx_ddp::AllReduceStrategy::PerTensor => {
-                            ddp.cost_model.per_tensor_time(tensor_bytes, p)
-                        }
-                        trkx_ddp::AllReduceStrategy::Coalesced => {
-                            ddp.cost_model.coalesced_time(tensor_bytes, p)
-                        }
-                        trkx_ddp::AllReduceStrategy::Bucketed { bucket_bytes } => {
-                            ddp.cost_model.bucketed_time(tensor_bytes, bucket_bytes, p)
-                        }
-                    };
-                }
-            });
-        }
-
-        // With the scheduler active, both comm accounts come from it (its
-        // serial account provably matches the strategy formulas).
-        let (comm_virtual, comm_exposed) = match self.sched.as_mut() {
+        // With the scheduler active both comm accounts come from it (its
+        // serial account matches the strategy formula); exposed comm is
+        // per-thread — it depends on this rank's own compute gaps.
+        let (comm_virtual_s, comm_exposed_s) = match self.sched.as_mut() {
             Some(sched) => {
-                let st = sched.take_stats();
-                (st.serial_comm_s, st.exposed_comm_s)
+                let stats = sched.take_stats();
+                (stats.serial_comm_s, stats.exposed_comm_s)
             }
             None => (comm_s, comm_s),
         };
-
         EpochStats {
             loss_sum,
             loss_denom: ctx.steps(),
             steps: ctx.steps(),
             timing: EpochTiming {
-                sampling_s: sources
-                    .iter()
-                    .map(|s| s.sample_busy_s())
-                    .fold(0.0, f64::max),
-                train_s: train_rank.iter().copied().fold(0.0, f64::max),
-                comm_virtual_s: comm_virtual,
-                comm_exposed_s: comm_exposed,
-                overlapped: self.overlap,
+                sampling_s,
+                // The slowest rank's forward/backward plus the step tail
+                // every rank runs.
+                train_s: rank_s.iter().copied().fold(0.0, f64::max) + tail_s,
+                comm_virtual_s,
+                comm_exposed_s,
+                overlapped: self.spec.batching.is_prefetch(),
                 comm_overlap: self.sched.is_some(),
             },
             cache: shard_cache_stats(self.train),
         }
     }
-
-    fn validate(&mut self, _epoch: usize) -> Option<ValMetrics> {
-        let stats = evaluate_with(
-            &mut self.val_tape,
-            &mut self.val_bind,
-            &self.model,
-            self.val,
-            self.cfg.threshold,
-        );
-        Some(ValMetrics {
-            precision: stats.precision(),
-            recall: stats.recall(),
-        })
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.model.params_mut()
-    }
 }
 
-/// Lock-free asynchronous minibatch training (Hogwild!): `workers`
-/// threads train replicas against one [`HogwildShared`] parameter store
-/// with **no** replica lockstep — each step pulls the current shared
-/// weights, runs its own forward/backward, and writes a racy SGD update
-/// straight back. No collectives, no barriers, zero communication cost;
-/// the price is gradient staleness and occasional lost updates, so
-/// convergence is noisier than synchronous DDP (the EXPERIMENTS.md §fig4
-/// study quantifies the trade).
-///
-/// Same trainer interface as [`train_minibatch`]: identical schedule
-/// construction and sharding, so mode comparisons hold the per-worker
-/// workload fixed.
-pub fn train_minibatch_hogwild(
-    cfg: &GnnTrainConfig,
-    sampler: SamplerKind,
-    workers: usize,
-    train: &[PreparedGraph],
-    val: &[PreparedGraph],
-) -> TrainResult {
-    let (nf, ef) = (train[0].x.cols(), train[0].y.cols());
-    let icfg = cfg.ignn_config(nf, ef);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let init_model = InteractionGnn::new(icfg, &mut rng);
-    let pos_weight = cfg.derive_pos_weight(train);
-    let p = workers.max(1);
-
-    let shared = HogwildShared::new(&init_model.params());
-    let schedules: Vec<Vec<(usize, Vec<u32>)>> = (0..cfg.epochs)
-        .map(|e| build_schedule(train, cfg.batch_size, cfg.seed, e))
-        .collect();
-    let sampler_impl = sampler.build(cfg.shadow);
-    let chunk_size = sampler.chunk_size();
-
-    let results = run_workers(p, |rank| {
-        let mut step = HogwildRankStep {
-            rank,
-            p,
-            model: init_model.clone(),
-            cfg,
-            sampler: &*sampler_impl,
-            chunk_size,
-            shared: &shared,
-            schedules: &schedules,
-            train,
-            val,
-            pos_weight,
-            run_validation: rank == 0,
-            val_tape: Tape::new(),
-            val_bind: Bindings::new(),
-        };
-        // Plain SGD matches the racy shared update rule; the local
-        // optimizer step is overwritten by the next pull anyway.
-        TrainLoop::new(Sgd::new(cfg.learning_rate), cfg.epochs).run(&mut step)
-    });
-
-    let mut results = results;
-    let mut epochs = results.remove(0);
-    for reports in &results {
-        for (e, r) in epochs.iter_mut().enumerate() {
-            r.timing.max_merge(&reports[e].timing);
-        }
-    }
-    // The trained model is whatever the shared store converged to.
-    let mut model = init_model;
-    shared.pull(&mut model.params_mut());
-    TrainResult {
-        model,
-        epochs,
-        skipped_graphs: 0,
-    }
-}
-
-/// One Hogwild worker's schedule: its shard of every global batch, with
-/// pull-before-forward and racy push-after-backward instead of a
-/// collective. No cross-rank synchronisation anywhere in the epoch.
-struct HogwildRankStep<'a> {
-    rank: usize,
-    p: usize,
-    model: InteractionGnn,
-    cfg: &'a GnnTrainConfig,
-    sampler: &'a dyn Sampler,
-    chunk_size: usize,
-    shared: &'a HogwildShared,
-    schedules: &'a [Vec<(usize, Vec<u32>)>],
-    train: &'a [PreparedGraph],
-    val: &'a [PreparedGraph],
-    pos_weight: f32,
-    run_validation: bool,
-    val_tape: Tape,
-    val_bind: Bindings,
-}
-
-impl TrainStep for HogwildRankStep<'_> {
+impl TrainStep for RankStep<'_> {
     fn train_epoch(&mut self, epoch: usize, ctx: &mut EpochCtx) -> EpochStats {
-        let chunks = plan_chunks(
-            &self.schedules[epoch],
-            self.chunk_size,
-            self.cfg.seed,
-            epoch,
-        );
-        let sharded = ShardChunks::new(chunks.into_iter(), self.rank, self.p);
-        let source = SampledBatchSource::new(self.train, self.sampler, sharded);
-
-        let mut train_s = 0.0f64;
-        let mut loss_sum = 0.0f32;
-        let sampling_s = with_batch_source(BatchingMode::Sync, source, |src| {
-            while let Some(batch) = src.next_batch() {
-                let t = Instant::now();
-                self.shared.pull(&mut self.model.params_mut());
-                loss_sum += batch_forward_backward(ctx, &self.model, &batch, self.pos_weight);
-                let (shared, lr) = (self.shared, self.cfg.learning_rate);
-                ctx.update_with(&mut self.model.params_mut(), |params| {
-                    shared.apply_grads(lr, params);
-                });
-                train_s += t.elapsed().as_secs_f64();
+        match self.batches {
+            Batches::Full(usable) => {
+                let items = usable.iter().copied().enumerate().collect();
+                self.run_epoch(ctx, vec![FullGraphSource::new(items)])
             }
-            src.sample_busy_s()
-        });
-
-        EpochStats {
-            loss_sum,
-            loss_denom: ctx.steps(),
-            steps: ctx.steps(),
-            // No comm fields: Hogwild's communication cost is exactly zero.
-            timing: EpochTiming {
-                sampling_s,
-                train_s,
-                ..Default::default()
-            },
-            cache: shard_cache_stats(self.train),
+            Batches::Sampled {
+                sampler,
+                chunk_size,
+            } => {
+                let (cfg, train, p) = (self.spec.cfg, self.train, self.p);
+                let schedule = build_schedule(train, cfg.batch_size, cfg.seed, epoch);
+                let chunks = plan_chunks(&schedule, *chunk_size, cfg.seed, epoch);
+                // One stream per local rank: the global chunk plan, sharded.
+                let sources = self
+                    .ranks
+                    .clone()
+                    .map(|rank| {
+                        let shard = ShardChunks::new(chunks.clone().into_iter(), rank, p);
+                        SampledBatchSource::new(train, &**sampler, shard)
+                    })
+                    .collect();
+                self.run_epoch(ctx, sources)
+            }
         }
     }
 
@@ -1156,14 +775,16 @@ impl TrainStep for HogwildRankStep<'_> {
         if !self.run_validation {
             return None;
         }
-        // Validate the *shared* state, not this replica's local copy.
-        self.shared.pull(&mut self.model.params_mut());
+        if let Link::Hogwild(shared) = self.link {
+            // Validate the *shared* state, not this replica's local copy.
+            shared.pull(&mut self.model.params_mut());
+        }
         let stats = evaluate_with(
             &mut self.val_tape,
             &mut self.val_bind,
             &self.model,
             self.val,
-            self.cfg.threshold,
+            self.spec.cfg.threshold,
         );
         Some(ValMetrics {
             precision: stats.precision(),
@@ -1211,169 +832,37 @@ mod tests {
     }
 
     #[test]
-    fn full_graph_training_improves_loss() {
-        let (train, val) = tiny_dataset();
-        let mut cfg = quick_cfg();
-        cfg.epochs = 5;
-        let r = train_full_graph(&cfg, &train, &val, None);
-        assert_eq!(r.epochs.len(), 5);
-        assert!(
-            r.epochs.last().unwrap().train_loss < r.epochs[0].train_loss,
-            "loss did not improve: {:?}",
-            r.epochs.iter().map(|e| e.train_loss).collect::<Vec<_>>()
-        );
-        assert_eq!(r.skipped_graphs, 0);
-    }
-
-    #[test]
     fn activation_budget_skips_graphs() {
-        let (train, val) = tiny_dataset();
+        let (train_set, val) = tiny_dataset();
         let cfg = quick_cfg();
-        let r = train_full_graph(&cfg, &train, &val, Some(1));
-        assert_eq!(r.skipped_graphs, train.len());
+        let r = train(&TrainSpec::full_graph(&cfg, Some(1)), &train_set, &val);
+        assert_eq!(r.skipped_graphs, train_set.len());
         // With every graph skipped, the loss is exactly zero.
         assert_eq!(r.epochs[0].train_loss, 0.0);
     }
 
     #[test]
-    fn minibatch_baseline_trains() {
-        let (train, val) = tiny_dataset();
+    #[should_panic(expected = "need training events")]
+    fn empty_training_set_is_rejected() {
+        let (_, val) = tiny_dataset();
         let cfg = quick_cfg();
-        let r = train_minibatch(
-            &cfg,
-            SamplerKind::Baseline,
-            DdpConfig::single(),
-            &train,
-            &val,
-        );
-        assert_eq!(r.epochs.len(), cfg.epochs);
-        assert!(r.epochs.iter().all(|e| e.train_loss.is_finite()));
-        assert!(r.epochs[0].timing.sampling_s > 0.0);
-        assert!(r.epochs[0].timing.train_s > 0.0);
-        // Single worker: no modeled comm.
-        assert_eq!(r.epochs[0].timing.comm_virtual_s, 0.0);
-    }
-
-    #[test]
-    fn minibatch_bulk_trains_and_matches_baseline_quality() {
-        let (train, val) = tiny_dataset();
-        let mut cfg = quick_cfg();
-        cfg.epochs = 3;
-        let base = train_minibatch(
-            &cfg,
-            SamplerKind::Baseline,
-            DdpConfig::single(),
-            &train,
-            &val,
-        );
-        let bulk = train_minibatch(
-            &cfg,
-            SamplerKind::Bulk { k: 4 },
-            DdpConfig::single(),
-            &train,
-            &val,
-        );
-        let b = base.epochs.last().unwrap();
-        let k = bulk.epochs.last().unwrap();
-        // Same training quality ballpark (identical distribution, noisy).
-        assert!((b.val_recall - k.val_recall).abs() < 0.35, "{b:?} vs {k:?}");
-    }
-
-    #[test]
-    fn ddp_replicas_stay_synchronised() {
-        let (train, val) = tiny_dataset();
-        let mut cfg = quick_cfg();
-        cfg.epochs = 1;
-        cfg.batch_size = 16;
-        let r = train_minibatch(
-            &cfg,
-            SamplerKind::Bulk { k: 2 },
-            DdpConfig::new(2, AllReduceStrategy::Coalesced),
-            &train,
-            &val,
-        );
-        // Comm time was modeled.
-        assert!(r.epochs[0].timing.comm_virtual_s > 0.0);
-        assert!(r.epochs[0].train_loss.is_finite());
-    }
-
-    #[test]
-    fn coalesced_comm_is_cheaper_than_per_tensor() {
-        let (train, val) = tiny_dataset();
-        let mut cfg = quick_cfg();
-        cfg.epochs = 1;
-        cfg.batch_size = 16;
-        let per = train_minibatch(
-            &cfg,
-            SamplerKind::Bulk { k: 2 },
-            DdpConfig::new(2, AllReduceStrategy::PerTensor),
-            &train,
-            &val,
-        );
-        let coal = train_minibatch(
-            &cfg,
-            SamplerKind::Bulk { k: 2 },
-            DdpConfig::new(2, AllReduceStrategy::Coalesced),
-            &train,
-            &val,
-        );
-        assert!(
-            coal.epochs[0].timing.comm_virtual_s < per.epochs[0].timing.comm_virtual_s,
-            "coalesced {} !< per-tensor {}",
-            coal.epochs[0].timing.comm_virtual_s,
-            per.epochs[0].timing.comm_virtual_s
-        );
-    }
-
-    #[test]
-    fn simulated_ddp_matches_threaded_ddp() {
-        // Same seeds, same shard assignment: the single-thread simulator
-        // must reproduce the threaded trainer's loss trajectory.
-        let (train, val) = tiny_dataset();
-        let mut cfg = quick_cfg();
-        cfg.epochs = 2;
-        cfg.batch_size = 16;
-        let ddp = DdpConfig::new(2, AllReduceStrategy::Coalesced);
-        let threaded = train_minibatch(&cfg, SamplerKind::Bulk { k: 2 }, ddp, &train, &val);
-        let simulated =
-            train_minibatch_simulated(&cfg, SamplerKind::Bulk { k: 2 }, ddp, &train, &val);
-        for (a, b) in threaded.epochs.iter().zip(&simulated.epochs) {
-            assert!(
-                (a.train_loss - b.train_loss).abs() < 1e-3,
-                "epoch {}: threaded {} vs simulated {}",
-                a.epoch,
-                a.train_loss,
-                b.train_loss
-            );
-            assert!((a.val_precision - b.val_precision).abs() < 1e-5);
-            assert!((a.val_recall - b.val_recall).abs() < 1e-5);
-        }
+        train(&TrainSpec::full_graph(&cfg, None), &[], &val);
     }
 
     #[test]
     fn simulated_ddp_scales_training_time_down() {
         // Per-rank compute drops as work is sharded: max-over-ranks train
         // time at P=4 should be well below P=1 for the same schedule.
-        let (train, val) = tiny_dataset();
+        let (train_set, val) = tiny_dataset();
         let mut cfg = quick_cfg();
         cfg.epochs = 1;
         cfg.batch_size = 64;
-        let t1 = train_minibatch_simulated(
-            &cfg,
-            SamplerKind::Bulk { k: 2 },
-            DdpConfig::new(1, AllReduceStrategy::Coalesced),
-            &train,
-            &val,
-        );
-        let t4 = train_minibatch_simulated(
-            &cfg,
-            SamplerKind::Bulk { k: 2 },
-            DdpConfig::new(4, AllReduceStrategy::Coalesced),
-            &train,
-            &val,
-        );
-        let s1 = t1.epochs[0].timing.train_s;
-        let s4 = t4.epochs[0].timing.train_s;
+        let train_s = |p: usize| {
+            let ddp = DdpConfig::new(p, AllReduceStrategy::Coalesced);
+            let spec = TrainSpec::simulated_ddp(&cfg, SamplerKind::Bulk { k: 2 }, ddp);
+            train(&spec, &train_set, &val).epochs[0].timing.train_s
+        };
+        let (s1, s4) = (train_s(1), train_s(4));
         assert!(
             s4 < s1,
             "train time did not shrink: P=1 {s1:.3}s vs P=4 {s4:.3}s"
@@ -1389,15 +878,9 @@ mod tests {
         // Small shards + a 2-shard cache force faults and evictions.
         let sharded = prepare_graphs_sharded(&graphs, &dir, 16, 2).unwrap();
         let cfg = quick_cfg();
-        let kind = SamplerKind::Bulk { k: 2 };
-        let a = train_minibatch(&cfg, kind, DdpConfig::single(), &incore[..2], &incore[2..]);
-        let b = train_minibatch(
-            &cfg,
-            kind,
-            DdpConfig::single(),
-            &sharded[..2],
-            &sharded[2..],
-        );
+        let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k: 2 }, DdpConfig::single());
+        let a = train(&spec, &incore[..2], &incore[2..]);
+        let b = train(&spec, &sharded[..2], &sharded[2..]);
         for (x, y) in a.epochs.iter().zip(&b.epochs) {
             assert_eq!(
                 x.train_loss.to_bits(),

@@ -8,10 +8,11 @@
 //! 2. **Graph construction** ([`graph_construction`]) — fixed-radius
 //!    nearest-neighbour graph in embedding space;
 //! 3. **Filter** ([`filter`]) — cheap per-edge MLP pruning confident fakes;
-//! 4. **GNN** ([`gnn_stage`]) — Interaction-GNN edge classification, with
-//!    full-graph training (original pipeline, OOM-skip emulation),
-//!    PyG-style ShaDow minibatch training, and the paper's matrix-based
-//!    bulk ShaDow + coalesced all-reduce training;
+//! 4. **GNN** ([`gnn_stage`]) — Interaction-GNN edge classification: one
+//!    trainer ([`train()`] over a [`TrainSpec`]) covering full-graph
+//!    training (original pipeline, OOM-skip emulation), PyG-style ShaDow
+//!    minibatch training, and the paper's matrix-based bulk ShaDow +
+//!    coalesced all-reduce training;
 //! 5. **Track building** ([`tracks`]) — connected components over kept
 //!    edges, double-majority matching against truth.
 //!
@@ -38,11 +39,8 @@ pub use embedding::{EmbeddingConfig, EmbeddingStage};
 pub use filter::{FilterConfig, FilterStage};
 pub use gnn_stage::{
     evaluate, evaluate_with, infer_logits, infer_logits_with, prepare_graphs,
-    prepare_graphs_sharded, train_full_graph, train_full_graph_opts, train_full_graph_with_hooks,
-    train_minibatch, train_minibatch_hogwild, train_minibatch_opts, train_minibatch_simulated,
-    train_minibatch_simulated_opts, train_minibatch_simulated_with_hooks,
-    train_minibatch_with_hooks, EpochRecord, GnnTrainConfig, HookFactory, PreparedGraph,
-    SamplerKind, TrainResult,
+    prepare_graphs_sharded, train, train_minibatch_opts, GnnTrainConfig, HookFactory,
+    PreparedGraph, SamplerKind, TrainMode, TrainResult, TrainSpec,
 };
 pub use graph_construction::{
     build_graph_from_embeddings, build_graph_with_method, tune_radius, ConstructedGraph,
@@ -56,6 +54,6 @@ pub use tracks::{build_tracks, build_tracks_oracle, TrackBuildResult};
 pub use train::{
     plan_chunks, with_batch_source, BatchSource, BatchingMode, BestCheckpointHook, Control,
     EarlyStoppingHook, Engine, EpochCtx, EpochReport, EpochStats, FullGraphSource, Hook, HookCtx,
-    LrScheduleHook, Monitor, PrefetchBatchSource, SampleChunk, SampledBatch, SampledBatchSource,
-    ShardChunks, TelemetryHook, TrainLoop, TrainStep, ValMetrics,
+    LrScheduleHook, Monitor, PrefetchBatchSource, RoundRobin, SampleChunk, SampledBatch,
+    SampledBatchSource, ShardChunks, TelemetryHook, TrainLoop, TrainStep, ValMetrics,
 };

@@ -5,7 +5,7 @@
 use crate::embedding::{EmbeddingConfig, EmbeddingStage};
 use crate::filter::{FilterConfig, FilterStage};
 use crate::gnn_stage::{
-    infer_logits_with, prepare_graphs, train_minibatch, GnnTrainConfig, PreparedGraph, SamplerKind,
+    infer_logits_with, prepare_graphs, train, GnnTrainConfig, PreparedGraph, SamplerKind, TrainSpec,
 };
 use crate::graph_construction::{ConstructionBackend, ConstructionMethod, GraphConstructor};
 use crate::metrics::TrackMetrics;
@@ -192,10 +192,8 @@ pub fn train_pipeline(
     // Stage 4: the Interaction GNN with minibatch ShaDow training.
     let prepared_pruned_train = prepare_graphs(&pruned_train);
     let prepared_pruned_val = prepare_graphs(&pruned_val);
-    let gnn_result = train_minibatch(
-        &config.gnn,
-        config.gnn_sampler,
-        config.ddp,
+    let gnn_result = train(
+        &TrainSpec::ddp(&config.gnn, config.gnn_sampler, config.ddp),
         &prepared_pruned_train,
         &prepared_pruned_val,
     );
@@ -313,49 +311,18 @@ impl TrainedPipeline {
         })
     }
 
-    /// Run the full inference pipeline on a new event. One pooled tape
-    /// serves all three learned stages.
+    /// Run the full inference pipeline on a new event with fresh pools.
+    /// Repeated inference (the serving hot path, or reconstruction over
+    /// many events) should hold its own pools and call
+    /// [`TrainedPipeline::reconstruct_batch_pooled`].
     pub fn reconstruct(&self, event: &Event) -> TrackBuildResult {
-        let mut tape = Tape::new();
-        let mut bind = Bindings::new();
-        self.reconstruct_with(&mut tape, &mut bind, event)
-    }
-
-    /// [`TrainedPipeline::reconstruct`] against a caller-pooled
-    /// tape/bindings pair, so repeated inference (the serving hot path,
-    /// or `trkx reconstruct` over many events) recycles buffers instead
-    /// of allocating fresh pools per event.
-    pub fn reconstruct_with(
-        &self,
-        tape: &mut Tape,
-        bind: &mut Bindings,
-        event: &Event,
-    ) -> TrackBuildResult {
-        let (mut results, _) = self.reconstruct_batch_with(tape, bind, &[event]);
+        let (mut results, _) = self.reconstruct_batch_pooled(
+            &mut Tape::new(),
+            &mut Bindings::new(),
+            &mut self.new_constructor(),
+            &[event],
+        );
         results.pop().expect("one result per event")
-    }
-
-    /// Micro-batched inference: run the full pipeline over `events` as
-    /// one disjoint-union graph. The embedding and filter MLPs see one
-    /// concatenated matrix (one GEMM instead of `B` small ones), the GNN
-    /// runs over the union edge list with a single
-    /// [`EdgePlans`](trkx_tensor::EdgePlans) built
-    /// once per micro-batch and reused across all GNN layers, and track
-    /// building runs per event on the split outputs.
-    ///
-    /// Because every kernel in the substrate is row/node-local and
-    /// bit-identical at any tile/block/thread geometry (see DESIGN.md
-    /// §4d/§4e), the outputs are **bit-identical** to calling
-    /// [`TrainedPipeline::reconstruct`] per event, at any batch size —
-    /// pinned by `crates/serve/tests/batch_parity.rs`.
-    pub fn reconstruct_batch_with(
-        &self,
-        tape: &mut Tape,
-        bind: &mut Bindings,
-        events: &[&Event],
-    ) -> (Vec<TrackBuildResult>, StageTimings) {
-        let mut ctor = self.new_constructor();
-        self.reconstruct_batch_pooled(tape, bind, &mut ctor, events)
     }
 
     /// A stage-2 constructor configured for this pipeline's backend.
@@ -367,9 +334,20 @@ impl TrainedPipeline {
         GraphConstructor::new(self.config.construct_backend)
     }
 
-    /// [`TrainedPipeline::reconstruct_batch_with`] against a
-    /// caller-pooled [`GraphConstructor`] — the fully pooled serving hot
-    /// path (tape, bindings, and the stage-2 index all recycle buffers).
+    /// Micro-batched inference against caller-pooled tape, bindings and
+    /// [`GraphConstructor`] (all three recycle their buffers): run the
+    /// full pipeline over `events` as one disjoint-union graph. The
+    /// embedding and filter MLPs see one concatenated matrix (one GEMM
+    /// instead of `B` small ones), the GNN runs over the union edge list
+    /// with a single [`EdgePlans`](trkx_tensor::EdgePlans) built once per
+    /// micro-batch and reused across all GNN layers, and track building
+    /// runs per event on the split outputs.
+    ///
+    /// Because every kernel in the substrate is row/node-local and
+    /// bit-identical at any tile/block/thread geometry (see DESIGN.md
+    /// §4d/§4e), the outputs are **bit-identical** to calling
+    /// [`TrainedPipeline::reconstruct`] per event, at any batch size —
+    /// pinned by `crates/serve/tests/batch_parity.rs`.
     pub fn reconstruct_batch_pooled(
         &self,
         tape: &mut Tape,

@@ -22,7 +22,7 @@ pub struct Engine {
     bind: Bindings,
     opt: Box<dyn Optimizer>,
     clip: Option<f32>,
-    /// Persistent scratch for [`Engine::forward_backward_comm`]: per-param
+    /// Persistent scratch for [`Engine::backward_comm`]: per-param
     /// outstanding-binding countdown and per-binding param slot. Kept on
     /// the engine so steady-state overlapped steps allocate nothing.
     countdown: Vec<usize>,
@@ -144,23 +144,6 @@ impl Engine {
         };
         sched.finish(params, link);
         value
-    }
-
-    /// [`Engine::forward_only`] + [`Engine::backward_comm`] in one call,
-    /// for callers whose `forward` closure does not borrow the parameter
-    /// owner.
-    pub fn forward_backward_comm<F>(
-        &mut self,
-        params: &mut [&mut Param],
-        sched: &mut BucketScheduler,
-        link: &CommLink,
-        forward: F,
-    ) -> f32
-    where
-        F: FnOnce(&mut Tape, &mut Bindings) -> Option<Var>,
-    {
-        let loss = self.forward_only(forward);
-        self.backward_comm(loss, params, sched, link)
     }
 
     /// Accumulate the tape's gradients into `params` (no-op if the last
@@ -293,7 +276,7 @@ pub struct ValMetrics {
 }
 
 /// One epoch's structured telemetry record: what the bench bins, the CLI,
-/// and the hooks consume. (`EpochRecord` is its legacy alias.)
+/// and the hooks consume.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct EpochReport {
     pub epoch: usize,
@@ -394,25 +377,6 @@ impl EpochCtx<'_> {
         loss
     }
 
-    /// See [`Engine::forward_backward_comm`].
-    pub fn forward_backward_comm<F>(
-        &mut self,
-        params: &mut [&mut Param],
-        sched: &mut BucketScheduler,
-        link: &CommLink,
-        forward: F,
-    ) -> f32
-    where
-        F: FnOnce(&mut Tape, &mut Bindings) -> Option<Var>,
-    {
-        let loss = self
-            .engine
-            .forward_backward_comm(params, sched, link, forward);
-        self.pending_loss += loss;
-        self.pending_n += 1;
-        loss
-    }
-
     /// See [`Engine::harvest`].
     pub fn harvest(&mut self, params: &mut [&mut Param]) {
         self.engine.harvest(params);
@@ -427,17 +391,10 @@ impl EpochCtx<'_> {
         self.step_end();
     }
 
-    /// See [`Engine::update_with`]. Counts as one optimizer step.
-    pub fn update_with<S>(&mut self, params: &mut [&mut Param], sync: S)
-    where
-        S: FnOnce(&mut [&mut Param]),
-    {
-        self.engine.update_with(params, sync);
-        self.step_end();
-    }
-
+    /// See [`Engine::update`]. Counts as one optimizer step.
     pub fn update(&mut self, params: &mut [&mut Param]) {
-        self.update_with(params, |_| {});
+        self.engine.update(params);
+        self.step_end();
     }
 
     /// Optimizer steps taken so far this epoch.

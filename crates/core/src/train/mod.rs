@@ -1,9 +1,9 @@
 //! Unified training harness: the [`TrainLoop`] epoch-loop engine, the
 //! per-stage [`TrainStep`] trait, and the [`Hook`] stack (early stopping,
 //! LR schedules, best-checkpointing, telemetry). Every trainable stage of
-//! the pipeline — embedding, filter, and all three GNN trainers — runs
-//! through this one loop; DDP gradient synchronisation plugs in as a
-//! per-step `sync` strategy, not a fork of the loop.
+//! the pipeline — embedding, filter, and the GNN trainer in each of its
+//! modes — runs through this one loop; DDP gradient synchronisation plugs
+//! in as a per-step `sync` strategy, not a fork of the loop.
 
 pub mod engine;
 pub mod hogwild;
@@ -20,5 +20,5 @@ pub use hooks::{
 };
 pub use source::{
     plan_chunks, with_batch_source, BatchSource, BatchingMode, FullGraphSource,
-    PrefetchBatchSource, SampleChunk, SampledBatch, SampledBatchSource, ShardChunks,
+    PrefetchBatchSource, RoundRobin, SampleChunk, SampledBatch, SampledBatchSource, ShardChunks,
 };

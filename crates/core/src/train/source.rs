@@ -16,7 +16,9 @@
 //!   step *t*'s forward/backward ([`with_batch_source`] wires it up);
 //! * [`ShardChunks`] — DDP sharding as a *decorator* over the chunk
 //!   stream: each rank keeps its [`shard_batch`] slice of every global
-//!   batch and folds its rank id into the sampling seed.
+//!   batch and folds its rank id into the sampling seed;
+//! * [`RoundRobin`] — several ranks' streams interleaved in lockstep, for
+//!   a thread that runs more than one rank (the DDP simulator).
 //!
 //! Determinism: a chunk's subgraphs depend only on `(graph, batches,
 //! seed)` — never on which thread ran the sampling or when — so the
@@ -157,11 +159,6 @@ pub trait BatchSource {
     /// Seconds of sampling/materialisation work performed so far (the
     /// Fig. 3 "sampling time" bar, wherever that work actually ran).
     fn sample_busy_s(&self) -> f64;
-
-    /// Seconds the consumer spent blocked waiting for a batch. Equals
-    /// `sample_busy_s` for synchronous sources; for prefetching sources
-    /// it is only the non-hidden remainder.
-    fn stall_s(&self) -> f64;
 }
 
 /// Synchronous sampling source: pulls chunks from the plan, samples each
@@ -230,11 +227,6 @@ impl<I: Iterator<Item = SampleChunk>> BatchSource for SampledBatchSource<'_, I> 
     fn sample_busy_s(&self) -> f64 {
         self.busy_s
     }
-
-    fn stall_s(&self) -> f64 {
-        // Synchronous: the trainer blocks for every sampling second.
-        self.busy_s
-    }
 }
 
 /// Full-graph "source": each usable prepared graph is one batch. The
@@ -283,27 +275,18 @@ impl BatchSource for FullGraphSource<'_> {
     fn sample_busy_s(&self) -> f64 {
         self.busy_s
     }
-
-    fn stall_s(&self) -> f64 {
-        self.busy_s
-    }
 }
 
 /// Consumer side of the prefetch pipeline: receives ready batches from
-/// the background sampling thread. `stall_s` counts only the time spent
-/// blocked on the channel — sampling that was hidden behind compute costs
-/// the consumer nothing.
+/// the background sampling thread.
 pub struct PrefetchBatchSource {
     rx: mpsc::Receiver<SampledBatch>,
-    stall_s: f64,
     busy_s: f64,
 }
 
 impl BatchSource for PrefetchBatchSource {
     fn next_batch(&mut self) -> Option<SampledBatch> {
-        let t = Instant::now();
         let batch = self.rx.recv().ok();
-        self.stall_s += t.elapsed().as_secs_f64();
         if let Some(b) = &batch {
             self.busy_s += b.sample_s;
         }
@@ -313,9 +296,38 @@ impl BatchSource for PrefetchBatchSource {
     fn sample_busy_s(&self) -> f64 {
         self.busy_s
     }
+}
 
-    fn stall_s(&self) -> f64 {
-        self.stall_s
+/// Lockstep interleave of per-rank batch streams for a thread that runs
+/// several ranks: one batch from each source in turn, so consecutive
+/// `sources.len()` batches make up one optimizer step. The streams are
+/// equal-length by construction (one batch per schedule entry, empty
+/// shards included).
+pub struct RoundRobin<S> {
+    sources: Vec<S>,
+    turn: usize,
+}
+
+impl<S: BatchSource> RoundRobin<S> {
+    pub fn new(sources: Vec<S>) -> Self {
+        assert!(!sources.is_empty(), "need at least one batch stream");
+        Self { sources, turn: 0 }
+    }
+}
+
+impl<S: BatchSource> BatchSource for RoundRobin<S> {
+    fn next_batch(&mut self) -> Option<SampledBatch> {
+        let batch = self.sources[self.turn].next_batch();
+        self.turn = (self.turn + 1) % self.sources.len();
+        batch
+    }
+
+    /// Real ranks sample concurrently: the slowest one's time.
+    fn sample_busy_s(&self) -> f64 {
+        self.sources
+            .iter()
+            .map(|s| s.sample_busy_s())
+            .fold(0.0, f64::max)
     }
 }
 
@@ -348,11 +360,7 @@ where
                     }
                 }
             });
-            let mut prefetch = PrefetchBatchSource {
-                rx,
-                stall_s: 0.0,
-                busy_s: 0.0,
-            };
+            let mut prefetch = PrefetchBatchSource { rx, busy_s: 0.0 };
             let out = consume(&mut prefetch);
             drop(prefetch); // unblock a producer waiting on a full queue
             handle.join().expect("prefetch sampling thread panicked");
@@ -451,7 +459,6 @@ mod tests {
         }
         assert_eq!(n, schedule.len());
         assert!(src.sample_busy_s() > 0.0);
-        assert_eq!(src.sample_busy_s(), src.stall_s());
     }
 
     #[test]

@@ -12,10 +12,8 @@ use trkx_core::train::{
     HookCtx, LrScheduleHook, Monitor, TrainLoop, TrainStep, ValMetrics,
 };
 use trkx_core::{
-    prepare_graphs, train_full_graph, train_minibatch, train_minibatch_opts,
-    train_minibatch_simulated, train_minibatch_simulated_opts, train_minibatch_with_hooks,
-    BatchingMode, EmbeddingConfig, EmbeddingStage, FilterConfig, FilterStage, GnnTrainConfig,
-    PreparedGraph, SamplerKind, TrainResult,
+    prepare_graphs, train, train_minibatch_opts, BatchingMode, EmbeddingConfig, EmbeddingStage,
+    FilterConfig, FilterStage, GnnTrainConfig, PreparedGraph, SamplerKind, TrainResult, TrainSpec,
 };
 use trkx_ddp::{AllReduceStrategy, DdpConfig};
 use trkx_detector::{simulate_event, vertex_features, DatasetConfig, DetectorGeometry, GunConfig};
@@ -93,35 +91,15 @@ fn quick_cfg() -> GnnTrainConfig {
     }
 }
 
-fn assert_curves(r: &TrainResult, golden_loss: &[f32], golden_val: &[(f64, f64)]) {
-    let losses: Vec<f32> = r.epochs.iter().map(|e| e.train_loss).collect();
-    assert_eq!(losses, golden_loss);
-    let vals: Vec<(f64, f64)> = r
-        .epochs
-        .iter()
-        .map(|e| (e.val_precision, e.val_recall))
-        .collect();
-    assert_eq!(vals, golden_val);
-}
+const FULL_GRAPH_GOLDEN_LOSS: [f32; 4] = [2.3289871, 1.4372379, 1.1029276, 0.9608987];
+const FULL_GRAPH_GOLDEN_VAL: [(f64, f64); 4] = [
+    (0.2138157894736842, 0.6132075471698113),
+    (0.2483221476510067, 0.6981132075471698),
+    (0.3352601156069364, 0.5471698113207547),
+    (0.46153846153846156, 0.4528301886792453),
+];
 
-#[test]
-fn full_graph_curve_matches_pre_harness_golden() {
-    let (train, val) = tiny_dataset();
-    let mut cfg = quick_cfg();
-    cfg.epochs = 4;
-    let r = train_full_graph(&cfg, &train, &val, None);
-    assert_curves(
-        &r,
-        &[2.3289871, 1.4372379, 1.1029276, 0.9608987],
-        &[
-            (0.2138157894736842, 0.6132075471698113),
-            (0.2483221476510067, 0.6981132075471698),
-            (0.3352601156069364, 0.5471698113207547),
-            (0.46153846153846156, 0.4528301886792453),
-        ],
-    );
-}
-
+// The threaded and the simulated DDP trainers share one curve.
 const DDP_GOLDEN_LOSS: [f32; 3] = [0.95322967, 0.57031566, 0.3207678];
 const DDP_GOLDEN_VAL: [(f64, f64); 3] = [
     (0.4947916666666667, 0.8962264150943396),
@@ -129,108 +107,133 @@ const DDP_GOLDEN_VAL: [(f64, f64); 3] = [
     (0.7482014388489209, 0.9811320754716981),
 ];
 
-#[test]
-fn threaded_ddp_curve_matches_pre_harness_golden() {
-    let (train, val) = tiny_dataset();
-    let mut cfg = quick_cfg();
-    cfg.batch_size = 16;
-    let ddp = DdpConfig::new(2, AllReduceStrategy::Coalesced);
-    let r = train_minibatch(&cfg, SamplerKind::Bulk { k: 2 }, ddp, &train, &val);
-    assert_curves(&r, &DDP_GOLDEN_LOSS, &DDP_GOLDEN_VAL);
+const BASELINE_GOLDEN_LOSS: [f32; 3] = [1.162513, 0.8109751, 0.61612874];
+
+fn curves(r: &TrainResult) -> (Vec<f32>, Vec<(f64, f64)>) {
+    let losses = r.epochs.iter().map(|e| e.train_loss).collect();
+    let vals = r
+        .epochs
+        .iter()
+        .map(|e| (e.val_precision, e.val_recall))
+        .collect();
+    (losses, vals)
+}
+
+fn param_bits(r: &TrainResult) -> Vec<Vec<u32>> {
+    let bits = |p: &&Param| p.value.data().iter().map(|v| v.to_bits()).collect();
+    r.model.params().iter().map(bits).collect()
+}
+
+/// Losses, validation metrics and final parameters, bit for bit.
+fn assert_same_run(a: &TrainResult, b: &TrainResult, what: &str) {
+    let bits = |r: &TrainResult| -> Vec<(u32, u64, u64)> {
+        let epoch = |e: &EpochReport| {
+            (
+                e.train_loss.to_bits(),
+                e.val_precision.to_bits(),
+                e.val_recall.to_bits(),
+            )
+        };
+        r.epochs.iter().map(epoch).collect()
+    };
+    assert_eq!(bits(a), bits(b), "{what}: curves differ");
+    assert_eq!(param_bits(a), param_bits(b), "{what}: parameters differ");
 }
 
 #[test]
-fn simulated_ddp_curve_matches_pre_harness_golden() {
-    let (train, val) = tiny_dataset();
-    let mut cfg = quick_cfg();
-    cfg.batch_size = 16;
-    let ddp = DdpConfig::new(2, AllReduceStrategy::Coalesced);
-    let r = train_minibatch_simulated(&cfg, SamplerKind::Bulk { k: 2 }, ddp, &train, &val);
-    assert_curves(&r, &DDP_GOLDEN_LOSS, &DDP_GOLDEN_VAL);
-}
+fn every_mode_reproduces_its_golden_under_sync_and_prefetch() {
+    let (train_set, val) = tiny_dataset();
+    let mut full_cfg = quick_cfg();
+    full_cfg.epochs = 4;
+    let mut ddp_cfg = quick_cfg();
+    ddp_cfg.batch_size = 16;
+    let base_cfg = quick_cfg();
+    let bulk = SamplerKind::Bulk { k: 2 };
+    let ddp2 = DdpConfig::new(2, AllReduceStrategy::Coalesced);
 
-#[test]
-fn baseline_sampler_curve_matches_pre_harness_golden() {
-    let (train, val) = tiny_dataset();
-    let cfg = quick_cfg();
-    let r = train_minibatch(
-        &cfg,
-        SamplerKind::Baseline,
-        DdpConfig::single(),
-        &train,
-        &val,
+    // (name, spec, golden losses, golden validation metrics). Hogwild's
+    // racy updates have no golden; one worker makes it deterministic, so
+    // it still pins Sync ≡ Prefetch.
+    type Case<'a> = (
+        &'a str,
+        TrainSpec<'a>,
+        Option<&'a [f32]>,
+        Option<&'a [(f64, f64)]>,
     );
-    let losses: Vec<f32> = r.epochs.iter().map(|e| e.train_loss).collect();
-    assert_eq!(losses, [1.162513, 0.8109751, 0.61612874]);
-}
-
-#[test]
-fn prefetch_ddp_curve_matches_pre_harness_golden() {
-    // Background-thread sampling must not change what is sampled: the
-    // prefetching loader reproduces the sync golden curves bit for bit.
-    let (train, val) = tiny_dataset();
-    let mut cfg = quick_cfg();
-    cfg.batch_size = 16;
-    let ddp = DdpConfig::new(2, AllReduceStrategy::Coalesced);
-    let r = train_minibatch_opts(
-        &cfg,
-        SamplerKind::Bulk { k: 2 },
-        BatchingMode::prefetch(),
-        ddp,
-        &train,
-        &val,
-        None,
-    );
-    assert_curves(&r, &DDP_GOLDEN_LOSS, &DDP_GOLDEN_VAL);
-    // Prefetched epochs are accounted as overlapped by the virtual clock.
-    for e in &r.epochs {
-        assert!(e.timing.overlapped);
-        let serial = e.timing.sampling_s + e.timing.train_s + e.timing.comm_virtual_s;
-        assert!(e.timing.total_s() <= serial);
+    let cases: [Case; 5] = [
+        (
+            "full-graph",
+            TrainSpec::full_graph(&full_cfg, None),
+            Some(&FULL_GRAPH_GOLDEN_LOSS),
+            Some(&FULL_GRAPH_GOLDEN_VAL),
+        ),
+        (
+            "threaded ddp",
+            TrainSpec::ddp(&ddp_cfg, bulk, ddp2),
+            Some(&DDP_GOLDEN_LOSS),
+            Some(&DDP_GOLDEN_VAL),
+        ),
+        (
+            "simulated ddp",
+            TrainSpec::simulated_ddp(&ddp_cfg, bulk, ddp2),
+            Some(&DDP_GOLDEN_LOSS),
+            Some(&DDP_GOLDEN_VAL),
+        ),
+        (
+            "baseline sampler",
+            TrainSpec::ddp(&base_cfg, SamplerKind::Baseline, DdpConfig::single()),
+            Some(&BASELINE_GOLDEN_LOSS),
+            None,
+        ),
+        ("hogwild", TrainSpec::hogwild(&ddp_cfg, bulk, 1), None, None),
+    ];
+    for (name, spec, golden_loss, golden_val) in cases {
+        let sync = train(&spec, &train_set, &val);
+        let prefetch = train(
+            &spec.with_batching(BatchingMode::prefetch()),
+            &train_set,
+            &val,
+        );
+        // Background-thread sampling must not change what is sampled.
+        assert_same_run(&sync, &prefetch, name);
+        let (losses, vals) = curves(&sync);
+        assert!(losses.iter().all(|l| l.is_finite()), "{name}: {losses:?}");
+        if let Some(golden_loss) = golden_loss {
+            assert_eq!(losses, golden_loss, "{name}");
+        }
+        if let Some(golden_val) = golden_val {
+            assert_eq!(vals, golden_val, "{name}");
+        }
+        assert_eq!(sync.skipped_graphs, 0, "{name}");
+        for (s, p) in sync.epochs.iter().zip(&prefetch.epochs) {
+            assert!(s.timing.train_s > 0.0, "{name}");
+            assert!(s.timing.sampling_s > 0.0, "{name}");
+            // Serial loaders pay sampling + train back to back; prefetched
+            // epochs (real, or modeled by the simulator) are accounted as
+            // overlapped and pay max(sampling, train).
+            let (s, p) = (&s.timing, &p.timing);
+            assert!(!s.overlapped && p.overlapped, "{name}");
+            let serial = s.sampling_s + s.train_s + s.comm_virtual_s;
+            assert!((s.total_s() - serial).abs() < 1e-12, "{name}");
+            let overlapped = p.sampling_s.max(p.train_s) + p.comm_virtual_s;
+            assert!((p.total_s() - overlapped).abs() < 1e-12, "{name}");
+        }
     }
 }
 
 #[test]
-fn prefetch_baseline_curve_matches_pre_harness_golden() {
-    let (train, val) = tiny_dataset();
-    let cfg = quick_cfg();
-    let r = train_minibatch_opts(
-        &cfg,
-        SamplerKind::Baseline,
-        BatchingMode::prefetch(),
-        DdpConfig::single(),
-        &train,
-        &val,
-        None,
-    );
-    let losses: Vec<f32> = r.epochs.iter().map(|e| e.train_loss).collect();
-    assert_eq!(losses, [1.162513, 0.8109751, 0.61612874]);
-}
-
-#[test]
-fn simulated_overlap_keeps_curves_and_charges_max() {
-    // The single-threaded simulator models overlap purely in the virtual
-    // clock: identical math, epoch time max(sampling, train) + comm.
-    let (train, val) = tiny_dataset();
+fn train_minibatch_opts_adapter_is_train_of_a_ddp_spec() {
+    let (train_set, val) = tiny_dataset();
     let mut cfg = quick_cfg();
     cfg.batch_size = 16;
+    let bulk = SamplerKind::Bulk { k: 2 };
     let ddp = DdpConfig::new(2, AllReduceStrategy::Coalesced);
-    let r = train_minibatch_simulated_opts(
-        &cfg,
-        SamplerKind::Bulk { k: 2 },
-        true,
-        ddp,
-        &train,
-        &val,
-        Vec::new(),
-    );
-    assert_curves(&r, &DDP_GOLDEN_LOSS, &DDP_GOLDEN_VAL);
-    for e in &r.epochs {
-        assert!(e.timing.overlapped);
-        let t = &e.timing;
-        let expect = t.sampling_s.max(t.train_s) + t.comm_virtual_s;
-        assert!((t.total_s() - expect).abs() < 1e-12);
-        assert!(t.total_s() <= t.sampling_s + t.train_s + t.comm_virtual_s);
+    for batching in [BatchingMode::Sync, BatchingMode::prefetch()] {
+        let adapter = train_minibatch_opts(&cfg, bulk, batching, ddp, &train_set, &val, None);
+        let spec = TrainSpec::ddp(&cfg, bulk, ddp).with_batching(batching);
+        let direct = train(&spec, &train_set, &val);
+        assert_same_run(&adapter, &direct, "adapter");
+        assert_eq!(curves(&adapter).0, DDP_GOLDEN_LOSS);
     }
 }
 
@@ -239,33 +242,23 @@ fn threaded_ddp_early_stops_in_lockstep() {
     // A huge min_delta makes epoch 1 count as stale -> stop after epoch 1.
     // Every rank runs the same hook, so the collectives stay aligned and
     // the truncated run matches the full run's prefix exactly.
-    let (train, val) = tiny_dataset();
+    let (train_set, val) = tiny_dataset();
     let mut cfg = quick_cfg();
     cfg.batch_size = 16;
     let ddp = DdpConfig::new(2, AllReduceStrategy::Coalesced);
-    let r = train_minibatch_with_hooks(
-        &cfg,
-        SamplerKind::Bulk { k: 2 },
-        ddp,
-        &train,
-        &val,
-        Some(&|_rank| -> Vec<Box<dyn Hook>> {
-            vec![Box::new(EarlyStoppingHook::new(
-                Monitor::ValPrecision,
-                1,
-                10.0,
-            ))]
-        }),
-    );
+    let hooks = |_rank: usize| -> Vec<Box<dyn Hook>> {
+        vec![Box::new(EarlyStoppingHook::new(
+            Monitor::ValPrecision,
+            1,
+            10.0,
+        ))]
+    };
+    let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k: 2 }, ddp).with_hooks(&hooks);
+    let r = train(&spec, &train_set, &val);
     assert_eq!(r.epochs.len(), 2);
-    let losses: Vec<f32> = r.epochs.iter().map(|e| e.train_loss).collect();
-    assert_eq!(losses, DDP_GOLDEN_LOSS[..2].to_vec());
-    let vals: Vec<(f64, f64)> = r
-        .epochs
-        .iter()
-        .map(|e| (e.val_precision, e.val_recall))
-        .collect();
-    assert_eq!(vals, DDP_GOLDEN_VAL[..2].to_vec());
+    let (losses, vals) = curves(&r);
+    assert_eq!(losses, DDP_GOLDEN_LOSS[..2]);
+    assert_eq!(vals, DDP_GOLDEN_VAL[..2]);
 }
 
 // ---------------------------------------------------------------------

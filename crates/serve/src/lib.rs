@@ -18,7 +18,7 @@
 //! - **Micro-batching workers** ([`worker`]): N threads, each owning a
 //!   warm [`trkx_tensor::Tape`]/[`trkx_nn::Bindings`] pool, drain the
 //!   queue in micro-batches and run
-//!   [`TrainedPipeline::reconstruct_batch_with`]
+//!   [`TrainedPipeline::reconstruct_batch_pooled`]
 //!   (one embedding/filter GEMM per batch, one `EdgePlans` build per
 //!   batch reused across all GNN layers). Batched outputs are
 //!   bit-identical to per-event [`TrainedPipeline::reconstruct`] at any
@@ -28,7 +28,7 @@
 //!   events/sec.
 //!
 //! [`TrainedPipeline::reconstruct`]: trkx_core::TrainedPipeline::reconstruct
-//! [`TrainedPipeline::reconstruct_batch_with`]: trkx_core::TrainedPipeline::reconstruct_batch_with
+//! [`TrainedPipeline::reconstruct_batch_pooled`]: trkx_core::TrainedPipeline::reconstruct_batch_pooled
 
 pub mod proto;
 pub mod queue;

@@ -2,7 +2,7 @@
 //! [`Tape`]/[`Bindings`] pool, draining the micro-batching queue.
 //!
 //! A worker's steady state is: pop a micro-batch, grab the active model
-//! version, run [`reconstruct_batch_with`] against its own pooled
+//! version, run [`reconstruct_batch_pooled`] against its own pooled
 //! tape (all value/grad buffers recycled across batches — the PR 1
 //! substrate), answer every request in the batch, repeat. Because the
 //! kernels are bit-identical at any thread count and the batch union is
@@ -10,7 +10,7 @@
 //! rides in never changes the response payload
 //! (`tests/batch_parity.rs`).
 //!
-//! [`reconstruct_batch_with`]: trkx_core::TrainedPipeline::reconstruct_batch_with
+//! [`reconstruct_batch_pooled`]: trkx_core::TrainedPipeline::reconstruct_batch_pooled
 
 use crate::proto::{tracks_from_components, Response, TimingsUs};
 use crate::queue::{Job, RequestQueue, ShedReason};

@@ -62,6 +62,7 @@ fn batched_reconstruction_is_bit_identical_to_per_event() {
 
     let mut tape = Tape::new();
     let mut bind = Bindings::new();
+    let mut ctor = pipeline.new_constructor();
     for batch_size in [1usize, 2, 3, 5, 6] {
         for chunk in requests.chunks(batch_size) {
             let refs: Vec<&Event> = chunk.iter().collect();
@@ -69,7 +70,8 @@ fn batched_reconstruction_is_bit_identical_to_per_event() {
                 .iter()
                 .position(|e| std::ptr::eq(e, chunk.first().unwrap()))
                 .unwrap();
-            let (batched, _) = pipeline.reconstruct_batch_with(&mut tape, &mut bind, &refs);
+            let (batched, _) =
+                pipeline.reconstruct_batch_pooled(&mut tape, &mut bind, &mut ctor, &refs);
             assert_eq!(batched.len(), chunk.len());
             for (i, b) in batched.iter().enumerate() {
                 let s = &singles[base + i];
@@ -91,14 +93,17 @@ fn batched_reconstruction_is_bit_identical_to_per_event() {
 }
 
 #[test]
-fn pooled_reconstruct_with_matches_fresh_pools() {
+fn pooled_reconstruct_matches_fresh_pools() {
     let (pipeline, requests) = tiny_pipeline();
     let mut tape = Tape::new();
     let mut bind = Bindings::new();
+    let mut ctor = pipeline.new_constructor();
     // Same pools reused across every event: results must not drift.
     for e in &requests {
         let fresh = pipeline.reconstruct(e);
-        let pooled = pipeline.reconstruct_with(&mut tape, &mut bind, e);
+        let (mut pooled, _) =
+            pipeline.reconstruct_batch_pooled(&mut tape, &mut bind, &mut ctor, &[e]);
+        let pooled = pooled.pop().expect("one result per event");
         assert_eq!(pooled.component_of_hit, fresh.component_of_hit);
         assert_eq!(pooled.edges_kept, fresh.edges_kept);
     }

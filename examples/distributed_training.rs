@@ -9,14 +9,14 @@
 
 use trkx::ddp::{AllReduceStrategy, DdpConfig};
 use trkx::detector::DatasetConfig;
-use trkx::pipeline::{prepare_graphs, train_minibatch, GnnTrainConfig, SamplerKind};
+use trkx::pipeline::{prepare_graphs, train, GnnTrainConfig, SamplerKind, TrainSpec};
 use trkx::sampling::ShadowConfig;
 
 fn main() {
     let dataset = DatasetConfig::ex3_like(0.04);
     let graphs = dataset.generate(5, 11);
     let prepared = prepare_graphs(&graphs);
-    let (train, val) = prepared.split_at(4);
+    let (train_set, val) = prepared.split_at(4);
 
     let cfg = GnnTrainConfig {
         hidden: 32,
@@ -32,7 +32,7 @@ fn main() {
 
     println!(
         "GNN stage over {} training graphs ({} epochs each run)\n",
-        train.len(),
+        train_set.len(),
         cfg.epochs
     );
     println!(
@@ -43,13 +43,8 @@ fn main() {
         for strategy in [AllReduceStrategy::PerTensor, AllReduceStrategy::Coalesced] {
             // Bulk factor grows with aggregate memory, as in the paper.
             let k = 2 * p;
-            let r = train_minibatch(
-                &cfg,
-                SamplerKind::Bulk { k },
-                DdpConfig::new(p, strategy),
-                train,
-                val,
-            );
+            let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k }, DdpConfig::new(p, strategy));
+            let r = train(&spec, train_set, val);
             let last = r.epochs.last().unwrap();
             println!(
                 "{:>3} {:>12} {:>6} {:>11.3} {:>11.3} {:>11.3} {:>11.3}",

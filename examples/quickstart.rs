@@ -9,8 +9,8 @@
 use trkx::ddp::DdpConfig;
 use trkx::detector::{dataset_stats, split_80_10_10, DatasetConfig};
 use trkx::pipeline::{
-    prepare_graphs, train_minibatch_with_hooks, EarlyStoppingHook, GnnTrainConfig, Hook, Monitor,
-    SamplerKind, TelemetryHook,
+    prepare_graphs, train, EarlyStoppingHook, GnnTrainConfig, Hook, Monitor, SamplerKind,
+    TelemetryHook, TrainSpec,
 };
 use trkx::sampling::ShadowConfig;
 
@@ -30,7 +30,7 @@ fn main() {
 
     let (train_idx, val_idx, test_idx) = split_80_10_10(graphs.len());
     let prepared = prepare_graphs(&graphs);
-    let train = &prepared[train_idx];
+    let train_set = &prepared[train_idx];
     let val = &prepared[val_idx];
     let test = &prepared[test_idx];
 
@@ -71,14 +71,9 @@ fn main() {
             Box::new(EarlyStoppingHook::new(Monitor::ValF1, patience, 0.0)),
         ]
     };
-    let result = train_minibatch_with_hooks(
-        &cfg,
-        SamplerKind::Bulk { k: 4 },
-        DdpConfig::single(),
-        train,
-        val,
-        Some(&make_hooks),
-    );
+    let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k: 4 }, DdpConfig::single())
+        .with_hooks(&make_hooks);
+    let result = train(&spec, train_set, val);
     if result.epochs.len() < cfg.epochs {
         println!(
             "  early stop after {} epochs (patience {patience})",

@@ -24,6 +24,10 @@
 //!                [--shard-cache M]
 //! ```
 //!
+//! `train --hogwild` has no lockstep collectives, so it rejects
+//! `--patience`, `--bucket-bytes` and `--comm-overlap`; every other
+//! `train` flag applies to it too.
+//!
 //! `serve` speaks line-delimited JSON: requests in (`{"id":1,"event":{...}}`,
 //! `{"cmd":"reload","path":"new.json"}`, `{"cmd":"stats"}`,
 //! `{"cmd":"shutdown"}`), one JSON response per line out. By default it
@@ -37,9 +41,9 @@ use trkx::detector::{
 };
 use trkx::pipeline::{
     best_f1_threshold, evaluate, infer_logits, prepare_graphs, prepare_graphs_sharded, roc_auc,
-    train_minibatch_hogwild, train_minibatch_opts, train_pipeline, BatchingMode, Checkpoint,
-    EarlyStoppingHook, EmbeddingConfig, GnnTrainConfig, Hook, Monitor, PipelineConfig,
-    PreparedGraph, SamplerKind, TelemetryHook,
+    train, train_pipeline, BatchingMode, Checkpoint, EarlyStoppingHook, EmbeddingConfig,
+    GnnTrainConfig, Hook, Monitor, PipelineConfig, PreparedGraph, SamplerKind, TelemetryHook,
+    TrainSpec,
 };
 use trkx::sampling::{
     vertex_batches, BulkShadowSampler, LayerWiseConfig, LayerWiseSampler, NodeWiseConfig,
@@ -180,10 +184,27 @@ fn cmd_simulate(args: &[String]) {
 fn cmd_train(args: &[String]) {
     let cfg = dataset_config(args);
     let events = arg(args, "--events", 10usize);
+    let (tr, va, _) = split_80_10_10(events);
+    if tr.is_empty() {
+        eprintln!("--events {events} leaves no training events after the 80/10/10 split");
+        std::process::exit(2);
+    }
+    // Hogwild has no lockstep collectives: there is nothing to bucket or
+    // overlap, and no epoch at which every worker could agree to stop.
+    let hogwild = has_flag(args, "--hogwild");
+    if hogwild {
+        for flag in ["--patience", "--bucket-bytes", "--comm-overlap"] {
+            if has_flag(args, flag) {
+                eprintln!(
+                    "{flag} needs synchronous training; it cannot be combined with --hogwild"
+                );
+                std::process::exit(2);
+            }
+        }
+    }
     let seed = arg(args, "--seed", 42u64);
     let out = arg_str(args, "--out", "model.json");
     let graphs = cfg.generate(events, seed);
-    let (tr, va, _) = split_80_10_10(graphs.len());
     let prepared = prepare_for_args(args, &graphs);
     let gnn_cfg = gnn_config(args, &cfg);
     let sampler = match arg_str(args, "--sampler", "bulk").as_str() {
@@ -203,7 +224,7 @@ fn cmd_train(args: &[String]) {
     let ddp = DdpConfig::new(workers, strategy).with_overlap(has_flag(args, "--comm-overlap"));
     // --prefetch N > 0 samples on a background thread per rank, keeping up
     // to N batches queued; the loss curves are identical to sync mode.
-    let mode = match arg(args, "--prefetch", 0usize) {
+    let batching = match arg(args, "--prefetch", 0usize) {
         0 => BatchingMode::Sync,
         depth => BatchingMode::Prefetch { depth },
     };
@@ -244,38 +265,18 @@ fn cmd_train(args: &[String]) {
         }
         hooks
     };
-    let result = if has_flag(args, "--hogwild") {
+    let spec = if hogwild {
         // Lock-free asynchronous SGD: no collectives, no replica
         // lockstep; noisier convergence, zero communication cost.
-        let r = train_minibatch_hogwild(
-            &gnn_cfg,
-            sampler,
-            workers,
-            &prepared[tr],
-            &prepared[va.clone()],
-        );
-        for e in &r.epochs {
-            println!(
-                "epoch {:>2}: loss {:.4}  val P {:.3} R {:.3}  ({:.1}s)",
-                e.epoch,
-                e.train_loss,
-                e.val_precision,
-                e.val_recall,
-                e.timing.total_s()
-            );
-        }
-        r
+        TrainSpec::hogwild(&gnn_cfg, sampler, workers)
     } else {
-        train_minibatch_opts(
-            &gnn_cfg,
-            sampler,
-            mode,
-            ddp,
-            &prepared[tr],
-            &prepared[va.clone()],
-            Some(&make_hooks),
-        )
+        TrainSpec::ddp(&gnn_cfg, sampler, ddp)
     };
+    let result = train(
+        &spec.with_batching(batching).with_hooks(&make_hooks),
+        &prepared[tr],
+        &prepared[va],
+    );
     if patience > 0 && result.epochs.len() < gnn_cfg.epochs {
         println!(
             "early stop after {} epochs (patience {patience})",

@@ -27,7 +27,7 @@
 //!
 //! ```
 //! use trkx::detector::DatasetConfig;
-//! use trkx::pipeline::{prepare_graphs, train_minibatch, GnnTrainConfig, SamplerKind};
+//! use trkx::pipeline::{prepare_graphs, train, GnnTrainConfig, SamplerKind, TrainSpec};
 //! use trkx::ddp::DdpConfig;
 //! use trkx::sampling::ShadowConfig;
 //!
@@ -39,13 +39,10 @@
 //!     shadow: ShadowConfig { depth: 2, fanout: 4 },
 //!     ..Default::default()
 //! };
-//! let result = train_minibatch(
-//!     &cfg,
-//!     SamplerKind::Bulk { k: 4 },
-//!     DdpConfig::single(),
-//!     &graphs[..2],
-//!     &graphs[2..],
-//! );
+//! // One description, one entry point: `TrainSpec::{full_graph, ddp,
+//! // simulated_ddp, hogwild}` pick the mode.
+//! let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k: 4 }, DdpConfig::single());
+//! let result = train(&spec, &graphs[..2], &graphs[2..]);
 //! assert!(result.epochs[0].train_loss.is_finite());
 //! ```
 

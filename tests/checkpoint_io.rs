@@ -5,7 +5,9 @@
 use rand::{rngs::StdRng, SeedableRng};
 use trkx::detector::{generate_cached, DatasetConfig};
 use trkx::ignn::InteractionGnn;
-use trkx::pipeline::{infer_logits, prepare_graphs, Checkpoint, GnnTrainConfig};
+use trkx::pipeline::{
+    infer_logits, prepare_graphs, train, Checkpoint, GnnTrainConfig, SamplerKind, TrainSpec,
+};
 
 #[test]
 fn trained_model_checkpoint_roundtrip_through_disk() {
@@ -19,13 +21,12 @@ fn trained_model_checkpoint_roundtrip_through_disk() {
     };
 
     // Train briefly so weights are non-initial.
-    let result = trkx::pipeline::train_minibatch(
+    let spec = TrainSpec::ddp(
         &cfg,
-        trkx::pipeline::SamplerKind::Bulk { k: 2 },
+        SamplerKind::Bulk { k: 2 },
         trkx::ddp::DdpConfig::single(),
-        &graphs[..1],
-        &graphs[1..],
     );
+    let result = train(&spec, &graphs[..1], &graphs[1..]);
     let reference = infer_logits(&result.model, &graphs[0]);
 
     let path = std::env::temp_dir().join(format!("trkx_it_ckpt_{}.json", std::process::id()));

@@ -5,9 +5,7 @@
 
 use trkx::ddp::DdpConfig;
 use trkx::detector::DatasetConfig;
-use trkx::pipeline::{
-    prepare_graphs, train_full_graph, train_minibatch, GnnTrainConfig, SamplerKind,
-};
+use trkx::pipeline::{prepare_graphs, train, GnnTrainConfig, SamplerKind, TrainSpec};
 use trkx::sampling::ShadowConfig;
 
 fn cfg(epochs: usize) -> GnnTrainConfig {
@@ -34,30 +32,29 @@ fn minibatch_beats_memory_limited_full_graph() {
     // worse. Pick a budget that passes only the smallest graphs.
     let data = DatasetConfig::ex3_like(0.015).generate(6, 77);
     let prepared = prepare_graphs(&data);
-    let (train, val) = prepared.split_at(5);
+    let (train_set, val) = prepared.split_at(5);
 
     let c = cfg(5);
     let icfg = c.ignn_config(6, 2);
     // Budget below the median graph's footprint: most graphs skipped.
-    let mut footprints: Vec<usize> = train
+    let mut footprints: Vec<usize> = train_set
         .iter()
         .map(|g| icfg.estimate_activation_floats(g.num_nodes, g.num_edges()))
         .collect();
     footprints.sort_unstable();
     let budget = footprints[0]; // only the smallest graph trains
 
-    let full = train_full_graph(&c, train, val, Some(budget));
+    let full = train(&TrainSpec::full_graph(&c, Some(budget)), train_set, val);
     assert!(
-        full.skipped_graphs >= train.len() - 1,
+        full.skipped_graphs >= train_set.len() - 1,
         "budget skipped {} graphs",
         full.skipped_graphs
     );
 
-    let mini = train_minibatch(
-        &c,
-        SamplerKind::Bulk { k: 4 },
-        DdpConfig::single(),
-        train,
+    let single = DdpConfig::single();
+    let mini = train(
+        &TrainSpec::ddp(&c, SamplerKind::Bulk { k: 4 }, single),
+        train_set,
         val,
     );
 
@@ -84,16 +81,17 @@ fn bulk_implementation_matches_baseline_quality() {
     // degradation" claim: same sampler distribution, different code path.
     let data = DatasetConfig::ex3_like(0.015).generate(5, 55);
     let prepared = prepare_graphs(&data);
-    let (train, val) = prepared.split_at(4);
+    let (train_set, val) = prepared.split_at(4);
     let c = cfg(4);
-    let base = train_minibatch(&c, SamplerKind::Baseline, DdpConfig::single(), train, val);
-    let bulk = train_minibatch(
-        &c,
-        SamplerKind::Bulk { k: 4 },
-        DdpConfig::single(),
-        train,
-        val,
-    );
+    let run = |sampler| {
+        train(
+            &TrainSpec::ddp(&c, sampler, DdpConfig::single()),
+            train_set,
+            val,
+        )
+    };
+    let base = run(SamplerKind::Baseline);
+    let bulk = run(SamplerKind::Bulk { k: 4 });
     let b = base.epochs.last().unwrap();
     let k = bulk.epochs.last().unwrap();
     assert!(
@@ -114,14 +112,10 @@ fn bulk_implementation_matches_baseline_quality() {
 fn training_loss_decreases_across_epochs() {
     let data = DatasetConfig::ex3_like(0.015).generate(3, 33);
     let prepared = prepare_graphs(&data);
-    let (train, val) = prepared.split_at(2);
-    let r = train_minibatch(
-        &cfg(5),
-        SamplerKind::Bulk { k: 2 },
-        DdpConfig::single(),
-        train,
-        val,
-    );
+    let (train_set, val) = prepared.split_at(2);
+    let c = cfg(5);
+    let spec = TrainSpec::ddp(&c, SamplerKind::Bulk { k: 2 }, DdpConfig::single());
+    let r = train(&spec, train_set, val);
     let losses: Vec<f32> = r.epochs.iter().map(|e| e.train_loss).collect();
     assert!(
         losses.last().unwrap() < &losses[0],

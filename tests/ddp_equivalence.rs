@@ -4,7 +4,7 @@
 
 use trkx::ddp::{AllReduceStrategy, DdpConfig};
 use trkx::detector::DatasetConfig;
-use trkx::pipeline::{prepare_graphs, train_minibatch, GnnTrainConfig, SamplerKind};
+use trkx::pipeline::{prepare_graphs, train, GnnTrainConfig, SamplerKind, TrainSpec};
 use trkx::sampling::ShadowConfig;
 
 fn cfg() -> GnnTrainConfig {
@@ -31,22 +31,14 @@ fn per_tensor_and_coalesced_training_are_numerically_identical() {
     // resulting loss trajectories must match almost exactly.
     let data = DatasetConfig::ex3_like(0.015).generate(3, 44);
     let prepared = prepare_graphs(&data);
-    let (train, val) = prepared.split_at(2);
+    let (train_set, val) = prepared.split_at(2);
     let c = cfg();
-    let per = train_minibatch(
-        &c,
-        SamplerKind::Bulk { k: 2 },
-        DdpConfig::new(2, AllReduceStrategy::PerTensor),
-        train,
-        val,
-    );
-    let coal = train_minibatch(
-        &c,
-        SamplerKind::Bulk { k: 2 },
-        DdpConfig::new(2, AllReduceStrategy::Coalesced),
-        train,
-        val,
-    );
+    let run = |strategy| {
+        let spec = TrainSpec::ddp(&c, SamplerKind::Bulk { k: 2 }, DdpConfig::new(2, strategy));
+        train(&spec, train_set, val)
+    };
+    let per = run(AllReduceStrategy::PerTensor);
+    let coal = run(AllReduceStrategy::Coalesced);
     for (a, b) in per.epochs.iter().zip(&coal.epochs) {
         assert!(
             (a.train_loss - b.train_loss).abs() < 1e-4,
@@ -68,16 +60,12 @@ fn per_tensor_and_coalesced_training_are_numerically_identical() {
 fn worker_counts_all_train_stably() {
     let data = DatasetConfig::ex3_like(0.015).generate(3, 66);
     let prepared = prepare_graphs(&data);
-    let (train, val) = prepared.split_at(2);
+    let (train_set, val) = prepared.split_at(2);
     let c = cfg();
     for p in [1usize, 2, 4] {
-        let r = train_minibatch(
-            &c,
-            SamplerKind::Bulk { k: 2 * p },
-            DdpConfig::new(p, AllReduceStrategy::Coalesced),
-            train,
-            val,
-        );
+        let ddp = DdpConfig::new(p, AllReduceStrategy::Coalesced);
+        let spec = TrainSpec::ddp(&c, SamplerKind::Bulk { k: 2 * p }, ddp);
+        let r = train(&spec, train_set, val);
         assert_eq!(r.epochs.len(), c.epochs, "p={p}");
         for e in &r.epochs {
             assert!(
@@ -129,18 +117,19 @@ fn overlapped_comm_is_bit_identical_to_post_hoc_threaded() {
     // therefore the whole trajectory — must agree bit for bit.
     let data = DatasetConfig::ex3_like(0.015).generate(3, 44);
     let prepared = prepare_graphs(&data);
-    let (train, val) = prepared.split_at(2);
+    let (train_set, val) = prepared.split_at(2);
     let c = cfg();
     for p in [1usize, 2, 3] {
         let ddp = DdpConfig::new(p, AllReduceStrategy::Bucketed { bucket_bytes: 4096 });
-        let post = train_minibatch(&c, SamplerKind::Bulk { k: 2 }, ddp, train, val);
-        let over = train_minibatch(
-            &c,
-            SamplerKind::Bulk { k: 2 },
-            ddp.with_overlap(true),
-            train,
-            val,
-        );
+        let run = |ddp| {
+            train(
+                &TrainSpec::ddp(&c, SamplerKind::Bulk { k: 2 }, ddp),
+                train_set,
+                val,
+            )
+        };
+        let post = run(ddp);
+        let over = run(ddp.with_overlap(true));
         assert_golden_parity(&post, &over);
         assert!(over.epochs[0].timing.comm_overlap);
         if p > 1 {
@@ -157,21 +146,18 @@ fn overlapped_comm_is_bit_identical_to_post_hoc_threaded() {
 
 #[test]
 fn overlapped_comm_is_bit_identical_to_post_hoc_simulated() {
-    use trkx::pipeline::train_minibatch_simulated;
     let data = DatasetConfig::ex3_like(0.015).generate(3, 44);
     let prepared = prepare_graphs(&data);
-    let (train, val) = prepared.split_at(2);
+    let (train_set, val) = prepared.split_at(2);
     let c = cfg();
     for p in [1usize, 2, 4] {
         let ddp = DdpConfig::new(p, AllReduceStrategy::Bucketed { bucket_bytes: 4096 });
-        let post = train_minibatch_simulated(&c, SamplerKind::Bulk { k: 2 }, ddp, train, val);
-        let over = train_minibatch_simulated(
-            &c,
-            SamplerKind::Bulk { k: 2 },
-            ddp.with_overlap(true),
-            train,
-            val,
-        );
+        let run = |ddp| {
+            let spec = TrainSpec::simulated_ddp(&c, SamplerKind::Bulk { k: 2 }, ddp);
+            train(&spec, train_set, val)
+        };
+        let post = run(ddp);
+        let over = run(ddp.with_overlap(true));
         assert_golden_parity(&post, &over);
         if p > 1 {
             // The scheduler's serial account reproduces the strategy
@@ -200,14 +186,14 @@ fn overlapped_comm_is_bit_identical_to_post_hoc_simulated() {
 
 #[test]
 fn hogwild_converges_and_costs_zero_comm() {
-    use trkx::pipeline::train_minibatch_hogwild;
     let data = DatasetConfig::ex3_like(0.015).generate(3, 44);
     let prepared = prepare_graphs(&data);
-    let (train, val) = prepared.split_at(2);
+    let (train_set, val) = prepared.split_at(2);
     let mut c = cfg();
     c.epochs = 4;
     c.learning_rate = 1e-3;
-    let r = train_minibatch_hogwild(&c, SamplerKind::Bulk { k: 2 }, 2, train, val);
+    let spec = TrainSpec::hogwild(&c, SamplerKind::Bulk { k: 2 }, 2);
+    let r = train(&spec, train_set, val);
     assert_eq!(r.epochs.len(), 4);
     for e in &r.epochs {
         assert!(

@@ -6,8 +6,8 @@
 use trkx::ddp::DdpConfig;
 use trkx::detector::DatasetConfig;
 use trkx::pipeline::{
-    best_f1_threshold, build_tracks, infer_logits, prepare_graphs, roc_auc, threshold_sweep,
-    train_minibatch, GnnTrainConfig, SamplerKind,
+    best_f1_threshold, build_tracks, infer_logits, prepare_graphs, roc_auc, threshold_sweep, train,
+    GnnTrainConfig, SamplerKind, TrainSpec,
 };
 use trkx::sampling::ShadowConfig;
 
@@ -15,7 +15,7 @@ use trkx::sampling::ShadowConfig;
 fn trained_gnn_scores_have_high_auc() {
     let data = DatasetConfig::ex3_like(0.02).generate(4, 88);
     let prepared = prepare_graphs(&data);
-    let (train, val) = prepared.split_at(3);
+    let (train_set, val) = prepared.split_at(3);
     let cfg = GnnTrainConfig {
         hidden: 24,
         gnn_layers: 3,
@@ -28,13 +28,8 @@ fn trained_gnn_scores_have_high_auc() {
         seed: 5,
         ..Default::default()
     };
-    let r = train_minibatch(
-        &cfg,
-        SamplerKind::Bulk { k: 4 },
-        DdpConfig::single(),
-        train,
-        val,
-    );
+    let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k: 4 }, DdpConfig::single());
+    let r = train(&spec, train_set, val);
     let logits = infer_logits(&r.model, &val[0]);
     let auc = roc_auc(&logits, &val[0].labels);
     assert!(auc > 0.75, "trained AUC only {auc}");
