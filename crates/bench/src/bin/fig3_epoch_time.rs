@@ -31,7 +31,7 @@
 //! scales with P; bulk sampling scales superlinearly with P because k
 //! grows with P.
 
-use trkx_bench::{append_jsonl, arg_flag, arg_value, Table};
+use trkx_bench::{append_jsonl, arg_value, Table};
 use trkx_core::{prepare_graphs, train, BatchingMode, GnnTrainConfig, SamplerKind, TrainSpec};
 use trkx_ddp::{AllReduceStrategy, DdpConfig};
 use trkx_detector::{DatasetConfig, EventGraph};
@@ -257,9 +257,10 @@ fn run_dataset(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let tiny = arg_flag(&args, "--tiny");
-    let overlap = arg_flag(&args, "--overlap");
-    let comm_overlap = arg_flag(&args, "--comm-overlap");
+    let flag = |key: &str| args.iter().any(|a| a == key);
+    let tiny = flag("--tiny");
+    let overlap = flag("--overlap");
+    let comm_overlap = flag("--comm-overlap");
     let ctd_scale = arg_value(&args, "--ctd-scale", 0.002f64);
     let ex3_scale = arg_value(&args, "--ex3-scale", if tiny { 0.01 } else { 0.03 });
     let n_graphs = arg_value(&args, "--graphs", if tiny { 2usize } else { 3 });

@@ -9,9 +9,12 @@
 //! | Figure 3 | epoch time vs process count | `cargo run -p trkx-bench --bin fig3_epoch_time --release` |
 //! | Figure 4 | convergence curves | `cargo run -p trkx-bench --bin fig4_convergence --release` |
 //! | ablations | design-choice sweeps | `cargo run -p trkx-bench --bin ablations --release` |
+//! | funnel | per-stage pipeline funnel | `cargo run -p trkx-bench --bin pipeline_funnel --release` |
 //!
-//! Criterion microbenchmarks live under `benches/`. Experiment scales are
-//! configurable; the defaults recorded in EXPERIMENTS.md run on a laptop.
+//! These five bins regenerate paper artifacts; performance is measured
+//! in one place only, the `benchmark/` package (`benchmark/run.sh`).
+//! Experiment scales are configurable; the defaults recorded in
+//! EXPERIMENTS.md run on a laptop.
 
 use std::io::Write;
 
@@ -71,8 +74,6 @@ impl Table {
     }
 }
 
-pub mod trainstep;
-
 /// Parse `--key value` style CLI overrides (harnesses keep flags minimal).
 pub fn arg_value<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
     args.iter()
@@ -80,11 +81,6 @@ pub fn arg_value<T: std::str::FromStr>(args: &[String], key: &str, default: T) -
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-/// Presence of a bare `--flag` switch.
-pub fn arg_flag(args: &[String], key: &str) -> bool {
-    args.iter().any(|a| a == key)
 }
 
 /// Append a JSON result line to `results/<name>.jsonl` (machine-readable

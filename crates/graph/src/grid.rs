@@ -15,19 +15,10 @@
 
 use crate::kdtree::sq_dist;
 
-/// Per-axis resolution cap (cells per binned axis). Override with
-/// `TRKX_GRID_CELLS`; with 3 binned axes the worst case is `cap³`
-/// offset slots, so the default 64 tops out at ~1 MiB of offsets.
-fn max_cells_per_axis() -> usize {
-    static V: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *V.get_or_init(|| {
-        std::env::var("TRKX_GRID_CELLS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(64)
-    })
-}
+/// Per-axis resolution cap (cells per binned axis). With 3 binned axes
+/// the worst case is `cap³` offset slots, so 64 tops out at ~1 MiB of
+/// offsets.
+const MAX_CELLS_PER_AXIS: usize = 64;
 
 /// How many leading coordinates to bin on (the embedding's first
 /// "principal" axes); full-dimension distances are always exact.
@@ -56,7 +47,7 @@ pub struct GridIndex {
 
 impl GridIndex {
     /// Build a grid sized so cells are at least `cell` wide on each
-    /// binned axis (clamped to the `TRKX_GRID_CELLS` per-axis cap).
+    /// binned axis (at most 64 cells per axis).
     pub fn build(points: &[f32], dim: usize, cell: f32) -> Self {
         let mut g = Self::default();
         g.rebuild(points, dim, cell);
@@ -85,7 +76,6 @@ impl GridIndex {
                 }
             }
         }
-        let cap = max_cells_per_axis();
         let cell = if cell.is_finite() && cell > 0.0 {
             cell
         } else {
@@ -101,9 +91,9 @@ impl GridIndex {
             self.mins[a] = if mins[a].is_finite() { mins[a] } else { 0.0 };
             let cells = if extent > 0.0 {
                 if cell > 0.0 {
-                    ((extent / cell).ceil() as usize).clamp(1, cap)
+                    ((extent / cell).ceil() as usize).clamp(1, MAX_CELLS_PER_AXIS)
                 } else {
-                    cap
+                    MAX_CELLS_PER_AXIS
                 }
             } else {
                 1

@@ -194,8 +194,9 @@ impl InteractionGnn {
     /// `GatherConcat` node assembles each layer's edge-MLP input in a
     /// single pass (no `X'[src]`/`X'[dst]` intermediates on the tape) and
     /// the AGG scatters run the deterministic parallel segment-reduce.
-    /// Bit-identical to [`InteractionGnn::forward_unfused`] in both
-    /// values and gradients, at any thread count.
+    /// Bit-identical to the test-only unfused reference
+    /// (`forward_unfused`) in both values and gradients, at any thread
+    /// count.
     pub fn forward_planned(
         &self,
         tape: &mut Tape,
@@ -237,7 +238,8 @@ impl InteractionGnn {
     /// Unfused reference forward pass: explicit per-endpoint gathers and
     /// a three-way concat, serial scatter on the backward. Kept as the
     /// ground truth the fused path is parity-tested against.
-    pub fn forward_unfused(
+    #[cfg(test)]
+    fn forward_unfused(
         &self,
         tape: &mut Tape,
         bind: &mut Bindings,

@@ -7,52 +7,14 @@
 //! with a counting global allocator (hence its own test binary).
 
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use trkx_tensor::Matrix;
 
-struct Counting;
-static COUNT: AtomicUsize = AtomicUsize::new(0);
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        COUNT.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(l) }
-    }
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        unsafe { System.dealloc(p, l) }
-    }
-}
-#[global_allocator]
-static A: Counting = Counting;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::steady_state_allocs;
 
-fn steady_state_allocs(label: &str, mut f: impl FnMut()) {
-    let measure = |f: &mut dyn FnMut()| {
-        for _ in 0..10 {
-            f();
-        }
-        let before = COUNT.load(Ordering::Relaxed);
-        for _ in 0..100 {
-            f();
-        }
-        COUNT.load(Ordering::Relaxed) - before
-    };
-    // On an oversubscribed host the submitting thread can help-drain every
-    // warmup block before a sleeping pool worker is ever scheduled, pushing
-    // that worker's first packing-scratch allocation into the measured
-    // window. One re-measure absorbs such one-time init; a genuine per-call
-    // allocation fails both.
-    let mut allocs = measure(&mut f);
-    if allocs != 0 {
-        allocs = measure(&mut f);
-    }
-    assert_eq!(
-        allocs,
-        0,
-        "{label} allocated {} times over 100 calls at {} threads",
-        allocs,
-        rayon::current_num_threads()
-    );
-}
+#[global_allocator]
+static A: counting_alloc::Counting = counting_alloc::Counting;
 
 #[test]
 fn matmul_kernels_allocate_nothing_after_warmup() {

@@ -150,37 +150,63 @@ fn overlapped_comm_is_bit_identical_to_post_hoc_simulated() {
     let prepared = prepare_graphs(&data);
     let (train_set, val) = prepared.split_at(2);
     let c = cfg();
+    let run = |ddp| {
+        let spec = TrainSpec::simulated_ddp(&c, SamplerKind::Bulk { k: 2 }, ddp);
+        train(&spec, train_set, val)
+    };
     for p in [1usize, 2, 4] {
-        let ddp = DdpConfig::new(p, AllReduceStrategy::Bucketed { bucket_bytes: 4096 });
-        let run = |ddp| {
-            let spec = TrainSpec::simulated_ddp(&c, SamplerKind::Bulk { k: 2 }, ddp);
-            train(&spec, train_set, val)
-        };
-        let post = run(ddp);
-        let over = run(ddp.with_overlap(true));
-        assert_golden_parity(&post, &over);
-        if p > 1 {
-            // The scheduler's serial account reproduces the strategy
-            // formula the post-hoc path charges.
-            for (x, y) in post.epochs.iter().zip(&over.epochs) {
-                assert!(
-                    (x.timing.comm_virtual_s - y.timing.comm_virtual_s).abs() < 1e-12,
-                    "epoch {}: serial accounts disagree: {} vs {}",
-                    x.epoch,
-                    x.timing.comm_virtual_s,
-                    y.timing.comm_virtual_s
-                );
-                assert!(y.timing.comm_exposed_s <= y.timing.comm_virtual_s);
-            }
-            // Real backward compute runs between bucket fires, so some
-            // communication must hide: strictly less exposed than serial.
-            let serial: f64 = over.epochs.iter().map(|e| e.timing.comm_virtual_s).sum();
-            let exposed: f64 = over.epochs.iter().map(|e| e.timing.comm_exposed_s).sum();
-            assert!(
-                exposed < serial,
-                "p={p}: nothing overlapped (exposed {exposed} == serial {serial})"
-            );
+        // Several buckets per step at every worker count; at P = 4 also
+        // the whole ladder from one all-reduce per tensor to one per step.
+        let mut strategies = vec![AllReduceStrategy::Bucketed { bucket_bytes: 4096 }];
+        if p == 4 {
+            strategies.extend([
+                AllReduceStrategy::PerTensor,
+                AllReduceStrategy::Bucketed {
+                    bucket_bytes: 256 * 1024,
+                },
+                AllReduceStrategy::Bucketed {
+                    bucket_bytes: 1024 * 1024,
+                },
+                AllReduceStrategy::Coalesced,
+            ]);
         }
+        let mut final_loss_bits = Vec::new();
+        for strategy in strategies {
+            let ddp = DdpConfig::new(p, strategy);
+            let post = run(ddp);
+            let over = run(ddp.with_overlap(true));
+            assert_golden_parity(&post, &over);
+            for arm in [&post, &over] {
+                final_loss_bits.push(arm.epochs.last().unwrap().train_loss.to_bits());
+            }
+            if p > 1 {
+                // The scheduler's serial account reproduces the strategy
+                // formula the post-hoc path charges.
+                for (x, y) in post.epochs.iter().zip(&over.epochs) {
+                    assert!(
+                        (x.timing.comm_virtual_s - y.timing.comm_virtual_s).abs() < 1e-12,
+                        "{strategy:?} epoch {}: serial accounts disagree: {} vs {}",
+                        x.epoch,
+                        x.timing.comm_virtual_s,
+                        y.timing.comm_virtual_s
+                    );
+                    assert!(y.timing.comm_exposed_s <= y.timing.comm_virtual_s);
+                }
+                // Real backward compute runs between bucket fires, so some
+                // communication must hide: strictly less exposed than serial.
+                let serial: f64 = over.epochs.iter().map(|e| e.timing.comm_virtual_s).sum();
+                let exposed: f64 = over.epochs.iter().map(|e| e.timing.comm_exposed_s).sum();
+                assert!(
+                    exposed < serial,
+                    "p={p} {strategy:?}: nothing overlapped (exposed {exposed} == serial {serial})"
+                );
+            }
+        }
+        // Bucketing and overlap change the comm schedule, never the math.
+        assert!(
+            final_loss_bits.windows(2).all(|w| w[0] == w[1]),
+            "p={p}: final loss differs across strategy x overlap arms: {final_loss_bits:x?}"
+        );
     }
 }
 
