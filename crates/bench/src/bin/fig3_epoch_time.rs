@@ -6,20 +6,19 @@
 //! ```text
 //! cargo run -p trkx-bench --bin fig3_epoch_time --release \
 //!   [-- --ctd-scale 0.004 --ex3-scale 0.05 --graphs 4 --epochs 1 \
-//!       --overlap --comm-overlap --tiny]
+//!       --overlap --comm-overlap]
 //! ```
 //!
 //! `--overlap` additionally accounts each epoch under the overlapped
 //! (prefetching-loader) virtual clock — `max(sampling, train) + comm`
-//! instead of their sum — and **asserts** the overlapped schedule never
-//! costs more than the serial one (strictly less whenever both stages do
-//! real work), exiting non-zero on violation. `--comm-overlap` fires
-//! each gradient bucket's all-reduce during backward instead of as one
-//! post-backward sync and **asserts** that for every multi-worker run
-//! the exposed communication is strictly below the serial account and
-//! the overlapped epoch never exceeds the serial epoch, exiting
-//! non-zero on violation. `--tiny` shrinks the workload to a
-//! seconds-long smoke run (the CI gate).
+//! instead of their sum. `--comm-overlap` fires each gradient bucket's
+//! all-reduce during backward instead of as one post-backward sync and
+//! adds the exposed-communication column. That neither overlapped
+//! account can exceed its serial one is held by tests, not by this bin:
+//! `every_mode_reproduces_its_golden_under_sync_and_prefetch`
+//! (`crates/core/tests/train_harness.rs`) and
+//! `overlapped_comm_is_bit_identical_to_post_hoc_simulated`
+//! (`tests/ddp_equivalence.rs`).
 //!
 //! As in the paper, the bulk factor `k` grows with the process count
 //! (more aggregate memory ⇒ more minibatches sampled per bulk call).
@@ -53,7 +52,6 @@ fn run_dataset(
     layers: usize,
     overlap: bool,
     comm_overlap: bool,
-    violations: &mut usize,
 ) {
     let prepared = prepare_graphs(graphs);
     let n_train = (graphs.len() * 4 / 5).max(1);
@@ -150,44 +148,6 @@ fn run_dataset(
                 .map(|e| e.timing.comm_exposed_s)
                 .sum::<f64>()
                 / n;
-            if comm_overlap && p >= 2 {
-                // Firing each bucket's collective during backward must hide
-                // real communication behind compute: exposed strictly below
-                // the serial account, and the epoch under the overlapped
-                // clock never slower than under the serial one.
-                if exposed_s >= comm_s {
-                    println!(
-                        "VIOLATION: {} P={} exposed comm {exposed_s:.4}s >= serial {comm_s:.4}s",
-                        arm.name, p
-                    );
-                    *violations += 1;
-                }
-                if sample_s + train_s + exposed_s > total {
-                    println!(
-                        "VIOLATION: {} P={} overlapped-comm epoch {:.3}s > serial {total:.3}s",
-                        arm.name,
-                        p,
-                        sample_s + train_s + exposed_s
-                    );
-                    *violations += 1;
-                }
-            }
-            if overlap {
-                // Prefetching can only remove sampling stalls, never add
-                // them; with both stages busy it must win outright.
-                let ok = if sample_s > 0.0 && train_s > 0.0 {
-                    overlapped < total
-                } else {
-                    overlapped <= total
-                };
-                if !ok {
-                    println!(
-                        "VIOLATION: {} P={} overlapped {overlapped:.3}s > serial {total:.3}s",
-                        arm.name, p
-                    );
-                    *violations += 1;
-                }
-            }
             let (su_sample, su_comm, su_total) = match baseline {
                 None => {
                     baseline = Some((sample_s, comm_s, total));
@@ -258,51 +218,38 @@ fn run_dataset(
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let flag = |key: &str| args.iter().any(|a| a == key);
-    let tiny = flag("--tiny");
     let overlap = flag("--overlap");
     let comm_overlap = flag("--comm-overlap");
     let ctd_scale = arg_value(&args, "--ctd-scale", 0.002f64);
-    let ex3_scale = arg_value(&args, "--ex3-scale", if tiny { 0.01 } else { 0.03 });
-    let n_graphs = arg_value(&args, "--graphs", if tiny { 2usize } else { 3 });
+    let ex3_scale = arg_value(&args, "--ex3-scale", 0.03f64);
+    let n_graphs = arg_value(&args, "--graphs", 3usize);
     let epochs = arg_value(&args, "--epochs", 1usize);
-    let hidden = arg_value(&args, "--hidden", if tiny { 8usize } else { 16 });
-    let layers = arg_value(&args, "--layers", if tiny { 2usize } else { 3 });
+    let hidden = arg_value(&args, "--hidden", 16usize);
+    let layers = arg_value(&args, "--layers", 3usize);
 
     println!("# Figure 3: epoch time across simulated GPU counts");
-    let mut violations = 0usize;
     // Paper: CTD measured at P in {1, 2, 4} (PyG timed out at 4); Ex3 at
-    // P in {1, 2, 4, 8}. `--tiny` keeps only a small Ex3 sweep.
-    if !tiny {
-        let ctd = DatasetConfig::ctd_like(ctd_scale);
-        run_dataset(
-            &ctd,
-            &ctd.generate(n_graphs, 99),
-            &[1, 2, 4],
-            epochs,
-            hidden,
-            layers,
-            overlap,
-            comm_overlap,
-            &mut violations,
-        );
-    }
-    let ex3 = DatasetConfig::ex3_like(ex3_scale);
+    // P in {1, 2, 4, 8}.
+    let ctd = DatasetConfig::ctd_like(ctd_scale);
     run_dataset(
-        &ex3,
-        &ex3.generate(n_graphs, 99),
-        if tiny { &[1, 2][..] } else { &[1, 2, 4, 8][..] },
+        &ctd,
+        &ctd.generate(n_graphs, 99),
+        &[1, 2, 4],
         epochs,
         hidden,
         layers,
         overlap,
         comm_overlap,
-        &mut violations,
     );
-    if overlap || comm_overlap {
-        if violations > 0 {
-            println!("\n{violations} overlap violation(s): overlapped schedule exceeded serial");
-            std::process::exit(1);
-        }
-        println!("\nOverlap check passed: overlapped schedules never exceeded serial accounts.");
-    }
+    let ex3 = DatasetConfig::ex3_like(ex3_scale);
+    run_dataset(
+        &ex3,
+        &ex3.generate(n_graphs, 99),
+        &[1, 2, 4, 8],
+        epochs,
+        hidden,
+        layers,
+        overlap,
+        comm_overlap,
+    );
 }

@@ -3,66 +3,24 @@
 //! truth survives construction — edges the radius graph misses can never
 //! be recovered downstream.
 //!
-//! The heavy lifting lives in the pooled [`GraphConstructor`]: it holds
-//! a reusable [`trkx_graph::GraphIndex`] (grid FRNN, kd-tree, or brute
-//! backend — bit-identical edge lists, see `trkx_graph::radius`) plus
+//! [`GraphConstructor`] is the one way to build a graph: it holds a
+//! reusable [`trkx_graph::GraphIndex`] (the cell-grid FRNN engine, pinned
+//! bit for bit to the brute-force oracle, see `trkx_graph::radius`) plus
 //! the edge/key scratch buffers, so per-event construction in a serving
 //! loop allocates nothing once warm. Truth labelling is a sorted-merge
 //! join over packed `(src << 32) | dst` keys instead of per-edge hash
-//! probes. The free functions below are thin compatibility wrappers
-//! that build a throwaway constructor.
+//! probes.
 
 use trkx_detector::Event;
-use trkx_graph::{Backend, GraphIndex};
+use trkx_graph::GraphIndex;
 use trkx_tensor::Matrix;
 
-/// How stage 2 connects hits in embedding space. The acorn pipeline
-/// supports both: fixed-radius (the paper's description) and kNN.
+/// How stage 2 connects hits in embedding space: fixed-radius, the
+/// paper's description.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum ConstructionMethod {
     /// Connect pairs within `radius`.
     FixedRadius { radius: f32 },
-    /// Connect each hit to its `k` nearest neighbours.
-    Knn { k: usize },
-}
-
-/// Which spatial index routes stage-2 candidate generation. All
-/// backends produce bit-identical edge lists (the exact distance
-/// predicate is shared); this is purely a performance knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum ConstructionBackend {
-    /// Uniform cell grid on the first ≤3 embedding axes (FRNN).
-    #[default]
-    Grid,
-    /// Median-partitioned kd-tree over all axes.
-    Kd,
-    /// Exhaustive O(n²) scan (reference / tiny events).
-    Brute,
-}
-
-impl ConstructionBackend {
-    fn as_graph_backend(self) -> Backend {
-        match self {
-            ConstructionBackend::Grid => Backend::Grid,
-            ConstructionBackend::Kd => Backend::Kd,
-            ConstructionBackend::Brute => Backend::Brute,
-        }
-    }
-}
-
-impl std::str::FromStr for ConstructionBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "grid" => Ok(Self::Grid),
-            "kd" => Ok(Self::Kd),
-            "brute" => Ok(Self::Brute),
-            other => Err(format!(
-                "unknown construction backend '{other}' (expected grid|kd|brute)"
-            )),
-        }
-    }
 }
 
 /// A constructed candidate-edge graph with truth labels and construction
@@ -107,26 +65,6 @@ pub struct GraphConstructor {
 }
 
 impl GraphConstructor {
-    pub fn new(backend: ConstructionBackend) -> Self {
-        Self {
-            index: GraphIndex::new(backend.as_graph_backend()),
-            ..Self::default()
-        }
-    }
-
-    pub fn backend(&self) -> ConstructionBackend {
-        match self.index.backend() {
-            Backend::Grid => ConstructionBackend::Grid,
-            Backend::Kd => ConstructionBackend::Kd,
-            Backend::Brute => ConstructionBackend::Brute,
-        }
-    }
-
-    /// Switch routing backends; takes effect on the next event.
-    pub fn set_backend(&mut self, backend: ConstructionBackend) {
-        self.index.set_backend(backend.as_graph_backend());
-    }
-
     /// Stage 2 for one event: candidate edges (oriented inner→outer by
     /// layer, same-layer pairs dropped — a particle crosses each barrel
     /// layer once) with merge-joined truth labels.
@@ -138,16 +76,9 @@ impl GraphConstructor {
     ) -> ConstructedGraph {
         assert_eq!(embeddings.rows(), event.num_hits(), "one embedding per hit");
         let dim = embeddings.cols();
-        match method {
-            ConstructionMethod::FixedRadius { radius } => {
-                self.index.rebuild(embeddings.data(), dim, radius);
-                self.index.radius_edges_into(radius, &mut self.edges);
-            }
-            ConstructionMethod::Knn { k } => {
-                self.index.rebuild(embeddings.data(), dim, 0.0);
-                self.index.knn_edges_into(k, &mut self.edges);
-            }
-        }
+        let ConstructionMethod::FixedRadius { radius } = method;
+        self.index.rebuild(embeddings.data(), dim, radius);
+        self.index.radius_edges_into(radius, &mut self.edges);
         self.load_truth(event);
 
         // Orient candidates by layer.
@@ -277,46 +208,26 @@ impl GraphConstructor {
     }
 }
 
-/// Build the candidate graph by connecting hits within `radius` of each
-/// other in embedding space (throwaway-constructor wrapper; hold a
-/// [`GraphConstructor`] to pool across events).
-pub fn build_graph_from_embeddings(
-    event: &Event,
-    embeddings: &Matrix,
-    radius: f32,
-) -> ConstructedGraph {
-    build_graph_with_method(
-        event,
-        embeddings,
-        ConstructionMethod::FixedRadius { radius },
-    )
-}
-
-/// Stage 2 with an explicit construction method (radius or kNN).
-pub fn build_graph_with_method(
-    event: &Event,
-    embeddings: &Matrix,
-    method: ConstructionMethod,
-) -> ConstructedGraph {
-    GraphConstructor::default().construct(event, embeddings, method)
-}
-
-/// Choose the smallest radius achieving at least `target_efficiency`
-/// (bisection over the embedding distances).
-pub fn tune_radius(
-    event: &Event,
-    embeddings: &Matrix,
-    target_efficiency: f64,
-    max_radius: f32,
-) -> f32 {
-    GraphConstructor::default().tune_radius(event, embeddings, target_efficiency, max_radius)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
     use trkx_detector::{simulate_event, DetectorGeometry, GunConfig};
+    use trkx_graph::radius_graph_brute;
+
+    /// One event through a throwaway constructor.
+    fn build(event: &Event, embeddings: &Matrix, radius: f32) -> ConstructedGraph {
+        let method = ConstructionMethod::FixedRadius { radius };
+        GraphConstructor::default().construct(event, embeddings, method)
+    }
+
+    /// Hit coordinates as a 3-d embedding.
+    fn xyz_embedding(ev: &Event) -> Matrix {
+        Matrix::from_fn(ev.num_hits(), 3, |r, c| {
+            let h = &ev.hits[r];
+            [h.x, h.y, h.z][c]
+        })
+    }
 
     fn event(seed: u64) -> Event {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -349,7 +260,7 @@ mod tests {
     fn oracle_embedding_gives_full_efficiency() {
         let ev = event(1);
         let emb = oracle_embedding(&ev);
-        let g = build_graph_from_embeddings(&ev, &emb, 0.5);
+        let g = build(&ev, &emb, 0.5);
         assert_eq!(g.edge_efficiency, 1.0, "missed truth edges");
         // Candidates are only intra-particle pairs; purity below 1 solely
         // from non-consecutive layer pairs within a particle clique.
@@ -367,7 +278,7 @@ mod tests {
         // All-distinct embedding points: a tiny radius links nothing.
         let ev = event(2);
         let emb = Matrix::from_fn(ev.num_hits(), 2, |r, c| (r * 2 + c) as f32);
-        let g = build_graph_from_embeddings(&ev, &emb, 1e-6);
+        let g = build(&ev, &emb, 1e-6);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.edge_efficiency, 0.0);
     }
@@ -375,52 +286,18 @@ mod tests {
     #[test]
     fn radius_monotonically_increases_efficiency() {
         let ev = event(3);
-        // Random-ish embedding from hit coordinates.
-        let emb = Matrix::from_fn(ev.num_hits(), 3, |r, c| {
-            let h = &ev.hits[r];
-            [h.x, h.y, h.z][c]
-        });
-        let e_small = build_graph_from_embeddings(&ev, &emb, 0.05).edge_efficiency;
-        let e_large = build_graph_from_embeddings(&ev, &emb, 0.5).edge_efficiency;
+        let emb = xyz_embedding(&ev);
+        let e_small = build(&ev, &emb, 0.05).edge_efficiency;
+        let e_large = build(&ev, &emb, 0.5).edge_efficiency;
         assert!(e_large >= e_small);
-    }
-
-    #[test]
-    fn knn_method_bounds_degree() {
-        let ev = event(5);
-        let emb = Matrix::from_fn(ev.num_hits(), 3, |r, c| {
-            let h = &ev.hits[r];
-            [h.x, h.y, h.z][c]
-        });
-        let g = build_graph_with_method(&ev, &emb, ConstructionMethod::Knn { k: 3 });
-        // Undirected candidate count bounded by n*k (each vertex proposes
-        // at most k pairs, some same-layer pairs dropped).
-        assert!(g.num_edges() <= ev.num_hits() * 3);
-        assert!(g.num_edges() > 0);
-        for (&s, &d) in g.src.iter().zip(&g.dst) {
-            assert!(ev.hits[s as usize].layer < ev.hits[d as usize].layer);
-        }
-    }
-
-    #[test]
-    fn knn_and_radius_agree_on_oracle_embedding() {
-        // With the oracle embedding (same-particle hits coincide), both
-        // methods recover every truth edge.
-        let ev = event(6);
-        let emb = oracle_embedding(&ev);
-        let knn = build_graph_with_method(&ev, &emb, ConstructionMethod::Knn { k: 12 });
-        assert_eq!(knn.edge_efficiency, 1.0, "kNN missed truth edges");
     }
 
     #[test]
     fn tune_radius_hits_target() {
         let ev = event(4);
-        let emb = Matrix::from_fn(ev.num_hits(), 3, |r, c| {
-            let h = &ev.hits[r];
-            [h.x, h.y, h.z][c]
-        });
-        let r = tune_radius(&ev, &emb, 0.9, 2.0);
-        let g = build_graph_from_embeddings(&ev, &emb, r);
+        let emb = xyz_embedding(&ev);
+        let r = GraphConstructor::default().tune_radius(&ev, &emb, 0.9, 2.0);
+        let g = build(&ev, &emb, r);
         assert!(
             g.edge_efficiency >= 0.88,
             "efficiency {} at r {r}",
@@ -429,22 +306,26 @@ mod tests {
     }
 
     #[test]
-    fn all_backends_construct_identical_graphs() {
+    fn constructed_graph_matches_brute_oracle() {
         let ev = event(7);
-        let emb = Matrix::from_fn(ev.num_hits(), 3, |r, c| {
-            let h = &ev.hits[r];
-            [h.x, h.y, h.z][c]
-        });
-        let method = ConstructionMethod::FixedRadius { radius: 0.3 };
-        let want = GraphConstructor::new(ConstructionBackend::Brute).construct(&ev, &emb, method);
-        for backend in [ConstructionBackend::Grid, ConstructionBackend::Kd] {
-            let got = GraphConstructor::new(backend).construct(&ev, &emb, method);
-            assert_eq!(got.src, want.src, "{backend:?}");
-            assert_eq!(got.dst, want.dst, "{backend:?}");
-            assert_eq!(got.labels, want.labels, "{backend:?}");
-            assert_eq!(got.edge_efficiency, want.edge_efficiency);
-            assert_eq!(got.edge_purity, want.edge_purity);
+        let emb = xyz_embedding(&ev);
+        let got = build(&ev, &emb, 0.3);
+        let truth: std::collections::HashSet<_> = ev.truth_edges().into_iter().collect();
+        let (mut src, mut dst, mut labels) = (Vec::new(), Vec::new(), Vec::new());
+        for (a, b) in radius_graph_brute(emb.data(), 3, 0.3) {
+            let (la, lb) = (ev.hits[a as usize].layer, ev.hits[b as usize].layer);
+            if la == lb {
+                continue;
+            }
+            let (s, d) = if la < lb { (a, b) } else { (b, a) };
+            src.push(s);
+            dst.push(d);
+            labels.push(if truth.contains(&(s, d)) { 1.0 } else { 0.0 });
         }
+        assert!(!src.is_empty());
+        assert_eq!(got.src, src);
+        assert_eq!(got.dst, dst);
+        assert_eq!(got.labels, labels);
     }
 
     #[test]
@@ -452,12 +333,9 @@ mod tests {
         let mut pooled = GraphConstructor::default();
         for seed in 10..14 {
             let ev = event(seed);
-            let emb = Matrix::from_fn(ev.num_hits(), 3, |r, c| {
-                let h = &ev.hits[r];
-                [h.x, h.y, h.z][c]
-            });
+            let emb = xyz_embedding(&ev);
             let a = pooled.construct(&ev, &emb, ConstructionMethod::FixedRadius { radius: 0.25 });
-            let b = build_graph_from_embeddings(&ev, &emb, 0.25);
+            let b = build(&ev, &emb, 0.25);
             assert_eq!(a.src, b.src, "seed {seed}");
             assert_eq!(a.dst, b.dst, "seed {seed}");
             assert_eq!(a.labels, b.labels, "seed {seed}");
@@ -467,35 +345,16 @@ mod tests {
     #[test]
     fn pooled_tune_radius_matches_throwaway() {
         let ev = event(4);
-        let emb = Matrix::from_fn(ev.num_hits(), 3, |r, c| {
-            let h = &ev.hits[r];
-            [h.x, h.y, h.z][c]
-        });
-        let fresh = tune_radius(&ev, &emb, 0.9, 2.0);
-        for backend in [
-            ConstructionBackend::Grid,
-            ConstructionBackend::Kd,
-            ConstructionBackend::Brute,
-        ] {
-            let mut ctor = GraphConstructor::new(backend);
-            assert_eq!(ctor.tune_radius(&ev, &emb, 0.9, 2.0), fresh, "{backend:?}");
-        }
-    }
-
-    #[test]
-    fn backend_parses_from_str() {
-        assert_eq!(
-            "grid".parse::<ConstructionBackend>().unwrap(),
-            ConstructionBackend::Grid
+        let emb = xyz_embedding(&ev);
+        let fresh = GraphConstructor::default().tune_radius(&ev, &emb, 0.9, 2.0);
+        // A constructor warm from another event and radius.
+        let other = event(5);
+        let mut pooled = GraphConstructor::default();
+        pooled.construct(
+            &other,
+            &xyz_embedding(&other),
+            ConstructionMethod::FixedRadius { radius: 0.7 },
         );
-        assert_eq!(
-            "kd".parse::<ConstructionBackend>().unwrap(),
-            ConstructionBackend::Kd
-        );
-        assert_eq!(
-            "brute".parse::<ConstructionBackend>().unwrap(),
-            ConstructionBackend::Brute
-        );
-        assert!("flann".parse::<ConstructionBackend>().is_err());
+        assert_eq!(pooled.tune_radius(&ev, &emb, 0.9, 2.0), fresh);
     }
 }

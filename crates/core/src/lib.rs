@@ -42,10 +42,7 @@ pub use gnn_stage::{
     prepare_graphs_sharded, train, train_minibatch_opts, GnnTrainConfig, HookFactory,
     PreparedGraph, SamplerKind, TrainMode, TrainResult, TrainSpec,
 };
-pub use graph_construction::{
-    build_graph_from_embeddings, build_graph_with_method, tune_radius, ConstructedGraph,
-    ConstructionBackend, ConstructionMethod, GraphConstructor,
-};
+pub use graph_construction::{ConstructedGraph, ConstructionMethod, GraphConstructor};
 pub use metrics::{match_tracks, EdgeMetrics, TrackMetrics};
 pub use pipeline::{
     train_pipeline, PipelineBundle, PipelineConfig, PipelineReport, StageTimings, TrainedPipeline,

@@ -7,7 +7,7 @@ use crate::filter::{FilterConfig, FilterStage};
 use crate::gnn_stage::{
     infer_logits_with, prepare_graphs, train, GnnTrainConfig, PreparedGraph, SamplerKind, TrainSpec,
 };
-use crate::graph_construction::{ConstructionBackend, ConstructionMethod, GraphConstructor};
+use crate::graph_construction::{ConstructionMethod, GraphConstructor};
 use crate::metrics::TrackMetrics;
 use crate::tracks::{build_tracks, TrackBuildResult};
 use trkx_ddp::DdpConfig;
@@ -25,12 +25,6 @@ pub struct PipelineConfig {
     /// Truth-edge efficiency the radius graph must reach.
     pub target_construction_efficiency: f64,
     pub max_radius: f32,
-    /// Spatial-index backend for stage-2 candidate generation. Every
-    /// backend yields bit-identical edge lists; this only trades build
-    /// against query cost (defaults to the grid FRNN index; absent in
-    /// older bundles).
-    #[serde(default)]
-    pub construct_backend: ConstructionBackend,
     pub filter: FilterConfig,
     pub gnn: GnnTrainConfig,
     pub gnn_sampler: SamplerKind,
@@ -49,7 +43,6 @@ impl Default for PipelineConfig {
             embedding: EmbeddingConfig::default(),
             target_construction_efficiency: 0.96,
             max_radius: 3.0,
-            construct_backend: ConstructionBackend::default(),
             filter: FilterConfig::default(),
             gnn: GnnTrainConfig::default(),
             gnn_sampler: SamplerKind::Bulk { k: 4 },
@@ -134,7 +127,7 @@ pub fn train_pipeline(
     // Stage 2: radius tuned on the first training event, then one pooled
     // constructor builds every training/validation graph (index and
     // scratch buffers are rebuilt per event, not reallocated).
-    let mut ctor = GraphConstructor::new(config.construct_backend);
+    let mut ctor = GraphConstructor::default();
     let radius = ctor.tune_radius(
         &train_events[0],
         &embedding.embed_with(&mut tape, &mut bind, &feats[0]),
@@ -243,12 +236,22 @@ pub struct PipelineBundle {
 }
 
 impl PipelineBundle {
-    /// Check every stage checkpoint's metadata header against the
-    /// bundle's own configuration — a cheap pre-flight that rejects
-    /// shape-mismatched or truncated artifacts with a clear error before
-    /// any model is constructed. Headerless (legacy) checkpoints pass;
-    /// they are still shape-checked tensor-by-tensor at apply time.
+    /// Check the construction radius and every stage checkpoint's
+    /// metadata header against the bundle's own configuration — a cheap
+    /// pre-flight that rejects shape-mismatched or truncated artifacts
+    /// with a clear error before any model is constructed. Headerless
+    /// (legacy) checkpoints pass; they are still shape-checked
+    /// tensor-by-tensor at apply time.
     pub fn validate(&self) -> Result<(), crate::checkpoint::CheckpointError> {
+        // A negative radius would not fail loudly: the grid sweep sees
+        // inverted cell ranges while `r * r` stays positive, so stage 2
+        // would keep an arbitrary subset of the edges.
+        if !(self.radius.is_finite() && self.radius > 0.0) {
+            return Err(crate::checkpoint::CheckpointError::Meta(format!(
+                "radius {} is not a finite positive number",
+                self.radius
+            )));
+        }
         let (nf, ef) = (self.config.vertex_features, self.config.edge_features);
         self.embedding
             .validate_meta("embedding", nf, 0, self.config.embedding.dim)?;
@@ -325,13 +328,14 @@ impl TrainedPipeline {
         results.pop().expect("one result per event")
     }
 
-    /// A stage-2 constructor configured for this pipeline's backend.
+    /// A fresh stage-2 constructor (`GraphConstructor::default()`; a
+    /// method only because the frozen `benchmark/` package calls it).
     /// Long-lived callers (serve workers, batch reconstruction loops)
     /// hold one and pass it to
     /// [`TrainedPipeline::reconstruct_batch_pooled`] so the spatial
     /// index and edge scratch persist across micro-batches.
     pub fn new_constructor(&self) -> GraphConstructor {
-        GraphConstructor::new(self.config.construct_backend)
+        GraphConstructor::default()
     }
 
     /// Micro-batched inference against caller-pooled tape, bindings and

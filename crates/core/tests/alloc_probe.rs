@@ -1,6 +1,6 @@
 //! Steady-state allocation budgets of the two pooled hot paths above the
 //! kernels: one full Interaction-GNN train step through the training
-//! [`Engine`], and one stage-2 graph construction per backend.
+//! [`Engine`], and one stage-2 graph construction.
 //!
 //! The test first forces the size-gated parallel kernels on (as
 //! `trkx-tensor`'s `determinism.rs` does), and `ci.sh` runs the binary at
@@ -11,7 +11,7 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
 use trkx_core::train::Engine;
-use trkx_core::{ConstructionBackend, ConstructionMethod, GraphConstructor};
+use trkx_core::{ConstructionMethod, GraphConstructor};
 use trkx_detector::{DetectorGeometry, Event, Hit};
 use trkx_ignn::{IgnnConfig, InteractionGnn};
 use trkx_nn::{bce_with_logits, Adam};
@@ -87,25 +87,16 @@ fn graph_construction_stays_within_its_allocation_budget() {
         geometry: DetectorGeometry::default(),
     };
     let method = ConstructionMethod::FixedRadius { radius };
-    for backend in [
-        ConstructionBackend::Grid,
-        ConstructionBackend::Kd,
-        ConstructionBackend::Brute,
-    ] {
-        let mut constructor = GraphConstructor::new(backend);
-        let mut edges = 0;
-        // Two warm-up events bring the index and scratch buffers to
-        // capacity; what remains is the three output vectors.
-        steady_state_allocs_at_most(&format!("{backend:?} construct"), 2, 4, 8, || {
-            edges = constructor
-                .construct(&event, &embeddings, method)
-                .num_edges();
-        });
-        assert!(
-            edges > 0,
-            "{backend:?}: no candidate edges, nothing measured"
-        );
-    }
+    let mut constructor = GraphConstructor::default();
+    let mut edges = 0;
+    // Two warm-up events bring the index and scratch buffers to
+    // capacity; what remains is the three output vectors.
+    steady_state_allocs_at_most("construct", 2, 4, 8, || {
+        edges = constructor
+            .construct(&event, &embeddings, method)
+            .num_edges();
+    });
+    assert!(edges > 0, "no candidate edges, nothing measured");
 }
 
 /// One `#[test]` for the whole binary: see `counting_alloc.rs`.

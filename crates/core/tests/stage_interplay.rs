@@ -3,8 +3,8 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use trkx_core::{
-    build_graph_from_embeddings, prepare_graphs, EmbeddingConfig, EmbeddingStage, FilterConfig,
-    FilterStage, PreparedGraph,
+    prepare_graphs, ConstructionMethod, EmbeddingConfig, EmbeddingStage, FilterConfig, FilterStage,
+    GraphConstructor, PreparedGraph,
 };
 use trkx_detector::{
     edge_features, simulate_event, vertex_features, DetectorGeometry, EventGraph, GunConfig,
@@ -50,7 +50,11 @@ fn embedding_to_construction_preserves_truth_subset() {
     );
     stage.train(&[(&ev, &x)]);
     let emb = stage.embed(&x);
-    let g = build_graph_from_embeddings(&ev, &emb, 1.5);
+    let g = GraphConstructor::default().construct(
+        &ev,
+        &emb,
+        ConstructionMethod::FixedRadius { radius: 1.5 },
+    );
     // Every labelled-true candidate is a real truth edge.
     let truth: std::collections::HashSet<(u32, u32)> = ev.truth_edges().into_iter().collect();
     for ((&s, &d), &l) in g.src.iter().zip(&g.dst).zip(&g.labels) {

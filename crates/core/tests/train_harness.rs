@@ -217,6 +217,10 @@ fn every_mode_reproduces_its_golden_under_sync_and_prefetch() {
             assert!((s.total_s() - serial).abs() < 1e-12, "{name}");
             let overlapped = p.sampling_s.max(p.train_s) + p.comm_virtual_s;
             assert!((p.total_s() - overlapped).abs() < 1e-12, "{name}");
+            // With both stages busy, prefetching strictly beats the same
+            // epoch's serial account.
+            let p_serial = p.sampling_s + p.train_s + p.comm_virtual_s;
+            assert!(p.total_s() < p_serial, "{name}");
         }
     }
 }

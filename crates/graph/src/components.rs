@@ -44,16 +44,6 @@ pub fn connected_components_bfs(n: usize, edges: &[(u32, u32)]) -> Vec<u32> {
     labels
 }
 
-/// Group vertex ids by component label, ordered by label.
-pub fn components_as_groups(labels: &[u32]) -> Vec<Vec<u32>> {
-    let k = labels.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
-    let mut groups = vec![Vec::new(); k];
-    for (v, &l) in labels.iter().enumerate() {
-        groups[l as usize].push(v as u32);
-    }
-    groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,16 +69,6 @@ mod tests {
                 assert_eq!(a[i] == a[j], b[i] == b[j], "vertices {i},{j}");
             }
         }
-    }
-
-    #[test]
-    fn groups_partition_vertices() {
-        let labels = connected_components(5, &[(0, 4)]);
-        let groups = components_as_groups(&labels);
-        let total: usize = groups.iter().map(|g| g.len()).sum();
-        assert_eq!(total, 5);
-        assert_eq!(groups.len(), 4);
-        assert!(groups.iter().any(|g| g == &[0, 4]));
     }
 
     #[test]

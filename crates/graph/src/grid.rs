@@ -8,12 +8,19 @@
 //!
 //! Binning is a pure routing structure — it only decides *which* points
 //! get distance-tested, never the test itself — so grid query results
-//! are exactly the kd-tree / brute-force results (the distance predicate
-//! is the shared [`sq_dist`](crate::kdtree) with its pinned operation
-//! order). NaN coordinates bin to cell 0 and never pass the distance
-//! test, so degenerate embeddings cannot panic or connect.
+//! are exactly the brute-force results (the distance predicate is
+//! `sq_dist`, in the oracle's operation order). NaN coordinates bin to
+//! cell 0 and never pass the distance test, so degenerate embeddings
+//! cannot panic or connect.
 
-use crate::kdtree::sq_dist;
+/// Squared Euclidean distance, accumulated in ascending coordinate
+/// order — the operation order of
+/// [`radius_graph_brute`](crate::radius::radius_graph_brute), so the
+/// engine's edge predicate agrees with the oracle's bit for bit.
+#[inline]
+fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+}
 
 /// Per-axis resolution cap (cells per binned axis). With 3 binned axes
 /// the worst case is `cap³` offset slots, so 64 tops out at ~1 MiB of

@@ -1,8 +1,7 @@
-//! The stage-2 graph-construction engine: one interface over two
-//! spatial-index backends (the cell-grid FRNN index and the kd-tree,
-//! plus the brute-force scan as a reference backend), producing the
-//! fixed-radius / kNN edge list **directly in deterministic
-//! `(src, dst)` order at any thread count**.
+//! The stage-2 graph-construction engine: the cell-grid FRNN index
+//! ([`GridIndex`]) plus pooled count/offset buffers, producing the
+//! fixed-radius edge list **directly in deterministic `(src, dst)`
+//! order at any thread count**.
 //!
 //! Edge production is a two-pass count-then-fill parallel fan-out:
 //! pass 1 counts each point's forward neighbours (`j > i`), a serial
@@ -14,23 +13,8 @@
 //! result `Vec`s and no global `par_sort` over tuple pairs.
 
 use crate::grid::GridIndex;
-use crate::kdtree::{sort_knn_heap, sq_dist, Frame, KdTree};
 use rayon::prelude::*;
 use std::cell::RefCell;
-
-/// Which spatial structure routes candidate generation. All backends
-/// share the exact distance predicate, so their edge lists are
-/// bit-identical — the choice is purely a performance knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// Uniform cell grid on the first ≤3 embedding axes (FRNN).
-    #[default]
-    Grid,
-    /// Median-partitioned kd-tree over all axes.
-    Kd,
-    /// Exhaustive O(n²) scan (reference / tiny inputs).
-    Brute,
-}
 
 /// Points per parallel work unit in the count/fill fan-outs.
 const POINT_CHUNK: usize = 64;
@@ -41,24 +25,15 @@ const POINT_CHUNK: usize = 64;
 /// order-independent by construction).
 const SERIAL_CUTOFF: usize = 1024;
 
-/// Per-thread query scratch: traversal stack, kNN heap, and the
-/// neighbour-id buffer a point's results are sorted in before the
-/// ordered write-back.
-#[derive(Default)]
-struct QueryScratch {
-    stack: Vec<Frame>,
-    heap: Vec<(f32, u32)>,
-    ids: Vec<u32>,
-}
-
 thread_local! {
-    /// Pool of query scratches per thread (a stack, so nested/re-entrant
-    /// use pops a second buffer instead of aliasing).
-    static SCRATCH: RefCell<Vec<QueryScratch>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread pool of the neighbour-id buffers a point's hits are
+    /// sorted in before the ordered write-back (a stack, so
+    /// nested/re-entrant use pops a second buffer instead of aliasing).
+    static SCRATCH: RefCell<Vec<Vec<u32>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Borrow a pooled thread-local [`QueryScratch`] for the duration of `f`.
-fn with_query_scratch<R>(f: impl FnOnce(&mut QueryScratch) -> R) -> R {
+/// Borrow a pooled thread-local id buffer for the duration of `f`.
+fn with_id_scratch<R>(f: impl FnOnce(&mut Vec<u32>) -> R) -> R {
     let mut s = SCRATCH.with(|c| c.borrow_mut().pop().unwrap_or_default());
     let r = f(&mut s);
     SCRATCH.with(|c| c.borrow_mut().push(s));
@@ -74,22 +49,17 @@ unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 /// A rebuildable spatial index over one event's embedding points with
-/// pooled storage: [`GraphIndex::rebuild`] refills the backend structure
-/// in place (retaining capacity), and the `*_edges_into` methods emit
-/// edge lists into caller-pooled buffers.
+/// pooled storage: [`GraphIndex::rebuild`] refills the grid in place
+/// (retaining capacity), and [`GraphIndex::radius_edges_into`] emits
+/// the edge list into a caller-pooled buffer.
 #[derive(Debug, Default)]
 pub struct GraphIndex {
-    backend: Backend,
     dim: usize,
     n: usize,
-    /// The caller's points, kept so queries (and the brute backend) can
-    /// address row `i` without re-borrowing caller storage.
+    /// The caller's points, kept so queries can address row `i` without
+    /// re-borrowing caller storage.
     points: Vec<f32>,
     grid: GridIndex,
-    kd: KdTree,
-    /// Whether `kd` reflects the current points (the kNN route builds
-    /// it lazily for non-kd backends).
-    kd_built: bool,
     /// Pass-1 neighbour counts (one per point).
     counts: Vec<u32>,
     /// Exclusive prefix sums of `counts`, `n + 1` entries.
@@ -97,39 +67,10 @@ pub struct GraphIndex {
 }
 
 impl GraphIndex {
-    pub fn new(backend: Backend) -> Self {
-        Self {
-            backend,
-            ..Self::default()
-        }
-    }
-
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// Switch backends; the next [`GraphIndex::rebuild`] populates the
-    /// newly selected structure.
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-    }
-
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// (Re)build the index over row-major `points`. `cell_hint` sizes
-    /// the grid cells (typically the query radius; ignored by the other
-    /// backends). All buffers retain capacity across rebuilds, so a
-    /// pooled index rebuilt per event allocates nothing once warm.
+    /// the grid cells (typically the query radius). All buffers retain
+    /// capacity across rebuilds, so a pooled index rebuilt per event
+    /// allocates nothing once warm.
     pub fn rebuild(&mut self, points: &[f32], dim: usize, cell_hint: f32) {
         assert!(dim > 0, "dimension must be positive");
         assert_eq!(points.len() % dim, 0, "points buffer not a multiple of dim");
@@ -137,12 +78,7 @@ impl GraphIndex {
         self.n = points.len() / dim;
         self.points.clear();
         self.points.extend_from_slice(points);
-        self.kd_built = matches!(self.backend, Backend::Kd);
-        match self.backend {
-            Backend::Grid => self.grid.rebuild(points, dim, cell_hint),
-            Backend::Kd => self.kd.rebuild(points, dim),
-            Backend::Brute => {}
-        }
+        self.grid.rebuild(points, dim, cell_hint);
     }
 
     #[inline]
@@ -150,32 +86,11 @@ impl GraphIndex {
         &self.points[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// Visit every neighbour of point `i` within `r` (any order),
-    /// including `i` itself and lower ids; the caller filters. `stack`
-    /// is pooled traversal scratch (used by the kd route).
-    #[inline]
-    fn for_each_neighbor(&self, i: usize, r: f32, stack: &mut Vec<Frame>, f: impl FnMut(u32)) {
-        let q = self.point(i);
-        match self.backend {
-            Backend::Grid => self.grid.for_each_in_radius(q, r, f),
-            Backend::Kd => self.kd.for_each_in_radius(q, r, stack, f),
-            Backend::Brute => {
-                let r2 = r * r;
-                let mut f = f;
-                for j in 0..self.n {
-                    if sq_dist(self.point(j), q) <= r2 {
-                        f(j as u32);
-                    }
-                }
-            }
-        }
-    }
-
     /// Fixed-radius graph into a caller-pooled buffer: one edge `(i, j)`
     /// per unordered pair `i < j` with `||p_i − p_j|| <= r`, emitted in
     /// ascending `(src, dst)` order. The order is a structural
-    /// invariant of the two-pass build — identical for every backend at
-    /// every thread count, with no global sort.
+    /// invariant of the two-pass build — identical at every thread
+    /// count, with no global sort.
     pub fn radius_edges_into(&mut self, r: f32, out: &mut Vec<(u32, u32)>) {
         let n = self.n;
         out.clear();
@@ -190,16 +105,15 @@ impl GraphIndex {
         {
             let this = &*self;
             let count_chunk = |c: usize, chunk: &mut [u32]| {
-                with_query_scratch(|scratch| {
-                    for (k, slot) in chunk.iter_mut().enumerate() {
-                        let i = c * POINT_CHUNK + k;
-                        let mut cnt = 0u32;
-                        this.for_each_neighbor(i, r, &mut scratch.stack, |j| {
-                            cnt += u32::from(j as usize > i);
-                        });
-                        *slot = cnt;
-                    }
-                });
+                for (k, slot) in chunk.iter_mut().enumerate() {
+                    let i = c * POINT_CHUNK + k;
+                    let mut cnt = 0u32;
+                    // The grid visits `i` itself and lower ids too.
+                    this.grid.for_each_in_radius(this.point(i), r, |j| {
+                        cnt += u32::from(j as usize > i);
+                    });
+                    *slot = cnt;
+                }
             };
             if serial {
                 for (c, chunk) in counts.chunks_mut(POINT_CHUNK).enumerate() {
@@ -235,12 +149,11 @@ impl GraphIndex {
                 // otherwise grab the raw pointer field, which isn't Sync).
                 #[allow(clippy::redundant_locals)]
                 let base = base;
-                with_query_scratch(|scratch| {
-                    let QueryScratch { stack, ids, .. } = scratch;
+                with_id_scratch(|ids| {
                     let end = ((c + 1) * POINT_CHUNK).min(n);
                     for i in c * POINT_CHUNK..end {
                         ids.clear();
-                        this.for_each_neighbor(i, r, stack, |j| {
+                        this.grid.for_each_in_radius(this.point(i), r, |j| {
                             if j as usize > i {
                                 ids.push(j);
                             }
@@ -265,127 +178,6 @@ impl GraphIndex {
         self.counts = counts;
         self.offsets = offsets;
     }
-
-    /// kNN graph into a caller-pooled buffer: each point's `k` nearest
-    /// neighbours (by `(distance, id)` — deterministic under ties;
-    /// self and NaN distances excluded), deduplicated as undirected
-    /// `i < j` pairs in ascending order. Routed through the kd-tree for
-    /// every backend except `Brute` (a cell grid cannot bound the k-th
-    /// neighbour distance without ring expansion).
-    pub fn knn_edges_into(&mut self, k: usize, out: &mut Vec<(u32, u32)>) {
-        let n = self.n;
-        out.clear();
-        if n == 0 || k == 0 {
-            return;
-        }
-        if !self.kd_built && self.backend != Backend::Brute {
-            // Lazily build the kd route from the pooled point copy.
-            let points = std::mem::take(&mut self.points);
-            self.kd.rebuild(&points, self.dim);
-            self.points = points;
-            self.kd_built = true;
-        }
-        let brute = self.backend == Backend::Brute;
-        // Pass 1: per-point emitted-pair counts.
-        let mut counts = std::mem::take(&mut self.counts);
-        counts.clear();
-        counts.resize(n, 0);
-        {
-            let this = &*self;
-            counts
-                .par_chunks_mut(POINT_CHUNK)
-                .enumerate()
-                .for_each(|(c, chunk)| {
-                    with_query_scratch(|scratch| {
-                        for (kk, slot) in chunk.iter_mut().enumerate() {
-                            let i = c * POINT_CHUNK + kk;
-                            this.knn_of(i, k, brute, scratch);
-                            *slot = scratch
-                                .heap
-                                .iter()
-                                .filter(|&&(_, j)| j as usize != i)
-                                .take(k)
-                                .count() as u32;
-                        }
-                    });
-                });
-        }
-        let mut offsets = std::mem::take(&mut self.offsets);
-        offsets.clear();
-        offsets.reserve(n + 1);
-        offsets.push(0);
-        let mut acc = 0usize;
-        for &c in counts.iter() {
-            acc += c as usize;
-            offsets.push(acc);
-        }
-        // Pass 2: emit each point's normalised `(min, max)` pairs.
-        out.resize(acc, (0, 0));
-        let base = SendPtr(out.as_mut_ptr());
-        let chunks = n.div_ceil(POINT_CHUNK);
-        {
-            let this = &*self;
-            let offsets = &offsets;
-            (0..chunks).into_par_iter().for_each(|c| {
-                // Capture the whole `SendPtr` (2021 disjoint capture would
-                // otherwise grab the raw pointer field, which isn't Sync).
-                #[allow(clippy::redundant_locals)]
-                let base = base;
-                with_query_scratch(|scratch| {
-                    let end = ((c + 1) * POINT_CHUNK).min(n);
-                    for i in c * POINT_CHUNK..end {
-                        this.knn_of(i, k, brute, scratch);
-                        sort_knn_heap(&mut scratch.heap);
-                        let mut at = offsets[i];
-                        for &(_, j) in scratch
-                            .heap
-                            .iter()
-                            .filter(|&&(_, j)| j as usize != i)
-                            .take(k)
-                        {
-                            let pair = if (i as u32) < j {
-                                (i as u32, j)
-                            } else {
-                                (j, i as u32)
-                            };
-                            // SAFETY: disjoint per-point output slices.
-                            unsafe { base.0.add(at).write(pair) };
-                            at += 1;
-                        }
-                        debug_assert_eq!(at, offsets[i + 1]);
-                    }
-                });
-            });
-        }
-        self.counts = counts;
-        self.offsets = offsets;
-        // Both endpoints may propose the same undirected pair; a final
-        // sort + dedup normalises (kNN is not the serving hot path).
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// `k + 1` nearest of point `i` (including itself) into
-    /// `scratch.heap` as `(d2, id)` pairs.
-    fn knn_of(&self, i: usize, k: usize, brute: bool, scratch: &mut QueryScratch) {
-        let q = self.point(i);
-        if brute {
-            scratch.heap.clear();
-            // Reference path: full scan keeping the k+1 smallest
-            // (distance, id) pairs via the same bounded-heap order.
-            for j in 0..self.n {
-                let d2 = sq_dist(self.point(j), q);
-                if !d2.is_nan() {
-                    scratch.heap.push((d2, j as u32));
-                }
-            }
-            sort_knn_heap(&mut scratch.heap);
-            scratch.heap.truncate(k + 1);
-        } else {
-            self.kd
-                .knn_into(q, k + 1, &mut scratch.heap, &mut scratch.stack);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -400,24 +192,21 @@ mod tests {
     }
 
     #[test]
-    fn all_backends_agree_with_brute_reference() {
+    fn engine_agrees_with_brute_reference() {
         for dim in [2usize, 3, 8] {
             let pts = cloud(150, dim, 21);
-            let want = radius_graph_brute(&pts, dim, 0.45);
-            for backend in [Backend::Grid, Backend::Kd, Backend::Brute] {
-                let mut idx = GraphIndex::new(backend);
-                idx.rebuild(&pts, dim, 0.45);
-                let mut got = Vec::new();
-                idx.radius_edges_into(0.45, &mut got);
-                assert_eq!(got, want, "backend {backend:?} dim {dim}");
-            }
+            let mut idx = GraphIndex::default();
+            idx.rebuild(&pts, dim, 0.45);
+            let mut got = Vec::new();
+            idx.radius_edges_into(0.45, &mut got);
+            assert_eq!(got, radius_graph_brute(&pts, dim, 0.45), "dim {dim}");
         }
     }
 
     #[test]
     fn edges_are_emitted_in_sorted_order_without_sorting() {
         let pts = cloud(200, 3, 22);
-        let mut idx = GraphIndex::new(Backend::Grid);
+        let mut idx = GraphIndex::default();
         idx.rebuild(&pts, 3, 0.5);
         let mut edges = Vec::new();
         idx.radius_edges_into(0.5, &mut edges);
@@ -426,7 +215,7 @@ mod tests {
 
     #[test]
     fn pooled_rebuilds_match_fresh_builds() {
-        let mut idx = GraphIndex::new(Backend::Grid);
+        let mut idx = GraphIndex::default();
         let mut edges = Vec::new();
         for seed in 30..34 {
             let pts = cloud(120, 8, seed);
@@ -437,33 +226,14 @@ mod tests {
     }
 
     #[test]
-    fn knn_edges_agree_between_kd_and_brute() {
-        let pts = cloud(90, 3, 40);
-        let mut kd = GraphIndex::new(Backend::Kd);
-        kd.rebuild(&pts, 3, 0.0);
-        let mut a = Vec::new();
-        kd.knn_edges_into(4, &mut a);
-        let mut brute = GraphIndex::new(Backend::Brute);
-        brute.rebuild(&pts, 3, 0.0);
-        let mut b = Vec::new();
-        brute.knn_edges_into(4, &mut b);
-        assert_eq!(a, b);
-        assert!(a.iter().all(|&(s, d)| s < d));
-    }
-
-    #[test]
     fn empty_and_tiny_inputs() {
-        for backend in [Backend::Grid, Backend::Kd, Backend::Brute] {
-            let mut idx = GraphIndex::new(backend);
-            idx.rebuild(&[], 3, 0.5);
-            let mut edges = vec![(9, 9)];
-            idx.radius_edges_into(0.5, &mut edges);
-            assert!(edges.is_empty());
-            idx.knn_edges_into(3, &mut edges);
-            assert!(edges.is_empty());
-            idx.rebuild(&[1.0, 2.0, 3.0], 3, 0.5);
-            idx.radius_edges_into(0.5, &mut edges);
-            assert!(edges.is_empty());
-        }
+        let mut idx = GraphIndex::default();
+        idx.rebuild(&[], 3, 0.5);
+        let mut edges = vec![(9, 9)];
+        idx.radius_edges_into(0.5, &mut edges);
+        assert!(edges.is_empty());
+        idx.rebuild(&[1.0, 2.0, 3.0], 3, 0.5);
+        idx.radius_edges_into(0.5, &mut edges);
+        assert!(edges.is_empty());
     }
 }

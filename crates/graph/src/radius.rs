@@ -1,34 +1,31 @@
-//! Fixed-radius and k-nearest-neighbour graph construction — stage 2 of
-//! the Exa.TrkX pipeline builds the candidate-edge graph by connecting
-//! hits that land near each other in the learned embedding space.
+//! Fixed-radius graph construction — stage 2 of the Exa.TrkX pipeline
+//! builds the candidate-edge graph by connecting hits that land near
+//! each other in the learned embedding space.
 //!
 //! # Deterministic-order contract
 //!
 //! [`radius_graph`] returns edges in strictly ascending `(src, dst)`
-//! order with `src < dst`; [`knn_graph`] returns deduplicated undirected
-//! `(min, max)` pairs in strictly ascending order. Both lists are
-//! **bit-identical across every backend** ([`Backend::Grid`],
-//! [`Backend::Kd`], [`Backend::Brute`]) **and at every thread count**:
-//! candidate routing never affects the shared exact distance predicate,
-//! and the engine's two-pass count-then-fill build emits each point's
-//! neighbour run into a precomputed offset range instead of sorting a
-//! globally collected tuple list. Pinned by `tests/proptests.rs` (run
-//! under `RAYON_NUM_THREADS` 1 and 4 in ci.sh).
+//! order with `src < dst`, **bit-identical to the brute-force oracle
+//! [`radius_graph_brute`] at every thread count**: the grid only routes
+//! candidates to the exact distance predicate, and the engine's
+//! two-pass count-then-fill build emits each point's neighbour run into
+//! a precomputed offset range instead of sorting a globally collected
+//! tuple list. Pinned by `tests/proptests.rs` (run under
+//! `RAYON_NUM_THREADS` 1 and 4 in ci.sh).
 //!
 //! NaN coordinates never produce edges (a NaN distance fails every
-//! radius predicate and is excluded from kNN heaps), so degenerate
-//! embeddings yield isolated points rather than panics.
+//! radius predicate), so degenerate embeddings yield isolated points
+//! rather than panics.
 
-use crate::index::{Backend, GraphIndex};
+use crate::index::GraphIndex;
 
 /// Build the fixed-radius nearest-neighbour graph: one directed edge
 /// `(i, j)` per ordered pair `i != j` with `||p_i - p_j|| <= r`, `i < j`
 /// (callers symmetrise if needed), in ascending `(src, dst)` order.
-/// Parallel over query points via the grid FRNN backend; use
-/// [`GraphIndex`] directly to pick a backend or pool buffers across
-/// events.
+/// Parallel over query points; hold a [`GraphIndex`] directly to pool
+/// buffers across events.
 pub fn radius_graph(points: &[f32], dim: usize, r: f32) -> Vec<(u32, u32)> {
-    let mut index = GraphIndex::new(Backend::Grid);
+    let mut index = GraphIndex::default();
     index.rebuild(points, dim, r);
     let mut edges = Vec::new();
     index.radius_edges_into(r, &mut edges);
@@ -56,17 +53,6 @@ pub fn radius_graph_brute(points: &[f32], dim: usize, r: f32) -> Vec<(u32, u32)>
     edges
 }
 
-/// k-nearest-neighbour graph: directed edge from each point to its `k`
-/// nearest neighbours (excluding itself; ties broken by lower id),
-/// deduplicated as undirected `i < j` pairs in ascending order.
-pub fn knn_graph(points: &[f32], dim: usize, k: usize) -> Vec<(u32, u32)> {
-    let mut index = GraphIndex::new(Backend::Kd);
-    index.rebuild(points, dim, 0.0);
-    let mut edges = Vec::new();
-    index.knn_edges_into(k, &mut edges);
-    edges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,31 +76,6 @@ mod tests {
         let points = vec![0.0f32, 0.0, 1.0, 1.0, 0.0, 0.0];
         let edges = radius_graph(&points, 2, 0.0);
         assert_eq!(edges, vec![(0, 2)]);
-    }
-
-    #[test]
-    fn knn_graph_has_expected_degree() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let n = 60;
-        let points: Vec<f32> = (0..n * 3).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let edges = knn_graph(&points, 3, 4);
-        // Every vertex appears in at least 4 undirected edges (its own kNN;
-        // possibly more from being another's neighbour).
-        let mut deg = vec![0usize; n];
-        for &(a, b) in &edges {
-            deg[a as usize] += 1;
-            deg[b as usize] += 1;
-        }
-        assert!(
-            deg.iter().all(|&d| d >= 4),
-            "min degree {:?}",
-            deg.iter().min()
-        );
-        // No self loops or duplicates.
-        assert!(edges.iter().all(|&(a, b)| a < b));
-        let mut sorted = edges.clone();
-        sorted.dedup();
-        assert_eq!(sorted.len(), edges.len());
     }
 
     #[test]

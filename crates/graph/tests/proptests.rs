@@ -1,33 +1,14 @@
-//! Property tests: union-find equals BFS on random graphs; spatial
-//! queries equal brute force; and the backend-parity suite pinning the
-//! deterministic-order contract of the stage-2 construction engine —
-//! grid, kd, and brute backends must produce **bit-identical** edge
-//! lists for any point cloud (including duplicate, colinear, and NaN
-//! degeneracies) at any thread count. ci.sh runs this file under
-//! `RAYON_NUM_THREADS` 1 and 4.
+//! Property tests: union-find equals BFS on random graphs, and the
+//! parity suite pinning the deterministic-order contract of the stage-2
+//! construction engine — the grid engine must produce edge lists
+//! **bit-identical** to the brute-force oracle for any point cloud
+//! (including duplicate, colinear, and NaN degeneracies) at any thread
+//! count. ci.sh runs this file under `RAYON_NUM_THREADS` 1 and 4.
 
 use proptest::prelude::*;
 use trkx_graph::{
-    connected_components, connected_components_bfs, radius_graph, radius_graph_brute, Backend,
-    GraphIndex, KdTree,
+    connected_components, connected_components_bfs, radius_graph, radius_graph_brute, GraphIndex,
 };
-
-/// Radius edges via one backend, through the pooled engine interface.
-fn engine_edges(points: &[f32], dim: usize, r: f32, backend: Backend) -> Vec<(u32, u32)> {
-    let mut idx = GraphIndex::new(backend);
-    idx.rebuild(points, dim, r);
-    let mut edges = Vec::new();
-    idx.radius_edges_into(r, &mut edges);
-    edges
-}
-
-fn knn_engine_edges(points: &[f32], dim: usize, k: usize, backend: Backend) -> Vec<(u32, u32)> {
-    let mut idx = GraphIndex::new(backend);
-    idx.rebuild(points, dim, 0.0);
-    let mut edges = Vec::new();
-    idx.knn_edges_into(k, &mut edges);
-    edges
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -64,30 +45,6 @@ proptest! {
     }
 
     #[test]
-    fn kdtree_radius_matches_brute(points in proptest::collection::vec(-1.0f32..1.0, 6..90),
-                                   r in 0.05f32..1.0) {
-        let dim = 3;
-        let n = points.len() / dim;
-        let pts = &points[..n * dim];
-        let tree = KdTree::build(pts, dim);
-        for i in 0..n.min(8) {
-            let q = &pts[i * dim..(i + 1) * dim];
-            let mut got = tree.radius_query(q, r);
-            got.sort_unstable();
-            let want: Vec<u32> = (0..n)
-                .filter(|&j| {
-                    let d2: f32 = (0..dim)
-                        .map(|k| (pts[j * dim + k] - q[k]).powi(2))
-                        .sum();
-                    d2 <= r * r
-                })
-                .map(|j| j as u32)
-                .collect();
-            prop_assert_eq!(got, want);
-        }
-    }
-
-    #[test]
     fn radius_graph_is_symmetric_under_reflection(points in proptest::collection::vec(-1.0f32..1.0, 8..60)) {
         let dim = 2;
         let n = points.len() / dim;
@@ -100,20 +57,17 @@ proptest! {
     }
 
     #[test]
-    fn backends_emit_identical_radius_edges(points in proptest::collection::vec(-1.0f32..1.0, 16..400),
+    fn engine_matches_brute_on_random_clouds(points in proptest::collection::vec(-1.0f32..1.0, 16..400),
                                             dim_sel in 0usize..3,
                                             r in 0.05f32..0.9) {
         let dim = [2usize, 3, 8][dim_sel];
         let n = points.len() / dim;
         let pts = &points[..n * dim];
-        let want = engine_edges(pts, dim, r, Backend::Brute);
-        prop_assert_eq!(&engine_edges(pts, dim, r, Backend::Grid), &want, "grid dim {}", dim);
-        prop_assert_eq!(&engine_edges(pts, dim, r, Backend::Kd), &want, "kd dim {}", dim);
-        prop_assert_eq!(&radius_graph(pts, dim, r), &want, "radius_graph dim {}", dim);
+        prop_assert_eq!(radius_graph(pts, dim, r), radius_graph_brute(pts, dim, r), "dim {}", dim);
     }
 
     #[test]
-    fn backends_agree_on_duplicate_point_clouds(base in proptest::collection::vec(-0.5f32..0.5, 6..40),
+    fn engine_matches_brute_on_duplicate_point_clouds(base in proptest::collection::vec(-0.5f32..0.5, 6..40),
                                                 copies in 2usize..5,
                                                 r in 0.0f32..0.6) {
         // Every point repeated `copies` times: zero-distance ties galore.
@@ -123,20 +77,16 @@ proptest! {
         for _ in 0..copies {
             pts.extend_from_slice(&base[..n * dim]);
         }
-        let want = engine_edges(&pts, dim, r, Backend::Brute);
-        prop_assert_eq!(&engine_edges(&pts, dim, r, Backend::Grid), &want);
-        prop_assert_eq!(&engine_edges(&pts, dim, r, Backend::Kd), &want);
+        prop_assert_eq!(radius_graph(&pts, dim, r), radius_graph_brute(&pts, dim, r));
     }
 
     #[test]
-    fn backends_agree_on_colinear_clouds(ts in proptest::collection::vec(-1.0f32..1.0, 4..80),
+    fn engine_matches_brute_on_colinear_clouds(ts in proptest::collection::vec(-1.0f32..1.0, 4..80),
                                          r in 0.05f32..0.8) {
-        // All points on one line in 3-d: degenerate for median splits
-        // and for grid binning (two axes collapse to one cell).
+        // All points on one line in 3-d: degenerate for grid binning
+        // (two axes collapse to one cell).
         let pts: Vec<f32> = ts.iter().flat_map(|&t| [t, 2.0 * t, -t]).collect();
-        let want = engine_edges(&pts, 3, r, Backend::Brute);
-        prop_assert_eq!(&engine_edges(&pts, 3, r, Backend::Grid), &want);
-        prop_assert_eq!(&engine_edges(&pts, 3, r, Backend::Kd), &want);
+        prop_assert_eq!(radius_graph(&pts, 3, r), radius_graph_brute(&pts, 3, r));
     }
 
     #[test]
@@ -149,28 +99,13 @@ proptest! {
         for &i in &nan_at {
             pts[(i % n) * dim] = f32::NAN;
         }
-        let want = engine_edges(&pts, dim, r, Backend::Brute);
-        for backend in [Backend::Grid, Backend::Kd] {
-            let got = engine_edges(&pts, dim, r, backend);
-            prop_assert_eq!(&got, &want, "{:?}", backend);
-            for &(s, d) in &got {
-                for &i in &nan_at {
-                    prop_assert!(s != (i % n) as u32 && d != (i % n) as u32);
-                }
+        let got = radius_graph(&pts, dim, r);
+        prop_assert_eq!(&got, &radius_graph_brute(&pts, dim, r));
+        for &(s, d) in &got {
+            for &i in &nan_at {
+                prop_assert!(s != (i % n) as u32 && d != (i % n) as u32);
             }
         }
-    }
-
-    #[test]
-    fn knn_backends_agree(points in proptest::collection::vec(-1.0f32..1.0, 16..240),
-                          dim_sel in 0usize..3,
-                          k in 1usize..6) {
-        let dim = [2usize, 3, 8][dim_sel];
-        let n = points.len() / dim;
-        let pts = &points[..n * dim];
-        let want = knn_engine_edges(pts, dim, k, Backend::Brute);
-        prop_assert_eq!(&knn_engine_edges(pts, dim, k, Backend::Kd), &want);
-        prop_assert_eq!(&knn_engine_edges(pts, dim, k, Backend::Grid), &want);
     }
 
     #[test]
@@ -181,14 +116,12 @@ proptest! {
         // give exactly the fresh-build result for B (no stale state).
         let dim = 3;
         let (na, nb) = (a.len() / dim, b.len() / dim);
-        for backend in [Backend::Grid, Backend::Kd, Backend::Brute] {
-            let mut idx = GraphIndex::new(backend);
-            let mut edges = Vec::new();
-            idx.rebuild(&a[..na * dim], dim, r);
-            idx.radius_edges_into(r, &mut edges);
-            idx.rebuild(&b[..nb * dim], dim, r);
-            idx.radius_edges_into(r, &mut edges);
-            prop_assert_eq!(&edges, &engine_edges(&b[..nb * dim], dim, r, Backend::Brute));
-        }
+        let mut idx = GraphIndex::default();
+        let mut edges = Vec::new();
+        idx.rebuild(&a[..na * dim], dim, r);
+        idx.radius_edges_into(r, &mut edges);
+        idx.rebuild(&b[..nb * dim], dim, r);
+        idx.radius_edges_into(r, &mut edges);
+        prop_assert_eq!(edges, radius_graph_brute(&b[..nb * dim], dim, r));
     }
 }

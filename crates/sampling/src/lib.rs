@@ -21,7 +21,6 @@ pub mod batching;
 pub mod bulk;
 pub mod layerwise;
 pub mod nodewise;
-pub mod saint;
 pub mod sampler;
 pub mod shadow;
 pub mod subgraph;
@@ -30,7 +29,6 @@ pub use batching::{shard_batch, vertex_batches};
 pub use bulk::{frontier_matrix, neighborhood_distribution, BulkShadowSampler};
 pub use layerwise::{LayerWiseConfig, LayerWiseSampler};
 pub use nodewise::{NodeWiseConfig, NodeWiseSampler};
-pub use saint::{SaintEdgeSampler, SaintWalkSampler};
 pub use sampler::Sampler;
 pub use shadow::{sample_distinct_neighbors, walk_touched_set, ShadowConfig, ShadowSampler};
 pub use subgraph::{SampledSubgraph, SamplerGraph};

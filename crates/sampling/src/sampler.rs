@@ -1,10 +1,10 @@
 //! The unified [`Sampler`] abstraction.
 //!
 //! Every sampler family in this crate — ShaDow (sequential and bulk),
-//! node-wise, layer-wise, and the two GraphSAINT variants — implements one
-//! object-safe trait, so the training stack treats "which sampler" as
-//! configuration and the batch-source layer can drive any of them from a
-//! background prefetch thread (`Sampler: Send + Sync`).
+//! node-wise and layer-wise — implements one object-safe trait, so the
+//! training stack treats "which sampler" as configuration and the
+//! batch-source layer can drive any of them from a background prefetch
+//! thread (`Sampler: Send + Sync`).
 //!
 //! Determinism contract: both entry points are pure functions of their
 //! arguments. [`Sampler::sample`] draws only from the caller-seeded
@@ -16,7 +16,6 @@
 use crate::bulk::BulkShadowSampler;
 use crate::layerwise::LayerWiseSampler;
 use crate::nodewise::NodeWiseSampler;
-use crate::saint::{SaintEdgeSampler, SaintWalkSampler};
 use crate::shadow::ShadowSampler;
 use crate::subgraph::{SampledSubgraph, SamplerGraph};
 use rand::{rngs::StdRng, RngCore, SeedableRng};
@@ -26,11 +25,10 @@ pub trait Sampler: Send + Sync {
     /// Short stable identifier (`"shadow"`, `"bulk-shadow"`, ...).
     fn name(&self) -> &'static str;
 
-    /// Sample one minibatch rooted at `seeds`. Samplers that are not
-    /// seed-rooted (the GraphSAINT family draws its own roots) ignore
-    /// `seeds` beyond using their count; every implementation must return
-    /// an empty subgraph for an empty `seeds` slice so DDP shards shorter
-    /// than the worker count still produce an (empty) aligned batch.
+    /// Sample one minibatch rooted at `seeds`. Every implementation must
+    /// return an empty subgraph for an empty `seeds` slice so DDP shards
+    /// shorter than the worker count still produce an (empty) aligned
+    /// batch.
     fn sample(&self, graph: &SamplerGraph, seeds: &[u32], rng: &mut StdRng) -> SampledSubgraph;
 
     /// Sample `batches.len()` minibatches in one call (Eq. 1's k-batch
@@ -115,34 +113,6 @@ impl Sampler for LayerWiseSampler {
     }
 }
 
-impl Sampler for SaintWalkSampler {
-    fn name(&self) -> &'static str {
-        "saint-walk"
-    }
-
-    /// GraphSAINT draws its own walk roots; `seeds` only gates emptiness.
-    fn sample(&self, graph: &SamplerGraph, seeds: &[u32], rng: &mut StdRng) -> SampledSubgraph {
-        if seeds.is_empty() {
-            return SampledSubgraph::empty();
-        }
-        SaintWalkSampler::sample(self, graph, rng)
-    }
-}
-
-impl Sampler for SaintEdgeSampler {
-    fn name(&self) -> &'static str {
-        "saint-edge"
-    }
-
-    /// GraphSAINT draws its own edges; `seeds` only gates emptiness.
-    fn sample(&self, graph: &SamplerGraph, seeds: &[u32], rng: &mut StdRng) -> SampledSubgraph {
-        if seeds.is_empty() {
-            return SampledSubgraph::empty();
-        }
-        SaintEdgeSampler::sample(self, graph, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,11 +155,6 @@ mod tests {
             Box::new(LayerWiseSampler::new(LayerWiseConfig {
                 layer_sizes: vec![3, 3],
             })),
-            Box::new(SaintWalkSampler {
-                num_roots: 2,
-                walk_length: 3,
-            }),
-            Box::new(SaintEdgeSampler { num_edges: 5 }),
         ]
     }
 

@@ -10,8 +10,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use trkx_sampling::{
-    BulkShadowSampler, LayerWiseConfig, LayerWiseSampler, NodeWiseConfig, NodeWiseSampler,
-    SaintEdgeSampler, SaintWalkSampler, Sampler, SamplerGraph, ShadowConfig, ShadowSampler,
+    BulkShadowSampler, LayerWiseConfig, LayerWiseSampler, NodeWiseConfig, NodeWiseSampler, Sampler,
+    SamplerGraph, ShadowConfig, ShadowSampler,
 };
 use trkx_sparse::{adjacency_with_edge_ids, write_csr_sharded, Coo, Csr, ShardedCsr};
 
@@ -44,11 +44,6 @@ fn all_samplers() -> Vec<Box<dyn Sampler>> {
         Box::new(LayerWiseSampler::new(LayerWiseConfig {
             layer_sizes: vec![8, 8],
         })),
-        Box::new(SaintWalkSampler {
-            num_roots: 4,
-            walk_length: 3,
-        }),
-        Box::new(SaintEdgeSampler { num_edges: 6 }),
     ]
 }
 

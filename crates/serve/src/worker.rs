@@ -122,20 +122,16 @@ fn worker_loop(queue: &RequestQueue, registry: &ModelRegistry, stats: &ServeStat
     // across every micro-batch this thread ever serves.
     let mut tape = Tape::new();
     let mut bind = Bindings::new();
-    let mut ctor: Option<trkx_core::GraphConstructor> = None;
+    let mut ctor = trkx_core::GraphConstructor::default();
     while let Some(batch) = queue.next_batch() {
         stats.record_batch(batch.len());
         let model = registry.active();
         let t0 = Instant::now();
         let events: Vec<&trkx_detector::Event> = batch.iter().map(|job| &job.event).collect();
         let batch_events = events.len();
-        let ctor = ctor.get_or_insert_with(|| model.pipeline.new_constructor());
-        // A model swap may change the configured backend; the pooled
-        // buffers survive the switch.
-        ctor.set_backend(model.pipeline.config.construct_backend);
         let (results, timings) = model
             .pipeline
-            .reconstruct_batch_pooled(&mut tape, &mut bind, ctor, &events);
+            .reconstruct_batch_pooled(&mut tape, &mut bind, &mut ctor, &events);
         let min_hits = model.pipeline.config.min_hits;
         for (job, result) in batch.into_iter().zip(results) {
             let total_us = job.enqueued.elapsed().as_micros() as u64;

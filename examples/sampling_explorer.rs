@@ -11,8 +11,7 @@ use std::time::Instant;
 use trkx::detector::DatasetConfig;
 use trkx::sampling::{
     vertex_batches, BulkShadowSampler, LayerWiseConfig, LayerWiseSampler, NodeWiseConfig,
-    NodeWiseSampler, SaintEdgeSampler, SaintWalkSampler, Sampler, SamplerGraph, ShadowConfig,
-    ShadowSampler,
+    NodeWiseSampler, Sampler, SamplerGraph, ShadowConfig, ShadowSampler,
 };
 
 fn main() {
@@ -51,11 +50,6 @@ fn main() {
         Box::new(LayerWiseSampler::new(LayerWiseConfig {
             layer_sizes: vec![512, 512, 512],
         })),
-        Box::new(SaintWalkSampler {
-            num_roots: 64,
-            walk_length: 4,
-        }),
-        Box::new(SaintEdgeSampler { num_edges: 512 }),
     ];
 
     let mut shadow_time = None;
@@ -94,7 +88,6 @@ fn main() {
 
     println!(
         "\nShaDow subgraphs have one component per batch vertex; node/layer-wise\n\
-         return one blob containing the whole batch; the SAINT samplers ignore\n\
-         the batch entirely and draw one subgraph per call from the full graph."
+         return one blob containing the whole batch."
     );
 }

@@ -3,26 +3,36 @@
 //!
 //! ```text
 //! trkx simulate  [--dataset ex3|ctd] [--scale 0.05] [--events 10] [--seed 42]
-//! trkx train     [--dataset ex3|ctd] [--scale 0.05] [--events 10] [--epochs 6]
-//!                [--sampler bulk|baseline] [--workers 1] [--prefetch 0]
-//!                [--bucket-bytes N] [--comm-overlap] [--hogwild]
+//! trkx train     [--dataset ex3|ctd] [--scale 0.05] [--events 10] [--seed 42]
+//!                MODEL [--sampler bulk|baseline] [--bulk-k 4] [--workers 1]
+//!                [--prefetch 0] [--bucket-bytes N] [--comm-overlap] [--hogwild]
 //!                [--graph-store incore|sharded] [--shard-nodes N]
 //!                [--shard-cache M] [--shard-dir DIR]
 //!                [--out model.json] [--patience N] [--telemetry epochs.jsonl]
-//! trkx evaluate  --model model.json [--dataset ex3|ctd] [--scale 0.05] [--events 10]
-//! trkx reconstruct [--particles 40] [--events 8] [--seed 7]
+//! trkx evaluate  [--model model.json] [--dataset ex3|ctd] [--scale 0.05]
+//!                [--events 10] [--seed 42] MODEL
+//! trkx reconstruct [--particles 40] [--events 8] [--seed 7] [--epochs 8]
 //!                [--hidden 32] [--layers 4] [--embed-epochs 15]
-//!                [--construct-backend grid|kd|brute]
 //!                [--out pipeline.json]
 //! trkx serve     --model pipeline.json [--tcp 127.0.0.1:9090]
 //!                [--workers 2] [--max-queue 128] [--max-event-hits 50000]
 //!                [--max-batch-events 8] [--max-batch-hits 100000]
-//! trkx sample    [--sampler shadow|bulk-shadow|nodewise|layerwise|
-//!                 saint-walk|saint-edge|all] [--dataset ex3|ctd] [--scale 0.1]
+//! trkx sample    [--sampler shadow|bulk-shadow|nodewise|layerwise|all]
+//!                [--dataset ex3|ctd] [--scale 0.1]
 //!                [--batch 256] [--repeat 3] [--seed 1]
+//!                [--shadow-depth 3] [--shadow-fanout 6]
+//!                [--fanout 6] [--hops 3] [--layer-size 512]
 //!                [--graph-store incore|sharded] [--shard-nodes N]
 //!                [--shard-cache M]
+//!
+//! MODEL = [--hidden 32] [--layers 4] [--epochs 6] [--batch 128] [--lr 2e-3]
+//!         [--shadow-depth 2] [--shadow-fanout 4]
 //! ```
+//!
+//! Every subcommand rejects an unknown or repeated flag, a flag without
+//! its value, a value that does not parse and an unknown `--sampler` /
+//! `--dataset` / `--graph-store` name with one line on stderr and exit
+//! code 2; nothing is accepted and ignored.
 //!
 //! `train --hogwild` has no lockstep collectives, so it rejects
 //! `--patience`, `--bucket-bytes` and `--comm-overlap`; every other
@@ -47,60 +57,118 @@ use trkx::pipeline::{
 };
 use trkx::sampling::{
     vertex_batches, BulkShadowSampler, LayerWiseConfig, LayerWiseSampler, NodeWiseConfig,
-    NodeWiseSampler, SaintEdgeSampler, SaintWalkSampler, Sampler, SamplerGraph, ShadowConfig,
-    ShadowSampler,
+    NodeWiseSampler, Sampler, SamplerGraph, ShadowConfig, ShadowSampler,
 };
 use trkx::serve::{serve_stdio, serve_tcp, ModelRegistry, ServeConfig, ServerCore};
 
-fn arg<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// One subcommand's command line, consumed flag by flag: each accessor
+/// removes what it reads and [`Args::finish`] rejects whatever is left,
+/// so a misspelt flag can never be accepted and ignored. Every
+/// rejection is one line on stderr and exit code 2.
+struct Args {
+    cmd: &'static str,
+    rest: Vec<String>,
 }
 
-fn arg_str(args: &[String], key: &str, default: &str) -> String {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_string())
-}
+impl Args {
+    fn die(&self, msg: impl std::fmt::Display) -> ! {
+        eprintln!("trkx {}: {msg}", self.cmd);
+        std::process::exit(2)
+    }
 
-fn has_flag(args: &[String], key: &str) -> bool {
-    args.iter().any(|a| a == key)
-}
+    /// Whether `key` is on the command line (not consumed).
+    fn given(&self, key: &str) -> bool {
+        self.rest.iter().any(|a| a == key)
+    }
 
-fn dataset_config(args: &[String]) -> DatasetConfig {
-    let name = arg_str(args, "--dataset", "ex3");
-    let default_scale = if name == "ctd" { 0.003 } else { 0.05 };
-    let scale = arg(args, "--scale", default_scale);
-    match name.as_str() {
-        "ctd" => DatasetConfig::ctd_like(scale),
-        "ex3" => DatasetConfig::ex3_like(scale),
-        other => {
-            eprintln!("unknown dataset {other:?} (expected ex3 or ctd)");
-            std::process::exit(2);
+    /// Consume a bare `key`.
+    fn switch(&mut self, key: &str) -> bool {
+        let at = self.rest.iter().position(|a| a == key);
+        at.map(|i| self.rest.remove(i)).is_some()
+    }
+
+    /// Consume `key VALUE`, if given.
+    fn take(&mut self, key: &str) -> Option<String> {
+        let i = self.rest.iter().position(|a| a == key)?;
+        if self.rest.get(i + 1).is_none_or(|v| v.starts_with("--")) {
+            self.die(format_args!("{key} needs a value"));
+        }
+        self.rest.remove(i);
+        Some(self.rest.remove(i))
+    }
+
+    fn value<T: std::str::FromStr>(&mut self, key: &str, default: T) -> T {
+        match self.take(key) {
+            None => default,
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| self.die(format_args!("{key}: cannot parse {v:?}"))),
+        }
+    }
+
+    /// Consume `key NAME` where NAME is one of `options`; the first
+    /// option is the default.
+    fn choice<T: Clone>(&mut self, key: &str, options: &[(&str, T)]) -> T {
+        let Some(v) = self.take(key) else {
+            return options[0].1.clone();
+        };
+        match options.iter().find(|(name, _)| *name == v) {
+            Some((_, t)) => t.clone(),
+            None => {
+                let names: Vec<&str> = options.iter().map(|(name, _)| *name).collect();
+                self.die(format_args!(
+                    "{key}: unknown value {v:?} (expected {})",
+                    names.join(", ")
+                ))
+            }
+        }
+    }
+
+    /// Call once every flag has been read.
+    fn finish(self) {
+        if let Some(a) = self.rest.first() {
+            self.die(format_args!("unknown or repeated argument {a:?}"));
         }
     }
 }
 
-fn gnn_config(args: &[String], dataset: &DatasetConfig) -> GnnTrainConfig {
+fn dataset_config(args: &mut Args) -> DatasetConfig {
+    type Make = fn(f64) -> DatasetConfig;
+    let (make, default_scale) = args.choice(
+        "--dataset",
+        &[
+            ("ex3", (DatasetConfig::ex3_like as Make, 0.05)),
+            ("ctd", (DatasetConfig::ctd_like as Make, 0.003)),
+        ],
+    );
+    make(args.value("--scale", default_scale))
+}
+
+/// The MODEL flags plus `--seed`, which also seeds event generation.
+fn gnn_config(args: &mut Args, dataset: &DatasetConfig) -> GnnTrainConfig {
     GnnTrainConfig {
-        hidden: arg(args, "--hidden", 32),
-        gnn_layers: arg(args, "--layers", 4),
+        hidden: args.value("--hidden", 32),
+        gnn_layers: args.value("--layers", 4),
         mlp_depth: dataset.mlp_layers,
-        epochs: arg(args, "--epochs", 6),
-        batch_size: arg(args, "--batch", 128),
-        learning_rate: arg(args, "--lr", 2e-3),
+        epochs: args.value("--epochs", 6),
+        batch_size: args.value("--batch", 128),
+        learning_rate: args.value("--lr", 2e-3),
         shadow: ShadowConfig {
-            depth: arg(args, "--shadow-depth", 2),
-            fanout: arg(args, "--shadow-fanout", 4),
+            depth: args.value("--shadow-depth", 2),
+            fanout: args.value("--shadow-fanout", 4),
         },
-        seed: arg(args, "--seed", 42),
+        seed: args.value("--seed", 42),
         ..Default::default()
     }
+}
+
+/// `--graph-store sharded` with its `--shard-nodes` rows per shard and
+/// `--shard-cache` LRU shards per store; `None` is the in-core default.
+fn graph_store(args: &mut Args, nodes: usize, cache: usize) -> Option<(usize, usize)> {
+    let sharded = args.choice("--graph-store", &[("incore", false), ("sharded", true)]);
+    let nodes = args.value("--shard-nodes", nodes).max(1);
+    let cache = args.value("--shard-cache", cache).max(1);
+    sharded.then_some((nodes, cache))
 }
 
 /// Build training graphs either fully in-core or through the out-of-core
@@ -109,36 +177,31 @@ fn gnn_config(args: &[String], dataset: &DatasetConfig) -> GnnTrainConfig {
 /// rows per shard, read back through an LRU cache of `--shard-cache`
 /// shards per store. Sampled batches — and loss curves — are
 /// bit-identical across the two stores.
-fn prepare_for_args(args: &[String], graphs: &[trkx::detector::EventGraph]) -> Vec<PreparedGraph> {
-    match arg_str(args, "--graph-store", "incore").as_str() {
-        "incore" => prepare_graphs(graphs),
-        "sharded" => {
-            let shard_nodes = arg(args, "--shard-nodes", 2048usize).max(1);
-            let cache = arg(args, "--shard-cache", 8usize).max(1);
-            let dir_s = arg_str(args, "--shard-dir", "");
-            let dir = if dir_s.is_empty() {
-                std::env::temp_dir().join(format!("trkx-shards-{}", std::process::id()))
-            } else {
-                dir_s.into()
-            };
-            match prepare_graphs_sharded(graphs, &dir, shard_nodes, cache) {
-                Ok(p) => {
-                    println!(
-                        "sharded graph store under {} ({shard_nodes} nodes/shard, \
-                         cache {cache} shards/store)",
-                        dir.display()
-                    );
-                    p
-                }
-                Err(e) => {
-                    eprintln!("failed to build sharded graph store: {e}");
-                    std::process::exit(1);
-                }
-            }
+fn prepare_for_store(
+    store: Option<(usize, usize)>,
+    shard_dir: String,
+    graphs: &[trkx::detector::EventGraph],
+) -> Vec<PreparedGraph> {
+    let Some((shard_nodes, cache)) = store else {
+        return prepare_graphs(graphs);
+    };
+    let dir = if shard_dir.is_empty() {
+        std::env::temp_dir().join(format!("trkx-shards-{}", std::process::id()))
+    } else {
+        shard_dir.into()
+    };
+    match prepare_graphs_sharded(graphs, &dir, shard_nodes, cache) {
+        Ok(p) => {
+            println!(
+                "sharded graph store under {} ({shard_nodes} nodes/shard, \
+                 cache {cache} shards/store)",
+                dir.display()
+            );
+            p
         }
-        other => {
-            eprintln!("unknown --graph-store {other:?} (expected incore or sharded)");
-            std::process::exit(2);
+        Err(e) => {
+            eprintln!("failed to build sharded graph store: {e}");
+            std::process::exit(1);
         }
     }
 }
@@ -162,10 +225,11 @@ fn report_shard_cache(graphs: &[PreparedGraph]) {
     }
 }
 
-fn cmd_simulate(args: &[String]) {
-    let cfg = dataset_config(args);
-    let events = arg(args, "--events", 10usize);
-    let seed = arg(args, "--seed", 42u64);
+fn cmd_simulate(mut args: Args) {
+    let cfg = dataset_config(&mut args);
+    let events = args.value("--events", 10usize);
+    let seed = args.value("--seed", 42u64);
+    args.finish();
     let graphs = cfg.generate(events, seed);
     let stats = dataset_stats(&graphs);
     println!("dataset           : {}", cfg.name);
@@ -181,55 +245,58 @@ fn cmd_simulate(args: &[String]) {
     println!("edge features     : {}", cfg.num_edge_features);
 }
 
-fn cmd_train(args: &[String]) {
-    let cfg = dataset_config(args);
-    let events = arg(args, "--events", 10usize);
+fn cmd_train(mut args: Args) {
+    let cfg = dataset_config(&mut args);
+    let events = args.value("--events", 10usize);
     let (tr, va, _) = split_80_10_10(events);
     if tr.is_empty() {
-        eprintln!("--events {events} leaves no training events after the 80/10/10 split");
-        std::process::exit(2);
+        args.die(format_args!(
+            "--events {events} leaves no training events after the 80/10/10 split"
+        ));
     }
     // Hogwild has no lockstep collectives: there is nothing to bucket or
     // overlap, and no epoch at which every worker could agree to stop.
-    let hogwild = has_flag(args, "--hogwild");
+    let hogwild = args.switch("--hogwild");
     if hogwild {
         for flag in ["--patience", "--bucket-bytes", "--comm-overlap"] {
-            if has_flag(args, flag) {
-                eprintln!(
+            if args.given(flag) {
+                args.die(format_args!(
                     "{flag} needs synchronous training; it cannot be combined with --hogwild"
-                );
-                std::process::exit(2);
+                ));
             }
         }
     }
-    let seed = arg(args, "--seed", 42u64);
-    let out = arg_str(args, "--out", "model.json");
-    let graphs = cfg.generate(events, seed);
-    let prepared = prepare_for_args(args, &graphs);
-    let gnn_cfg = gnn_config(args, &cfg);
-    let sampler = match arg_str(args, "--sampler", "bulk").as_str() {
-        "baseline" => SamplerKind::Baseline,
-        _ => SamplerKind::Bulk {
-            k: arg(args, "--bulk-k", 4),
-        },
+    let out = args.value("--out", "model.json".to_string());
+    let store = graph_store(&mut args, 2048, 8);
+    let shard_dir = args.value("--shard-dir", String::new());
+    let gnn_cfg = gnn_config(&mut args, &cfg);
+    let bulk = SamplerKind::Bulk {
+        k: args.value("--bulk-k", 4),
     };
-    let workers = arg(args, "--workers", 1usize);
+    let sampler = args.choice(
+        "--sampler",
+        &[("bulk", bulk), ("baseline", SamplerKind::Baseline)],
+    );
+    let workers = args.value("--workers", 1usize);
     // --bucket-bytes N buckets the gradient all-reduce at an N-byte
     // budget (default: one coalesced collective); --comm-overlap fires
     // each bucket mid-backward as its last gradient finalizes.
-    let strategy = match arg(args, "--bucket-bytes", 0usize) {
+    let strategy = match args.value("--bucket-bytes", 0usize) {
         0 => AllReduceStrategy::Coalesced,
         bucket_bytes => AllReduceStrategy::Bucketed { bucket_bytes },
     };
-    let ddp = DdpConfig::new(workers, strategy).with_overlap(has_flag(args, "--comm-overlap"));
+    let ddp = DdpConfig::new(workers, strategy).with_overlap(args.switch("--comm-overlap"));
     // --prefetch N > 0 samples on a background thread per rank, keeping up
     // to N batches queued; the loss curves are identical to sync mode.
-    let batching = match arg(args, "--prefetch", 0usize) {
+    let batching = match args.value("--prefetch", 0usize) {
         0 => BatchingMode::Sync,
         depth => BatchingMode::Prefetch { depth },
     };
-    let patience = arg(args, "--patience", 0usize); // 0 = train all epochs
-    let telemetry = arg_str(args, "--telemetry", "");
+    let patience = args.value("--patience", 0usize); // 0 = train all epochs
+    let telemetry = args.value("--telemetry", String::new());
+    args.finish();
+    let graphs = cfg.generate(events, gnn_cfg.seed);
+    let prepared = prepare_for_store(store, shard_dir, &graphs);
     println!(
         "training on {} ({} train / {} val graphs)...",
         cfg.name,
@@ -299,17 +366,17 @@ fn cmd_train(args: &[String]) {
     }
 }
 
-fn cmd_evaluate(args: &[String]) {
-    let model_path = arg_str(args, "--model", "model.json");
-    let cfg = dataset_config(args);
-    let events = arg(args, "--events", 10usize);
-    let seed = arg(args, "--seed", 42u64);
-    let graphs = cfg.generate(events, seed);
+fn cmd_evaluate(mut args: Args) {
+    let model_path = args.value("--model", "model.json".to_string());
+    let cfg = dataset_config(&mut args);
+    let events = args.value("--events", 10usize);
+    let gnn_cfg = gnn_config(&mut args, &cfg);
+    args.finish();
+    let graphs = cfg.generate(events, gnn_cfg.seed);
     let (_, _, te) = split_80_10_10(graphs.len());
     let prepared = prepare_graphs(&graphs);
     let test = &prepared[te];
 
-    let gnn_cfg = gnn_config(args, &cfg);
     let mut rng = StdRng::seed_from_u64(gnn_cfg.seed);
     let mut model = trkx::ignn::InteractionGnn::new(
         gnn_cfg.ignn_config(cfg.num_vertex_features, cfg.num_edge_features),
@@ -348,18 +415,30 @@ fn cmd_evaluate(args: &[String]) {
     );
 }
 
-fn cmd_reconstruct(args: &[String]) {
-    // Stage-2 spatial index: grid (default), kd, or brute. All three
-    // emit bit-identical edge lists; this only picks the fastest.
-    let construct_backend = arg_str(args, "--construct-backend", "grid")
-        .parse::<trkx::pipeline::ConstructionBackend>()
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-    let particles = arg(args, "--particles", 40usize);
-    let events = arg(args, "--events", 8usize);
-    let seed = arg(args, "--seed", 7u64);
+fn cmd_reconstruct(mut args: Args) {
+    let particles = args.value("--particles", 40usize);
+    let events = args.value("--events", 8usize);
+    let seed = args.value("--seed", 7u64);
+    let config = PipelineConfig {
+        embedding: EmbeddingConfig {
+            epochs: args.value("--embed-epochs", 15),
+            ..Default::default()
+        },
+        gnn: GnnTrainConfig {
+            hidden: args.value("--hidden", 32),
+            gnn_layers: args.value("--layers", 4),
+            epochs: args.value("--epochs", 8),
+            batch_size: 128,
+            shadow: ShadowConfig {
+                depth: 2,
+                fanout: 4,
+            },
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let out = args.value("--out", String::new());
+    args.finish();
     let geometry = DetectorGeometry::default();
     let gun = GunConfig::default();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -369,25 +448,6 @@ fn cmd_reconstruct(args: &[String]) {
     let (train, rest) = all.split_at(events);
     let (val, test) = rest.split_at(1);
 
-    let config = PipelineConfig {
-        embedding: EmbeddingConfig {
-            epochs: arg(args, "--embed-epochs", 15),
-            ..Default::default()
-        },
-        gnn: GnnTrainConfig {
-            hidden: arg(args, "--hidden", 32),
-            gnn_layers: arg(args, "--layers", 4),
-            epochs: arg(args, "--epochs", 8),
-            batch_size: 128,
-            shadow: ShadowConfig {
-                depth: 2,
-                fanout: 4,
-            },
-            ..Default::default()
-        },
-        construct_backend,
-        ..Default::default()
-    };
     println!("training the five-stage pipeline on {events} events...");
     let (pipeline, report) = train_pipeline(config, train, val);
     println!(
@@ -405,7 +465,6 @@ fn cmd_reconstruct(args: &[String]) {
         result.metrics.efficiency(),
         result.metrics.purity()
     );
-    let out = arg_str(args, "--out", "");
     if !out.is_empty() {
         match pipeline.save_json(&out) {
             Ok(()) => println!("saved pipeline bundle to {out}"),
@@ -419,31 +478,20 @@ fn cmd_reconstruct(args: &[String]) {
 
 /// Serve a trained pipeline bundle over line-delimited JSON (stdin by
 /// default, a TCP listener with `--tcp addr`).
-fn cmd_serve(args: &[String]) {
-    let model_path = arg_str(args, "--model", "");
-    if model_path.is_empty() {
-        eprintln!("serve requires --model <pipeline.json> (from `trkx reconstruct --out`)");
-        std::process::exit(2);
-    }
-    let config = ServeConfig {
-        workers: arg(args, "--workers", ServeConfig::default().workers),
-        max_queue: arg(args, "--max-queue", ServeConfig::default().max_queue),
-        max_event_hits: arg(
-            args,
-            "--max-event-hits",
-            ServeConfig::default().max_event_hits,
-        ),
-        max_batch_events: arg(
-            args,
-            "--max-batch-events",
-            ServeConfig::default().max_batch_events,
-        ),
-        max_batch_hits: arg(
-            args,
-            "--max-batch-hits",
-            ServeConfig::default().max_batch_hits,
-        ),
+fn cmd_serve(mut args: Args) {
+    let Some(model_path) = args.take("--model") else {
+        args.die("--model <pipeline.json> is required (from `trkx reconstruct --out`)");
     };
+    let defaults = ServeConfig::default();
+    let config = ServeConfig {
+        workers: args.value("--workers", defaults.workers),
+        max_queue: args.value("--max-queue", defaults.max_queue),
+        max_event_hits: args.value("--max-event-hits", defaults.max_event_hits),
+        max_batch_events: args.value("--max-batch-events", defaults.max_batch_events),
+        max_batch_hits: args.value("--max-batch-hits", defaults.max_batch_hits),
+    };
+    let tcp = args.value("--tcp", String::new());
+    args.finish();
     let registry = match ModelRegistry::load(&model_path) {
         Ok(r) => r,
         Err(e) => {
@@ -463,7 +511,6 @@ fn cmd_serve(args: &[String]) {
         config.max_queue
     );
     let core = ServerCore::start(config, std::sync::Arc::new(registry));
-    let tcp = arg_str(args, "--tcp", "");
     let served = if tcp.is_empty() {
         serve_stdio(core)
     } else {
@@ -475,52 +522,39 @@ fn cmd_serve(args: &[String]) {
     }
 }
 
-/// Build any sampler family behind the unified trait, by CLI name.
-fn build_sampler(name: &str, args: &[String]) -> Box<dyn Sampler> {
-    let shadow = ShadowConfig {
-        depth: arg(args, "--shadow-depth", 3),
-        fanout: arg(args, "--shadow-fanout", 6),
-    };
-    match name {
-        "shadow" => Box::new(ShadowSampler::new(shadow)),
-        "bulk-shadow" => Box::new(BulkShadowSampler::new(shadow)),
-        "nodewise" => Box::new(NodeWiseSampler::new(NodeWiseConfig {
-            fanouts: vec![arg(args, "--fanout", 6usize); arg(args, "--hops", 3usize)],
-        })),
-        "layerwise" => Box::new(LayerWiseSampler::new(LayerWiseConfig {
-            layer_sizes: vec![arg(args, "--layer-size", 512usize); arg(args, "--hops", 3usize)],
-        })),
-        "saint-walk" => Box::new(SaintWalkSampler {
-            num_roots: arg(args, "--roots", 64usize),
-            walk_length: arg(args, "--walk-length", 4usize),
-        }),
-        "saint-edge" => Box::new(SaintEdgeSampler {
-            num_edges: arg(args, "--edges", 512usize),
-        }),
-        other => {
-            eprintln!(
-                "unknown sampler {other:?} (expected shadow, bulk-shadow, nodewise, \
-                 layerwise, saint-walk, or saint-edge)"
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Time any sampler (by name, via the unified `Sampler` trait) over one
 /// generated event's minibatch schedule.
-fn cmd_sample(args: &[String]) {
-    let cfg = dataset_config(args);
-    let seed = arg(args, "--seed", 1u64);
-    let batch_size = arg(args, "--batch", 256usize);
-    let repeat = arg(args, "--repeat", 3usize).max(1);
-    let which = arg_str(args, "--sampler", "all");
+fn cmd_sample(mut args: Args) {
+    let cfg = dataset_config(&mut args);
+    let seed = args.value("--seed", 1u64);
+    let batch_size = args.value("--batch", 256usize);
+    let repeat = args.value("--repeat", 3usize).max(1);
+    let store = graph_store(&mut args, 1024, 4);
+    // Every sampler family behind the unified trait, chosen by
+    // `Sampler::name`.
+    let shadow = ShadowConfig {
+        depth: args.value("--shadow-depth", 3),
+        fanout: args.value("--shadow-fanout", 6),
+    };
+    let hops = args.value("--hops", 3usize);
+    let all: [Box<dyn Sampler>; 4] = [
+        Box::new(ShadowSampler::new(shadow)),
+        Box::new(BulkShadowSampler::new(shadow)),
+        Box::new(NodeWiseSampler::new(NodeWiseConfig {
+            fanouts: vec![args.value("--fanout", 6usize); hops],
+        })),
+        Box::new(LayerWiseSampler::new(LayerWiseConfig {
+            layer_sizes: vec![args.value("--layer-size", 512usize); hops],
+        })),
+    ];
+    let mut options = vec![("all", None)];
+    options.extend(all.iter().enumerate().map(|(i, s)| (s.name(), Some(i))));
+    let which = args.choice("--sampler", &options);
+    args.finish();
 
     let g = &cfg.generate(1, seed)[0];
-    let graph = match arg_str(args, "--graph-store", "incore").as_str() {
-        "sharded" => {
-            let shard_nodes = arg(args, "--shard-nodes", 1024usize).max(1);
-            let cache = arg(args, "--shard-cache", 4usize).max(1);
+    let graph = match store {
+        Some((shard_nodes, cache)) => {
             let dir = std::env::temp_dir().join(format!("trkx-sample-{}", std::process::id()));
             let spec = trkx::detector::spill_adjacency(
                 g.num_nodes,
@@ -544,7 +578,7 @@ fn cmd_sample(args: &[String]) {
             };
             SamplerGraph::from_stores(g.num_nodes, open(&spec.directed), open(&spec.undirected))
         }
-        _ => SamplerGraph::new(g.num_nodes, &g.src, &g.dst),
+        None => SamplerGraph::new(g.num_nodes, &g.src, &g.dst),
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let batches = vertex_batches(g.num_nodes, batch_size, &mut rng);
@@ -556,24 +590,15 @@ fn cmd_sample(args: &[String]) {
         batches.len()
     );
 
-    let names: Vec<&str> = if which == "all" {
-        vec![
-            "shadow",
-            "bulk-shadow",
-            "nodewise",
-            "layerwise",
-            "saint-walk",
-            "saint-edge",
-        ]
-    } else {
-        vec![which.as_str()]
+    let samplers = match which {
+        Some(i) => &all[i..=i],
+        None => &all[..],
     };
     println!(
         "{:<12} {:>10} {:>9} {:>9}  (best of {repeat})",
         "sampler", "ms/epoch", "nodes", "edges"
     );
-    for name in names {
-        let sampler = build_sampler(name, args);
+    for sampler in samplers {
         let mut best = f64::INFINITY;
         let mut subgraphs = Vec::new();
         for _ in 0..repeat {
@@ -606,14 +631,14 @@ fn cmd_sample(args: &[String]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("simulate") => cmd_simulate(&args[1..]),
-        Some("train") => cmd_train(&args[1..]),
-        Some("evaluate") => cmd_evaluate(&args[1..]),
-        Some("reconstruct") => cmd_reconstruct(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("sample") => cmd_sample(&args[1..]),
+    let mut raw = std::env::args().skip(1);
+    let (cmd, run): (&'static str, fn(Args)) = match raw.next().as_deref() {
+        Some("simulate") => ("simulate", cmd_simulate),
+        Some("train") => ("train", cmd_train),
+        Some("evaluate") => ("evaluate", cmd_evaluate),
+        Some("reconstruct") => ("reconstruct", cmd_reconstruct),
+        Some("serve") => ("serve", cmd_serve),
+        Some("sample") => ("sample", cmd_sample),
         _ => {
             eprintln!(
                 "usage: trkx <simulate|train|evaluate|reconstruct|serve|sample> [options]\n\
@@ -621,5 +646,9 @@ fn main() {
             );
             std::process::exit(2);
         }
-    }
+    };
+    run(Args {
+        cmd,
+        rest: raw.collect(),
+    });
 }

@@ -15,7 +15,7 @@
 //! | [`tensor`] | `trkx-tensor` | dense matrices + autograd tape |
 //! | [`sparse`] | `trkx-sparse` | COO/CSR, SpMM, SpGEMM, stacking |
 //! | [`nn`] | `trkx-nn` | MLPs, optimizers, losses |
-//! | [`graph`] | `trkx-graph` | union-find, k-d tree, radius graphs |
+//! | [`graph`] | `trkx-graph` | union-find, grid radius graphs |
 //! | [`detector`] | `trkx-detector` | synthetic HEP events + datasets |
 //! | [`sampling`] | `trkx-sampling` | ShaDow, bulk ShaDow, node/layer-wise |
 //! | [`ignn`] | `trkx-ignn` | the Interaction GNN (Algorithm 1) |

@@ -106,6 +106,34 @@ fn trained_pipeline_bundle_roundtrip() {
     assert_eq!(before.edges_kept, after.edges_kept);
     assert_eq!(before.metrics, after.metrics);
     assert_eq!(restored.radius, pipeline.radius);
+
+    // A bundle written before PR 14 carries the construction-backend
+    // field that no longer exists: it must load and reconstruct alike.
+    let json = std::fs::read_to_string(&path).unwrap();
+    let reload = |json: String| {
+        std::fs::write(&path, json).unwrap();
+        TrainedPipeline::load_json(&path)
+    };
+    let old = json.replacen(
+        "\"config\":{",
+        "\"config\":{\"construct_backend\":\"Kd\",",
+        1,
+    );
+    assert_ne!(old, json, "splice point not found");
+    let from_old = reload(old).unwrap().reconstruct(&test_event);
+    assert_eq!(from_old.component_of_hit, after.component_of_hit);
+    assert_eq!(from_old.edges_kept, after.edges_kept);
+    assert_eq!(from_old.metrics, after.metrics);
+
+    // A radius that is not finite and positive is rejected at load (a
+    // negative one would otherwise serve a wrong subset of the edges).
+    let key = "},\"radius\":";
+    let value = json.find(key).expect("splice point not found") + key.len();
+    let end = value + json[value..].find(',').unwrap();
+    for bad in ["-0.5", "0", "1e999", "null"] {
+        let loaded = reload(format!("{}{bad}{}", &json[..value], &json[end..]));
+        assert!(loaded.is_err(), "radius {bad} loaded");
+    }
     let _ = std::fs::remove_file(path);
 }
 

@@ -1,6 +1,6 @@
-//! `trkx train` flag handling against the real binary: every flag is
-//! either honoured or rejected as a usage error (exit code 2) — none is
-//! accepted and ignored, and no input reaches a panic.
+//! `trkx` flag handling against the real binary (`train` mostly): every
+//! flag is either honoured or rejected as a usage error (exit code 2) —
+//! none is accepted and ignored, and no input reaches a panic.
 
 use std::process::{Command, Output};
 
@@ -36,6 +36,22 @@ fn too_few_events_for_a_training_split_is_a_usage_error() {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_trkx"));
     let out = cmd.args(["train", "--events", "1"]).output().unwrap();
     assert_usage_error(&out, "--events 1");
+}
+
+#[test]
+fn what_the_command_line_does_not_understand_is_a_usage_error() {
+    for (cmd, flags) in [
+        ("train", &["--evnts", "7"][..]), // unknown flag
+        ("train", &["--seed"]),           // flag without its value
+        ("train", &["--seed", "notanumber"]),
+        ("train", &["--sampler", "bluk"]), // unknown enum value
+        ("reconstruct", &["--construct-backend", "kd"]), // removed at PR 14
+        ("simulate", &["--evnts", "7", "--seed", "notanumber"]),
+    ] {
+        let mut trkx = Command::new(env!("CARGO_BIN_EXE_trkx"));
+        let out = trkx.arg(cmd).args(flags).output().unwrap();
+        assert_usage_error(&out, &format!("{cmd} {flags:?}"));
+    }
 }
 
 #[test]
