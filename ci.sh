@@ -2,7 +2,8 @@
 # Local CI gate: formatting, lints (warnings are errors), docs (warnings
 # are errors), release build, the full workspace test suite, the
 # determinism / allocation suites at two pool sizes, and a two-second
-# run of each benchmark workload. Run from the repo root.
+# run of each benchmark workload with a 1 GB peak-RSS tripwire. Run from
+# the repo root.
 set -euo pipefail
 
 cargo fmt --check
@@ -26,8 +27,11 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test alloc_probe
 (cd shims/rayon && RAYON_NUM_THREADS=4 cargo test -q --release --test alloc_probe)
 
 # Allocation budgets above the kernels, parallel gates forced on: a full
-# train step (<= 72 allocs) and stage-2 construction (<= 8 per event).
-# The same bound at both pool sizes is the flatness check.
+# train step on a repeated shape (<= 72 allocs), stage-2 construction
+# (<= 8 allocs per event), and train steps / served micro-batches whose
+# shapes are each new to the pool (fresh bytes <= 20 % of the tape's
+# activation bytes). The same bounds at both pool sizes are the flatness
+# check.
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test alloc_probe
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test alloc_probe
 
@@ -81,7 +85,17 @@ CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --manifest-path 
 # The six benchmark workloads, two seconds each: every operation's
 # output is checked (bit-identical losses, sampled-subgraph hashes
 # against in-core, served tracks against `reconstruct`) and a failed
-# check exits 1. Timings are not gated here.
+# check exits 1. Timings are not gated here. A peak RSS above 1 GB on
+# a two-second run fails: a leak tripwire (the largest needs ~0.2 GB).
 for w in train_dense train_ddp2 sample_incore sample_oocore serve_open serve_closed; do
-    CARGO_TARGET_DIR=.bench_build bash benchmark/run.sh --workload "$w" --seed 1 --seconds 2 --trace 0
+    out=$(CARGO_TARGET_DIR=.bench_build bash benchmark/run.sh --workload "$w" --seed 1 --seconds 2 --trace 0) || {
+        printf '%s\n' "$out"
+        exit 1
+    }
+    printf '%s\n' "$out"
+    rss=$(printf '%s\n' "$out" | tail -n 1 | sed -n 's/.*"peak_rss_mb":{"value":\([0-9]*\).*/\1/p')
+    if [ -z "$rss" ] || [ "$rss" -gt 1024 ]; then
+        echo "ci: $w peak_rss_mb '$rss' is missing or above 1024" >&2
+        exit 1
+    fi
 done

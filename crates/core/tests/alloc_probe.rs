@@ -1,6 +1,9 @@
-//! Steady-state allocation budgets of the two pooled hot paths above the
+//! Steady-state allocation budgets of the pooled hot paths above the
 //! kernels: one full Interaction-GNN train step through the training
-//! [`Engine`], and one stage-2 graph construction.
+//! [`Engine`] and one stage-2 graph construction (allocations per call on
+//! a repeated shape), then the same train step and micro-batched
+//! reconstruction when every call brings a shape the pool has not seen
+//! (bytes per call against the tape's activation footprint).
 //!
 //! The test first forces the size-gated parallel kernels on (as
 //! `trkx-tensor`'s `determinism.rs` does), and `ci.sh` runs the binary at
@@ -11,34 +14,78 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
 use trkx_core::train::Engine;
-use trkx_core::{ConstructionMethod, GraphConstructor};
-use trkx_detector::{DetectorGeometry, Event, Hit};
+use trkx_core::{
+    train_pipeline, ConstructionMethod, EmbeddingConfig, GnnTrainConfig, GraphConstructor,
+    PipelineConfig, SamplerKind,
+};
+use trkx_detector::{simulate_event, DetectorGeometry, Event, GunConfig, Hit};
 use trkx_ignn::{IgnnConfig, InteractionGnn};
-use trkx_nn::{bce_with_logits, Adam};
-use trkx_tensor::{EdgePlans, Matrix};
+use trkx_nn::{bce_with_logits, Adam, Bindings};
+use trkx_sampling::ShadowConfig;
+use trkx_tensor::{EdgePlans, Matrix, Tape};
 
 #[path = "../../tensor/tests/support/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::steady_state_allocs_at_most;
+use counting_alloc::{count_alloc_bytes, steady_state_allocs_at_most};
 
 #[global_allocator]
 static A: counting_alloc::Counting = counting_alloc::Counting;
 
-fn train_step_stays_within_its_allocation_budget() {
-    // A random graph with the shape of a prepared event; the edge plans
-    // are built once, as the data layer does for real batches.
-    let (nodes, edges) = (1024usize, 4096usize);
-    let mut rng = StdRng::seed_from_u64(7);
-    let x = Matrix::randn(nodes, 3, 1.0, &mut rng);
-    let y = Matrix::randn(edges, 2, 1.0, &mut rng);
-    let mut endpoints = || -> Arc<Vec<u32>> {
-        Arc::new((0..edges).map(|_| rng.gen_range(0..nodes as u32)).collect())
-    };
-    let (src, dst) = (endpoints(), endpoints());
-    let labels: Vec<f32> = (0..edges).map(|_| f32::from(rng.gen_bool(0.3))).collect();
-    let plans = Arc::new(EdgePlans::new(src, dst, nodes));
+/// A random graph with the shape of a prepared event; the edge plans are
+/// built once, as the data layer does for real batches.
+struct Batch {
+    x: Matrix,
+    y: Matrix,
+    labels: Vec<f32>,
+    plans: Arc<EdgePlans>,
+}
 
-    let cfg = IgnnConfig::new(x.cols(), y.cols())
+impl Batch {
+    fn new(nodes: usize, edges: usize, rng: &mut StdRng) -> Self {
+        let x = Matrix::randn(nodes, 3, 1.0, rng);
+        let y = Matrix::randn(edges, 2, 1.0, rng);
+        let mut endpoints = || -> Arc<Vec<u32>> {
+            Arc::new((0..edges).map(|_| rng.gen_range(0..nodes as u32)).collect())
+        };
+        let (src, dst) = (endpoints(), endpoints());
+        let labels = (0..edges).map(|_| f32::from(rng.gen_bool(0.3))).collect();
+        let plans = Arc::new(EdgePlans::new(src, dst, nodes));
+        Self {
+            x,
+            y,
+            labels,
+            plans,
+        }
+    }
+}
+
+/// One optimizer step on `b`; returns the tape's activation footprint.
+fn train_step(engine: &mut Engine, model: &mut InteractionGnn, b: &Batch) -> usize {
+    let mut floats = 0;
+    let m = &*model;
+    engine.forward_backward(|tape, bind| {
+        let logits = m.forward_planned(tape, bind, &b.x, &b.y, &b.plans);
+        let loss = bce_with_logits(tape, logits, &b.labels, 1.0);
+        floats = tape.activation_floats();
+        Some(loss)
+    });
+    engine.update(&mut model.params_mut());
+    floats
+}
+
+/// Of a window's `bytes` allocated against the `floats` its tapes held:
+/// at most a fifth of the activations may have come from the allocator.
+fn assert_mostly_recycled(label: &str, bytes: usize, floats: usize) {
+    let activation_bytes = floats * std::mem::size_of::<f32>();
+    assert!(
+        bytes * 5 <= activation_bytes,
+        "{label}: {bytes} bytes allocated against {activation_bytes} bytes of activations"
+    );
+}
+
+fn train_step_stays_within_its_allocation_budgets() {
+    let mut rng = StdRng::seed_from_u64(7);
+    let cfg = IgnnConfig::new(3, 2)
         .with_hidden(32)
         .with_gnn_layers(4)
         .with_mlp_depth(2);
@@ -47,14 +94,87 @@ fn train_step_stays_within_its_allocation_budget() {
 
     // 70 per step as recorded (harvest / optimizer bookkeeping, not
     // tensor storage); ROADMAP 5(d) is to name and remove them.
+    let batch = Batch::new(1024, 4096, &mut rng);
     steady_state_allocs_at_most("IGNN train step", 3, 5, 72, || {
-        let m = &model;
-        engine.forward_backward(|tape, bind| {
-            let logits = m.forward_planned(tape, bind, &x, &y, &plans);
-            Some(bce_with_logits(tape, logits, &labels, 1.0))
-        });
-        engine.update(&mut model.params_mut());
+        train_step(&mut engine, &mut model, &batch);
     });
+
+    // Sampled minibatches: no two have the same vertex and edge count.
+    // Four of them span the range and warm the pool; the next eight are
+    // each a first-time shape inside it.
+    for (nodes, edges) in [(820, 3300), (1230, 4900), (960, 3840), (1100, 4400)] {
+        train_step(&mut engine, &mut model, &Batch::new(nodes, edges, &mut rng));
+    }
+    let fresh: Vec<Batch> = (0..8)
+        .map(|_| {
+            let (nodes, edges) = (rng.gen_range(820..1230), rng.gen_range(3300..4900));
+            Batch::new(nodes, edges, &mut rng)
+        })
+        .collect();
+    let mut floats = 0;
+    let bytes = count_alloc_bytes(|| {
+        for b in &fresh {
+            floats += train_step(&mut engine, &mut model, b);
+        }
+    });
+    assert_mostly_recycled("fresh-shape train steps", bytes, floats);
+}
+
+fn micro_batched_reconstruction_recycles_across_batch_shapes() {
+    let geometry = DetectorGeometry::default();
+    let gun = GunConfig::default();
+    let mut rng = StdRng::seed_from_u64(42);
+    let mut events = |n: usize, particles: fn(usize) -> usize| -> Vec<Event> {
+        (0..n)
+            .map(|i| simulate_event(&geometry, &gun, particles(i), 0.1, &mut rng))
+            .collect()
+    };
+    let training = events(5, |_| 15);
+    let config = PipelineConfig {
+        embedding: EmbeddingConfig {
+            epochs: 6,
+            ..Default::default()
+        },
+        gnn: GnnTrainConfig {
+            hidden: 16,
+            gnn_layers: 2,
+            epochs: 2,
+            batch_size: 64,
+            shadow: ShadowConfig {
+                depth: 2,
+                fanout: 4,
+            },
+            ..Default::default()
+        },
+        gnn_sampler: SamplerKind::Bulk { k: 4 },
+        ..Default::default()
+    };
+    let (pipeline, _) = train_pipeline(config, &training[..4], &training[4..]);
+
+    // 36 requests of 8..=25 particles, served as micro-batches of 1..=8
+    // events; the second cycle regroups them (8..=1, shuffled), so every
+    // union graph in it is new to the worker's tape. What it still
+    // allocates is almost all the pipeline's own per-request vectors
+    // (features, candidate edges, result graphs), not tape storage.
+    let requests = events(36, |i| 8 + i * 7 % 18);
+    let (mut tape, mut bind) = (Tape::new(), Bindings::new());
+    let mut ctor = pipeline.new_constructor();
+    let mut serve = |order: &[usize], sizes: &[usize]| -> usize {
+        let (mut at, mut floats) = (0, 0);
+        for &size in sizes {
+            let batch: Vec<&Event> = order[at..at + size].iter().map(|&i| &requests[i]).collect();
+            at += size;
+            pipeline.reconstruct_batch_pooled(&mut tape, &mut bind, &mut ctor, &batch);
+            floats += tape.activation_floats();
+        }
+        floats
+    };
+    let in_order: Vec<usize> = (0..36).collect();
+    let shuffled: Vec<usize> = (0..36).map(|i| (i * 5 + 3) % 36).collect();
+    serve(&in_order, &[1, 2, 3, 4, 5, 6, 7, 8]);
+    let mut floats = 0;
+    let bytes = count_alloc_bytes(|| floats = serve(&shuffled, &[8, 7, 6, 5, 4, 3, 2, 1]));
+    assert_mostly_recycled("fresh-shape micro-batches", bytes, floats);
 }
 
 fn graph_construction_stays_within_its_allocation_budget() {
@@ -105,6 +225,7 @@ fn pooled_hot_paths_stay_within_their_allocation_budgets() {
     // Before any kernel runs: the thresholds are read once per process.
     std::env::set_var("TRKX_PAR_THRESHOLD", "1");
     std::env::set_var("TRKX_PAR_MATMUL_THRESHOLD", "1");
-    train_step_stays_within_its_allocation_budget();
+    train_step_stays_within_its_allocation_budgets();
     graph_construction_stays_within_its_allocation_budget();
+    micro_batched_reconstruction_recycles_across_batch_shapes();
 }

@@ -3,11 +3,13 @@
 //!
 //! A worker's steady state is: pop a micro-batch, grab the active model
 //! version, run [`reconstruct_batch_pooled`] against its own pooled
-//! tape (all value/grad buffers recycled across batches — the PR 1
-//! substrate), answer every request in the batch, repeat. Because the
-//! kernels are bit-identical at any thread count and the batch union is
-//! row/node-local, *which* worker serves a request and *what batch* it
-//! rides in never changes the response payload
+//! tape, answer every request in the batch, repeat. No two micro-batches
+//! have the same union graph; the tape's pool matches buffers by size
+//! class rather than exact shape, so a worker's memory plateaus once it
+//! has seen the range of batch sizes instead of growing with every new
+//! one. Because the kernels are bit-identical at any thread count and
+//! the batch union is row/node-local, *which* worker serves a request
+//! and *what batch* it rides in never changes the response payload
 //! (`tests/batch_parity.rs`).
 //!
 //! [`reconstruct_batch_pooled`]: trkx_core::TrainedPipeline::reconstruct_batch_pooled

@@ -1,23 +1,60 @@
-//! Size-bucketed recycling pool for `f32` buffers.
+//! Size-class recycling pool for `f32` buffers.
 //!
 //! The autograd tape allocates one value buffer per op and one gradient
-//! buffer per differentiable node, every training step. The shapes are
-//! identical step to step, so instead of returning ~10^2 buffers
-//! (hundreds of MB) to the system allocator each step, [`crate::Tape::reset`]
-//! drains them here and the next step's ops draw them back out. After the
-//! first step the hot path performs no heap allocation for tape storage.
+//! buffer per differentiable node, every step. [`crate::Tape::reset`]
+//! drains them here and the next step's ops draw them back out, instead
+//! of ~10^2 buffers (hundreds of MB) going through the system allocator.
 //!
-//! Buckets are keyed by exact element count: training shapes repeat
-//! exactly, so exact-fit matching wastes no memory and never hands back an
-//! oversized buffer (which would break `Matrix::len`).
+//! A sampled subgraph or a served micro-batch never has the same vertex
+//! and edge count twice, so buffers are matched by **size class**, not
+//! exact length: four classes per octave (capacities `{4, 5, 6, 7} · 2^k`
+//! elements; the smallest, 64, also serves every tinier request). A
+//! request is rounded up to its class, a fresh buffer allocated at class
+//! capacity (≤ 25 % over-allocation above the smallest class) and handed
+//! out with `len` set exactly, so `Matrix::len` never sees the slack. A
+//! returned buffer is filed under the largest class its *capacity* covers
+//! (a matrix given to `Tape::leaf` recycles like one made here), so any
+//! buffer in a bucket fits any request of that class: one index, no
+//! search. Nothing is trimmed: a class holds at most as many buffers as
+//! were live in it at once.
 
 use crate::Matrix;
-use std::collections::HashMap;
 
-/// Recycles `Vec<f32>` storage between training steps, bucketed by length.
+/// log2 of the classes per octave: consecutive capacities differ by at
+/// most `1 + 1/4`.
+const SUB_BITS: usize = 2;
+const PER_OCTAVE: usize = 1 << SUB_BITS;
+/// log2 of the smallest class's capacity (64 elements).
+const MIN_SHIFT: usize = 6;
+
+/// The largest class whose capacity is ≤ `cap`, for `cap ≥ 2^MIN_SHIFT`.
+fn class_below(cap: usize) -> usize {
+    let octave = cap.ilog2() as usize;
+    // The bits under the leading one say which quarter of the octave.
+    let quarter = (cap >> (octave - SUB_BITS)) - PER_OCTAVE;
+    PER_OCTAVE * (octave - MIN_SHIFT) + quarter
+}
+
+/// The smallest class whose capacity is ≥ `len`.
+fn class_above(len: usize) -> usize {
+    if len <= 1 << MIN_SHIFT {
+        0
+    } else {
+        class_below(len - 1) + 1
+    }
+}
+
+/// Capacity in elements of class `class`.
+fn class_capacity(class: usize) -> usize {
+    (PER_OCTAVE + class % PER_OCTAVE) << (class / PER_OCTAVE + MIN_SHIFT - SUB_BITS)
+}
+
+/// Recycles `Vec<f32>` storage between training steps, bucketed by size
+/// class (see the module docs).
 #[derive(Default)]
 pub struct BufferPool {
-    buckets: HashMap<usize, Vec<Vec<f32>>>,
+    /// `buckets[c]` parks buffers whose capacity is at least class `c`'s.
+    buckets: Vec<Vec<Vec<f32>>>,
 }
 
 impl BufferPool {
@@ -25,28 +62,32 @@ impl BufferPool {
         Self::default()
     }
 
-    /// Take a buffer of exactly `len` elements, zero-filled. Allocates only
-    /// when the bucket is empty.
-    pub fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
-        match self.buckets.get_mut(&len).and_then(Vec::pop) {
-            Some(mut buf) => {
-                buf.fill(0.0);
-                buf
-            }
-            None => vec![0.0; len],
+    /// A buffer with room for `len` elements, its length and contents
+    /// unspecified: a parked one of `len`'s class, else a fresh one at
+    /// class capacity.
+    fn take(&mut self, len: usize) -> Vec<f32> {
+        let class = class_above(len);
+        match self.buckets.get_mut(class).and_then(Vec::pop) {
+            Some(buf) => buf,
+            None => Vec::with_capacity(class_capacity(class)),
         }
+    }
+
+    /// Take a buffer of exactly `len` elements, zero-filled.
+    pub fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
+        let mut buf = self.take(len);
+        buf.clear();
+        buf.resize(len, 0.0);
+        buf
     }
 
     /// Take a buffer holding a copy of `src` (no zero-fill pass — the copy
     /// overwrites the whole buffer).
     pub fn take_copy(&mut self, src: &[f32]) -> Vec<f32> {
-        match self.buckets.get_mut(&src.len()).and_then(Vec::pop) {
-            Some(mut buf) => {
-                buf.copy_from_slice(src);
-                buf
-            }
-            None => src.to_vec(),
-        }
+        let mut buf = self.take(src.len());
+        buf.clear();
+        buf.extend_from_slice(src);
+        buf
     }
 
     /// Take a buffer of exactly `len` elements with unspecified contents
@@ -54,10 +95,9 @@ impl BufferPool {
     /// overwrite every element, e.g. [`Matrix::matmul_into`] — skips the
     /// zero-fill pass `take_zeroed` pays.
     pub fn take_raw(&mut self, len: usize) -> Vec<f32> {
-        match self.buckets.get_mut(&len).and_then(Vec::pop) {
-            Some(buf) => buf,
-            None => vec![0.0; len],
-        }
+        let mut buf = self.take(len);
+        buf.resize(len, 0.0);
+        buf
     }
 
     /// A zeroed `rows x cols` matrix backed by pooled storage.
@@ -76,15 +116,17 @@ impl BufferPool {
         Matrix::from_vec(m.rows(), m.cols(), self.take_copy(m.data()))
     }
 
-    /// Return a buffer to its bucket for reuse.
+    /// Park a buffer under the largest class its capacity covers. Buffers
+    /// below the smallest class are dropped.
     pub fn put(&mut self, buf: Vec<f32>) {
-        if buf.capacity() == 0 {
+        if buf.capacity() < 1 << MIN_SHIFT {
             return;
         }
-        // Bucket by capacity? No: by length at take-time == capacity here,
-        // since take_* never grows a buffer. Empty-but-capacitated vecs
-        // (len 0 after into_vec of an empty matrix) are dropped above.
-        self.buckets.entry(buf.len()).or_default().push(buf);
+        let class = class_below(buf.capacity());
+        if self.buckets.len() <= class {
+            self.buckets.resize_with(class + 1, Vec::new);
+        }
+        self.buckets[class].push(buf);
     }
 
     /// Recycle a matrix's backing storage.
@@ -94,13 +136,27 @@ impl BufferPool {
 
     /// Number of buffers currently parked in the pool (for tests/metrics).
     pub fn parked(&self) -> usize {
-        self.buckets.values().map(Vec::len).sum()
+        self.buckets.iter().map(Vec::len).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn classes_are_monotone_and_bracket_every_length() {
+        for class in 0..80 {
+            let cap = class_capacity(class);
+            assert_eq!(class_below(cap), class);
+            assert_eq!(class_above(cap), class);
+            assert_eq!(class_above(cap + 1), class + 1);
+            assert_eq!(class_below(class_capacity(class + 1) - 1), class);
+            assert!(class_capacity(class + 1) * 4 <= cap * 5, "step > 5/4");
+        }
+        assert_eq!(class_above(0), 0);
+        assert_eq!(class_capacity(0), 1 << MIN_SHIFT);
+    }
 
     #[test]
     fn reuses_exact_size_buffers() {
@@ -115,13 +171,55 @@ mod tests {
     }
 
     #[test]
-    fn zeroes_recycled_buffers() {
+    fn sizes_in_one_class_share_a_bucket_and_other_classes_do_not() {
         let mut pool = BufferPool::new();
-        let mut a = pool.zeros(2, 2);
-        a.fill(7.0);
+        // 130 and 160 both round up to the 160 class; 161 to the 192 one.
+        let a = pool.zeros(13, 10);
+        let ptr = a.data().as_ptr();
         pool.recycle(a);
-        let b = pool.zeros(2, 2);
-        assert_eq!(b.data(), &[0.0; 4]);
+        let c = pool.zeros(7, 23);
+        assert_eq!(c.len(), 161);
+        assert_ne!(c.data().as_ptr(), ptr);
+        assert_eq!(pool.parked(), 1, "the 160-class buffer stays parked");
+        let b = pool.zeros(16, 10);
+        assert_eq!(b.len(), 160);
+        assert_eq!(b.data().as_ptr(), ptr, "same class, same backing buffer");
+        assert_eq!(pool.parked(), 0);
+    }
+
+    #[test]
+    fn len_is_exact_and_over_allocation_is_bounded() {
+        let mut pool = BufferPool::new();
+        for len in (0..3000).chain([4097, 65_537, 1_000_003]) {
+            let buf = pool.take_raw(len);
+            assert_eq!(buf.len(), len);
+            assert!(buf.capacity() >= len);
+            if len > 1 << MIN_SHIFT {
+                assert!(buf.capacity() * 4 <= len * 5, "{len}: {}", buf.capacity());
+            } else {
+                assert_eq!(buf.capacity(), 1 << MIN_SHIFT);
+            }
+        }
+    }
+
+    #[test]
+    fn dirty_larger_buffer_of_the_class_comes_back_clean() {
+        let mut pool = BufferPool::new();
+        let mut big = pool.zeros(1, 160);
+        big.fill(7.0);
+        let ptr = big.data().as_ptr();
+        pool.recycle(big);
+        let z = pool.zeros(1, 131);
+        assert_eq!(z.data().as_ptr(), ptr);
+        assert_eq!(z.data(), &[0.0; 131]);
+        pool.recycle(z);
+        let mut big = pool.uninit(1, 160);
+        big.fill(7.0);
+        pool.recycle(big);
+        let src = Matrix::from_fn(3, 50, |r, c| (r * 50 + c) as f32);
+        let copy = pool.copy_of(&src);
+        assert_eq!(copy.data().as_ptr(), ptr);
+        assert!(copy.approx_eq(&src, 0.0));
     }
 
     #[test]
@@ -136,12 +234,22 @@ mod tests {
     }
 
     #[test]
-    fn different_sizes_use_different_buckets() {
+    fn foreign_buffer_serves_only_requests_its_capacity_covers() {
+        // Capacity 100 lies between the 96 and 112 classes: it is filed
+        // under 96 and must not answer a request for 97..=100.
         let mut pool = BufferPool::new();
-        let a = pool.zeros(2, 2);
-        pool.recycle(a);
-        let b = pool.zeros(3, 3);
-        assert_eq!(b.len(), 9);
-        assert_eq!(pool.parked(), 1, "the 2x2 buffer stays parked");
+        let foreign = vec![3.0f32; 100];
+        assert_eq!(foreign.capacity(), 100);
+        let ptr = foreign.as_ptr();
+        pool.put(foreign);
+        let b = pool.take_zeroed(100);
+        assert_ne!(b.as_ptr(), ptr);
+        assert_eq!(pool.parked(), 1);
+        let a = pool.take_zeroed(96);
+        assert_eq!(a.as_ptr(), ptr);
+        assert_eq!(a, vec![0.0; 96]);
+        // Below the smallest class there is nothing to file it under.
+        pool.put(vec![1.0; 63]);
+        assert_eq!(pool.parked(), 0);
     }
 }

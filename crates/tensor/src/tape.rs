@@ -3,16 +3,21 @@
 //! A [`Tape`] records a DAG of [`Op`] nodes built by its builder methods.
 //! [`Tape::backward`] seeds the root with gradient `1` (the root must be a
 //! scalar, i.e. a loss) and walks the tape in reverse, accumulating
-//! gradients into every node. Parameter gradients are read back with
-//! [`Tape::grad`].
+//! gradients into every node's parents. Parameter (leaf) gradients are
+//! read back with [`Tape::grad`]; an interior node's gradient lives only
+//! from its first accumulation until its own backward rule has run, then
+//! its buffer goes straight back to the pool for the next gradient of
+//! that size class to reuse while it is still cache-hot.
 //!
 //! Storage is struct-of-arrays (`ops` / `values` / `grads`) so the forward
 //! pass can borrow operand values while writing a new one, and the backward
 //! pass can accumulate into parent gradients while borrowing the current
 //! node's — no per-op clones in either direction. All value and gradient
 //! buffers come from an internal [`BufferPool`]; [`Tape::reset`] returns
-//! them to the pool, so a tape reused across training steps stops
-//! allocating once the first step has warmed the pool.
+//! them to the pool. The pool matches by size class, not exact shape, so
+//! a tape reused across steps whose graphs all differ (sampled
+//! minibatches, served micro-batches) still stops allocating once it has
+//! seen the range of sizes.
 //!
 //! The tape retains every intermediate value until it is reset — exactly
 //! the per-layer activation retention (`X^l`, `Y^l`, `M_src`, `M_dst`) that
@@ -33,9 +38,10 @@ pub struct Var(pub usize);
 
 /// Read-only view of the tape's gradient slots, handed to a
 /// [`GradObserver`] when a leaf's gradient finalizes. Lets the observer
-/// read *any* node's gradient at that instant — a parameter bound to
+/// read *any* leaf's gradient at that instant — a parameter bound to
 /// several leaves can be accumulated in binding order the moment its last
 /// leaf finalizes, reproducing a post-backward harvest bit for bit.
+/// (Interior gradients are released as the pass moves below them.)
 pub struct GradReader<'a> {
     grads: &'a [Option<Matrix>],
 }
@@ -145,7 +151,11 @@ impl Tape {
         &self.values[v.0]
     }
 
-    /// Accumulated gradient of a node (after [`Tape::backward`]).
+    /// Accumulated gradient of a leaf (after [`Tape::backward`]); kept
+    /// until [`Tape::reset`] or the next backward. `None` for a leaf no
+    /// gradient reached, for constants, and for every interior node:
+    /// backward releases an interior gradient as soon as it has been
+    /// propagated to the node's parents.
     pub fn grad(&self, v: Var) -> Option<&Matrix> {
         self.grads[v.0].as_ref()
     }
@@ -340,9 +350,9 @@ impl Tape {
     }
 
     /// Run reverse-mode accumulation from scalar `root`. Gradients of all
-    /// ancestors become available through [`Tape::grad`]. All accumulation
-    /// is in place (`+=` into pooled buffers) — no per-contribution
-    /// allocation.
+    /// ancestor leaves become available through [`Tape::grad`]. All
+    /// accumulation is in place (`+=` into pooled buffers) — no
+    /// per-contribution allocation.
     pub fn backward(&mut self, root: Var) {
         self.backward_impl(root, None);
     }
@@ -429,7 +439,9 @@ impl Tape {
                         &self.values[i],
                         &mut store,
                     );
-                    self.grads[i] = Some(grad_out);
+                    // Propagated, so dead: nobody reads an interior
+                    // gradient, and the next one of its class reuses it.
+                    self.pool.recycle(grad_out);
                 }
             }
             // Whether or not op i contributed gradient, once the pass has
@@ -515,6 +527,7 @@ mod tests {
         assert_eq!(grad.row(0), &[1., 1.]);
         assert_eq!(grad.row(1), &[0., 0.]);
         assert_eq!(grad.row(2), &[2., 2.]);
+        assert!(t.grad(g).is_none(), "interior gradient outlived backward");
     }
 
     #[test]
@@ -602,35 +615,51 @@ mod tests {
             vec![1. + 2. - 1. + 0.5 + 2. * 0.5, 3. + 4. + 2. - 2. + 2. * -1.5],
         );
         assert!(t.grad(a).unwrap().approx_eq(&expect, 1e-6));
+        for interior in [p1, p2, sq, s1, s2, loss] {
+            assert!(t.grad(interior).is_none());
+        }
     }
 
     #[test]
     fn reset_recycles_buffers_across_steps() {
-        // The second identical step after reset() must reuse the first
-        // step's backing buffers — pointer-identical storage, no growth.
+        // The second identical step after reset() must draw every value
+        // and gradient buffer from the first step's storage: the number of
+        // buffers the tape owns (live + parked) does not grow.
         let x = Matrix::from_fn(8, 8, |r, c| (r * 8 + c) as f32 * 0.01 - 0.3);
         let mut t = Tape::new();
 
-        let step = |t: &mut Tape| -> Vec<*const f32> {
+        let step = |t: &mut Tape| -> usize {
             let a = t.leaf_copied(&x);
             let h = t.relu(a);
             let s = t.matmul(h, a);
             let loss = t.mean_all(s);
             t.backward(loss);
-            (0..t.len())
-                .map(|i| t.value(Var(i)).data().as_ptr())
-                .chain((0..t.len()).filter_map(|i| t.grad(Var(i)).map(|g| g.data().as_ptr())))
-                .collect()
+            assert!(t.grad(a).is_some());
+            t.values.len() + t.grads.iter().flatten().count() + t.pool.parked()
         };
 
-        let ptrs1 = step(&mut t);
+        let owned1 = step(&mut t);
         t.reset();
         assert_eq!(t.len(), 0);
-        let ptrs2 = step(&mut t);
-        let first: std::collections::HashSet<_> = ptrs1.iter().copied().collect();
-        for p in &ptrs2 {
-            assert!(first.contains(p), "step 2 allocated a fresh value buffer");
+        assert_eq!(t.pool.parked(), owned1, "reset parks every buffer");
+        let owned2 = step(&mut t);
+        assert_eq!(owned2, owned1, "step 2 allocated a fresh buffer");
+    }
+
+    #[test]
+    fn interior_gradients_are_released_during_backward() {
+        let mut t = Tape::new();
+        let a = t.leaf(Matrix::from_fn(16, 16, |r, c| (r + c) as f32 * 0.1));
+        let h = t.relu(a);
+        let s = t.matmul(h, a);
+        let loss = t.mean_all(s);
+        t.backward(loss);
+        for interior in [h, s, loss] {
+            assert!(t.grad(interior).is_none());
         }
+        assert_eq!(t.grad(a).unwrap().shape(), (16, 16));
+        // The seed and the gradients of s and h are already back.
+        assert_eq!(t.pool.parked(), 3);
     }
 
     #[test]

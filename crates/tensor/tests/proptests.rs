@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use trkx_tensor::{gradcheck, EdgePlan, EdgePlans, Matrix, Tape};
+use trkx_tensor::{gradcheck, BufferPool, EdgePlan, EdgePlans, Matrix, Tape};
 
 fn matrix_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-2.0f32..2.0, rows * cols)
@@ -147,5 +147,58 @@ proptest! {
             t.mean_all(h2)
         });
         prop_assert!(report.passes(3e-2), "{:?}", report);
+    }
+
+    #[test]
+    fn pool_hands_out_exact_clean_covering_buffers(
+        steps in proptest::collection::vec((0u8..5, 0usize..6000), 1..80),
+    ) {
+        // Any interleaving of takes, returns and foreign buffers: every
+        // buffer has exactly the requested length and the promised
+        // contents, over-allocation stays under a quarter above the
+        // smallest class, and a parked buffer is handed out only for a
+        // request its capacity covers (it comes back with the address
+        // and capacity it was parked with, i.e. it was never regrown).
+        let mut pool = BufferPool::new();
+        let mut held: Vec<Vec<f32>> = Vec::new();
+        let mut parked: Vec<(*const f32, usize)> = Vec::new();
+        for (kind, n) in steps {
+            if kind >= 3 {
+                let buf = match held.pop() {
+                    Some(buf) if kind == 3 => buf,
+                    _ => vec![9.0; n],
+                };
+                let before = pool.parked();
+                let id = (buf.as_ptr(), buf.capacity());
+                pool.put(buf);
+                if pool.parked() > before {
+                    parked.push(id);
+                }
+                continue;
+            }
+            let before = pool.parked();
+            let src: Vec<f32> = (0..n).map(|i| i as f32).collect();
+            let mut buf = match kind {
+                0 => pool.take_zeroed(n),
+                1 => pool.take_raw(n),
+                _ => pool.take_copy(&src),
+            };
+            prop_assert_eq!(buf.len(), n);
+            match kind {
+                0 => prop_assert!(buf.iter().all(|&v| v == 0.0)),
+                1 => {}
+                _ => prop_assert_eq!(&buf, &src),
+            }
+            prop_assert!(buf.capacity() >= 64);
+            if pool.parked() < before {
+                let at = parked.iter().position(|&id| id == (buf.as_ptr(), buf.capacity()));
+                prop_assert!(at.is_some(), "a parked buffer was regrown to {}", n);
+                parked.swap_remove(at.unwrap());
+            } else {
+                prop_assert!(buf.capacity() == 64 || buf.capacity() * 4 <= n * 5);
+            }
+            buf.fill(7.0);
+            held.push(buf);
+        }
     }
 }

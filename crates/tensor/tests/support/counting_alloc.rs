@@ -28,10 +28,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// System allocator that counts every allocation.
+/// System allocator that counts every allocation and its bytes.
 pub struct Counting;
 
 static COUNT: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 static TRACE: AtomicBool = AtomicBool::new(false);
 static TRACE_LEFT: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
@@ -44,6 +45,7 @@ thread_local! {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
         COUNT.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(l.size(), Ordering::Relaxed);
         if TRACE.load(Ordering::Relaxed)
             && !IN_TRACE.with(Cell::get)
             && TRACE_LEFT
@@ -76,6 +78,14 @@ pub fn count_allocs(f: impl FnOnce()) -> usize {
     let allocs = COUNT.load(Ordering::Relaxed) - before;
     TRACE.store(false, Ordering::Relaxed);
     allocs
+}
+
+/// Bytes requested by any thread while `f` runs (a `realloc` counts as a
+/// new allocation of the new size).
+pub fn count_alloc_bytes(f: impl FnOnce()) -> usize {
+    let before = BYTES.load(Ordering::Relaxed);
+    f();
+    BYTES.load(Ordering::Relaxed) - before
 }
 
 /// Assert that `f` allocates at most `max_per_call` times per call, as a
