@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints (warnings are errors), docs (warnings
-# are errors), release build, the full workspace test suite, the
-# determinism / allocation suites at two pool sizes, and a two-second
-# run of each benchmark workload with a 1 GB peak-RSS tripwire. Run from
-# the repo root.
+# are errors), release build, the full workspace test suite, the GEMM
+# arm-vs-arm parity test by name (its log line says which micro-kernel
+# arms this host ran), the determinism / allocation suites at two pool
+# sizes, and a two-second run of each benchmark workload with a 1 GB
+# peak-RSS tripwire. Run from the repo root.
 set -euo pipefail
 
 cargo fmt --check
@@ -11,6 +12,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --workspace --release
 cargo test -q --workspace --release
+
+# GEMM micro-kernel arms against each other: the AVX2 and portable tile
+# and NT row, bit for bit against naive references over ±0, subnormals,
+# ±inf, NaN and an FMA tripwire. The test prints which arms ran, so this
+# log records whether a host without AVX2 checked only the portable one.
+cargo test -q --release -p trkx-tensor --lib gemm_arms_match_references_bit_for_bit -- --nocapture
 
 # Determinism suites at two pool sizes with every size gate forced off:
 # the parallel kernels (message passing AND the blocked GEMM panels) are

@@ -31,7 +31,7 @@ pub mod pool;
 pub mod tape;
 
 pub use gradcheck::{gradcheck, GradCheckReport};
-pub use matrix::Matrix;
+pub use matrix::{gemm_kernel, Matrix};
 pub use ops::{sigmoid, Op};
 pub use plan::{EdgePlan, EdgePlans};
 pub use pool::BufferPool;

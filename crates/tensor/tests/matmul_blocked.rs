@@ -14,7 +14,15 @@
 //!
 //! Because the references are scalar and thread-independent, bitwise
 //! equality at any pool size also proves thread-count invariance;
-//! `ci.sh` runs this binary under `RAYON_NUM_THREADS=1` and `=4`.
+//! `ci.sh` runs this binary under `RAYON_NUM_THREADS=1` and `=4`. The
+//! kernels run whichever micro-kernel arm the CPU selects
+//! (`trkx_tensor::gemm_kernel()`), so on an AVX2 host these pin the AVX2
+//! arm; the arm-vs-arm unit test in `matrix.rs` pins both directly.
+//!
+//! Outputs start dirty: the overwriting `matmul_into` gets a NaN-filled
+//! buffer (it must never read `out`), and every accumulating variant a
+//! random non-zero one, which must receive each product in exactly one
+//! add after its accumulation.
 //! Shapes sweep every alignment class around the NR=16 panel width and
 //! MR=8 tile height: below, at, and one past each boundary.
 
@@ -107,6 +115,11 @@ proptest! {
         let mut into = Matrix::from_vec(m, n, pre.clone());
         a.matmul_into(&b, &mut into);
         prop_assert_eq!(into.data(), &naive[..]);
+
+        // The inputs are finite, so one NaN read from `out` would show.
+        let mut nan = Matrix::full(m, n, f32::NAN);
+        a.matmul_into(&b, &mut nan);
+        prop_assert_eq!(nan.data(), fresh.data());
 
         let mut acc = Matrix::from_vec(m, n, pre.clone());
         a.matmul_acc(&b, &mut acc);

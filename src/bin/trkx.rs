@@ -295,6 +295,7 @@ fn cmd_train(mut args: Args) {
     let patience = args.value("--patience", 0usize); // 0 = train all epochs
     let telemetry = args.value("--telemetry", String::new());
     args.finish();
+    eprintln!("gemm kernel: {}", trkx::tensor::gemm_kernel());
     let graphs = cfg.generate(events, gnn_cfg.seed);
     let prepared = prepare_for_store(store, shard_dir, &graphs);
     println!(
@@ -500,6 +501,7 @@ fn cmd_serve(mut args: Args) {
         }
     };
     // Startup banner on stderr so stdout stays pure response lines.
+    eprintln!("gemm kernel: {}", trkx::tensor::gemm_kernel());
     eprintln!(
         "serving {model_path} (version {}) with {} workers, batch \u{2264} {} events / {} hits, \
          shedding events > {} hits and queue depth > {}",

@@ -55,6 +55,22 @@ fn what_the_command_line_does_not_understand_is_a_usage_error() {
 }
 
 #[test]
+fn train_names_its_gemm_kernel_once_on_stderr() {
+    let out = trkx_train(&[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let lines: Vec<_> = stderr
+        .lines()
+        .filter(|l| l.starts_with("gemm kernel: "))
+        .collect();
+    assert!(
+        matches!(lines[..], ["gemm kernel: avx2" | "gemm kernel: portable"]),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_file(tmp("model.json"));
+}
+
+#[test]
 fn hogwild_rejects_the_flags_that_need_lockstep() {
     for flags in [
         &["--patience", "2"][..],
