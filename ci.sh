@@ -35,10 +35,10 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test alloc_probe
 
 # Allocation budgets above the kernels, parallel gates forced on: a full
 # train step on a repeated shape (<= 72 allocs), stage-2 construction
-# (<= 8 allocs per event), and train steps / served micro-batches whose
-# shapes are each new to the pool (fresh bytes <= 20 % of the tape's
-# activation bytes). The same bounds at both pool sizes are the flatness
-# check.
+# (<= 8 allocs per event), train steps whose shapes are each new to the
+# pool (fresh bytes <= 20 % of the tape's activation bytes), and served
+# events replayed in an order new to the pool (fresh bytes <= 12 %). The
+# same bounds at both pool sizes are the flatness check.
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test alloc_probe
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test alloc_probe
 

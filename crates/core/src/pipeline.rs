@@ -317,41 +317,135 @@ impl TrainedPipeline {
     /// Run the full inference pipeline on a new event with fresh pools.
     /// Repeated inference (the serving hot path, or reconstruction over
     /// many events) should hold its own pools and call
-    /// [`TrainedPipeline::reconstruct_batch_pooled`].
+    /// [`TrainedPipeline::reconstruct_pooled`].
     pub fn reconstruct(&self, event: &Event) -> TrackBuildResult {
-        let (mut results, _) = self.reconstruct_batch_pooled(
+        let (result, _) = self.reconstruct_pooled(
             &mut Tape::new(),
             &mut Bindings::new(),
             &mut self.new_constructor(),
-            &[event],
+            event,
         );
-        results.pop().expect("one result per event")
+        result
     }
 
     /// A fresh stage-2 constructor (`GraphConstructor::default()`; a
     /// method only because the frozen `benchmark/` package calls it).
-    /// Long-lived callers (serve workers, batch reconstruction loops)
-    /// hold one and pass it to
-    /// [`TrainedPipeline::reconstruct_batch_pooled`] so the spatial
-    /// index and edge scratch persist across micro-batches.
+    /// Long-lived callers (serve workers, reconstruction loops) hold one
+    /// and pass it to [`TrainedPipeline::reconstruct_pooled`] so the
+    /// spatial index and edge scratch persist across events.
     pub fn new_constructor(&self) -> GraphConstructor {
         GraphConstructor::default()
     }
 
-    /// Micro-batched inference against caller-pooled tape, bindings and
-    /// [`GraphConstructor`] (all three recycle their buffers): run the
-    /// full pipeline over `events` as one disjoint-union graph. The
-    /// embedding and filter MLPs see one concatenated matrix (one GEMM
-    /// instead of `B` small ones), the GNN runs over the union edge list
-    /// with a single [`EdgePlans`](trkx_tensor::EdgePlans) built once per
-    /// micro-batch and reused across all GNN layers, and track building
-    /// runs per event on the split outputs.
-    ///
-    /// Because every kernel in the substrate is row/node-local and
-    /// bit-identical at any tile/block/thread geometry (see DESIGN.md
-    /// §4d/§4e), the outputs are **bit-identical** to calling
-    /// [`TrainedPipeline::reconstruct`] per event, at any batch size —
-    /// pinned by `crates/serve/tests/batch_parity.rs`.
+    /// Inference on one event against caller-pooled tape, bindings and
+    /// [`GraphConstructor`] (all three recycle their buffers): embed →
+    /// construct → filter → GNN → tracks. This is the one inference path;
+    /// [`TrainedPipeline::reconstruct`] calls it with fresh pools, and the
+    /// output does not depend on what the pools served before
+    /// (`crates/serve/tests/batch_parity.rs`).
+    pub fn reconstruct_pooled(
+        &self,
+        tape: &mut Tape,
+        bind: &mut Bindings,
+        ctor: &mut GraphConstructor,
+        event: &Event,
+    ) -> (TrackBuildResult, StageTimings) {
+        use std::sync::Arc;
+        use std::time::Instant;
+        let (nf, ef) = (self.config.vertex_features, self.config.edge_features);
+        let mut timings = StageTimings::default();
+
+        // Stage 1: the metric-learning embedding.
+        let t0 = Instant::now();
+        let x = features_of(event, nf);
+        let emb = if x.rows() == 0 {
+            Matrix::zeros(0, self.config.embedding.dim)
+        } else {
+            self.embedding.embed_with(tape, bind, &x)
+        };
+        timings.embed_s = t0.elapsed().as_secs_f64();
+
+        // Stage 2: the fixed-radius graph in embedding space.
+        let t0 = Instant::now();
+        let method = ConstructionMethod::FixedRadius {
+            radius: self.radius,
+        };
+        let cand = ctor.construct(event, &emb, method);
+        let y = Matrix::from_vec(
+            cand.num_edges(),
+            ef,
+            edge_features(event, &cand.src, &cand.dst, ef),
+        );
+        timings.construct_s = t0.elapsed().as_secs_f64();
+        timings.construct_edges = cand.num_edges();
+
+        // Stage 3: the filter MLP over the candidate edges.
+        let t0 = Instant::now();
+        let (src, dst) = (Arc::new(cand.src), Arc::new(cand.dst));
+        let kept: Vec<u32> = if src.is_empty() {
+            Vec::new()
+        } else {
+            let cut = self.filter.logit_cut();
+            self.filter
+                .logits_arrays_with(tape, bind, &x, &y, Arc::clone(&src), Arc::clone(&dst))
+                .iter()
+                .enumerate()
+                .filter(|(_, &l)| l > cut)
+                .map(|(i, _)| i as u32)
+                .collect()
+        };
+        timings.filter_s = t0.elapsed().as_secs_f64();
+
+        // Stage 4: the GNN over the pruned graph. The edge plans are built
+        // once here and reused by every GNN layer's gathers and scatters.
+        let t0 = Instant::now();
+        let pick = |v: &[u32]| -> Arc<Vec<u32>> {
+            Arc::new(kept.iter().map(|&i| v[i as usize]).collect())
+        };
+        let (src, dst) = (pick(&src), pick(&dst));
+        let labels: Vec<f32> = kept.iter().map(|&i| cand.labels[i as usize]).collect();
+        let y = y.gather_rows(&kept);
+        let logits: Vec<f32> = if src.is_empty() {
+            Vec::new()
+        } else {
+            tape.reset();
+            bind.reset();
+            let plans = Arc::new(trkx_tensor::EdgePlans::new(
+                Arc::clone(&src),
+                Arc::clone(&dst),
+                event.num_hits(),
+            ));
+            let v = self.gnn.forward_planned(tape, bind, &x, &y, &plans);
+            tape.value(v).data().to_vec()
+        };
+        timings.gnn_s = t0.elapsed().as_secs_f64();
+
+        // Stage 5: connected components over the edges the GNN keeps.
+        let t0 = Instant::now();
+        let graph = EventGraph {
+            num_nodes: event.num_hits(),
+            src: Arc::unwrap_or_clone(src),
+            dst: Arc::unwrap_or_clone(dst),
+            labels,
+            x: x.into_vec(),
+            num_vertex_features: nf,
+            y: y.into_vec(),
+            num_edge_features: ef,
+            event: event.clone(),
+        };
+        let result = build_tracks(
+            &graph,
+            &logits,
+            self.config.track_threshold,
+            self.config.min_hits,
+        );
+        timings.tracks_s = t0.elapsed().as_secs_f64();
+        (result, timings)
+    }
+
+    /// [`TrainedPipeline::reconstruct_pooled`] over each event in turn,
+    /// with the stage timings summed over the events. After the call the
+    /// tape holds only the last event's activations.
     pub fn reconstruct_batch_pooled(
         &self,
         tape: &mut Tape,
@@ -359,164 +453,22 @@ impl TrainedPipeline {
         ctor: &mut GraphConstructor,
         events: &[&Event],
     ) -> (Vec<TrackBuildResult>, StageTimings) {
-        use std::sync::Arc;
-        use std::time::Instant;
-        let (nf, ef) = (self.config.vertex_features, self.config.edge_features);
-        let mut timings = StageTimings::default();
-        if events.is_empty() {
-            return (Vec::new(), timings);
-        }
-
-        // Stage 1: one embedding forward over the concatenated features.
-        let t0 = Instant::now();
-        let feats: Vec<Matrix> = events.iter().map(|e| features_of(e, nf)).collect();
-        let total_hits: usize = feats.iter().map(Matrix::rows).sum();
-        let mut xcat = Vec::with_capacity(total_hits * nf);
-        for f in &feats {
-            xcat.extend_from_slice(f.data());
-        }
-        let x_union = Matrix::from_vec(total_hits, nf, xcat);
-        let emb_dim = self.config.embedding.dim;
-        let emb_all = if total_hits == 0 {
-            Matrix::zeros(0, emb_dim)
-        } else {
-            self.embedding.embed_with(tape, bind, &x_union)
-        };
-        timings.embed_s = t0.elapsed().as_secs_f64();
-
-        // Stage 2: per-event radius graphs, assembled into one union
-        // candidate graph with node ids offset by each event's base.
-        let t0 = Instant::now();
-        let mut node_base = vec![0usize; events.len()];
-        let mut cand_src: Vec<u32> = Vec::new();
-        let mut cand_dst: Vec<u32> = Vec::new();
-        let mut cand_labels: Vec<f32> = Vec::new();
-        let mut ycat: Vec<f32> = Vec::new();
-        // Per-event candidate-edge ranges in the union edge list.
-        let mut edge_range = vec![(0usize, 0usize); events.len()];
-        let mut base = 0usize;
-        for (i, event) in events.iter().enumerate() {
-            node_base[i] = base;
-            let n = feats[i].rows();
-            let emb = Matrix::from_vec(
-                n,
-                emb_dim,
-                emb_all.data()[base * emb_dim..(base + n) * emb_dim].to_vec(),
-            );
-            let g = ctor.construct(
-                event,
-                &emb,
-                ConstructionMethod::FixedRadius {
-                    radius: self.radius,
-                },
-            );
-            let start = cand_src.len();
-            ycat.extend_from_slice(&edge_features(event, &g.src, &g.dst, ef));
-            cand_src.extend(g.src.iter().map(|&s| s + base as u32));
-            cand_dst.extend(g.dst.iter().map(|&d| d + base as u32));
-            cand_labels.extend_from_slice(&g.labels);
-            edge_range[i] = (start, cand_src.len());
-            base += n;
-        }
-        let y_union = Matrix::from_vec(cand_src.len(), ef, ycat);
-        timings.construct_s = t0.elapsed().as_secs_f64();
-        timings.construct_edges = cand_src.len();
-
-        // Stage 3: one filter forward over the union candidate edges.
-        let t0 = Instant::now();
-        let cand_src = Arc::new(cand_src);
-        let cand_dst = Arc::new(cand_dst);
-        let kept: Vec<usize> = if cand_src.is_empty() {
-            Vec::new()
-        } else {
-            let cut = self.filter.logit_cut();
-            self.filter
-                .logits_arrays_with(
-                    tape,
-                    bind,
-                    &x_union,
-                    &y_union,
-                    Arc::clone(&cand_src),
-                    Arc::clone(&cand_dst),
-                )
-                .iter()
-                .enumerate()
-                .filter(|(_, &l)| l > cut)
-                .map(|(i, _)| i)
-                .collect()
-        };
-        timings.filter_s = t0.elapsed().as_secs_f64();
-
-        // Stage 4: the GNN over the pruned union graph. The edge plans
-        // are built once here and reused by every GNN layer's gathers
-        // and scatters.
-        let t0 = Instant::now();
-        let kept_ids: Vec<u32> = kept.iter().map(|&i| i as u32).collect();
-        let pruned_src: Arc<Vec<u32>> = Arc::new(kept.iter().map(|&i| cand_src[i]).collect());
-        let pruned_dst: Arc<Vec<u32>> = Arc::new(kept.iter().map(|&i| cand_dst[i]).collect());
-        let pruned_labels: Vec<f32> = kept.iter().map(|&i| cand_labels[i]).collect();
-        let pruned_y = y_union.gather_rows(&kept_ids);
-        let logits: Vec<f32> = if pruned_src.is_empty() {
-            Vec::new()
-        } else {
-            tape.reset();
-            bind.reset();
-            let plans = Arc::new(trkx_tensor::EdgePlans::new(
-                Arc::clone(&pruned_src),
-                Arc::clone(&pruned_dst),
-                total_hits,
-            ));
-            let v = self
-                .gnn
-                .forward_planned(tape, bind, &x_union, &pruned_y, &plans);
-            tape.value(v).data().to_vec()
-        };
-        timings.gnn_s = t0.elapsed().as_secs_f64();
-
-        // Stage 5: split the union back per event and build tracks.
-        let t0 = Instant::now();
-        // Kept edge ids are ascending, so each event's pruned edges form
-        // a contiguous run in the union order.
-        let mut results = Vec::with_capacity(events.len());
-        let mut cursor = 0usize;
-        for (i, event) in events.iter().enumerate() {
-            let (e_start, e_end) = edge_range[i];
-            let p_start = cursor;
-            while cursor < kept.len() && kept[cursor] < e_end {
-                debug_assert!(kept[cursor] >= e_start);
-                cursor += 1;
-            }
-            let p_end = cursor;
-            let nb = node_base[i] as u32;
-            let src: Vec<u32> = pruned_src[p_start..p_end].iter().map(|&s| s - nb).collect();
-            let dst: Vec<u32> = pruned_dst[p_start..p_end].iter().map(|&d| d - nb).collect();
-            let labels = pruned_labels[p_start..p_end].to_vec();
-            let y: Vec<f32> = pruned_y.data()[p_start * ef..p_end * ef].to_vec();
-            let graph = EventGraph {
-                num_nodes: event.num_hits(),
-                src,
-                dst,
-                labels,
-                x: feats[i].data().to_vec(),
-                num_vertex_features: nf,
-                y,
-                num_edge_features: ef,
-                event: (*event).clone(),
-            };
-            results.push(build_tracks(
-                &graph,
-                &logits[p_start..p_end],
-                self.config.track_threshold,
-                self.config.min_hits,
-            ));
-        }
-        timings.tracks_s = t0.elapsed().as_secs_f64();
-        (results, timings)
+        let mut total = StageTimings::default();
+        let results = events
+            .iter()
+            .map(|event| {
+                let (result, t) = self.reconstruct_pooled(tape, bind, ctor, event);
+                total.add(&t);
+                result
+            })
+            .collect();
+        (results, total)
     }
 }
 
-/// Wall-clock seconds spent in each pipeline stage for one micro-batch
-/// (the whole batch, not per event — the batch shares each forward).
+/// Wall-clock seconds spent in each pipeline stage, for one event (or
+/// summed over the events of one [`TrainedPipeline::reconstruct_batch_pooled`]
+/// call).
 #[derive(Debug, Clone, Copy, Default, serde::Serialize, serde::Deserialize)]
 pub struct StageTimings {
     pub embed_s: f64,
@@ -531,6 +483,16 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
+    /// Add `other`'s stage times and edge count to these.
+    fn add(&mut self, other: &StageTimings) {
+        self.embed_s += other.embed_s;
+        self.construct_s += other.construct_s;
+        self.filter_s += other.filter_s;
+        self.gnn_s += other.gnn_s;
+        self.tracks_s += other.tracks_s;
+        self.construct_edges += other.construct_edges;
+    }
+
     /// Sum over all stages.
     pub fn total_s(&self) -> f64 {
         self.embed_s + self.construct_s + self.filter_s + self.gnn_s + self.tracks_s

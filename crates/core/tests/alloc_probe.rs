@@ -1,9 +1,10 @@
 //! Steady-state allocation budgets of the pooled hot paths above the
 //! kernels: one full Interaction-GNN train step through the training
 //! [`Engine`] and one stage-2 graph construction (allocations per call on
-//! a repeated shape), then the same train step and micro-batched
-//! reconstruction when every call brings a shape the pool has not seen
-//! (bytes per call against the tape's activation footprint).
+//! a repeated shape), then the same train step when every call brings a
+//! shape the pool has not seen, and served events in an order the pool
+//! has not seen (bytes per call against the tape's activation
+//! footprint).
 //!
 //! The test first forces the size-gated parallel kernels on (as
 //! `trkx-tensor`'s `determinism.rs` does), and `ci.sh` runs the binary at
@@ -74,11 +75,12 @@ fn train_step(engine: &mut Engine, model: &mut InteractionGnn, b: &Batch) -> usi
 }
 
 /// Of a window's `bytes` allocated against the `floats` its tapes held:
-/// at most a fifth of the activations may have come from the allocator.
-fn assert_mostly_recycled(label: &str, bytes: usize, floats: usize) {
+/// at most `max_pct` percent of the activations may have come from the
+/// allocator.
+fn assert_mostly_recycled(label: &str, bytes: usize, floats: usize, max_pct: usize) {
     let activation_bytes = floats * std::mem::size_of::<f32>();
     assert!(
-        bytes * 5 <= activation_bytes,
+        bytes * 100 <= activation_bytes * max_pct,
         "{label}: {bytes} bytes allocated against {activation_bytes} bytes of activations"
     );
 }
@@ -117,10 +119,10 @@ fn train_step_stays_within_its_allocation_budgets() {
             floats += train_step(&mut engine, &mut model, b);
         }
     });
-    assert_mostly_recycled("fresh-shape train steps", bytes, floats);
+    assert_mostly_recycled("fresh-shape train steps", bytes, floats, 20);
 }
 
-fn micro_batched_reconstruction_recycles_across_batch_shapes() {
+fn served_events_recycle_across_event_shapes() {
     let geometry = DetectorGeometry::default();
     let gun = GunConfig::default();
     let mut rng = StdRng::seed_from_u64(42);
@@ -151,30 +153,31 @@ fn micro_batched_reconstruction_recycles_across_batch_shapes() {
     };
     let (pipeline, _) = train_pipeline(config, &training[..4], &training[4..]);
 
-    // 36 requests of 8..=25 particles, served as micro-batches of 1..=8
-    // events; the second cycle regroups them (8..=1, shuffled), so every
-    // union graph in it is new to the worker's tape. What it still
-    // allocates is almost all the pipeline's own per-request vectors
-    // (features, candidate edges, result graphs), not tape storage.
+    // 36 requests of 8..=25 particles, served one event at a time, then
+    // again in a shuffled order, so each event's buffers are requested
+    // from a pool that the previous (differently sized) event left
+    // behind. What the second pass still allocates is the pipeline's
+    // own per-request vectors (features, candidate and pruned edge
+    // lists, kept ids, logits) and the `EventGraph` that copies the event
+    // (`event.clone()`) only so `build_tracks` can read it — not tape
+    // storage. Those two are the route to a ≤ 5 % bound.
     let requests = events(36, |i| 8 + i * 7 % 18);
     let (mut tape, mut bind) = (Tape::new(), Bindings::new());
     let mut ctor = pipeline.new_constructor();
-    let mut serve = |order: &[usize], sizes: &[usize]| -> usize {
-        let (mut at, mut floats) = (0, 0);
-        for &size in sizes {
-            let batch: Vec<&Event> = order[at..at + size].iter().map(|&i| &requests[i]).collect();
-            at += size;
-            pipeline.reconstruct_batch_pooled(&mut tape, &mut bind, &mut ctor, &batch);
+    let mut serve = |order: &[usize]| -> usize {
+        let mut floats = 0;
+        for &i in order {
+            pipeline.reconstruct_pooled(&mut tape, &mut bind, &mut ctor, &requests[i]);
             floats += tape.activation_floats();
         }
         floats
     };
     let in_order: Vec<usize> = (0..36).collect();
     let shuffled: Vec<usize> = (0..36).map(|i| (i * 5 + 3) % 36).collect();
-    serve(&in_order, &[1, 2, 3, 4, 5, 6, 7, 8]);
+    serve(&in_order);
     let mut floats = 0;
-    let bytes = count_alloc_bytes(|| floats = serve(&shuffled, &[8, 7, 6, 5, 4, 3, 2, 1]));
-    assert_mostly_recycled("fresh-shape micro-batches", bytes, floats);
+    let bytes = count_alloc_bytes(|| floats = serve(&shuffled));
+    assert_mostly_recycled("re-ordered served events", bytes, floats, 12);
 }
 
 fn graph_construction_stays_within_its_allocation_budget() {
@@ -227,5 +230,5 @@ fn pooled_hot_paths_stay_within_their_allocation_budgets() {
     std::env::set_var("TRKX_PAR_MATMUL_THRESHOLD", "1");
     train_step_stays_within_its_allocation_budgets();
     graph_construction_stays_within_its_allocation_budget();
-    micro_batched_reconstruction_recycles_across_batch_shapes();
+    served_events_recycle_across_event_shapes();
 }

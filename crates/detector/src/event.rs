@@ -129,12 +129,7 @@ impl Event {
         }
         let mut edges = Vec::new();
         for (_, mut hits) in per_particle {
-            hits.sort_by(|&a, &b| {
-                self.hits[a as usize]
-                    .t
-                    .partial_cmp(&self.hits[b as usize].t)
-                    .unwrap()
-            });
+            hits.sort_by(|&a, &b| self.hits[a as usize].t.total_cmp(&self.hits[b as usize].t));
             for w in hits.windows(2) {
                 edges.push((w[0], w[1]));
             }
@@ -155,12 +150,7 @@ impl Event {
         let mut tracks: Vec<Vec<u32>> = per_particle
             .into_values()
             .map(|mut hits| {
-                hits.sort_by(|&a, &b| {
-                    self.hits[a as usize]
-                        .t
-                        .partial_cmp(&self.hits[b as usize].t)
-                        .unwrap()
-                });
+                hits.sort_by(|&a, &b| self.hits[a as usize].t.total_cmp(&self.hits[b as usize].t));
                 hits
             })
             .collect();
@@ -443,6 +433,26 @@ mod tests {
                 assert!(ev.hits[w[1] as usize].layer > ev.hits[w[0] as usize].layer);
             }
         }
+    }
+
+    #[test]
+    fn nan_hit_times_sort_last_instead_of_panicking() {
+        // A served event whose JSON carries `"t": null` parses to NaN.
+        let hit = |t: f32| Hit {
+            x: 0.1,
+            y: 0.0,
+            z: 0.0,
+            layer: 0,
+            particle: Some(0),
+            t,
+        };
+        let ev = Event {
+            hits: vec![hit(f32::NAN), hit(0.5), hit(f32::NAN), hit(0.2)],
+            num_particles: 1,
+            geometry: DetectorGeometry::default(),
+        };
+        assert_eq!(ev.truth_tracks(), vec![vec![3, 1, 0, 2]]);
+        assert_eq!(ev.truth_edges(), vec![(0, 2), (1, 0), (3, 1)]);
     }
 
     #[test]

@@ -15,20 +15,20 @@
 //!   (mirroring the trainer's OOM-skip emulation), and a full queue
 //!   sheds instead of growing without bound — every shed is an explicit
 //!   response, never a silent drop.
-//! - **Micro-batching workers** ([`worker`]): N threads, each owning a
-//!   warm [`trkx_tensor::Tape`]/[`trkx_nn::Bindings`] pool, drain the
-//!   queue in micro-batches and run
-//!   [`TrainedPipeline::reconstruct_batch_pooled`]
-//!   (one embedding/filter GEMM per batch, one `EdgePlans` build per
-//!   batch reused across all GNN layers). Batched outputs are
-//!   bit-identical to per-event [`TrainedPipeline::reconstruct`] at any
-//!   batch size and worker count (`tests/batch_parity.rs`).
+//! - **Workers** ([`worker`]): N threads, each owning a warm
+//!   [`trkx_tensor::Tape`]/[`trkx_nn::Bindings`] pool. A worker takes up
+//!   to [`MAX_JOBS_PER_WAKE`] waiting requests per wake-up and runs them
+//!   one event at a time through [`TrainedPipeline::reconstruct_pooled`],
+//!   answering each as soon as it is done. Served outputs are
+//!   bit-identical to [`TrainedPipeline::reconstruct`] at any worker
+//!   count (`tests/batch_parity.rs`), and a panic inside one request is
+//!   answered as that request's error.
 //! - **Front-ends** ([`server`]): line-delimited JSON over stdin/stdout
 //!   or a TCP listener; [`stats`] tracks p50/p95/p99 latency and
 //!   events/sec.
 //!
 //! [`TrainedPipeline::reconstruct`]: trkx_core::TrainedPipeline::reconstruct
-//! [`TrainedPipeline::reconstruct_batch_pooled`]: trkx_core::TrainedPipeline::reconstruct_batch_pooled
+//! [`TrainedPipeline::reconstruct_pooled`]: trkx_core::TrainedPipeline::reconstruct_pooled
 
 pub mod proto;
 pub mod queue;
@@ -38,7 +38,7 @@ pub mod stats;
 pub mod worker;
 
 pub use proto::{parse_request, tracks_from_components, Request, Response, TimingsUs};
-pub use queue::{Job, RequestQueue, ShedReason};
+pub use queue::{Job, RequestQueue, ShedReason, MAX_JOBS_PER_WAKE};
 pub use registry::{LoadedModel, ModelRegistry};
 pub use server::{serve_stdio, serve_tcp};
 pub use stats::{ServeStats, StatsSnapshot};

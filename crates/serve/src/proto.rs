@@ -66,9 +66,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     Ok(Request::Event { id, event })
 }
 
-/// Per-request timing breakdown, microseconds. Stage timings cover the
-/// whole micro-batch the request rode in (the batch shares each stage's
-/// forward pass); `queue_us` and `total_us` are per request.
+/// Per-request timing breakdown, microseconds, all of it this request's
+/// own: `queue_us` runs from admission until its reconstruction starts
+/// (including any wait behind requests its worker took in the same
+/// wake-up), the five stage times are its own event's, and `total_us`
+/// runs from admission to its response.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize, PartialEq)]
 pub struct TimingsUs {
     pub queue_us: u64,
@@ -78,9 +80,10 @@ pub struct TimingsUs {
     pub gnn_us: u64,
     pub tracks_us: u64,
     pub total_us: u64,
-    /// Events in the micro-batch this request was grouped into.
+    /// Requests the worker took from the queue in the same wake-up as
+    /// this one (at most [`MAX_JOBS_PER_WAKE`](crate::queue::MAX_JOBS_PER_WAKE)).
     pub batch_events: usize,
-    /// Candidate edges stage 2 built for the whole micro-batch (with
+    /// Candidate edges stage 2 built for this event (with
     /// `construct_us`, gives construction edges/sec; absent from
     /// responses emitted before this field existed).
     #[serde(default)]
@@ -138,7 +141,8 @@ impl Response {
         }
     }
 
-    /// Error response (bad request, failed reload, ...).
+    /// Error response (bad request, failed reload, a panic while
+    /// reconstructing, ...).
     pub fn error(id: Option<u64>, error: String) -> Self {
         Self {
             id,

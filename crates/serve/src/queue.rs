@@ -1,4 +1,4 @@
-//! Admission-controlled request queue with micro-batch dequeue.
+//! Admission-controlled request queue.
 //!
 //! Two explicit shed paths keep the service degrading gracefully under
 //! load instead of queueing without bound:
@@ -11,10 +11,10 @@
 //!   pending, new arrivals are shed immediately with an explicit
 //!   response rather than silently growing the backlog.
 //!
-//! Workers dequeue *micro-batches*: the first blocking pop is extended
-//! greedily with further pending jobs until the batch event-count or
-//! hit budget is reached, so a busy queue amortises one forward pass
-//! over many events while an idle queue still serves single events at
+//! A worker that wakes takes every waiting job up to
+//! [`MAX_JOBS_PER_WAKE`] in one lock round, then serves them one event
+//! at a time: a busy queue costs one wake-up per group rather than per
+//! request, while an idle queue still hands over single events at
 //! minimum latency.
 
 use crate::proto::Response;
@@ -23,6 +23,9 @@ use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 use trkx_detector::Event;
+
+/// Most jobs a worker takes from the queue per wake-up.
+pub const MAX_JOBS_PER_WAKE: usize = 8;
 
 /// One admitted request: the event, its response channel, and the
 /// enqueue timestamp (for queue/total latency accounting).
@@ -62,24 +65,17 @@ struct QueueInner {
     shutdown: bool,
 }
 
-/// Bounded micro-batching queue. All limits come from
+/// Bounded request queue. Both limits come from
 /// [`ServeConfig`](crate::worker::ServeConfig).
 pub struct RequestQueue {
     inner: Mutex<QueueInner>,
     available: Condvar,
     max_queue: usize,
     max_event_hits: usize,
-    max_batch_events: usize,
-    max_batch_hits: usize,
 }
 
 impl RequestQueue {
-    pub fn new(
-        max_queue: usize,
-        max_event_hits: usize,
-        max_batch_events: usize,
-        max_batch_hits: usize,
-    ) -> Self {
+    pub fn new(max_queue: usize, max_event_hits: usize) -> Self {
         Self {
             inner: Mutex::new(QueueInner {
                 jobs: VecDeque::new(),
@@ -88,8 +84,6 @@ impl RequestQueue {
             available: Condvar::new(),
             max_queue: max_queue.max(1),
             max_event_hits,
-            max_batch_events: max_batch_events.max(1),
-            max_batch_hits: max_batch_hits.max(1),
         }
     }
 
@@ -127,27 +121,16 @@ impl RequestQueue {
         Ok(())
     }
 
-    /// Block for the next micro-batch. Returns `None` once the queue is
-    /// shut down *and* drained — pending jobs are always served first,
-    /// so shutdown is clean, not lossy.
-    pub fn next_batch(&self) -> Option<Vec<Job>> {
+    /// Block until jobs are waiting, then take up to
+    /// [`MAX_JOBS_PER_WAKE`] of them in arrival order. Returns `None` once
+    /// the queue is shut down *and* drained — pending jobs are always
+    /// served first, so shutdown is clean, not lossy.
+    pub fn next_jobs(&self) -> Option<Vec<Job>> {
         let mut inner = self.inner.lock().unwrap();
         loop {
-            if let Some(first) = inner.jobs.pop_front() {
-                let mut batch_hits = first.event.num_hits();
-                let mut batch = vec![first];
-                while batch.len() < self.max_batch_events {
-                    let Some(next) = inner.jobs.front() else {
-                        break;
-                    };
-                    let h = next.event.num_hits();
-                    if batch_hits + h > self.max_batch_hits {
-                        break;
-                    }
-                    batch_hits += h;
-                    batch.push(inner.jobs.pop_front().expect("front exists"));
-                }
-                return Some(batch);
+            if !inner.jobs.is_empty() {
+                let n = inner.jobs.len().min(MAX_JOBS_PER_WAKE);
+                return Some(inner.jobs.drain(..n).collect());
             }
             if inner.shutdown {
                 return None;

@@ -1,6 +1,6 @@
 //! Versioned model registry. Holds the active [`TrainedPipeline`]
 //! behind an `Arc` swap: workers grab the current model once per
-//! micro-batch, so a `reload` hot-swaps between batches without pausing
+//! request, so a `reload` hot-swaps between requests without pausing
 //! the service. Artifacts are validated (checkpoint metadata headers
 //! against the bundle's own configuration, then per-tensor shape checks
 //! at apply time) *before* the swap — a bad artifact leaves the old
@@ -57,7 +57,7 @@ impl ModelRegistry {
     }
 
     /// The active model (cheap `Arc` clone; callers hold it for the
-    /// duration of one micro-batch).
+    /// duration of one request).
     pub fn active(&self) -> Arc<LoadedModel> {
         Arc::clone(&self.active.read().unwrap())
     }

@@ -1,5 +1,5 @@
-//! Serving telemetry: latency percentiles, throughput, shed and batch
-//! accounting. One [`ServeStats`] is shared by the front-end (which
+//! Serving telemetry: latency percentiles, throughput, shed, error and
+//! wake-up accounting. One [`ServeStats`] is shared by the front-end (which
 //! records sheds) and the workers (which record completions).
 //!
 //! Latencies go into a fixed log-linear histogram — 16 buckets per octave
@@ -91,7 +91,7 @@ pub struct StatsSnapshot {
     pub max_us: u64,
     /// Completed events per wall-clock second since startup.
     pub events_per_sec: f64,
-    /// Mean micro-batch size over all worker dequeues.
+    /// Mean requests a worker took per wake-up.
     pub mean_batch_events: f64,
     pub uptime_s: f64,
 }
@@ -127,7 +127,7 @@ impl ServeStats {
         inner.max_us = inner.max_us.max(latency_us);
     }
 
-    /// Record one worker dequeue of `events` requests.
+    /// Record one worker wake-up that took `events` requests.
     pub fn record_batch(&self, events: usize) {
         let mut inner = self.inner.lock().unwrap();
         inner.batches += 1;

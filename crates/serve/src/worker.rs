@@ -1,31 +1,38 @@
 //! The serving core: N worker threads, each owning a warm
-//! [`Tape`]/[`Bindings`] pool, draining the micro-batching queue.
+//! [`Tape`]/[`Bindings`] pool and stage-2 constructor, draining the
+//! request queue.
 //!
-//! A worker's steady state is: pop a micro-batch, grab the active model
-//! version, run [`reconstruct_batch_pooled`] against its own pooled
-//! tape, answer every request in the batch, repeat. No two micro-batches
-//! have the same union graph; the tape's pool matches buffers by size
-//! class rather than exact shape, so a worker's memory plateaus once it
-//! has seen the range of batch sizes instead of growing with every new
-//! one. Because the kernels are bit-identical at any thread count and
-//! the batch union is row/node-local, *which* worker serves a request
-//! and *what batch* it rides in never changes the response payload
-//! (`tests/batch_parity.rs`).
+//! A worker's steady state is: take the waiting jobs (up to
+//! [`MAX_JOBS_PER_WAKE`](crate::queue::MAX_JOBS_PER_WAKE)), then for each
+//! one grab the active model version, run [`reconstruct_pooled`] on its
+//! event against the worker's pools and answer it, repeat. Each request
+//! is answered as soon as its own event is done, and its `timings_us`
+//! are its own stages. The tape's pool matches buffers by size class
+//! rather than exact shape, so a worker's memory plateaus once it has
+//! seen the range of event sizes. Because the kernels are bit-identical
+//! at any thread count, *which* worker serves a request never changes
+//! the response payload (`tests/batch_parity.rs`).
 //!
-//! [`reconstruct_batch_pooled`]: trkx_core::TrainedPipeline::reconstruct_batch_pooled
+//! A panic inside one request's reconstruction answers that request with
+//! `status:"error"`, counts it in [`ServeStats`]' errors and replaces the
+//! worker's pools; the worker goes on to its next request.
+//!
+//! [`reconstruct_pooled`]: trkx_core::TrainedPipeline::reconstruct_pooled
 
 use crate::proto::{tracks_from_components, Response, TimingsUs};
 use crate::queue::{Job, RequestQueue, ShedReason};
 use crate::registry::ModelRegistry;
 use crate::stats::ServeStats;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
+use trkx_core::GraphConstructor;
 use trkx_nn::Bindings;
 use trkx_tensor::Tape;
 
-/// Serving knobs: pool size, queue bounds, and shed budgets.
+/// Serving knobs: pool size, queue bound, and shed budget.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct ServeConfig {
     /// Worker threads, each with its own warm tape/bindings pool.
@@ -34,10 +41,6 @@ pub struct ServeConfig {
     pub max_queue: usize,
     /// Per-event hit budget; larger events are shed at admission.
     pub max_event_hits: usize,
-    /// Micro-batch budget: at most this many events per dequeue...
-    pub max_batch_events: usize,
-    /// ...and at most this many total hits per dequeue.
-    pub max_batch_hits: usize,
 }
 
 impl Default for ServeConfig {
@@ -46,8 +49,6 @@ impl Default for ServeConfig {
             workers: 2,
             max_queue: 128,
             max_event_hits: 50_000,
-            max_batch_events: 8,
-            max_batch_hits: 100_000,
         }
     }
 }
@@ -64,12 +65,7 @@ pub struct ServerCore {
 impl ServerCore {
     /// Spawn the worker pool over a registry.
     pub fn start(config: ServeConfig, registry: Arc<ModelRegistry>) -> Self {
-        let queue = Arc::new(RequestQueue::new(
-            config.max_queue,
-            config.max_event_hits,
-            config.max_batch_events,
-            config.max_batch_hits,
-        ));
+        let queue = Arc::new(RequestQueue::new(config.max_queue, config.max_event_hits));
         let stats = Arc::new(ServeStats::new());
         let workers = (0..config.workers.max(1))
             .map(|_| {
@@ -118,43 +114,72 @@ impl ServerCore {
     }
 }
 
+/// The text of a caught panic's payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => s,
+        None => payload.downcast_ref::<String>().map_or("", String::as_str),
+    }
+}
+
 fn worker_loop(queue: &RequestQueue, registry: &ModelRegistry, stats: &ServeStats) {
     // Warm state: one tape/bindings pool per worker plus one pooled
     // stage-2 constructor (spatial index + edge scratch), recycled
-    // across every micro-batch this thread ever serves.
+    // across every event this thread serves.
     let mut tape = Tape::new();
     let mut bind = Bindings::new();
-    let mut ctor = trkx_core::GraphConstructor::default();
-    while let Some(batch) = queue.next_batch() {
-        stats.record_batch(batch.len());
-        let model = registry.active();
-        let t0 = Instant::now();
-        let events: Vec<&trkx_detector::Event> = batch.iter().map(|job| &job.event).collect();
-        let batch_events = events.len();
-        let (results, timings) = model
-            .pipeline
-            .reconstruct_batch_pooled(&mut tape, &mut bind, &mut ctor, &events);
-        let min_hits = model.pipeline.config.min_hits;
-        for (job, result) in batch.into_iter().zip(results) {
+    let mut ctor = GraphConstructor::default();
+    while let Some(jobs) = queue.next_jobs() {
+        let batch_events = jobs.len();
+        stats.record_batch(batch_events);
+        for job in jobs {
+            let model = registry.active();
+            let queue_us = job.enqueued.elapsed().as_micros() as u64;
+            // The pools are the only state the closure mutates, and they
+            // are replaced below if it unwinds.
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                model
+                    .pipeline
+                    .reconstruct_pooled(&mut tape, &mut bind, &mut ctor, &job.event)
+            }));
             let total_us = job.enqueued.elapsed().as_micros() as u64;
-            let queue_us = total_us.saturating_sub(t0.elapsed().as_micros() as u64);
-            let mut resp = Response::ok(job.id);
-            resp.version = Some(model.version);
-            resp.num_hits = Some(job.event.num_hits());
-            resp.edges_kept = Some(result.edges_kept);
-            resp.tracks = Some(tracks_from_components(&result.component_of_hit, min_hits));
-            resp.timings_us = Some(TimingsUs {
-                queue_us,
-                embed_us: (timings.embed_s * 1e6) as u64,
-                construct_us: (timings.construct_s * 1e6) as u64,
-                filter_us: (timings.filter_s * 1e6) as u64,
-                gnn_us: (timings.gnn_s * 1e6) as u64,
-                tracks_us: (timings.tracks_s * 1e6) as u64,
-                total_us,
-                batch_events,
-                construct_edges: timings.construct_edges,
-            });
-            stats.record_completed(total_us);
+            let resp = match run {
+                Ok((result, timings)) => {
+                    let mut resp = Response::ok(job.id);
+                    resp.version = Some(model.version);
+                    resp.num_hits = Some(job.event.num_hits());
+                    resp.edges_kept = Some(result.edges_kept);
+                    resp.tracks = Some(tracks_from_components(
+                        &result.component_of_hit,
+                        model.pipeline.config.min_hits,
+                    ));
+                    resp.timings_us = Some(TimingsUs {
+                        queue_us,
+                        embed_us: (timings.embed_s * 1e6) as u64,
+                        construct_us: (timings.construct_s * 1e6) as u64,
+                        filter_us: (timings.filter_s * 1e6) as u64,
+                        gnn_us: (timings.gnn_s * 1e6) as u64,
+                        tracks_us: (timings.tracks_s * 1e6) as u64,
+                        total_us,
+                        batch_events,
+                        construct_edges: timings.construct_edges,
+                    });
+                    stats.record_completed(total_us);
+                    resp
+                }
+                Err(payload) => {
+                    (tape, bind, ctor) =
+                        (Tape::new(), Bindings::new(), GraphConstructor::default());
+                    stats.record_error();
+                    let mut resp = Response::error(
+                        Some(job.id),
+                        format!("reconstruction panicked: {}", panic_message(&*payload)),
+                    );
+                    resp.version = Some(model.version);
+                    resp.num_hits = Some(job.event.num_hits());
+                    resp
+                }
+            };
             let _ = job.out.send(resp);
         }
     }

@@ -1,14 +1,18 @@
 //! Registry lifecycle: load a saved artifact, hot-swap to a new version,
 //! and reject corrupted or shape-mismatched artifacts *without*
-//! disturbing the version that is already serving.
+//! disturbing the version that is already serving; a model that panics
+//! on every request is answered per request and replaced by a reload.
 
 use rand::{rngs::StdRng, SeedableRng};
+use std::sync::mpsc::channel;
+use std::sync::Arc;
+use std::time::Duration;
 use trkx_core::{
     train_pipeline, EmbeddingConfig, GnnTrainConfig, PipelineConfig, SamplerKind, TrainedPipeline,
 };
 use trkx_detector::{simulate_event, DetectorGeometry, Event, GunConfig};
 use trkx_sampling::ShadowConfig;
-use trkx_serve::ModelRegistry;
+use trkx_serve::{ModelRegistry, ServeConfig, ServerCore};
 
 fn tiny_pipeline() -> (TrainedPipeline, Event) {
     let geometry = DetectorGeometry::default();
@@ -130,5 +134,46 @@ fn legacy_headerless_artifacts_still_load() {
     let r = registry.active().pipeline.reconstruct(&probe);
     assert_eq!(r.component_of_hit.len(), probe.num_hits());
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_panicking_request_is_answered_and_the_worker_serves_on() {
+    let dir = std::env::temp_dir().join(format!("trkx_panic_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (mut pipeline, probe) = tiny_pipeline();
+    let good_path = dir.join("good.json");
+    pipeline.save_json(&good_path).unwrap();
+    // One more feature column than the trained embedding takes: every
+    // request trips a shape assert inside the first stage.
+    pipeline.config.vertex_features += 1;
+    let registry = Arc::new(ModelRegistry::from_pipeline(pipeline));
+    let core = ServerCore::start(
+        ServeConfig {
+            workers: 1,
+            ..Default::default()
+        },
+        Arc::clone(&registry),
+    );
+    let (tx, rx) = channel();
+    let answer = || rx.recv_timeout(Duration::from_secs(60)).expect("answered");
+    for id in 0..3 {
+        core.submit_event(id, probe.clone(), tx.clone());
+        let resp = answer();
+        assert_eq!((resp.id, resp.status.as_str()), (Some(id), "error"));
+        let error = resp.error.expect("error responses carry a message");
+        assert!(error.contains("panicked"), "{error}");
+    }
+    assert_eq!(core.stats.snapshot().errors, 3);
+
+    registry.reload(&good_path).expect("valid reload");
+    core.submit_event(3, probe.clone(), tx.clone());
+    let resp = answer();
+    assert_eq!((resp.id, resp.status.as_str()), (Some(3), "ok"), "{resp:?}");
+    assert_eq!(resp.version, Some(2));
+    let fresh = registry.active().pipeline.reconstruct(&probe);
+    assert_eq!(resp.edges_kept, Some(fresh.edges_kept));
+    assert_eq!(core.stats.snapshot().completed, 1);
+    core.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -16,7 +16,6 @@
 //!                [--out pipeline.json]
 //! trkx serve     --model pipeline.json [--tcp 127.0.0.1:9090]
 //!                [--workers 2] [--max-queue 128] [--max-event-hits 50000]
-//!                [--max-batch-events 8] [--max-batch-hits 100000]
 //! trkx sample    [--sampler shadow|bulk-shadow|nodewise|layerwise|all]
 //!                [--dataset ex3|ctd] [--scale 0.1]
 //!                [--batch 256] [--repeat 3] [--seed 1]
@@ -488,8 +487,6 @@ fn cmd_serve(mut args: Args) {
         workers: args.value("--workers", defaults.workers),
         max_queue: args.value("--max-queue", defaults.max_queue),
         max_event_hits: args.value("--max-event-hits", defaults.max_event_hits),
-        max_batch_events: args.value("--max-batch-events", defaults.max_batch_events),
-        max_batch_hits: args.value("--max-batch-hits", defaults.max_batch_hits),
     };
     let tcp = args.value("--tcp", String::new());
     args.finish();
@@ -503,12 +500,10 @@ fn cmd_serve(mut args: Args) {
     // Startup banner on stderr so stdout stays pure response lines.
     eprintln!("gemm kernel: {}", trkx::tensor::gemm_kernel());
     eprintln!(
-        "serving {model_path} (version {}) with {} workers, batch \u{2264} {} events / {} hits, \
+        "serving {model_path} (version {}) with {} workers, one event at a time, \
          shedding events > {} hits and queue depth > {}",
         registry.version(),
         config.workers,
-        config.max_batch_events,
-        config.max_batch_hits,
         config.max_event_hits,
         config.max_queue
     );

@@ -46,6 +46,15 @@ fn what_the_command_line_does_not_understand_is_a_usage_error() {
         ("train", &["--seed", "notanumber"]),
         ("train", &["--sampler", "bluk"]), // unknown enum value
         ("reconstruct", &["--construct-backend", "kd"]), // removed at PR 14
+        // Retired serve flags: rejected before the (missing) model loads.
+        (
+            "serve",
+            &["--model", "missing.json", "--max-batch-events", "4"],
+        ),
+        (
+            "serve",
+            &["--model", "missing.json", "--max-batch-hits", "1"],
+        ),
         ("simulate", &["--evnts", "7", "--seed", "notanumber"]),
     ] {
         let mut trkx = Command::new(env!("CARGO_BIN_EXE_trkx"));

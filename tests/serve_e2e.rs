@@ -1,7 +1,8 @@
 //! End-to-end serving test against the real `trkx` binary: train a tiny
 //! pipeline, save the bundle, start `trkx serve` on stdio, push a burst
-//! of events — including one oversized event that must shed — then ask
-//! for stats and a clean shutdown.
+//! of events — including one whose hit times are JSON `null` and one
+//! oversized event that must shed — then ask for stats and a clean
+//! shutdown.
 
 use rand::{rngs::StdRng, SeedableRng};
 use std::io::{BufRead, BufReader, Write};
@@ -49,9 +50,14 @@ fn serve_answers_bursts_sheds_oversized_events_and_shuts_down_cleanly() {
     let geometry = DetectorGeometry::default();
     let gun = GunConfig::default();
     let mut rng = StdRng::seed_from_u64(7);
-    let events: Vec<_> = (0..6)
+    let mut events: Vec<_> = (0..6)
         .map(|_| simulate_event(&geometry, &gun, 15, 0.1, &mut rng))
         .collect();
+    // Non-finite floats serialise as `null`, which parses back as NaN:
+    // the truth sorts must not panic on it.
+    for h in &mut events[5].hits {
+        h.t = f32::NAN;
+    }
     let budget = events.iter().map(|e| e.num_hits()).max().unwrap() * 2;
     let oversized = loop {
         let e = simulate_event(&geometry, &gun, 120, 0.1, &mut rng);
@@ -63,14 +69,7 @@ fn serve_answers_bursts_sheds_oversized_events_and_shuts_down_cleanly() {
     let mut server = Command::new(trkx)
         .args(["serve", "--model"])
         .arg(&model)
-        .args([
-            "--workers",
-            "2",
-            "--max-batch-events",
-            "4",
-            "--max-event-hits",
-            &budget.to_string(),
-        ])
+        .args(["--workers", "2", "--max-event-hits", &budget.to_string()])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -85,6 +84,7 @@ fn serve_answers_bursts_sheds_oversized_events_and_shuts_down_cleanly() {
             "{{\"id\":{i},\"event\":{}}}",
             serde_json::to_string(e).unwrap()
         );
+        assert_eq!(line.contains("\"t\":null"), i == 5);
         writeln!(stdin, "{line}").unwrap();
     }
     writeln!(
