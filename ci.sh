@@ -75,10 +75,18 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-graph --test proptests
 
 # Out-of-core sharded store gates: every sampler family must be
 # bit-identical over the file-backed ShardedCsr vs in-core CSR across
-# shard sizes and cache capacities (run at two pool sizes), and the
-# sharded-vs-in-core training curve must match bit for bit.
+# shard sizes and cache capacities (run at two pool sizes; at 4 threads
+# bulk extraction reads one sharded view from several threads), and the
+# sharded-vs-in-core training curve must match bit for bit. The fault
+# count is a contract, checked as a count: a gather faults each shard it
+# touches exactly once, and a bulk epoch faults each shard at most once
+# per walk step plus once for extraction.
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-sampling --test sharded_parity
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-sampling --test sharded_parity
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-sparse --lib gather_faults_each_touched_shard_once
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-sparse --lib gather_faults_each_touched_shard_once
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-sampling --test sharded_parity bulk_faults_each_shard_at_most_once_per_walk_step
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-sampling --test sharded_parity bulk_faults_each_shard_at_most_once_per_walk_step
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core sharded_store_training_is_bit_identical_to_in_core
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core sharded_store_training_is_bit_identical_to_in_core
 

@@ -170,9 +170,13 @@ fn extraction_ablation() {
     let t0 = Instant::now();
     let mut ex = InducedExtractor::new(g.num_nodes);
     let mut edges = Vec::new();
+    let rows = graph
+        .directed
+        .gather(&selections.concat())
+        .expect("an in-core graph always gathers");
     for sel in &selections {
         edges.clear();
-        let _ = ex.extract_into(&*graph.directed, sel, &mut edges);
+        let _ = ex.extract_into(&rows, sel, &mut edges);
     }
     t.row(vec![
         "generation-stamped scratch (bulk)".into(),

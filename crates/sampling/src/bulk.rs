@@ -21,11 +21,21 @@
 //! product while remaining step-for-step equivalent to the matrix
 //! formulation ([`frontier_matrix`]/[`neighborhood_distribution`] provide
 //! the explicit form, and tests assert the equivalence).
+//!
+//! The stacked form also means every row a step reads is known before
+//! any is read: the step's frontier *is* the row selection. Each walk
+//! step therefore makes one [`RowStore::gather`] of its frontier and
+//! the extraction pass one gather of every walk's touched set; sampling
+//! then reads rows from the returned view in frontier order, so each
+//! walk's PRNG stream is consumed exactly as a row-at-a-time walk would
+//! consume it. Over a sharded graph this faults each shard at most once
+//! per step (plus once for extraction) instead of once per row that
+//! misses the LRU. A view lives for one step or one extraction pass.
 
 use crate::shadow::ShadowConfig;
 use crate::subgraph::{SampledSubgraph, SamplerGraph};
 use rayon::prelude::*;
-use trkx_sparse::{Csr, InducedExtractor, RowStoreExt};
+use trkx_sparse::{Csr, InducedExtractor, RowStore, RowView};
 
 /// Build the explicit frontier matrix `Q` (`rows x n`, one `1.0` per row
 /// at each frontier vertex's column) — the paper's representation of a
@@ -101,6 +111,15 @@ fn floyd_sample(neighbors: &[u32], fanout: usize, rng: &mut RowRng, out: &mut Ve
     }
 }
 
+/// [`RowStore::gather`] for a sampler that cannot report failure yet: a
+/// shard that fails to load ends the process, as a failed point lookup
+/// through `with_row` does.
+fn gather<'a>(store: &'a dyn RowStore<u32>, rows: &[u32]) -> RowView<'a, u32> {
+    store
+        .gather(rows)
+        .unwrap_or_else(|e| panic!("shard fault failed: {e}"))
+}
+
 /// One extracted walk component: sorted touched vertices plus local
 /// `(src, dst, orig_edge_id)` edges.
 type WalkComponent = (Vec<u32>, Vec<(u32, u32, u32)>);
@@ -146,24 +165,26 @@ impl BulkShadowSampler {
             let mut rngs: Vec<RowRng> = (0..total)
                 .map(|w| RowRng::new(seed, step as u64, w as u64))
                 .collect();
+            // Rows are read in frontier order, not shard order: reordering
+            // would reorder each walk's draws.
+            let rows = gather(&*graph.undirected, &frontier_vertex);
             for (&owner, &vertex) in frontier_owner.iter().zip(&frontier_vertex) {
-                graph.undirected.row_scope(vertex as usize, |neighbors, _| {
-                    if neighbors.is_empty() {
-                        return;
-                    }
-                    picks.clear();
-                    floyd_sample(
-                        neighbors,
-                        self.config.fanout,
-                        &mut rngs[owner as usize],
-                        &mut picks,
-                    );
-                    touched[owner as usize].extend_from_slice(&picks);
-                    for &v in &picks {
-                        next_owner.push(owner);
-                        next_vertex.push(v);
-                    }
-                });
+                let (neighbors, _) = rows.row(vertex as usize);
+                if neighbors.is_empty() {
+                    continue;
+                }
+                picks.clear();
+                floyd_sample(
+                    neighbors,
+                    self.config.fanout,
+                    &mut rngs[owner as usize],
+                    &mut picks,
+                );
+                touched[owner as usize].extend_from_slice(&picks);
+                for &v in &picks {
+                    next_owner.push(owner);
+                    next_vertex.push(v);
+                }
             }
             frontier_owner = next_owner;
             frontier_vertex = next_vertex;
@@ -174,8 +195,10 @@ impl BulkShadowSampler {
 
         // Bulk extraction: one induced subgraph per walk (the row/column
         // selection SpGEMM of Fig. 2), with the generation-stamped
-        // extractor amortised across all k·b extractions. Parallel across
-        // walks when hardware threads exist.
+        // extractor amortised across all k·b extractions, every row read
+        // from one view over the union of the touched sets. Parallel
+        // across walks when hardware threads exist.
+        let rows = gather(&*graph.directed, &touched.concat());
         let components: Vec<WalkComponent> = if rayon::current_num_threads() > 1 && total > 8 {
             touched
                 .into_par_iter()
@@ -185,7 +208,7 @@ impl BulkShadowSampler {
                         nodes.sort_unstable();
                         nodes.dedup();
                         let mut edges = Vec::new();
-                        extractor.extract_into(&*graph.directed, &nodes, &mut edges);
+                        extractor.extract_into(&rows, &nodes, &mut edges);
                         (nodes, edges)
                     },
                 )
@@ -198,11 +221,14 @@ impl BulkShadowSampler {
                     nodes.sort_unstable();
                     nodes.dedup();
                     let mut edges = Vec::new();
-                    extractor.extract_into(&*graph.directed, &nodes, &mut edges);
+                    extractor.extract_into(&rows, &nodes, &mut edges);
                     (nodes, edges)
                 })
                 .collect()
         };
+
+        // Release the view's shards before the output is assembled.
+        drop(rows);
 
         // Reassemble per minibatch, preserving batch order.
         let mut out = Vec::with_capacity(batches.len());
@@ -223,7 +249,7 @@ impl BulkShadowSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trkx_sparse::adjacency_binary;
+    use trkx_sparse::{adjacency_binary, RowStoreExt};
 
     fn ladder_graph(n: usize) -> SamplerGraph {
         // Two rails 0..n and n..2n with rungs: rich connectivity.

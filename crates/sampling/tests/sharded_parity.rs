@@ -13,7 +13,7 @@ use trkx_sampling::{
     BulkShadowSampler, LayerWiseConfig, LayerWiseSampler, NodeWiseConfig, NodeWiseSampler, Sampler,
     SamplerGraph, ShadowConfig, ShadowSampler,
 };
-use trkx_sparse::{adjacency_with_edge_ids, write_csr_sharded, Coo, Csr, ShardedCsr};
+use trkx_sparse::{adjacency_with_edge_ids, write_csr_sharded, Coo, Csr, RowStore, ShardedCsr};
 
 /// Random simple digraph as raw edge lists (we need them to build both
 /// store flavours).
@@ -166,4 +166,98 @@ fn cache_capacity_one_still_matches_whole_graph_cache() {
     assert!(c.evictions > 0, "capacity-1 cache never evicted: {c:?}");
     let r = roomy.cache_counters().unwrap();
     assert_eq!(r.evictions, 0, "unbounded cache evicted: {r:?}");
+}
+
+/// A sparse pseudo-random digraph whose edges jump across the whole
+/// vertex range, so every walk step lands on many shards.
+fn scattered_edges(n: usize, out_degree: usize) -> (Vec<u32>, Vec<u32>) {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let (mut src, mut dst, mut outs) = (Vec::new(), Vec::new(), Vec::new());
+    for v in 0..n as u32 {
+        outs.clear();
+        for _ in 0..out_degree {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let w = ((state >> 33) % n as u64) as u32;
+            if w != v && !outs.contains(&w) {
+                outs.push(w);
+                src.push(v);
+                dst.push(w);
+            }
+        }
+    }
+    (src, dst)
+}
+
+#[test]
+fn bulk_extraction_over_sharded_views_matches_in_core_with_three_batches() {
+    // 12 roots over k = 3 batches: more than the 8 walks below which bulk
+    // extraction stays serial, so under a multi-thread pool several
+    // threads read one sharded view at once.
+    let n = 40;
+    let (src, dst) = scattered_edges(n, 2);
+    let incore = SamplerGraph::new(n, &src, &dst);
+    let batches: Vec<Vec<u32>> = vec![
+        vec![0, 5, 9, 13],
+        vec![17, 21, 26, 30],
+        vec![33, 36, 38, 39],
+    ];
+    let sampler = BulkShadowSampler::new(ShadowConfig {
+        depth: 2,
+        fanout: 3,
+    });
+    for seed in [1u64, 7, 42] {
+        let want = sampler.sample_batches(&incore, &batches, seed);
+        for shard_nodes in [1usize, 7, 64, n] {
+            for cache in [1usize, 2, usize::MAX] {
+                let sharded = sharded_graph(n, &src, &dst, shard_nodes, cache);
+                let got = sampler.sample_batches(&sharded, &batches, seed);
+                assert_eq!(
+                    got, want,
+                    "seed {seed} shard_nodes {shard_nodes} cache {cache}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn bulk_faults_each_shard_at_most_once_per_walk_step() {
+    // With a one-shard cache, reading rows in frontier order would fault
+    // on nearly every row (thousands of misses here); gathering each
+    // step's frontier faults each undirected shard at most once per step,
+    // and extraction each directed shard at most once.
+    let (n, shard_nodes) = (4096usize, 256usize);
+    let (src, dst) = scattered_edges(n, 3);
+    let (dcsr, ucsr) = orientation_csrs(n, &src, &dst);
+    let dir = tmp_dir();
+    let (dp, up) = (dir.join("dir.shard"), dir.join("und.shard"));
+    write_csr_sharded(&dcsr, &dp, shard_nodes).unwrap();
+    write_csr_sharded(&ucsr, &up, shard_nodes).unwrap();
+    let directed = Arc::new(ShardedCsr::<u32>::open(&dp, 1).unwrap());
+    let undirected = Arc::new(ShardedCsr::<u32>::open(&up, 1).unwrap());
+    let sharded = SamplerGraph::from_stores(n, directed.clone(), undirected.clone());
+
+    let depth = 3;
+    let sampler = BulkShadowSampler::new(ShadowConfig { depth, fanout: 4 });
+    let batches: Vec<Vec<u32>> = (0..4u32)
+        .map(|b| (0..64u32).map(|i| (i * 61 + b * 1031) % n as u32).collect())
+        .collect();
+    let got = sampler.sample_batches(&sharded, &batches, 11);
+    let want = sampler.sample_batches(&SamplerGraph::new(n, &src, &dst), &batches, 11);
+    assert_eq!(got, want);
+
+    let und = undirected.counters().unwrap();
+    let dirc = directed.counters().unwrap();
+    let (und_shards, dir_shards) = (undirected.num_shards(), directed.num_shards());
+    assert!(
+        und.misses <= (depth * und_shards) as u64,
+        "undirected: {und:?} over {depth} steps x {und_shards} shards"
+    );
+    assert!(
+        dirc.misses <= dir_shards as u64,
+        "directed: {dirc:?} over {dir_shards} shards"
+    );
+    std::fs::remove_dir_all(dir).ok();
 }

@@ -9,8 +9,15 @@
 //! position table and a generation stamp that invalidates the table in
 //! O(1) between selections. This is the CPU analogue of batching many
 //! small GPU kernels into one large one.
+//!
+//! Rows come from a [`RowView`]: the caller gathers every row its
+//! selections will read in one [`crate::RowStore::gather`], then runs
+//! any number of extractions against the view — from several threads at
+//! once if it likes, since a view is read without a lock. Over a sharded
+//! store that faults each shard once per pass instead of once per row
+//! that misses the cache.
 
-use crate::store::{RowStore, RowStoreExt};
+use crate::store::RowView;
 
 /// Scratch state for repeated `A[sel, sel]` extractions over graphs with
 /// up to `n` vertices.
@@ -35,16 +42,14 @@ impl InducedExtractor {
 
     /// Extract `a[sel, sel]` (vertices renumbered to `0..sel.len()`),
     /// streaming the edges `(local_src, local_dst, value)` into `out`.
-    /// `sel` must be duplicate-free. Returns the number of edges.
-    /// Generic over [`RowStore`], so bulk extraction runs unchanged over
-    /// in-core and sharded parents.
-    pub fn extract_into<S: RowStore<u32> + ?Sized>(
+    /// `sel` must be duplicate-free, and every vertex of it must have
+    /// been gathered into `a`. Returns the number of edges.
+    pub fn extract_into(
         &mut self,
-        a: &S,
+        a: &RowView<'_, u32>,
         sel: &[u32],
         out: &mut Vec<(u32, u32, u32)>,
     ) -> usize {
-        assert!(self.pos.len() >= a.nrows(), "scratch too small for graph");
         // O(1) reset: bump the generation.
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
@@ -62,13 +67,12 @@ impl InducedExtractor {
         }
         let before = out.len();
         for (i, &v) in sel.iter().enumerate() {
-            a.row_scope(v as usize, |cols, vals| {
-                for (&c, &val) in cols.iter().zip(vals) {
-                    if self.stamp[c as usize] == self.generation {
-                        out.push((i as u32, self.pos[c as usize], val));
-                    }
+            let (cols, vals) = a.row(v as usize);
+            for (&c, &val) in cols.iter().zip(vals) {
+                if self.stamp[c as usize] == self.generation {
+                    out.push((i as u32, self.pos[c as usize], val));
                 }
-            });
+            }
         }
         out.len() - before
     }
@@ -87,6 +91,7 @@ mod tests {
     #[test]
     fn matches_hashmap_extractor() {
         let a = sample_graph();
+        let view = RowView::from(&a);
         let mut ex = InducedExtractor::new(6);
         for sel in [
             vec![0u32, 1, 2],
@@ -95,7 +100,7 @@ mod tests {
             vec![2u32],
         ] {
             let mut edges = Vec::new();
-            ex.extract_into(&a, &sel, &mut edges);
+            ex.extract_into(&view, &sel, &mut edges);
             let reference = extract_induced_direct(&a, &sel);
             let mut want = Vec::new();
             for r in 0..reference.nrows() {
@@ -113,13 +118,14 @@ mod tests {
     #[test]
     fn reuse_across_many_calls_is_clean() {
         let a = sample_graph();
+        let view = RowView::from(&a);
         let mut ex = InducedExtractor::new(6);
         let mut edges = Vec::new();
         // Overlapping selections must not leak state between calls.
         for _ in 0..1000 {
             edges.clear();
-            let n1 = ex.extract_into(&a, &[0, 1], &mut edges);
-            let n2 = ex.extract_into(&a, &[1, 3], &mut edges);
+            let n1 = ex.extract_into(&view, &[0, 1], &mut edges);
+            let n2 = ex.extract_into(&view, &[1, 3], &mut edges);
             assert_eq!(n1, 1); // edge 0->1
             assert_eq!(n2, 1); // edge 1->3
             assert_eq!(edges, vec![(0, 1, 0), (0, 1, 2)]);
@@ -129,9 +135,10 @@ mod tests {
     #[test]
     fn empty_selection() {
         let a = sample_graph();
+        let view = RowView::from(&a);
         let mut ex = InducedExtractor::new(6);
         let mut edges = Vec::new();
-        assert_eq!(ex.extract_into(&a, &[], &mut edges), 0);
+        assert_eq!(ex.extract_into(&view, &[], &mut edges), 0);
         assert!(edges.is_empty());
     }
 }

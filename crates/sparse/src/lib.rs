@@ -24,4 +24,4 @@ pub use extractor::InducedExtractor;
 pub use sharded::{write_csr_sharded, ShardValue, ShardedCsr, ShardedCsrWriter, StoreError};
 pub use spgemm::{extract_induced_direct, extract_induced_spgemm, selection_matrix};
 pub use stack::{block_diag, vstack};
-pub use store::{CacheCounters, RowStore, RowStoreExt};
+pub use store::{CacheCounters, RowStore, RowStoreExt, RowView};

@@ -11,6 +11,18 @@
 //! the [`RowStore`] trait, so samplers cannot tell a sharded graph from
 //! an in-core one — except through the counters.
 //!
+//! A pass that knows its rows up front reads them through
+//! [`RowStore::gather`]: the store marks the shards those rows touch,
+//! looks each one up once in ascending shard order, and hands back a
+//! [`RowView`] holding an `Arc` per touched shard. Reading rows in
+//! frontier order through [`RowStore::with_row`] instead would walk the
+//! LRU at random and fault a shard on nearly every miss; through a view
+//! a pass faults each shard at most once, whatever the cache capacity.
+//!
+//! `open` checks the header's shard count and every directory entry
+//! against the file's length, so a corrupt file fails with
+//! [`StoreError`] before anything is allocated from a declared length.
+//!
 //! ## On-disk format (v1, little-endian)
 //!
 //! ```text
@@ -36,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::csr::{Csr, CsrError};
-use crate::store::{CacheCounters, RowStore};
+use crate::store::{CacheCounters, RowStore, RowView};
 
 const MAGIC: &[u8; 8] = b"TRKXSHRD";
 const VERSION: u32 = 1;
@@ -288,13 +300,22 @@ fn read_u64(buf: &[u8], at: usize) -> u64 {
 }
 
 impl<T: ShardValue> ShardedCsr<T> {
-    /// Open a shard file, validating the header and directory.
+    /// Open a shard file, validating the header and directory against
+    /// the file's length (nothing is allocated from a declared length
+    /// before that check).
+    ///
     /// `cache_shards` is the LRU capacity in shards (use `usize::MAX`
     /// for effectively unbounded); it is clamped to at least 1 since
-    /// the shard being read must be resident.
+    /// the shard being read must be resident. It bounds the shards the
+    /// *cache* retains, not the shards resident: a [`RowView`] from
+    /// [`RowStore::gather`] holds every shard its rows touch until it is
+    /// dropped, even beyond this capacity. Callers hold a view for one
+    /// pass (a walk step, an extraction pass), so the extra memory is at
+    /// most the shards that pass touches.
     pub fn open(path: impl AsRef<Path>, cache_shards: usize) -> Result<Self, StoreError> {
         let path = path.as_ref().to_path_buf();
         let mut file = File::open(&path)?;
+        let file_len = file.metadata()?.len();
         let mut head = [0u8; HEADER_BYTES as usize];
         file.read_exact(&mut head).map_err(|e| {
             StoreError::Corrupt(format!("{}: truncated header ({e})", path.display()))
@@ -326,19 +347,35 @@ impl<T: ShardValue> ShardedCsr<T> {
         let nnz = read_u64(&head, 32) as usize;
         let shard_nodes = read_u64(&head, 40) as usize;
         let num_shards = read_u64(&head, 48) as usize;
-        if shard_nodes == 0 && nrows > 0 {
+        // The writer never writes 0, even for an empty matrix.
+        if shard_nodes == 0 {
             return Err(StoreError::Corrupt(format!(
                 "{}: shard_nodes is 0",
                 path.display()
             )));
         }
-        if nrows > 0 && num_shards != nrows.div_ceil(shard_nodes) {
+        if num_shards != nrows.div_ceil(shard_nodes) {
             return Err(StoreError::Corrupt(format!(
                 "{}: num_shards {num_shards} inconsistent with {nrows} rows / {shard_nodes} per shard",
                 path.display()
             )));
         }
-        let mut dir_bytes = vec![0u8; num_shards * 16];
+        // The directory must fit in the file before it is allocated: a
+        // header may declare any shard count.
+        let dir_len = num_shards
+            .checked_mul(16)
+            .filter(|&n| {
+                HEADER_BYTES
+                    .checked_add(n as u64)
+                    .is_some_and(|end| end <= file_len)
+            })
+            .ok_or_else(|| {
+                StoreError::Corrupt(format!(
+                    "{}: truncated directory ({num_shards} shards do not fit in {file_len} bytes)",
+                    path.display()
+                ))
+            })?;
+        let mut dir_bytes = vec![0u8; dir_len];
         file.read_exact(&mut dir_bytes).map_err(|e| {
             StoreError::Corrupt(format!("{}: truncated directory ({e})", path.display()))
         })?;
@@ -350,6 +387,18 @@ impl<T: ShardValue> ShardedCsr<T> {
                 )
             })
             .collect();
+        // Every blob must lie inside the file, so a fault never
+        // allocates more than the file holds.
+        if let Some((s, &(off, len))) = directory
+            .iter()
+            .enumerate()
+            .find(|&(_, &(off, len))| off.checked_add(len).is_none_or(|end| end > file_len))
+        {
+            return Err(StoreError::Corrupt(format!(
+                "{}: shard {s}: truncated blob ({len} bytes at offset {off} in a {file_len}-byte file)",
+                path.display()
+            )));
+        }
         Ok(Self {
             path,
             nrows,
@@ -412,12 +461,15 @@ impl<T: ShardValue> ShardedCsr<T> {
         let rows = self.shard_rows(sid);
         let corrupt =
             |m: String| StoreError::Corrupt(format!("{} shard {sid}: {m}", self.path.display()));
-        let indptr_bytes = (rows as u64 + 1) * 8;
+        // `rows` comes from the header: a huge declared row count must
+        // fail here, not wrap.
+        let indptr_bytes = (rows as u64).saturating_add(1).saturating_mul(8);
         if len < indptr_bytes {
             return Err(corrupt(format!(
                 "blob too short for indptr ({len} < {indptr_bytes} bytes)"
             )));
         }
+        // `open` checked `off + len` against the file length.
         let mut blob = vec![0u8; len as usize];
         file.seek(SeekFrom::Start(off))?;
         file.read_exact(&mut blob)
@@ -426,10 +478,12 @@ impl<T: ShardValue> ShardedCsr<T> {
             .map(|i| read_u64(&blob, i * 8) as usize)
             .collect();
         let snnz = *indptr.last().unwrap();
-        let expect = indptr_bytes + snnz as u64 * 8;
-        if len != expect {
+        let expect = (snnz as u64)
+            .checked_mul(8)
+            .and_then(|b| b.checked_add(indptr_bytes));
+        if expect != Some(len) {
             return Err(corrupt(format!(
-                "blob length {len} != expected {expect} for {snnz} entries"
+                "blob length {len} does not hold {snnz} entries after the indptr"
             )));
         }
         let cols_at = indptr_bytes as usize;
@@ -459,8 +513,16 @@ impl<T: ShardValue> ShardedCsr<T> {
 
     /// Fault in (or fetch from cache) shard `sid`. Public so callers
     /// that want to handle corruption as a `Result` (rather than the
-    /// panic `with_row` turns it into) can.
+    /// panic `with_row` turns it into) can. A `sid` past the last shard
+    /// is an error, not a panic.
     pub fn shard(&self, sid: usize) -> Result<Arc<Csr<T>>, StoreError> {
+        if sid >= self.num_shards() {
+            return Err(StoreError::Corrupt(format!(
+                "{}: shard {sid} out of range ({} shards)",
+                self.path.display(),
+                self.num_shards()
+            )));
+        }
         let mut st = self.state.lock().unwrap();
         st.tick += 1;
         let tick = st.tick;
@@ -491,6 +553,7 @@ impl<T: ShardValue> ShardedCsr<T> {
     }
 
     fn shard_of_row(&self, r: usize) -> (usize, usize) {
+        assert!(r < self.nrows, "row {r} out of range ({} rows)", self.nrows);
         (r / self.shard_nodes, r % self.shard_nodes)
     }
 
@@ -517,7 +580,6 @@ impl<T: ShardValue> RowStore<T> for ShardedCsr<T> {
     }
 
     fn with_row(&self, r: usize, f: &mut dyn FnMut(&[u32], &[T])) {
-        assert!(r < self.nrows, "row {r} out of range ({} rows)", self.nrows);
         let (sid, local) = self.shard_of_row(r);
         // The Arc keeps the shard alive even if another thread evicts it
         // from the cache while the callback runs.
@@ -544,22 +606,31 @@ impl<T: ShardValue> RowStore<T> for ShardedCsr<T> {
         shard.get(local, c)
     }
 
-    fn select_rows(&self, rows: &[u32]) -> Csr<T> {
-        let mut indptr = Vec::with_capacity(rows.len() + 1);
-        indptr.push(0usize);
-        let mut indices = Vec::new();
-        let mut vals = Vec::new();
+    /// Marks the shards `rows` touch in a `num_shards`-sized bitmap, then
+    /// looks each marked shard up once, in ascending order, through
+    /// [`ShardedCsr::shard`] — so the LRU and its counters see one lookup
+    /// per touched shard, however many rows land in it.
+    fn gather(&self, rows: &[u32]) -> Result<RowView<'_, T>, StoreError> {
+        let mut touched = vec![false; self.num_shards()];
+        let mut unmarked = touched.len();
         for &r in rows {
-            let (sid, local) = self.shard_of_row(r as usize);
-            let shard = self
-                .shard(sid)
-                .unwrap_or_else(|e| panic!("shard fault failed: {e}"));
-            let (cols, rvals) = shard.row(local);
-            indices.extend_from_slice(cols);
-            vals.extend_from_slice(rvals);
-            indptr.push(indices.len());
+            // Once every shard is marked the remaining rows cannot add
+            // one; `RowView::row` still range-checks whatever is read.
+            if unmarked == 0 {
+                break;
+            }
+            let (sid, _) = self.shard_of_row(r as usize);
+            if !touched[sid] {
+                touched[sid] = true;
+                unmarked -= 1;
+            }
         }
-        Csr::from_raw(rows.len(), self.ncols, indptr, indices, vals)
+        let shards = touched
+            .iter()
+            .enumerate()
+            .map(|(sid, &t)| t.then(|| self.shard(sid)).transpose())
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(RowView::from_shards(self.shard_nodes, shards))
     }
 
     fn counters(&self) -> Option<CacheCounters> {
@@ -614,10 +685,56 @@ mod tests {
             for (r, c, want) in [(0usize, 9u32, Some(2u32)), (1, 3, Some(3)), (3, 3, None)] {
                 assert_eq!(RowStore::get(&s, r, c), want);
             }
-            let sel = [9u32, 0, 5];
-            assert_eq!(RowStore::select_rows(&s, &sel), a.select_rows(&sel));
+            let sel = [9u32, 0, 5, 0];
+            let view = s.gather(&sel).unwrap();
+            for &r in &sel {
+                assert_eq!(view.row(r as usize), a.row(r as usize));
+            }
             std::fs::remove_file(path).ok();
         }
+    }
+
+    #[test]
+    fn gather_faults_each_touched_shard_once() {
+        // Shuffled, duplicated rows over a cold store: one miss per
+        // distinct shard touched, no hits, at every cache capacity —
+        // including capacities smaller than the shards touched.
+        let plans: [&[u32]; 3] = [
+            &[9, 0, 8, 1, 9, 4, 0, 5, 8],
+            &[3, 3, 3],
+            &[9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 9],
+        ];
+        for shard_nodes in [1usize, 2, 3] {
+            for cache in [1usize, 2, usize::MAX] {
+                for rows in plans {
+                    let (s, a, path) = roundtrip(shard_nodes, cache);
+                    let mut distinct: Vec<usize> =
+                        rows.iter().map(|&r| r as usize / shard_nodes).collect();
+                    distinct.sort_unstable();
+                    distinct.dedup();
+                    let view = s.gather(rows).unwrap();
+                    let c = s.counters().unwrap();
+                    let at = format!("shard_nodes {shard_nodes} cache {cache} rows {rows:?}");
+                    assert_eq!(c.misses, distinct.len() as u64, "{at}");
+                    assert_eq!(c.hits, 0, "{at}");
+                    for &r in rows {
+                        assert_eq!(view.row(r as usize), a.row(r as usize), "{at}");
+                    }
+                    // Reading through the view is not a lookup.
+                    assert_eq!(s.counters().unwrap(), c, "{at}");
+                    std::fs::remove_file(path).ok();
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not gathered")]
+    fn view_rejects_a_row_it_did_not_gather() {
+        let (s, _a, path) = roundtrip(2, usize::MAX);
+        let view = s.gather(&[0]).unwrap();
+        std::fs::remove_file(path).ok();
+        view.row(9);
     }
 
     #[test]
@@ -731,12 +848,65 @@ mod tests {
         assert!(err.to_string().contains("truncated directory"), "{err}");
 
         // Truncated mid-blob: header + directory intact, last shard cut.
+        // The directory entry no longer fits the file, so open says so.
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let s = ShardedCsr::<u32>::open(&path, 1).unwrap();
-        let last = s.num_shards() - 1;
-        let err = s.shard(last).expect_err("truncated shard blob");
+        let err = ShardedCsr::<u32>::open(&path, 1).expect_err("truncated shard blob");
         assert!(err.to_string().contains("truncated blob"), "{err}");
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn declared_lengths_beyond_the_file_are_errors_not_aborts() {
+        let a = sample_csr();
+        let path = temp_path("huge");
+        write_csr_sharded(&a, &path, 4).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let patched = |edits: &[(usize, u64)]| {
+            let mut b = bytes.clone();
+            for &(at, v) in edits {
+                b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            }
+            std::fs::write(&path, &b).unwrap();
+            ShardedCsr::<u32>::open(&path, 1)
+        };
+        // Header fields: nrows at 16, shard_nodes at 40, num_shards at 48.
+        // 2^40 one-row shards: a 16 TiB directory, consistent with nrows.
+        let err = patched(&[(16, 1 << 40), (40, 1), (48, 1 << 40)]).expect_err("2^40 rows");
+        assert!(err.to_string().contains("truncated directory"), "{err}");
+        // 2^60 shards: `num_shards * 16` overflows.
+        let err = patched(&[(16, 1 << 60), (40, 1), (48, 1 << 60)]).expect_err("2^60 shards");
+        assert!(err.to_string().contains("truncated directory"), "{err}");
+        // Empty matrix declaring shards anyway.
+        let err = patched(&[(16, 0), (48, 1 << 40)]).expect_err("shards of nothing");
+        assert!(err.to_string().contains("inconsistent"), "{err}");
+        // One shard whose indptr alone would be 8 TiB: its (real) blob
+        // is too short, and the fault says so before allocating.
+        let s = patched(&[(16, 1 << 40), (40, 1 << 40), (48, 1)]).unwrap();
+        let err = s.shard(0).expect_err("8 TiB indptr");
+        assert!(err.to_string().contains("too short"), "{err}");
+        // A directory entry claiming u64::MAX / 2 bytes.
+        let dir_len_at = HEADER_BYTES as usize + 8;
+        let err = patched(&[(dir_len_at, u64::MAX / 2)]).expect_err("huge blob length");
+        assert!(err.to_string().contains("truncated blob"), "{err}");
+        // Offset + length wrapping past u64::MAX.
+        let err = patched(&[(dir_len_at - 8, u64::MAX), (dir_len_at, 16)]).expect_err("wrap");
+        assert!(err.to_string().contains("truncated blob"), "{err}");
+
+        std::fs::write(&path, &bytes).unwrap();
+        let s = ShardedCsr::<u32>::open(&path, 1).unwrap();
+        let err = s.shard(s.num_shards()).expect_err("shard past the end");
+        assert!(err.to_string().contains("out of range"), "{err}");
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn point_lookup_past_the_last_row_panics() {
+        // Row 11 of 10 lands in the last (partial) shard's range; the
+        // lookup names the row instead of failing on a shard slice.
+        let (s, _a, path) = roundtrip(4, usize::MAX);
+        std::fs::remove_file(path).ok();
+        s.row_nnz(11);
     }
 
     #[test]
