@@ -73,16 +73,18 @@ cargo test -q --release --test serve_e2e
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-graph --test proptests
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-graph --test proptests
 
-# Out-of-core sharded store gates: every sampler family must be
-# bit-identical over the file-backed ShardedCsr vs in-core CSR across
-# shard sizes and cache capacities (run at two pool sizes; at 4 threads
-# bulk extraction reads one sharded view from several threads), and the
+# Out-of-core sharded store gates: both ShaDow samplers (sequential and
+# bulk) must be bit-identical over the file-backed ShardedCsr vs in-core
+# CSR across shard sizes and cache capacities, and every subgraph either
+# samples, sharded or not, must be valid with one component per batch
+# vertex (run at two pool sizes; at 4 threads bulk extraction reads one
+# sharded view from several threads), and the
 # sharded-vs-in-core training curve must match bit for bit. The fault
 # count is a contract, checked as a count: a gather faults each shard it
 # touches exactly once, and a bulk epoch faults each shard at most once
 # per walk step plus once for extraction.
-RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-sampling --test sharded_parity
-RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-sampling --test sharded_parity
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-sampling --test sharded_parity --test sampler_trait
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-sampling --test sharded_parity --test sampler_trait
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-sparse --lib gather_faults_each_touched_shard_once
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-sparse --lib gather_faults_each_touched_shard_once
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-sampling --test sharded_parity bulk_faults_each_shard_at_most_once_per_walk_step

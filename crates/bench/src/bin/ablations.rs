@@ -5,11 +5,7 @@
 //! 2. bulk factor `k` sweep: sampling time per minibatch as more batches
 //!    are stacked per call;
 //! 3. induced-subgraph extraction: per-call hash-map extractor vs the
-//!    amortised generation-stamped extractor vs SpGEMM selection;
-//! 4. sampler family comparison (ShaDow vs node-wise vs layer-wise):
-//!    sampled work per batch;
-//! 5. Hogwild (lock-free asynchronous SGD) vs synchronous coalesced DDP:
-//!    loss per epoch and the modeled comm the synchronous run pays.
+//!    amortised generation-stamped extractor vs SpGEMM selection.
 //!
 //! ```text
 //! cargo run -p trkx-bench --bin ablations --release
@@ -18,14 +14,10 @@
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
 use trkx_bench::Table;
-use trkx_core::{prepare_graphs, train, GnnTrainConfig, SamplerKind, TrainSpec};
-use trkx_ddp::{AllReduceStrategy, CommCostModel, DdpConfig};
+use trkx_ddp::CommCostModel;
 use trkx_detector::DatasetConfig;
 use trkx_ignn::IgnnConfig;
-use trkx_sampling::{
-    vertex_batches, BulkShadowSampler, LayerWiseConfig, LayerWiseSampler, NodeWiseConfig,
-    NodeWiseSampler, SamplerGraph, ShadowConfig, ShadowSampler,
-};
+use trkx_sampling::{vertex_batches, BulkShadowSampler, SamplerGraph, ShadowConfig, ShadowSampler};
 use trkx_sparse::{extract_induced_direct, extract_induced_spgemm, InducedExtractor};
 
 fn allreduce_ablation() {
@@ -194,137 +186,10 @@ fn extraction_ablation() {
     t.print();
 }
 
-fn sampler_family_ablation() {
-    println!("## 4. Sampler families (one 256-vertex batch)\n");
-    let g = &DatasetConfig::ex3_like(0.1).generate(1, 8)[0];
-    let graph = SamplerGraph::new(g.num_nodes, &g.src, &g.dst);
-    let mut rng = StdRng::seed_from_u64(4);
-    let batch: Vec<u32> = vertex_batches(g.num_nodes, 256, &mut rng).remove(0);
-    let mut t = Table::new(&["sampler", "nodes", "edges", "components", "time (ms)"]);
-    let time = |f: &mut dyn FnMut() -> (usize, usize, usize)| -> (usize, usize, usize, f64) {
-        let t0 = Instant::now();
-        let (n, e, c) = f();
-        (n, e, c, t0.elapsed().as_secs_f64() * 1e3)
-    };
-    {
-        let mut rng = StdRng::seed_from_u64(5);
-        let (n, e, c, ms) = time(&mut || {
-            let s = ShadowSampler::new(ShadowConfig {
-                depth: 3,
-                fanout: 6,
-            })
-            .sample_batch(&graph, &batch, &mut rng);
-            (s.num_nodes(), s.num_edges(), s.num_components())
-        });
-        t.row(vec![
-            "ShaDow d=3 s=6".into(),
-            n.to_string(),
-            e.to_string(),
-            c.to_string(),
-            format!("{ms:.2}"),
-        ]);
-    }
-    {
-        let (n, e, c, ms) = time(&mut || {
-            let s = BulkShadowSampler::new(ShadowConfig {
-                depth: 3,
-                fanout: 6,
-            })
-            .sample_batches(&graph, std::slice::from_ref(&batch), 5)
-            .remove(0);
-            (s.num_nodes(), s.num_edges(), s.num_components())
-        });
-        t.row(vec![
-            "ShaDow bulk d=3 s=6".into(),
-            n.to_string(),
-            e.to_string(),
-            c.to_string(),
-            format!("{ms:.2}"),
-        ]);
-    }
-    {
-        let mut rng = StdRng::seed_from_u64(6);
-        let (n, e, c, ms) = time(&mut || {
-            let s = NodeWiseSampler::new(NodeWiseConfig {
-                fanouts: vec![6, 6, 6],
-            })
-            .sample_batch(&graph, &batch, &mut rng);
-            (s.num_nodes(), s.num_edges(), s.num_components())
-        });
-        t.row(vec![
-            "node-wise [6,6,6]".into(),
-            n.to_string(),
-            e.to_string(),
-            c.to_string(),
-            format!("{ms:.2}"),
-        ]);
-    }
-    {
-        let mut rng = StdRng::seed_from_u64(7);
-        let (n, e, c, ms) = time(&mut || {
-            let s = LayerWiseSampler::new(LayerWiseConfig {
-                layer_sizes: vec![512, 512, 512],
-            })
-            .sample_batch(&graph, &batch, &mut rng);
-            (s.num_nodes(), s.num_edges(), s.num_components())
-        });
-        t.row(vec![
-            "layer-wise [512x3]".into(),
-            n.to_string(),
-            e.to_string(),
-            c.to_string(),
-            format!("{ms:.2}"),
-        ]);
-    }
-    t.print();
-}
-
-fn hogwild_ablation() {
-    const WORKERS: usize = 4;
-    println!("## 5. Hogwild vs synchronous DDP (P={WORKERS})\n");
-    let graphs = DatasetConfig::ex3_like(0.03).generate(3, 99);
-    let prepared = prepare_graphs(&graphs);
-    let (train_set, val) = prepared.split_at(2);
-    let sampler = SamplerKind::Bulk { k: 2 * WORKERS };
-    let cfg = GnnTrainConfig {
-        hidden: 16,
-        gnn_layers: 3,
-        epochs: 3,
-        batch_size: 256,
-        learning_rate: 2e-3,
-        shadow: ShadowConfig {
-            depth: 3,
-            fanout: 6,
-        },
-        seed: 5,
-        ..Default::default()
-    };
-    let coalesced = DdpConfig::new(WORKERS, AllReduceStrategy::Coalesced);
-    let sync = train(
-        &TrainSpec::simulated_ddp(&cfg, sampler, coalesced),
-        train_set,
-        val,
-    );
-    let hog = train(&TrainSpec::hogwild(&cfg, sampler, WORKERS), train_set, val);
-    let mut t = Table::new(&["epoch", "sync loss", "hogwild loss", "sync comm (s)"]);
-    for (s, h) in sync.epochs.iter().zip(&hog.epochs) {
-        t.row(vec![
-            s.epoch.to_string(),
-            format!("{:.6}", s.train_loss),
-            format!("{:.6}", h.train_loss),
-            format!("{:.4}", s.timing.comm_virtual_s),
-        ]);
-    }
-    t.print();
-    println!("hogwild pays no comm and no barrier; its curve is not bit-reproducible\n");
-}
-
 fn main() {
     println!("# Ablations\n");
     allreduce_ablation();
     bucket_size_ablation();
     bulk_k_ablation();
     extraction_ablation();
-    sampler_family_ablation();
-    hogwild_ablation();
 }

@@ -2,15 +2,15 @@
 //! runs every schedule the paper compares — full-graph training (the
 //! original Exa.TrkX approach, with OOM-skip emulation), minibatch ShaDow
 //! training with the PyG-style baseline sampler or matrix-based bulk
-//! sampling, synchronous DDP with per-tensor / coalesced / bucketed
-//! all-reduce (threaded or simulated), and Hogwild — as a [`TrainSpec`]
-//! over a single rank step. Produces the per-epoch convergence curves of
-//! Figure 4 and the epoch-time breakdowns of Figure 3.
+//! sampling, and synchronous DDP with per-tensor / coalesced / bucketed
+//! all-reduce (threaded or simulated) — as a [`TrainSpec`] over a single
+//! rank step. Produces the per-epoch convergence curves of Figure 4 and
+//! the epoch-time breakdowns of Figure 3.
 
 use crate::train::{
     plan_chunks, with_batch_source, BatchSource, BatchingMode, EpochCtx, EpochReport, EpochStats,
-    FullGraphSource, HogwildShared, Hook, RoundRobin, SampledBatch, SampledBatchSource,
-    ShardChunks, TrainLoop, TrainStep, ValMetrics,
+    FullGraphSource, Hook, RoundRobin, SampledBatch, SampledBatchSource, ShardChunks, TrainLoop,
+    TrainStep, ValMetrics,
 };
 use rand::{rngs::StdRng, SeedableRng};
 use std::ops::Range;
@@ -19,7 +19,7 @@ use std::time::Instant;
 use trkx_ddp::{run_workers, AllReducer, BucketScheduler, CommLink, DdpConfig, EpochTiming};
 use trkx_detector::EventGraph;
 use trkx_ignn::{IgnnConfig, InteractionGnn};
-use trkx_nn::{bce_with_logits, Adam, BinaryStats, Bindings, BucketLayout, Param, Sgd};
+use trkx_nn::{bce_with_logits, Adam, BinaryStats, Bindings, BucketLayout, Param};
 use trkx_sampling::{
     vertex_batches, BulkShadowSampler, SampledSubgraph, Sampler, SamplerGraph, ShadowConfig,
     ShadowSampler,
@@ -344,17 +344,6 @@ pub enum TrainMode {
         sampler: SamplerKind,
         ddp: DdpConfig,
     },
-    /// Lock-free asynchronous SGD (Hogwild!): `workers` threads train
-    /// against one shared parameter store with no lockstep — no
-    /// collectives, no barriers, zero communication cost; the price is
-    /// gradient staleness and occasional lost updates, so convergence is
-    /// noisier than synchronous DDP (EXPERIMENTS.md §fig4). Schedule and
-    /// sharding are those of [`TrainMode::Ddp`], so mode comparisons hold
-    /// the per-worker workload fixed.
-    Hogwild {
-        sampler: SamplerKind,
-        workers: usize,
-    },
 }
 
 /// Everything that describes a GNN training run; [`train`] executes it.
@@ -401,10 +390,6 @@ impl<'a> TrainSpec<'a> {
         Self::new(cfg, TrainMode::SimulatedDdp { sampler, ddp })
     }
 
-    pub fn hogwild(cfg: &'a GnnTrainConfig, sampler: SamplerKind, workers: usize) -> Self {
-        Self::new(cfg, TrainMode::Hogwild { sampler, workers })
-    }
-
     pub fn with_batching(mut self, batching: BatchingMode) -> Self {
         self.batching = batching;
         self
@@ -437,9 +422,6 @@ enum Link {
     /// (replicas stay identical under synchronous DDP, so one suffices);
     /// the α–β model charges what a real ring would take.
     Model,
-    /// No lockstep: pull the shared weights before forward, push a racy
-    /// SGD update after backward.
-    Hogwild(HogwildShared),
 }
 
 /// Train the Interaction GNN as `spec` describes, validating on `val`
@@ -477,11 +459,6 @@ pub fn train(spec: &TrainSpec, train: &[PreparedGraph], val: &[PreparedGraph]) -
         TrainMode::SimulatedDdp { sampler, ddp } => {
             (sampled(sampler), ddp.workers, 1, ddp, Link::Model)
         }
-        TrainMode::Hogwild { sampler, workers } => {
-            let shared = HogwildShared::new(&init_model.params());
-            let p = workers.max(1);
-            (sampled(sampler), p, p, single, Link::Hogwild(shared))
-        }
     };
     // Per-tensor, coalesced and bucketed are all greedy bucket budgets, so
     // one formula prices a step's collectives (zero at one worker) and one
@@ -517,28 +494,20 @@ pub fn train(spec: &TrainSpec, train: &[PreparedGraph], val: &[PreparedGraph]) -
             val_bind: Bindings::new(),
         };
         let hooks = spec.hooks.map_or_else(Vec::new, |factory| factory(thread));
-        let trainer = match link {
-            // Plain SGD matches the racy shared update rule; the local
-            // optimizer step is overwritten by the next pull anyway.
-            Link::Hogwild(_) => TrainLoop::new(Sgd::new(cfg.learning_rate), cfg.epochs),
-            _ => TrainLoop::new(Adam::new(cfg.learning_rate), cfg.epochs),
-        };
-        let reports = trainer.with_hooks(hooks).run(&mut step);
+        let reports = TrainLoop::new(Adam::new(cfg.learning_rate), cfg.epochs)
+            .with_hooks(hooks)
+            .run(&mut step);
         (step.model, reports)
     });
 
     // The first thread's model and metrics; timings are the max across
     // threads (a synchronous step advances at the slowest worker's pace).
     // Deterministic hooks stop every rank at the same epoch.
-    let (mut model, mut epochs) = results.remove(0);
+    let (model, mut epochs) = results.remove(0);
     for (_, reports) in &results {
         for (report, other) in epochs.iter_mut().zip(reports) {
             report.timing.max_merge(&other.timing);
         }
-    }
-    if let Link::Hogwild(shared) = &link {
-        // The trained model is whatever the shared store converged to.
-        shared.pull(&mut model.params_mut());
     }
     TrainResult {
         model,
@@ -610,7 +579,7 @@ fn build_schedule(
 /// then the link finishes the step.
 struct RankStep<'a> {
     spec: &'a TrainSpec<'a>,
-    /// One rank under threaded DDP and Hogwild; all `p` in the simulator.
+    /// One rank under threaded DDP; all `p` in the simulator.
     ranks: Range<usize>,
     p: usize,
     model: InteractionGnn,
@@ -638,7 +607,7 @@ impl RankStep<'_> {
         sources: Vec<S>,
     ) -> EpochStats {
         let (link, p, local) = (self.link, self.p, sources.len());
-        let (strategy, lr) = (self.ddp.strategy, self.spec.cfg.learning_rate);
+        let strategy = self.ddp.strategy;
         // The simulator cannot sample concurrently with itself: it models
         // prefetching in the virtual clock only (`overlapped` below).
         let batching = match self.spec.mode {
@@ -652,9 +621,6 @@ impl RankStep<'_> {
             while let Some(batch) = src.next_batch() {
                 let rank = self.ranks.start + k;
                 let t = Instant::now();
-                if let Link::Hogwild(shared) = link {
-                    shared.pull(&mut self.model.params_mut());
-                }
                 // One collective sequence per step: the last local rank's
                 // backward drives the bucket scheduler, whose bridge
                 // accumulates gradients exactly as `harvest` does; earlier
@@ -665,7 +631,7 @@ impl RankStep<'_> {
                     let loss = ctx.forward_only(batch_loss(&self.model, &batch, self.pos_weight));
                     let comm = match link {
                         Link::Reduce(reducer) => CommLink::Reduce { reducer, rank },
-                        _ => CommLink::Model {
+                        Link::Model => CommLink::Model {
                             cost: self.ddp.cost_model,
                             workers: p,
                         },
@@ -701,7 +667,6 @@ impl RankStep<'_> {
                             prm.grad.apply(|v| v * inv);
                         }
                     }
-                    Link::Hogwild(shared) => shared.apply_grads(lr, params),
                     // Overlapped buckets already reduced; one rank has
                     // nothing to average.
                     _ => {}
@@ -774,10 +739,6 @@ impl TrainStep for RankStep<'_> {
     fn validate(&mut self, _epoch: usize) -> Option<ValMetrics> {
         if !self.run_validation {
             return None;
-        }
-        if let Link::Hogwild(shared) = self.link {
-            // Validate the *shared* state, not this replica's local copy.
-            shared.pull(&mut self.model.params_mut());
         }
         let stats = evaluate_with(
             &mut self.val_tape,

@@ -6,14 +6,12 @@
 //! in as a per-step `sync` strategy, not a fork of the loop.
 
 pub mod engine;
-pub mod hogwild;
 pub mod hooks;
 pub mod source;
 
 pub use engine::{
     Engine, EpochCtx, EpochReport, EpochStats, ShardCacheStats, TrainLoop, TrainStep, ValMetrics,
 };
-pub use hogwild::HogwildShared;
 pub use hooks::{
     BestCheckpointHook, Control, EarlyStoppingHook, Hook, HookCtx, LrScheduleHook, Monitor,
     TelemetryHook,

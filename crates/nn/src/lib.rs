@@ -2,7 +2,7 @@
 //!
 //! Neural-network building blocks on top of [`trkx_tensor`]: parameters
 //! and tape bindings, Kaiming/Xavier initialisation, `Linear`/`Mlp`/
-//! `LayerNorm` modules, SGD/Adam optimizers, and the losses used by the
+//! `LayerNorm` modules, the Adam optimizer, and the losses used by the
 //! Exa.TrkX pipeline stages (BCE-with-logits for edge classification,
 //! contrastive hinge for the metric-learning embedding).
 //!
@@ -45,6 +45,6 @@ pub use linear::Linear;
 pub use loss::{bce_with_logits, contrastive_hinge_loss, BinaryStats};
 pub use mlp::{Activation, Mlp, MlpConfig};
 pub use norm::LayerNorm;
-pub use optim::{clip_grad_norm, Adam, Optimizer, Sgd};
+pub use optim::{clip_grad_norm, Adam, Optimizer};
 pub use param::{flatten_grads, unflatten_grads, Bindings, Param};
 pub use schedule::{Constant, CosineAnnealing, LrSchedule, Scheduler, StepDecay, Warmup};

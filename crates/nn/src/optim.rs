@@ -12,56 +12,6 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f32);
 }
 
-/// Stochastic gradient descent with optional momentum.
-pub struct Sgd {
-    pub lr: f32,
-    pub momentum: f32,
-    velocity: HashMap<u64, Matrix>,
-}
-
-impl Sgd {
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            velocity: HashMap::new(),
-        }
-    }
-
-    pub fn with_momentum(mut self, m: f32) -> Self {
-        self.momentum = m;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        for p in params.iter_mut() {
-            if self.momentum > 0.0 {
-                let momentum = self.momentum;
-                let v = self
-                    .velocity
-                    .entry(p.id())
-                    .or_insert_with(|| Matrix::zeros(p.grad.rows(), p.grad.cols()));
-                // v = momentum*v + grad ; p -= lr*v, all in place.
-                v.apply(|x| x * momentum);
-                v.add_assign(&p.grad);
-                p.value.axpy(-self.lr, v);
-            } else {
-                p.value.axpy(-self.lr, &p.grad);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 /// Adam (Kingma & Ba) with bias correction, and optional decoupled
 /// weight decay (AdamW) via [`Adam::with_weight_decay`].
 pub struct Adam {
@@ -161,35 +111,6 @@ mod tests {
     fn quadratic_grad(p: &mut Param) {
         // loss = (x - 3)^2 per element; grad = 2(x - 3)
         p.grad = p.value.map(|x| 2.0 * (x - 3.0));
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut p = Param::new("x", Matrix::from_vec(1, 2, vec![0.0, 10.0]));
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..100 {
-            quadratic_grad(&mut p);
-            opt.step(&mut [&mut p]);
-        }
-        assert!(
-            p.value.data().iter().all(|v| (v - 3.0).abs() < 1e-3),
-            "{:?}",
-            p.value.data()
-        );
-    }
-
-    #[test]
-    fn sgd_momentum_converges_faster_initially() {
-        let run = |momentum: f32, steps: usize| {
-            let mut p = Param::new("x", Matrix::scalar(0.0));
-            let mut opt = Sgd::new(0.02).with_momentum(momentum);
-            for _ in 0..steps {
-                quadratic_grad(&mut p);
-                opt.step(&mut [&mut p]);
-            }
-            (p.value.as_scalar() - 3.0).abs()
-        };
-        assert!(run(0.9, 15) < run(0.0, 15));
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl<S: LrSchedule> Scheduler<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Optimizer, Sgd};
+    use crate::{Adam, Optimizer};
 
     #[test]
     fn step_decay_halves() {
@@ -138,7 +138,7 @@ mod tests {
 
     #[test]
     fn scheduler_drives_optimizer() {
-        let mut opt = Sgd::new(1.0);
+        let mut opt = Adam::new(1.0);
         let mut sched = Scheduler::new(
             0.8,
             StepDecay {

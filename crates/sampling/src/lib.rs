@@ -7,28 +7,22 @@
 //! * [`BulkShadowSampler`] — matrix-based *bulk* ShaDow (§III-C, Fig. 2,
 //!   Eq. 1): k minibatches stacked into one `Q` matrix and processed in a
 //!   single parallel sweep, with SpGEMM-style induced-subgraph extraction;
-//! * [`NodeWiseSampler`] / [`LayerWiseSampler`] — the two sampler families
-//!   matrix-based sampling originally targeted, as extension baselines;
 //! * batching utilities (shuffled vertex batches, DDP shards).
 //!
-//! All sampler families implement the unified [`Sampler`] trait, so the
-//! training stack treats the choice of sampler as configuration and can
-//! drive any of them from a background prefetch thread. Every sampled
-//! edge carries its original edge id so trainers can gather edge features
-//! and truth labels from the parent event graph.
+//! Both samplers implement the unified [`Sampler`] trait, so the training
+//! stack treats the choice of sampler as configuration and can drive
+//! either from a background prefetch thread. Every sampled edge carries
+//! its original edge id so trainers can gather edge features and truth
+//! labels from the parent event graph.
 
 pub mod batching;
 pub mod bulk;
-pub mod layerwise;
-pub mod nodewise;
 pub mod sampler;
 pub mod shadow;
 pub mod subgraph;
 
 pub use batching::{shard_batch, vertex_batches};
 pub use bulk::{frontier_matrix, neighborhood_distribution, BulkShadowSampler};
-pub use layerwise::{LayerWiseConfig, LayerWiseSampler};
-pub use nodewise::{NodeWiseConfig, NodeWiseSampler};
 pub use sampler::Sampler;
 pub use shadow::{sample_distinct_neighbors, walk_touched_set, ShadowConfig, ShadowSampler};
 pub use subgraph::{SampledSubgraph, SamplerGraph};

@@ -1,10 +1,9 @@
 //! The unified [`Sampler`] abstraction.
 //!
-//! Every sampler family in this crate — ShaDow (sequential and bulk),
-//! node-wise and layer-wise — implements one object-safe trait, so the
-//! training stack treats "which sampler" as configuration and the
-//! batch-source layer can drive any of them from a background prefetch
-//! thread (`Sampler: Send + Sync`).
+//! Both ShaDow samplers in this crate — sequential and bulk — implement
+//! one object-safe trait, so the training stack treats "which sampler" as
+//! configuration and the batch-source layer can drive either from a
+//! background prefetch thread (`Sampler: Send + Sync`).
 //!
 //! Determinism contract: both entry points are pure functions of their
 //! arguments. [`Sampler::sample`] draws only from the caller-seeded
@@ -14,8 +13,6 @@
 //! sampling — the property the golden-curve parity tests pin.
 
 use crate::bulk::BulkShadowSampler;
-use crate::layerwise::LayerWiseSampler;
-use crate::nodewise::NodeWiseSampler;
 use crate::shadow::ShadowSampler;
 use crate::subgraph::{SampledSubgraph, SamplerGraph};
 use rand::{rngs::StdRng, RngCore, SeedableRng};
@@ -87,37 +84,9 @@ impl Sampler for BulkShadowSampler {
     }
 }
 
-impl Sampler for NodeWiseSampler {
-    fn name(&self) -> &'static str {
-        "nodewise"
-    }
-
-    fn sample(&self, graph: &SamplerGraph, seeds: &[u32], rng: &mut StdRng) -> SampledSubgraph {
-        if seeds.is_empty() {
-            return SampledSubgraph::empty();
-        }
-        self.sample_batch(graph, seeds, rng)
-    }
-}
-
-impl Sampler for LayerWiseSampler {
-    fn name(&self) -> &'static str {
-        "layerwise"
-    }
-
-    fn sample(&self, graph: &SamplerGraph, seeds: &[u32], rng: &mut StdRng) -> SampledSubgraph {
-        if seeds.is_empty() {
-            return SampledSubgraph::empty();
-        }
-        self.sample_batch(graph, seeds, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layerwise::LayerWiseConfig;
-    use crate::nodewise::NodeWiseConfig;
     use crate::shadow::ShadowConfig;
 
     fn grid_graph() -> SamplerGraph {
@@ -148,12 +117,6 @@ mod tests {
             Box::new(BulkShadowSampler::new(ShadowConfig {
                 depth: 2,
                 fanout: 3,
-            })),
-            Box::new(NodeWiseSampler::new(NodeWiseConfig {
-                fanouts: vec![3, 2],
-            })),
-            Box::new(LayerWiseSampler::new(LayerWiseConfig {
-                layer_sizes: vec![3, 3],
             })),
         ]
     }

@@ -91,7 +91,7 @@ impl SamplerGraph {
 
     /// Endpoint pair `(src, dst)` of every original edge, indexed by edge
     /// id — the inverse of the CSR's `(src, dst) → id` lookup. Used by
-    /// edge-rooted samplers and by round-trip validation.
+    /// round-trip validation.
     pub fn edge_endpoints(&self) -> Vec<(u32, u32)> {
         let mut out = vec![(0u32, 0u32); self.num_edges()];
         for r in 0..self.num_nodes {
@@ -194,7 +194,7 @@ impl SampledSubgraph {
     }
 
     /// Structural sanity checks; panics with a message on violation.
-    /// Used by tests and debug assertions in the trainers.
+    /// Used by tests, `trkx sample` and the `sampling_explorer` example.
     pub fn validate(&self, parent: &SamplerGraph) {
         let n = self.num_nodes() as u32;
         assert_eq!(self.component_of_node.len(), self.num_nodes());
@@ -203,6 +203,21 @@ impl SampledSubgraph {
         assert!(
             self.batch_nodes.iter().all(|&v| v < n),
             "batch node out of range"
+        );
+        // One component per batch vertex: component `c` holds batch
+        // vertex `c`, and components are laid out contiguously in
+        // ascending order.
+        for (c, &b) in self.batch_nodes.iter().enumerate() {
+            assert_eq!(
+                self.component_of_node[b as usize], c as u32,
+                "batch vertex {c} is not in component {c}"
+            );
+        }
+        let k = self.num_components() as u32;
+        assert!(
+            self.component_of_node.iter().all(|&c| c < k)
+                && self.component_of_node.windows(2).all(|w| w[0] <= w[1]),
+            "component ids are not contiguous and ascending"
         );
         for ((&s, &d), &id) in self
             .sub_src
@@ -311,6 +326,30 @@ mod tests {
         let mut sg = SampledSubgraph::empty();
         // Claim an edge 1→0 which exists only in reverse.
         sg.append_component(0, &[1, 0], vec![(0, 1, 0)].into_iter());
+        sg.validate(&g);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch vertex 0 is not in component 0")]
+    fn validate_rejects_batch_vertices_out_of_component_order() {
+        let g = graph();
+        let mut sg = SampledSubgraph::empty();
+        sg.append_component(0, &[0], std::iter::empty());
+        sg.append_component(1, &[1], std::iter::empty());
+        sg.batch_nodes.swap(0, 1);
+        sg.validate(&g);
+    }
+
+    #[test]
+    #[should_panic(expected = "not contiguous and ascending")]
+    fn validate_rejects_interleaved_components() {
+        let g = graph();
+        let mut sg = SampledSubgraph::empty();
+        sg.append_component(0, &[0, 2], std::iter::empty());
+        sg.append_component(1, &[1], std::iter::empty());
+        sg.component_of_node.swap(1, 2);
+        sg.node_map.swap(1, 2);
+        sg.batch_nodes[1] = 1;
         sg.validate(&g);
     }
 }

@@ -1,15 +1,14 @@
-//! Property tests for the unified [`Sampler`] trait: every sampler
-//! family, driven through the same interface over random seeded graphs,
+//! Property tests for the unified [`Sampler`] trait: both ShaDow
+//! samplers, driven through the same interface over random seeded graphs,
 //! must (a) produce subgraphs that pass structural validation against the
-//! parent and (b) carry edge ids that round-trip to the original
-//! `(src, dst)` endpoint pair; `sample_bulk` must be a pure function of
-//! `(graph, batches, seed)`.
+//! parent — one component per batch vertex, in batch order — and (b)
+//! carry edge ids that round-trip to the original `(src, dst)` endpoint
+//! pair; `sample_bulk` must be a pure function of `(graph, batches, seed)`.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use trkx_sampling::{
-    BulkShadowSampler, LayerWiseConfig, LayerWiseSampler, NodeWiseConfig, NodeWiseSampler,
-    SampledSubgraph, Sampler, SamplerGraph, ShadowConfig, ShadowSampler,
+    BulkShadowSampler, SampledSubgraph, Sampler, SamplerGraph, ShadowConfig, ShadowSampler,
 };
 
 /// Random simple digraph: n vertices, unique non-loop edges.
@@ -26,7 +25,7 @@ fn graph_strategy() -> impl Strategy<Value = SamplerGraph> {
     })
 }
 
-/// One instance of every sampler family, behind the trait.
+/// Both samplers, behind the trait.
 fn all_samplers() -> Vec<Box<dyn Sampler>> {
     let shadow = ShadowConfig {
         depth: 2,
@@ -35,12 +34,6 @@ fn all_samplers() -> Vec<Box<dyn Sampler>> {
     vec![
         Box::new(ShadowSampler::new(shadow)),
         Box::new(BulkShadowSampler::new(shadow)),
-        Box::new(NodeWiseSampler::new(NodeWiseConfig {
-            fanouts: vec![3, 3],
-        })),
-        Box::new(LayerWiseSampler::new(LayerWiseConfig {
-            layer_sizes: vec![8, 8],
-        })),
     ]
 }
 
@@ -94,7 +87,7 @@ proptest! {
 
     #[test]
     fn empty_seed_lists_yield_empty_subgraphs(g in graph_strategy(), seed in 0u64..20) {
-        // DDP shards can be empty; every family must return an empty
+        // DDP shards can be empty; every sampler must return an empty
         // subgraph rather than panic so ranks stay step-aligned.
         for sampler in all_samplers() {
             let sg = sampler.sample(&g, &[], &mut StdRng::seed_from_u64(seed));

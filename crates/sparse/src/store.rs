@@ -4,7 +4,7 @@
 //! read the rows of a frontier, induced-subgraph extraction reads the
 //! rows of a selection, and the SpGEMM formulation is row selection in
 //! matrix clothing. [`RowStore`] captures exactly that access pattern, so
-//! the sampler families can run against either the in-core [`Csr`]
+//! the samplers can run against either the in-core [`Csr`]
 //! (borrowed slices, zero overhead) or the file-backed
 //! [`crate::ShardedCsr`] (rows faulted in shard-at-a-time through an LRU
 //! cache) without knowing which they have.

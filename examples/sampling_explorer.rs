@@ -1,6 +1,6 @@
-//! Compare every sampler family — behind the one [`Sampler`] trait — on a
-//! synthetic event graph: subgraph sizes, wall time per epoch of
-//! minibatches, and the ShaDow baseline-vs-bulk speedup.
+//! Compare the two ShaDow samplers — behind the one [`Sampler`] trait — on
+//! a synthetic event graph: subgraph sizes, wall time per epoch of
+//! minibatches, and the baseline-vs-bulk speedup.
 //!
 //! ```text
 //! cargo run --example sampling_explorer --release
@@ -10,8 +10,7 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
 use trkx::detector::DatasetConfig;
 use trkx::sampling::{
-    vertex_batches, BulkShadowSampler, LayerWiseConfig, LayerWiseSampler, NodeWiseConfig,
-    NodeWiseSampler, Sampler, SamplerGraph, ShadowConfig, ShadowSampler,
+    vertex_batches, BulkShadowSampler, Sampler, SamplerGraph, ShadowConfig, ShadowSampler,
 };
 
 fn main() {
@@ -38,20 +37,15 @@ fn main() {
         fanout: 6,
     }; // paper values
 
-    // Every family behind the one trait; each samples the same epoch of
-    // minibatches via `sample_bulk` (the ShaDow pair differ only in *how*
-    // they process the batches — sequentially vs matrix-stacked).
+    // Both samplers behind the one trait; each samples the same epoch of
+    // minibatches via `sample_bulk`. They differ only in *how* they
+    // process the batches — sequentially vs matrix-stacked.
     let samplers: Vec<Box<dyn Sampler>> = vec![
         Box::new(ShadowSampler::new(shadow_cfg)),
         Box::new(BulkShadowSampler::new(shadow_cfg)),
-        Box::new(NodeWiseSampler::new(NodeWiseConfig {
-            fanouts: vec![6, 6, 6],
-        })),
-        Box::new(LayerWiseSampler::new(LayerWiseConfig {
-            layer_sizes: vec![512, 512, 512],
-        })),
     ];
 
+    // The sequential baseline runs first and is the speedup's base.
     let mut shadow_time = None;
     for sampler in &samplers {
         // Best of three runs (first run pays allocator warm-up).
@@ -67,15 +61,12 @@ fn main() {
         }
         let nodes: usize = subs.iter().map(|s| s.num_nodes()).sum();
         let edges: usize = subs.iter().map(|s| s.num_edges()).sum();
-        let note = match sampler.name() {
-            "shadow" => {
+        let note = match shadow_time {
+            None => {
                 shadow_time = Some(dt);
                 String::new()
             }
-            "bulk-shadow" => shadow_time
-                .map(|base| format!("  ({:.2}x vs baseline ShaDow)", base / dt))
-                .unwrap_or_default(),
-            _ => String::new(),
+            Some(base) => format!("  ({:.2}x vs baseline ShaDow)", base / dt),
         };
         println!(
             "{:<12}: {:>8.1} ms, {:>7} nodes, {:>7} edges sampled{note}",
@@ -86,8 +77,5 @@ fn main() {
         );
     }
 
-    println!(
-        "\nShaDow subgraphs have one component per batch vertex; node/layer-wise\n\
-         return one blob containing the whole batch."
-    );
+    println!("\nShaDow subgraphs have one component per batch vertex.");
 }

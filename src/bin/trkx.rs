@@ -5,7 +5,7 @@
 //! trkx simulate  [--dataset ex3|ctd] [--scale 0.05] [--events 10] [--seed 42]
 //! trkx train     [--dataset ex3|ctd] [--scale 0.05] [--events 10] [--seed 42]
 //!                MODEL [--sampler bulk|baseline] [--bulk-k 4] [--workers 1]
-//!                [--prefetch 0] [--bucket-bytes N] [--comm-overlap] [--hogwild]
+//!                [--prefetch 0] [--bucket-bytes N] [--comm-overlap]
 //!                [--graph-store incore|sharded] [--shard-nodes N]
 //!                [--shard-cache M] [--shard-dir DIR]
 //!                [--out model.json] [--patience N] [--telemetry epochs.jsonl]
@@ -16,11 +16,10 @@
 //!                [--out pipeline.json]
 //! trkx serve     --model pipeline.json [--tcp 127.0.0.1:9090]
 //!                [--workers 2] [--max-queue 128] [--max-event-hits 50000]
-//! trkx sample    [--sampler shadow|bulk-shadow|nodewise|layerwise|all]
+//! trkx sample    [--sampler shadow|bulk-shadow|all]
 //!                [--dataset ex3|ctd] [--scale 0.1]
 //!                [--batch 256] [--repeat 3] [--seed 1]
 //!                [--shadow-depth 3] [--shadow-fanout 6]
-//!                [--fanout 6] [--hops 3] [--layer-size 512]
 //!                [--graph-store incore|sharded] [--shard-nodes N]
 //!                [--shard-cache M]
 //!
@@ -29,13 +28,12 @@
 //! ```
 //!
 //! Every subcommand rejects an unknown or repeated flag, a flag without
-//! its value, a value that does not parse and an unknown `--sampler` /
-//! `--dataset` / `--graph-store` name with one line on stderr and exit
-//! code 2; nothing is accepted and ignored.
-//!
-//! `train --hogwild` has no lockstep collectives, so it rejects
-//! `--patience`, `--bucket-bytes` and `--comm-overlap`; every other
-//! `train` flag applies to it too.
+//! its value, a value that does not parse, a zero `--workers` / `--batch`
+//! and an unknown `--sampler` / `--dataset` / `--graph-store` name with
+//! one line on stderr and exit code 2; nothing is accepted and ignored.
+//! A failure after the flags are read is one line on stderr and exit
+//! code 1. Either way, the shard directory a sharded run creates under
+//! `$TMPDIR` when no `--shard-dir` is given is removed before exit.
 //!
 //! `serve` speaks line-delimited JSON: requests in (`{"id":1,"event":{...}}`,
 //! `{"cmd":"reload","path":"new.json"}`, `{"cmd":"stats"}`,
@@ -44,6 +42,7 @@
 //! instead.
 
 use rand::{rngs::StdRng, SeedableRng};
+use std::path::{Path, PathBuf};
 use trkx::ddp::{AllReduceStrategy, DdpConfig};
 use trkx::detector::{
     dataset_stats, simulate_event, split_80_10_10, DatasetConfig, DetectorGeometry, GunConfig,
@@ -55,8 +54,7 @@ use trkx::pipeline::{
     TrainSpec,
 };
 use trkx::sampling::{
-    vertex_batches, BulkShadowSampler, LayerWiseConfig, LayerWiseSampler, NodeWiseConfig,
-    NodeWiseSampler, Sampler, SamplerGraph, ShadowConfig, ShadowSampler,
+    vertex_batches, BulkShadowSampler, Sampler, SamplerGraph, ShadowConfig, ShadowSampler,
 };
 use trkx::serve::{serve_stdio, serve_tcp, ModelRegistry, ServeConfig, ServerCore};
 
@@ -73,11 +71,6 @@ impl Args {
     fn die(&self, msg: impl std::fmt::Display) -> ! {
         eprintln!("trkx {}: {msg}", self.cmd);
         std::process::exit(2)
-    }
-
-    /// Whether `key` is on the command line (not consumed).
-    fn given(&self, key: &str) -> bool {
-        self.rest.iter().any(|a| a == key)
     }
 
     /// Consume a bare `key`.
@@ -103,6 +96,15 @@ impl Args {
                 .parse()
                 .unwrap_or_else(|_| self.die(format_args!("{key}: cannot parse {v:?}"))),
         }
+    }
+
+    /// [`Args::value`] for a count that must be at least 1.
+    fn positive(&mut self, key: &str, default: usize) -> usize {
+        let v = self.value(key, default);
+        if v == 0 {
+            self.die(format_args!("{key} must be at least 1"));
+        }
+        v
     }
 
     /// Consume `key NAME` where NAME is one of `options`; the first
@@ -150,7 +152,7 @@ fn gnn_config(args: &mut Args, dataset: &DatasetConfig) -> GnnTrainConfig {
         gnn_layers: args.value("--layers", 4),
         mlp_depth: dataset.mlp_layers,
         epochs: args.value("--epochs", 6),
-        batch_size: args.value("--batch", 128),
+        batch_size: args.positive("--batch", 128),
         learning_rate: args.value("--lr", 2e-3),
         shadow: ShadowConfig {
             depth: args.value("--shadow-depth", 2),
@@ -170,39 +172,51 @@ fn graph_store(args: &mut Args, nodes: usize, cache: usize) -> Option<(usize, us
     sharded.then_some((nodes, cache))
 }
 
+/// A directory this process owns under `$TMPDIR`, removed with its
+/// contents when dropped. Commands return their failures to `main`
+/// instead of exiting, so the removal runs on failed runs too.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(prefix: &str) -> Self {
+        Self(std::env::temp_dir().join(format!("{prefix}-{}", std::process::id())))
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Build training graphs either fully in-core or through the out-of-core
 /// sharded store (`--graph-store sharded`): adjacency spilled to
-/// `--shard-dir` (a per-process temp dir by default) at `--shard-nodes`
-/// rows per shard, read back through an LRU cache of `--shard-cache`
-/// shards per store. Sampled batches — and loss curves — are
-/// bit-identical across the two stores.
+/// `--shard-dir` at `--shard-nodes` rows per shard, read back through an
+/// LRU cache of `--shard-cache` shards per store. Sampled batches — and
+/// loss curves — are bit-identical across the two stores. Without a
+/// `--shard-dir` the shards go to a [`ScratchDir`], returned so that it
+/// lives as long as the graphs that read it; a `--shard-dir` is the
+/// user's and is kept.
 fn prepare_for_store(
     store: Option<(usize, usize)>,
     shard_dir: String,
     graphs: &[trkx::detector::EventGraph],
-) -> Vec<PreparedGraph> {
+) -> Result<(Vec<PreparedGraph>, Option<ScratchDir>), String> {
     let Some((shard_nodes, cache)) = store else {
-        return prepare_graphs(graphs);
+        return Ok((prepare_graphs(graphs), None));
     };
-    let dir = if shard_dir.is_empty() {
-        std::env::temp_dir().join(format!("trkx-shards-{}", std::process::id()))
-    } else {
-        shard_dir.into()
-    };
-    match prepare_graphs_sharded(graphs, &dir, shard_nodes, cache) {
-        Ok(p) => {
-            println!(
-                "sharded graph store under {} ({shard_nodes} nodes/shard, \
-                 cache {cache} shards/store)",
-                dir.display()
-            );
-            p
-        }
-        Err(e) => {
-            eprintln!("failed to build sharded graph store: {e}");
-            std::process::exit(1);
-        }
-    }
+    let scratch = shard_dir.is_empty().then(|| ScratchDir::new("trkx-shards"));
+    let dir = scratch
+        .as_ref()
+        .map_or_else(|| PathBuf::from(shard_dir), |s| s.0.clone());
+    let prepared = prepare_graphs_sharded(graphs, &dir, shard_nodes, cache)
+        .map_err(|e| format!("failed to build sharded graph store: {e}"))?;
+    println!(
+        "sharded graph store under {} ({shard_nodes} nodes/shard, \
+         cache {cache} shards/store)",
+        dir.display()
+    );
+    Ok((prepared, scratch))
 }
 
 /// Print shard-cache traffic when any graph reads through a sharded store.
@@ -224,7 +238,7 @@ fn report_shard_cache(graphs: &[PreparedGraph]) {
     }
 }
 
-fn cmd_simulate(mut args: Args) {
+fn cmd_simulate(mut args: Args) -> Result<(), String> {
     let cfg = dataset_config(&mut args);
     let events = args.value("--events", 10usize);
     let seed = args.value("--seed", 42u64);
@@ -242,9 +256,10 @@ fn cmd_simulate(mut args: Args) {
     println!("true-edge fraction: {:.3}", stats.avg_positive_fraction);
     println!("vertex features   : {}", cfg.num_vertex_features);
     println!("edge features     : {}", cfg.num_edge_features);
+    Ok(())
 }
 
-fn cmd_train(mut args: Args) {
+fn cmd_train(mut args: Args) -> Result<(), String> {
     let cfg = dataset_config(&mut args);
     let events = args.value("--events", 10usize);
     let (tr, va, _) = split_80_10_10(events);
@@ -252,18 +267,6 @@ fn cmd_train(mut args: Args) {
         args.die(format_args!(
             "--events {events} leaves no training events after the 80/10/10 split"
         ));
-    }
-    // Hogwild has no lockstep collectives: there is nothing to bucket or
-    // overlap, and no epoch at which every worker could agree to stop.
-    let hogwild = args.switch("--hogwild");
-    if hogwild {
-        for flag in ["--patience", "--bucket-bytes", "--comm-overlap"] {
-            if args.given(flag) {
-                args.die(format_args!(
-                    "{flag} needs synchronous training; it cannot be combined with --hogwild"
-                ));
-            }
-        }
     }
     let out = args.value("--out", "model.json".to_string());
     let store = graph_store(&mut args, 2048, 8);
@@ -276,7 +279,7 @@ fn cmd_train(mut args: Args) {
         "--sampler",
         &[("bulk", bulk), ("baseline", SamplerKind::Baseline)],
     );
-    let workers = args.value("--workers", 1usize);
+    let workers = args.positive("--workers", 1);
     // --bucket-bytes N buckets the gradient all-reduce at an N-byte
     // budget (default: one coalesced collective); --comm-overlap fires
     // each bucket mid-backward as its last gradient finalizes.
@@ -296,7 +299,7 @@ fn cmd_train(mut args: Args) {
     args.finish();
     eprintln!("gemm kernel: {}", trkx::tensor::gemm_kernel());
     let graphs = cfg.generate(events, gnn_cfg.seed);
-    let prepared = prepare_for_store(store, shard_dir, &graphs);
+    let (prepared, _scratch) = prepare_for_store(store, shard_dir, &graphs)?;
     println!(
         "training on {} ({} train / {} val graphs)...",
         cfg.name,
@@ -332,18 +335,10 @@ fn cmd_train(mut args: Args) {
         }
         hooks
     };
-    let spec = if hogwild {
-        // Lock-free asynchronous SGD: no collectives, no replica
-        // lockstep; noisier convergence, zero communication cost.
-        TrainSpec::hogwild(&gnn_cfg, sampler, workers)
-    } else {
-        TrainSpec::ddp(&gnn_cfg, sampler, ddp)
-    };
-    let result = train(
-        &spec.with_batching(batching).with_hooks(&make_hooks),
-        &prepared[tr],
-        &prepared[va],
-    );
+    let spec = TrainSpec::ddp(&gnn_cfg, sampler, ddp)
+        .with_batching(batching)
+        .with_hooks(&make_hooks);
+    let result = train(&spec, &prepared[tr], &prepared[va]);
     if patience > 0 && result.epochs.len() < gnn_cfg.epochs {
         println!(
             "early stop after {} epochs (patience {patience})",
@@ -357,16 +352,13 @@ fn cmd_train(mut args: Args) {
         cfg.num_edge_features,
         1,
     );
-    match ckpt.save_json(&out) {
-        Ok(()) => println!("saved checkpoint ({} scalars) to {out}", ckpt.numel()),
-        Err(e) => {
-            eprintln!("failed to save checkpoint: {e}");
-            std::process::exit(1);
-        }
-    }
+    ckpt.save_json(&out)
+        .map_err(|e| format!("failed to save checkpoint: {e}"))?;
+    println!("saved checkpoint ({} scalars) to {out}", ckpt.numel());
+    Ok(())
 }
 
-fn cmd_evaluate(mut args: Args) {
+fn cmd_evaluate(mut args: Args) -> Result<(), String> {
     let model_path = args.value("--model", "model.json".to_string());
     let cfg = dataset_config(&mut args);
     let events = args.value("--events", 10usize);
@@ -382,18 +374,10 @@ fn cmd_evaluate(mut args: Args) {
         gnn_cfg.ignn_config(cfg.num_vertex_features, cfg.num_edge_features),
         &mut rng,
     );
-    let ckpt = match Checkpoint::load_json(&model_path) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("failed to load {model_path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut params = model.params_mut();
-    if let Err(e) = ckpt.apply_to(&mut params) {
-        eprintln!("checkpoint does not match the configured model: {e}");
-        std::process::exit(1);
-    }
+    let ckpt = Checkpoint::load_json(&model_path)
+        .map_err(|e| format!("failed to load {model_path}: {e}"))?;
+    ckpt.apply_to(&mut model.params_mut())
+        .map_err(|e| format!("checkpoint does not match the configured model: {e}"))?;
 
     let stats = evaluate(&model, test, 0.5);
     println!("test graphs : {}", test.len());
@@ -413,9 +397,10 @@ fn cmd_evaluate(mut args: Args) {
         "best f1     : {:.4} at threshold {:.2} (P {:.3} R {:.3})",
         best.f1, best.threshold, best.precision, best.recall
     );
+    Ok(())
 }
 
-fn cmd_reconstruct(mut args: Args) {
+fn cmd_reconstruct(mut args: Args) -> Result<(), String> {
     let particles = args.value("--particles", 40usize);
     let events = args.value("--events", 8usize);
     let seed = args.value("--seed", 7u64);
@@ -466,19 +451,17 @@ fn cmd_reconstruct(mut args: Args) {
         result.metrics.purity()
     );
     if !out.is_empty() {
-        match pipeline.save_json(&out) {
-            Ok(()) => println!("saved pipeline bundle to {out}"),
-            Err(e) => {
-                eprintln!("failed to save pipeline bundle: {e}");
-                std::process::exit(1);
-            }
-        }
+        pipeline
+            .save_json(&out)
+            .map_err(|e| format!("failed to save pipeline bundle: {e}"))?;
+        println!("saved pipeline bundle to {out}");
     }
+    Ok(())
 }
 
 /// Serve a trained pipeline bundle over line-delimited JSON (stdin by
 /// default, a TCP listener with `--tcp addr`).
-fn cmd_serve(mut args: Args) {
+fn cmd_serve(mut args: Args) -> Result<(), String> {
     let Some(model_path) = args.take("--model") else {
         args.die("--model <pipeline.json> is required (from `trkx reconstruct --out`)");
     };
@@ -490,13 +473,8 @@ fn cmd_serve(mut args: Args) {
     };
     let tcp = args.value("--tcp", String::new());
     args.finish();
-    let registry = match ModelRegistry::load(&model_path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("failed to load {model_path}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let registry = ModelRegistry::load(&model_path)
+        .map_err(|e| format!("failed to load {model_path}: {e}"))?;
     // Startup banner on stderr so stdout stays pure response lines.
     eprintln!("gemm kernel: {}", trkx::tensor::gemm_kernel());
     eprintln!(
@@ -508,41 +486,30 @@ fn cmd_serve(mut args: Args) {
         config.max_queue
     );
     let core = ServerCore::start(config, std::sync::Arc::new(registry));
-    let served = if tcp.is_empty() {
+    if tcp.is_empty() {
         serve_stdio(core)
     } else {
         serve_tcp(core, tcp.as_str())
-    };
-    if let Err(e) = served {
-        eprintln!("serve failed: {e}");
-        std::process::exit(1);
     }
+    .map_err(|e| format!("serve failed: {e}"))
 }
 
-/// Time any sampler (by name, via the unified `Sampler` trait) over one
-/// generated event's minibatch schedule.
-fn cmd_sample(mut args: Args) {
+/// Time either sampler (by name, via the unified `Sampler` trait) over
+/// one generated event's minibatch schedule.
+fn cmd_sample(mut args: Args) -> Result<(), String> {
     let cfg = dataset_config(&mut args);
     let seed = args.value("--seed", 1u64);
-    let batch_size = args.value("--batch", 256usize);
+    let batch_size = args.positive("--batch", 256);
     let repeat = args.value("--repeat", 3usize).max(1);
     let store = graph_store(&mut args, 1024, 4);
-    // Every sampler family behind the unified trait, chosen by
-    // `Sampler::name`.
+    // Both samplers behind the unified trait, chosen by `Sampler::name`.
     let shadow = ShadowConfig {
         depth: args.value("--shadow-depth", 3),
         fanout: args.value("--shadow-fanout", 6),
     };
-    let hops = args.value("--hops", 3usize);
-    let all: [Box<dyn Sampler>; 4] = [
+    let all: [Box<dyn Sampler>; 2] = [
         Box::new(ShadowSampler::new(shadow)),
         Box::new(BulkShadowSampler::new(shadow)),
-        Box::new(NodeWiseSampler::new(NodeWiseConfig {
-            fanouts: vec![args.value("--fanout", 6usize); hops],
-        })),
-        Box::new(LayerWiseSampler::new(LayerWiseConfig {
-            layer_sizes: vec![args.value("--layer-size", 512usize); hops],
-        })),
     ];
     let mut options = vec![("all", None)];
     options.extend(all.iter().enumerate().map(|(i, s)| (s.name(), Some(i))));
@@ -550,30 +517,26 @@ fn cmd_sample(mut args: Args) {
     args.finish();
 
     let g = &cfg.generate(1, seed)[0];
+    // Declared before `graph`, so the shards outlive the stores reading them.
+    let scratch;
     let graph = match store {
         Some((shard_nodes, cache)) => {
-            let dir = std::env::temp_dir().join(format!("trkx-sample-{}", std::process::id()));
+            scratch = ScratchDir::new("trkx-sample");
             let spec = trkx::detector::spill_adjacency(
                 g.num_nodes,
                 &g.src,
                 &g.dst,
-                &dir,
+                &scratch.0,
                 "event",
                 shard_nodes,
             )
-            .unwrap_or_else(|e| {
-                eprintln!("failed to spill sharded adjacency: {e}");
-                std::process::exit(1);
-            });
-            let open = |p: &std::path::Path| {
-                std::sync::Arc::new(
-                    trkx::sparse::ShardedCsr::<u32>::open(p, cache).unwrap_or_else(|e| {
-                        eprintln!("failed to open sharded store: {e}");
-                        std::process::exit(1);
-                    }),
-                )
+            .map_err(|e| format!("failed to spill sharded adjacency: {e}"))?;
+            let open = |p: &Path| {
+                trkx::sparse::ShardedCsr::<u32>::open(p, cache)
+                    .map(std::sync::Arc::new)
+                    .map_err(|e| format!("failed to open sharded store: {e}"))
             };
-            SamplerGraph::from_stores(g.num_nodes, open(&spec.directed), open(&spec.undirected))
+            SamplerGraph::from_stores(g.num_nodes, open(&spec.directed)?, open(&spec.undirected)?)
         }
         None => SamplerGraph::new(g.num_nodes, &g.src, &g.dst),
     };
@@ -625,11 +588,13 @@ fn cmd_sample(mut args: Args) {
             c.hit_rate()
         );
     }
+    Ok(())
 }
 
 fn main() {
     let mut raw = std::env::args().skip(1);
-    let (cmd, run): (&'static str, fn(Args)) = match raw.next().as_deref() {
+    type Run = fn(Args) -> Result<(), String>;
+    let (cmd, run): (&'static str, Run) = match raw.next().as_deref() {
         Some("simulate") => ("simulate", cmd_simulate),
         Some("train") => ("train", cmd_train),
         Some("evaluate") => ("evaluate", cmd_evaluate),
@@ -644,8 +609,12 @@ fn main() {
             std::process::exit(2);
         }
     };
-    run(Args {
+    let args = Args {
         cmd,
         rest: raw.collect(),
-    });
+    };
+    if let Err(e) = run(args) {
+        eprintln!("{e}");
+        std::process::exit(1);
+    }
 }

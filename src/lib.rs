@@ -17,11 +17,11 @@
 //! | [`nn`] | `trkx-nn` | MLPs, optimizers, losses |
 //! | [`graph`] | `trkx-graph` | union-find, grid radius graphs |
 //! | [`detector`] | `trkx-detector` | synthetic HEP events + datasets |
-//! | [`sampling`] | `trkx-sampling` | ShaDow, bulk ShaDow, node/layer-wise |
+//! | [`sampling`] | `trkx-sampling` | sequential and bulk ShaDow |
 //! | [`ignn`] | `trkx-ignn` | the Interaction GNN (Algorithm 1) |
 //! | [`ddp`] | `trkx-ddp` | simulated DDP + all-reduce cost model |
 //! | [`pipeline`] | `trkx-core` | the five-stage pipeline + trainers |
-//! | [`serve`] | `trkx-serve` | micro-batching inference service |
+//! | [`serve`] | `trkx-serve` | inference service |
 //!
 //! ## Quickstart
 //!
@@ -40,7 +40,7 @@
 //!     ..Default::default()
 //! };
 //! // One description, one entry point: `TrainSpec::{full_graph, ddp,
-//! // simulated_ddp, hogwild}` pick the mode.
+//! // simulated_ddp}` pick the mode.
 //! let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k: 4 }, DdpConfig::single());
 //! let result = train(&spec, &graphs[..2], &graphs[2..]);
 //! assert!(result.epochs[0].train_loss.is_finite());

@@ -56,6 +56,17 @@ fn what_the_command_line_does_not_understand_is_a_usage_error() {
             &["--model", "missing.json", "--max-batch-hits", "1"],
         ),
         ("simulate", &["--evnts", "7", "--seed", "notanumber"]),
+        // Zero counts, which used to panic.
+        ("train", &["--workers", "0"]),
+        ("train", &["--batch", "0"]),
+        ("sample", &["--batch", "0"]),
+        // Removed at the cut to the paper's two samplers and one trainer.
+        ("train", &["--hogwild"]),
+        ("sample", &["--sampler", "nodewise"]),
+        ("sample", &["--sampler", "layerwise"]),
+        ("sample", &["--fanout", "6"]),
+        ("sample", &["--hops", "3"]),
+        ("sample", &["--layer-size", "512"]),
     ] {
         let mut trkx = Command::new(env!("CARGO_BIN_EXE_trkx"));
         let out = trkx.arg(cmd).args(flags).output().unwrap();
@@ -80,23 +91,10 @@ fn train_names_its_gemm_kernel_once_on_stderr() {
 }
 
 #[test]
-fn hogwild_rejects_the_flags_that_need_lockstep() {
-    for flags in [
-        &["--patience", "2"][..],
-        &["--bucket-bytes", "4096"],
-        &["--comm-overlap"],
-    ] {
-        let out = trkx_train(&[&["--hogwild", "--workers", "2"], flags].concat());
-        assert_usage_error(&out, flags[0]);
-    }
-}
-
-#[test]
-fn hogwild_honours_telemetry_and_prefetch() {
-    let jsonl = tmp("hogwild.jsonl");
+fn train_honours_telemetry_and_prefetch() {
+    let jsonl = tmp("telemetry.jsonl");
     let _ = std::fs::remove_file(&jsonl);
     let out = trkx_train(&[
-        "--hogwild",
         "--workers",
         "2",
         "--prefetch",
@@ -118,4 +116,91 @@ fn hogwild_honours_telemetry_and_prefetch() {
     );
     let _ = std::fs::remove_file(&jsonl);
     let _ = std::fs::remove_file(tmp("model.json"));
+}
+
+/// Run `trkx` with `$TMPDIR` pointed at `tmpdir`; returns the child's pid
+/// and output.
+fn trkx_in_tmpdir(tmpdir: &std::path::Path, args: &[&str]) -> (u32, Output) {
+    let child = Command::new(env!("CARGO_BIN_EXE_trkx"))
+        .args(args)
+        .env("TMPDIR", tmpdir)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn trkx");
+    let pid = child.id();
+    (pid, child.wait_with_output().expect("wait for trkx"))
+}
+
+#[test]
+fn sharded_runs_remove_their_default_shard_dir_and_keep_a_given_one() {
+    let tmpdir = tmp("tmpdir");
+    let _ = std::fs::remove_dir_all(&tmpdir);
+    std::fs::create_dir_all(&tmpdir).unwrap();
+
+    let (pid, out) = trkx_in_tmpdir(
+        &tmpdir,
+        &[
+            "sample",
+            "--graph-store",
+            "sharded",
+            "--scale",
+            "0.01",
+            "--repeat",
+            "1",
+        ],
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // The rows between the table header and the blank line before the
+    // shard-cache summary name the samplers that ran.
+    let rows: Vec<&str> = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("sampler "))
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .map(|l| l.split_whitespace().next().unwrap())
+        .collect();
+    assert_eq!(rows, ["shadow", "bulk-shadow"], "{stdout}");
+    assert!(stdout.contains("shard cache:"), "{stdout}");
+    let shards = tmpdir.join(format!("trkx-sample-{pid}"));
+    assert!(!shards.exists(), "{} left behind", shards.display());
+
+    let model = tmp("sharded_model.json");
+    let train = |extra: &[&str]| {
+        let mut args = vec!["train", "--graph-store", "sharded", "--out"];
+        args.push(model.to_str().unwrap());
+        args.extend(TINY);
+        args.extend(extra);
+        trkx_in_tmpdir(&tmpdir, &args)
+    };
+    let (pid, out) = train(&[]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let shards = tmpdir.join(format!("trkx-shards-{pid}"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(&shards.display().to_string()), "{stdout}");
+    assert!(!shards.exists(), "{} left behind", shards.display());
+
+    let given = tmpdir.join("given");
+    let (_, out) = train(&["--shard-dir", given.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        given.read_dir().unwrap().next().is_some(),
+        "--shard-dir emptied"
+    );
+
+    let _ = std::fs::remove_file(&model);
+    let _ = std::fs::remove_dir_all(&tmpdir);
 }

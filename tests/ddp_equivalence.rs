@@ -209,37 +209,3 @@ fn overlapped_comm_is_bit_identical_to_post_hoc_simulated() {
         );
     }
 }
-
-#[test]
-fn hogwild_converges_and_costs_zero_comm() {
-    let data = DatasetConfig::ex3_like(0.015).generate(3, 44);
-    let prepared = prepare_graphs(&data);
-    let (train_set, val) = prepared.split_at(2);
-    let mut c = cfg();
-    c.epochs = 4;
-    c.learning_rate = 1e-3;
-    let spec = TrainSpec::hogwild(&c, SamplerKind::Bulk { k: 2 }, 2);
-    let r = train(&spec, train_set, val);
-    assert_eq!(r.epochs.len(), 4);
-    for e in &r.epochs {
-        assert!(
-            e.train_loss.is_finite(),
-            "epoch {}: {}",
-            e.epoch,
-            e.train_loss
-        );
-        assert_eq!(e.timing.comm_virtual_s, 0.0, "hogwild modeled comm");
-        assert_eq!(e.timing.comm_exposed_s, 0.0);
-    }
-    // Racy updates are noisy but must still descend: the mean of the
-    // last two epochs' losses beats the first epoch's.
-    let first = r.epochs[0].train_loss;
-    let tail = (r.epochs[2].train_loss + r.epochs[3].train_loss) / 2.0;
-    assert!(
-        tail < first,
-        "hogwild failed to descend: first {first}, tail mean {tail}"
-    );
-    for p in r.model.params() {
-        assert!(p.value.data().iter().all(|v| v.is_finite()));
-    }
-}
