@@ -2,9 +2,10 @@
 # Local CI gate: formatting, lints (warnings are errors), docs (warnings
 # are errors), release build, the full workspace test suite, the GEMM
 # arm-vs-arm parity test by name (its log line says which micro-kernel
-# arms this host ran), the determinism / allocation suites at two pool
-# sizes, and a two-second run of each benchmark workload with a 1 GB
-# peak-RSS tripwire. Run from the repo root.
+# arms this host ran), the determinism / allocation / thread-budget
+# suites at two pool sizes, a two-second run of each benchmark workload
+# with a 1 GB peak-RSS tripwire, and a check that the frozen benchmark's
+# tracked files did not change. Run from the repo root.
 set -euo pipefail
 
 cargo fmt --check
@@ -28,10 +29,25 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test determinism
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --test matmul_blocked
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test matmul_blocked
 
-# Zero-alloc steady state for the pool executor and the GEMM kernels at
-# a multi-thread pool size.
+# Zero-alloc steady state for the GEMM kernels at a multi-thread pool
+# size, and the rayon shim's own suite at two pool sizes: the pool
+# executor (zero-alloc dispatch, with and without a held core) and the
+# one thread budget (another thread's core narrows the split by one, a
+# thread's own does not, never below 1, released on unwinding, always 1
+# at pool size 1).
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test alloc_probe
-(cd shims/rayon && RAYON_NUM_THREADS=4 cargo test -q --release --test alloc_probe)
+(cd shims/rayon && RAYON_NUM_THREADS=1 cargo test -q --release)
+(cd shims/rayon && RAYON_NUM_THREADS=4 cargo test -q --release)
+
+# The thread budget above the shim, at two pool sizes: DDP ranks as many
+# as pool threads each see a split width of 1 and give their cores back,
+# and served tracks equal `reconstruct`'s at 1, 2 and 4 workers (at pool
+# 4, one worker's kernels split four ways and four workers' run
+# serially).
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-ddp --test thread_budget
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-ddp --test thread_budget
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-serve --test batch_parity
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-serve --test batch_parity
 
 # Allocation budgets above the kernels, parallel gates forced on: a full
 # train step on a repeated shape (<= 72 allocs), stage-2 construction
@@ -116,3 +132,7 @@ for w in train_dense train_ddp2 sample_incore sample_oocore serve_open serve_clo
         exit 1
     fi
 done
+
+# The benchmark is frozen: building and running it must leave its
+# tracked files (its lock file included) byte-identical.
+git diff --exit-code -- benchmark BENCHMARK.json

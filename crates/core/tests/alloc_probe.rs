@@ -225,9 +225,7 @@ fn graph_construction_stays_within_its_allocation_budget() {
 /// One `#[test]` for the whole binary: see `counting_alloc.rs`.
 #[test]
 fn pooled_hot_paths_stay_within_their_allocation_budgets() {
-    // Before any kernel runs: the thresholds are read once per process.
-    std::env::set_var("TRKX_PAR_THRESHOLD", "1");
-    std::env::set_var("TRKX_PAR_MATMUL_THRESHOLD", "1");
+    trkx_tensor::force_parallel_kernels();
     train_step_stays_within_its_allocation_budgets();
     graph_construction_stays_within_its_allocation_budget();
     served_events_recycle_across_event_shapes();

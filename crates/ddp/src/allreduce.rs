@@ -168,7 +168,9 @@ impl AllReducer {
 }
 
 /// Run `p` ranked workers on scoped threads and collect their results in
-/// rank order.
+/// rank order. For `p ≥ 2` each rank holds its core for its whole life
+/// ([`trkx_tensor::occupy`]), so a rank's kernels split over only the
+/// cores the other ranks leave free.
 pub fn run_workers<R: Send>(p: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     assert!(p > 0, "need at least one worker");
     if p == 1 {
@@ -179,7 +181,10 @@ pub fn run_workers<R: Send>(p: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
         let handles: Vec<_> = (0..p)
             .map(|rank| {
                 let f = &f;
-                s.spawn(move |_| f(rank))
+                s.spawn(move |_| {
+                    let _core = trkx_tensor::occupy();
+                    f(rank)
+                })
             })
             .collect();
         for (rank, h) in handles.into_iter().enumerate() {

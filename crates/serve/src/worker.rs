@@ -13,6 +13,10 @@
 //! at any thread count, *which* worker serves a request never changes
 //! the response payload (`tests/batch_parity.rs`).
 //!
+//! While it reconstructs, a worker holds its core
+//! ([`trkx_tensor::occupy`]), so the kernels of the other busy workers
+//! split over only the cores nobody holds.
+//!
 //! A panic inside one request's reconstruction answers that request with
 //! `status:"error"`, counts it in [`ServeStats`]' errors and replaces the
 //! worker's pools; the worker goes on to its next request.
@@ -136,8 +140,11 @@ fn worker_loop(queue: &RequestQueue, registry: &ModelRegistry, stats: &ServeStat
             let model = registry.active();
             let queue_us = job.enqueued.elapsed().as_micros() as u64;
             // The pools are the only state the closure mutates, and they
-            // are replaced below if it unwinds.
+            // are replaced below if it unwinds. The core is held only while
+            // computing, never while waiting for jobs, so that an idle
+            // worker leaves its core to a busy one's kernels.
             let run = catch_unwind(AssertUnwindSafe(|| {
+                let _core = trkx_tensor::occupy();
                 model
                     .pipeline
                     .reconstruct_pooled(&mut tape, &mut bind, &mut ctor, &job.event)

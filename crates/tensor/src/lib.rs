@@ -31,8 +31,15 @@ pub mod pool;
 pub mod tape;
 
 pub use gradcheck::{gradcheck, GradCheckReport};
+#[doc(hidden)]
+pub use matrix::force_parallel_kernels;
 pub use matrix::{gemm_kernel, Matrix};
 pub use ops::{sigmoid, Op};
 pub use plan::{EdgePlan, EdgePlans};
 pub use pool::BufferPool;
+// The one thread budget: a thread doing top-level work (a serve worker
+// inside a request, a DDP rank) holds its core with `occupy`, and the
+// kernels split over `current_num_threads` = the pool less the cores
+// other threads hold. Results never depend on the split.
+pub use rayon::{current_num_threads, occupy};
 pub use tape::{GradObserver, GradReader, Tape, Var};

@@ -18,31 +18,45 @@ use crate::plan::EdgePlan;
 use rand::Rng;
 use rayon::prelude::*;
 use std::cell::RefCell;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Default element count above which elementwise kernels use Rayon.
-const DEFAULT_PAR_THRESHOLD: usize = 1 << 14;
-/// Default output element count above which matmul uses Rayon.
-const DEFAULT_PAR_MATMUL_THRESHOLD: usize = 1 << 10;
+/// Element count above which elementwise kernels use Rayon.
+const PAR_THRESHOLD: usize = 1 << 14;
+/// Output element count above which matmul uses Rayon.
+const PAR_MATMUL_THRESHOLD: usize = 1 << 10;
 
-fn env_usize(key: &str) -> Option<usize> {
-    std::env::var(key).ok().and_then(|v| v.parse().ok())
+/// Set by [`force_parallel_kernels`]; never cleared. Every size-gated
+/// kernel reads it, so it has a cache line to itself: sharing one with a
+/// static that other cores write (an allocation counter, say) would make
+/// each read a miss on a multi-threaded run.
+#[repr(align(128))]
+struct ForceParallel(AtomicBool);
+static FORCE_PARALLEL: ForceParallel = ForceParallel(AtomicBool::new(false));
+
+/// Send every size-gated kernel in this process down its parallel path,
+/// both thresholds becoming 1. For the tests that pin the parallel
+/// kernels to serial references; results are the same either way.
+#[doc(hidden)]
+pub fn force_parallel_kernels() {
+    FORCE_PARALLEL.0.store(true, Ordering::Relaxed);
 }
 
-/// Element count above which elementwise kernels use Rayon
-/// (override: `TRKX_PAR_THRESHOLD`).
+fn gate(threshold: usize) -> usize {
+    if FORCE_PARALLEL.0.load(Ordering::Relaxed) {
+        1
+    } else {
+        threshold
+    }
+}
+
+/// Element count above which elementwise kernels use Rayon.
 pub fn par_threshold() -> usize {
-    static V: OnceLock<usize> = OnceLock::new();
-    *V.get_or_init(|| env_usize("TRKX_PAR_THRESHOLD").unwrap_or(DEFAULT_PAR_THRESHOLD))
+    gate(PAR_THRESHOLD)
 }
 
-/// Output element count above which matmul kernels use Rayon
-/// (override: `TRKX_PAR_MATMUL_THRESHOLD`).
+/// Output element count above which matmul kernels use Rayon.
 pub fn par_matmul_threshold() -> usize {
-    static V: OnceLock<usize> = OnceLock::new();
-    *V.get_or_init(|| {
-        env_usize("TRKX_PAR_MATMUL_THRESHOLD").unwrap_or(DEFAULT_PAR_MATMUL_THRESHOLD)
-    })
+    gate(PAR_MATMUL_THRESHOLD)
 }
 
 // ---------------------------------------------------------------------

@@ -1,9 +1,9 @@
 //! Bit-exactness tests for the parallel message-passing kernels.
 //!
-//! Every test in this binary first forces the parallel code paths by
-//! setting `TRKX_PAR_THRESHOLD=1` before any kernel has run (the threshold
-//! is read once per process, so this binary must never be linked into the
-//! unit-test harness). The assertions anchor each parallel kernel to a
+//! Every test in this binary first forces the parallel code paths with
+//! `trkx_tensor::force_parallel_kernels()` (a process-wide switch, so this
+//! binary must never be linked into the unit-test harness). The
+//! assertions anchor each parallel kernel to a
 //! thread-count-independent reference — the serial scatter/gather kernels,
 //! or a reimplementation of the fixed chunking — so passing at any pool
 //! size proves the kernel's output does not depend on the thread count.
@@ -13,18 +13,8 @@
 //! check at two pool sizes.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::sync::{Arc, Once};
-use trkx_tensor::{sigmoid, EdgePlan, EdgePlans, Matrix, Tape};
-
-/// Force every size-gated kernel onto its parallel path for this process.
-/// Must be the first call in every test.
-fn force_parallel() {
-    static FORCE: Once = Once::new();
-    FORCE.call_once(|| {
-        std::env::set_var("TRKX_PAR_THRESHOLD", "1");
-        std::env::set_var("TRKX_PAR_MATMUL_THRESHOLD", "1");
-    });
-}
+use std::sync::Arc;
+use trkx_tensor::{force_parallel_kernels, sigmoid, EdgePlan, EdgePlans, Matrix, Tape};
 
 /// Random COO endpoints over `nodes` vertices; with few nodes and many
 /// edges this produces heavy duplication, with many nodes and few edges
@@ -35,7 +25,7 @@ fn random_endpoints(rng: &mut StdRng, nodes: usize, edges: usize) -> Vec<u32> {
 
 #[test]
 fn planned_scatter_matches_serial_kernel() {
-    force_parallel();
+    force_parallel_kernels();
     let mut rng = StdRng::seed_from_u64(7);
     // (nodes, edges) shapes covering the paper's regime plus the edge
     // cases: empty graph, no edges, one hub node (every edge duplicated
@@ -62,7 +52,7 @@ fn planned_scatter_matches_serial_kernel() {
 
 #[test]
 fn planned_tape_ops_match_serial_tape_ops() {
-    force_parallel();
+    force_parallel_kernels();
     let mut rng = StdRng::seed_from_u64(11);
     let (nodes, edges, h) = (53, 400, 8);
     let src = Arc::new(random_endpoints(&mut rng, nodes, edges));
@@ -124,7 +114,7 @@ fn planned_tape_ops_match_serial_tape_ops() {
 
 #[test]
 fn gather_concat_matches_unfused_composite() {
-    force_parallel();
+    force_parallel_kernels();
     let mut rng = StdRng::seed_from_u64(13);
     for (nodes, edges, wy, wx) in [(40, 256, 4, 6), (1, 32, 2, 3), (90, 0, 4, 4)] {
         let src = Arc::new(random_endpoints(&mut rng, nodes, edges));
@@ -165,7 +155,7 @@ fn gather_concat_matches_unfused_composite() {
 
 #[test]
 fn parallel_row_kernels_match_serial_references() {
-    force_parallel();
+    force_parallel_kernels();
     let mut rng = StdRng::seed_from_u64(17);
     let (rows, w1, w2) = (200, 5, 9);
     let a = Matrix::randn(rows, w1, 1.0, &mut rng);
@@ -201,7 +191,7 @@ fn parallel_row_kernels_match_serial_references() {
 
 #[test]
 fn parallel_bce_matches_fixed_chunk_reference() {
-    force_parallel();
+    force_parallel_kernels();
     // Mirrors REDUCE_CHUNK in ops.rs: the parallel reduction must group
     // partials by this constant (never by thread count) for the loss to
     // be pool-size independent.
@@ -251,7 +241,7 @@ fn parallel_bce_matches_fixed_chunk_reference() {
 
 #[test]
 fn blocked_matmul_is_thread_count_invariant() {
-    force_parallel();
+    force_parallel_kernels();
     let mut rng = StdRng::seed_from_u64(41);
     // Shapes straddling the MR=8 tile and NR=16 panel boundaries, plus
     // the paper's edge-regime shape (many rows, narrow features).

@@ -1,10 +1,10 @@
 //! Property tests pinning the blocked GEMM kernels to their reference
 //! summation orders, bit for bit.
 //!
-//! Every test forces the parallel dispatch path by setting
-//! `TRKX_PAR_MATMUL_THRESHOLD=1` before any kernel has run (the
-//! threshold is read once per process, so this binary must never be
-//! linked into the unit-test harness). The references are naive triple
+//! Every test forces the parallel dispatch path with
+//! `trkx_tensor::force_parallel_kernels()` (a process-wide switch, so
+//! this binary must never be linked into the unit-test harness). The
+//! references are naive triple
 //! loops that spell out each kernel's pinned per-element order:
 //!
 //! * `matmul` / `matmul_tn`: one sequential accumulator over ascending
@@ -27,15 +27,7 @@
 //! MR=8 tile height: below, at, and one past each boundary.
 
 use proptest::prelude::*;
-use std::sync::Once;
-use trkx_tensor::Matrix;
-
-/// Force the GEMM parallel path for this process. Must run before any
-/// kernel call in every test.
-fn force_parallel() {
-    static FORCE: Once = Once::new();
-    FORCE.call_once(|| std::env::set_var("TRKX_PAR_MATMUL_THRESHOLD", "1"));
-}
+use trkx_tensor::{force_parallel_kernels, Matrix};
 
 /// Dimension sweep: ragged/aligned around the MR=8, NR=16 and dot8
 /// boundaries, plus the degenerate width 1.
@@ -104,7 +96,7 @@ proptest! {
     // pre-existing output value).
     #[test]
     fn nn_variants_match_naive((m, k, n, av, bv, pre) in case()) {
-        force_parallel();
+        force_parallel_kernels();
         let a = Matrix::from_vec(m, k, av.clone());
         let b = Matrix::from_vec(k, n, bv.clone());
         let naive = naive_nn(&av, &bv, m, k, n);
@@ -131,7 +123,7 @@ proptest! {
     // match the same ascending-k reference on the transposed operand.
     #[test]
     fn tn_variants_match_naive((m, k, n, av, bv, pre) in case()) {
-        force_parallel();
+        force_parallel_kernels();
         // Self is k x m; the reference wants the m x k row-major view.
         let at = Matrix::from_vec(k, m, av.clone());
         let b = Matrix::from_vec(k, n, bv.clone());
@@ -156,7 +148,7 @@ proptest! {
     // the dot8 lane-structure reference for every output element.
     #[test]
     fn nt_variants_match_dot8_reference((m, k, n, av, bv, pre) in case()) {
-        force_parallel();
+        force_parallel_kernels();
         let a = Matrix::from_vec(m, k, av.clone());
         let bt = Matrix::from_vec(n, k, bv.clone());
         let mut naive = vec![0.0f32; m * n];

@@ -7,12 +7,16 @@
 //! `flat_map_iter`, `collect`), and `current_num_threads`.
 //! Adapters are eager executors, not lazy combinator graphs — each
 //! terminal call fans blocks out over the pool via `pool::join_n`.
+//!
+//! Beyond rayon: [`occupy`] holds the calling thread's core, and
+//! `current_num_threads` is the pool less the cores other threads hold
+//! (the one thread budget, see `pool.rs`).
 
 mod pool;
 
 use std::mem::MaybeUninit;
 
-pub use pool::num_threads as current_num_threads;
+pub use pool::{current_num_threads, occupy, Occupied};
 
 /// Smallest per-block workload worth shipping to another thread.
 const MIN_BLOCK: usize = 1024;
@@ -33,7 +37,7 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 /// True when a block split of `len` would produce a single block: the
 /// caller can run inline without a queue round-trip.
 fn single_block(len: usize, min_block: usize) -> bool {
-    pool::num_threads() == 1 || len / min_block.max(1) <= 1
+    len / min_block.max(1) <= 1 || pool::current_num_threads() == 1
 }
 
 /// Run `f` over each index block of `0..len` in parallel. Block

@@ -3,7 +3,9 @@
 //! The multi-block dispatch path queues POD `Unit`s into a
 //! capacity-retained deque and computes block ranges arithmetically, so
 //! after warmup a parallel `for_each` performs zero heap allocations at
-//! any thread count. This test pins that invariant with a counting
+//! any thread count. Holding a core (`occupy`) is an atomic and a
+//! thread-local flag, so a dispatch under a guard, as a serve worker
+//! makes, allocates nothing either. This test pins both with a counting
 //! global allocator (which is why it lives in its own integration-test
 //! binary).
 
@@ -28,13 +30,18 @@ static A: Counting = Counting;
 #[test]
 fn parallel_dispatch_allocates_nothing_after_warmup() {
     let mut data = vec![1.0f32; 1 << 20];
+    // Take the guard, dispatch, release: the serve worker's cycle.
+    let mut dispatch = move || {
+        let _core = rayon::occupy();
+        data.par_iter_mut().for_each(|x| *x += 1.0);
+    };
     let mut measure = move || {
         for _ in 0..10 {
-            data.par_iter_mut().for_each(|x| *x += 1.0);
+            dispatch();
         }
         let before = COUNT.load(Ordering::Relaxed);
         for _ in 0..100 {
-            data.par_iter_mut().for_each(|x| *x += 1.0);
+            dispatch();
         }
         COUNT.load(Ordering::Relaxed) - before
     };

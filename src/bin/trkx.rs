@@ -467,8 +467,8 @@ fn cmd_serve(mut args: Args) -> Result<(), String> {
     };
     let defaults = ServeConfig::default();
     let config = ServeConfig {
-        workers: args.value("--workers", defaults.workers),
-        max_queue: args.value("--max-queue", defaults.max_queue),
+        workers: args.positive("--workers", defaults.workers),
+        max_queue: args.positive("--max-queue", defaults.max_queue),
         max_event_hits: args.value("--max-event-hits", defaults.max_event_hits),
     };
     let tcp = args.value("--tcp", String::new());

@@ -60,6 +60,9 @@ fn what_the_command_line_does_not_understand_is_a_usage_error() {
         ("train", &["--workers", "0"]),
         ("train", &["--batch", "0"]),
         ("sample", &["--batch", "0"]),
+        // Zero counts that used to be clamped to 1 behind the banner's back.
+        ("serve", &["--model", "missing.json", "--workers", "0"]),
+        ("serve", &["--model", "missing.json", "--max-queue", "0"]),
         // Removed at the cut to the paper's two samplers and one trainer.
         ("train", &["--hogwild"]),
         ("sample", &["--sampler", "nodewise"]),
