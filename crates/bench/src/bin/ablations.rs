@@ -50,38 +50,6 @@ fn allreduce_ablation() {
     t.print();
 }
 
-fn bucket_size_ablation() {
-    println!("## 1b. Bucket-size sweep (PyTorch-DDP-style middle ground)\n");
-    let model = CommCostModel::nvlink3();
-    let icfg = IgnnConfig::new(14, 8)
-        .with_hidden(64)
-        .with_gnn_layers(8)
-        .with_mlp_depth(3);
-    let mut rng = StdRng::seed_from_u64(0);
-    let net = trkx_ignn::InteractionGnn::new(icfg, &mut rng);
-    let sizes: Vec<usize> = net.params().iter().map(|p| p.numel() * 4).collect();
-    let p = 4;
-    let mut t = Table::new(&["bucket", "time (us)", "vs per-tensor", "vs coalesced"]);
-    let per = model.per_tensor_time(&sizes, p);
-    let coal = model.coalesced_time(&sizes, p);
-    for (label, bytes) in [
-        ("1 B (= per-tensor)", 1usize),
-        ("4 KiB", 4 << 10),
-        ("64 KiB", 64 << 10),
-        ("1 MiB", 1 << 20),
-        ("25 MiB (PyTorch default)", 25 << 20),
-    ] {
-        let b = model.bucketed_time(&sizes, bytes, p);
-        t.row(vec![
-            label.into(),
-            format!("{:.1}", b * 1e6),
-            format!("{:.2}x", per / b),
-            format!("{:.2}x", b / coal),
-        ]);
-    }
-    t.print();
-}
-
 fn bulk_k_ablation() {
     println!("## 2. Bulk factor k sweep (sampling time per minibatch)\n");
     let g = &DatasetConfig::ex3_like(0.1).generate(1, 3)[0];
@@ -189,7 +157,6 @@ fn extraction_ablation() {
 fn main() {
     println!("# Ablations\n");
     allreduce_ablation();
-    bucket_size_ablation();
     bulk_k_ablation();
     extraction_ablation();
 }

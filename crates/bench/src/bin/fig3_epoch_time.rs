@@ -5,20 +5,15 @@
 //!
 //! ```text
 //! cargo run -p trkx-bench --bin fig3_epoch_time --release \
-//!   [-- --ctd-scale 0.004 --ex3-scale 0.05 --graphs 4 --epochs 1 \
-//!       --overlap --comm-overlap]
+//!   [-- --ctd-scale 0.004 --ex3-scale 0.05 --graphs 4 --epochs 1 --overlap]
 //! ```
 //!
 //! `--overlap` additionally accounts each epoch under the overlapped
 //! (prefetching-loader) virtual clock — `max(sampling, train) + comm`
-//! instead of their sum. `--comm-overlap` fires each gradient bucket's
-//! all-reduce during backward instead of as one post-backward sync and
-//! adds the exposed-communication column. That neither overlapped
-//! account can exceed its serial one is held by tests, not by this bin:
+//! instead of their sum. That it cannot exceed the serial account is held
+//! by a test, not by this bin:
 //! `every_mode_reproduces_its_golden_under_sync_and_prefetch`
-//! (`crates/core/tests/train_harness.rs`) and
-//! `overlapped_comm_is_bit_identical_to_post_hoc_simulated`
-//! (`tests/ddp_equivalence.rs`).
+//! (`crates/core/tests/train_harness.rs`).
 //!
 //! As in the paper, the bulk factor `k` grows with the process count
 //! (more aggregate memory ⇒ more minibatches sampled per bulk call).
@@ -42,7 +37,6 @@ struct Arm {
     strategy: AllReduceStrategy,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_dataset(
     dataset: &DatasetConfig,
     graphs: &[EventGraph],
@@ -51,7 +45,6 @@ fn run_dataset(
     hidden: usize,
     layers: usize,
     overlap: bool,
-    comm_overlap: bool,
 ) {
     let prepared = prepare_graphs(graphs);
     let n_train = (graphs.len() * 4 / 5).max(1);
@@ -90,9 +83,6 @@ fn run_dataset(
         headers.push("overlap(s)");
         headers.push("hidden");
     }
-    if comm_overlap {
-        headers.push("exposed(s)");
-    }
     headers.extend(["sample speedup", "comm speedup", "total speedup"]);
     let mut table = Table::new(&headers);
     for &p in process_counts {
@@ -118,7 +108,7 @@ fn run_dataset(
             } else {
                 SamplerKind::Baseline
             };
-            let ddp = DdpConfig::new(p, arm.strategy).with_overlap(comm_overlap);
+            let ddp = DdpConfig::new(p, arm.strategy);
             // The simulator models prefetching in the virtual clock only.
             let batching = if overlap {
                 BatchingMode::prefetch()
@@ -142,12 +132,6 @@ fn run_dataset(
             // Overlapped schedule (the virtual clock's accounting when the
             // loader prefetches): sampling hides behind compute.
             let overlapped = r.epochs.iter().map(|e| e.timing.total_s()).sum::<f64>() / n;
-            let exposed_s = r
-                .epochs
-                .iter()
-                .map(|e| e.timing.comm_exposed_s)
-                .sum::<f64>()
-                / n;
             let (su_sample, su_comm, su_total) = match baseline {
                 None => {
                     baseline = Some((sample_s, comm_s, total));
@@ -183,9 +167,6 @@ fn run_dataset(
                     100.0 * (total - overlapped) / total.max(1e-12)
                 ));
             }
-            if comm_overlap {
-                row.push(format!("{exposed_s:.4}"));
-            }
             row.extend([su_sample, su_comm, su_total]);
             table.row(row);
             append_jsonl(
@@ -200,8 +181,6 @@ fn run_dataset(
                     "comm_s": comm_s,
                     "total_s": total,
                     "overlapped_s": overlapped,
-                    "comm_overlap": comm_overlap,
-                    "exposed_s": exposed_s,
                 }),
             );
         }
@@ -219,7 +198,6 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let flag = |key: &str| args.iter().any(|a| a == key);
     let overlap = flag("--overlap");
-    let comm_overlap = flag("--comm-overlap");
     let ctd_scale = arg_value(&args, "--ctd-scale", 0.002f64);
     let ex3_scale = arg_value(&args, "--ex3-scale", 0.03f64);
     let n_graphs = arg_value(&args, "--graphs", 3usize);
@@ -239,7 +217,6 @@ fn main() {
         hidden,
         layers,
         overlap,
-        comm_overlap,
     );
     let ex3 = DatasetConfig::ex3_like(ex3_scale);
     run_dataset(
@@ -250,6 +227,5 @@ fn main() {
         hidden,
         layers,
         overlap,
-        comm_overlap,
     );
 }

@@ -2,8 +2,8 @@
 //! runs every schedule the paper compares — full-graph training (the
 //! original Exa.TrkX approach, with OOM-skip emulation), minibatch ShaDow
 //! training with the PyG-style baseline sampler or matrix-based bulk
-//! sampling, and synchronous DDP with per-tensor / coalesced / bucketed
-//! all-reduce (threaded or simulated) — as a [`TrainSpec`] over a single
+//! sampling, and synchronous DDP with per-tensor or coalesced all-reduce
+//! (threaded or simulated) — as a [`TrainSpec`] over a single
 //! rank step. Produces the per-epoch convergence curves of Figure 4 and
 //! the epoch-time breakdowns of Figure 3.
 
@@ -16,10 +16,10 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
-use trkx_ddp::{run_workers, AllReducer, BucketScheduler, CommLink, DdpConfig, EpochTiming};
+use trkx_ddp::{run_workers, AllReduceStrategy, AllReducer, DdpConfig, EpochTiming};
 use trkx_detector::EventGraph;
 use trkx_ignn::{IgnnConfig, InteractionGnn};
-use trkx_nn::{bce_with_logits, Adam, BinaryStats, Bindings, BucketLayout, Param};
+use trkx_nn::{bce_with_logits, Adam, BinaryStats, Bindings, Param};
 use trkx_sampling::{
     vertex_batches, BulkShadowSampler, SampledSubgraph, Sampler, SamplerGraph, ShadowConfig,
     ShadowSampler,
@@ -324,8 +324,7 @@ pub enum TrainMode {
     /// Minibatch ShaDow training with synchronous data parallelism: one
     /// thread per rank and a real shared-memory all-reduce. `sampler`
     /// picks the Fig. 3 comparison arm; the all-reduce strategy
-    /// (per-tensor / coalesced / bucketed, post-hoc or overlapped with
-    /// backward) comes from `ddp`.
+    /// (per-tensor or coalesced, run after backward) comes from `ddp`.
     Ddp {
         sampler: SamplerKind,
         ddp: DdpConfig,
@@ -460,22 +459,15 @@ pub fn train(spec: &TrainSpec, train: &[PreparedGraph], val: &[PreparedGraph]) -
             (sampled(sampler), ddp.workers, 1, ddp, Link::Model)
         }
     };
-    // Per-tensor, coalesced and bucketed are all greedy bucket budgets, so
-    // one formula prices a step's collectives (zero at one worker) and one
-    // layout buckets them: a pure function of the (identical) parameter
-    // sizes, so every rank issues the same collective sequence.
-    let sizes: Vec<usize> = init_model.params().iter().map(|t| t.numel()).collect();
-    let tensor_bytes: Vec<usize> = sizes.iter().map(|n| n * 4).collect();
-    let bucket_bytes = ddp.strategy.bucket_bytes();
-    let step_comm_s = ddp
-        .cost_model
-        .bucketed_time(&tensor_bytes, bucket_bytes, ddp.workers);
+    // The α–β price of one step's collectives (zero at one worker).
+    let tensor_bytes: Vec<usize> = init_model.params().iter().map(|t| t.numel() * 4).collect();
+    let step_comm_s = match ddp.strategy {
+        AllReduceStrategy::PerTensor => ddp.cost_model.per_tensor_time(&tensor_bytes, ddp.workers),
+        AllReduceStrategy::Coalesced => ddp.cost_model.coalesced_time(&tensor_bytes, ddp.workers),
+    };
 
     let mut results = run_workers(threads, |thread| {
         let local = p / threads;
-        let sched = ddp
-            .comm_overlap
-            .then(|| BucketScheduler::new(BucketLayout::from_sizes(&sizes, bucket_bytes)));
         let mut step = RankStep {
             spec,
             ranks: thread * local..(thread + 1) * local,
@@ -483,8 +475,7 @@ pub fn train(spec: &TrainSpec, train: &[PreparedGraph], val: &[PreparedGraph]) -
             model: init_model.clone(),
             batches: &batches,
             link: &link,
-            ddp,
-            sched,
+            strategy: ddp.strategy,
             step_comm_s,
             train,
             val,
@@ -585,12 +576,8 @@ struct RankStep<'a> {
     model: InteractionGnn,
     batches: &'a Batches<'a>,
     link: &'a Link,
-    ddp: DdpConfig,
-    /// `Some` when gradient communication overlaps backward: buckets fire
-    /// through the engine's grad-ready bridge instead of after the step.
-    /// Gradients are bit-identical either way.
-    sched: Option<BucketScheduler>,
-    /// Serial α–β cost of one step's collectives.
+    strategy: AllReduceStrategy,
+    /// α–β cost of one step's collectives.
     step_comm_s: f64,
     train: &'a [PreparedGraph],
     val: &'a [PreparedGraph],
@@ -607,7 +594,7 @@ impl RankStep<'_> {
         sources: Vec<S>,
     ) -> EpochStats {
         let (link, p, local) = (self.link, self.p, sources.len());
-        let strategy = self.ddp.strategy;
+        let strategy = self.strategy;
         // The simulator cannot sample concurrently with itself: it models
         // prefetching in the virtual clock only (`overlapped` below).
         let batching = match self.spec.mode {
@@ -621,28 +608,8 @@ impl RankStep<'_> {
             while let Some(batch) = src.next_batch() {
                 let rank = self.ranks.start + k;
                 let t = Instant::now();
-                // One collective sequence per step: the last local rank's
-                // backward drives the bucket scheduler, whose bridge
-                // accumulates gradients exactly as `harvest` does; earlier
-                // ranks only accumulate. An empty shard still flushes
-                // every bucket, so all ranks issue the same collectives.
-                let sched = self.sched.as_mut().filter(|_| k + 1 == local);
-                let loss = if let Some(sched) = sched {
-                    let loss = ctx.forward_only(batch_loss(&self.model, &batch, self.pos_weight));
-                    let comm = match link {
-                        Link::Reduce(reducer) => CommLink::Reduce { reducer, rank },
-                        Link::Model => CommLink::Model {
-                            cost: self.ddp.cost_model,
-                            workers: p,
-                        },
-                    };
-                    ctx.backward_comm(loss, &mut self.model.params_mut(), sched, &comm)
-                } else {
-                    let loss =
-                        ctx.forward_backward(batch_loss(&self.model, &batch, self.pos_weight));
-                    ctx.harvest(&mut self.model.params_mut());
-                    loss
-                };
+                let loss = ctx.forward_backward(batch_loss(&self.model, &batch, self.pos_weight));
+                ctx.harvest(&mut self.model.params_mut());
                 if k == 0 {
                     loss_sum += loss;
                 }
@@ -654,41 +621,25 @@ impl RankStep<'_> {
                 k = 0;
 
                 let t = Instant::now();
-                let post_hoc = self.sched.is_none();
                 ctx.apply_with(&mut self.model.params_mut(), |params| match link {
                     // Runs even when this rank's shard sampled no edges,
                     // so every rank makes the same number of calls.
-                    Link::Reduce(reducer) if post_hoc => {
-                        reducer.sync_gradients(rank, params, strategy)
-                    }
+                    Link::Reduce(reducer) => reducer.sync_gradients(rank, params, strategy),
                     Link::Model if p > 1 => {
                         let inv = 1.0 / p as f32;
                         for prm in params.iter_mut() {
                             prm.grad.apply(|v| v * inv);
                         }
                     }
-                    // Overlapped buckets already reduced; one rank has
-                    // nothing to average.
-                    _ => {}
+                    // One rank has nothing to average.
+                    Link::Model => {}
                 });
-                if post_hoc {
-                    comm_s += self.step_comm_s;
-                }
+                comm_s += self.step_comm_s;
                 tail_s += t.elapsed().as_secs_f64();
             }
             src.sample_busy_s()
         });
 
-        // With the scheduler active both comm accounts come from it (its
-        // serial account matches the strategy formula); exposed comm is
-        // per-thread — it depends on this rank's own compute gaps.
-        let (comm_virtual_s, comm_exposed_s) = match self.sched.as_mut() {
-            Some(sched) => {
-                let stats = sched.take_stats();
-                (stats.serial_comm_s, stats.exposed_comm_s)
-            }
-            None => (comm_s, comm_s),
-        };
         EpochStats {
             loss_sum,
             loss_denom: ctx.steps(),
@@ -698,10 +649,8 @@ impl RankStep<'_> {
                 // The slowest rank's forward/backward plus the step tail
                 // every rank runs.
                 train_s: rank_s.iter().copied().fold(0.0, f64::max) + tail_s,
-                comm_virtual_s,
-                comm_exposed_s,
+                comm_virtual_s: comm_s,
                 overlapped: self.spec.batching.is_prefetch(),
-                comm_overlap: self.sched.is_some(),
             },
             cache: shard_cache_stats(self.train),
         }

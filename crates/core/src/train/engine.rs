@@ -10,9 +10,9 @@
 //! batches exist in an epoch and what forward pass each one runs.
 
 use crate::train::hooks::{Control, Hook, HookCtx};
-use trkx_ddp::{BucketScheduler, CommLink, EpochTiming};
+use trkx_ddp::EpochTiming;
 use trkx_nn::{clip_grad_norm, Bindings, Optimizer, Param};
-use trkx_tensor::{GradObserver, GradReader, Tape, Var};
+use trkx_tensor::{Tape, Var};
 
 /// Pooled step mechanics: owns the reusable [`Tape`]/[`Bindings`] pair,
 /// the optimizer, and the gradient-clipping policy. One `Engine` serves
@@ -22,11 +22,6 @@ pub struct Engine {
     bind: Bindings,
     opt: Box<dyn Optimizer>,
     clip: Option<f32>,
-    /// Persistent scratch for [`Engine::backward_comm`]: per-param
-    /// outstanding-binding countdown and per-binding param slot. Kept on
-    /// the engine so steady-state overlapped steps allocate nothing.
-    countdown: Vec<usize>,
-    pair_slot: Vec<usize>,
 }
 
 impl Engine {
@@ -36,8 +31,6 @@ impl Engine {
             bind: Bindings::new(),
             opt: Box::new(opt),
             clip: None,
-            countdown: Vec::new(),
-            pair_slot: Vec::new(),
         }
     }
 
@@ -75,11 +68,9 @@ impl Engine {
         }
     }
 
-    /// First half of an overlapped-communication step: reset the pooled
-    /// tape/bindings and run `forward`, returning its loss node. Split
-    /// from [`Engine::backward_comm`] so the model borrow inside
-    /// `forward` is released before the caller collects `&mut Param`
-    /// references for the backward half.
+    /// Reset the pooled tape/bindings and run `forward` alone, returning
+    /// its loss node without backpropagating. Kept because the frozen
+    /// `benchmark/` package times a forward pass on its own with it.
     pub fn forward_only<F>(&mut self, forward: F) -> Option<Var>
     where
         F: FnOnce(&mut Tape, &mut Bindings) -> Option<Var>,
@@ -87,63 +78,6 @@ impl Engine {
         self.tape.reset();
         self.bind.reset();
         forward(&mut self.tape, &mut self.bind)
-    }
-
-    /// Second half of an overlapped-communication step: backward runs
-    /// with a [`GradObserver`] bridge that accumulates each parameter's
-    /// gradient the moment its last-bound leaf finalizes (in binding
-    /// order — bit-identical to a post-backward [`Bindings::harvest`])
-    /// and reports it to the [`BucketScheduler`], which fires bucket
-    /// all-reduces over `link` while backward is still running. After
-    /// this returns, `params` hold fully synchronised gradients: finish
-    /// the step with [`Engine::apply_with`] (NOT `update_with` — the
-    /// bridge already harvested).
-    ///
-    /// When `loss` is `None` (empty shard), every bucket still flushes at
-    /// [`BucketScheduler::finish`], so all ranks issue the same
-    /// collective sequence.
-    pub fn backward_comm(
-        &mut self,
-        loss: Option<Var>,
-        params: &mut [&mut Param],
-        sched: &mut BucketScheduler,
-        link: &CommLink,
-    ) -> f32 {
-        sched.begin_step();
-        let value = match loss {
-            Some(loss) => {
-                let value = self.tape.value(loss).as_scalar();
-                let pairs = self.bind.pairs();
-                self.countdown.clear();
-                self.countdown.resize(params.len(), 0);
-                self.pair_slot.clear();
-                for &(id, _) in pairs {
-                    // Linear scan, not a HashMap: param counts are tens,
-                    // and this keeps the steady-state step alloc-free.
-                    let slot = params
-                        .iter()
-                        .position(|p| p.id() == id)
-                        .unwrap_or(usize::MAX);
-                    self.pair_slot.push(slot);
-                    if slot != usize::MAX {
-                        self.countdown[slot] += 1;
-                    }
-                }
-                let mut bridge = CommBridge {
-                    pairs,
-                    pair_slot: &self.pair_slot,
-                    countdown: &mut self.countdown,
-                    params,
-                    sched,
-                    link,
-                };
-                self.tape.backward_with_observer(loss, &mut bridge);
-                value
-            }
-            None => 0.0,
-        };
-        sched.finish(params, link);
-        value
     }
 
     /// Accumulate the tape's gradients into `params` (no-op if the last
@@ -183,49 +117,6 @@ impl Engine {
 
     pub fn update(&mut self, params: &mut [&mut Param]) {
         self.update_with(params, |_| {});
-    }
-}
-
-/// Backward-pass observer wiring the tape's grad-readiness events to the
-/// DDP bucket scheduler. When a leaf finalizes, the bridge decrements its
-/// parameter's outstanding-binding countdown; on the last binding it
-/// accumulates every binding's tape gradient into `Param::grad` in
-/// binding order (exactly what [`Bindings::harvest`] would do) and tells
-/// the scheduler that parameter is ready.
-struct CommBridge<'s, 'p, 'r> {
-    /// `(param id, leaf)` pairs in binding order; leaf indices strictly
-    /// increasing, so lookups binary-search by leaf.
-    pairs: &'s [(u64, Var)],
-    /// Param slot for each pair (`usize::MAX` = leaf not in `params`).
-    pair_slot: &'s [usize],
-    /// Outstanding bindings per param slot.
-    countdown: &'s mut [usize],
-    params: &'s mut [&'p mut Param],
-    sched: &'s mut BucketScheduler,
-    link: &'s CommLink<'r>,
-}
-
-impl GradObserver for CommBridge<'_, '_, '_> {
-    fn on_grad_final(&mut self, leaf: Var, grads: &GradReader<'_>) {
-        let Ok(pi) = self.pairs.binary_search_by_key(&leaf.0, |&(_, v)| v.0) else {
-            return; // a leaf that isn't a bound parameter (e.g. features)
-        };
-        let slot = self.pair_slot[pi];
-        if slot == usize::MAX {
-            return;
-        }
-        debug_assert!(self.countdown[slot] > 0, "leaf finalized twice");
-        self.countdown[slot] -= 1;
-        if self.countdown[slot] == 0 {
-            for (k, &(_, v)) in self.pairs.iter().enumerate() {
-                if self.pair_slot[k] == slot {
-                    if let Some(g) = grads.grad(v) {
-                        self.params[slot].grad.add_assign(g);
-                    }
-                }
-            }
-            self.sched.param_final(slot, self.params, self.link);
-        }
     }
 }
 
@@ -347,31 +238,6 @@ impl EpochCtx<'_> {
         F: FnOnce(&mut Tape, &mut Bindings) -> Option<Var>,
     {
         let loss = self.engine.forward_backward(forward);
-        self.pending_loss += loss;
-        self.pending_n += 1;
-        loss
-    }
-
-    /// See [`Engine::forward_only`]. Pair with
-    /// [`EpochCtx::backward_comm`]; no loss is recorded until then.
-    pub fn forward_only<F>(&mut self, forward: F) -> Option<Var>
-    where
-        F: FnOnce(&mut Tape, &mut Bindings) -> Option<Var>,
-    {
-        self.engine.forward_only(forward)
-    }
-
-    /// See [`Engine::backward_comm`]. Follow with
-    /// [`EpochCtx::apply_with`] (gradients are already harvested and
-    /// synchronised when this returns).
-    pub fn backward_comm(
-        &mut self,
-        loss: Option<Var>,
-        params: &mut [&mut Param],
-        sched: &mut BucketScheduler,
-        link: &CommLink,
-    ) -> f32 {
-        let loss = self.engine.backward_comm(loss, params, sched, link);
         self.pending_loss += loss;
         self.pending_n += 1;
         loss

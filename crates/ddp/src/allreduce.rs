@@ -22,24 +22,16 @@ pub enum AllReduceStrategy {
     /// Stack all parameter gradients into one buffer and reduce once
     /// (the paper's optimisation).
     Coalesced,
-    /// PyTorch-DDP-style middle ground: greedily pack tensors into
-    /// buckets of at most `bucket_bytes` and reduce one bucket per call.
-    /// Converges to `PerTensor` for tiny buckets and to `Coalesced` for
-    /// huge ones — the ablation knob between the two.
-    Bucketed { bucket_bytes: usize },
 }
 
 impl AllReduceStrategy {
-    /// The bucket budget this strategy corresponds to under greedy
-    /// packing: `PerTensor` is a zero budget (every tensor alone),
-    /// `Coalesced` an unbounded one (a single bucket). All three
-    /// strategies are therefore one [`BucketLayout`] family — the
-    /// overlapped scheduler and the post-hoc path share the same packing.
-    pub fn bucket_bytes(&self) -> usize {
+    /// The [`BucketLayout`] budget that packs this strategy's collectives:
+    /// zero puts every tensor in its own bucket, an unbounded budget puts
+    /// them all in one.
+    pub(crate) fn bucket_bytes(&self) -> usize {
         match self {
             AllReduceStrategy::PerTensor => 0,
             AllReduceStrategy::Coalesced => usize::MAX,
-            AllReduceStrategy::Bucketed { bucket_bytes } => *bucket_bytes,
         }
     }
 }
@@ -125,13 +117,12 @@ impl AllReducer {
         self.barrier.wait();
     }
 
-    /// Synchronise parameter gradients with the chosen strategy. All
+    /// Synchronise parameter gradients with the chosen strategy. Both
     /// strategies produce identical gradients; only the number of
-    /// collective calls (and hence modeled latency) differs. Every
-    /// strategy is one greedy [`BucketLayout`] (per-tensor = zero budget,
-    /// coalesced = unbounded), cached per rank so the per-step
-    /// pack → reduce → unpack cycle reuses persistent flat buffers
-    /// instead of allocating a fresh `Vec` per bucket per step.
+    /// collective calls (and hence modeled latency) differs. Each is a
+    /// [`BucketLayout`] (one bucket per tensor, or one for all), cached
+    /// per rank so the per-step pack → reduce → unpack cycle reuses
+    /// persistent flat buffers instead of allocating per step.
     pub fn sync_gradients(
         &self,
         rank: usize,
@@ -296,62 +287,6 @@ mod tests {
         assert_eq!(c_per, n_tensors);
         assert_eq!(c_coal, 1);
         assert!(t_coal < t_per, "coalesced {t_coal} !< per-tensor {t_per}");
-    }
-
-    #[test]
-    fn bucketed_matches_other_strategies_numerically() {
-        let p = 2;
-        let run = |strategy: AllReduceStrategy| -> (Vec<Vec<f32>>, usize) {
-            let reducer = AllReducer::new(p, CommCostModel::nvlink3());
-            let results = run_workers(p, |rank| {
-                let mut params: Vec<Param> = (0..6)
-                    .map(|i| {
-                        let mut prm = Param::new(format!("p{i}"), Matrix::zeros(4, 4));
-                        prm.grad =
-                            Matrix::from_fn(4, 4, |r, c| (rank * 100 + i * 16 + r * 4 + c) as f32);
-                        prm
-                    })
-                    .collect();
-                let mut refs: Vec<&mut Param> = params.iter_mut().collect();
-                reducer.sync_gradients(rank, &mut refs, strategy);
-                params
-                    .iter()
-                    .map(|p| p.grad.data().to_vec())
-                    .collect::<Vec<_>>()
-            });
-            (results.into_iter().next().unwrap(), reducer.num_calls())
-        };
-        let (per, calls_per) = run(AllReduceStrategy::PerTensor);
-        // Bucket of 2 tensors (4x4 f32 = 64 bytes each): 128-byte buckets.
-        let (bucketed, calls_bucketed) = run(AllReduceStrategy::Bucketed { bucket_bytes: 128 });
-        let (coal, calls_coal) = run(AllReduceStrategy::Coalesced);
-        assert_eq!(per, bucketed);
-        assert_eq!(per, coal);
-        assert_eq!(calls_per, 6);
-        assert_eq!(calls_bucketed, 3);
-        assert_eq!(calls_coal, 1);
-    }
-
-    #[test]
-    fn bucketed_handles_oversized_tensors() {
-        // A tensor larger than the bucket still goes out (alone).
-        let p = 2;
-        let reducer = AllReducer::new(p, CommCostModel::nvlink3());
-        run_workers(p, |rank| {
-            let mut big = Param::new("big", Matrix::zeros(32, 32));
-            big.grad = Matrix::full(32, 32, rank as f32);
-            let mut small = Param::new("small", Matrix::zeros(1, 1));
-            small.grad = Matrix::scalar(rank as f32);
-            let mut refs: Vec<&mut Param> = vec![&mut big, &mut small];
-            reducer.sync_gradients(
-                rank,
-                &mut refs,
-                AllReduceStrategy::Bucketed { bucket_bytes: 16 },
-            );
-            assert!((big.grad.get(0, 0) - 0.5).abs() < 1e-6);
-            assert!((small.grad.as_scalar() - 0.5).abs() < 1e-6);
-        });
-        assert_eq!(reducer.num_calls(), 2);
     }
 
     #[test]

@@ -34,14 +34,6 @@ impl CommCostModel {
         }
     }
 
-    /// A slower PCIe/Ethernet-like interconnect (for ablations).
-    pub fn pcie() -> Self {
-        Self {
-            latency_s: 30e-6,
-            bandwidth_bytes_per_s: 16e9,
-        }
-    }
-
     /// Ring all-reduce time for one message of `bytes` over `p` ranks.
     pub fn ring_allreduce_time(&self, bytes: usize, p: usize) -> f64 {
         if p <= 1 {
@@ -63,27 +55,6 @@ impl CommCostModel {
     /// Time for one coalesced call over the stacked buffer.
     pub fn coalesced_time(&self, tensor_bytes: &[usize], p: usize) -> f64 {
         self.ring_allreduce_time(tensor_bytes.iter().sum(), p)
-    }
-
-    /// Time under greedy bucketing (one call per bucket of at most
-    /// `bucket_bytes`, matching `AllReduceStrategy::Bucketed` packing).
-    pub fn bucketed_time(&self, tensor_bytes: &[usize], bucket_bytes: usize, p: usize) -> f64 {
-        let mut total = 0.0;
-        let mut i = 0;
-        while i < tensor_bytes.len() {
-            let mut bytes = 0usize;
-            let mut j = i;
-            while j < tensor_bytes.len() {
-                if j > i && bytes + tensor_bytes[j] > bucket_bytes {
-                    break;
-                }
-                bytes += tensor_bytes[j];
-                j += 1;
-            }
-            total += self.ring_allreduce_time(bytes, p);
-            i = j;
-        }
-        total
     }
 }
 
@@ -175,20 +146,6 @@ mod tests {
         let t4 = m.ring_allreduce_time(1 << 20, 4);
         let t8 = m.ring_allreduce_time(1 << 20, 8);
         assert!(t2 < t4 && t4 < t8);
-    }
-
-    #[test]
-    fn bucketed_time_interpolates() {
-        let m = CommCostModel::nvlink3();
-        let sizes = vec![16 * 1024; 40];
-        let per = m.per_tensor_time(&sizes, 4);
-        let coal = m.coalesced_time(&sizes, 4);
-        // Tiny buckets = per-tensor; huge buckets = coalesced.
-        assert!((m.bucketed_time(&sizes, 1, 4) - per).abs() < 1e-12);
-        assert!((m.bucketed_time(&sizes, usize::MAX, 4) - coal).abs() < 1e-12);
-        // Intermediate bucket strictly between.
-        let mid = m.bucketed_time(&sizes, 64 * 1024, 4);
-        assert!(coal < mid && mid < per, "{coal} < {mid} < {per}");
     }
 
     #[test]

@@ -11,10 +11,8 @@
 
 pub mod allreduce;
 pub mod comm;
-pub mod scheduler;
 pub mod trainer;
 
 pub use allreduce::{run_workers, AllReduceStrategy, AllReducer};
 pub use comm::{CommCostModel, VirtualClock};
-pub use scheduler::{BucketScheduler, CommLink, OverlapStats};
 pub use trainer::{DdpConfig, EpochTiming};

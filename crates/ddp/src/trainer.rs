@@ -13,12 +13,6 @@ pub struct DdpConfig {
     pub strategy: AllReduceStrategy,
     /// Interconnect model for the virtual clock.
     pub cost_model: CommCostModel,
-    /// Fire each gradient bucket's all-reduce during backward (as its
-    /// last parameter finalizes) instead of as one post-backward sync.
-    /// Gradients are bit-identical either way; only the virtual-clock
-    /// exposure of communication changes.
-    #[serde(default)]
-    pub comm_overlap: bool,
 }
 
 impl DdpConfig {
@@ -28,7 +22,6 @@ impl DdpConfig {
             workers: 1,
             strategy: AllReduceStrategy::Coalesced,
             cost_model: CommCostModel::nvlink3(),
-            comm_overlap: false,
         }
     }
 
@@ -37,14 +30,7 @@ impl DdpConfig {
             workers,
             strategy,
             cost_model: CommCostModel::nvlink3(),
-            comm_overlap: false,
         }
-    }
-
-    /// Toggle backward-overlapped bucket reduction.
-    pub fn with_overlap(mut self, on: bool) -> Self {
-        self.comm_overlap = on;
-        self
     }
 }
 
@@ -56,33 +42,20 @@ pub struct EpochTiming {
     pub sampling_s: f64,
     /// Seconds spent in forward/backward/optimizer (measured).
     pub train_s: f64,
-    /// Modeled interconnect seconds from the all-reduce cost model (the
-    /// serial account: every collective on the critical path).
+    /// Modeled interconnect seconds from the all-reduce cost model: every
+    /// step's collectives, run after backward, on the critical path.
     pub comm_virtual_s: f64,
-    /// Modeled interconnect seconds left exposed on the critical path
-    /// after bucket reductions overlap backward compute
-    /// (`Σ max(0, bucket_comm − compute_since_prev_bucket)`). Equals
-    /// `comm_virtual_s` when communication did not overlap.
-    #[serde(default)]
-    pub comm_exposed_s: f64,
     /// Whether sampling ran on a background thread overlapping compute.
     /// When set, [`EpochTiming::total_s`] charges `max(sampling, train)`
     /// instead of their sum.
     pub overlapped: bool,
-    /// Whether gradient communication overlapped backward; when set,
-    /// [`EpochTiming::total_s`] charges `comm_exposed_s` instead of the
-    /// serial `comm_virtual_s`.
-    #[serde(default)]
-    pub comm_overlap: bool,
 }
 
 impl EpochTiming {
     /// Total epoch time as reported in Figure 3, accounted through the
     /// [`VirtualClock`]: serial loaders pay sampling + training back to
     /// back; overlapped (prefetching) loaders pay `max(sampling, train)`
-    /// because sampling hides behind compute. Communication adds the
-    /// serial account — or only its exposed remainder when bucket
-    /// reductions overlapped backward.
+    /// because sampling hides behind compute. Communication adds on top.
     pub fn total_s(&self) -> f64 {
         let mut clock = VirtualClock::new();
         if self.overlapped {
@@ -90,11 +63,7 @@ impl EpochTiming {
         } else {
             clock.advance_serial(self.sampling_s, self.train_s);
         }
-        clock.advance(if self.comm_overlap {
-            self.comm_exposed_s
-        } else {
-            self.comm_virtual_s
-        });
+        clock.advance(self.comm_virtual_s);
         clock.seconds()
     }
 
@@ -104,9 +73,7 @@ impl EpochTiming {
         self.sampling_s = self.sampling_s.max(other.sampling_s);
         self.train_s = self.train_s.max(other.train_s);
         self.comm_virtual_s = self.comm_virtual_s.max(other.comm_virtual_s);
-        self.comm_exposed_s = self.comm_exposed_s.max(other.comm_exposed_s);
         self.overlapped |= other.overlapped;
-        self.comm_overlap |= other.comm_overlap;
     }
 }
 
@@ -131,9 +98,7 @@ mod tests {
             sampling_s: 1.0,
             train_s: 2.0,
             comm_virtual_s: 0.5,
-            comm_exposed_s: 0.5,
             overlapped: true,
-            ..Default::default()
         };
         // Compute-bound epoch: sampling hides entirely.
         assert_eq!(t.total_s(), 2.5);
@@ -157,9 +122,7 @@ mod tests {
             sampling_s: 2.0,
             train_s: 4.0,
             comm_virtual_s: 0.2,
-            comm_exposed_s: 0.15,
             overlapped: true,
-            ..Default::default()
         };
         a.max_merge(&b);
         assert_eq!(
@@ -168,25 +131,9 @@ mod tests {
                 sampling_s: 2.0,
                 train_s: 5.0,
                 comm_virtual_s: 0.2,
-                comm_exposed_s: 0.15,
                 overlapped: true,
-                ..Default::default()
             }
         );
-    }
-
-    #[test]
-    fn comm_overlap_charges_only_exposed_seconds() {
-        let mut t = EpochTiming {
-            sampling_s: 1.0,
-            train_s: 2.0,
-            comm_virtual_s: 0.5,
-            comm_exposed_s: 0.1,
-            ..Default::default()
-        };
-        assert_eq!(t.total_s(), 3.5); // serial comm without the flag
-        t.comm_overlap = true;
-        assert_eq!(t.total_s(), 3.1); // exposed remainder with it
     }
 
     #[test]

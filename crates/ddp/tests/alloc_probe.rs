@@ -1,15 +1,14 @@
 //! Steady-state allocation regression test for the DDP gradient-sync
-//! path. Every strategy routes through one persistent [`BucketLayout`]
+//! path. Both strategies route through one persistent `BucketLayout`
 //! cached per rank, and the reducer's deposit/sum scratch keeps its
 //! capacity across collectives — so after the first step, a DDP
-//! gradient sync performs **zero** heap allocations: per-tensor,
-//! bucketed, and coalesced alike, single-rank and multi-rank, and the
-//! overlapped scheduler's fire path too. Pinned with a counting global
-//! allocator (hence its own test binary).
+//! gradient sync performs **zero** heap allocations: per-tensor and
+//! coalesced alike, single-rank and multi-rank. Pinned with a counting
+//! global allocator (hence its own test binary).
 
 use std::sync::Barrier;
-use trkx_ddp::{AllReduceStrategy, AllReducer, BucketScheduler, CommCostModel, CommLink};
-use trkx_nn::{BucketLayout, Param};
+use trkx_ddp::{AllReduceStrategy, AllReducer, CommCostModel};
+use trkx_nn::Param;
 use trkx_tensor::Matrix;
 
 #[path = "../../tensor/tests/support/counting_alloc.rs"]
@@ -29,18 +28,13 @@ fn mk_params(sizes: &[usize]) -> Vec<Param> {
             p
         })
         .collect()
-    // Uneven sizes exercise multi-bucket layouts below.
 }
 
 const SIZES: &[usize] = &[64, 7, 128, 33, 16, 250];
 
 fn single_rank_sync_is_alloc_free_for_every_strategy() {
     let reducer = AllReducer::new(1, CommCostModel::nvlink3());
-    for strategy in [
-        AllReduceStrategy::PerTensor,
-        AllReduceStrategy::Bucketed { bucket_bytes: 256 },
-        AllReduceStrategy::Coalesced,
-    ] {
+    for strategy in [AllReduceStrategy::PerTensor, AllReduceStrategy::Coalesced] {
         let mut params = mk_params(SIZES);
         let mut refs: Vec<&mut Param> = params.iter_mut().collect();
         steady_state_allocs(&format!("{strategy:?}"), || {
@@ -52,11 +46,7 @@ fn single_rank_sync_is_alloc_free_for_every_strategy() {
 fn multi_rank_sync_is_alloc_free_for_every_strategy() {
     const P: usize = 2;
     const WINDOWS: usize = 2;
-    for strategy in [
-        AllReduceStrategy::PerTensor,
-        AllReduceStrategy::Bucketed { bucket_bytes: 256 },
-        AllReduceStrategy::Coalesced,
-    ] {
+    for strategy in [AllReduceStrategy::PerTensor, AllReduceStrategy::Coalesced] {
         let reducer = AllReducer::new(P, CommCostModel::nvlink3());
         let start = Barrier::new(P + 1);
         let done = Barrier::new(P + 1);
@@ -99,28 +89,9 @@ fn multi_rank_sync_is_alloc_free_for_every_strategy() {
     }
 }
 
-fn overlapped_scheduler_fire_path_is_alloc_free() {
-    let mut params = mk_params(SIZES);
-    let mut refs: Vec<&mut Param> = params.iter_mut().collect();
-    let mut sched = BucketScheduler::new(BucketLayout::from_sizes(SIZES, 256));
-    let link = CommLink::Model {
-        cost: CommCostModel::nvlink3(),
-        workers: 4,
-    };
-    steady_state_allocs("scheduler fire path", || {
-        sched.begin_step();
-        for i in (0..SIZES.len()).rev() {
-            sched.param_final(i, &mut refs, &link);
-        }
-        sched.finish(&mut refs, &link);
-        sched.take_stats();
-    });
-}
-
 /// One `#[test]` for the whole binary: see `counting_alloc.rs`.
 #[test]
 fn ddp_gradient_sync_is_alloc_free() {
     single_rank_sync_is_alloc_free_for_every_strategy();
     multi_rank_sync_is_alloc_free_for_every_strategy();
-    overlapped_scheduler_fire_path_is_alloc_free();
 }

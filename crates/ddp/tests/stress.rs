@@ -60,11 +60,9 @@ fn all_strategies_agree_on_random_gradients() {
     };
     let a = run(AllReduceStrategy::PerTensor);
     let b = run(AllReduceStrategy::Coalesced);
-    let c = run(AllReduceStrategy::Bucketed { bucket_bytes: 100 });
     // Exact equality: the arithmetic is leader-reduces-in-rank-order in
-    // every strategy.
+    // both strategies.
     assert_eq!(a, b);
-    assert_eq!(a, c);
     // And it is the true average.
     let expect: Vec<Vec<f32>> = {
         let all: Vec<Vec<Param>> = (0..p).map(make).collect();
@@ -86,8 +84,8 @@ fn all_strategies_agree_on_random_gradients() {
 
 #[test]
 fn comm_cost_ordering_across_strategies() {
-    // per-tensor >= bucketed >= coalesced on the virtual clock, for the
-    // same gradient payload.
+    // per-tensor > coalesced on the virtual clock, for the same gradient
+    // payload.
     let p = 4;
     let run = |strategy: AllReduceStrategy| -> f64 {
         let reducer = AllReducer::new(p, CommCostModel::nvlink3());
@@ -105,10 +103,8 @@ fn comm_cost_ordering_across_strategies() {
         reducer.virtual_comm_seconds()
     };
     let per = run(AllReduceStrategy::PerTensor);
-    let bucketed = run(AllReduceStrategy::Bucketed { bucket_bytes: 4096 });
     let coalesced = run(AllReduceStrategy::Coalesced);
-    assert!(per > bucketed, "{per} !> {bucketed}");
-    assert!(bucketed > coalesced, "{bucketed} !> {coalesced}");
+    assert!(per > coalesced, "{per} !> {coalesced}");
 }
 
 #[test]

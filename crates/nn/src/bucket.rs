@@ -10,11 +10,9 @@
 //! steady-state heap allocations (the old per-step `flatten_grads` path
 //! allocated a fresh `Vec` per bucket per step).
 //!
-//! `bucket_bytes = 0` degenerates to one tensor per bucket (the
-//! per-tensor strategy) and `bucket_bytes = usize::MAX` to a single
-//! bucket (the coalesced strategy); the greedy rule is byte-for-byte the
-//! one the cost model's `bucketed_time` replicates, so modeled and real
-//! collective call counts always agree.
+//! The two all-reduce strategies are the two ends of the budget:
+//! `bucket_bytes = 0` gives one tensor per bucket (per-tensor) and
+//! `bucket_bytes = usize::MAX` a single bucket (coalesced).
 
 use crate::param::Param;
 use std::ops::Range;
@@ -36,8 +34,6 @@ pub struct BucketLayout {
     bufs: Vec<Vec<f32>>,
     /// Per-parameter element counts (validates reuse across steps).
     sizes: Vec<usize>,
-    /// Per-parameter owning bucket index.
-    owner: Vec<usize>,
     bucket_bytes: usize,
 }
 
@@ -47,7 +43,6 @@ impl BucketLayout {
     /// still gets a bucket (alone), matching the all-reduce strategy arms.
     pub fn from_sizes(sizes: &[usize], bucket_bytes: usize) -> Self {
         let mut buckets = Vec::new();
-        let mut owner = vec![0usize; sizes.len()];
         let mut start = 0usize;
         while start < sizes.len() {
             let mut end = start;
@@ -62,9 +57,6 @@ impl BucketLayout {
                 elems += sizes[end];
                 end += 1;
             }
-            for o in owner.iter_mut().take(end).skip(start) {
-                *o = buckets.len();
-            }
             buckets.push(Bucket {
                 params: start..end,
                 elems,
@@ -76,15 +68,8 @@ impl BucketLayout {
             buckets,
             bufs,
             sizes: sizes.to_vec(),
-            owner,
             bucket_bytes,
         }
-    }
-
-    /// Layout over the given parameter list.
-    pub fn new(params: &[&Param], bucket_bytes: usize) -> Self {
-        let sizes: Vec<usize> = params.iter().map(|p| p.numel()).collect();
-        Self::from_sizes(&sizes, bucket_bytes)
     }
 
     /// Whether this layout was built for exactly these parameter sizes
@@ -101,26 +86,6 @@ impl BucketLayout {
 
     pub fn num_buckets(&self) -> usize {
         self.buckets.len()
-    }
-
-    /// Index of the bucket owning parameter `param_idx`.
-    pub fn bucket_of(&self, param_idx: usize) -> usize {
-        self.owner[param_idx]
-    }
-
-    /// The contiguous parameter-index range bucket `b` covers.
-    pub fn params_in(&self, b: usize) -> Range<usize> {
-        self.buckets[b].params.clone()
-    }
-
-    /// Total `f32` elements in bucket `b`.
-    pub fn bucket_elems(&self, b: usize) -> usize {
-        self.buckets[b].elems
-    }
-
-    /// Payload bytes of bucket `b` (what one collective call moves).
-    pub fn bucket_payload_bytes(&self, b: usize) -> usize {
-        self.buckets[b].elems * 4
     }
 
     /// Copy the member parameters' gradients into bucket `b`'s flat
@@ -179,32 +144,9 @@ mod tests {
         let sizes = [4usize, 4, 4];
         let per = BucketLayout::from_sizes(&sizes, 0);
         assert_eq!(per.num_buckets(), 3);
-        let coal = BucketLayout::from_sizes(&sizes, usize::MAX);
+        let mut coal = BucketLayout::from_sizes(&sizes, usize::MAX);
         assert_eq!(coal.num_buckets(), 1);
-        assert_eq!(coal.bucket_elems(0), 12);
-    }
-
-    #[test]
-    fn greedy_packing_matches_strategy_arms() {
-        // 4x4 f32 = 64 bytes each; 128-byte buckets take two tensors.
-        let sizes = [16usize; 6];
-        let l = BucketLayout::from_sizes(&sizes, 128);
-        assert_eq!(l.num_buckets(), 3);
-        for b in 0..3 {
-            assert_eq!(l.params_in(b), (b * 2)..(b * 2 + 2));
-            assert_eq!(l.bucket_payload_bytes(b), 128);
-        }
-        assert_eq!(l.bucket_of(0), 0);
-        assert_eq!(l.bucket_of(3), 1);
-        assert_eq!(l.bucket_of(5), 2);
-    }
-
-    #[test]
-    fn oversized_tensor_gets_its_own_bucket() {
-        let l = BucketLayout::from_sizes(&[1024, 1], 16);
-        assert_eq!(l.num_buckets(), 2);
-        assert_eq!(l.bucket_elems(0), 1024);
-        assert_eq!(l.bucket_elems(1), 1);
+        assert_eq!(coal.buf_mut(0).len(), 12);
     }
 
     #[test]

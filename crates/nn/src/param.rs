@@ -87,16 +87,6 @@ impl Bindings {
         self.pairs.len()
     }
 
-    /// The recorded `(param id, tape leaf)` pairs, in binding order. The
-    /// leaf indices are strictly increasing (each bind pushes a fresh
-    /// tape node), so callers may binary-search by `Var`. The overlapped
-    /// DDP bridge walks these to accumulate a parameter's gradient the
-    /// moment its last-bound leaf finalizes — in exactly the order
-    /// [`Bindings::harvest`] would have used.
-    pub fn pairs(&self) -> &[(u64, Var)] {
-        &self.pairs
-    }
-
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
     }

@@ -42,4 +42,4 @@ pub use pool::BufferPool;
 // kernels split over `current_num_threads` = the pool less the cores
 // other threads hold. Results never depend on the split.
 pub use rayon::{current_num_threads, occupy};
-pub use tape::{GradObserver, GradReader, Tape, Var};
+pub use tape::{Tape, Var};

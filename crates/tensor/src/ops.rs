@@ -130,9 +130,7 @@ pub enum Op {
 
 impl Op {
     /// Visit every parent node id that should receive gradient, without
-    /// allocating — the grad-readiness scan in
-    /// [`Tape::backward_with_observer`](crate::Tape::backward_with_observer)
-    /// walks every op's parents once per step.
+    /// allocating.
     pub fn for_each_parent(&self, mut f: impl FnMut(usize)) {
         match self {
             Op::Leaf | Op::Constant => {}

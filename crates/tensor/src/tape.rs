@@ -36,33 +36,6 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Var(pub usize);
 
-/// Read-only view of the tape's gradient slots, handed to a
-/// [`GradObserver`] when a leaf's gradient finalizes. Lets the observer
-/// read *any* leaf's gradient at that instant — a parameter bound to
-/// several leaves can be accumulated in binding order the moment its last
-/// leaf finalizes, reproducing a post-backward harvest bit for bit.
-/// (Interior gradients are released as the pass moves below them.)
-pub struct GradReader<'a> {
-    grads: &'a [Option<Matrix>],
-}
-
-impl GradReader<'_> {
-    /// Gradient accumulated so far for node `v` (`None` if the node never
-    /// received one — e.g. a leaf with no consumers).
-    pub fn grad(&self, v: Var) -> Option<&Matrix> {
-        self.grads.get(v.0).and_then(Option::as_ref)
-    }
-}
-
-/// Observer of gradient readiness during
-/// [`Tape::backward_with_observer`]: `on_grad_final(leaf, reader)` fires
-/// exactly once per leaf, at the reverse-pass point after which that
-/// leaf's gradient receives no further accumulation. This is the hook the
-/// DDP layer uses to launch a bucket's all-reduce *during* backward.
-pub trait GradObserver {
-    fn on_grad_final(&mut self, leaf: Var, grads: &GradReader<'_>);
-}
-
 /// Reverse-mode autograd tape. Create once and [`Tape::reset`] between
 /// training steps to recycle its buffers.
 #[derive(Default)]
@@ -71,12 +44,6 @@ pub struct Tape {
     values: Vec<Matrix>,
     grads: Vec<Option<Matrix>>,
     pool: BufferPool,
-    /// Readiness scratch for [`Tape::backward_with_observer`]: per-node
-    /// "last accumulation" op index (`usize::MAX` = not a consumed leaf).
-    /// Kept on the tape so repeated observed backwards allocate nothing.
-    final_at: Vec<usize>,
-    /// `(final_at, leaf)` fire list, sorted descending by op index.
-    fire_list: Vec<(usize, usize)>,
 }
 
 impl Tape {
@@ -354,24 +321,6 @@ impl Tape {
     /// accumulation is in place (`+=` into pooled buffers) — no
     /// per-contribution allocation.
     pub fn backward(&mut self, root: Var) {
-        self.backward_impl(root, None);
-    }
-
-    /// [`Tape::backward`] with a grad-readiness observer: before the
-    /// reverse pass, a single ascending scan records — per leaf — the
-    /// *minimum* consumer op index, which (because the reverse pass walks
-    /// indices descending) is the last point at which that leaf's gradient
-    /// can receive an accumulation. As the pass moves below each such
-    /// index, `observer.on_grad_final` fires for the leaves whose
-    /// gradients just became final; leaves with no consumers fire up
-    /// front. The analysis scratch lives on the tape, so observed
-    /// backwards stay allocation-free once warm, and the plain
-    /// [`Tape::backward`] path skips the analysis entirely.
-    pub fn backward_with_observer(&mut self, root: Var, observer: &mut dyn GradObserver) {
-        self.backward_impl(root, Some(observer));
-    }
-
-    fn backward_impl(&mut self, root: Var, mut observer: Option<&mut dyn GradObserver>) {
         assert_eq!(
             self.values[root.0].shape(),
             (1, 1),
@@ -380,41 +329,6 @@ impl Tape {
         for g in &mut self.grads {
             if let Some(m) = g.take() {
                 self.pool.recycle(m);
-            }
-        }
-        // Grad-readiness analysis (observer path only): first consumer
-        // found in an ascending scan = minimum consumer index = the leaf's
-        // final accumulation point in the descending reverse pass.
-        if observer.is_some() {
-            self.final_at.clear();
-            self.final_at.resize(root.0 + 1, usize::MAX);
-            let ops = &self.ops;
-            let final_at = &mut self.final_at;
-            for (i, op) in ops.iter().enumerate().take(root.0 + 1) {
-                op.for_each_parent(|p| {
-                    if matches!(ops[p], Op::Leaf) && final_at[p] == usize::MAX {
-                        final_at[p] = i;
-                    }
-                });
-            }
-            self.fire_list.clear();
-            for leaf in 0..=root.0 {
-                if matches!(self.ops[leaf], Op::Leaf) {
-                    self.fire_list.push((self.final_at[leaf], leaf));
-                }
-            }
-            // Descending by final index (ties broken by leaf id for a
-            // deterministic fire order); unconsumed leaves (usize::MAX)
-            // sort first and fire before the reverse pass starts.
-            self.fire_list.sort_unstable_by(|a, b| b.cmp(a));
-        }
-        let mut fire_cursor = 0usize;
-        if let Some(obs) = observer.as_deref_mut() {
-            while fire_cursor < self.fire_list.len() && self.fire_list[fire_cursor].0 == usize::MAX
-            {
-                let leaf = self.fire_list[fire_cursor].1;
-                obs.on_grad_final(Var(leaf), &GradReader { grads: &self.grads });
-                fire_cursor += 1;
             }
         }
         let mut seed = self.pool.zeros(1, 1);
@@ -444,21 +358,7 @@ impl Tape {
                     self.pool.recycle(grad_out);
                 }
             }
-            // Whether or not op i contributed gradient, once the pass has
-            // processed index i no op below it can touch leaves whose
-            // minimum consumer is i — their gradients are final.
-            if let Some(obs) = observer.as_deref_mut() {
-                while fire_cursor < self.fire_list.len() && self.fire_list[fire_cursor].0 == i {
-                    let leaf = self.fire_list[fire_cursor].1;
-                    obs.on_grad_final(Var(leaf), &GradReader { grads: &self.grads });
-                    fire_cursor += 1;
-                }
-            }
         }
-        debug_assert!(
-            observer.is_none() || fire_cursor == self.fire_list.len(),
-            "every leaf must fire exactly once"
-        );
     }
 }
 

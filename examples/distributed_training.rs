@@ -52,7 +52,6 @@ fn main() {
                 match strategy {
                     AllReduceStrategy::PerTensor => "per-tensor",
                     AllReduceStrategy::Coalesced => "coalesced",
-                    AllReduceStrategy::Bucketed { .. } => "bucketed",
                 },
                 k,
                 last.timing.sampling_s,

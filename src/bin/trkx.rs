@@ -5,8 +5,7 @@
 //! trkx simulate  [--dataset ex3|ctd] [--scale 0.05] [--events 10] [--seed 42]
 //! trkx train     [--dataset ex3|ctd] [--scale 0.05] [--events 10] [--seed 42]
 //!                MODEL [--sampler bulk|baseline] [--bulk-k 4] [--workers 1]
-//!                [--prefetch 0] [--bucket-bytes N] [--comm-overlap]
-//!                [--graph-store incore|sharded] [--shard-nodes N]
+//!                [--prefetch 0] [--graph-store incore|sharded] [--shard-nodes N]
 //!                [--shard-cache M] [--shard-dir DIR]
 //!                [--out model.json] [--patience N] [--telemetry epochs.jsonl]
 //! trkx evaluate  [--model model.json] [--dataset ex3|ctd] [--scale 0.05]
@@ -29,7 +28,7 @@
 //!
 //! Every subcommand rejects an unknown or repeated flag, a flag without
 //! its value, a value that does not parse, a zero `--workers` / `--batch`
-//! and an unknown `--sampler` / `--dataset` / `--graph-store` name with
+//! / `--hidden` / `--bulk-k` and an unknown `--sampler` / `--dataset` / `--graph-store` name with
 //! one line on stderr and exit code 2; nothing is accepted and ignored.
 //! A failure after the flags are read is one line on stderr and exit
 //! code 1. Either way, the shard directory a sharded run creates under
@@ -71,12 +70,6 @@ impl Args {
     fn die(&self, msg: impl std::fmt::Display) -> ! {
         eprintln!("trkx {}: {msg}", self.cmd);
         std::process::exit(2)
-    }
-
-    /// Consume a bare `key`.
-    fn switch(&mut self, key: &str) -> bool {
-        let at = self.rest.iter().position(|a| a == key);
-        at.map(|i| self.rest.remove(i)).is_some()
     }
 
     /// Consume `key VALUE`, if given.
@@ -148,7 +141,7 @@ fn dataset_config(args: &mut Args) -> DatasetConfig {
 /// The MODEL flags plus `--seed`, which also seeds event generation.
 fn gnn_config(args: &mut Args, dataset: &DatasetConfig) -> GnnTrainConfig {
     GnnTrainConfig {
-        hidden: args.value("--hidden", 32),
+        hidden: args.positive("--hidden", 32),
         gnn_layers: args.value("--layers", 4),
         mlp_depth: dataset.mlp_layers,
         epochs: args.value("--epochs", 6),
@@ -273,21 +266,14 @@ fn cmd_train(mut args: Args) -> Result<(), String> {
     let shard_dir = args.value("--shard-dir", String::new());
     let gnn_cfg = gnn_config(&mut args, &cfg);
     let bulk = SamplerKind::Bulk {
-        k: args.value("--bulk-k", 4),
+        k: args.positive("--bulk-k", 4),
     };
     let sampler = args.choice(
         "--sampler",
         &[("bulk", bulk), ("baseline", SamplerKind::Baseline)],
     );
     let workers = args.positive("--workers", 1);
-    // --bucket-bytes N buckets the gradient all-reduce at an N-byte
-    // budget (default: one coalesced collective); --comm-overlap fires
-    // each bucket mid-backward as its last gradient finalizes.
-    let strategy = match args.value("--bucket-bytes", 0usize) {
-        0 => AllReduceStrategy::Coalesced,
-        bucket_bytes => AllReduceStrategy::Bucketed { bucket_bytes },
-    };
-    let ddp = DdpConfig::new(workers, strategy).with_overlap(args.switch("--comm-overlap"));
+    let ddp = DdpConfig::new(workers, AllReduceStrategy::Coalesced);
     // --prefetch N > 0 samples on a background thread per rank, keeping up
     // to N batches queued; the loss curves are identical to sync mode.
     let batching = match args.value("--prefetch", 0usize) {
@@ -410,7 +396,7 @@ fn cmd_reconstruct(mut args: Args) -> Result<(), String> {
             ..Default::default()
         },
         gnn: GnnTrainConfig {
-            hidden: args.value("--hidden", 32),
+            hidden: args.positive("--hidden", 32),
             gnn_layers: args.value("--layers", 4),
             epochs: args.value("--epochs", 8),
             batch_size: 128,

@@ -125,6 +125,24 @@ fn trained_pipeline_bundle_roundtrip() {
     assert_eq!(from_old.edges_kept, after.edges_kept);
     assert_eq!(from_old.metrics, after.metrics);
 
+    // Every bundle written before the backward-overlapped all-reduce was
+    // removed carries `"comm_overlap": false` in its DDP config: the key
+    // is ignored. One naming the removed `Bucketed` strategy is an error.
+    let ddp_key = "\"ddp\":{";
+    let old = json.replacen(ddp_key, "\"ddp\":{\"comm_overlap\":false,", 1);
+    assert_ne!(old, json, "splice point not found");
+    let from_old = reload(old).unwrap().reconstruct(&test_event);
+    assert_eq!(from_old.component_of_hit, after.component_of_hit);
+    assert_eq!(from_old.edges_kept, after.edges_kept);
+    assert_eq!(from_old.metrics, after.metrics);
+    let bucketed = json.replacen(
+        "\"strategy\":\"Coalesced\"",
+        "\"strategy\":{\"Bucketed\":{\"bucket_bytes\":4096}}",
+        1,
+    );
+    assert_ne!(bucketed, json, "splice point not found");
+    assert!(reload(bucketed).is_err(), "a Bucketed strategy loaded");
+
     // A radius that is not finite and positive is rejected at load (a
     // negative one would otherwise serve a wrong subset of the edges).
     let key = "},\"radius\":";

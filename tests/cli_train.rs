@@ -70,6 +70,14 @@ fn what_the_command_line_does_not_understand_is_a_usage_error() {
         ("sample", &["--fanout", "6"]),
         ("sample", &["--hops", "3"]),
         ("sample", &["--layer-size", "512"]),
+        // Zero sizes: a panic in the GEMM, or a bulk factor quietly run as 1.
+        ("train", &["--hidden", "0"]),
+        ("evaluate", &["--model", "missing.json", "--hidden", "0"]),
+        ("reconstruct", &["--hidden", "0"]),
+        ("train", &["--bulk-k", "0"]),
+        // Removed with the backward-overlapped bucket scheduler.
+        ("train", &["--comm-overlap"]),
+        ("train", &["--bucket-bytes", "4096"]),
     ] {
         let mut trkx = Command::new(env!("CARGO_BIN_EXE_trkx"));
         let out = trkx.arg(cmd).args(flags).output().unwrap();

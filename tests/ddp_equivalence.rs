@@ -1,10 +1,12 @@
-//! DDP integration tests: the two all-reduce strategies are numerically
-//! identical (only their modeled cost differs), and multi-worker training
-//! remains stable.
+//! DDP integration tests: the two all-reduce strategies are bit-identical
+//! (only their modeled cost differs), the modeled cost is the α–β
+//! formula per step, and multi-worker training remains stable.
 
-use trkx::ddp::{AllReduceStrategy, DdpConfig};
+use trkx::ddp::{AllReduceStrategy, CommCostModel, DdpConfig};
 use trkx::detector::DatasetConfig;
-use trkx::pipeline::{prepare_graphs, train, GnnTrainConfig, SamplerKind, TrainSpec};
+use trkx::pipeline::{
+    prepare_graphs, train, GnnTrainConfig, PreparedGraph, SamplerKind, TrainResult, TrainSpec,
+};
 use trkx::sampling::ShadowConfig;
 
 fn cfg() -> GnnTrainConfig {
@@ -24,36 +26,92 @@ fn cfg() -> GnnTrainConfig {
     }
 }
 
+/// One training run per strategy under `spec(strategy)`.
+fn run_both<'a>(
+    spec: impl Fn(AllReduceStrategy) -> TrainSpec<'a>,
+    train_set: &[PreparedGraph],
+    val: &[PreparedGraph],
+) -> [TrainResult; 2] {
+    [AllReduceStrategy::PerTensor, AllReduceStrategy::Coalesced]
+        .map(|strategy| train(&spec(strategy), train_set, val))
+}
+
 #[test]
 fn per_tensor_and_coalesced_training_are_numerically_identical() {
     // Same seeds, same sampler streams, same worker count: the only
-    // difference is how gradients are packed for the all-reduce. The
-    // resulting loss trajectories must match almost exactly.
+    // difference is how gradients are packed for the all-reduce, so the
+    // loss curves, validation metrics and final parameters agree bit for
+    // bit — on the threaded trainer (a real all-reduce per rank) and on
+    // the single-thread simulator.
     let data = DatasetConfig::ex3_like(0.015).generate(3, 44);
     let prepared = prepare_graphs(&data);
     let (train_set, val) = prepared.split_at(2);
     let c = cfg();
-    let run = |strategy| {
-        let spec = TrainSpec::ddp(&c, SamplerKind::Bulk { k: 2 }, DdpConfig::new(2, strategy));
-        train(&spec, train_set, val)
-    };
-    let per = run(AllReduceStrategy::PerTensor);
-    let coal = run(AllReduceStrategy::Coalesced);
-    for (a, b) in per.epochs.iter().zip(&coal.epochs) {
-        assert!(
-            (a.train_loss - b.train_loss).abs() < 1e-4,
-            "epoch {}: per-tensor loss {} vs coalesced loss {}",
-            a.epoch,
-            a.train_loss,
-            b.train_loss
-        );
-        assert!((a.val_precision - b.val_precision).abs() < 1e-6);
-        assert!((a.val_recall - b.val_recall).abs() < 1e-6);
+    let sampler = SamplerKind::Bulk { k: 2 };
+    let mut arms = Vec::new();
+    for p in [2usize, 3] {
+        let ddp = |strategy| TrainSpec::ddp(&c, sampler, DdpConfig::new(p, strategy));
+        arms.push((format!("threaded p={p}"), run_both(ddp, train_set, val)));
     }
-    // But the modeled communication differs: coalesced is cheaper.
-    let t_per: f64 = per.epochs.iter().map(|e| e.timing.comm_virtual_s).sum();
-    let t_coal: f64 = coal.epochs.iter().map(|e| e.timing.comm_virtual_s).sum();
-    assert!(t_coal < t_per, "coalesced {t_coal} !< per-tensor {t_per}");
+    let simulated = |strategy| TrainSpec::simulated_ddp(&c, sampler, DdpConfig::new(4, strategy));
+    arms.push(("simulated p=4".into(), run_both(simulated, train_set, val)));
+    for (arm, [per, coal]) in &arms {
+        assert_golden_parity(per, coal);
+        // But the modeled communication differs: coalesced is cheaper.
+        let t_per: f64 = per.epochs.iter().map(|e| e.timing.comm_virtual_s).sum();
+        let t_coal: f64 = coal.epochs.iter().map(|e| e.timing.comm_virtual_s).sum();
+        assert!(
+            t_coal < t_per,
+            "{arm}: coalesced {t_coal} !< per-tensor {t_per}"
+        );
+    }
+}
+
+#[test]
+fn comm_account_is_steps_times_the_cost_formula() {
+    // Every step runs its collectives after backward, so an epoch's
+    // modeled communication is its step count times the α–β price of one
+    // step's all-reduces under the strategy.
+    let data = DatasetConfig::ex3_like(0.015).generate(3, 44);
+    let prepared = prepare_graphs(&data);
+    let (train_set, val) = prepared.split_at(2);
+    let c = cfg();
+    let sampler = SamplerKind::Bulk { k: 2 };
+    let cost = CommCostModel::nvlink3();
+    for (p, threaded) in [(2usize, true), (4, false)] {
+        let spec = |strategy| {
+            let ddp = DdpConfig::new(p, strategy);
+            if threaded {
+                TrainSpec::ddp(&c, sampler, ddp)
+            } else {
+                TrainSpec::simulated_ddp(&c, sampler, ddp)
+            }
+        };
+        for (strategy, r) in [AllReduceStrategy::PerTensor, AllReduceStrategy::Coalesced]
+            .into_iter()
+            .zip(run_both(spec, train_set, val))
+        {
+            let tensor_bytes: Vec<usize> = r.model.params().iter().map(|t| t.numel() * 4).collect();
+            let per_step = match strategy {
+                AllReduceStrategy::PerTensor => cost.per_tensor_time(&tensor_bytes, p),
+                AllReduceStrategy::Coalesced => cost.coalesced_time(&tensor_bytes, p),
+            };
+            for e in &r.epochs {
+                assert!(
+                    e.steps > 0,
+                    "p={p} {strategy:?}: epoch {} ran no steps",
+                    e.epoch
+                );
+                let expect = e.steps as f64 * per_step;
+                assert!(
+                    (e.timing.comm_virtual_s - expect).abs() < 1e-12,
+                    "p={p} threaded={threaded} {strategy:?} epoch {}: {} vs {expect}",
+                    e.epoch,
+                    e.timing.comm_virtual_s
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -88,7 +146,7 @@ fn worker_counts_all_train_stably() {
 
 /// Loss-curve parity must be bit-for-bit: compare f32 bit patterns, not
 /// tolerances.
-fn assert_golden_parity(a: &trkx::pipeline::TrainResult, b: &trkx::pipeline::TrainResult) {
+fn assert_golden_parity(a: &TrainResult, b: &TrainResult) {
     assert_eq!(a.epochs.len(), b.epochs.len());
     for (x, y) in a.epochs.iter().zip(&b.epochs) {
         assert_eq!(
@@ -106,106 +164,5 @@ fn assert_golden_parity(a: &trkx::pipeline::TrainResult, b: &trkx::pipeline::Tra
         let pb: Vec<u32> = p.value.data().iter().map(|v| v.to_bits()).collect();
         let qb: Vec<u32> = q.value.data().iter().map(|v| v.to_bits()).collect();
         assert_eq!(pb, qb, "param {} diverged", p.name());
-    }
-}
-
-#[test]
-fn overlapped_comm_is_bit_identical_to_post_hoc_threaded() {
-    // The overlapped path fires bucket all-reduces mid-backward through
-    // the grad-ready bridge; the post-hoc path runs one sync_gradients
-    // after harvest. Same strategy, same worker count: gradients — and
-    // therefore the whole trajectory — must agree bit for bit.
-    let data = DatasetConfig::ex3_like(0.015).generate(3, 44);
-    let prepared = prepare_graphs(&data);
-    let (train_set, val) = prepared.split_at(2);
-    let c = cfg();
-    for p in [1usize, 2, 3] {
-        let ddp = DdpConfig::new(p, AllReduceStrategy::Bucketed { bucket_bytes: 4096 });
-        let run = |ddp| {
-            train(
-                &TrainSpec::ddp(&c, SamplerKind::Bulk { k: 2 }, ddp),
-                train_set,
-                val,
-            )
-        };
-        let post = run(ddp);
-        let over = run(ddp.with_overlap(true));
-        assert_golden_parity(&post, &over);
-        assert!(over.epochs[0].timing.comm_overlap);
-        if p > 1 {
-            let e = &over.epochs[0].timing;
-            assert!(
-                e.comm_exposed_s <= e.comm_virtual_s,
-                "p={p}: exposed {} > serial {}",
-                e.comm_exposed_s,
-                e.comm_virtual_s
-            );
-        }
-    }
-}
-
-#[test]
-fn overlapped_comm_is_bit_identical_to_post_hoc_simulated() {
-    let data = DatasetConfig::ex3_like(0.015).generate(3, 44);
-    let prepared = prepare_graphs(&data);
-    let (train_set, val) = prepared.split_at(2);
-    let c = cfg();
-    let run = |ddp| {
-        let spec = TrainSpec::simulated_ddp(&c, SamplerKind::Bulk { k: 2 }, ddp);
-        train(&spec, train_set, val)
-    };
-    for p in [1usize, 2, 4] {
-        // Several buckets per step at every worker count; at P = 4 also
-        // the whole ladder from one all-reduce per tensor to one per step.
-        let mut strategies = vec![AllReduceStrategy::Bucketed { bucket_bytes: 4096 }];
-        if p == 4 {
-            strategies.extend([
-                AllReduceStrategy::PerTensor,
-                AllReduceStrategy::Bucketed {
-                    bucket_bytes: 256 * 1024,
-                },
-                AllReduceStrategy::Bucketed {
-                    bucket_bytes: 1024 * 1024,
-                },
-                AllReduceStrategy::Coalesced,
-            ]);
-        }
-        let mut final_loss_bits = Vec::new();
-        for strategy in strategies {
-            let ddp = DdpConfig::new(p, strategy);
-            let post = run(ddp);
-            let over = run(ddp.with_overlap(true));
-            assert_golden_parity(&post, &over);
-            for arm in [&post, &over] {
-                final_loss_bits.push(arm.epochs.last().unwrap().train_loss.to_bits());
-            }
-            if p > 1 {
-                // The scheduler's serial account reproduces the strategy
-                // formula the post-hoc path charges.
-                for (x, y) in post.epochs.iter().zip(&over.epochs) {
-                    assert!(
-                        (x.timing.comm_virtual_s - y.timing.comm_virtual_s).abs() < 1e-12,
-                        "{strategy:?} epoch {}: serial accounts disagree: {} vs {}",
-                        x.epoch,
-                        x.timing.comm_virtual_s,
-                        y.timing.comm_virtual_s
-                    );
-                    assert!(y.timing.comm_exposed_s <= y.timing.comm_virtual_s);
-                }
-                // Real backward compute runs between bucket fires, so some
-                // communication must hide: strictly less exposed than serial.
-                let serial: f64 = over.epochs.iter().map(|e| e.timing.comm_virtual_s).sum();
-                let exposed: f64 = over.epochs.iter().map(|e| e.timing.comm_exposed_s).sum();
-                assert!(
-                    exposed < serial,
-                    "p={p} {strategy:?}: nothing overlapped (exposed {exposed} == serial {serial})"
-                );
-            }
-        }
-        // Bucketing and overlap change the comm schedule, never the math.
-        assert!(
-            final_loss_bits.windows(2).all(|w| w[0] == w[1]),
-            "p={p}: final loss differs across strategy x overlap arms: {final_loss_bits:x?}"
-        );
     }
 }
