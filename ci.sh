@@ -2,10 +2,11 @@
 # Local CI gate: formatting, lints (warnings are errors), docs (warnings
 # are errors), release build, the full workspace test suite, the GEMM
 # arm-vs-arm parity test by name (its log line says which micro-kernel
-# arms this host ran), the determinism / allocation / thread-budget
-# suites at two pool sizes, a two-second run of each benchmark workload
-# with a 1 GB peak-RSS tripwire, and a check that the frozen benchmark's
-# tracked files did not change. Run from the repo root.
+# arms this host ran) and the ReLU-gate parity test, the buffer-reuse,
+# determinism / allocation / thread-budget suites at two pool sizes, a
+# two-second run of each benchmark workload with a 1 GB peak-RSS
+# tripwire, and a check that the frozen benchmark's tracked files did
+# not change. Run from the repo root.
 set -euo pipefail
 
 cargo fmt --check
@@ -15,10 +16,26 @@ cargo build --workspace --release
 cargo test -q --workspace --release
 
 # GEMM micro-kernel arms against each other: the AVX2 and portable tile
-# and NT row, bit for bit against naive references over ±0, subnormals,
-# ±inf, NaN and an FMA tripwire. The test prints which arms ran, so this
-# log records whether a host without AVX2 checked only the portable one.
+# and NT row (the AVX2 one fed Bᵀ, n from 1 to 35 around the 16-output
+# pass), bit for bit against naive references over ±0, subnormals, ±inf,
+# NaN and an FMA tripwire. The test prints which arms ran, so this log
+# records whether a host without AVX2 checked only the portable one.
+# Then the fused bias + ReLU backward's branch-free gate against the
+# branchy rule, bit for bit, over y = 0 / y < 0 rows, -0.0 / NaN / ±inf
+# upstream gradients and accumulators already holding -0.0.
 cargo test -q --release -p trkx-tensor --lib gemm_arms_match_references_bit_for_bit -- --nocapture
+cargo test -q --release -p trkx-tensor --lib add_bias_relu_gate_is_the_branchy_rule_bit_for_bit
+
+# Tape buffers outlive the tape, at two pool sizes: a dropped pool's
+# buffers serve the next pool's misses class by class and a foreign-
+# capacity buffer never comes back (`reservoir`), and a second identical
+# training call, single-rank and at p = 2, allocates at most a tenth of
+# the first's bytes with the same loss bits (`pool_reuse`). Each is a
+# binary of its own: the reservoir is process-wide.
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --test reservoir
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test reservoir
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test pool_reuse
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test pool_reuse
 
 # Determinism suites at two pool sizes with every size gate forced off:
 # the parallel kernels (message passing AND the blocked GEMM panels) are

@@ -70,8 +70,8 @@ pub fn par_matmul_threshold() -> usize {
 // output element is produced by exactly one block with a single
 // sequential accumulator over the reduction index, so results are
 // bit-identical at any thread count or block size. `matmul_nt` keeps
-// its own layout (both operands are already k-contiguous) but shares
-// the same ordering contract via the `dot8` lane structure.
+// its own kernel, one `dot8` per output element, whose fixed lane
+// structure is its ordering contract.
 //
 // Each micro-kernel (`gemm_tile`, `nt_row`) has a portable Rust body —
 // the fallback on every target and the oracle the tests pin the other
@@ -157,14 +157,24 @@ impl Kernel {
         }
     }
 
-    /// One NT output row: [`nt_row`] on this arm.
+    /// Whether this arm's NT row reads Bᵀ (`k x n`) rather than B
+    /// (`n x k`): the AVX2 arm vectorises over outputs, so it wants the
+    /// output index contiguous.
     #[inline]
-    fn nt_row(self, a: &[f32], b: &[f32], out: &mut [f32]) {
+    fn nt_reads_bt(self) -> bool {
+        self != Kernel::Portable
+    }
+
+    /// One NT output row, `out[j] += dot8(a, b_j)`: [`nt_row`] over B on
+    /// the portable arm, `avx2::nt_row_t` over Bᵀ on the AVX2 arm (see
+    /// [`Kernel::nt_reads_bt`]).
+    #[inline]
+    fn nt_row(self, a: &[f32], b_or_bt: &[f32], out: &mut [f32]) {
         match self {
-            Kernel::Portable => nt_row(a, b, out),
+            Kernel::Portable => nt_row(a, b_or_bt, out),
             #[cfg(target_arch = "x86_64")]
             // SAFETY: as in `tile` — `Kernel::Avx2` implies AVX2.
-            Kernel::Avx2 => unsafe { avx2::nt_row(a, b, out) },
+            Kernel::Avx2 => unsafe { avx2::nt_row_t(a, b_or_bt, out) },
         }
     }
 }
@@ -396,8 +406,8 @@ fn dot8(a: &[f32], b: &[f32]) -> f32 {
     dot8_finish(&lanes, &a[chunks * 8..], &b[chunks * 8..])
 }
 
-/// `dot8`'s pinned epilogue, shared by both NT arms: the lanes summed
-/// left to right, plus the sequential dot of the sub-8 tails.
+/// `dot8`'s pinned epilogue: the lanes summed left to right (from
+/// `Iterator::sum`'s `-0.0`), plus the sequential dot of the sub-8 tails.
 #[inline]
 fn dot8_finish(lanes: &[f32; 8], a_tail: &[f32], b_tail: &[f32]) -> f32 {
     let mut tail = 0.0f32;
@@ -426,16 +436,11 @@ fn nt_row(a: &[f32], b: &[f32], out: &mut [f32]) {
 /// once per tile or row before the loads that rely on them.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{dot8_finish, MR, NR};
+    use super::{MR, NR};
     use std::arch::x86_64::{
         __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
         _mm256_storeu_ps,
     };
-
-    /// B rows per pass of [`nt_row`]: each load of `a` feeds eight
-    /// accumulators (8 + the `a` chunk + one product of the 16 YMM
-    /// registers; measured ~1.15× faster than four rows per pass).
-    const NT_ROWS: usize = 8;
 
     /// [`super::gemm_tile`] at YMM width, bit-identical to it. The full
     /// 8×16 tile would need 16 accumulators plus operands in 16
@@ -475,51 +480,95 @@ mod avx2 {
         out
     }
 
-    /// [`super::nt_row`] at YMM width, bit-identical to it: each dot's
-    /// eight `dot8` lanes are one register, filled chunk-ascending, then
-    /// stored and finished by the same [`dot8_finish`]. `NT_ROWS` B rows
-    /// share each load of `a` (the rows left over go one at a time).
+    /// [`super::nt_row`] over Bᵀ, bit-identical to it, vectorised over
+    /// outputs rather than over one dot's lanes: `bt` is `k x n`
+    /// row-major with `bt[i * n + j] = b_j[i]`, `n = out.len()`. For NR
+    /// outputs at a time, each `dot8` lane `t` is one register pair that
+    /// starts at `0.0` and adds `a[8c + t] · bᵀ[8c + t, j..j + NR]` for `c`
+    /// ascending; a sum pair starting at `-0.0` adds the eight lanes in `t`
+    /// order, then the tail pair (the products past the last full chunk),
+    /// and the result is added into `out`. That is exactly the additions
+    /// of `dot8` + `dot8_finish` per output, with no shuffle and no
+    /// horizontal add. The `n % NR` outputs left over run the same
+    /// sequence in scalar code.
     #[target_feature(enable = "avx2")]
-    pub(super) fn nt_row(a: &[f32], b: &[f32], out: &mut [f32]) {
-        let k = a.len();
-        let full = out.len() - out.len() % NT_ROWS;
-        let (grouped, rest) = out.split_at_mut(full);
-        for (g, o) in grouped.chunks_exact_mut(NT_ROWS).enumerate() {
-            dots::<NT_ROWS>(a, &b[g * NT_ROWS * k..(g + 1) * NT_ROWS * k], o);
-        }
-        for (j, o) in (full..).zip(rest) {
-            dots::<1>(a, &b[j * k..(j + 1) * k], std::slice::from_mut(o));
-        }
-    }
-
-    /// `out[q] += dot8(a, b_q)` for the `Q` consecutive rows `b_q` of `b`.
-    #[target_feature(enable = "avx2")]
-    fn dots<const Q: usize>(a: &[f32], b: &[f32], out: &mut [f32]) {
-        let k = a.len();
-        assert!(b.len() == Q * k && out.len() == Q, "nt dot operands");
+    pub(super) fn nt_row_t(a: &[f32], bt: &[f32], out: &mut [f32]) {
+        let (k, n) = (a.len(), out.len());
+        assert_eq!(bt.len(), k * n, "nt operands");
         let body = k - k % 8;
-        let mut acc = [_mm256_setzero_ps(); Q];
-        for c in (0..body).step_by(8) {
-            // SAFETY: `c + 8 <= body <= k = a.len()`.
-            let av = unsafe { _mm256_loadu_ps(a.as_ptr().add(c)) };
-            for (q, acc) in acc.iter_mut().enumerate() {
-                // SAFETY: `q < Q` and `c + 8 <= k`, so the load ends at
-                // or before `(q + 1) * k <= Q * k = b.len()` (asserted).
-                let bv = unsafe { _mm256_loadu_ps(b.as_ptr().add(q * k + c)) };
-                *acc = _mm256_add_ps(*acc, _mm256_mul_ps(av, bv));
+        let full = n - n % NR;
+        for j in (0..full).step_by(NR) {
+            let col = |i: usize| bt.as_ptr().wrapping_add(i * n + j);
+            let mut sum = [_mm256_set1_ps(-0.0); 2];
+            // Two lanes per sweep of the chunks, for two independent add
+            // chains; they join the sum in `t` order all the same.
+            for t in (0..8).step_by(2) {
+                let mut lanes = [[_mm256_setzero_ps(); 2]; 2];
+                let mut p = col(t);
+                for ac in a[..body].chunks_exact(8) {
+                    // SAFETY: `p` is row `8c + t` of `bt` at column `j`
+                    // for this chunk `c`. Rows `8c + t + 1 < body <= k`
+                    // and `j + NR <= n`, so both NR-float reads end within
+                    // `k * n = bt.len()`.
+                    unsafe {
+                        madd(&mut lanes[0], ac[t], p);
+                        madd(&mut lanes[1], ac[t + 1], p.wrapping_add(n));
+                    }
+                    p = p.wrapping_add(8 * n);
+                }
+                for lane in lanes {
+                    sum = [
+                        _mm256_add_ps(sum[0], lane[0]),
+                        _mm256_add_ps(sum[1], lane[1]),
+                    ];
+                }
+            }
+            let mut tail = [_mm256_setzero_ps(); 2];
+            for (i, &x) in a.iter().enumerate().skip(body) {
+                // SAFETY: `i < k` and `j + NR <= n`: within `bt`.
+                unsafe { madd(&mut tail, x, col(i)) };
+            }
+            // SAFETY: `j + NR <= n = out.len()`: two 8-float loads and
+            // stores in bounds.
+            unsafe {
+                let o = out.as_mut_ptr().add(j);
+                let dot = [
+                    _mm256_add_ps(sum[0], tail[0]),
+                    _mm256_add_ps(sum[1], tail[1]),
+                ];
+                _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), dot[0]));
+                _mm256_storeu_ps(o.add(8), _mm256_add_ps(_mm256_loadu_ps(o.add(8)), dot[1]));
             }
         }
-        for (q, (o, acc)) in out.iter_mut().zip(acc).enumerate() {
-            *o += dot8_finish(&lanes(acc), &a[body..], &b[q * k + body..(q + 1) * k]);
+        for (j, o) in out.iter_mut().enumerate().skip(full) {
+            let mut sum = -0.0f32;
+            for t in 0..8 {
+                let mut lane = 0.0f32;
+                for i in (t..body).step_by(8) {
+                    lane += a[i] * bt[i * n + j];
+                }
+                sum += lane;
+            }
+            let mut tail = 0.0f32;
+            for (i, &x) in a.iter().enumerate().skip(body) {
+                tail += x * bt[i * n + j];
+            }
+            *o += sum + tail;
         }
     }
 
+    /// `acc += x · p[0..NR]`: a multiply, rounded, then an add, rounded.
+    ///
+    /// # Safety
+    /// `p` must point at NR = 16 readable floats.
     #[target_feature(enable = "avx2")]
-    fn lanes(v: __m256) -> [f32; 8] {
-        let mut out = [0.0f32; 8];
-        // SAFETY: `out` holds the 8 floats the store writes.
-        unsafe { _mm256_storeu_ps(out.as_mut_ptr(), v) };
-        out
+    #[inline]
+    unsafe fn madd(acc: &mut [__m256; 2], x: f32, p: *const f32) {
+        let x = _mm256_set1_ps(x);
+        // SAFETY: the caller guarantees 16 readable floats at `p`.
+        let (b0, b1) = unsafe { (_mm256_loadu_ps(p), _mm256_loadu_ps(p.add(8))) };
+        acc[0] = _mm256_add_ps(acc[0], _mm256_mul_ps(x, b0));
+        acc[1] = _mm256_add_ps(acc[1], _mm256_mul_ps(x, b1));
     }
 }
 
@@ -807,13 +856,12 @@ impl Matrix {
         out
     }
 
-    /// `out += self * bᵀ` without materialising the transpose: both
-    /// operands are already contiguous along the reduction axis, so no
-    /// packing is needed — each output element is one `dot8` of
-    /// `self`'s row against a B row. The AVX2 arm holds a dot's eight
-    /// lanes in one register and runs eight B rows per load of the A row;
-    /// the portable arm does one dot at a time, because at baseline SSE
-    /// width four dots' lanes spill the register file.
+    /// `out += self * bᵀ`: each output element is one `dot8` of `self`'s
+    /// row against a B row. The portable arm reads B as it is (both
+    /// operands are contiguous along the reduction axis) and does one dot
+    /// at a time. The AVX2 arm transposes B once per call into this
+    /// thread's `PACK_B` scratch (B is the weight, a few thousand floats)
+    /// and runs NR dots per pass, one register pair per `dot8` lane.
     pub fn matmul_nt_acc(&self, b: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, b.cols,
@@ -822,16 +870,29 @@ impl Matrix {
         );
         let (m, k, n) = (self.rows, self.cols, b.rows);
         assert_eq!(out.shape(), (m, n), "matmul_nt output shape mismatch");
+        if m == 0 || n == 0 {
+            return;
+        }
         let a = &self.data;
-        let bd = &b.data;
         let kernel = Kernel::detect();
-        let body = |(r, out_row): (usize, &mut [f32])| {
-            kernel.nt_row(&a[r * k..(r + 1) * k], bd, out_row);
+        let rows = |bop: &[f32], out: &mut [f32]| {
+            let body = |(r, out_row): (usize, &mut [f32])| {
+                kernel.nt_row(&a[r * k..(r + 1) * k], bop, out_row);
+            };
+            if m * n >= par_matmul_threshold() && m > 1 {
+                out.par_chunks_mut(n).enumerate().for_each(body);
+            } else {
+                out.chunks_mut(n).enumerate().for_each(body);
+            }
         };
-        if m * n >= par_matmul_threshold() && m > 1 {
-            out.data.par_chunks_mut(n).enumerate().for_each(body);
+        if kernel.nt_reads_bt() {
+            with_scratch(&PACK_B, |bt| {
+                ensure_len(bt, k * n);
+                transpose_buf(&b.data, n, k, &mut bt[..k * n]);
+                rows(&bt[..k * n], &mut out.data);
+            });
         } else {
-            out.data.chunks_mut(n).enumerate().for_each(body);
+            rows(&b.data, &mut out.data);
         }
     }
 
@@ -1426,6 +1487,18 @@ mod tests {
     const FMA_TRIPWIRE: (f32, f32, f32) =
         (1.0 + 1.0 / 4096.0, 1.0 + 1.0 / 4096.0, -1.0 - 1.0 / 2048.0);
 
+    /// The fills every arm is checked on.
+    const PARITY_FILLS: [&str; 3] = ["uniform", "specials", "fma tripwire"];
+
+    /// `len` parity values for `fill`; the tripwire fill starts all zero.
+    fn fill_values(fill: &str, len: usize, rng: &mut StdRng) -> Vec<f32> {
+        match fill {
+            "uniform" => parity_values(len, 0, rng),
+            "specials" => parity_values(len, 8, rng),
+            _ => vec![0.0; len],
+        }
+    }
+
     #[test]
     fn gemm_arms_match_references_bit_for_bit() {
         let (x, y, c) = FMA_TRIPWIRE;
@@ -1436,44 +1509,15 @@ mod tests {
         );
         let arms = gemm_arms();
         let mut rng = StdRng::seed_from_u64(19);
-        // The NT row covers full 8-row groups and a remainder.
-        let n = 19;
         for k in PARITY_K {
-            for fill in ["uniform", "specials", "fma tripwire"] {
-                let (mut ap, mut bp, mut a, mut b) = match fill {
-                    "uniform" | "specials" => {
-                        let every = if fill == "specials" { 8 } else { 0 };
-                        (
-                            parity_values(k * MR, every, &mut rng),
-                            parity_values(k * NR, every, &mut rng),
-                            parity_values(k, every, &mut rng),
-                            parity_values(n * k, every, &mut rng),
-                        )
-                    }
-                    _ => (
-                        vec![0.0; k * MR],
-                        vec![0.0; k * NR],
-                        vec![0.0; k],
-                        vec![0.0; n * k],
-                    ),
-                };
-                if fill == "fma tripwire" {
-                    // Two steps of one accumulator: `c * 1`, then `x * y`.
-                    // Tile: element (0, 0) at kk = 0, 1. NT: lane 0 of the
-                    // first dot at 0, 8, or the first two tail elements.
-                    let steps = match k {
-                        16.. => Some((0, 8)),
-                        _ if k % 8 >= 2 => Some((k / 8 * 8, k / 8 * 8 + 1)),
-                        _ => None,
-                    };
-                    if k >= 2 {
-                        (ap[0], bp[0], ap[MR], bp[NR]) = (c, 1.0, x, y);
-                    }
-                    if let Some((s0, s1)) = steps {
-                        (a[s0], b[s0], a[s1], b[s1]) = (c, 1.0, x, y);
-                    }
+            for fill in PARITY_FILLS {
+                let mut ap = fill_values(fill, k * MR, &mut rng);
+                let mut bp = fill_values(fill, k * NR, &mut rng);
+                if fill == "fma tripwire" && k >= 2 {
+                    // Two steps of element (0, 0)'s accumulator, at kk = 0
+                    // and 1: `c * 1`, then `x * y`.
+                    (ap[0], bp[0], ap[MR], bp[NR]) = (c, 1.0, x, y);
                 }
-
                 // Tile: one accumulator per element over ascending kk.
                 let mut expect = [[0.0f32; NR]; MR];
                 for (r, row) in expect.iter_mut().enumerate() {
@@ -1483,23 +1527,6 @@ mod tests {
                         }
                     }
                 }
-                // NT row onto a non-zero start: dot8's lane order, one add.
-                let out0 = parity_values(n, 0, &mut rng);
-                let nt_expect: Vec<f32> = (0..n)
-                    .map(|j| {
-                        let bj = &b[j * k..(j + 1) * k];
-                        let mut lanes = [0.0f32; 8];
-                        for i in 0..k / 8 * 8 {
-                            lanes[i % 8] += a[i] * bj[i];
-                        }
-                        let mut tail = 0.0f32;
-                        for i in k / 8 * 8..k {
-                            tail += a[i] * bj[i];
-                        }
-                        out0[j] + (lanes.iter().sum::<f32>() + tail)
-                    })
-                    .collect();
-
                 for &arm in &arms {
                     let what = format!("{} k={k} {fill}", arm.name());
                     let got = arm.tile(&ap, &bp, k);
@@ -1509,10 +1536,65 @@ mod tests {
                             assert!(same_bits(g, e), "tile {what} ({r},{t}): {g:e} vs {e:e}");
                         }
                     }
-                    let mut out = out0.clone();
-                    arm.nt_row(&a, &b, &mut out);
-                    for (j, (&g, &e)) in out.iter().zip(&nt_expect).enumerate() {
-                        assert!(same_bits(g, e), "nt {what} row {j}: {g:e} vs {e:e}");
+                }
+            }
+        }
+        check_nt_arms(&arms);
+    }
+
+    /// The NT row on every arm (the AVX2 one fed Bᵀ) against `dot8`'s
+    /// sequence of additions, onto a non-zero `out`.
+    fn check_nt_arms(arms: &[Kernel]) {
+        let (x, y, c) = FMA_TRIPWIRE;
+        let mut rng = StdRng::seed_from_u64(23);
+        // Below, at and around one and two NR-output passes, with the
+        // scalar leftover of each.
+        for n in [1, 8, 15, 16, 17, 19, 32, 35] {
+            for k in PARITY_K {
+                for fill in PARITY_FILLS {
+                    let mut a = fill_values(fill, k, &mut rng);
+                    let mut b = fill_values(fill, n * k, &mut rng);
+                    if fill == "fma tripwire" {
+                        // Two steps of one accumulator of every output:
+                        // `c * 1`, then `x * y`, in lane 0 (i = 0, 8) or
+                        // in the tail (its first two elements).
+                        let steps = match k {
+                            16.. => Some((0, 8)),
+                            _ if k % 8 >= 2 => Some((k / 8 * 8, k / 8 * 8 + 1)),
+                            _ => None,
+                        };
+                        if let Some((s0, s1)) = steps {
+                            (a[s0], a[s1]) = (c, x);
+                            for bj in b.chunks_exact_mut(k) {
+                                (bj[s0], bj[s1]) = (1.0, y);
+                            }
+                        }
+                    }
+                    // Onto a non-zero start: dot8's lane order, one add.
+                    let out0 = parity_values(n, 0, &mut rng);
+                    let nt_expect: Vec<f32> = (0..n)
+                        .map(|j| {
+                            let bj = &b[j * k..(j + 1) * k];
+                            let mut lanes = [0.0f32; 8];
+                            for i in 0..k / 8 * 8 {
+                                lanes[i % 8] += a[i] * bj[i];
+                            }
+                            let mut tail = 0.0f32;
+                            for i in k / 8 * 8..k {
+                                tail += a[i] * bj[i];
+                            }
+                            out0[j] + (lanes.iter().sum::<f32>() + tail)
+                        })
+                        .collect();
+                    let bt = Matrix::from_vec(n, k, b.clone()).transpose();
+                    for &arm in arms {
+                        let what = format!("{} n={n} k={k} {fill}", arm.name());
+                        let operand = if arm.nt_reads_bt() { bt.data() } else { &b[..] };
+                        let mut out = out0.clone();
+                        arm.nt_row(&a, operand, &mut out);
+                        for (j, (&g, &e)) in out.iter().zip(&nt_expect).enumerate() {
+                            assert!(same_bits(g, e), "nt {what} output {j}: {g:e} vs {e:e}");
+                        }
                     }
                 }
             }

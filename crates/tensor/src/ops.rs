@@ -552,7 +552,11 @@ pub fn backward_into(
             }
         }
         Op::AddBiasRelu { a, bias } => {
-            // relu gate from the stored output: y > 0 ⟺ x + b > 0.
+            // relu gate from the stored output: y > 0 ⟺ x + b > 0. A
+            // closed gate adds `-0.0`, which leaves every value (±0 and
+            // NaN included) bit for bit as it was — the same result as
+            // skipping the add, with no branch, so both loops vectorise.
+            let gate = |go: f32, y: f32| if y > 0.0 { go } else { -0.0 };
             let (rows, cols) = grad_out.shape();
             if let Some(ga) = store.acc(*a, rows, cols) {
                 for ((g, &go), &y) in ga
@@ -561,9 +565,7 @@ pub fn backward_into(
                     .zip(grad_out.data())
                     .zip(out_value.data())
                 {
-                    if y > 0.0 {
-                        *g += go;
-                    }
+                    *g += gate(go, y);
                 }
             }
             if let Some(gb) = store.acc(*bias, 1, cols) {
@@ -571,9 +573,7 @@ pub fn backward_into(
                 for r in 0..rows {
                     for ((o, &go), &y) in gbd.iter_mut().zip(grad_out.row(r)).zip(out_value.row(r))
                     {
-                        if y > 0.0 {
-                            *o += go;
-                        }
+                        *o += gate(go, y);
                     }
                 }
             }

@@ -15,10 +15,21 @@
 //! returned buffer is filed under the largest class its *capacity* covers
 //! (a matrix given to `Tape::leaf` recycles like one made here), so any
 //! buffer in a bucket fits any request of that class: one index, no
-//! search. Nothing is trimmed: a class holds at most as many buffers as
-//! were live in it at once.
+//! search.
+//!
+//! Buffers outlive the tape that used them. Dropping a [`crate::Tape`]
+//! parks its values and gradients in its pool, and dropping a pool moves
+//! every buffer whose capacity is exactly its class capacity into one
+//! process-wide reservoir (foreign-capacity buffers are freed). A pool
+//! that misses in its own bucket takes from the reservoir's bucket of the
+//! same class before it allocates. So a training call that builds fresh
+//! tapes reuses the previous call's storage instead of faulting in new
+//! pages, and a serve worker reuses what setup's training left. Nothing is
+//! trimmed, here or in the reservoir: a class holds at most as many
+//! buffers as were live in it at once.
 
 use crate::Matrix;
+use std::sync::{Mutex, MutexGuard};
 
 /// log2 of the classes per octave: consecutive capacities differ by at
 /// most `1 + 1/4`.
@@ -49,6 +60,17 @@ fn class_capacity(class: usize) -> usize {
     (PER_OCTAVE + class % PER_OCTAVE) << (class / PER_OCTAVE + MIN_SHIFT - SUB_BITS)
 }
 
+/// The process-wide reservoir: `[c]` holds buffers of capacity exactly
+/// class `c`'s, left by dropped pools (see the module docs).
+static RESERVOIR: Mutex<Vec<Vec<Vec<f32>>>> = Mutex::new(Vec::new());
+
+/// The reservoir, locked. Every update under the lock is one whole `Vec`
+/// push, pop, resize or append, so even a poisoned lock guards a
+/// consistent reservoir and is taken over as it is.
+fn reservoir() -> MutexGuard<'static, Vec<Vec<Vec<f32>>>> {
+    RESERVOIR.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Recycles `Vec<f32>` storage between training steps, bucketed by size
 /// class (see the module docs).
 #[derive(Default)]
@@ -63,14 +85,16 @@ impl BufferPool {
     }
 
     /// A buffer with room for `len` elements, its length and contents
-    /// unspecified: a parked one of `len`'s class, else a fresh one at
-    /// class capacity.
+    /// unspecified: a parked one of `len`'s class, else one from the
+    /// reservoir, else a fresh one at class capacity (allocated after the
+    /// reservoir's lock is released).
     fn take(&mut self, len: usize) -> Vec<f32> {
         let class = class_above(len);
-        match self.buckets.get_mut(class).and_then(Vec::pop) {
-            Some(buf) => buf,
-            None => Vec::with_capacity(class_capacity(class)),
+        if let Some(buf) = self.buckets.get_mut(class).and_then(Vec::pop) {
+            return buf;
         }
+        let spare = reservoir().get_mut(class).and_then(Vec::pop);
+        spare.unwrap_or_else(|| Vec::with_capacity(class_capacity(class)))
     }
 
     /// Take a buffer of exactly `len` elements, zero-filled.
@@ -137,6 +161,27 @@ impl BufferPool {
     /// Number of buffers currently parked in the pool (for tests/metrics).
     pub fn parked(&self) -> usize {
         self.buckets.iter().map(Vec::len).sum()
+    }
+}
+
+impl Drop for BufferPool {
+    /// Hand the parked buffers of exact class capacity to the reservoir;
+    /// foreign-capacity ones (a matrix given to `Tape::leaf`) are freed
+    /// first, outside the lock.
+    fn drop(&mut self) {
+        for (class, bucket) in self.buckets.iter_mut().enumerate() {
+            bucket.retain(|b| b.capacity() == class_capacity(class));
+        }
+        if self.parked() == 0 {
+            return;
+        }
+        let mut reservoir = reservoir();
+        if reservoir.len() < self.buckets.len() {
+            reservoir.resize_with(self.buckets.len(), Vec::new);
+        }
+        for (spares, bucket) in reservoir.iter_mut().zip(&mut self.buckets) {
+            spares.append(bucket);
+        }
     }
 }
 

@@ -17,7 +17,10 @@
 //! them to the pool. The pool matches by size class, not exact shape, so
 //! a tape reused across steps whose graphs all differ (sampled
 //! minibatches, served micro-batches) still stops allocating once it has
-//! seen the range of sizes.
+//! seen the range of sizes. Dropping a tape resets it, and its pool hands
+//! the buffers to a process-wide reservoir, so the next tape built (the
+//! next training call's, a serve worker's) starts from them instead of
+//! from the allocator.
 //!
 //! The tape retains every intermediate value until it is reset — exactly
 //! the per-layer activation retention (`X^l`, `Y^l`, `M_src`, `M_dst`) that
@@ -362,6 +365,14 @@ impl Tape {
     }
 }
 
+impl Drop for Tape {
+    /// Park every value and gradient in the pool, whose own drop hands
+    /// them to the process-wide reservoir for the next tape.
+    fn drop(&mut self) {
+        self.reset();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,6 +502,77 @@ mod tests {
         assert!(t1.value(y1).approx_eq(t2.value(y2), 1e-6));
         assert!(t1.grad(x1).unwrap().approx_eq(t2.grad(x2).unwrap(), 1e-6));
         assert!(t1.grad(b1).unwrap().approx_eq(t2.grad(b2).unwrap(), 1e-6));
+    }
+
+    #[test]
+    fn add_bias_relu_gate_is_the_branchy_rule_bit_for_bit() {
+        // The backward's branch-free gate against the scalar rule
+        // `if y > 0 { g += go }`, bit for bit. Rows reach y > 0, y = 0
+        // (x + b = ±0 and x + b < 0, NaN and -inf) and y = inf; `go`
+        // holds -0.0, NaN and ±inf against every kind of row; and one
+        // node is differentiated twice into accumulators that already
+        // hold -0.0 (and NaN, ±inf), which a `+0.0` select would turn
+        // into +0.0.
+        const SPECIAL: [f32; 8] = [
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            1.5,
+            -2.25,
+            3e38,
+        ];
+        let cols = 8;
+        let bias = Matrix::from_vec(1, cols, vec![0.5, -0.5, 0.0, -0.0, 1.0, -1.0, 2.0, 0.25]);
+        let x = Matrix::from_fn(6, cols, |r, c| match r {
+            0 => 1.0 + c as f32,
+            1 => -bias.get(0, c),
+            2 => -3.0 - c as f32,
+            3 if c % 2 == 0 => 0.75,
+            3 => -0.75,
+            4 => [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0][c % 4],
+            _ => (c as f32 - 3.5) * 0.4,
+        });
+        let mut t = Tape::new();
+        let (xv, bv) = (t.leaf_copied(&x), t.leaf_copied(&bias));
+        let y = t.add_bias_relu(xv, bv);
+        let yv = t.value(y).clone();
+        let go = |shift: usize| Matrix::from_fn(6, cols, |r, c| SPECIAL[(r + c + shift) % 8]);
+        let (go1, go2) = (go(0), go(3));
+
+        let ga0 = Matrix::from_fn(6, cols, |r, c| [-0.0, -0.0, f32::NAN, 1.0][(r + c) % 4]);
+        let gb0 = Matrix::from_vec(
+            1,
+            cols,
+            vec![-0.0, -0.0, f32::INFINITY, -0.0, 0.0, -0.0, -1.0, -0.0],
+        );
+        let mut grads = vec![Some(ga0.clone()), Some(gb0.clone())];
+        let mut store = GradStore {
+            ops: &t.ops,
+            grads: &mut grads,
+            pool: &mut t.pool,
+        };
+        for g in [&go1, &go2] {
+            ops::backward_into(&t.ops[y.0], g, &t.values, &yv, &mut store);
+        }
+
+        let (mut ga, mut gb) = (ga0, gb0);
+        for g in [&go1, &go2] {
+            for r in 0..6 {
+                for c in 0..cols {
+                    if yv.get(r, c) > 0.0 {
+                        ga.set(r, c, ga.get(r, c) + g.get(r, c));
+                        gb.set(0, c, gb.get(0, c) + g.get(r, c));
+                    }
+                }
+            }
+        }
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let [got_a, got_b] = [0, 1].map(|i| grads[i].take().unwrap());
+        assert_eq!(bits(&got_a), bits(&ga), "x gradient");
+        assert_eq!(bits(&got_b), bits(&gb), "bias gradient");
+        assert!(ga.data().iter().any(|v| v.to_bits() == (-0.0f32).to_bits()));
     }
 
     #[test]
