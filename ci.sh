@@ -3,10 +3,10 @@
 # are errors), release build, the full workspace test suite, the GEMM
 # arm-vs-arm parity test by name (its log line says which micro-kernel
 # arms this host ran) and the ReLU-gate parity test, the buffer-reuse,
-# determinism / allocation / thread-budget suites at two pool sizes, a
-# two-second run of each benchmark workload with a 1 GB peak-RSS
-# tripwire, and a check that the frozen benchmark's tracked files did
-# not change. Run from the repo root.
+# determinism / allocation / thread-budget / early-stop lockstep suites
+# at two pool sizes, a two-second run of each benchmark workload with a
+# 1 GB peak-RSS tripwire, and a check that the frozen benchmark's
+# tracked files did not change. Run from the repo root.
 set -euo pipefail
 
 cargo fmt --check
@@ -87,6 +87,14 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test alloc_probe
 RAYON_NUM_THREADS=1 cargo test -q --release --test ddp_equivalence
 RAYON_NUM_THREADS=4 cargo test -q --release --test ddp_equivalence
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-ddp --test alloc_probe
+
+# Early stopping is the only hook that steers training, and a rank-local
+# stop would desynchronise the collectives. So, at two pool sizes: both
+# DDP ranks stop on the same epoch with the full run's curve prefix, and
+# every hook sees every epoch's report once, in order, including the
+# epoch on which early stopping says stop.
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test train_harness -- threaded_ddp_early_stops_in_lockstep hooks_fire_in_order
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test train_harness -- threaded_ddp_early_stops_in_lockstep hooks_fire_in_order
 
 # Serve smoke gate: train a tiny bundle, start `trkx serve` on stdio,
 # push a burst that includes one oversized event (which must shed with an

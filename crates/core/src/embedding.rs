@@ -3,12 +3,12 @@
 //! close together (paper §II-A), trained with a contrastive hinge loss on
 //! truth pairs.
 
-use crate::train::{EpochCtx, EpochReport, EpochStats, Hook, TrainLoop, TrainStep};
+use crate::train::{EpochCtx, EpochReport, EpochStats, TrainLoop, TrainStep};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::time::Instant;
 use trkx_ddp::EpochTiming;
 use trkx_detector::Event;
-use trkx_nn::{contrastive_hinge_loss, Activation, Adam, Bindings, Mlp, MlpConfig, Param};
+use trkx_nn::{contrastive_hinge_loss, Activation, Adam, Bindings, Mlp, MlpConfig};
 use trkx_tensor::{Matrix, Tape};
 
 /// Embedding-stage hyperparameters.
@@ -108,23 +108,9 @@ impl EmbeddingStage {
         Self { mlp, config }
     }
 
-    /// Train on `(event, vertex-feature matrix)` pairs; returns the final
-    /// mean loss.
-    pub fn train(&mut self, events: &[(&Event, &Matrix)]) -> f32 {
-        self.train_with_hooks(events, Vec::new())
-            .last()
-            .map_or(0.0, |r| r.train_loss)
-    }
-
-    /// Train through the unified [`TrainLoop`] with a caller-supplied hook
-    /// stack (telemetry, LR schedules, early stopping on
-    /// [`Monitor::NegTrainLoss`](crate::train::Monitor)); returns the
-    /// per-epoch reports.
-    pub fn train_with_hooks(
-        &mut self,
-        events: &[(&Event, &Matrix)],
-        hooks: Vec<Box<dyn Hook>>,
-    ) -> Vec<EpochReport> {
+    /// Train on `(event, vertex-feature matrix)` pairs through the unified
+    /// [`TrainLoop`]; returns the per-epoch reports.
+    pub fn train(&mut self, events: &[(&Event, &Matrix)]) -> Vec<EpochReport> {
         let mut step = EmbeddingTrainStep {
             mlp: &mut self.mlp,
             events,
@@ -132,9 +118,7 @@ impl EmbeddingStage {
             negatives_per_positive: self.config.negatives_per_positive,
             margin: self.config.margin,
         };
-        TrainLoop::new(Adam::new(self.config.learning_rate), self.config.epochs)
-            .with_hooks(hooks)
-            .run(&mut step)
+        TrainLoop::new(Adam::new(self.config.learning_rate), self.config.epochs).run(&mut step)
     }
 
     /// Embed a feature matrix (inference).
@@ -195,10 +179,6 @@ impl TrainStep for EmbeddingTrainStep<'_> {
             cache: None,
         }
     }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.mlp.params_mut()
-    }
 }
 
 #[cfg(test)]
@@ -247,10 +227,10 @@ mod tests {
             ..Default::default()
         };
         let mut stage = EmbeddingStage::new(6, cfg.clone());
-        let first = stage.train(&[(&ev, &x)]);
+        let first = stage.train(&[(&ev, &x)]).last().unwrap().train_loss;
         cfg.epochs = 30;
         let mut stage = EmbeddingStage::new(6, cfg);
-        let last = stage.train(&[(&ev, &x)]);
+        let last = stage.train(&[(&ev, &x)]).last().unwrap().train_loss;
         assert!(last < first, "loss did not drop: {first} -> {last}");
 
         // Same-particle pairs end up closer than random pairs on average.

@@ -4,12 +4,12 @@
 //! must hold in memory (paper §II-A).
 
 use crate::gnn_stage::PreparedGraph;
-use crate::train::{EpochCtx, EpochReport, EpochStats, Hook, TrainLoop, TrainStep};
+use crate::train::{EpochCtx, EpochReport, EpochStats, TrainLoop, TrainStep};
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
 use trkx_ddp::EpochTiming;
-use trkx_nn::{bce_with_logits, Activation, Adam, BinaryStats, Bindings, Mlp, MlpConfig, Param};
+use trkx_nn::{bce_with_logits, Activation, Adam, BinaryStats, Bindings, Mlp, MlpConfig};
 use trkx_tensor::{Matrix, Tape, Var};
 
 /// Filter-stage hyperparameters.
@@ -95,29 +95,16 @@ impl FilterStage {
         self.mlp.forward(tape, bind, input)
     }
 
-    /// Train over the given graphs; returns final mean loss.
-    pub fn train(&mut self, graphs: &[PreparedGraph]) -> f32 {
-        self.train_with_hooks(graphs, Vec::new())
-            .last()
-            .map_or(0.0, |r| r.train_loss)
-    }
-
-    /// Train through the unified [`TrainLoop`] with a caller-supplied
-    /// hook stack; returns the per-epoch reports.
-    pub fn train_with_hooks(
-        &mut self,
-        graphs: &[PreparedGraph],
-        hooks: Vec<Box<dyn Hook>>,
-    ) -> Vec<EpochReport> {
+    /// Train over the given graphs through the unified [`TrainLoop`];
+    /// returns the per-epoch reports.
+    pub fn train(&mut self, graphs: &[PreparedGraph]) -> Vec<EpochReport> {
         let lr = self.config.learning_rate;
         let epochs = self.config.epochs;
         let mut step = FilterTrainStep {
             stage: self,
             graphs,
         };
-        TrainLoop::new(Adam::new(lr), epochs)
-            .with_hooks(hooks)
-            .run(&mut step)
+        TrainLoop::new(Adam::new(lr), epochs).run(&mut step)
     }
 
     /// Per-edge logits (inference).
@@ -235,10 +222,6 @@ impl TrainStep for FilterTrainStep<'_> {
             cache: None,
         }
     }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.stage.mlp.params_mut()
-    }
 }
 
 #[cfg(test)]
@@ -260,7 +243,7 @@ mod tests {
             ..Default::default()
         };
         let mut stage = FilterStage::new(6, 2, cfg);
-        let loss = stage.train(&graphs);
+        let loss = stage.train(&graphs).last().unwrap().train_loss;
         assert!(loss.is_finite());
         let stats = stage.evaluate(&graphs);
         // Must beat the trivial keep-everything policy on precision while

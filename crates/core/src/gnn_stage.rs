@@ -19,7 +19,7 @@ use std::time::Instant;
 use trkx_ddp::{run_workers, AllReduceStrategy, AllReducer, DdpConfig, EpochTiming};
 use trkx_detector::EventGraph;
 use trkx_ignn::{IgnnConfig, InteractionGnn};
-use trkx_nn::{bce_with_logits, Adam, BinaryStats, Bindings, Param};
+use trkx_nn::{bce_with_logits, Adam, BinaryStats, Bindings};
 use trkx_sampling::{
     vertex_batches, BulkShadowSampler, SampledSubgraph, Sampler, SamplerGraph, ShadowConfig,
     ShadowSampler,
@@ -308,7 +308,7 @@ pub fn evaluate_with(
 /// with 0) to build its hook stack. Hooks must be deterministic functions
 /// of the reports they observe — every DDP rank sees identical metrics
 /// (replicas stay synchronised), so identical hook stacks make identical
-/// stop/LR decisions and the collectives stay aligned.
+/// stop decisions and the collectives stay aligned.
 pub type HookFactory = dyn Fn(usize) -> Vec<Box<dyn Hook>> + Sync;
 
 /// How a run's ranks execute and what joins their gradients.
@@ -700,10 +700,6 @@ impl TrainStep for RankStep<'_> {
             precision: stats.precision(),
             recall: stats.recall(),
         })
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.model.params_mut()
     }
 }
 

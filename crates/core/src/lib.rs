@@ -43,14 +43,14 @@ pub use gnn_stage::{
     PreparedGraph, SamplerKind, TrainMode, TrainResult, TrainSpec,
 };
 pub use graph_construction::{ConstructedGraph, ConstructionMethod, GraphConstructor};
-pub use metrics::{match_tracks, EdgeMetrics, TrackMetrics};
+pub use metrics::{match_tracks, TrackMetrics};
 pub use pipeline::{
     train_pipeline, PipelineBundle, PipelineConfig, PipelineReport, StageTimings, TrainedPipeline,
 };
 pub use tracks::{build_tracks, build_tracks_oracle, TrackBuildResult};
 pub use train::{
-    plan_chunks, with_batch_source, BatchSource, BatchingMode, BestCheckpointHook, Control,
-    EarlyStoppingHook, Engine, EpochCtx, EpochReport, EpochStats, FullGraphSource, Hook, HookCtx,
-    LrScheduleHook, Monitor, PrefetchBatchSource, RoundRobin, SampleChunk, SampledBatch,
-    SampledBatchSource, ShardChunks, TelemetryHook, TrainLoop, TrainStep, ValMetrics,
+    plan_chunks, with_batch_source, BatchSource, BatchingMode, Control, EarlyStoppingHook, Engine,
+    EpochCtx, EpochReport, EpochStats, FullGraphSource, Hook, Monitor, PrefetchBatchSource,
+    RoundRobin, SampleChunk, SampledBatch, SampledBatchSource, ShardChunks, TelemetryHook,
+    TrainLoop, TrainStep, ValMetrics,
 };

@@ -1,34 +1,6 @@
-//! Evaluation metrics: edge-level precision/recall (Figure 4's y-axes)
-//! and track-level efficiency/purity for the end-to-end pipeline.
-
-use trkx_nn::BinaryStats;
-
-/// Edge-classification metrics accumulated over a set of graphs
-/// ("precision and recall are based on the number of correctly classified
-/// edges across validation set particle graphs", paper §IV-B).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EdgeMetrics {
-    pub stats: BinaryStats,
-}
-
-impl EdgeMetrics {
-    pub fn add_graph(&mut self, logits: &[f32], labels: &[f32], threshold: f32) {
-        self.stats
-            .merge(&BinaryStats::from_logits(logits, labels, threshold));
-    }
-
-    pub fn precision(&self) -> f64 {
-        self.stats.precision()
-    }
-
-    pub fn recall(&self) -> f64 {
-        self.stats.recall()
-    }
-
-    pub fn f1(&self) -> f64 {
-        self.stats.f1()
-    }
-}
+//! Track-level evaluation metrics: efficiency/purity for the end-to-end
+//! pipeline (edge-level precision/recall, Figure 4's y-axes, is
+//! [`trkx_nn::BinaryStats`]).
 
 /// Track-level reconstruction quality under double-majority matching: a
 /// reconstructed component matches a truth particle when (a) more than
@@ -164,17 +136,6 @@ mod tests {
         // Component has 4 hits, 3 from particle 1: 2*3 > 4 and 2*3 > 3.
         assert_eq!(m.num_matched, 1);
         assert_eq!(m.num_true_tracks, 1);
-    }
-
-    #[test]
-    fn edge_metrics_accumulate() {
-        let mut em = EdgeMetrics::default();
-        em.add_graph(&[5.0, -5.0], &[1.0, 0.0], 0.5);
-        em.add_graph(&[5.0, 5.0], &[1.0, 0.0], 0.5);
-        assert_eq!(em.stats.tp, 2);
-        assert_eq!(em.stats.fp, 1);
-        assert!((em.precision() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(em.recall(), 1.0);
     }
 
     #[test]

@@ -117,7 +117,7 @@ pub fn train_pipeline(
     let feats: Vec<Matrix> = train_events.iter().map(|e| features_of(e, nf)).collect();
     let mut embedding = EmbeddingStage::new(nf, config.embedding.clone());
     let pairs: Vec<(&Event, &Matrix)> = train_events.iter().zip(feats.iter()).collect();
-    let embedding_loss = embedding.train(&pairs);
+    let embedding_loss = embedding.train(&pairs).last().map_or(0.0, |r| r.train_loss);
 
     // One pooled tape/bindings pair serves every inference call below
     // (per-event embeds, filter pruning, track-building logits).

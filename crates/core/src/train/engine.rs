@@ -1,52 +1,35 @@
 //! The epoch-loop engine: one [`TrainLoop`] drives every trainable stage
 //! of the pipeline through a [`TrainStep`] (per-stage forward + loss),
 //! centralising the tape/bindings reuse, gradient harvesting, optional
-//! DDP gradient synchronisation, gradient clipping, optimizer stepping,
-//! and grad zeroing that the five trainers used to hand-roll.
+//! DDP gradient synchronisation, the Adam step, and grad zeroing that the
+//! five trainers used to hand-roll.
 //!
 //! The split of responsibilities follows the "sampling is a policy inside
 //! a fixed training loop" framing (Serafini & Guan): the engine owns the
 //! *mechanics* of a step, the [`TrainStep`] owns the *schedule* — which
 //! batches exist in an epoch and what forward pass each one runs.
 
-use crate::train::hooks::{Control, Hook, HookCtx};
+use crate::train::hooks::{Control, Hook};
 use trkx_ddp::EpochTiming;
-use trkx_nn::{clip_grad_norm, Bindings, Optimizer, Param};
+use trkx_nn::{Adam, Bindings, Param};
 use trkx_tensor::{Tape, Var};
 
-/// Pooled step mechanics: owns the reusable [`Tape`]/[`Bindings`] pair,
-/// the optimizer, and the gradient-clipping policy. One `Engine` serves
-/// one model replica (DDP ranks each own one).
+/// Pooled step mechanics: owns the reusable [`Tape`]/[`Bindings`] pair
+/// and the [`Adam`] optimizer. One `Engine` serves one model replica (DDP
+/// ranks each own one).
 pub struct Engine {
     tape: Tape,
     bind: Bindings,
-    opt: Box<dyn Optimizer>,
-    clip: Option<f32>,
+    opt: Adam,
 }
 
 impl Engine {
-    pub fn new(opt: impl Optimizer + 'static) -> Self {
+    pub fn new(opt: Adam) -> Self {
         Self {
             tape: Tape::new(),
             bind: Bindings::new(),
-            opt: Box::new(opt),
-            clip: None,
+            opt,
         }
-    }
-
-    /// Clip the global gradient L2 norm to `max_norm` before each
-    /// optimizer step.
-    pub fn with_clip(mut self, max_norm: f32) -> Self {
-        self.clip = Some(max_norm);
-        self
-    }
-
-    pub fn opt(&self) -> &dyn Optimizer {
-        &*self.opt
-    }
-
-    pub fn opt_mut(&mut self) -> &mut dyn Optimizer {
-        &mut *self.opt
     }
 
     /// Reset the pooled tape/bindings and run `forward`; when it yields a
@@ -89,7 +72,7 @@ impl Engine {
     }
 
     /// Finish a step without harvesting: run `sync` (DDP collective or any
-    /// gradient transform), clip, step the optimizer, zero the grads.
+    /// gradient transform), step the optimizer, zero the grads.
     /// `sync` runs unconditionally so that every DDP rank makes the same
     /// number of collective calls even when its shard was empty.
     pub fn apply_with<S>(&mut self, params: &mut [&mut Param], sync: S)
@@ -97,9 +80,6 @@ impl Engine {
         S: FnOnce(&mut [&mut Param]),
     {
         sync(params);
-        if let Some(max_norm) = self.clip {
-            clip_grad_norm(params, max_norm);
-        }
         self.opt.step(params);
         for p in params.iter_mut() {
             p.zero_grad();
@@ -178,7 +158,7 @@ pub struct EpochReport {
     pub val_recall: f64,
     /// Optimizer steps taken.
     pub steps: usize,
-    /// Learning rate in effect during the epoch.
+    /// The optimizer's (fixed) learning rate.
     pub lr: f32,
     pub timing: EpochTiming,
     /// Shard-cache counters (cumulative since store open); omitted from
@@ -215,20 +195,13 @@ pub trait TrainStep {
     fn validate(&mut self, _epoch: usize) -> Option<ValMetrics> {
         None
     }
-
-    /// The trainable parameters (checkpoint/restore hooks operate on these).
-    fn params_mut(&mut self) -> Vec<&mut Param>;
 }
 
 /// Handle given to [`TrainStep::train_epoch`]: forwards the [`Engine`]
-/// mechanics and fires `on_step_end` hooks after every optimizer step.
+/// mechanics and counts the epoch's optimizer steps.
 pub struct EpochCtx<'a> {
     engine: &'a mut Engine,
-    hooks: &'a mut [Box<dyn Hook>],
-    epoch: usize,
     steps: usize,
-    pending_loss: f32,
-    pending_n: usize,
 }
 
 impl EpochCtx<'_> {
@@ -237,10 +210,7 @@ impl EpochCtx<'_> {
     where
         F: FnOnce(&mut Tape, &mut Bindings) -> Option<Var>,
     {
-        let loss = self.engine.forward_backward(forward);
-        self.pending_loss += loss;
-        self.pending_n += 1;
-        loss
+        self.engine.forward_backward(forward)
     }
 
     /// See [`Engine::harvest`].
@@ -254,39 +224,25 @@ impl EpochCtx<'_> {
         S: FnOnce(&mut [&mut Param]),
     {
         self.engine.apply_with(params, sync);
-        self.step_end();
+        self.steps += 1;
     }
 
     /// See [`Engine::update`]. Counts as one optimizer step.
     pub fn update(&mut self, params: &mut [&mut Param]) {
         self.engine.update(params);
-        self.step_end();
+        self.steps += 1;
     }
 
     /// Optimizer steps taken so far this epoch.
     pub fn steps(&self) -> usize {
         self.steps
     }
-
-    fn step_end(&mut self) {
-        if !self.hooks.is_empty() {
-            // Mean of the forward/backward losses folded into this step
-            // (several under gradient accumulation, one normally).
-            let loss = self.pending_loss / self.pending_n.max(1) as f32;
-            for h in self.hooks.iter_mut() {
-                h.on_step_end(self.epoch, self.steps, loss);
-            }
-        }
-        self.steps += 1;
-        self.pending_loss = 0.0;
-        self.pending_n = 0;
-    }
 }
 
 /// The unified epoch loop: owns the [`Engine`] and a hook stack, drives a
 /// [`TrainStep`] for up to `epochs` epochs, and returns the per-epoch
-/// telemetry. Hooks observe every step and epoch and can stop training
-/// early ([`Control::Stop`]).
+/// telemetry. Every hook sees every epoch's report, in stack order; any
+/// of them can end training after that epoch ([`Control::Stop`]).
 pub struct TrainLoop {
     engine: Engine,
     hooks: Vec<Box<dyn Hook>>,
@@ -294,7 +250,7 @@ pub struct TrainLoop {
 }
 
 impl TrainLoop {
-    pub fn new(opt: impl Optimizer + 'static, epochs: usize) -> Self {
+    pub fn new(opt: Adam, epochs: usize) -> Self {
         Self {
             engine: Engine::new(opt),
             hooks: Vec::new(),
@@ -312,41 +268,18 @@ impl TrainLoop {
         self
     }
 
-    pub fn with_clip(mut self, max_norm: f32) -> Self {
-        self.engine = self.engine.with_clip(max_norm);
-        self
-    }
-
-    pub fn engine_mut(&mut self) -> &mut Engine {
-        &mut self.engine
-    }
-
     /// Run the loop to completion (or early stop). Returns one
     /// [`EpochReport`] per epoch actually trained.
     pub fn run(&mut self, step: &mut dyn TrainStep) -> Vec<EpochReport> {
         let mut reports = Vec::with_capacity(self.epochs);
         for epoch in 0..self.epochs {
-            if !self.hooks.is_empty() {
-                let mut params = step.params_mut();
-                let mut ctx = HookCtx {
-                    opt: self.engine.opt_mut(),
-                    params: &mut params,
-                };
-                for h in self.hooks.iter_mut() {
-                    h.on_epoch_start(epoch, &mut ctx);
-                }
-            }
-            let stats = {
-                let mut ctx = EpochCtx {
+            let stats = step.train_epoch(
+                epoch,
+                &mut EpochCtx {
                     engine: &mut self.engine,
-                    hooks: &mut self.hooks,
-                    epoch,
                     steps: 0,
-                    pending_loss: 0.0,
-                    pending_n: 0,
-                };
-                step.train_epoch(epoch, &mut ctx)
-            };
+                },
+            );
             let val = step.validate(epoch);
             let report = EpochReport {
                 epoch,
@@ -354,36 +287,21 @@ impl TrainLoop {
                 val_precision: val.map_or(f64::NAN, |v| v.precision),
                 val_recall: val.map_or(f64::NAN, |v| v.recall),
                 steps: stats.steps,
-                lr: self.engine.opt().learning_rate(),
+                lr: self.engine.opt.lr,
                 timing: stats.timing,
                 shard_cache: stats.cache,
             };
+            // Every hook sees the report, including the ones after a hook
+            // that asks to stop.
             let mut control = Control::Continue;
-            if !self.hooks.is_empty() {
-                let mut params = step.params_mut();
-                let mut ctx = HookCtx {
-                    opt: self.engine.opt_mut(),
-                    params: &mut params,
-                };
-                for h in self.hooks.iter_mut() {
-                    if h.on_epoch_end(&report, &mut ctx) == Control::Stop {
-                        control = Control::Stop;
-                    }
+            for h in self.hooks.iter_mut() {
+                if h.on_epoch_end(&report) == Control::Stop {
+                    control = Control::Stop;
                 }
             }
             reports.push(report);
             if control == Control::Stop {
                 break;
-            }
-        }
-        if !self.hooks.is_empty() {
-            let mut params = step.params_mut();
-            let mut ctx = HookCtx {
-                opt: self.engine.opt_mut(),
-                params: &mut params,
-            };
-            for h in self.hooks.iter_mut() {
-                h.on_train_end(&reports, &mut ctx);
             }
         }
         reports

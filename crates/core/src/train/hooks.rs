@@ -1,11 +1,12 @@
-//! Built-in [`Hook`]s for the [`TrainLoop`](crate::train::TrainLoop):
-//! early stopping, best-checkpoint tracking with end-of-run restore,
-//! learning-rate schedules, and structured per-epoch telemetry.
+//! The [`Hook`] callback of the [`TrainLoop`](crate::train::TrainLoop)
+//! and its two built-ins: early stopping and structured per-epoch
+//! telemetry.
 
-use crate::checkpoint::Checkpoint;
 use crate::early_stopping::EarlyStopping;
 use crate::train::engine::EpochReport;
-use trkx_nn::{LrSchedule, Optimizer, Param, Scheduler};
+use std::fs::File;
+use std::io::Write;
+use std::sync::Arc;
 
 /// Flow-control verdict of an epoch-end hook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -14,32 +15,12 @@ pub enum Control {
     Stop,
 }
 
-/// Mutable training state exposed to hooks: the optimizer (for LR
-/// schedules) and the model parameters (for checkpoint/restore).
-pub struct HookCtx<'a, 'p> {
-    pub opt: &'a mut dyn Optimizer,
-    pub params: &'a mut [&'p mut Param],
-}
-
-/// Observer/controller callbacks around the
+/// Observer/controller around the
 /// [`TrainLoop`](crate::train::TrainLoop) epoch loop.
-/// All methods default to no-ops so hooks implement only what they need.
 pub trait Hook {
-    /// Before the epoch's first step.
-    fn on_epoch_start(&mut self, _epoch: usize, _ctx: &mut HookCtx) {}
-
-    /// After each optimizer step; `loss` is the step's forward loss (mean
-    /// over the accumulated forward passes under gradient accumulation).
-    fn on_step_end(&mut self, _epoch: usize, _step: usize, _loss: f32) {}
-
     /// After the epoch's validation pass. Returning [`Control::Stop`]
     /// ends training after this epoch.
-    fn on_epoch_end(&mut self, _report: &EpochReport, _ctx: &mut HookCtx) -> Control {
-        Control::Continue
-    }
-
-    /// Once, after the final epoch (regardless of how the run ended).
-    fn on_train_end(&mut self, _reports: &[EpochReport], _ctx: &mut HookCtx) {}
+    fn on_epoch_end(&mut self, report: &EpochReport) -> Control;
 }
 
 /// Which scalar of an [`EpochReport`] a metric-driven hook watches.
@@ -78,7 +59,6 @@ impl Monitor {
 pub struct EarlyStoppingHook {
     monitor: Monitor,
     inner: EarlyStopping,
-    stopped: bool,
 }
 
 impl EarlyStoppingHook {
@@ -86,121 +66,18 @@ impl EarlyStoppingHook {
         Self {
             monitor,
             inner: EarlyStopping::new(patience, min_delta),
-            stopped: false,
         }
-    }
-
-    /// Did this hook end the run?
-    pub fn stopped_early(&self) -> bool {
-        self.stopped
-    }
-
-    pub fn best(&self) -> f64 {
-        self.inner.best()
-    }
-
-    pub fn best_epoch(&self) -> usize {
-        self.inner.best_epoch()
     }
 }
 
 impl Hook for EarlyStoppingHook {
-    fn on_epoch_end(&mut self, report: &EpochReport, _ctx: &mut HookCtx) -> Control {
+    fn on_epoch_end(&mut self, report: &EpochReport) -> Control {
         let value = self.monitor.value(report);
-        if value.is_nan() {
-            return Control::Continue;
-        }
-        if self.inner.update(value) {
-            self.stopped = true;
+        if !value.is_nan() && self.inner.update(value) {
             Control::Stop
         } else {
             Control::Continue
         }
-    }
-}
-
-/// Snapshot the model parameters whenever the monitored metric improves;
-/// on train end, restore the best snapshot (so an early-stopped run ends
-/// holding its best-validation weights, not its last ones).
-pub struct BestCheckpointHook {
-    monitor: Monitor,
-    restore: bool,
-    best: f64,
-    best_epoch: Option<usize>,
-    snapshot: Option<Checkpoint>,
-}
-
-impl BestCheckpointHook {
-    pub fn new(monitor: Monitor) -> Self {
-        Self {
-            monitor,
-            restore: true,
-            best: f64::NEG_INFINITY,
-            best_epoch: None,
-            snapshot: None,
-        }
-    }
-
-    /// Keep the snapshot available but leave the final weights in place.
-    pub fn without_restore(mut self) -> Self {
-        self.restore = false;
-        self
-    }
-
-    /// Epoch of the best snapshot, if any improved epoch was seen.
-    pub fn best_epoch(&self) -> Option<usize> {
-        self.best_epoch
-    }
-
-    pub fn best(&self) -> f64 {
-        self.best
-    }
-
-    /// The best-epoch state dict, if any.
-    pub fn checkpoint(&self) -> Option<&Checkpoint> {
-        self.snapshot.as_ref()
-    }
-}
-
-impl Hook for BestCheckpointHook {
-    fn on_epoch_end(&mut self, report: &EpochReport, ctx: &mut HookCtx) -> Control {
-        let value = self.monitor.value(report);
-        if !value.is_nan() && value > self.best {
-            self.best = value;
-            self.best_epoch = Some(report.epoch);
-            let view: Vec<&Param> = ctx.params.iter().map(|p| &**p).collect();
-            self.snapshot = Some(Checkpoint::from_params(&view));
-        }
-        Control::Continue
-    }
-
-    fn on_train_end(&mut self, _reports: &[EpochReport], ctx: &mut HookCtx) {
-        if self.restore {
-            if let Some(ckpt) = &self.snapshot {
-                ckpt.apply_to(ctx.params)
-                    .expect("best-checkpoint snapshot matches the params it was captured from");
-            }
-        }
-    }
-}
-
-/// Drive the optimizer's learning rate from an [`LrSchedule`], advancing
-/// one schedule step per epoch.
-pub struct LrScheduleHook<S: LrSchedule> {
-    sched: Scheduler<S>,
-}
-
-impl<S: LrSchedule> LrScheduleHook<S> {
-    pub fn new(base_lr: f32, schedule: S) -> Self {
-        Self {
-            sched: Scheduler::new(base_lr, schedule),
-        }
-    }
-}
-
-impl<S: LrSchedule> Hook for LrScheduleHook<S> {
-    fn on_epoch_start(&mut self, _epoch: usize, ctx: &mut HookCtx) {
-        self.sched.apply(ctx.opt);
     }
 }
 
@@ -217,26 +94,22 @@ impl TelemetryHook {
         }
     }
 
-    /// Append one JSON object per epoch to `path`.
-    pub fn jsonl(path: impl Into<std::path::PathBuf>) -> Self {
-        let path = path.into();
+    /// Append one JSON object per epoch to `file`, which the caller opens
+    /// once before training (so a path that cannot be opened fails the
+    /// run up front). A failed write is reported on stderr, naming
+    /// `path`, and training goes on.
+    pub fn jsonl(file: Arc<File>, path: String) -> Self {
         Self::new(move |report| {
-            if let Ok(line) = serde_json::to_string(report) {
-                use std::io::Write;
-                if let Ok(mut f) = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&path)
-                {
-                    let _ = writeln!(f, "{line}");
-                }
+            let line = serde_json::to_string(report).expect("an epoch report serializes");
+            if let Err(e) = writeln!(&*file, "{line}") {
+                eprintln!("telemetry: cannot write to {path}: {e}");
             }
         })
     }
 }
 
 impl Hook for TelemetryHook {
-    fn on_epoch_end(&mut self, report: &EpochReport, _ctx: &mut HookCtx) -> Control {
+    fn on_epoch_end(&mut self, report: &EpochReport) -> Control {
         (self.sink)(report);
         Control::Continue
     }

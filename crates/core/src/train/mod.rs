@@ -1,6 +1,6 @@
 //! Unified training harness: the [`TrainLoop`] epoch-loop engine, the
 //! per-stage [`TrainStep`] trait, and the [`Hook`] stack (early stopping,
-//! LR schedules, best-checkpointing, telemetry). Every trainable stage of
+//! telemetry). Every trainable stage of
 //! the pipeline — embedding, filter, and the GNN trainer in each of its
 //! modes — runs through this one loop; DDP gradient synchronisation plugs
 //! in as a per-step `sync` strategy, not a fork of the loop.
@@ -12,10 +12,7 @@ pub mod source;
 pub use engine::{
     Engine, EpochCtx, EpochReport, EpochStats, ShardCacheStats, TrainLoop, TrainStep, ValMetrics,
 };
-pub use hooks::{
-    BestCheckpointHook, Control, EarlyStoppingHook, Hook, HookCtx, LrScheduleHook, Monitor,
-    TelemetryHook,
-};
+pub use hooks::{Control, EarlyStoppingHook, Hook, Monitor, TelemetryHook};
 pub use source::{
     plan_chunks, with_batch_source, BatchSource, BatchingMode, FullGraphSource,
     PrefetchBatchSource, RoundRobin, SampleChunk, SampledBatch, SampledBatchSource, ShardChunks,

@@ -1,15 +1,14 @@
 //! Unified-training-harness tests: golden-seed determinism (the ported
 //! trainers must reproduce the pre-harness per-epoch loss curves
-//! bit-for-bit), hook dispatch order, and the early-stop →
-//! best-checkpoint-restore interplay.
+//! bit-for-bit), hook dispatch order, and early stopping.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use rand::{rngs::StdRng, SeedableRng};
 use trkx_core::train::{
-    BestCheckpointHook, Control, EarlyStoppingHook, EpochCtx, EpochReport, EpochStats, Hook,
-    HookCtx, LrScheduleHook, Monitor, TrainLoop, TrainStep, ValMetrics,
+    EarlyStoppingHook, EpochCtx, EpochReport, EpochStats, Hook, Monitor, TelemetryHook, TrainLoop,
+    TrainStep, ValMetrics,
 };
 use trkx_core::{
     prepare_graphs, train, train_minibatch_opts, BatchingMode, EmbeddingConfig, EmbeddingStage,
@@ -17,7 +16,7 @@ use trkx_core::{
 };
 use trkx_ddp::{AllReduceStrategy, DdpConfig};
 use trkx_detector::{simulate_event, vertex_features, DatasetConfig, DetectorGeometry, GunConfig};
-use trkx_nn::{Adam, Param, StepDecay};
+use trkx_nn::{Adam, Param};
 use trkx_sampling::ShadowConfig;
 use trkx_tensor::Matrix;
 
@@ -44,7 +43,7 @@ fn embedding_curve_matches_pre_harness_golden() {
         ..Default::default()
     };
     let mut stage = EmbeddingStage::new(6, cfg);
-    let reports = stage.train_with_hooks(&[(&ev, &x)], Vec::new());
+    let reports = stage.train(&[(&ev, &x)]);
     let losses: Vec<f32> = reports.iter().map(|r| r.train_loss).collect();
     assert_eq!(losses, [0.071708046, 0.053873174, 0.054308865, 0.04587508]);
     // No validation pass: val fields are NaN, steps were taken.
@@ -60,7 +59,7 @@ fn filter_curve_matches_pre_harness_golden() {
         ..Default::default()
     };
     let mut stage = FilterStage::new(6, 2, cfg);
-    let reports = stage.train_with_hooks(&graphs, Vec::new());
+    let reports = stage.train(&graphs);
     let losses: Vec<f32> = reports.iter().map(|r| r.train_loss).collect();
     assert_eq!(losses, [1.2431761, 1.1880053, 1.1489801, 1.116729]);
 }
@@ -258,29 +257,14 @@ fn threaded_ddp_early_stops_in_lockstep() {
 // Hook mechanics on a scripted TrainStep (no real model needed).
 // ---------------------------------------------------------------------
 
-/// One weight nudged per epoch, with a scripted validation curve.
+/// Two empty optimizer steps per epoch, with a scripted validation curve.
 struct ScriptedStep {
-    weight: Param,
     vals: Vec<f64>,
-    steps_per_epoch: usize,
-}
-
-impl ScriptedStep {
-    fn new(vals: Vec<f64>) -> Self {
-        Self {
-            weight: Param::new("w", Matrix::from_vec(1, 1, vec![0.0])),
-            vals,
-            steps_per_epoch: 2,
-        }
-    }
 }
 
 impl TrainStep for ScriptedStep {
     fn train_epoch(&mut self, _epoch: usize, ctx: &mut EpochCtx) -> EpochStats {
-        // "Training" nudges the weight so snapshots differ per epoch; the
-        // empty updates keep the step counter and step hooks honest.
-        self.weight.value.apply(|v| v + 1.0);
-        for _ in 0..self.steps_per_epoch {
+        for _ in 0..2 {
             let mut no_params: Vec<&mut Param> = Vec::new();
             ctx.update(&mut no_params);
         }
@@ -300,65 +284,37 @@ impl TrainStep for ScriptedStep {
             recall: v,
         })
     }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight]
-    }
-}
-
-/// Records every callback invocation into a shared log.
-struct RecordingHook(Rc<RefCell<Vec<String>>>);
-
-impl Hook for RecordingHook {
-    fn on_epoch_start(&mut self, epoch: usize, _ctx: &mut HookCtx) {
-        self.0.borrow_mut().push(format!("start:{epoch}"));
-    }
-    fn on_step_end(&mut self, epoch: usize, step: usize, _loss: f32) {
-        self.0.borrow_mut().push(format!("step:{epoch}.{step}"));
-    }
-    fn on_epoch_end(&mut self, report: &EpochReport, _ctx: &mut HookCtx) -> Control {
-        self.0.borrow_mut().push(format!("end:{}", report.epoch));
-        Control::Continue
-    }
-    fn on_train_end(&mut self, reports: &[EpochReport], _ctx: &mut HookCtx) {
-        self.0
-            .borrow_mut()
-            .push(format!("train_end:{}", reports.len()));
-    }
 }
 
 #[test]
 fn hooks_fire_in_order() {
-    let log = Rc::new(RefCell::new(Vec::new()));
-    let mut step = ScriptedStep::new(vec![0.1, 0.2]);
-    let reports = TrainLoop::new(Adam::new(1e-3), 2)
-        .with_hook(RecordingHook(Rc::clone(&log)))
+    // Early stopping first, a recording telemetry hook after it: the
+    // epoch on which early stopping says stop (epoch 2, the first stale
+    // one at patience 1) still reaches the telemetry hook, which the
+    // CLI's JSONL record depends on.
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let log = Rc::clone(&seen);
+    let mut step = ScriptedStep {
+        vals: vec![0.5, 0.9, 0.4, 0.3, 0.2],
+    };
+    let reports = TrainLoop::new(Adam::new(1e-3), 5)
+        .with_hook(EarlyStoppingHook::new(Monitor::ValPrecision, 1, 0.0))
+        .with_hook(TelemetryHook::new(move |r| {
+            log.borrow_mut().push((r.epoch, r.steps))
+        }))
         .run(&mut step);
-    assert_eq!(reports.len(), 2);
-    assert_eq!(
-        *log.borrow(),
-        [
-            "start:0",
-            "step:0.0",
-            "step:0.1",
-            "end:0",
-            "start:1",
-            "step:1.0",
-            "step:1.1",
-            "end:1",
-            "train_end:2",
-        ]
-    );
+    assert_eq!(reports.len(), 3);
+    assert_eq!(*seen.borrow(), [(0, 2), (1, 2), (2, 2)]);
 }
 
 #[test]
-fn early_stop_restores_best_checkpoint() {
+fn early_stopping_ends_the_run_after_patience_stale_epochs() {
     // Metric peaks at epoch 1, then goes stale; patience 1 stops the run
-    // at epoch 2 and the restore hook rolls the weight back to the
-    // epoch-1 snapshot (weight 2.0: two epochs of +1 nudges).
-    let mut step = ScriptedStep::new(vec![0.5, 0.9, 0.4, 0.3, 0.2]);
+    // after epoch 2.
+    let mut step = ScriptedStep {
+        vals: vec![0.5, 0.9, 0.4, 0.3, 0.2],
+    };
     let reports = TrainLoop::new(Adam::new(1e-3), 5)
-        .with_hook(BestCheckpointHook::new(Monitor::ValPrecision))
         .with_hook(EarlyStoppingHook::new(Monitor::ValPrecision, 1, 0.0))
         .run(&mut step);
     assert_eq!(
@@ -366,30 +322,4 @@ fn early_stop_restores_best_checkpoint() {
         3,
         "patience 1 stops after the first stale epoch"
     );
-    assert_eq!(step.weight.value.data(), [2.0]);
-}
-
-#[test]
-fn without_early_stop_last_weights_survive_when_not_restoring() {
-    let mut step = ScriptedStep::new(vec![0.5, 0.9, 0.4]);
-    TrainLoop::new(Adam::new(1e-3), 3)
-        .with_hook(BestCheckpointHook::new(Monitor::ValPrecision).without_restore())
-        .run(&mut step);
-    assert_eq!(step.weight.value.data(), [3.0]);
-}
-
-#[test]
-fn lr_schedule_hook_drives_reported_lr() {
-    let mut step = ScriptedStep::new(vec![0.1, 0.2, 0.3, 0.4]);
-    let reports = TrainLoop::new(Adam::new(1.0), 4)
-        .with_hook(LrScheduleHook::new(
-            1.0,
-            StepDecay {
-                period: 2,
-                gamma: 0.5,
-            },
-        ))
-        .run(&mut step);
-    let lrs: Vec<f32> = reports.iter().map(|r| r.lr).collect();
-    assert_eq!(lrs, [1.0, 1.0, 0.5, 0.5]);
 }

@@ -66,10 +66,6 @@ impl AllReducer {
         }
     }
 
-    pub fn num_workers(&self) -> usize {
-        self.p
-    }
-
     /// The α–β interconnect model this reducer charges per call.
     pub fn cost_model(&self) -> CommCostModel {
         self.cost

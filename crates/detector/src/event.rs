@@ -49,18 +49,6 @@ impl Default for DetectorGeometry {
 }
 
 impl DetectorGeometry {
-    /// Barrel plus two symmetric endcap stations per side, just beyond
-    /// the barrel half-length (forward tracks keep producing hits after
-    /// leaving the barrel acceptance).
-    pub fn with_endcaps() -> Self {
-        let mut g = Self::default();
-        let (r_min, r_max) = (0.05, 0.95);
-        for z in [1.3f32, 1.6, -1.3, -1.6] {
-            g.disks.push(Disk { z, r_min, r_max });
-        }
-        g
-    }
-
     /// Total number of instrumented layers (barrel + disks).
     pub fn num_layers(&self) -> usize {
         self.layer_radii.len() + self.disks.len()
@@ -384,6 +372,18 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
 
+    /// Barrel plus two symmetric endcap stations per side, just beyond
+    /// the barrel half-length (forward tracks keep producing hits after
+    /// leaving the barrel acceptance).
+    fn endcap_geometry() -> DetectorGeometry {
+        let mut g = DetectorGeometry::default();
+        let (r_min, r_max) = (0.05, 0.95);
+        for z in [1.3f32, 1.6, -1.3, -1.6] {
+            g.disks.push(Disk { z, r_min, r_max });
+        }
+        g
+    }
+
     fn small_event(seed: u64) -> Event {
         let geom = DetectorGeometry::default();
         let gun = GunConfig::default();
@@ -543,7 +543,7 @@ mod tests {
 
     #[test]
     fn endcap_disks_record_forward_hits() {
-        let geom = DetectorGeometry::with_endcaps();
+        let geom = endcap_geometry();
         let n_barrel = geom.layer_radii.len() as u32;
         // Forward-going gun: high |eta| so tracks exit through the endcaps.
         let gun = GunConfig {
@@ -568,7 +568,7 @@ mod tests {
 
     #[test]
     fn truth_order_follows_arc_length_with_endcaps() {
-        let geom = DetectorGeometry::with_endcaps();
+        let geom = endcap_geometry();
         let gun = GunConfig {
             eta_max: 1.2,
             ..Default::default()

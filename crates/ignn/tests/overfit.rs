@@ -4,7 +4,7 @@
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
 use trkx_ignn::{IgnnConfig, InteractionGnn};
-use trkx_nn::{bce_with_logits, Adam, BinaryStats, Bindings, Optimizer};
+use trkx_nn::{bce_with_logits, Adam, BinaryStats, Bindings};
 use trkx_tensor::{Matrix, Tape};
 
 #[test]

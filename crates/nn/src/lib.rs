@@ -1,14 +1,15 @@
 //! # trkx-nn
 //!
 //! Neural-network building blocks on top of [`trkx_tensor`]: parameters
-//! and tape bindings, Kaiming/Xavier initialisation, `Linear`/`Mlp`/
-//! `LayerNorm` modules, the Adam optimizer, and the losses used by the
+//! and tape bindings, Kaiming initialisation, `Linear`/`Mlp`/`LayerNorm`
+//! modules, the Adam optimizer (fixed learning rate, no clipping or
+//! schedule: the one way every stage trains), and the losses used by the
 //! Exa.TrkX pipeline stages (BCE-with-logits for edge classification,
 //! contrastive hinge for the metric-learning embedding).
 //!
 //! ```
 //! use rand::{rngs::StdRng, SeedableRng};
-//! use trkx_nn::{Bindings, Mlp, MlpConfig, Optimizer, Adam};
+//! use trkx_nn::{Adam, Bindings, Mlp, MlpConfig};
 //! use trkx_tensor::{Matrix, Tape};
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
@@ -29,7 +30,6 @@
 //! ```
 
 pub mod bucket;
-pub mod dropout;
 pub mod init;
 pub mod linear;
 pub mod loss;
@@ -37,14 +37,11 @@ pub mod mlp;
 pub mod norm;
 pub mod optim;
 pub mod param;
-pub mod schedule;
 
 pub use bucket::BucketLayout;
-pub use dropout::Dropout;
 pub use linear::Linear;
 pub use loss::{bce_with_logits, contrastive_hinge_loss, BinaryStats};
 pub use mlp::{Activation, Mlp, MlpConfig};
 pub use norm::LayerNorm;
-pub use optim::{clip_grad_norm, Adam, Optimizer};
+pub use optim::Adam;
 pub use param::{flatten_grads, unflatten_grads, Bindings, Param};
-pub use schedule::{Constant, CosineAnnealing, LrSchedule, Scheduler, StepDecay, Warmup};

@@ -7,14 +7,12 @@ use crate::param::{Bindings, Param};
 use rand::Rng;
 use trkx_tensor::{Tape, Var};
 
-/// Activation applied between (and optionally after) MLP layers.
+/// Activation applied between MLP layers (the output layer has none:
+/// every stage reads logits or raw embeddings).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     Relu,
     Tanh,
-    Sigmoid,
-    /// No nonlinearity.
-    Identity,
 }
 
 impl Activation {
@@ -22,8 +20,6 @@ impl Activation {
         match self {
             Activation::Relu => tape.relu(x),
             Activation::Tanh => tape.tanh(x),
-            Activation::Sigmoid => tape.sigmoid(x),
-            Activation::Identity => x,
         }
     }
 }
@@ -35,8 +31,6 @@ pub struct MlpConfig {
     pub sizes: Vec<usize>,
     /// Hidden-layer activation.
     pub activation: Activation,
-    /// Activation after the final layer (usually `Identity` for logits).
-    pub output_activation: Activation,
     /// Insert LayerNorm after each hidden activation (acorn-style).
     pub layer_norm: bool,
 }
@@ -46,18 +40,12 @@ impl MlpConfig {
         Self {
             sizes: sizes.to_vec(),
             activation: Activation::Relu,
-            output_activation: Activation::Identity,
             layer_norm: false,
         }
     }
 
     pub fn with_layer_norm(mut self, on: bool) -> Self {
         self.layer_norm = on;
-        self
-    }
-
-    pub fn with_output_activation(mut self, act: Activation) -> Self {
-        self.output_activation = act;
         self
     }
 
@@ -129,7 +117,6 @@ impl Mlp {
                 }
             } else {
                 x = layer.forward(tape, bind, x);
-                x = self.config.output_activation.apply(tape, x);
             }
         }
         x

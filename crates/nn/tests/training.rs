@@ -3,18 +3,12 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use trkx_nn::{
     bce_with_logits, contrastive_hinge_loss, Activation, Adam, BinaryStats, Bindings, Mlp,
-    MlpConfig, Optimizer,
+    MlpConfig,
 };
 use trkx_tensor::{Matrix, Tape};
 
 /// Train `mlp` on (x, targets) with BCE for `steps`, return final loss.
-fn train_bce(
-    mlp: &mut Mlp,
-    opt: &mut dyn Optimizer,
-    x: &Matrix,
-    targets: &[f32],
-    steps: usize,
-) -> f32 {
+fn train_bce(mlp: &mut Mlp, opt: &mut Adam, x: &Matrix, targets: &[f32], steps: usize) -> f32 {
     let mut last = f32::INFINITY;
     for _ in 0..steps {
         let mut tape = Tape::new();

@@ -127,22 +127,6 @@ impl<T: Copy> Coo<T> {
 }
 
 impl Coo<f32> {
-    /// Sum duplicate entries at the same `(row, col)` coordinate.
-    pub fn sum_duplicates(&self) -> Coo<f32> {
-        let mut map: std::collections::HashMap<(u32, u32), f32> =
-            std::collections::HashMap::with_capacity(self.nnz());
-        for (r, c, v) in self.iter() {
-            *map.entry((r, c)).or_insert(0.0) += v;
-        }
-        let mut entries: Vec<((u32, u32), f32)> = map.into_iter().collect();
-        entries.sort_unstable_by_key(|&((r, c), _)| (r, c));
-        let mut out = Coo::empty(self.nrows, self.ncols);
-        for ((r, c), v) in entries {
-            out.push(r, c, v);
-        }
-        out
-    }
-
     /// Dense representation (tests / tiny matrices only).
     pub fn to_dense(&self) -> Vec<Vec<f32>> {
         let mut d = vec![vec![0.0; self.ncols]; self.nrows];
@@ -191,17 +175,6 @@ mod tests {
         let (cols3, vals3) = c.row(3);
         assert_eq!(cols3, &[0, 2]);
         assert_eq!(vals3, &[3.0, 1.0]);
-    }
-
-    #[test]
-    fn sum_duplicates_merges() {
-        let mut m = Coo::empty(2, 2);
-        m.push(0, 0, 1.5);
-        m.push(0, 0, 2.5);
-        m.push(1, 1, 1.0);
-        let s = m.sum_duplicates();
-        assert_eq!(s.nnz(), 2);
-        assert_eq!(s.to_dense(), vec![vec![4.0, 0.0], vec![0.0, 1.0]]);
     }
 
     #[test]

@@ -165,10 +165,6 @@ impl<T: Copy + Default> Csr<T> {
         &self.vals
     }
 
-    pub fn vals_mut(&mut self) -> &mut [T] {
-        &mut self.vals
-    }
-
     /// Column indices and values of row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> (&[u32], &[T]) {
@@ -239,22 +235,6 @@ impl<T: Copy + Default> Csr<T> {
             }
         }
         Csr::from_raw(self.ncols, self.nrows, indptr, indices, vals)
-    }
-
-    /// Keep the given rows (in the given order), renumbering rows to
-    /// `0..rows.len()`. Columns are untouched.
-    pub fn select_rows(&self, rows: &[u32]) -> Csr<T> {
-        let mut indptr = Vec::with_capacity(rows.len() + 1);
-        indptr.push(0usize);
-        let mut indices = Vec::new();
-        let mut vals = Vec::new();
-        for &r in rows {
-            let (cols, rvals) = self.row(r as usize);
-            indices.extend_from_slice(cols);
-            vals.extend_from_slice(rvals);
-            indptr.push(indices.len());
-        }
-        Csr::from_raw(rows.len(), self.ncols, indptr, indices, vals)
     }
 
     /// Entry lookup (binary search within the row — rows must be sorted).
@@ -353,15 +333,6 @@ mod tests {
     fn coo_roundtrip() {
         let m = example();
         assert_eq!(m.to_coo().to_csr(), m);
-    }
-
-    #[test]
-    fn select_rows_renumbers() {
-        let m = example();
-        let s = m.select_rows(&[2, 0]);
-        assert_eq!(s.nrows(), 2);
-        assert_eq!(s.row(0), (&[0u32][..], &[4.0f32][..]));
-        assert_eq!(s.row(1), (&[1u32, 2][..], &[1.0f32, 2.0][..]));
     }
 
     #[test]

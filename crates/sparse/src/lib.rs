@@ -1,7 +1,7 @@
 //! # trkx-sparse
 //!
 //! Sparse-matrix substrate for matrix-based GNN sampling: COO/CSR storage,
-//! SpMM, hash-based SpGEMM, selection-matrix products, induced-subgraph
+//! hash-based SpGEMM, selection-matrix products, induced-subgraph
 //! extraction, and the stacking operations (`vstack`, `block_diag`) that
 //! bulk ShaDow sampling is defined in terms of (paper §III-C, Eq. 1).
 //!
@@ -14,7 +14,6 @@ pub mod csr;
 pub mod extractor;
 pub mod sharded;
 pub mod spgemm;
-pub mod spmm;
 pub mod stack;
 pub mod store;
 

@@ -430,26 +430,6 @@ impl<T: ShardValue> ShardedCsr<T> {
         self.shard_nodes
     }
 
-    /// LRU capacity in shards.
-    pub fn cache_capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total bytes of shard payload on disk (excluding header/directory).
-    pub fn payload_bytes(&self) -> u64 {
-        self.directory.iter().map(|&(_, len)| len).sum()
-    }
-
-    /// Largest single shard payload, in bytes — `capacity *
-    /// max_shard_bytes` bounds the cache's memory budget.
-    pub fn max_shard_bytes(&self) -> u64 {
-        self.directory
-            .iter()
-            .map(|&(_, len)| len)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Rows covered by shard `sid`.
     fn shard_rows(&self, sid: usize) -> usize {
         let start = sid * self.shard_nodes;

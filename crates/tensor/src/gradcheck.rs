@@ -132,11 +132,10 @@ mod tests {
     #[test]
     fn gc_activations() {
         let a = rand_m(4, 4, 7);
-        for act in 0..3 {
+        for act in 0..2 {
             let r = gradcheck(std::slice::from_ref(&a), EPS, |t, v| {
                 let y = match act {
                     0 => t.relu(v[0]),
-                    1 => t.sigmoid(v[0]),
                     _ => t.tanh(v[0]),
                 };
                 // Square so the sum gradient is nonuniform.
@@ -144,49 +143,6 @@ mod tests {
                 t.sum_all(y2)
             });
             assert!(r.passes(TOL), "act {act}: {r:?}");
-        }
-    }
-
-    #[test]
-    fn gc_leaky_relu_elu() {
-        let a = rand_m(4, 4, 30);
-        let r = gradcheck(std::slice::from_ref(&a), EPS, |t, v| {
-            let y = t.leaky_relu(v[0], 0.1);
-            let y2 = t.hadamard(y, y);
-            t.sum_all(y2)
-        });
-        assert!(r.passes(TOL), "leaky_relu {r:?}");
-        let r = gradcheck(std::slice::from_ref(&a), EPS, |t, v| {
-            let y = t.elu(v[0], 1.0);
-            let y2 = t.hadamard(y, y);
-            t.mean_all(y2)
-        });
-        assert!(r.passes(TOL), "elu {r:?}");
-    }
-
-    #[test]
-    fn gc_softmax_rows() {
-        let a = rand_m(3, 5, 31);
-        let weights = Arc::new(Matrix::from_fn(3, 5, |r, c| ((r + 2 * c) % 3) as f32));
-        let r = gradcheck(std::slice::from_ref(&a), EPS, move |t, v| {
-            let y = t.softmax_rows(v[0]);
-            let w = t.mul_mask(y, weights.clone());
-            t.sum_all(w)
-        });
-        assert!(r.passes(TOL), "softmax {r:?}");
-    }
-
-    #[test]
-    fn softmax_rows_sum_to_one() {
-        let a = rand_m(4, 6, 32);
-        let mut t = Tape::new();
-        let v = t.leaf(a);
-        let y = t.softmax_rows(v);
-        let val = t.value(y);
-        for r in 0..val.rows() {
-            let s: f32 = val.row(r).iter().sum();
-            assert!((s - 1.0).abs() < 1e-5, "row {r} sums to {s}");
-            assert!(val.row(r).iter().all(|&p| p >= 0.0));
         }
     }
 
@@ -234,16 +190,6 @@ mod tests {
         let targets = Arc::new(vec![1.0, 0.0, 1.0, 0.0]);
         let r = gradcheck(std::slice::from_ref(&logits), EPS, move |t, v| {
             t.bce_with_logits(v[0], targets.clone(), 2.5)
-        });
-        assert!(r.passes(TOL), "{r:?}");
-    }
-
-    #[test]
-    fn gc_mse() {
-        let pred = rand_m(3, 2, 13);
-        let target = Arc::new(rand_m(3, 2, 14));
-        let r = gradcheck(std::slice::from_ref(&pred), EPS, move |t, v| {
-            t.mse(v[0], target.clone())
         });
         assert!(r.passes(TOL), "{r:?}");
     }

@@ -773,12 +773,6 @@ impl Matrix {
         self.data.fill(v);
     }
 
-    /// Copy `other`'s contents into `self` (shapes must match).
-    pub fn copy_from(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "copy_from shape mismatch");
-        self.data.copy_from_slice(&other.data);
-    }
-
     /// Dense matrix product `self * b`. Parallel over row blocks of the
     /// output.
     pub fn matmul(&self, b: &Matrix) -> Matrix {
@@ -900,18 +894,8 @@ impl Matrix {
     /// tiled traversal so the strided source reads stay cache-resident.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        self.transpose_into(&mut out);
-        out
-    }
-
-    /// Transpose into a caller-provided `cols x rows` buffer (overwrites).
-    pub fn transpose_into(&self, out: &mut Matrix) {
-        assert_eq!(
-            out.shape(),
-            (self.cols, self.rows),
-            "transpose output shape mismatch"
-        );
         transpose_buf(&self.data, self.rows, self.cols, &mut out.data);
+        out
     }
 
     fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32 + Sync) -> Matrix {
@@ -1044,19 +1028,6 @@ impl Matrix {
         } else {
             out.data.chunks_mut(cols).enumerate().for_each(body);
         }
-    }
-
-    /// Vertical concatenation of matrices with equal column counts.
-    pub fn concat_rows(parts: &[&Matrix]) -> Matrix {
-        assert!(!parts.is_empty(), "concat_rows of nothing");
-        let cols = parts[0].cols;
-        let rows: usize = parts.iter().map(|p| p.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for p in parts {
-            assert_eq!(p.cols, cols, "concat_rows col mismatch");
-            data.extend_from_slice(&p.data);
-        }
-        Matrix { rows, cols, data }
     }
 
     /// Copy the column range `[start, end)` into a new matrix.
@@ -1654,9 +1625,6 @@ mod tests {
         assert_eq!(c.row(1), &[2., 5., 6.]);
         assert!(c.slice_cols(1, 3).approx_eq(&b, 0.0));
         assert!(c.slice_cols(0, 1).approx_eq(&a, 0.0));
-        let v = Matrix::concat_rows(&[&b, &b]);
-        assert_eq!(v.shape(), (4, 2));
-        assert_eq!(v.row(3), &[5., 6.]);
     }
 
     #[test]

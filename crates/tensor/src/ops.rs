@@ -67,14 +67,6 @@ pub enum Op {
     },
     /// `C = max(A, 0)`.
     Relu { a: usize },
-    /// `C = A` where positive, `alpha * A` otherwise.
-    LeakyRelu { a: usize, alpha: f32 },
-    /// ELU: `A` where positive, `alpha (e^A - 1)` otherwise.
-    Elu { a: usize, alpha: f32 },
-    /// Row-wise softmax (stable, max-shifted).
-    SoftmaxRows { a: usize },
-    /// Logistic sigmoid.
-    Sigmoid { a: usize },
     /// Hyperbolic tangent.
     Tanh { a: usize },
     /// `C[i, :] = A[idx[i], :]`. When a precomputed [`EdgePlan`] for
@@ -115,8 +107,6 @@ pub enum Op {
         targets: Arc<Vec<f32>>,
         pos_weight: f32,
     },
-    /// Mean squared error against a constant target, mean-reduced.
-    Mse { pred: usize, target: Arc<Matrix> },
     /// Per-row LayerNorm with learned gain/offset (`1 x cols` each).
     LayerNorm {
         a: usize,
@@ -124,64 +114,8 @@ pub enum Op {
         beta: usize,
         eps: f32,
     },
-    /// Elementwise multiply by a fixed mask (dropout, label weighting).
+    /// Elementwise multiply by a fixed mask (label weighting).
     MulMask { a: usize, mask: Arc<Matrix> },
-}
-
-impl Op {
-    /// Visit every parent node id that should receive gradient, without
-    /// allocating.
-    pub fn for_each_parent(&self, mut f: impl FnMut(usize)) {
-        match self {
-            Op::Leaf | Op::Constant => {}
-            Op::MatMul { a, b } | Op::Add { a, b } | Op::Sub { a, b } | Op::Hadamard { a, b } => {
-                f(*a);
-                f(*b);
-            }
-            Op::AddBias { a, bias } | Op::AddBiasRelu { a, bias } => {
-                f(*a);
-                f(*bias);
-            }
-            Op::Scale { a, .. }
-            | Op::AddScalar { a, .. }
-            | Op::SliceCols { a, .. }
-            | Op::Relu { a }
-            | Op::LeakyRelu { a, .. }
-            | Op::Elu { a, .. }
-            | Op::SoftmaxRows { a }
-            | Op::Sigmoid { a }
-            | Op::Tanh { a }
-            | Op::Gather { a, .. }
-            | Op::ScatterAdd { a, .. }
-            | Op::RowSum { a }
-            | Op::SumAll { a }
-            | Op::MeanAll { a }
-            | Op::MulMask { a, .. } => f(*a),
-            Op::ConcatCols { parts, .. } => {
-                for &p in parts {
-                    f(p);
-                }
-            }
-            Op::GatherConcat { y, x, .. } => {
-                f(*y);
-                f(*x);
-            }
-            Op::BceWithLogits { logits, .. } => f(*logits),
-            Op::Mse { pred, .. } => f(*pred),
-            Op::LayerNorm { a, gamma, beta, .. } => {
-                f(*a);
-                f(*gamma);
-                f(*beta);
-            }
-        }
-    }
-
-    /// Parent node ids that should receive gradient.
-    pub fn parents(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.for_each_parent(|p| out.push(p));
-        out
-    }
 }
 
 /// Compute the forward value of `op`. `values[i]` is node `i`'s value
@@ -264,39 +198,6 @@ pub fn forward(op: &Op, values: &[Matrix], pool: &mut BufferPool) -> Matrix {
         Op::Relu { a } => {
             let mut out = pool.copy_of(&values[*a]);
             out.apply(|v| v.max(0.0));
-            out
-        }
-        Op::LeakyRelu { a, alpha } => {
-            let alpha = *alpha;
-            let mut out = pool.copy_of(&values[*a]);
-            out.apply(|v| if v > 0.0 { v } else { alpha * v });
-            out
-        }
-        Op::Elu { a, alpha } => {
-            let alpha = *alpha;
-            let mut out = pool.copy_of(&values[*a]);
-            out.apply(|v| if v > 0.0 { v } else { alpha * (v.exp() - 1.0) });
-            out
-        }
-        Op::SoftmaxRows { a } => {
-            let mut out = pool.copy_of(&values[*a]);
-            for r in 0..out.rows() {
-                let row = out.row_mut(r);
-                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut sum = 0.0f32;
-                for v in row.iter_mut() {
-                    *v = (*v - max).exp();
-                    sum += *v;
-                }
-                for v in row.iter_mut() {
-                    *v /= sum;
-                }
-            }
-            out
-        }
-        Op::Sigmoid { a } => {
-            let mut out = pool.copy_of(&values[*a]);
-            out.apply(sigmoid);
             out
         }
         Op::Tanh { a } => {
@@ -404,17 +305,6 @@ pub fn forward(op: &Op, values: &[Matrix], pool: &mut BufferPool) -> Matrix {
                 chunk_sum(x.data(), targets)
             };
             scalar_from(pool, (acc / x.len().max(1) as f64) as f32)
-        }
-        Op::Mse { pred, target } => {
-            let p = &values[*pred];
-            assert_eq!(p.shape(), target.shape(), "mse shape mismatch");
-            let sse: f32 = p
-                .data()
-                .iter()
-                .zip(target.data())
-                .map(|(&pv, &tv)| (pv - tv) * (pv - tv))
-                .sum();
-            scalar_from(pool, sse / p.len().max(1) as f32)
         }
         Op::LayerNorm {
             a,
@@ -645,58 +535,6 @@ pub fn backward_into(
                 }
             }
         }
-        Op::LeakyRelu { a, alpha } => {
-            let av = &values[*a];
-            if let Some(ga) = store.acc(*a, av.rows(), av.cols()) {
-                for ((g, &go), &x) in ga.data_mut().iter_mut().zip(grad_out.data()).zip(av.data()) {
-                    *g += if x > 0.0 { go } else { *alpha * go };
-                }
-            }
-        }
-        Op::Elu { a, alpha } => {
-            // d/dx = 1 for x > 0, else alpha*e^x = y + alpha (from the
-            // stored output y).
-            let av = &values[*a];
-            if let Some(ga) = store.acc(*a, av.rows(), av.cols()) {
-                for (((g, &go), &x), &y) in ga
-                    .data_mut()
-                    .iter_mut()
-                    .zip(grad_out.data())
-                    .zip(av.data())
-                    .zip(out_value.data())
-                {
-                    *g += if x > 0.0 { go } else { go * (y + *alpha) };
-                }
-            }
-        }
-        Op::SoftmaxRows { a } => {
-            // dx_i += y_i * (g_i - sum_j g_j y_j) per row.
-            let (rows, cols) = grad_out.shape();
-            if let Some(ga) = store.acc(*a, rows, cols) {
-                for r in 0..rows {
-                    let y = out_value.row(r);
-                    let go = grad_out.row(r);
-                    let dot: f32 = go.iter().zip(y).map(|(g, yv)| g * yv).sum();
-                    for ((g, &yv), &gv) in ga.row_mut(r).iter_mut().zip(y).zip(go) {
-                        *g += yv * (gv - dot);
-                    }
-                }
-            }
-        }
-        Op::Sigmoid { a } => {
-            // y(1-y) from the stored output.
-            let (rows, cols) = grad_out.shape();
-            if let Some(ga) = store.acc(*a, rows, cols) {
-                for ((g, &go), &y) in ga
-                    .data_mut()
-                    .iter_mut()
-                    .zip(grad_out.data())
-                    .zip(out_value.data())
-                {
-                    *g += go * y * (1.0 - y);
-                }
-            }
-        }
         Op::Tanh { a } => {
             let (rows, cols) = grad_out.shape();
             if let Some(ga) = store.acc(*a, rows, cols) {
@@ -845,15 +683,6 @@ pub fn backward_into(
                         .chunks_mut(REDUCE_CHUNK)
                         .enumerate()
                         .for_each(body);
-                }
-            }
-        }
-        Op::Mse { pred, target } => {
-            let p = &values[*pred];
-            let k = 2.0 * grad_out.as_scalar() / p.len().max(1) as f32;
-            if let Some(ga) = store.acc(*pred, p.rows(), p.cols()) {
-                for ((g, &pv), &tv) in ga.data_mut().iter_mut().zip(p.data()).zip(target.data()) {
-                    *g += k * (pv - tv);
                 }
             }
         }

@@ -130,11 +130,6 @@ impl Tape {
         self.grads[v.0].as_ref()
     }
 
-    /// Take ownership of a node's gradient, leaving `None`.
-    pub fn take_grad(&mut self, v: Var) -> Option<Matrix> {
-        self.grads[v.0].take()
-    }
-
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         self.eval(Op::MatMul { a: a.0, b: b.0 })
     }
@@ -195,24 +190,6 @@ impl Tape {
 
     pub fn relu(&mut self, a: Var) -> Var {
         self.eval(Op::Relu { a: a.0 })
-    }
-
-    pub fn leaky_relu(&mut self, a: Var, alpha: f32) -> Var {
-        self.eval(Op::LeakyRelu { a: a.0, alpha })
-    }
-
-    /// Exponential linear unit.
-    pub fn elu(&mut self, a: Var, alpha: f32) -> Var {
-        self.eval(Op::Elu { a: a.0, alpha })
-    }
-
-    /// Row-wise softmax (stable).
-    pub fn softmax_rows(&mut self, a: Var) -> Var {
-        self.eval(Op::SoftmaxRows { a: a.0 })
-    }
-
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        self.eval(Op::Sigmoid { a: a.0 })
     }
 
     pub fn tanh(&mut self, a: Var) -> Var {
@@ -296,14 +273,6 @@ impl Tape {
         })
     }
 
-    /// Mean squared error against a constant target.
-    pub fn mse(&mut self, pred: Var, target: Arc<Matrix>) -> Var {
-        self.eval(Op::Mse {
-            pred: pred.0,
-            target,
-        })
-    }
-
     /// Per-row LayerNorm with learned `gamma`/`beta` (`1 x cols` leaves).
     pub fn layer_norm(&mut self, a: Var, gamma: Var, beta: Var, eps: f32) -> Var {
         self.eval(Op::LayerNorm {
@@ -314,7 +283,7 @@ impl Tape {
         })
     }
 
-    /// Elementwise multiply by a fixed mask (dropout / weighting).
+    /// Elementwise multiply by a fixed mask (label weighting).
     pub fn mul_mask(&mut self, a: Var, mask: Arc<Matrix>) -> Var {
         self.eval(Op::MulMask { a: a.0, mask })
     }

@@ -283,6 +283,18 @@ fn cmd_train(mut args: Args) -> Result<(), String> {
     let patience = args.value("--patience", 0usize); // 0 = train all epochs
     let telemetry = args.value("--telemetry", String::new());
     args.finish();
+    // Opened once, before any work: a path that cannot be opened fails
+    // the run instead of losing every record.
+    let telemetry_file = if telemetry.is_empty() {
+        None
+    } else {
+        let file = std::fs::File::options()
+            .create(true)
+            .append(true)
+            .open(&telemetry)
+            .map_err(|e| format!("cannot open telemetry file {telemetry}: {e}"))?;
+        Some(std::sync::Arc::new(file))
+    };
     eprintln!("gemm kernel: {}", trkx::tensor::gemm_kernel());
     let graphs = cfg.generate(events, gnn_cfg.seed);
     let (prepared, _scratch) = prepare_for_store(store, shard_dir, &graphs)?;
@@ -308,8 +320,9 @@ fn cmd_train(mut args: Args) -> Result<(), String> {
                     r.timing.total_s()
                 );
             })));
-            if !telemetry.is_empty() {
-                hooks.push(Box::new(TelemetryHook::jsonl(telemetry.clone())));
+            if let Some(file) = &telemetry_file {
+                let hook = TelemetryHook::jsonl(std::sync::Arc::clone(file), telemetry.clone());
+                hooks.push(Box::new(hook));
             }
         }
         if patience > 0 {

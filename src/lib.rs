@@ -13,7 +13,7 @@
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
 //! | [`tensor`] | `trkx-tensor` | dense matrices + autograd tape |
-//! | [`sparse`] | `trkx-sparse` | COO/CSR, SpMM, SpGEMM, stacking |
+//! | [`sparse`] | `trkx-sparse` | COO/CSR, SpGEMM, stacking |
 //! | [`nn`] | `trkx-nn` | MLPs, optimizers, losses |
 //! | [`graph`] | `trkx-graph` | union-find, grid radius graphs |
 //! | [`detector`] | `trkx-detector` | synthetic HEP events + datasets |

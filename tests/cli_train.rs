@@ -129,6 +129,28 @@ fn train_honours_telemetry_and_prefetch() {
     let _ = std::fs::remove_file(tmp("model.json"));
 }
 
+#[test]
+fn telemetry_that_cannot_be_written_is_reported() {
+    // A path that cannot be opened fails the run before training, with
+    // one stderr line naming it.
+    let missing = tmp("no_such_dir").join("epochs.jsonl");
+    let out = trkx_train(&["--telemetry", missing.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains(missing.to_str().unwrap()), "{stderr}");
+    // A file that opens but refuses writes: each epoch's failed write is
+    // reported on stderr and training still finishes.
+    if std::path::Path::new("/dev/full").exists() {
+        let out = trkx_train(&["--telemetry", "/dev/full"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        let failed = stderr.lines().filter(|l| l.contains("/dev/full")).count();
+        assert_eq!(failed, 2, "one report per epoch: {stderr}");
+    }
+    let _ = std::fs::remove_file(tmp("model.json"));
+}
+
 /// Run `trkx` with `$TMPDIR` pointed at `tmpdir`; returns the child's pid
 /// and output.
 fn trkx_in_tmpdir(tmpdir: &std::path::Path, args: &[&str]) -> (u32, Output) {
