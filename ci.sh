@@ -3,8 +3,8 @@
 # are errors), release build, the full workspace test suite, the GEMM
 # arm-vs-arm parity test by name (its log line says which micro-kernel
 # arms this host ran) and the ReLU-gate parity test, the buffer-reuse,
-# determinism / allocation / thread-budget / early-stop lockstep suites
-# at two pool sizes, a two-second run of each benchmark workload with a
+# determinism / allocation / thread-budget / early-stop lockstep /
+# store-fault suites at two pool sizes, a two-second run of each benchmark workload with a
 # 1 GB peak-RSS tripwire, and a check that the frozen benchmark's
 # tracked files did not change. Run from the repo root.
 set -euo pipefail
@@ -95,6 +95,22 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-ddp --test alloc_probe
 # epoch on which early stopping says stop.
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test train_harness -- threaded_ddp_early_stops_in_lockstep hooks_fire_in_order
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test train_harness -- threaded_ddp_early_stops_in_lockstep hooks_fire_in_order
+
+# A graph store fault ends training with a typed error, never a panic or
+# a hang, and a rank-local stop would desynchronise the collectives. So,
+# at two pool sizes: an injected EIO or short read ends Sync and
+# Prefetch training at p = 1, threaded DDP at p = 2 with the fault on
+# rank 1's reads only, and the simulator at p = 4 with `Err`, each
+# within a watchdog; a fault-injecting store that never fails trains
+# bit-identically to the in-core golden; a sampler records the first
+# fault once and reads empty rows after it; and `trkx train` /
+# `trkx sample` turn a fault into one line naming the store.
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test train_harness -- store_fault
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test train_harness -- store_fault
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-sampling --test sampler_trait -- a_store_fault
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-sampling --test sampler_trait -- a_store_fault
+RAYON_NUM_THREADS=1 cargo test -q --release --bin trkx -- a_store_fault
+RAYON_NUM_THREADS=4 cargo test -q --release --bin trkx -- a_store_fault
 
 # Serve smoke gate: train a tiny bundle, start `trkx serve` on stdio,
 # push a burst that includes one oversized event (which must shed with an

@@ -120,7 +120,7 @@ fn extraction_ablation() {
     let mut t = Table::new(&["extractor", "time for 512 subgraphs (ms)"]);
     let t0 = Instant::now();
     for sel in &selections {
-        let _ = extract_induced_direct(&*graph.directed, sel);
+        let _ = extract_induced_direct(&graph.gather_directed(sel), sel);
     }
     t.row(vec![
         "hash-map per call (baseline)".into(),
@@ -130,10 +130,7 @@ fn extraction_ablation() {
     let t0 = Instant::now();
     let mut ex = InducedExtractor::new(g.num_nodes);
     let mut edges = Vec::new();
-    let rows = graph
-        .directed
-        .gather(&selections.concat())
-        .expect("an in-core graph always gathers");
+    let rows = graph.gather_directed(&selections.concat());
     for sel in &selections {
         edges.clear();
         let _ = ex.extract_into(&rows, sel, &mut edges);

@@ -116,7 +116,7 @@ fn run_dataset(
                 BatchingMode::Sync
             };
             let spec = TrainSpec::simulated_ddp(&cfg, sampler, ddp).with_batching(batching);
-            let r = train(&spec, train_set, val);
+            let r = train(&spec, train_set, val).expect("in-core graphs cannot fault");
             // Average over measured epochs.
             let n = r.epochs.len() as f64;
             let sample_s = r.epochs.iter().map(|e| e.timing.sampling_s).sum::<f64>() / n;

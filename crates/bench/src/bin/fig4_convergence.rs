@@ -67,7 +67,8 @@ fn main() {
     let budget = footprints[footprints.len() / 2];
 
     println!("training full-graph arm (budget {budget} activation floats)...");
-    let full = train(&TrainSpec::full_graph(&cfg, Some(budget)), train_set, val);
+    let full = train(&TrainSpec::full_graph(&cfg, Some(budget)), train_set, val)
+        .expect("in-core graphs cannot fault");
     println!(
         "  skipped {} / {} graphs\n",
         full.skipped_graphs,
@@ -79,6 +80,7 @@ fn main() {
             train_set,
             val,
         )
+        .expect("in-core graphs cannot fault")
     };
     println!("training ShaDow PyG-style baseline arm...");
     let pyg = minibatch(SamplerKind::Baseline);

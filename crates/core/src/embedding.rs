@@ -5,6 +5,7 @@
 
 use crate::train::{EpochCtx, EpochReport, EpochStats, TrainLoop, TrainStep};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::convert::Infallible;
 use std::time::Instant;
 use trkx_ddp::EpochTiming;
 use trkx_detector::Event;
@@ -118,7 +119,9 @@ impl EmbeddingStage {
             negatives_per_positive: self.config.negatives_per_positive,
             margin: self.config.margin,
         };
-        TrainLoop::new(Adam::new(self.config.learning_rate), self.config.epochs).run(&mut step)
+        let Ok(reports) =
+            TrainLoop::new(Adam::new(self.config.learning_rate), self.config.epochs).run(&mut step);
+        reports
     }
 
     /// Embed a feature matrix (inference).
@@ -151,7 +154,9 @@ struct EmbeddingTrainStep<'a> {
 }
 
 impl TrainStep for EmbeddingTrainStep<'_> {
-    fn train_epoch(&mut self, _epoch: usize, ctx: &mut EpochCtx) -> EpochStats {
+    type Error = Infallible;
+
+    fn train_epoch(&mut self, _epoch: usize, ctx: &mut EpochCtx) -> Result<EpochStats, Infallible> {
         let t0 = Instant::now();
         let mut loss_sum = 0.0;
         for (event, x) in self.events {
@@ -168,7 +173,7 @@ impl TrainStep for EmbeddingTrainStep<'_> {
             });
             ctx.update(&mut self.mlp.params_mut());
         }
-        EpochStats {
+        Ok(EpochStats {
             loss_sum,
             loss_denom: self.events.len(),
             steps: ctx.steps(),
@@ -177,7 +182,7 @@ impl TrainStep for EmbeddingTrainStep<'_> {
                 ..Default::default()
             },
             cache: None,
-        }
+        })
     }
 }
 

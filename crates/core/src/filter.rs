@@ -6,6 +6,7 @@
 use crate::gnn_stage::PreparedGraph;
 use crate::train::{EpochCtx, EpochReport, EpochStats, TrainLoop, TrainStep};
 use rand::{rngs::StdRng, SeedableRng};
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 use trkx_ddp::EpochTiming;
@@ -104,7 +105,8 @@ impl FilterStage {
             stage: self,
             graphs,
         };
-        TrainLoop::new(Adam::new(lr), epochs).run(&mut step)
+        let Ok(reports) = TrainLoop::new(Adam::new(lr), epochs).run(&mut step);
+        reports
     }
 
     /// Per-edge logits (inference).
@@ -192,7 +194,9 @@ struct FilterTrainStep<'a> {
 }
 
 impl TrainStep for FilterTrainStep<'_> {
-    fn train_epoch(&mut self, _epoch: usize, ctx: &mut EpochCtx) -> EpochStats {
+    type Error = Infallible;
+
+    fn train_epoch(&mut self, _epoch: usize, ctx: &mut EpochCtx) -> Result<EpochStats, Infallible> {
         let t0 = Instant::now();
         let mut loss_sum = 0.0;
         for g in self.graphs {
@@ -211,7 +215,7 @@ impl TrainStep for FilterTrainStep<'_> {
             });
             ctx.update(&mut self.stage.mlp.params_mut());
         }
-        EpochStats {
+        Ok(EpochStats {
             loss_sum,
             loss_denom: self.graphs.len(),
             steps: ctx.steps(),
@@ -220,7 +224,7 @@ impl TrainStep for FilterTrainStep<'_> {
                 ..Default::default()
             },
             cache: None,
-        }
+        })
     }
 }
 

@@ -9,8 +9,8 @@
 
 use crate::train::{
     plan_chunks, with_batch_source, BatchSource, BatchingMode, EpochCtx, EpochReport, EpochStats,
-    FullGraphSource, Hook, RoundRobin, SampledBatch, SampledBatchSource, ShardChunks, TrainLoop,
-    TrainStep, ValMetrics,
+    FullGraphSource, Hook, RoundRobin, SampledBatch, SampledBatchSource, ShardChunks, TrainError,
+    TrainLoop, TrainStep, ValMetrics,
 };
 use rand::{rngs::StdRng, SeedableRng};
 use std::ops::Range;
@@ -424,8 +424,14 @@ enum Link {
 }
 
 /// Train the Interaction GNN as `spec` describes, validating on `val`
-/// after every epoch.
-pub fn train(spec: &TrainSpec, train: &[PreparedGraph], val: &[PreparedGraph]) -> TrainResult {
+/// after every epoch. A graph store that fails while sampling ends the
+/// run with [`TrainError::Store`] at the end of that epoch, on every rank
+/// alike (see [`SampledBatchSource`]).
+pub fn train(
+    spec: &TrainSpec,
+    train: &[PreparedGraph],
+    val: &[PreparedGraph],
+) -> Result<TrainResult, TrainError> {
     assert!(!train.is_empty(), "need training events");
     let cfg = spec.cfg;
     let icfg = cfg.ignn_config(train[0].x.cols(), train[0].y.cols());
@@ -466,7 +472,7 @@ pub fn train(spec: &TrainSpec, train: &[PreparedGraph], val: &[PreparedGraph]) -
         AllReduceStrategy::Coalesced => ddp.cost_model.coalesced_time(&tensor_bytes, ddp.workers),
     };
 
-    let mut results = run_workers(threads, |thread| {
+    let results = run_workers(threads, |thread| {
         let local = p / threads;
         let mut step = RankStep {
             spec,
@@ -487,9 +493,10 @@ pub fn train(spec: &TrainSpec, train: &[PreparedGraph], val: &[PreparedGraph]) -
         let hooks = spec.hooks.map_or_else(Vec::new, |factory| factory(thread));
         let reports = TrainLoop::new(Adam::new(cfg.learning_rate), cfg.epochs)
             .with_hooks(hooks)
-            .run(&mut step);
-        (step.model, reports)
+            .run(&mut step)?;
+        Ok((step.model, reports))
     });
+    let mut results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
 
     // The first thread's model and metrics; timings are the max across
     // threads (a synchronous step advances at the slowest worker's pace).
@@ -500,18 +507,19 @@ pub fn train(spec: &TrainSpec, train: &[PreparedGraph], val: &[PreparedGraph]) -
             report.timing.max_merge(&other.timing);
         }
     }
-    TrainResult {
+    Ok(TrainResult {
         model,
         epochs,
         skipped_graphs: match &batches {
             Batches::Full(usable) => train.len() - usable.len(),
             Batches::Sampled { .. } => 0,
         },
-    }
+    })
 }
 
 /// [`train`] of [`TrainSpec::ddp`] under its pre-`TrainSpec` signature,
-/// kept because the frozen `benchmark/` package calls it.
+/// kept because the frozen `benchmark/` package calls it. Panics where
+/// [`train`] returns a [`TrainError`].
 pub fn train_minibatch_opts(
     cfg: &GnnTrainConfig,
     sampler: SamplerKind,
@@ -523,7 +531,7 @@ pub fn train_minibatch_opts(
 ) -> TrainResult {
     let mut spec = TrainSpec::ddp(cfg, sampler, ddp).with_batching(mode);
     spec.hooks = hook_factory;
-    self::train(&spec, train, val)
+    self::train(&spec, train, val).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One minibatch's forward pass and loss (the batch is whatever its
@@ -658,8 +666,10 @@ impl RankStep<'_> {
 }
 
 impl TrainStep for RankStep<'_> {
-    fn train_epoch(&mut self, epoch: usize, ctx: &mut EpochCtx) -> EpochStats {
-        match self.batches {
+    type Error = TrainError;
+
+    fn train_epoch(&mut self, epoch: usize, ctx: &mut EpochCtx) -> Result<EpochStats, TrainError> {
+        let stats = match self.batches {
             Batches::Full(usable) => {
                 let items = usable.iter().copied().enumerate().collect();
                 self.run_epoch(ctx, vec![FullGraphSource::new(items)])
@@ -682,6 +692,13 @@ impl TrainStep for RankStep<'_> {
                     .collect();
                 self.run_epoch(ctx, sources)
             }
+        };
+        // After the epoch's last collective every rank has sampled all it
+        // will, so every rank reads the same (shared) fault slots here and
+        // ends the run alike, before validation and hooks.
+        match self.train.iter().find_map(|g| g.sampler.fault()) {
+            Some(e) => Err(TrainError::Store(e)),
+            None => Ok(stats),
         }
     }
 
@@ -741,7 +758,7 @@ mod tests {
     fn activation_budget_skips_graphs() {
         let (train_set, val) = tiny_dataset();
         let cfg = quick_cfg();
-        let r = train(&TrainSpec::full_graph(&cfg, Some(1)), &train_set, &val);
+        let r = train(&TrainSpec::full_graph(&cfg, Some(1)), &train_set, &val).unwrap();
         assert_eq!(r.skipped_graphs, train_set.len());
         // With every graph skipped, the loss is exactly zero.
         assert_eq!(r.epochs[0].train_loss, 0.0);
@@ -752,7 +769,7 @@ mod tests {
     fn empty_training_set_is_rejected() {
         let (_, val) = tiny_dataset();
         let cfg = quick_cfg();
-        train(&TrainSpec::full_graph(&cfg, None), &[], &val);
+        let _ = train(&TrainSpec::full_graph(&cfg, None), &[], &val);
     }
 
     #[test]
@@ -766,7 +783,9 @@ mod tests {
         let train_s = |p: usize| {
             let ddp = DdpConfig::new(p, AllReduceStrategy::Coalesced);
             let spec = TrainSpec::simulated_ddp(&cfg, SamplerKind::Bulk { k: 2 }, ddp);
-            train(&spec, &train_set, &val).epochs[0].timing.train_s
+            train(&spec, &train_set, &val).unwrap().epochs[0]
+                .timing
+                .train_s
         };
         let (s1, s4) = (train_s(1), train_s(4));
         assert!(
@@ -785,8 +804,8 @@ mod tests {
         let sharded = prepare_graphs_sharded(&graphs, &dir, 16, 2).unwrap();
         let cfg = quick_cfg();
         let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k: 2 }, DdpConfig::single());
-        let a = train(&spec, &incore[..2], &incore[2..]);
-        let b = train(&spec, &sharded[..2], &sharded[2..]);
+        let a = train(&spec, &incore[..2], &incore[2..]).unwrap();
+        let b = train(&spec, &sharded[..2], &sharded[2..]).unwrap();
         for (x, y) in a.epochs.iter().zip(&b.epochs) {
             assert_eq!(
                 x.train_loss.to_bits(),

@@ -52,5 +52,5 @@ pub use train::{
     plan_chunks, with_batch_source, BatchSource, BatchingMode, Control, EarlyStoppingHook, Engine,
     EpochCtx, EpochReport, EpochStats, FullGraphSource, Hook, Monitor, PrefetchBatchSource,
     RoundRobin, SampleChunk, SampledBatch, SampledBatchSource, ShardChunks, TelemetryHook,
-    TrainLoop, TrainStep, ValMetrics,
+    TrainError, TrainLoop, TrainStep, ValMetrics,
 };

@@ -189,7 +189,8 @@ pub fn train_pipeline(
         &TrainSpec::ddp(&config.gnn, config.gnn_sampler, config.ddp),
         &prepared_pruned_train,
         &prepared_pruned_val,
-    );
+    )
+    .expect("in-core graphs have no store to fault");
     let last = gnn_result.epochs.last().expect("at least one epoch");
 
     // Stage 5: track building on validation events.

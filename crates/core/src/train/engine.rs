@@ -10,6 +10,7 @@
 //! batches exist in an epoch and what forward pass each one runs.
 
 use crate::train::hooks::{Control, Hook};
+use std::sync::Arc;
 use trkx_ddp::EpochTiming;
 use trkx_nn::{Adam, Bindings, Param};
 use trkx_tensor::{Tape, Var};
@@ -184,12 +185,39 @@ impl EpochReport {
     }
 }
 
+/// Why a training run ended without a model.
+#[derive(Debug)]
+pub enum TrainError {
+    /// A sampler could not read a training graph's row store. The
+    /// sampler recorded the fault and read empty rows from then on; the
+    /// epoch finished on empty batches so every DDP rank made the same
+    /// collective calls, and then every rank ended the run alike.
+    Store(Arc<trkx_sparse::StoreError>),
+}
+
+impl std::fmt::Display for TrainError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TrainError::Store(e) => write!(f, "graph store fault: {e}"),
+        }
+    }
+}
+
+// The store error is part of the message, so it is not also a source.
+impl std::error::Error for TrainError {}
+
 /// Per-stage training logic plugged into the [`TrainLoop`]: the schedule
 /// of steps within an epoch and the epoch-end validation pass. All step
 /// *mechanics* go through the [`EpochCtx`].
 pub trait TrainStep {
-    /// Run one epoch of optimizer steps through `ctx`.
-    fn train_epoch(&mut self, epoch: usize, ctx: &mut EpochCtx) -> EpochStats;
+    /// What ends a run early: [`TrainError`] for a stage that samples
+    /// from a graph store, [`std::convert::Infallible`] for one that
+    /// cannot fail.
+    type Error;
+
+    /// Run one epoch of optimizer steps through `ctx`. An `Err` ends the
+    /// run before the epoch's validation pass and hooks.
+    fn train_epoch(&mut self, epoch: usize, ctx: &mut EpochCtx) -> Result<EpochStats, Self::Error>;
 
     /// Epoch-end validation; `None` when the stage has no validation pass.
     fn validate(&mut self, _epoch: usize) -> Option<ValMetrics> {
@@ -269,8 +297,12 @@ impl TrainLoop {
     }
 
     /// Run the loop to completion (or early stop). Returns one
-    /// [`EpochReport`] per epoch actually trained.
-    pub fn run(&mut self, step: &mut dyn TrainStep) -> Vec<EpochReport> {
+    /// [`EpochReport`] per epoch actually trained, or the first epoch's
+    /// error.
+    pub fn run<S: TrainStep + ?Sized>(
+        &mut self,
+        step: &mut S,
+    ) -> Result<Vec<EpochReport>, S::Error> {
         let mut reports = Vec::with_capacity(self.epochs);
         for epoch in 0..self.epochs {
             let stats = step.train_epoch(
@@ -279,7 +311,7 @@ impl TrainLoop {
                     engine: &mut self.engine,
                     steps: 0,
                 },
-            );
+            )?;
             let val = step.validate(epoch);
             let report = EpochReport {
                 epoch,
@@ -304,6 +336,6 @@ impl TrainLoop {
                 break;
             }
         }
-        reports
+        Ok(reports)
     }
 }

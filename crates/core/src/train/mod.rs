@@ -10,7 +10,8 @@ pub mod hooks;
 pub mod source;
 
 pub use engine::{
-    Engine, EpochCtx, EpochReport, EpochStats, ShardCacheStats, TrainLoop, TrainStep, ValMetrics,
+    Engine, EpochCtx, EpochReport, EpochStats, ShardCacheStats, TrainError, TrainLoop, TrainStep,
+    ValMetrics,
 };
 pub use hooks::{Control, EarlyStoppingHook, Hook, Monitor, TelemetryHook};
 pub use source::{

@@ -163,7 +163,9 @@ pub trait BatchSource {
 
 /// Synchronous sampling source: pulls chunks from the plan, samples each
 /// with one `sample_bulk` call on the *calling* thread, and hands out the
-/// resulting batches one at a time.
+/// resulting batches one at a time. A chunk whose graph has recorded a
+/// store fault ([`trkx_sampling::SamplerGraph::fault`]) yields empty
+/// batches.
 pub struct SampledBatchSource<'a, I> {
     graphs: &'a [PreparedGraph],
     sampler: &'a dyn Sampler,
@@ -190,9 +192,17 @@ impl<I: Iterator<Item = SampleChunk>> BatchSource for SampledBatchSource<'_, I> 
             let chunk = self.chunks.next()?;
             let t = Instant::now();
             let g = &self.graphs[chunk.graph];
-            let subgraphs = self
+            let mut subgraphs = self
                 .sampler
                 .sample_bulk(&g.sampler, &chunk.batches, chunk.seed);
+            // A chunk sampled on or after a store fault is poisoned: its
+            // batches go out empty (no labels, so no loss), but they go
+            // out, one per schedule entry, so every DDP rank makes the
+            // same collective calls and the trainer reads the fault at
+            // the epoch's end.
+            if g.sampler.fault().is_some() {
+                subgraphs.fill(SampledSubgraph::empty());
+            }
             let mut batches: Vec<SampledBatch> = subgraphs
                 .into_iter()
                 .map(|sg| {

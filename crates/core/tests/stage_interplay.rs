@@ -124,7 +124,8 @@ fn prepared_graph_matrices_match_raw_arrays() {
     }
     // Sampler graph agrees on edge count and endpoints.
     assert_eq!(p.sampler.num_edges(), graph.num_edges());
+    let rows = p.sampler.gather_directed(&graph.src);
     for (i, (&s, &d)) in graph.src.iter().zip(&graph.dst).enumerate() {
-        assert_eq!(p.sampler.directed.get(s as usize, d), Some(i as u32));
+        assert_eq!(rows.get(s as usize, d), Some(i as u32));
     }
 }

@@ -3,12 +3,16 @@
 //! bit-for-bit), hook dispatch order, and early stopping.
 
 use std::cell::RefCell;
+use std::convert::Infallible;
 use std::rc::Rc;
+use std::sync::mpsc;
+use std::sync::Arc;
+use std::time::Duration;
 
 use rand::{rngs::StdRng, SeedableRng};
 use trkx_core::train::{
-    EarlyStoppingHook, EpochCtx, EpochReport, EpochStats, Hook, Monitor, TelemetryHook, TrainLoop,
-    TrainStep, ValMetrics,
+    EarlyStoppingHook, EpochCtx, EpochReport, EpochStats, Hook, Monitor, TelemetryHook, TrainError,
+    TrainLoop, TrainStep, ValMetrics,
 };
 use trkx_core::{
     prepare_graphs, train, train_minibatch_opts, BatchingMode, EmbeddingConfig, EmbeddingStage,
@@ -18,7 +22,12 @@ use trkx_ddp::{AllReduceStrategy, DdpConfig};
 use trkx_detector::{simulate_event, vertex_features, DatasetConfig, DetectorGeometry, GunConfig};
 use trkx_nn::{Adam, Param};
 use trkx_sampling::ShadowConfig;
+use trkx_sparse::StoreError;
 use trkx_tensor::Matrix;
+
+#[path = "../../sampling/tests/support/faulty_store.rs"]
+mod faulty_store;
+use faulty_store::{faulty_graph, mark_this_thread, Fault, FaultyStore, STORE_NAME};
 
 // ---------------------------------------------------------------------
 // Golden-seed determinism: curves captured from the pre-harness trainers
@@ -179,12 +188,13 @@ fn every_mode_reproduces_its_golden_under_sync_and_prefetch() {
         ),
     ];
     for (name, spec, golden_loss, golden_val) in cases {
-        let sync = train(&spec, &train_set, &val);
+        let sync = train(&spec, &train_set, &val).unwrap();
         let prefetch = train(
             &spec.with_batching(BatchingMode::prefetch()),
             &train_set,
             &val,
-        );
+        )
+        .unwrap();
         // Background-thread sampling must not change what is sampled.
         assert_same_run(&sync, &prefetch, name);
         let (losses, vals) = curves(&sync);
@@ -223,7 +233,7 @@ fn train_minibatch_opts_adapter_is_train_of_a_ddp_spec() {
     for batching in [BatchingMode::Sync, BatchingMode::prefetch()] {
         let adapter = train_minibatch_opts(&cfg, bulk, batching, ddp, &train_set, &val, None);
         let spec = TrainSpec::ddp(&cfg, bulk, ddp).with_batching(batching);
-        let direct = train(&spec, &train_set, &val);
+        let direct = train(&spec, &train_set, &val).unwrap();
         assert_same_run(&adapter, &direct, "adapter");
         assert_eq!(curves(&adapter).0, DDP_GOLDEN_LOSS);
     }
@@ -246,7 +256,7 @@ fn threaded_ddp_early_stops_in_lockstep() {
         ))]
     };
     let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k: 2 }, ddp).with_hooks(&hooks);
-    let r = train(&spec, &train_set, &val);
+    let r = train(&spec, &train_set, &val).unwrap();
     assert_eq!(r.epochs.len(), 2);
     let (losses, vals) = curves(&r);
     assert_eq!(losses, DDP_GOLDEN_LOSS[..2]);
@@ -263,18 +273,20 @@ struct ScriptedStep {
 }
 
 impl TrainStep for ScriptedStep {
-    fn train_epoch(&mut self, _epoch: usize, ctx: &mut EpochCtx) -> EpochStats {
+    type Error = Infallible;
+
+    fn train_epoch(&mut self, _epoch: usize, ctx: &mut EpochCtx) -> Result<EpochStats, Infallible> {
         for _ in 0..2 {
             let mut no_params: Vec<&mut Param> = Vec::new();
             ctx.update(&mut no_params);
         }
-        EpochStats {
+        Ok(EpochStats {
             loss_sum: 1.0,
             loss_denom: 1,
             steps: ctx.steps(),
             timing: Default::default(),
             cache: None,
-        }
+        })
     }
 
     fn validate(&mut self, epoch: usize) -> Option<ValMetrics> {
@@ -297,7 +309,7 @@ fn hooks_fire_in_order() {
     let mut step = ScriptedStep {
         vals: vec![0.5, 0.9, 0.4, 0.3, 0.2],
     };
-    let reports = TrainLoop::new(Adam::new(1e-3), 5)
+    let Ok(reports) = TrainLoop::new(Adam::new(1e-3), 5)
         .with_hook(EarlyStoppingHook::new(Monitor::ValPrecision, 1, 0.0))
         .with_hook(TelemetryHook::new(move |r| {
             log.borrow_mut().push((r.epoch, r.steps))
@@ -314,7 +326,7 @@ fn early_stopping_ends_the_run_after_patience_stale_epochs() {
     let mut step = ScriptedStep {
         vals: vec![0.5, 0.9, 0.4, 0.3, 0.2],
     };
-    let reports = TrainLoop::new(Adam::new(1e-3), 5)
+    let Ok(reports) = TrainLoop::new(Adam::new(1e-3), 5)
         .with_hook(EarlyStoppingHook::new(Monitor::ValPrecision, 1, 0.0))
         .run(&mut step);
     assert_eq!(
@@ -322,4 +334,163 @@ fn early_stopping_ends_the_run_after_patience_stale_epochs() {
         3,
         "patience 1 stops after the first stale epoch"
     );
+}
+
+// ---------------------------------------------------------------------
+// Store faults: a graph store that fails mid-epoch ends `train` with
+// `TrainError::Store` on every rank, never a panic and never a hang. Each
+// run gets a watchdog: `train` runs on a thread of its own and a run that
+// does not finish in time fails the test instead of hanging CI.
+// ---------------------------------------------------------------------
+
+const WATCHDOG: Duration = Duration::from_secs(60);
+
+fn within_watchdog<R: Send + 'static>(what: &str, run: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(run());
+    });
+    rx.recv_timeout(WATCHDOG)
+        .unwrap_or_else(|e| panic!("{what}: no result within {WATCHDOG:?} ({e})"))
+}
+
+/// `graphs` with every sampler's undirected store behind a `FaultyStore`:
+/// graph 0's fails its `fail_on`-th gather (counting only marked threads'
+/// calls if `marked_only`), the others never fail.
+fn with_faulty_stores(
+    graphs: &[PreparedGraph],
+    fault: Fault,
+    fail_on: usize,
+    marked_only: bool,
+) -> (Vec<PreparedGraph>, Arc<FaultyStore>) {
+    let mut first = None;
+    let wrapped = graphs
+        .iter()
+        .enumerate()
+        .map(|(i, g)| {
+            let at = if i == 0 { fail_on } else { usize::MAX };
+            let (sampler, store) = faulty_graph(&g.sampler, fault, at, marked_only);
+            first.get_or_insert(store);
+            let (x, y, labels) = (g.x.clone(), g.y.clone(), g.labels.clone());
+            PreparedGraph::new(
+                g.num_nodes,
+                x,
+                y,
+                g.src.clone(),
+                g.dst.clone(),
+                labels,
+                sampler,
+            )
+        })
+        .collect();
+    (wrapped, first.expect("at least one graph"))
+}
+
+fn assert_store_fault(r: Result<TrainResult, TrainError>, fault: Fault, what: &str) {
+    let Err(TrainError::Store(e)) = r else {
+        panic!("{what}: training went through a store fault");
+    };
+    match (fault, &*e) {
+        (Fault::Eio, StoreError::Io(_)) | (Fault::ShortRead, StoreError::Corrupt(_)) => {}
+        _ => panic!("{what}: {fault:?} surfaced as {e:?}"),
+    }
+    let line = TrainError::Store(e).to_string();
+    assert!(
+        line.contains(STORE_NAME) && !line.contains('\n'),
+        "{what}: {line}"
+    );
+}
+
+#[test]
+fn store_fault_ends_sync_and_prefetch_training_with_err() {
+    for batching in [BatchingMode::Sync, BatchingMode::prefetch()] {
+        for fault in [Fault::Eio, Fault::ShortRead] {
+            let what = format!("{batching:?} {fault:?}");
+            let r = within_watchdog(&what, move || {
+                let (train_set, val) = tiny_dataset();
+                // Walk depth 2, two batches a chunk: the third gather is
+                // the second chunk's first walk step, in epoch 0.
+                let (train_set, _) = with_faulty_stores(&train_set, fault, 3, false);
+                let cfg = quick_cfg();
+                let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k: 2 }, DdpConfig::single())
+                    .with_batching(batching);
+                train(&spec, &train_set, &val)
+            });
+            assert_store_fault(r, fault, &what);
+        }
+    }
+}
+
+#[test]
+fn store_fault_on_rank_1_ends_threaded_ddp_with_err() {
+    // The fault is on rank 1's reads only: rank 0 never sees a failing
+    // gather, yet must not wait for rank 1 in a collective forever.
+    let (r, rank1_calls) = within_watchdog("threaded p = 2", || {
+        let (train_set, val) = tiny_dataset();
+        let (train_set, store) = with_faulty_stores(&train_set, Fault::Eio, 2, true);
+        let mut cfg = quick_cfg();
+        cfg.batch_size = 16;
+        let ddp = DdpConfig::new(2, AllReduceStrategy::Coalesced);
+        // The trainer builds each rank's hooks on that rank's thread.
+        let mark_rank_1 = |rank: usize| -> Vec<Box<dyn Hook>> {
+            if rank == 1 {
+                mark_this_thread();
+            }
+            Vec::new()
+        };
+        let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k: 2 }, ddp).with_hooks(&mark_rank_1);
+        let r = train(&spec, &train_set, &val);
+        (r, store.calls())
+    });
+    assert_store_fault(r, Fault::Eio, "threaded p = 2");
+    // Rank 1 read nothing after its failing gather.
+    assert_eq!(rank1_calls, 2);
+}
+
+#[test]
+fn store_fault_ends_simulated_ddp_at_p4_with_err() {
+    for fault in [Fault::Eio, Fault::ShortRead] {
+        let what = format!("simulated p = 4 {fault:?}");
+        let r = within_watchdog(&what, move || {
+            let (train_set, val) = tiny_dataset();
+            let (train_set, _) = with_faulty_stores(&train_set, fault, 3, false);
+            let mut cfg = quick_cfg();
+            cfg.batch_size = 16;
+            let ddp = DdpConfig::new(4, AllReduceStrategy::Coalesced);
+            train(
+                &TrainSpec::simulated_ddp(&cfg, SamplerKind::Bulk { k: 2 }, ddp),
+                &train_set,
+                &val,
+            )
+        });
+        assert_store_fault(r, fault, &what);
+    }
+}
+
+#[test]
+fn store_fault_free_faulty_store_trains_bit_identically_to_the_in_core_golden() {
+    let (train_set, val) = tiny_dataset();
+    let (wrapped, _) = with_faulty_stores(&train_set, Fault::Eio, usize::MAX, false);
+    let mut ddp_cfg = quick_cfg();
+    ddp_cfg.batch_size = 16;
+    let ddp2 = DdpConfig::new(2, AllReduceStrategy::Coalesced);
+    let base_cfg = quick_cfg();
+    let cases = [
+        (
+            "threaded ddp",
+            TrainSpec::ddp(&ddp_cfg, SamplerKind::Bulk { k: 2 }, ddp2),
+            &DDP_GOLDEN_LOSS[..],
+        ),
+        (
+            "baseline sampler",
+            TrainSpec::ddp(&base_cfg, SamplerKind::Baseline, DdpConfig::single()),
+            &BASELINE_GOLDEN_LOSS[..],
+        ),
+    ];
+    for (name, spec, golden) in cases {
+        let incore = train(&spec, &train_set, &val).unwrap();
+        let faultless = train(&spec, &wrapped, &val).unwrap();
+        assert_same_run(&incore, &faultless, name);
+        assert_eq!(curves(&faultless).0, golden, "{name}");
+    }
 }

@@ -161,7 +161,7 @@ mod tests {
     use super::*;
     use crate::datasets::DatasetConfig;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use trkx_sparse::{Coo, RowStore, RowStoreExt, ShardedCsr};
+    use trkx_sparse::{Coo, RowStore, ShardedCsr};
 
     fn tmp_dir() -> PathBuf {
         static N: AtomicUsize = AtomicUsize::new(0);
@@ -197,12 +197,13 @@ mod tests {
     fn assert_rows_identical(store: &ShardedCsr<u32>, csr: &trkx_sparse::Csr<u32>) {
         assert_eq!(store.nrows(), csr.nrows());
         assert_eq!(store.nnz(), csr.nnz());
+        let rows: Vec<u32> = (0..csr.nrows() as u32).collect();
+        let view = store.gather(&rows).unwrap();
         for r in 0..csr.nrows() {
             let (want_c, want_v) = csr.row(r);
-            store.row_scope(r, |c, v| {
-                assert_eq!(c, want_c, "cols differ at row {r}");
-                assert_eq!(v, want_v, "vals differ at row {r}");
-            });
+            let (c, v) = view.row(r);
+            assert_eq!(c, want_c, "cols differ at row {r}");
+            assert_eq!(v, want_v, "vals differ at row {r}");
         }
     }
 

@@ -24,18 +24,22 @@
 //!
 //! The stacked form also means every row a step reads is known before
 //! any is read: the step's frontier *is* the row selection. Each walk
-//! step therefore makes one [`RowStore::gather`] of its frontier and
-//! the extraction pass one gather of every walk's touched set; sampling
-//! then reads rows from the returned view in frontier order, so each
-//! walk's PRNG stream is consumed exactly as a row-at-a-time walk would
-//! consume it. Over a sharded graph this faults each shard at most once
-//! per step (plus once for extraction) instead of once per row that
-//! misses the LRU. A view lives for one step or one extraction pass.
+//! step therefore makes one [`trkx_sparse::RowStore::gather`] of its
+//! frontier and the extraction pass one gather of every walk's touched
+//! set; sampling then reads rows from the returned view in frontier
+//! order, so each walk's PRNG stream is consumed exactly as a
+//! row-at-a-time walk would consume it. Over a sharded graph this faults
+//! each shard at most once per step (plus once for extraction) instead
+//! of once per row that misses the LRU. A view lives for one step or one
+//! extraction pass.
+//! Reads go through the [`SamplerGraph`]'s fault slot: after a store
+//! fault every row reads empty, so a faulted pass still returns one
+//! (degenerate) subgraph per batch and the caller reads the slot.
 
 use crate::shadow::ShadowConfig;
 use crate::subgraph::{SampledSubgraph, SamplerGraph};
 use rayon::prelude::*;
-use trkx_sparse::{Csr, InducedExtractor, RowStore, RowView};
+use trkx_sparse::{Csr, InducedExtractor};
 
 /// Build the explicit frontier matrix `Q` (`rows x n`, one `1.0` per row
 /// at each frontier vertex's column) — the paper's representation of a
@@ -111,15 +115,6 @@ fn floyd_sample(neighbors: &[u32], fanout: usize, rng: &mut RowRng, out: &mut Ve
     }
 }
 
-/// [`RowStore::gather`] for a sampler that cannot report failure yet: a
-/// shard that fails to load ends the process, as a failed point lookup
-/// through `with_row` does.
-fn gather<'a>(store: &'a dyn RowStore<u32>, rows: &[u32]) -> RowView<'a, u32> {
-    store
-        .gather(rows)
-        .unwrap_or_else(|e| panic!("shard fault failed: {e}"))
-}
-
 /// One extracted walk component: sorted touched vertices plus local
 /// `(src, dst, orig_edge_id)` edges.
 type WalkComponent = (Vec<u32>, Vec<(u32, u32, u32)>);
@@ -167,7 +162,7 @@ impl BulkShadowSampler {
                 .collect();
             // Rows are read in frontier order, not shard order: reordering
             // would reorder each walk's draws.
-            let rows = gather(&*graph.undirected, &frontier_vertex);
+            let rows = graph.gather_undirected(&frontier_vertex);
             for (&owner, &vertex) in frontier_owner.iter().zip(&frontier_vertex) {
                 let (neighbors, _) = rows.row(vertex as usize);
                 if neighbors.is_empty() {
@@ -198,7 +193,7 @@ impl BulkShadowSampler {
         // extractor amortised across all k·b extractions, every row read
         // from one view over the union of the touched sets. Parallel
         // across walks when hardware threads exist.
-        let rows = gather(&*graph.directed, &touched.concat());
+        let rows = graph.gather_directed(&touched.concat());
         let components: Vec<WalkComponent> = if rayon::current_num_threads() > 1 && total > 8 {
             touched
                 .into_par_iter()
@@ -249,7 +244,7 @@ impl BulkShadowSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trkx_sparse::{adjacency_binary, RowStoreExt};
+    use trkx_sparse::adjacency_binary;
 
     fn ladder_graph(n: usize) -> SamplerGraph {
         // Two rails 0..n and n..2n with rungs: rich connectivity.
@@ -344,22 +339,21 @@ mod tests {
         // Binary adjacency matching the undirected walk graph.
         let mut src = Vec::new();
         let mut dst = Vec::new();
+        let rows = g.gather_undirected(&(0..n as u32).collect::<Vec<_>>());
         for r in 0..n {
-            g.undirected.row_scope(r, |cols, _| {
-                for &c in cols {
-                    src.push(r as u32);
-                    dst.push(c);
-                }
-            });
+            for &c in rows.row(r).0 {
+                src.push(r as u32);
+                dst.push(c);
+            }
         }
         let a = adjacency_binary(n, &src, &dst);
         let frontier = vec![0u32, 3, 7, 7];
         let q = frontier_matrix(&frontier, n);
         let dist = neighborhood_distribution(&q, &a);
         for (i, &v) in frontier.iter().enumerate() {
-            let want_cols = g.undirected.row_scope(v as usize, |c, _| c.to_vec());
+            let want_cols = rows.row(v as usize).0;
             let (got_cols, got_vals) = dist.row(i);
-            assert_eq!(got_cols, &want_cols[..], "row {i}");
+            assert_eq!(got_cols, want_cols, "row {i}");
             let deg = want_cols.len() as f32;
             for &p in got_vals {
                 assert!((p - 1.0 / deg).abs() < 1e-6, "non-uniform prob {p}");

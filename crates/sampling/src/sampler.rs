@@ -11,6 +11,10 @@
 //! stacked batch from the `u64` seed. Any schedule of calls therefore
 //! reproduces bit-identically regardless of which thread runs the
 //! sampling — the property the golden-curve parity tests pin.
+//!
+//! Both entry points are infallible: a store fault does not surface
+//! here. The sampler reads empty rows from the fault onward, and the
+//! caller reads [`SamplerGraph::fault`] after the pass.
 
 use crate::bulk::BulkShadowSampler;
 use crate::shadow::ShadowSampler;

@@ -18,7 +18,7 @@
 use crate::subgraph::{SampledSubgraph, SamplerGraph};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use trkx_sparse::{extract_induced_direct, RowStoreExt};
+use trkx_sparse::extract_induced_direct;
 
 /// ShaDow hyperparameters: random-walk `depth` (`d`) and per-vertex
 /// `fanout` (`s`). The paper trains with `d = 3`, `s = 6`.
@@ -37,17 +37,11 @@ impl Default for ShadowConfig {
     }
 }
 
-/// Sample up to `fanout` *distinct* neighbours of `v` (all of them when
-/// the degree is at most `fanout`) — partial Fisher–Yates, O(fanout).
-pub fn sample_distinct_neighbors(
-    graph: &SamplerGraph,
-    v: u32,
-    fanout: usize,
-    rng: &mut impl Rng,
-) -> Vec<u32> {
-    let mut pool: Vec<u32> = graph
-        .undirected
-        .row_scope(v as usize, |cols, _| cols.to_vec());
+/// Sample up to `fanout` *distinct* entries of one vertex's `neighbors`
+/// row (all of them when the degree is at most `fanout`) — partial
+/// Fisher–Yates, O(fanout).
+pub fn sample_distinct_neighbors(neighbors: &[u32], fanout: usize, rng: &mut impl Rng) -> Vec<u32> {
+    let mut pool = neighbors.to_vec();
     if pool.len() <= fanout {
         return pool;
     }
@@ -57,7 +51,9 @@ pub fn sample_distinct_neighbors(
 
 /// Collect the vertex set touched by one batch vertex's random walk:
 /// the batch vertex itself plus every frontier level, deduplicated and
-/// sorted (sorted order = stable local numbering for extraction).
+/// sorted (sorted order = stable local numbering for extraction). Each
+/// level gathers its frontier once and then samples the rows in frontier
+/// order, so the RNG draws are the row-at-a-time walk's, call for call.
 pub fn walk_touched_set(
     graph: &SamplerGraph,
     batch_vertex: u32,
@@ -68,8 +64,10 @@ pub fn walk_touched_set(
     let mut frontier = vec![batch_vertex];
     for _ in 0..config.depth {
         let mut next = Vec::with_capacity(frontier.len() * config.fanout);
+        let rows = graph.gather_undirected(&frontier);
         for &v in &frontier {
-            next.extend(sample_distinct_neighbors(graph, v, config.fanout, rng));
+            let (neighbors, _) = rows.row(v as usize);
+            next.extend(sample_distinct_neighbors(neighbors, config.fanout, rng));
         }
         touched.extend_from_slice(&next);
         frontier = next;
@@ -105,7 +103,7 @@ impl ShadowSampler {
         let mut out = SampledSubgraph::empty();
         for &b in batch {
             let nodes = walk_touched_set(graph, b, self.config, rng);
-            let sub = extract_induced_direct(&*graph.directed, &nodes);
+            let sub = extract_induced_direct(&graph.gather_directed(&nodes), &nodes);
             let edges = (0..sub.nrows()).flat_map(|r| {
                 let (cols, ids) = sub.row(r);
                 cols.iter()
@@ -142,15 +140,16 @@ mod tests {
     #[test]
     fn distinct_neighbors_bounded_by_fanout() {
         let g = test_graph();
+        let rows = g.gather_undirected(&[0, 10]);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..20 {
-            let s = sample_distinct_neighbors(&g, 10, 4, &mut rng);
+            let s = sample_distinct_neighbors(rows.row(10).0, 4, &mut rng);
             assert_eq!(s.len(), 4);
             let set: std::collections::HashSet<_> = s.iter().collect();
             assert_eq!(set.len(), 4, "duplicates in {s:?}");
         }
         // Low-degree vertex returns all neighbours.
-        let s = sample_distinct_neighbors(&g, 0, 4, &mut rng);
+        let s = sample_distinct_neighbors(rows.row(0).0, 4, &mut rng);
         let mut sorted = s.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![1, 10]);

@@ -5,8 +5,8 @@
 //! carries its *original* edge id so the training step can gather edge
 //! features and truth labels from the parent event graph.
 
-use std::sync::Arc;
-use trkx_sparse::{CacheCounters, RowStore, RowStoreExt};
+use std::sync::{Arc, OnceLock};
+use trkx_sparse::{CacheCounters, RowStore, RowView, StoreError};
 
 /// Graph wrapper holding both orientations of an event graph's candidate
 /// edges, with values = original edge ids:
@@ -21,11 +21,20 @@ use trkx_sparse::{CacheCounters, RowStore, RowStoreExt};
 /// (`ShardedCsr<u32>` via [`SamplerGraph::from_stores`]) — the samplers
 /// cannot tell the difference, and produce bit-identical subgraphs
 /// either way.
+///
+/// Samplers read rows only through [`SamplerGraph::gather_directed`] and
+/// [`SamplerGraph::gather_undirected`], which never fail: the first
+/// [`StoreError`] either store returns is recorded in the graph's fault
+/// slot (shared by every clone, so by every rank and prefetch thread),
+/// and from then on every row reads as empty. The sampler signatures stay
+/// infallible; whoever drives them reads [`SamplerGraph::fault`] after a
+/// pass and discards what a faulted pass sampled.
 #[derive(Debug, Clone)]
 pub struct SamplerGraph {
     pub num_nodes: usize,
     pub directed: Arc<dyn RowStore<u32>>,
     pub undirected: Arc<dyn RowStore<u32>>,
+    fault: Arc<OnceLock<Arc<StoreError>>>,
 }
 
 impl SamplerGraph {
@@ -47,11 +56,7 @@ impl SamplerGraph {
         }
         let undirected =
             trkx_sparse::Coo::new(num_nodes, num_nodes, both_src, both_dst, ids).to_csr();
-        Self {
-            num_nodes,
-            directed: Arc::new(directed),
-            undirected: Arc::new(undirected),
-        }
+        Self::from_stores(num_nodes, Arc::new(directed), Arc::new(undirected))
     }
 
     /// Build from pre-constructed row stores (e.g. sharded, file-backed
@@ -73,6 +78,7 @@ impl SamplerGraph {
             num_nodes,
             directed,
             undirected,
+            fault: Arc::default(),
         }
     }
 
@@ -89,17 +95,46 @@ impl SamplerGraph {
         }
     }
 
+    /// The first store error a read of this graph returned, if any.
+    pub fn fault(&self) -> Option<Arc<StoreError>> {
+        self.fault.get().cloned()
+    }
+
+    /// Rows `rows` of the directed orientation, read through the fault
+    /// slot (see the type docs).
+    pub fn gather_directed(&self, rows: &[u32]) -> RowView<'_, u32> {
+        self.gather(&*self.directed, rows)
+    }
+
+    /// Rows `rows` of the undirected orientation, read through the fault
+    /// slot (see the type docs).
+    pub fn gather_undirected(&self, rows: &[u32]) -> RowView<'_, u32> {
+        self.gather(&*self.undirected, rows)
+    }
+
+    fn gather<'a>(&self, store: &'a dyn RowStore<u32>, rows: &[u32]) -> RowView<'a, u32> {
+        if self.fault.get().is_some() {
+            return RowView::empty();
+        }
+        store.gather(rows).unwrap_or_else(|e| {
+            // A concurrent reader may have recorded its fault first.
+            let _ = self.fault.set(Arc::new(e));
+            RowView::empty()
+        })
+    }
+
     /// Endpoint pair `(src, dst)` of every original edge, indexed by edge
     /// id — the inverse of the CSR's `(src, dst) → id` lookup. Used by
-    /// round-trip validation.
+    /// round-trip validation. On a faulted graph every row reads empty.
     pub fn edge_endpoints(&self) -> Vec<(u32, u32)> {
         let mut out = vec![(0u32, 0u32); self.num_edges()];
+        let rows: Vec<u32> = (0..self.num_nodes as u32).collect();
+        let view = self.gather_directed(&rows);
         for r in 0..self.num_nodes {
-            self.directed.row_scope(r, |cols, ids| {
-                for (&c, &id) in cols.iter().zip(ids) {
-                    out[id as usize] = (r as u32, c);
-                }
-            });
+            let (cols, ids) = view.row(r);
+            for (&c, &id) in cols.iter().zip(ids) {
+                out[id as usize] = (r as u32, c);
+            }
         }
         out
     }
@@ -195,6 +230,9 @@ impl SampledSubgraph {
 
     /// Structural sanity checks; panics with a message on violation.
     /// Used by tests, `trkx sample` and the `sampling_explorer` example.
+    /// The parent's rows are read through its fault slot, so on a faulted
+    /// parent every edge fails the parent-edge check: read
+    /// [`SamplerGraph::fault`] first.
     pub fn validate(&self, parent: &SamplerGraph) {
         let n = self.num_nodes() as u32;
         assert_eq!(self.component_of_node.len(), self.num_nodes());
@@ -219,6 +257,8 @@ impl SampledSubgraph {
                 && self.component_of_node.windows(2).all(|w| w[0] <= w[1]),
             "component ids are not contiguous and ascending"
         );
+        // Every edge's source row, at most: the sampled vertices.
+        let rows = parent.gather_directed(&self.node_map);
         for ((&s, &d), &id) in self
             .sub_src
             .iter()
@@ -232,7 +272,7 @@ impl SampledSubgraph {
             );
             // Each edge maps to a parent edge with matching endpoints.
             let (os, od) = (self.node_map[s as usize], self.node_map[d as usize]);
-            let found = parent.directed.get(os as usize, od).map(|eid| eid == id);
+            let found = rows.get(os as usize, od).map(|eid| eid == id);
             assert_eq!(
                 found,
                 Some(true),
@@ -255,11 +295,13 @@ mod tests {
     fn sampler_graph_has_both_orientations() {
         let g = graph();
         assert_eq!(g.num_edges(), 4);
-        assert_eq!(g.directed.get(0, 1), Some(0));
-        assert_eq!(g.directed.get(1, 0), None);
-        assert_eq!(g.undirected.get(1, 0), Some(0));
-        assert_eq!(g.undirected.get(0, 1), Some(0));
-        assert_eq!(g.undirected.get(2, 0), Some(3));
+        let (directed, undirected) = (g.gather_directed(&[0, 1]), g.gather_undirected(&[0, 1, 2]));
+        assert_eq!(directed.get(0, 1), Some(0));
+        assert_eq!(directed.get(1, 0), None);
+        assert_eq!(undirected.get(1, 0), Some(0));
+        assert_eq!(undirected.get(0, 1), Some(0));
+        assert_eq!(undirected.get(2, 0), Some(3));
+        assert!(g.fault().is_none());
     }
 
     #[test]
@@ -267,8 +309,9 @@ mod tests {
         let g = graph();
         let endpoints = g.edge_endpoints();
         assert_eq!(endpoints, vec![(0, 1), (1, 2), (2, 3), (0, 2)]);
+        let directed = g.gather_directed(&[0, 1, 2, 3]);
         for (id, &(s, d)) in endpoints.iter().enumerate() {
-            assert_eq!(g.directed.get(s as usize, d), Some(id as u32));
+            assert_eq!(directed.get(s as usize, d), Some(id as u32));
         }
     }
 

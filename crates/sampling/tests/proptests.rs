@@ -4,7 +4,6 @@
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use trkx_sampling::{vertex_batches, BulkShadowSampler, SamplerGraph, ShadowConfig, ShadowSampler};
-use trkx_sparse::RowStoreExt;
 
 /// Random connected-ish graph: n vertices, edges from a btree set.
 fn graph_strategy() -> impl Strategy<Value = SamplerGraph> {
@@ -49,7 +48,7 @@ proptest! {
         dist[0] = 0;
         let mut queue = std::collections::VecDeque::from([0u32]);
         while let Some(v) = queue.pop_front() {
-            let cols = g.undirected.row_scope(v as usize, |c, _| c.to_vec());
+            let cols = g.gather_undirected(&[v]).row(v as usize).0.to_vec();
             for &c in &cols {
                 if dist[c as usize] == usize::MAX {
                     dist[c as usize] = dist[v as usize] + 1;

@@ -10,6 +10,11 @@ use rand::{rngs::StdRng, SeedableRng};
 use trkx_sampling::{
     BulkShadowSampler, SampledSubgraph, Sampler, SamplerGraph, ShadowConfig, ShadowSampler,
 };
+use trkx_sparse::StoreError;
+
+#[path = "support/faulty_store.rs"]
+mod faulty_store;
+use faulty_store::{faulty_graph, Fault, STORE_NAME};
 
 /// Random simple digraph: n vertices, unique non-loop edges.
 fn graph_strategy() -> impl Strategy<Value = SamplerGraph> {
@@ -94,6 +99,57 @@ proptest! {
             prop_assert_eq!(sg.num_nodes(), 0);
             prop_assert_eq!(sg.num_edges(), 0);
             sg.validate(&g);
+        }
+    }
+}
+
+#[test]
+fn a_store_fault_is_recorded_once_and_every_later_row_reads_empty() {
+    // A ring with chords: every walk step has rows with neighbours.
+    let n = 12u32;
+    let src: Vec<u32> = (0..n).chain(0..n / 2).collect();
+    let dst: Vec<u32> = (0..n)
+        .map(|v| (v + 1) % n)
+        .chain((0..n / 2).map(|v| v + n / 2))
+        .collect();
+    let g = SamplerGraph::new(n as usize, &src, &dst);
+    let batches = vec![vec![0u32, 3, 6], vec![9, 11]];
+    for sampler in all_samplers() {
+        let name = sampler.name();
+        // A store that never fails reads exactly what it wraps.
+        let (clean, _) = faulty_graph(&g, Fault::Eio, usize::MAX, false);
+        assert_eq!(
+            sampler.sample_bulk(&clean, &batches, 5),
+            sampler.sample_bulk(&g, &batches, 5),
+            "{name}"
+        );
+        assert!(clean.fault().is_none(), "{name}");
+
+        for fault in [Fault::Eio, Fault::ShortRead] {
+            // The second walk-step read fails.
+            let (faulty, store) = faulty_graph(&g, fault, 2, false);
+            let got = sampler.sample_bulk(&faulty, &batches, 5);
+            // Still one subgraph per batch and one component per batch
+            // vertex, so a caller's batch count does not change ...
+            assert_eq!(got.len(), batches.len(), "{name}");
+            for (sg, batch) in got.iter().zip(&batches) {
+                assert_eq!(sg.num_components(), batch.len(), "{name}");
+                // ... but extraction ran after the fault: no edges.
+                assert_eq!(sg.num_edges(), 0, "{name} {fault:?}");
+            }
+            // The fault is recorded once, visible through every clone
+            // of the graph, typed and naming the store.
+            let e = faulty.clone().fault().expect("fault recorded");
+            assert!(e.to_string().contains(STORE_NAME), "{e}");
+            match (fault, &*e) {
+                (Fault::Eio, StoreError::Io(_)) | (Fault::ShortRead, StoreError::Corrupt(_)) => {}
+                _ => panic!("{name}: {fault:?} recorded as {e:?}"),
+            }
+            // From the fault on nothing reads the store: the failing call
+            // was the last, in this pass and in the next.
+            assert_eq!(store.calls(), 2, "{name}");
+            sampler.sample_bulk(&faulty, &batches, 6);
+            assert_eq!(store.calls(), 2, "{name}");
         }
     }
 }

@@ -101,7 +101,7 @@ mod tests {
         ] {
             let mut edges = Vec::new();
             ex.extract_into(&view, &sel, &mut edges);
-            let reference = extract_induced_direct(&a, &sel);
+            let reference = extract_induced_direct(&view, &sel);
             let mut want = Vec::new();
             for r in 0..reference.nrows() {
                 let (cols, ids) = reference.row(r);

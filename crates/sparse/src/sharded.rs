@@ -14,10 +14,12 @@
 //! A pass that knows its rows up front reads them through
 //! [`RowStore::gather`]: the store marks the shards those rows touch,
 //! looks each one up once in ascending shard order, and hands back a
-//! [`RowView`] holding an `Arc` per touched shard. Reading rows in
-//! frontier order through [`RowStore::with_row`] instead would walk the
+//! [`RowView`] holding an `Arc` per touched shard. `gather` is the only
+//! read: reading rows one at a time in frontier order would walk the
 //! LRU at random and fault a shard on nearly every miss; through a view
 //! a pass faults each shard at most once, whatever the cache capacity.
+//! A shard that fails to load is that gather's [`StoreError`], naming
+//! the file; no read panics on a fault.
 //!
 //! `open` checks the header's shard count and every directory entry
 //! against the file's length, so a corrupt file fails with
@@ -451,7 +453,10 @@ impl<T: ShardValue> ShardedCsr<T> {
         }
         // `open` checked `off + len` against the file length.
         let mut blob = vec![0u8; len as usize];
-        file.seek(SeekFrom::Start(off))?;
+        file.seek(SeekFrom::Start(off)).map_err(|e| {
+            let at = format!("{} shard {sid}: {e}", self.path.display());
+            StoreError::Io(std::io::Error::new(e.kind(), at))
+        })?;
         file.read_exact(&mut blob)
             .map_err(|e| corrupt(format!("truncated blob ({e})")))?;
         let indptr: Vec<usize> = (0..=rows)
@@ -491,10 +496,10 @@ impl<T: ShardValue> ShardedCsr<T> {
             .map_err(|e| corrupt(e.to_string()))
     }
 
-    /// Fault in (or fetch from cache) shard `sid`. Public so callers
-    /// that want to handle corruption as a `Result` (rather than the
-    /// panic `with_row` turns it into) can. A `sid` past the last shard
-    /// is an error, not a panic.
+    /// Fault in (or fetch from cache) shard `sid`: the one lookup
+    /// [`RowStore::gather`] makes per touched shard, public for callers
+    /// that want a single shard. A `sid` past the last shard is an
+    /// error, not a panic.
     pub fn shard(&self, sid: usize) -> Result<Arc<Csr<T>>, StoreError> {
         if sid >= self.num_shards() {
             return Err(StoreError::Corrupt(format!(
@@ -532,9 +537,9 @@ impl<T: ShardValue> ShardedCsr<T> {
         Ok(arc)
     }
 
-    fn shard_of_row(&self, r: usize) -> (usize, usize) {
+    fn shard_of_row(&self, r: usize) -> usize {
         assert!(r < self.nrows, "row {r} out of range ({} rows)", self.nrows);
-        (r / self.shard_nodes, r % self.shard_nodes)
+        r / self.shard_nodes
     }
 
     fn cache_counters(&self) -> CacheCounters {
@@ -559,33 +564,6 @@ impl<T: ShardValue> RowStore<T> for ShardedCsr<T> {
         self.nnz
     }
 
-    fn with_row(&self, r: usize, f: &mut dyn FnMut(&[u32], &[T])) {
-        let (sid, local) = self.shard_of_row(r);
-        // The Arc keeps the shard alive even if another thread evicts it
-        // from the cache while the callback runs.
-        let shard = self
-            .shard(sid)
-            .unwrap_or_else(|e| panic!("shard fault failed: {e}"));
-        let (cols, vals) = shard.row(local);
-        f(cols, vals);
-    }
-
-    fn row_nnz(&self, r: usize) -> usize {
-        let (sid, local) = self.shard_of_row(r);
-        let shard = self
-            .shard(sid)
-            .unwrap_or_else(|e| panic!("shard fault failed: {e}"));
-        shard.row_nnz(local)
-    }
-
-    fn get(&self, r: usize, c: u32) -> Option<T> {
-        let (sid, local) = self.shard_of_row(r);
-        let shard = self
-            .shard(sid)
-            .unwrap_or_else(|e| panic!("shard fault failed: {e}"));
-        shard.get(local, c)
-    }
-
     /// Marks the shards `rows` touch in a `num_shards`-sized bitmap, then
     /// looks each marked shard up once, in ascending order, through
     /// [`ShardedCsr::shard`] — so the LRU and its counters see one lookup
@@ -599,7 +577,7 @@ impl<T: ShardValue> RowStore<T> for ShardedCsr<T> {
             if unmarked == 0 {
                 break;
             }
-            let (sid, _) = self.shard_of_row(r as usize);
+            let sid = self.shard_of_row(r as usize);
             if !touched[sid] {
                 touched[sid] = true;
                 unmarked -= 1;
@@ -624,6 +602,10 @@ mod tests {
     use crate::csr::adjacency_with_edge_ids;
     use crate::store::RowStoreExt;
     use std::sync::atomic::AtomicUsize;
+
+    fn all_rows(n: usize) -> Vec<u32> {
+        (0..n as u32).collect()
+    }
 
     static TEMP_SEQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -655,16 +637,23 @@ mod tests {
             let (s, a, path) = roundtrip(shard_nodes, usize::MAX);
             assert_eq!(s.nrows(), a.nrows());
             assert_eq!(s.nnz(), a.nnz());
+            let view = s.gather(&all_rows(a.nrows())).unwrap();
             for r in 0..a.nrows() {
                 let (cols, vals) = a.row(r);
+                assert_eq!(
+                    view.row(r),
+                    (cols, vals),
+                    "shard_nodes {shard_nodes} row {r}"
+                );
+                assert_eq!(view.row(r).0.len(), a.row_nnz(r));
+                // The benchmark's one-row adapter reads the same row.
                 let (scols, svals) = s.row_scope(r, |c, v| (c.to_vec(), v.to_vec()));
-                assert_eq!(scols, cols, "shard_nodes {shard_nodes} row {r}");
-                assert_eq!(svals, vals);
-                assert_eq!(s.row_nnz(r), a.row_nnz(r));
+                assert_eq!((&scols[..], &svals[..]), (cols, vals));
             }
             for (r, c, want) in [(0usize, 9u32, Some(2u32)), (1, 3, Some(3)), (3, 3, None)] {
-                assert_eq!(RowStore::get(&s, r, c), want);
+                assert_eq!(view.get(r, c), want);
             }
+            drop(view);
             let sel = [9u32, 0, 5, 0];
             let view = s.gather(&sel).unwrap();
             for &r in &sel {
@@ -721,19 +710,21 @@ mod tests {
     fn lru_cache_counts_and_evicts() {
         // shard_nodes=2 over 10 rows -> 5 shards; capacity 2.
         let (s, _a, path) = roundtrip(2, 2);
-        // Touch shards 0,1 (miss, miss), re-touch 0 (hit), then 2 evicts 1.
-        s.row_scope(0, |_, _| ());
-        s.row_scope(2, |_, _| ());
-        s.row_scope(1, |_, _| ());
-        s.row_scope(4, |_, _| ());
+        // One-row gathers, one lookup each. Touch shards 0,1 (miss,
+        // miss), re-touch 0 (hit), then 2 evicts 1.
+        let read = |r: u32| drop(s.gather(&[r]).unwrap());
+        read(0);
+        read(2);
+        read(1);
+        read(4);
         let c = s.counters().unwrap();
         assert_eq!(c.hits, 1);
         assert_eq!(c.misses, 3);
         assert_eq!(c.evictions, 1);
         // Shard 2 (rows 4-5) stayed resident; shard 1 was the LRU victim.
-        s.row_scope(5, |_, _| ());
+        read(5);
         assert_eq!(s.counters().unwrap().hits, 2);
-        s.row_scope(2, |_, _| ());
+        read(2);
         assert_eq!(s.counters().unwrap().misses, 4);
         std::fs::remove_file(path).ok();
     }
@@ -742,9 +733,8 @@ mod tests {
     fn capacity_one_thrashes_but_stays_correct() {
         let (s, a, path) = roundtrip(1, 1);
         for r in 0..a.nrows() {
-            let (cols, _) = a.row(r);
-            let got = s.row_scope(r, |c, _| c.to_vec());
-            assert_eq!(got, cols);
+            let view = s.gather(&[r as u32]).unwrap();
+            assert_eq!(view.row(r), a.row(r));
         }
         let c = s.counters().unwrap();
         assert_eq!(c.misses, 10);
@@ -761,12 +751,12 @@ mod tests {
         assert_eq!(s.nrows(), 6);
         assert_eq!(s.nnz(), 0);
         assert_eq!(s.num_shards(), 3);
+        let view = s.gather(&all_rows(6)).unwrap();
         for r in 0..6 {
-            assert_eq!(s.row_nnz(r), 0);
-            s.row_scope(r, |c, v| {
-                assert!(c.is_empty() && v.is_empty());
-            });
+            let (c, v) = view.row(r);
+            assert!(c.is_empty() && v.is_empty());
         }
+        drop(view);
         std::fs::remove_file(&path).ok();
 
         let z: Csr<u32> = Csr::empty(0, 0);
@@ -784,13 +774,11 @@ mod tests {
         let path = temp_path("f32");
         write_csr_sharded(&a, &path, 2).unwrap();
         let s = ShardedCsr::<f32>::open(&path, usize::MAX).unwrap();
+        let view = s.gather(&all_rows(4)).unwrap();
         for r in 0..4 {
-            let (cols, vals) = a.row(r);
-            s.row_scope(r, |c, v| {
-                assert_eq!(c, cols);
-                assert_eq!(v, vals);
-            });
+            assert_eq!(view.row(r), a.row(r));
         }
+        drop(view);
         std::fs::remove_file(path).ok();
     }
 
@@ -886,7 +874,7 @@ mod tests {
         // lookup names the row instead of failing on a shard slice.
         let (s, _a, path) = roundtrip(4, usize::MAX);
         std::fs::remove_file(path).ok();
-        s.row_nnz(11);
+        let _ = s.gather(&[11]);
     }
 
     #[test]
@@ -904,6 +892,10 @@ mod tests {
         let s = ShardedCsr::<u32>::open(&path, 1).unwrap();
         let err = s.shard(0).expect_err("corrupt indptr");
         assert!(err.to_string().contains("invalid CSR"), "{err}");
+        // A read is a gather, and a gather reports the fault, naming the
+        // file, instead of panicking.
+        let err = s.gather(&[3]).expect_err("gather over a corrupt shard");
+        assert!(err.to_string().contains(&*path.to_string_lossy()), "{err}");
         std::fs::remove_file(path).ok();
     }
 

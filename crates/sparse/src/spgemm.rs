@@ -4,7 +4,7 @@
 //! subgraphs, paper §III-C).
 
 use crate::csr::Csr;
-use crate::store::{RowStore, RowStoreExt};
+use crate::store::RowView;
 use rayon::prelude::*;
 use std::collections::HashMap;
 
@@ -86,9 +86,10 @@ pub fn extract_induced_spgemm(a: &Csr<f32>, sel: &[u32]) -> Csr<f32> {
 /// Direct induced-subgraph extraction `A[sel, sel]` with exact `u32` edge
 /// ids, renumbering vertices to `0..sel.len()`. Equivalent to
 /// [`extract_induced_spgemm`] on an id-valued matrix but without the f32
-/// detour; used by the per-vertex baseline sampler. Generic over
-/// [`RowStore`] so it extracts from in-core and sharded graphs alike.
-pub fn extract_induced_direct<S: RowStore<u32> + ?Sized>(a: &S, sel: &[u32]) -> Csr<u32> {
+/// detour; used by the per-vertex baseline sampler. Reads `a`'s rows from
+/// a view — the caller gathers `sel` once, from an in-core or a sharded
+/// store alike (`RowView::from(&csr)` for an in-core matrix).
+pub fn extract_induced_direct(a: &RowView<'_, u32>, sel: &[u32]) -> Csr<u32> {
     let lookup: HashMap<u32, u32> = sel
         .iter()
         .enumerate()
@@ -99,12 +100,12 @@ pub fn extract_induced_direct<S: RowStore<u32> + ?Sized>(a: &S, sel: &[u32]) -> 
     let mut indices = Vec::new();
     let mut vals = Vec::new();
     for &v in sel {
-        let mut row_entries: Vec<(u32, u32)> = a.row_scope(v as usize, |cols, evals| {
-            cols.iter()
-                .zip(evals)
-                .filter_map(|(&c, &id)| lookup.get(&c).map(|&nc| (nc, id)))
-                .collect()
-        });
+        let (cols, evals) = a.row(v as usize);
+        let mut row_entries: Vec<(u32, u32)> = cols
+            .iter()
+            .zip(evals)
+            .filter_map(|(&c, &id)| lookup.get(&c).map(|&nc| (nc, id)))
+            .collect();
         row_entries.sort_unstable_by_key(|&(c, _)| c);
         for (c, id) in row_entries {
             indices.push(c);
@@ -183,7 +184,7 @@ mod tests {
         let a_f = a_ids.map_vals(|id| (id + 1) as f32);
         let sel = [0u32, 2, 4];
 
-        let direct = extract_induced_direct(&a_ids, &sel);
+        let direct = extract_induced_direct(&(&a_ids).into(), &sel);
         let via_spgemm = extract_induced_spgemm(&a_f, &sel);
 
         assert_eq!(direct.nnz(), via_spgemm.nnz());
@@ -203,7 +204,7 @@ mod tests {
     #[test]
     fn extraction_of_empty_selection() {
         let a = adjacency_with_edge_ids(3, &[0], &[1]);
-        let e = extract_induced_direct(&a, &[]);
+        let e = extract_induced_direct(&(&a).into(), &[]);
         assert_eq!(e.nrows(), 0);
         assert_eq!(e.nnz(), 0);
     }

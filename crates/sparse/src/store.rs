@@ -9,22 +9,22 @@
 //! [`crate::ShardedCsr`] (rows faulted in shard-at-a-time through an LRU
 //! cache) without knowing which they have.
 //!
-//! Rows are read two ways:
+//! Rows are read one way: [`RowStore::gather`] is told every row a pass
+//! is about to read and returns a [`RowView`] over them. A sharded store
+//! looks up each shard those rows touch once, in ascending order, however
+//! the rows are ordered; the view then answers [`RowView::row`] and
+//! [`RowView::get`] with no lock and no dynamic dispatch. An in-core
+//! store returns a borrowed view of itself in O(1). Both samplers know a
+//! walk step's frontier (and an extraction's selection) before they read
+//! any of it, so every read goes through a view.
 //!
-//! - **Planned:** [`RowStore::gather`] is told every row a pass is about
-//!   to read and returns a [`RowView`] over them. A sharded store looks
-//!   up each shard those rows touch once, in ascending order, however
-//!   the rows are ordered; the view then answers [`RowView::row`] with no
-//!   lock and no dynamic dispatch. An in-core store returns a borrowed
-//!   view of itself in O(1). Bulk sampling knows a whole walk step's
-//!   frontier (and a whole chunk's extraction set) before it reads any
-//!   of it, so it reads through views.
-//! - **Point lookups:** [`RowStore::with_row`] reads one row through the
-//!   cache. The trait is object-safe — `SamplerGraph` holds `Arc<dyn
-//!   RowStore<u32>>` — which is why this is a callback rather than a
-//!   borrowing `row()` (a trait object cannot return slices tied to a
-//!   lock-guarded cache entry). [`RowStoreExt::row_scope`] layers the
-//!   ergonomic closure-with-return form on top.
+//! **Faults.** `gather` is the only read that touches the backing store,
+//! so a shard that cannot be read is a [`StoreError`] from `gather` and
+//! nothing else: no read panics on a fault. Callers that cannot return
+//! the error themselves record it (see `SamplerGraph` in
+//! `trkx-sampling`) and read [`RowView::empty`] from then on.
+//! [`RowStoreExt::row_scope`] is the one exception: a one-row gather
+//! kept for the frozen benchmark, which panics on a fault.
 
 use std::sync::Arc;
 
@@ -35,9 +35,9 @@ use crate::sharded::StoreError;
 ///
 /// In-core stores report `None` from [`RowStore::counters`]; sharded
 /// stores report cumulative (monotone) totals since open. One shard
-/// lookup is one point read ([`RowStore::with_row`], `row_nnz`, `get`)
-/// or one shard a [`RowStore::gather`] touches; reads through a
-/// [`RowView`] are not counted.
+/// lookup is one shard a [`RowStore::gather`] touches, however many of
+/// the gathered rows land in it; reads through a [`RowView`] are not
+/// counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Shard lookups served by a resident shard.
@@ -69,27 +69,18 @@ impl CacheCounters {
     }
 }
 
-/// Read-only row access to a CSR-shaped matrix, object-safe.
+/// Read-only row access to a CSR-shaped matrix, object-safe: the
+/// shape, one fallible read ([`RowStore::gather`]) and the cache
+/// counters.
 ///
 /// Implementations must be safe to share across sampling threads
 /// (`Send + Sync`); the sharded store serializes shard faults
-/// internally.
+/// internally. Rows are sorted by column (both stores keep them sorted),
+/// which [`RowView::get`] relies on.
 pub trait RowStore<T: Copy + Default>: Send + Sync + std::fmt::Debug {
     fn nrows(&self) -> usize;
     fn ncols(&self) -> usize;
     fn nnz(&self) -> usize;
-
-    /// Visit row `r`'s column indices and values. The callback is
-    /// invoked exactly once; the slices are only valid for its duration
-    /// (a sharded store may evict the backing shard afterwards).
-    fn with_row(&self, r: usize, f: &mut dyn FnMut(&[u32], &[T]));
-
-    /// Number of stored entries in row `r`.
-    fn row_nnz(&self, r: usize) -> usize;
-
-    /// Entry lookup; rows must be sorted by column (both stores keep
-    /// them sorted).
-    fn get(&self, r: usize, c: u32) -> Option<T>;
 
     /// Make `rows` readable through one [`RowView`]: the plan-ahead read
     /// for a pass that knows every row it will touch. `rows` may hold
@@ -97,7 +88,9 @@ pub trait RowStore<T: Copy + Default>: Send + Sync + std::fmt::Debug {
     /// answers [`RowView::row`] for every row in `rows` (and may answer
     /// others). A store with a cache reads each backing unit at most
     /// once per call and keeps it alive for the view's lifetime — see
-    /// [`crate::ShardedCsr::open`] for what that costs in memory.
+    /// [`crate::ShardedCsr::open`] for what that costs in memory. A
+    /// backing unit that cannot be read is an `Err`; a row `>= nrows()`
+    /// is a caller bug and may panic.
     fn gather(&self, rows: &[u32]) -> Result<RowView<'_, T>, StoreError>;
 
     /// Cache traffic counters, if this store has a cache.
@@ -128,6 +121,8 @@ enum ViewRows<'a, T> {
         shard_nodes: usize,
         shards: Vec<Option<Arc<Csr<T>>>>,
     },
+    /// Every row reads as empty.
+    Empty,
 }
 
 impl<'a, T: Copy + Default> RowView<'a, T> {
@@ -141,11 +136,21 @@ impl<'a, T: Copy + Default> RowView<'a, T> {
         }
     }
 
+    /// A view in which every row is empty: what a reader that has
+    /// recorded a store fault reads from then on.
+    pub fn empty() -> Self {
+        Self {
+            rows: ViewRows::Empty,
+        }
+    }
+
     /// Column indices and values of row `r`. Panics if `r` is out of
-    /// range or was not gathered into this view.
+    /// range or was not gathered into this view; an empty view answers
+    /// every row.
     #[inline]
     pub fn row(&self, r: usize) -> (&[u32], &[T]) {
         match &self.rows {
+            ViewRows::Empty => (&[], &[]),
             ViewRows::Borrowed(csr) => csr.row(r),
             ViewRows::Shards {
                 shard_nodes,
@@ -159,6 +164,13 @@ impl<'a, T: Copy + Default> RowView<'a, T> {
             }
         }
     }
+
+    /// Entry `(r, c)`, by binary search on the sorted row (as
+    /// [`Csr::get`]). Panics as [`RowView::row`] does.
+    pub fn get(&self, r: usize, c: u32) -> Option<T> {
+        let (cols, vals) = self.row(r);
+        cols.binary_search(&c).ok().map(|i| vals[i])
+    }
 }
 
 /// The whole matrix as a view, without copying.
@@ -170,22 +182,21 @@ impl<'a, T> From<&'a Csr<T>> for RowView<'a, T> {
     }
 }
 
-/// Ergonomic extension over [`RowStore::with_row`]: run a closure on a
-/// row and return its value.
+/// One row read through a one-row [`RowStore::gather`], kept because the
+/// frozen benchmark's row-access probe calls it.
 pub trait RowStoreExt<T: Copy + Default> {
+    /// Run `f` on row `r`'s columns and values. Panics if the store
+    /// cannot read the row: a caller that must survive a fault gathers.
     fn row_scope<R>(&self, r: usize, f: impl FnOnce(&[u32], &[T]) -> R) -> R;
 }
 
 impl<T: Copy + Default, S: RowStore<T> + ?Sized> RowStoreExt<T> for S {
     fn row_scope<R>(&self, r: usize, f: impl FnOnce(&[u32], &[T]) -> R) -> R {
-        let mut f = Some(f);
-        let mut out = None;
-        self.with_row(r, &mut |cols, vals| {
-            if let Some(f) = f.take() {
-                out = Some(f(cols, vals));
-            }
-        });
-        out.expect("with_row must invoke its callback exactly once")
+        let view = self
+            .gather(&[r as u32])
+            .unwrap_or_else(|e| panic!("row {r}: {e}"));
+        let (cols, vals) = view.row(r);
+        f(cols, vals)
     }
 }
 
@@ -200,19 +211,6 @@ impl<T: Copy + Default + Send + Sync + std::fmt::Debug> RowStore<T> for Csr<T> {
 
     fn nnz(&self) -> usize {
         Csr::nnz(self)
-    }
-
-    fn with_row(&self, r: usize, f: &mut dyn FnMut(&[u32], &[T])) {
-        let (cols, vals) = self.row(r);
-        f(cols, vals);
-    }
-
-    fn row_nnz(&self, r: usize) -> usize {
-        Csr::row_nnz(self, r)
-    }
-
-    fn get(&self, r: usize, c: u32) -> Option<T> {
-        Csr::get(self, r, c)
     }
 
     /// O(1): the view borrows the whole matrix and `rows` is never read.
@@ -232,16 +230,16 @@ mod tests {
         let s: &dyn RowStore<u32> = &a;
         assert_eq!(s.nrows(), 4);
         assert_eq!(s.nnz(), 4);
-        assert_eq!(s.row_nnz(0), 2);
-        assert_eq!(s.get(1, 3), Some(2));
-        assert_eq!(s.get(1, 2), None);
+        assert!(s.counters().is_none());
+        let view = s.gather(&[3, 0, 1]).unwrap();
+        assert_eq!(view.row(0).0.len(), 2);
+        assert_eq!(view.get(1, 3), Some(2));
+        assert_eq!(view.get(1, 2), None);
+        assert_eq!(view.row(0), (&[1u32, 2][..], &[0u32, 1][..]));
+        assert_eq!(view.row(3), (&[0u32][..], &[3u32][..]));
         let (cols, ids) = s.row_scope(0, |c, v| (c.to_vec(), v.to_vec()));
         assert_eq!(cols, vec![1, 2]);
         assert_eq!(ids, vec![0, 1]);
-        assert!(s.counters().is_none());
-        let view = s.gather(&[3, 0]).unwrap();
-        assert_eq!(view.row(3), (&[0u32][..], &[3u32][..]));
-        assert_eq!(view.row(0), a.row(0));
     }
 
     #[test]
@@ -256,6 +254,15 @@ mod tests {
                 std::ptr::eq(view.row(r).0, a.row(r).0),
                 "row {r} was copied"
             );
+        }
+    }
+
+    #[test]
+    fn empty_view_reads_every_row_as_empty() {
+        let view = RowView::<u32>::empty();
+        for r in [0, 7, usize::MAX] {
+            assert_eq!(view.row(r), (&[][..], &[][..]));
+            assert_eq!(view.get(r, 0), None);
         }
     }
 

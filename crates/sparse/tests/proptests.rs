@@ -158,7 +158,7 @@ proptest! {
         let dst: Vec<u32> = edges.iter().map(|e| e.1).collect();
         let sel: Vec<u32> = sel.into_iter().collect();
         let a = adjacency_with_edge_ids(12, &src, &dst);
-        let sub = extract_induced_direct(&a, &sel);
+        let sub = extract_induced_direct(&(&a).into(), &sel);
         // Every extracted entry maps back to an original edge with matching
         // endpoints.
         for r in 0..sub.nrows() {
@@ -184,7 +184,7 @@ proptest! {
         let sel: Vec<u32> = sel.into_iter().collect();
         let a_ids = adjacency_with_edge_ids(10, &src, &dst);
         let a_f = a_ids.map_vals(|id| (id + 1) as f32);
-        let d = extract_induced_direct(&a_ids, &sel);
+        let d = extract_induced_direct(&(&a_ids).into(), &sel);
         let s = extract_induced_spgemm(&a_f, &sel);
         prop_assert_eq!(d.nnz(), s.nnz());
         for r in 0..d.nrows() {

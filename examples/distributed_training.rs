@@ -44,7 +44,7 @@ fn main() {
             // Bulk factor grows with aggregate memory, as in the paper.
             let k = 2 * p;
             let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k }, DdpConfig::new(p, strategy));
-            let r = train(&spec, train_set, val);
+            let r = train(&spec, train_set, val).expect("in-core graphs cannot fault");
             let last = r.epochs.last().unwrap();
             println!(
                 "{:>3} {:>12} {:>6} {:>11.3} {:>11.3} {:>11.3} {:>11.3}",

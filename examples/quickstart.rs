@@ -73,7 +73,7 @@ fn main() {
     };
     let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k: 4 }, DdpConfig::single())
         .with_hooks(&make_hooks);
-    let result = train(&spec, train_set, val);
+    let result = train(&spec, train_set, val).expect("in-core graphs cannot fault");
     if result.epochs.len() < cfg.epochs {
         println!(
             "  early stop after {} epochs (patience {patience})",

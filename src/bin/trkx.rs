@@ -31,8 +31,10 @@
 //! / `--hidden` / `--bulk-k` and an unknown `--sampler` / `--dataset` / `--graph-store` name with
 //! one line on stderr and exit code 2; nothing is accepted and ignored.
 //! A failure after the flags are read is one line on stderr and exit
-//! code 1. Either way, the shard directory a sharded run creates under
-//! `$TMPDIR` when no `--shard-dir` is given is removed before exit.
+//! code 1; that includes a graph store that fails while `train` or
+//! `sample` reads it, which names the store. Either way, the shard
+//! directory a sharded run creates under `$TMPDIR` when no `--shard-dir`
+//! is given is removed before exit.
 //!
 //! `serve` speaks line-delimited JSON: requests in (`{"id":1,"event":{...}}`,
 //! `{"cmd":"reload","path":"new.json"}`, `{"cmd":"stats"}`,
@@ -50,7 +52,7 @@ use trkx::pipeline::{
     best_f1_threshold, evaluate, infer_logits, prepare_graphs, prepare_graphs_sharded, roc_auc,
     train, train_pipeline, BatchingMode, Checkpoint, EarlyStoppingHook, EmbeddingConfig,
     GnnTrainConfig, Hook, Monitor, PipelineConfig, PreparedGraph, SamplerKind, TelemetryHook,
-    TrainSpec,
+    TrainResult, TrainSpec,
 };
 use trkx::sampling::{
     vertex_batches, BulkShadowSampler, Sampler, SamplerGraph, ShadowConfig, ShadowSampler,
@@ -212,6 +214,25 @@ fn prepare_for_store(
     Ok((prepared, scratch))
 }
 
+/// [`train`], with a graph store fault as the one line `main` prints
+/// before exit 1 (every DDP rank ends alike, so `--workers N` exits too).
+fn train_gnn(
+    spec: &TrainSpec,
+    train_set: &[PreparedGraph],
+    val: &[PreparedGraph],
+) -> Result<TrainResult, String> {
+    train(spec, train_set, val).map_err(|e| format!("training stopped: {e}"))
+}
+
+/// The one line `main` prints before exit 1 if a read of `graph`'s
+/// stores failed (the samplers record the fault and read on empty rows).
+fn sampling_fault(graph: &SamplerGraph) -> Result<(), String> {
+    match graph.fault() {
+        Some(e) => Err(format!("sampling stopped: graph store fault: {e}")),
+        None => Ok(()),
+    }
+}
+
 /// Print shard-cache traffic when any graph reads through a sharded store.
 fn report_shard_cache(graphs: &[PreparedGraph]) {
     let mut total: Option<trkx::sparse::CacheCounters> = None;
@@ -337,7 +358,7 @@ fn cmd_train(mut args: Args) -> Result<(), String> {
     let spec = TrainSpec::ddp(&gnn_cfg, sampler, ddp)
         .with_batching(batching)
         .with_hooks(&make_hooks);
-    let result = train(&spec, &prepared[tr], &prepared[va]);
+    let result = train_gnn(&spec, &prepared[tr], &prepared[va])?;
     if patience > 0 && result.epochs.len() < gnn_cfg.epochs {
         println!(
             "early stop after {} epochs (patience {patience})",
@@ -565,6 +586,7 @@ fn cmd_sample(mut args: Args) -> Result<(), String> {
             subgraphs = sampler.sample_bulk(&graph, &batches, seed);
             best = best.min(t.elapsed().as_secs_f64());
         }
+        sampling_fault(&graph)?;
         for sg in &subgraphs {
             sg.validate(&graph);
         }
@@ -615,5 +637,71 @@ fn main() {
     if let Err(e) = run(args) {
         eprintln!("{e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+#[path = "../../crates/sampling/tests/support/faulty_store.rs"]
+mod faulty_store;
+
+#[cfg(test)]
+mod tests {
+    //! A CLI run cannot truncate its own spilled shards mid-run, so these
+    //! tests inject the fault into the functions `cmd_train` and
+    //! `cmd_sample` call, and check the line `main` would print.
+
+    use super::faulty_store::{faulty_graph, Fault, STORE_NAME};
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    fn assert_one_line_naming_the_store(line: &str) {
+        assert!(line.contains(STORE_NAME), "{line}");
+        assert!(line.contains("graph store fault"), "{line}");
+        assert!(!line.contains('\n'), "{line}");
+    }
+
+    #[test]
+    fn a_store_fault_in_train_is_one_line_even_at_two_workers() {
+        let graphs = DatasetConfig::ex3_like(0.01).generate(3, 21);
+        let mut prepared = prepare_graphs(&graphs);
+        let (sampler, _) = faulty_graph(&prepared[0].sampler, Fault::Eio, 2, false);
+        prepared[0].sampler = sampler;
+        let cfg = GnnTrainConfig {
+            hidden: 8,
+            gnn_layers: 1,
+            epochs: 2,
+            batch_size: 16,
+            ..GnnTrainConfig::default()
+        };
+        // A watchdog, so a hang at `--workers 2` fails the test instead
+        // of stalling the suite.
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let ddp = DdpConfig::new(2, AllReduceStrategy::Coalesced);
+            let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k: 2 }, ddp);
+            let _ = tx.send(train_gnn(&spec, &prepared[..2], &prepared[2..]).err());
+        });
+        let line = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("train returned within the watchdog")
+            .expect("a store fault is an error");
+        assert!(line.starts_with("training stopped: "), "{line}");
+        assert_one_line_naming_the_store(&line);
+    }
+
+    #[test]
+    fn a_store_fault_in_sample_is_one_line() {
+        let g = &DatasetConfig::ex3_like(0.01).generate(1, 3)[0];
+        let incore = SamplerGraph::new(g.num_nodes, &g.src, &g.dst);
+        let batches = vertex_batches(g.num_nodes, 32, &mut StdRng::seed_from_u64(1));
+        for fault in [Fault::Eio, Fault::ShortRead] {
+            let (graph, _) = faulty_graph(&incore, fault, 2, false);
+            assert_eq!(sampling_fault(&graph), Ok(()));
+            BulkShadowSampler::new(ShadowConfig::default()).sample_bulk(&graph, &batches, 1);
+            let line = sampling_fault(&graph).expect_err("a store fault is an error");
+            assert!(line.starts_with("sampling stopped: "), "{line}");
+            assert_one_line_naming_the_store(&line);
+        }
     }
 }

@@ -42,7 +42,7 @@
 //! // One description, one entry point: `TrainSpec::{full_graph, ddp,
 //! // simulated_ddp}` pick the mode.
 //! let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k: 4 }, DdpConfig::single());
-//! let result = train(&spec, &graphs[..2], &graphs[2..]);
+//! let result = train(&spec, &graphs[..2], &graphs[2..]).unwrap();
 //! assert!(result.epochs[0].train_loss.is_finite());
 //! ```
 

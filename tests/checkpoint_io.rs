@@ -26,7 +26,7 @@ fn trained_model_checkpoint_roundtrip_through_disk() {
         SamplerKind::Bulk { k: 2 },
         trkx::ddp::DdpConfig::single(),
     );
-    let result = train(&spec, &graphs[..1], &graphs[1..]);
+    let result = train(&spec, &graphs[..1], &graphs[1..]).unwrap();
     let reference = infer_logits(&result.model, &graphs[0]);
 
     let path = std::env::temp_dir().join(format!("trkx_it_ckpt_{}.json", std::process::id()));

@@ -44,7 +44,7 @@ fn minibatch_beats_memory_limited_full_graph() {
     footprints.sort_unstable();
     let budget = footprints[0]; // only the smallest graph trains
 
-    let full = train(&TrainSpec::full_graph(&c, Some(budget)), train_set, val);
+    let full = train(&TrainSpec::full_graph(&c, Some(budget)), train_set, val).unwrap();
     assert!(
         full.skipped_graphs >= train_set.len() - 1,
         "budget skipped {} graphs",
@@ -56,7 +56,8 @@ fn minibatch_beats_memory_limited_full_graph() {
         &TrainSpec::ddp(&c, SamplerKind::Bulk { k: 4 }, single),
         train_set,
         val,
-    );
+    )
+    .unwrap();
 
     let f1 = |p: f64, r: f64| {
         if p + r == 0.0 {
@@ -89,6 +90,7 @@ fn bulk_implementation_matches_baseline_quality() {
             train_set,
             val,
         )
+        .unwrap()
     };
     let base = run(SamplerKind::Baseline);
     let bulk = run(SamplerKind::Bulk { k: 4 });
@@ -115,7 +117,7 @@ fn training_loss_decreases_across_epochs() {
     let (train_set, val) = prepared.split_at(2);
     let c = cfg(5);
     let spec = TrainSpec::ddp(&c, SamplerKind::Bulk { k: 2 }, DdpConfig::single());
-    let r = train(&spec, train_set, val);
+    let r = train(&spec, train_set, val).unwrap();
     let losses: Vec<f32> = r.epochs.iter().map(|e| e.train_loss).collect();
     assert!(
         losses.last().unwrap() < &losses[0],

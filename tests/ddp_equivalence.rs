@@ -33,7 +33,7 @@ fn run_both<'a>(
     val: &[PreparedGraph],
 ) -> [TrainResult; 2] {
     [AllReduceStrategy::PerTensor, AllReduceStrategy::Coalesced]
-        .map(|strategy| train(&spec(strategy), train_set, val))
+        .map(|strategy| train(&spec(strategy), train_set, val).unwrap())
 }
 
 #[test]
@@ -123,7 +123,7 @@ fn worker_counts_all_train_stably() {
     for p in [1usize, 2, 4] {
         let ddp = DdpConfig::new(p, AllReduceStrategy::Coalesced);
         let spec = TrainSpec::ddp(&c, SamplerKind::Bulk { k: 2 * p }, ddp);
-        let r = train(&spec, train_set, val);
+        let r = train(&spec, train_set, val).unwrap();
         assert_eq!(r.epochs.len(), c.epochs, "p={p}");
         for e in &r.epochs {
             assert!(

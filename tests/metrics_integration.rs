@@ -29,7 +29,7 @@ fn trained_gnn_scores_have_high_auc() {
         ..Default::default()
     };
     let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k: 4 }, DdpConfig::single());
-    let r = train(&spec, train_set, val);
+    let r = train(&spec, train_set, val).unwrap();
     let logits = infer_logits(&r.model, &val[0]);
     let auc = roc_auc(&logits, &val[0].labels);
     assert!(auc > 0.75, "trained AUC only {auc}");
