@@ -4,7 +4,8 @@
 # arm-vs-arm parity test by name (its log line says which micro-kernel
 # arms this host ran) and the ReLU-gate parity test, the buffer-reuse,
 # determinism / allocation / thread-budget / early-stop lockstep /
-# store-fault suites at two pool sizes, a two-second run of each benchmark workload with a
+# store-fault suites at two pool sizes, a smoke run of the Figure 3
+# bin, a two-second run of each benchmark workload with a
 # 1 GB peak-RSS tripwire, and a check that the frozen benchmark's
 # tracked files did not change. Run from the repo root.
 set -euo pipefail
@@ -80,9 +81,9 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test alloc_probe
 # parameters; the threaded trainer at P = 2 and 3, the simulator at
 # P = 4), each epoch's modeled communication is its step count times the
 # strategy's alpha-beta formula, and the DDP gradient-sync step stays
-# allocation-free in steady state under both strategies. (That a
-# prefetched epoch never costs more than its serial account is held by
-# `every_mode_reproduces_its_golden_under_sync_and_prefetch` in the
+# allocation-free in steady state under both strategies. (That an
+# epoch's total is its sampling, train and modeled communication seconds
+# added up is held by `every_mode_reproduces_its_golden` in the
 # workspace suite above.)
 RAYON_NUM_THREADS=1 cargo test -q --release --test ddp_equivalence
 RAYON_NUM_THREADS=4 cargo test -q --release --test ddp_equivalence
@@ -98,8 +99,8 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test train_harness --
 
 # A graph store fault ends training with a typed error, never a panic or
 # a hang, and a rank-local stop would desynchronise the collectives. So,
-# at two pool sizes: an injected EIO or short read ends Sync and
-# Prefetch training at p = 1, threaded DDP at p = 2 with the fault on
+# at two pool sizes: an injected EIO or short read ends single-rank
+# training at p = 1, threaded DDP at p = 2 with the fault on
 # rank 1's reads only, and the simulator at p = 4 with `Err`, each
 # within a watchdog; a fault-injecting store that never fails trains
 # bit-identically to the in-core golden; a sampler records the first
@@ -119,6 +120,22 @@ RAYON_NUM_THREADS=4 cargo test -q --release --bin trkx -- a_store_fault
 # already in the workspace suite above; this re-runs it by name so a
 # serving regression fails fast with its own line in the CI log.
 cargo test -q --release --test serve_e2e
+
+# Figure 3's bin at its smallest sizes (about 1 s on a 2-vCPU host):
+# both arms train one simulated-DDP epoch at every process count (3 for
+# CTD, 4 for Ex3) and append one row each to results/fig3.jsonl under
+# the working directory, so it runs in a scratch directory and must
+# leave 14 rows there.
+root=$PWD
+fig3_dir=$(mktemp -d)
+(cd "$fig3_dir" && cargo run -q --release --manifest-path "$root/Cargo.toml" -p trkx-bench \
+    --bin fig3_epoch_time -- --ctd-scale 0.0005 --ex3-scale 0.002 --graphs 2 --hidden 4 >/dev/null)
+fig3_rows=$(wc -l <"$fig3_dir/results/fig3.jsonl")
+rm -rf "$fig3_dir"
+if [ "$fig3_rows" -ne 14 ]; then
+    echo "ci: fig3_epoch_time wrote $fig3_rows rows, expected 14" >&2
+    exit 1
+fi
 
 # Graph-construction engine gate, grid vs brute oracle: the grid engine
 # must emit edge lists bit-identical to `radius_graph_brute`

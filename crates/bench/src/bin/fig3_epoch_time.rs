@@ -5,15 +5,11 @@
 //!
 //! ```text
 //! cargo run -p trkx-bench --bin fig3_epoch_time --release \
-//!   [-- --ctd-scale 0.004 --ex3-scale 0.05 --graphs 4 --epochs 1 --overlap]
+//!   [-- --ctd-scale 0.004 --ex3-scale 0.05 --graphs 4 --epochs 1]
 //! ```
 //!
-//! `--overlap` additionally accounts each epoch under the overlapped
-//! (prefetching-loader) virtual clock — `max(sampling, train) + comm`
-//! instead of their sum. That it cannot exceed the serial account is held
-//! by a test, not by this bin:
-//! `every_mode_reproduces_its_golden_under_sync_and_prefetch`
-//! (`crates/core/tests/train_harness.rs`).
+//! An epoch is charged as the paper's Fig. 3 charges it: sampling, then
+//! training, then the modeled all-reduce, back to back.
 //!
 //! As in the paper, the bulk factor `k` grows with the process count
 //! (more aggregate memory ⇒ more minibatches sampled per bulk call).
@@ -26,7 +22,7 @@
 //! grows with P.
 
 use trkx_bench::{append_jsonl, arg_value, Table};
-use trkx_core::{prepare_graphs, train, BatchingMode, GnnTrainConfig, SamplerKind, TrainSpec};
+use trkx_core::{prepare_graphs, train, GnnTrainConfig, SamplerKind, TrainSpec};
 use trkx_ddp::{AllReduceStrategy, DdpConfig};
 use trkx_detector::{DatasetConfig, EventGraph};
 use trkx_sampling::ShadowConfig;
@@ -44,7 +40,6 @@ fn run_dataset(
     epochs: usize,
     hidden: usize,
     layers: usize,
-    overlap: bool,
 ) {
     let prepared = prepare_graphs(graphs);
     let n_train = (graphs.len() * 4 / 5).max(1);
@@ -70,7 +65,7 @@ fn run_dataset(
         },
     ];
 
-    let mut headers = vec![
+    let mut table = Table::new(&[
         "P",
         "impl",
         "k",
@@ -78,13 +73,10 @@ fn run_dataset(
         "train(s)",
         "comm(s)",
         "epoch(s)",
-    ];
-    if overlap {
-        headers.push("overlap(s)");
-        headers.push("hidden");
-    }
-    headers.extend(["sample speedup", "comm speedup", "total speedup"]);
-    let mut table = Table::new(&headers);
+        "sample speedup",
+        "comm speedup",
+        "total speedup",
+    ]);
     for &p in process_counts {
         let mut baseline: Option<(f64, f64, f64)> = None;
         for arm in &arms {
@@ -109,13 +101,7 @@ fn run_dataset(
                 SamplerKind::Baseline
             };
             let ddp = DdpConfig::new(p, arm.strategy);
-            // The simulator models prefetching in the virtual clock only.
-            let batching = if overlap {
-                BatchingMode::prefetch()
-            } else {
-                BatchingMode::Sync
-            };
-            let spec = TrainSpec::simulated_ddp(&cfg, sampler, ddp).with_batching(batching);
+            let spec = TrainSpec::simulated_ddp(&cfg, sampler, ddp);
             let r = train(&spec, train_set, val).expect("in-core graphs cannot fault");
             // Average over measured epochs.
             let n = r.epochs.len() as f64;
@@ -127,11 +113,8 @@ fn run_dataset(
                 .map(|e| e.timing.comm_virtual_s)
                 .sum::<f64>()
                 / n;
-            // Serial schedule: sampling then compute, back to back.
+            // Sampling then compute then communication, back to back.
             let total = sample_s + train_s + comm_s;
-            // Overlapped schedule (the virtual clock's accounting when the
-            // loader prefetches): sampling hides behind compute.
-            let overlapped = r.epochs.iter().map(|e| e.timing.total_s()).sum::<f64>() / n;
             let (su_sample, su_comm, su_total) = match baseline {
                 None => {
                     baseline = Some((sample_s, comm_s, total));
@@ -151,7 +134,7 @@ fn run_dataset(
                     format!("{:.2}x", bt / total),
                 ),
             };
-            let mut row = vec![
+            table.row(vec![
                 p.to_string(),
                 arm.name.into(),
                 k.to_string(),
@@ -159,16 +142,10 @@ fn run_dataset(
                 format!("{train_s:.3}"),
                 format!("{comm_s:.4}"),
                 format!("{total:.3}"),
-            ];
-            if overlap {
-                row.push(format!("{overlapped:.3}"));
-                row.push(format!(
-                    "{:.0}%",
-                    100.0 * (total - overlapped) / total.max(1e-12)
-                ));
-            }
-            row.extend([su_sample, su_comm, su_total]);
-            table.row(row);
+                su_sample,
+                su_comm,
+                su_total,
+            ]);
             append_jsonl(
                 "fig3",
                 &serde_json::json!({
@@ -180,7 +157,6 @@ fn run_dataset(
                     "train_s": train_s,
                     "comm_s": comm_s,
                     "total_s": total,
-                    "overlapped_s": overlapped,
                 }),
             );
         }
@@ -196,8 +172,6 @@ fn run_dataset(
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let flag = |key: &str| args.iter().any(|a| a == key);
-    let overlap = flag("--overlap");
     let ctd_scale = arg_value(&args, "--ctd-scale", 0.002f64);
     let ex3_scale = arg_value(&args, "--ex3-scale", 0.03f64);
     let n_graphs = arg_value(&args, "--graphs", 3usize);
@@ -216,7 +190,6 @@ fn main() {
         epochs,
         hidden,
         layers,
-        overlap,
     );
     let ex3 = DatasetConfig::ex3_like(ex3_scale);
     run_dataset(
@@ -226,6 +199,5 @@ fn main() {
         epochs,
         hidden,
         layers,
-        overlap,
     );
 }

@@ -8,9 +8,9 @@
 //! the epoch-time breakdowns of Figure 3.
 
 use crate::train::{
-    plan_chunks, with_batch_source, BatchSource, BatchingMode, EpochCtx, EpochReport, EpochStats,
-    FullGraphSource, Hook, RoundRobin, SampledBatch, SampledBatchSource, ShardChunks, TrainError,
-    TrainLoop, TrainStep, ValMetrics,
+    plan_chunks, BatchSource, BatchingMode, EpochCtx, EpochReport, EpochStats, FullGraphSource,
+    Hook, RoundRobin, SampledBatch, SampledBatchSource, ShardChunks, TrainError, TrainLoop,
+    TrainStep, ValMetrics,
 };
 use rand::{rngs::StdRng, SeedableRng};
 use std::ops::Range;
@@ -116,10 +116,9 @@ pub fn prepare_graphs(graphs: &[EventGraph]) -> Vec<PreparedGraph> {
 /// Out-of-core variant of [`prepare_graphs`]: each event's two adjacency
 /// orientations are spilled to sharded files under `dir` (never built in
 /// core) and read back through per-store LRU caches holding
-/// `cache_shards` shards each. Sampling reads fault shards on demand —
-/// off the critical path when prefetch mode is on, since the prefetch
-/// thread does the faulting — and the sampled subgraphs, hence the loss
-/// curves, are bit-identical to the in-core path.
+/// `cache_shards` shards each. Sampling reads fault shards on demand (a
+/// cost the epoch's sampling time includes), and the sampled subgraphs,
+/// hence the loss curves, are bit-identical to the in-core path.
 pub fn prepare_graphs_sharded(
     graphs: &[EventGraph],
     dir: &std::path::Path,
@@ -335,10 +334,8 @@ pub enum TrainMode {
     /// threads timeshare and wall time stops meaning per-worker time).
     /// The math is identical to [`TrainMode::Ddp`] bit for bit; the epoch
     /// time reported is the slowest rank's compute plus the α–β model's
-    /// all-reduce time, which is what a real P-GPU system observes. It
-    /// cannot sample concurrently with itself, so
-    /// [`BatchingMode::Prefetch`] only flips the virtual-clock accounting
-    /// (`max(sampling, train)` instead of their sum). Figure 3 uses it.
+    /// all-reduce time, which is what a real P-GPU system observes.
+    /// Figure 3 uses it.
     SimulatedDdp {
         sampler: SamplerKind,
         ddp: DdpConfig,
@@ -350,11 +347,6 @@ pub enum TrainMode {
 pub struct TrainSpec<'a> {
     pub cfg: &'a GnnTrainConfig,
     pub mode: TrainMode,
-    /// `Prefetch` samples (or, full-graph, materialises) the next batch on
-    /// a background thread per rank while the current one trains. Seeds
-    /// are pure functions of the schedule, so the loss curves match
-    /// `Sync` bit for bit.
-    pub batching: BatchingMode,
     /// `None` attaches no hooks — Figure 4's convergence curves need
     /// every epoch, so early stopping is strictly opt-in. With hooks,
     /// every rank thread runs the validation pass (not just the first),
@@ -367,7 +359,6 @@ impl<'a> TrainSpec<'a> {
         Self {
             cfg,
             mode,
-            batching: BatchingMode::Sync,
             hooks: None,
         }
     }
@@ -389,11 +380,6 @@ impl<'a> TrainSpec<'a> {
         Self::new(cfg, TrainMode::SimulatedDdp { sampler, ddp })
     }
 
-    pub fn with_batching(mut self, batching: BatchingMode) -> Self {
-        self.batching = batching;
-        self
-    }
-
     pub fn with_hooks(mut self, hooks: &'a HookFactory) -> Self {
         self.hooks = Some(hooks);
         self
@@ -405,8 +391,8 @@ enum Batches<'a> {
     /// One batch per budget-surviving event graph.
     Full(Vec<&'a PreparedGraph>),
     /// ShaDow minibatches, `chunk_size` schedule entries per sampler
-    /// call. One sampler serves every rank (and every rank's prefetch
-    /// thread): `Sampler` is `Sync` and holds no mutable state.
+    /// call. One sampler serves every rank thread: `Sampler` is `Sync`
+    /// and holds no mutable state.
     Sampled {
         sampler: Box<dyn Sampler>,
         chunk_size: usize,
@@ -518,8 +504,9 @@ pub fn train(
 }
 
 /// [`train`] of [`TrainSpec::ddp`] under its pre-`TrainSpec` signature,
-/// kept because the frozen `benchmark/` package calls it. Panics where
-/// [`train`] returns a [`TrainError`].
+/// kept because the frozen `benchmark/` package calls it. `mode` is an
+/// adapter too: [`BatchingMode::Sync`] is the only way to feed a batch.
+/// Panics where [`train`] returns a [`TrainError`].
 pub fn train_minibatch_opts(
     cfg: &GnnTrainConfig,
     sampler: SamplerKind,
@@ -529,7 +516,8 @@ pub fn train_minibatch_opts(
     val: &[PreparedGraph],
     hook_factory: Option<&HookFactory>,
 ) -> TrainResult {
-    let mut spec = TrainSpec::ddp(cfg, sampler, ddp).with_batching(mode);
+    let BatchingMode::Sync = mode;
+    let mut spec = TrainSpec::ddp(cfg, sampler, ddp);
     spec.hooks = hook_factory;
     self::train(&spec, train, val).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -596,69 +584,56 @@ struct RankStep<'a> {
 }
 
 impl RankStep<'_> {
-    fn run_epoch<S: BatchSource + Send>(
-        &mut self,
-        ctx: &mut EpochCtx,
-        sources: Vec<S>,
-    ) -> EpochStats {
+    fn run_epoch<S: BatchSource>(&mut self, ctx: &mut EpochCtx, sources: Vec<S>) -> EpochStats {
         let (link, p, local) = (self.link, self.p, sources.len());
         let strategy = self.strategy;
-        // The simulator cannot sample concurrently with itself: it models
-        // prefetching in the virtual clock only (`overlapped` below).
-        let batching = match self.spec.mode {
-            TrainMode::SimulatedDdp { .. } => BatchingMode::Sync,
-            _ => self.spec.batching,
-        };
         let mut rank_s = vec![0.0f64; local];
         let (mut tail_s, mut comm_s, mut loss_sum) = (0.0f64, 0.0f64, 0.0f32);
-        let sampling_s = with_batch_source(batching, RoundRobin::new(sources), |src| {
-            let mut k = 0;
-            while let Some(batch) = src.next_batch() {
-                let rank = self.ranks.start + k;
-                let t = Instant::now();
-                let loss = ctx.forward_backward(batch_loss(&self.model, &batch, self.pos_weight));
-                ctx.harvest(&mut self.model.params_mut());
-                if k == 0 {
-                    loss_sum += loss;
-                }
-                rank_s[k] += t.elapsed().as_secs_f64();
-                k += 1;
-                if k < local {
-                    continue;
-                }
-                k = 0;
-
-                let t = Instant::now();
-                ctx.apply_with(&mut self.model.params_mut(), |params| match link {
-                    // Runs even when this rank's shard sampled no edges,
-                    // so every rank makes the same number of calls.
-                    Link::Reduce(reducer) => reducer.sync_gradients(rank, params, strategy),
-                    Link::Model if p > 1 => {
-                        let inv = 1.0 / p as f32;
-                        for prm in params.iter_mut() {
-                            prm.grad.apply(|v| v * inv);
-                        }
-                    }
-                    // One rank has nothing to average.
-                    Link::Model => {}
-                });
-                comm_s += self.step_comm_s;
-                tail_s += t.elapsed().as_secs_f64();
+        let mut src = RoundRobin::new(sources);
+        let mut k = 0;
+        while let Some(batch) = src.next_batch() {
+            let rank = self.ranks.start + k;
+            let t = Instant::now();
+            let loss = ctx.forward_backward(batch_loss(&self.model, &batch, self.pos_weight));
+            ctx.harvest(&mut self.model.params_mut());
+            if k == 0 {
+                loss_sum += loss;
             }
-            src.sample_busy_s()
-        });
+            rank_s[k] += t.elapsed().as_secs_f64();
+            k += 1;
+            if k < local {
+                continue;
+            }
+            k = 0;
+
+            let t = Instant::now();
+            ctx.apply_with(&mut self.model.params_mut(), |params| match link {
+                // Runs even when this rank's shard sampled no edges,
+                // so every rank makes the same number of calls.
+                Link::Reduce(reducer) => reducer.sync_gradients(rank, params, strategy),
+                Link::Model if p > 1 => {
+                    let inv = 1.0 / p as f32;
+                    for prm in params.iter_mut() {
+                        prm.grad.apply(|v| v * inv);
+                    }
+                }
+                // One rank has nothing to average.
+                Link::Model => {}
+            });
+            comm_s += self.step_comm_s;
+            tail_s += t.elapsed().as_secs_f64();
+        }
 
         EpochStats {
             loss_sum,
             loss_denom: ctx.steps(),
             steps: ctx.steps(),
             timing: EpochTiming {
-                sampling_s,
+                sampling_s: src.sample_busy_s(),
                 // The slowest rank's forward/backward plus the step tail
                 // every rank runs.
                 train_s: rank_s.iter().copied().fold(0.0, f64::max) + tail_s,
                 comm_virtual_s: comm_s,
-                overlapped: self.spec.batching.is_prefetch(),
             },
             cache: shard_cache_stats(self.train),
         }

@@ -49,8 +49,7 @@ pub use pipeline::{
 };
 pub use tracks::{build_tracks, build_tracks_oracle, TrackBuildResult};
 pub use train::{
-    plan_chunks, with_batch_source, BatchSource, BatchingMode, Control, EarlyStoppingHook, Engine,
-    EpochCtx, EpochReport, EpochStats, FullGraphSource, Hook, Monitor, PrefetchBatchSource,
-    RoundRobin, SampleChunk, SampledBatch, SampledBatchSource, ShardChunks, TelemetryHook,
-    TrainError, TrainLoop, TrainStep, ValMetrics,
+    plan_chunks, BatchSource, BatchingMode, Control, EarlyStoppingHook, Engine, EpochCtx,
+    EpochReport, EpochStats, FullGraphSource, Hook, Monitor, RoundRobin, SampleChunk, SampledBatch,
+    SampledBatchSource, ShardChunks, TelemetryHook, TrainError, TrainLoop, TrainStep, ValMetrics,
 };

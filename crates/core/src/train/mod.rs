@@ -15,6 +15,6 @@ pub use engine::{
 };
 pub use hooks::{Control, EarlyStoppingHook, Hook, Monitor, TelemetryHook};
 pub use source::{
-    plan_chunks, with_batch_source, BatchSource, BatchingMode, FullGraphSource,
-    PrefetchBatchSource, RoundRobin, SampleChunk, SampledBatch, SampledBatchSource, ShardChunks,
+    plan_chunks, BatchSource, BatchingMode, FullGraphSource, RoundRobin, SampleChunk, SampledBatch,
+    SampledBatchSource, ShardChunks,
 };

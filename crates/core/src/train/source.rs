@@ -1,19 +1,15 @@
-//! Batch sources: the pipelined data layer between the samplers and the
-//! train loop.
+//! Batch sources: the data layer between the samplers and the train
+//! loop.
 //!
-//! The paper's Fig. 3 splits epoch time into *sampling* + *train*; this
-//! module makes the two stages independent so they can be overlapped
-//! (Serafini & Guan's "scalable GNN training" argument). A trainer pulls
-//! [`SampledBatch`]es from a [`BatchSource`] and never calls a sampler
-//! directly:
+//! The paper's Fig. 3 splits epoch time into *sampling* + *train*, paid
+//! back to back: a trainer pulls [`SampledBatch`]es from a
+//! [`BatchSource`] on its own thread and never calls a sampler directly,
+//! and the source counts the seconds its sampling took:
 //!
-//! * [`SampledBatchSource`] — samples on the calling thread, chunk by
-//!   chunk (today's synchronous behaviour, the golden-parity baseline);
+//! * [`SampledBatchSource`] — samples chunk by chunk on the calling
+//!   thread;
 //! * [`FullGraphSource`] — yields each prepared event graph as one batch
 //!   (the full-graph trainer's "schedule");
-//! * [`PrefetchBatchSource`] — the consumer side of a bounded channel fed
-//!   by a background sampling thread, so step *t+1*'s sampling overlaps
-//!   step *t*'s forward/backward ([`with_batch_source`] wires it up);
 //! * [`ShardChunks`] — DDP sharding as a *decorator* over the chunk
 //!   stream: each rank keeps its [`shard_batch`] slice of every global
 //!   batch and folds its rank id into the sampling seed;
@@ -21,38 +17,26 @@
 //!   a thread that runs more than one rank (the DDP simulator).
 //!
 //! Determinism: a chunk's subgraphs depend only on `(graph, batches,
-//! seed)` — never on which thread ran the sampling or when — so the
-//! prefetching source produces bit-identical batches to the synchronous
-//! one, in the same order. The golden-curve tests pin this.
+//! seed)` — never on which thread ran the sampling — so threaded and
+//! simulated ranks see bit-identical batches, in the same order. The
+//! golden-curve tests pin this.
 
 use crate::gnn_stage::PreparedGraph;
 use std::collections::VecDeque;
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 use trkx_sampling::{shard_batch, SampledSubgraph, Sampler};
 use trkx_tensor::{EdgePlans, Matrix};
 
-/// How a trainer obtains its batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+/// How a trainer obtains its batches. Every trainer samples inline, on
+/// its own thread, and then trains (there is no background `Prefetch`
+/// loader), so `Sync` is the one variant; the type stays as an adapter
+/// because the frozen benchmark passes `BatchingMode::Sync` to
+/// [`crate::train_minibatch_opts`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchingMode {
-    /// Sample inline on the training thread (golden-parity baseline).
+    /// Sample inline on the training thread.
     Sync,
-    /// Sample on a background thread into a bounded queue holding up to
-    /// `depth` ready batches, overlapping sampling with compute.
-    Prefetch { depth: usize },
-}
-
-impl BatchingMode {
-    /// Default prefetch: double-buffered (one batch in flight while one
-    /// is being consumed).
-    pub fn prefetch() -> Self {
-        BatchingMode::Prefetch { depth: 2 }
-    }
-
-    pub fn is_prefetch(&self) -> bool {
-        matches!(self, BatchingMode::Prefetch { .. })
-    }
 }
 
 /// One unit of sampling work: `batches` over graph `graph`, sampled in a
@@ -131,8 +115,7 @@ impl<I: Iterator<Item = SampleChunk>> Iterator for ShardChunks<I> {
 
 /// One training-ready batch: the sampled subgraph (if any) plus the
 /// gathered feature/label views from the parent graph. Everything the
-/// forward pass needs, with no references back into the sampler — so a
-/// batch can cross the prefetch-thread boundary.
+/// forward pass needs, with no references back into the sampler.
 pub struct SampledBatch {
     /// Index of the parent graph in the trainer's `train` slice.
     pub graph: usize,
@@ -143,12 +126,9 @@ pub struct SampledBatch {
     pub labels: Vec<f32>,
     pub src: Arc<Vec<u32>>,
     pub dst: Arc<Vec<u32>>,
-    /// Precomputed edge plans for this batch's `src`/`dst`, built where
-    /// the batch was materialized — on the prefetch thread when
-    /// prefetching, i.e. off the training thread's critical path.
+    /// Precomputed edge plans for this batch's `src`/`dst`, built with
+    /// the batch (counted as sampling time).
     pub plans: Arc<EdgePlans>,
-    /// Seconds of sampling + gathering attributed to this batch.
-    pub sample_s: f64,
 }
 
 /// A pull-based stream of training batches. `next_batch` returning `None`
@@ -157,7 +137,7 @@ pub trait BatchSource {
     fn next_batch(&mut self) -> Option<SampledBatch>;
 
     /// Seconds of sampling/materialisation work performed so far (the
-    /// Fig. 3 "sampling time" bar, wherever that work actually ran).
+    /// Fig. 3 "sampling time" bar).
     fn sample_busy_s(&self) -> f64;
 }
 
@@ -203,33 +183,24 @@ impl<I: Iterator<Item = SampleChunk>> BatchSource for SampledBatchSource<'_, I> 
             if g.sampler.fault().is_some() {
                 subgraphs.fill(SampledSubgraph::empty());
             }
-            let mut batches: Vec<SampledBatch> = subgraphs
-                .into_iter()
-                .map(|sg| {
-                    let (x, y, labels) = g.subgraph_matrices(&sg);
-                    let src = Arc::new(sg.sub_src.clone());
-                    let dst = Arc::new(sg.sub_dst.clone());
-                    let plans = Arc::new(EdgePlans::new(src.clone(), dst.clone(), x.rows()));
-                    SampledBatch {
-                        graph: chunk.graph,
-                        x,
-                        y,
-                        labels,
-                        src,
-                        dst,
-                        plans,
-                        subgraph: Some(sg),
-                        sample_s: 0.0,
-                    }
-                })
-                .collect();
-            let dt = t.elapsed().as_secs_f64();
-            self.busy_s += dt;
-            let per_batch = dt / batches.len().max(1) as f64;
-            for b in &mut batches {
-                b.sample_s = per_batch;
-            }
+            let batches = subgraphs.into_iter().map(|sg| {
+                let (x, y, labels) = g.subgraph_matrices(&sg);
+                let src = Arc::new(sg.sub_src.clone());
+                let dst = Arc::new(sg.sub_dst.clone());
+                let plans = Arc::new(EdgePlans::new(src.clone(), dst.clone(), x.rows()));
+                SampledBatch {
+                    graph: chunk.graph,
+                    x,
+                    y,
+                    labels,
+                    src,
+                    dst,
+                    plans,
+                    subgraph: Some(sg),
+                }
+            });
             self.ready.extend(batches);
+            self.busy_s += t.elapsed().as_secs_f64();
         }
         self.ready.pop_front()
     }
@@ -273,34 +244,9 @@ impl BatchSource for FullGraphSource<'_> {
             src: g.src.clone(),
             dst: g.dst.clone(),
             plans: g.plans.clone(),
-            sample_s: 0.0,
         };
-        let dt = t.elapsed().as_secs_f64();
-        self.busy_s += dt;
-        let mut batch = batch;
-        batch.sample_s = dt;
+        self.busy_s += t.elapsed().as_secs_f64();
         Some(batch)
-    }
-
-    fn sample_busy_s(&self) -> f64 {
-        self.busy_s
-    }
-}
-
-/// Consumer side of the prefetch pipeline: receives ready batches from
-/// the background sampling thread.
-pub struct PrefetchBatchSource {
-    rx: mpsc::Receiver<SampledBatch>,
-    busy_s: f64,
-}
-
-impl BatchSource for PrefetchBatchSource {
-    fn next_batch(&mut self) -> Option<SampledBatch> {
-        let batch = self.rx.recv().ok();
-        if let Some(b) = &batch {
-            self.busy_s += b.sample_s;
-        }
-        batch
     }
 
     fn sample_busy_s(&self) -> f64 {
@@ -341,49 +287,11 @@ impl<S: BatchSource> BatchSource for RoundRobin<S> {
     }
 }
 
-/// Run `consume` against `source`, optionally decorated with a prefetch
-/// pipeline. `Sync` calls `consume` directly on the caller's thread;
-/// `Prefetch { depth }` spawns a scoped producer thread that drains
-/// `source` into a bounded channel (capacity `depth`, so at most `depth`
-/// sampled batches wait in memory) and hands `consume` the receiving
-/// [`PrefetchBatchSource`]. Batch order and contents are identical in
-/// both modes; only *where* the sampling runs changes.
-pub fn with_batch_source<S, R, F>(mode: BatchingMode, source: S, consume: F) -> R
-where
-    S: BatchSource + Send,
-    F: FnOnce(&mut dyn BatchSource) -> R,
-{
-    match mode {
-        BatchingMode::Sync => {
-            let mut source = source;
-            consume(&mut source)
-        }
-        BatchingMode::Prefetch { depth } => std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::sync_channel(depth.max(1));
-            let mut producer = source;
-            let handle = scope.spawn(move || {
-                while let Some(batch) = producer.next_batch() {
-                    // The consumer dropping its receiver ends the epoch
-                    // early (e.g. on an error path); just stop sampling.
-                    if tx.send(batch).is_err() {
-                        break;
-                    }
-                }
-            });
-            let mut prefetch = PrefetchBatchSource { rx, busy_s: 0.0 };
-            let out = consume(&mut prefetch);
-            drop(prefetch); // unblock a producer waiting on a full queue
-            handle.join().expect("prefetch sampling thread panicked");
-            out
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use trkx_detector::DatasetConfig;
-    use trkx_sampling::{BulkShadowSampler, ShadowConfig, ShadowSampler};
+    use trkx_sampling::{ShadowConfig, ShadowSampler};
 
     fn prepared() -> Vec<PreparedGraph> {
         let cfg = DatasetConfig::ex3_like(0.01);
@@ -469,33 +377,6 @@ mod tests {
         }
         assert_eq!(n, schedule.len());
         assert!(src.sample_busy_s() > 0.0);
-    }
-
-    #[test]
-    fn prefetch_source_yields_identical_batches_in_order() {
-        let graphs = prepared();
-        let schedule = schedule_for(&graphs);
-        let sampler = BulkShadowSampler::new(ShadowConfig {
-            depth: 2,
-            fanout: 3,
-        });
-        let collect = |mode: BatchingMode| -> Vec<(usize, SampledSubgraph, Vec<f32>)> {
-            let chunks = plan_chunks(&schedule, 4, 3, 0);
-            let source = SampledBatchSource::new(&graphs, &sampler, chunks.into_iter());
-            with_batch_source(mode, source, |src| {
-                let mut out = Vec::new();
-                while let Some(b) = src.next_batch() {
-                    out.push((b.graph, b.subgraph.unwrap(), b.labels));
-                }
-                out
-            })
-        };
-        let sync = collect(BatchingMode::Sync);
-        let prefetch = collect(BatchingMode::prefetch());
-        assert_eq!(sync.len(), prefetch.len());
-        for (a, b) in sync.iter().zip(&prefetch) {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

@@ -149,7 +149,7 @@ fn assert_same_run(a: &TrainResult, b: &TrainResult, what: &str) {
 }
 
 #[test]
-fn every_mode_reproduces_its_golden_under_sync_and_prefetch() {
+fn every_mode_reproduces_its_golden() {
     let (train_set, val) = tiny_dataset();
     let mut full_cfg = quick_cfg();
     full_cfg.epochs = 4;
@@ -188,37 +188,20 @@ fn every_mode_reproduces_its_golden_under_sync_and_prefetch() {
         ),
     ];
     for (name, spec, golden_loss, golden_val) in cases {
-        let sync = train(&spec, &train_set, &val).unwrap();
-        let prefetch = train(
-            &spec.with_batching(BatchingMode::prefetch()),
-            &train_set,
-            &val,
-        )
-        .unwrap();
-        // Background-thread sampling must not change what is sampled.
-        assert_same_run(&sync, &prefetch, name);
-        let (losses, vals) = curves(&sync);
+        let run = train(&spec, &train_set, &val).unwrap();
+        let (losses, vals) = curves(&run);
         assert_eq!(losses, golden_loss, "{name}");
         if let Some(golden_val) = golden_val {
             assert_eq!(vals, golden_val, "{name}");
         }
-        assert_eq!(sync.skipped_graphs, 0, "{name}");
-        for (s, p) in sync.epochs.iter().zip(&prefetch.epochs) {
-            assert!(s.timing.train_s > 0.0, "{name}");
-            assert!(s.timing.sampling_s > 0.0, "{name}");
-            // Serial loaders pay sampling + train back to back; prefetched
-            // epochs (real, or modeled by the simulator) are accounted as
-            // overlapped and pay max(sampling, train).
-            let (s, p) = (&s.timing, &p.timing);
-            assert!(!s.overlapped && p.overlapped, "{name}");
-            let serial = s.sampling_s + s.train_s + s.comm_virtual_s;
-            assert!((s.total_s() - serial).abs() < 1e-12, "{name}");
-            let overlapped = p.sampling_s.max(p.train_s) + p.comm_virtual_s;
-            assert!((p.total_s() - overlapped).abs() < 1e-12, "{name}");
-            // With both stages busy, prefetching strictly beats the same
-            // epoch's serial account.
-            let p_serial = p.sampling_s + p.train_s + p.comm_virtual_s;
-            assert!(p.total_s() < p_serial, "{name}");
+        assert_eq!(run.skipped_graphs, 0, "{name}");
+        for e in &run.epochs {
+            let t = &e.timing;
+            assert!(t.train_s > 0.0, "{name}");
+            assert!(t.sampling_s > 0.0, "{name}");
+            // An epoch samples, trains and communicates back to back.
+            let serial = t.sampling_s + t.train_s + t.comm_virtual_s;
+            assert!((t.total_s() - serial).abs() < 1e-12, "{name}");
         }
     }
 }
@@ -230,13 +213,10 @@ fn train_minibatch_opts_adapter_is_train_of_a_ddp_spec() {
     cfg.batch_size = 16;
     let bulk = SamplerKind::Bulk { k: 2 };
     let ddp = DdpConfig::new(2, AllReduceStrategy::Coalesced);
-    for batching in [BatchingMode::Sync, BatchingMode::prefetch()] {
-        let adapter = train_minibatch_opts(&cfg, bulk, batching, ddp, &train_set, &val, None);
-        let spec = TrainSpec::ddp(&cfg, bulk, ddp).with_batching(batching);
-        let direct = train(&spec, &train_set, &val).unwrap();
-        assert_same_run(&adapter, &direct, "adapter");
-        assert_eq!(curves(&adapter).0, DDP_GOLDEN_LOSS);
-    }
+    let adapter = train_minibatch_opts(&cfg, bulk, BatchingMode::Sync, ddp, &train_set, &val, None);
+    let direct = train(&TrainSpec::ddp(&cfg, bulk, ddp), &train_set, &val).unwrap();
+    assert_same_run(&adapter, &direct, "adapter");
+    assert_eq!(curves(&adapter).0, DDP_GOLDEN_LOSS);
 }
 
 #[test]
@@ -402,22 +382,19 @@ fn assert_store_fault(r: Result<TrainResult, TrainError>, fault: Fault, what: &s
 }
 
 #[test]
-fn store_fault_ends_sync_and_prefetch_training_with_err() {
-    for batching in [BatchingMode::Sync, BatchingMode::prefetch()] {
-        for fault in [Fault::Eio, Fault::ShortRead] {
-            let what = format!("{batching:?} {fault:?}");
-            let r = within_watchdog(&what, move || {
-                let (train_set, val) = tiny_dataset();
-                // Walk depth 2, two batches a chunk: the third gather is
-                // the second chunk's first walk step, in epoch 0.
-                let (train_set, _) = with_faulty_stores(&train_set, fault, 3, false);
-                let cfg = quick_cfg();
-                let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k: 2 }, DdpConfig::single())
-                    .with_batching(batching);
-                train(&spec, &train_set, &val)
-            });
-            assert_store_fault(r, fault, &what);
-        }
+fn store_fault_ends_single_rank_training_with_err() {
+    for fault in [Fault::Eio, Fault::ShortRead] {
+        let what = format!("single rank {fault:?}");
+        let r = within_watchdog(&what, move || {
+            let (train_set, val) = tiny_dataset();
+            // Walk depth 2, two batches a chunk: the third gather is the
+            // second chunk's first walk step, in epoch 0.
+            let (train_set, _) = with_faulty_stores(&train_set, fault, 3, false);
+            let cfg = quick_cfg();
+            let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k: 2 }, DdpConfig::single());
+            train(&spec, &train_set, &val)
+        });
+        assert_store_fault(r, fault, &what);
     }
 }
 

@@ -58,42 +58,6 @@ impl CommCostModel {
     }
 }
 
-/// Per-worker virtual clock accumulating modeled communication seconds on
-/// top of measured compute seconds.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct VirtualClock {
-    seconds: f64,
-}
-
-impl VirtualClock {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn advance(&mut self, seconds: f64) {
-        debug_assert!(seconds >= 0.0, "cannot advance clock backwards");
-        self.seconds += seconds;
-    }
-
-    /// Account a serial sample-then-compute phase: the worker pays for
-    /// both stages back to back (today's synchronous loader).
-    pub fn advance_serial(&mut self, sample_s: f64, compute_s: f64) {
-        self.advance(sample_s);
-        self.advance(compute_s);
-    }
-
-    /// Account an overlapped phase: sampling runs on a background thread
-    /// while the worker computes, so wall time is `max(sample, compute)`
-    /// — the pipelined-loader model (cf. Serafini & Guan 2021).
-    pub fn advance_overlapped(&mut self, sample_s: f64, compute_s: f64) {
-        self.advance(sample_s.max(compute_s));
-    }
-
-    pub fn seconds(&self) -> f64 {
-        self.seconds
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,43 +110,5 @@ mod tests {
         let t4 = m.ring_allreduce_time(1 << 20, 4);
         let t8 = m.ring_allreduce_time(1 << 20, 8);
         assert!(t2 < t4 && t4 < t8);
-    }
-
-    #[test]
-    fn virtual_clock_accumulates() {
-        let mut c = VirtualClock::new();
-        c.advance(1.5);
-        c.advance(0.25);
-        assert!((c.seconds() - 1.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn serial_phase_sums_sample_and_compute() {
-        let mut c = VirtualClock::new();
-        c.advance_serial(1.0, 3.0);
-        assert!((c.seconds() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overlapped_phase_costs_the_slower_stage() {
-        // Compute-bound: sampling hides entirely behind compute.
-        let mut c = VirtualClock::new();
-        c.advance_overlapped(1.0, 3.0);
-        assert!((c.seconds() - 3.0).abs() < 1e-12);
-        // Sampling-bound: compute hides behind sampling.
-        let mut c = VirtualClock::new();
-        c.advance_overlapped(5.0, 3.0);
-        assert!((c.seconds() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overlap_never_exceeds_serial() {
-        for (s, t) in [(0.0, 0.0), (1.0, 0.0), (0.0, 2.0), (1.5, 1.5), (2.0, 7.0)] {
-            let mut serial = VirtualClock::new();
-            serial.advance_serial(s, t);
-            let mut overlapped = VirtualClock::new();
-            overlapped.advance_overlapped(s, t);
-            assert!(overlapped.seconds() <= serial.seconds(), "({s}, {t})");
-        }
     }
 }

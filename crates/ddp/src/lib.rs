@@ -14,5 +14,5 @@ pub mod comm;
 pub mod trainer;
 
 pub use allreduce::{run_workers, AllReduceStrategy, AllReducer};
-pub use comm::{CommCostModel, VirtualClock};
+pub use comm::CommCostModel;
 pub use trainer::{DdpConfig, EpochTiming};

@@ -1,7 +1,7 @@
 //! DDP configuration and timing types shared by the pipeline trainers.
 
 use crate::allreduce::AllReduceStrategy;
-use crate::comm::{CommCostModel, VirtualClock};
+use crate::comm::CommCostModel;
 use serde::{Deserialize, Serialize};
 
 /// Distributed-data-parallel run configuration.
@@ -45,26 +45,13 @@ pub struct EpochTiming {
     /// Modeled interconnect seconds from the all-reduce cost model: every
     /// step's collectives, run after backward, on the critical path.
     pub comm_virtual_s: f64,
-    /// Whether sampling ran on a background thread overlapping compute.
-    /// When set, [`EpochTiming::total_s`] charges `max(sampling, train)`
-    /// instead of their sum.
-    pub overlapped: bool,
 }
 
 impl EpochTiming {
-    /// Total epoch time as reported in Figure 3, accounted through the
-    /// [`VirtualClock`]: serial loaders pay sampling + training back to
-    /// back; overlapped (prefetching) loaders pay `max(sampling, train)`
-    /// because sampling hides behind compute. Communication adds on top.
+    /// Total epoch time as reported in Figure 3: a rank samples, then
+    /// trains, then waits on its collectives, back to back.
     pub fn total_s(&self) -> f64 {
-        let mut clock = VirtualClock::new();
-        if self.overlapped {
-            clock.advance_overlapped(self.sampling_s, self.train_s);
-        } else {
-            clock.advance_serial(self.sampling_s, self.train_s);
-        }
-        clock.advance(self.comm_virtual_s);
-        clock.seconds()
+        self.sampling_s + self.train_s + self.comm_virtual_s
     }
 
     /// Merge a per-worker maximum: synchronous DDP advances at the pace
@@ -73,7 +60,6 @@ impl EpochTiming {
         self.sampling_s = self.sampling_s.max(other.sampling_s);
         self.train_s = self.train_s.max(other.train_s);
         self.comm_virtual_s = self.comm_virtual_s.max(other.comm_virtual_s);
-        self.overlapped |= other.overlapped;
     }
 }
 
@@ -87,27 +73,8 @@ mod tests {
             sampling_s: 1.0,
             train_s: 2.0,
             comm_virtual_s: 0.5,
-            ..Default::default()
         };
         assert_eq!(t.total_s(), 3.5);
-    }
-
-    #[test]
-    fn overlapped_total_charges_max_of_sample_and_train() {
-        let mut t = EpochTiming {
-            sampling_s: 1.0,
-            train_s: 2.0,
-            comm_virtual_s: 0.5,
-            overlapped: true,
-        };
-        // Compute-bound epoch: sampling hides entirely.
-        assert_eq!(t.total_s(), 2.5);
-        // Sampling-bound epoch: compute hides instead.
-        t.sampling_s = 4.0;
-        assert_eq!(t.total_s(), 4.5);
-        // Overlap can never cost more than the serial schedule.
-        t.overlapped = false;
-        assert!(t.total_s() > 4.5);
     }
 
     #[test]
@@ -116,13 +83,11 @@ mod tests {
             sampling_s: 1.0,
             train_s: 5.0,
             comm_virtual_s: 0.1,
-            ..Default::default()
         };
         let b = EpochTiming {
             sampling_s: 2.0,
             train_s: 4.0,
             comm_virtual_s: 0.2,
-            overlapped: true,
         };
         a.max_merge(&b);
         assert_eq!(
@@ -131,7 +96,6 @@ mod tests {
                 sampling_s: 2.0,
                 train_s: 5.0,
                 comm_virtual_s: 0.2,
-                overlapped: true,
             }
         );
     }

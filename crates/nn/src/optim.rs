@@ -1,8 +1,6 @@
 //! The Adam optimizer, operating on [`Param`] collections.
 
 use crate::param::Param;
-use std::collections::HashMap;
-use trkx_tensor::Matrix;
 
 const BETA1: f32 = 0.9;
 const BETA2: f32 = 0.999;
@@ -12,8 +10,12 @@ const EPS: f32 = 1e-8;
 pub struct Adam {
     pub lr: f32,
     t: u64,
-    m: HashMap<u64, Matrix>,
-    v: HashMap<u64, Matrix>,
+    /// First and second moments of every parameter, stored end to end in
+    /// the order `step` receives the parameters; built on the first step.
+    m: Vec<f32>,
+    v: Vec<f32>,
+    /// Element count of each parameter at the first step.
+    sizes: Vec<usize>,
 }
 
 impl Adam {
@@ -21,8 +23,9 @@ impl Adam {
         Self {
             lr,
             t: 0,
-            m: HashMap::new(),
-            v: HashMap::new(),
+            m: Vec::new(),
+            v: Vec::new(),
+            sizes: Vec::new(),
         }
     }
 
@@ -32,24 +35,44 @@ impl Adam {
     }
 
     /// Apply one update from the accumulated gradients (callers
-    /// `zero_grad` afterwards).
+    /// `zero_grad` afterwards). Every step must pass the same parameters,
+    /// in the same order, as the first; a different count or size panics.
     pub fn step(&mut self, params: &mut [&mut Param]) {
+        if self.t == 0 {
+            self.sizes = params.iter().map(|p| p.grad.len()).collect();
+            let total = self.sizes.iter().sum();
+            self.m = vec![0.0; total];
+            self.v = vec![0.0; total];
+        } else {
+            assert!(
+                params.len() == self.sizes.len()
+                    && params
+                        .iter()
+                        .zip(&self.sizes)
+                        .all(|(p, &n)| p.grad.len() == n),
+                "Adam::step: {} parameters here, but the first step had {} of sizes {:?}",
+                params.len(),
+                self.sizes.len(),
+                self.sizes
+            );
+        }
         self.t += 1;
         let b1t = 1.0 - BETA1.powi(self.t as i32);
         let b2t = 1.0 - BETA2.powi(self.t as i32);
+        let mut off = 0;
         for p in params.iter_mut() {
-            let (r, c) = p.grad.shape();
-            let m = self.m.entry(p.id()).or_insert_with(|| Matrix::zeros(r, c));
-            let v = self.v.entry(p.id()).or_insert_with(|| Matrix::zeros(r, c));
-            for i in 0..p.grad.len() {
-                let g = p.grad.data()[i];
-                let mi = BETA1 * m.data()[i] + (1.0 - BETA1) * g;
-                let vi = BETA2 * v.data()[i] + (1.0 - BETA2) * g * g;
-                m.data_mut()[i] = mi;
-                v.data_mut()[i] = vi;
-                let mhat = mi / b1t;
-                let vhat = vi / b2t;
-                p.value.data_mut()[i] -= self.lr * mhat / (vhat.sqrt() + EPS);
+            let n = p.grad.len();
+            let moments = self.m[off..off + n]
+                .iter_mut()
+                .zip(&mut self.v[off..off + n]);
+            off += n;
+            let weights = p.value.data_mut().iter_mut().zip(p.grad.data());
+            for ((w, &g), (m, v)) in weights.zip(moments) {
+                *m = BETA1 * *m + (1.0 - BETA1) * g;
+                *v = BETA2 * *v + (1.0 - BETA2) * g * g;
+                let mhat = *m / b1t;
+                let vhat = *v / b2t;
+                *w -= self.lr * mhat / (vhat.sqrt() + EPS);
             }
         }
     }
@@ -58,6 +81,7 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trkx_tensor::Matrix;
 
     fn quadratic_grad(p: &mut Param) {
         // loss = (x - 3)^2 per element; grad = 2(x - 3)
@@ -102,5 +126,15 @@ mod tests {
             opt.step(&mut [&mut p]);
         }
         assert!((p.value.get(0, 0) - 1.0).abs() < 0.05);
+    }
+
+    #[test]
+    #[should_panic(expected = "first step had 1 of sizes [2]")]
+    fn a_step_over_other_parameters_panics() {
+        let mut a = Param::new("a", Matrix::from_vec(2, 1, vec![1.0, 2.0]));
+        let mut b = Param::new("b", Matrix::from_vec(3, 1, vec![1.0, 2.0, 3.0]));
+        let mut opt = Adam::new(0.1);
+        opt.step(&mut [&mut a]);
+        opt.step(&mut [&mut b]);
     }
 }

@@ -10,8 +10,8 @@
 //! * batching utilities (shuffled vertex batches, DDP shards).
 //!
 //! Both samplers implement the unified [`Sampler`] trait, so the training
-//! stack treats the choice of sampler as configuration and can drive
-//! either from a background prefetch thread. Every sampled edge carries
+//! stack treats the choice of sampler as configuration and shares one
+//! across its DDP rank threads. Every sampled edge carries
 //! its original edge id so trainers can gather edge features and truth
 //! labels from the parent event graph.
 

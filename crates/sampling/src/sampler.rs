@@ -2,8 +2,8 @@
 //!
 //! Both ShaDow samplers in this crate — sequential and bulk — implement
 //! one object-safe trait, so the training stack treats "which sampler" as
-//! configuration and the batch-source layer can drive either from a
-//! background prefetch thread (`Sampler: Send + Sync`).
+//! configuration, and one sampler serves every DDP rank thread
+//! (`Sampler: Send + Sync`).
 //!
 //! Determinism contract: both entry points are pure functions of their
 //! arguments. [`Sampler::sample`] draws only from the caller-seeded

@@ -25,7 +25,7 @@ use trkx_sparse::{CacheCounters, RowStore, RowView, StoreError};
 /// Samplers read rows only through [`SamplerGraph::gather_directed`] and
 /// [`SamplerGraph::gather_undirected`], which never fail: the first
 /// [`StoreError`] either store returns is recorded in the graph's fault
-/// slot (shared by every clone, so by every rank and prefetch thread),
+/// slot (shared by every clone, so by every rank thread),
 /// and from then on every row reads as empty. The sampler signatures stay
 /// infallible; whoever drives them reads [`SamplerGraph::fault`] after a
 /// pass and discards what a faulted pass sampled.

@@ -259,8 +259,8 @@ pub fn write_csr_sharded<T: ShardValue>(
 }
 
 /// LRU state behind one mutex: the file handle (shard faults are
-/// serialized — they happen on the prefetch thread, off the training
-/// critical path) and the resident shard map with recency ticks.
+/// serialized, and the sampling thread that takes one pays for it in its
+/// epoch's sampling time) and the resident shard map with recency ticks.
 struct CacheState<T> {
     file: File,
     shards: HashMap<usize, (u64, Arc<Csr<T>>)>,

@@ -1032,22 +1032,11 @@ impl Matrix {
 
     /// Copy the column range `[start, end)` into a new matrix.
     pub fn slice_cols(&self, start: usize, end: usize) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, end - start);
-        self.slice_cols_into(start, end, &mut out);
-        out
-    }
-
-    /// Copy the column range `[start, end)` into `out` (overwrites).
-    pub fn slice_cols_into(&self, start: usize, end: usize, out: &mut Matrix) {
         assert!(start <= end && end <= self.cols, "slice_cols out of range");
-        assert_eq!(
-            out.shape(),
-            (self.rows, end - start),
-            "slice_cols output shape mismatch"
-        );
         let w = end - start;
+        let mut out = Matrix::zeros(self.rows, w);
         if w == 0 {
-            return;
+            return out;
         }
         let body = |(r, dst): (usize, &mut [f32])| {
             dst.copy_from_slice(&self.row(r)[start..end]);
@@ -1057,6 +1046,7 @@ impl Matrix {
         } else {
             out.data.chunks_mut(w).enumerate().for_each(body);
         }
+        out
     }
 
     /// `out[i, :] = self[idx[i], :]` — row gather.

@@ -59,24 +59,12 @@ pub enum Op {
         parts: Vec<usize>,
         widths: Vec<usize>,
     },
-    /// Column slice `[start, start+width)` of the parent.
-    SliceCols {
-        a: usize,
-        start: usize,
-        width: usize,
-    },
     /// `C = max(A, 0)`.
     Relu { a: usize },
     /// Hyperbolic tangent.
     Tanh { a: usize },
-    /// `C[i, :] = A[idx[i], :]`. When a precomputed [`EdgePlan`] for
-    /// `idx` is supplied, the backward scatter runs the deterministic
-    /// parallel segment-reduce instead of the serial kernel.
-    Gather {
-        a: usize,
-        idx: Arc<Vec<u32>>,
-        plan: Option<Arc<EdgePlan>>,
-    },
+    /// `C[i, :] = A[idx[i], :]`.
+    Gather { a: usize, idx: Arc<Vec<u32>> },
     /// `C[idx[i], :] += A[i, :]` into `out_rows` rows. With a plan, the
     /// forward runs the deterministic parallel segment-reduce.
     ScatterAdd {
@@ -189,12 +177,6 @@ pub fn forward(op: &Op, values: &[Matrix], pool: &mut BufferPool) -> Matrix {
             Matrix::concat_cols_into(&refs, &mut out);
             out
         }
-        Op::SliceCols { a, start, width } => {
-            let a = &values[*a];
-            let mut out = pool.zeros(a.rows(), *width);
-            a.slice_cols_into(*start, *start + *width, &mut out);
-            out
-        }
         Op::Relu { a } => {
             let mut out = pool.copy_of(&values[*a]);
             out.apply(|v| v.max(0.0));
@@ -205,7 +187,7 @@ pub fn forward(op: &Op, values: &[Matrix], pool: &mut BufferPool) -> Matrix {
             out.apply(f32::tanh);
             out
         }
-        Op::Gather { a, idx, .. } => {
+        Op::Gather { a, idx } => {
             let a = &values[*a];
             let mut out = pool.zeros(idx.len(), a.cols());
             a.gather_rows_into(idx, &mut out);
@@ -502,29 +484,6 @@ pub fn backward_into(
                 off += w;
             }
         }
-        Op::SliceCols { a, start, width } => {
-            let av = &values[*a];
-            let (rows, cols) = (av.rows(), av.cols());
-            if cols == 0 {
-                return;
-            }
-            if let Some(ga) = store.acc(*a, rows, cols) {
-                let (start, width) = (*start, *width);
-                let body = |(r, grow): (usize, &mut [f32])| {
-                    for (g, &s) in grow[start..start + width].iter_mut().zip(grad_out.row(r)) {
-                        *g += s;
-                    }
-                };
-                if rows * width >= par_threshold() {
-                    ga.data_mut()
-                        .par_chunks_mut(cols)
-                        .enumerate()
-                        .for_each(body);
-                } else {
-                    ga.data_mut().chunks_mut(cols).enumerate().for_each(body);
-                }
-            }
-        }
         Op::Relu { a } => {
             let av = &values[*a];
             if let Some(ga) = store.acc(*a, av.rows(), av.cols()) {
@@ -548,13 +507,10 @@ pub fn backward_into(
                 }
             }
         }
-        Op::Gather { a, idx, plan } => {
+        Op::Gather { a, idx } => {
             let av = &values[*a];
             if let Some(ga) = store.acc(*a, av.rows(), av.cols()) {
-                match plan {
-                    Some(p) => grad_out.scatter_rows_planned_acc(p, ga),
-                    None => grad_out.scatter_rows_acc(idx, ga),
-                }
+                grad_out.scatter_rows_acc(idx, ga);
             }
         }
         Op::ScatterAdd { a, idx, .. } => {

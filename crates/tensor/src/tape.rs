@@ -179,15 +179,6 @@ impl Tape {
         })
     }
 
-    /// Column slice `[start, end)`.
-    pub fn slice_cols(&mut self, a: Var, start: usize, end: usize) -> Var {
-        self.eval(Op::SliceCols {
-            a: a.0,
-            start,
-            width: end - start,
-        })
-    }
-
     pub fn relu(&mut self, a: Var) -> Var {
         self.eval(Op::Relu { a: a.0 })
     }
@@ -198,22 +189,7 @@ impl Tape {
 
     /// `out[i, :] = a[idx[i], :]`.
     pub fn gather(&mut self, a: Var, idx: Arc<Vec<u32>>) -> Var {
-        self.eval(Op::Gather {
-            a: a.0,
-            idx,
-            plan: None,
-        })
-    }
-
-    /// [`Tape::gather`] with a precomputed plan for `idx`: the backward
-    /// scatter runs the deterministic parallel segment-reduce.
-    pub fn gather_planned(&mut self, a: Var, idx: Arc<Vec<u32>>, plan: Arc<EdgePlan>) -> Var {
-        debug_assert_eq!(plan.num_edges(), idx.len(), "plan/idx length mismatch");
-        self.eval(Op::Gather {
-            a: a.0,
-            idx,
-            plan: Some(plan),
-        })
+        self.eval(Op::Gather { a: a.0, idx })
     }
 
     /// `out[idx[i], :] += a[i, :]` into a fresh `out_rows x cols` matrix.

@@ -5,7 +5,7 @@
 //! trkx simulate  [--dataset ex3|ctd] [--scale 0.05] [--events 10] [--seed 42]
 //! trkx train     [--dataset ex3|ctd] [--scale 0.05] [--events 10] [--seed 42]
 //!                MODEL [--sampler bulk|baseline] [--bulk-k 4] [--workers 1]
-//!                [--prefetch 0] [--graph-store incore|sharded] [--shard-nodes N]
+//!                [--graph-store incore|sharded] [--shard-nodes N]
 //!                [--shard-cache M] [--shard-dir DIR]
 //!                [--out model.json] [--patience N] [--telemetry epochs.jsonl]
 //! trkx evaluate  [--model model.json] [--dataset ex3|ctd] [--scale 0.05]
@@ -50,9 +50,8 @@ use trkx::detector::{
 };
 use trkx::pipeline::{
     best_f1_threshold, evaluate, infer_logits, prepare_graphs, prepare_graphs_sharded, roc_auc,
-    train, train_pipeline, BatchingMode, Checkpoint, EarlyStoppingHook, EmbeddingConfig,
-    GnnTrainConfig, Hook, Monitor, PipelineConfig, PreparedGraph, SamplerKind, TelemetryHook,
-    TrainResult, TrainSpec,
+    train, train_pipeline, Checkpoint, EarlyStoppingHook, EmbeddingConfig, GnnTrainConfig, Hook,
+    Monitor, PipelineConfig, PreparedGraph, SamplerKind, TelemetryHook, TrainResult, TrainSpec,
 };
 use trkx::sampling::{
     vertex_batches, BulkShadowSampler, Sampler, SamplerGraph, ShadowConfig, ShadowSampler,
@@ -295,12 +294,6 @@ fn cmd_train(mut args: Args) -> Result<(), String> {
     );
     let workers = args.positive("--workers", 1);
     let ddp = DdpConfig::new(workers, AllReduceStrategy::Coalesced);
-    // --prefetch N > 0 samples on a background thread per rank, keeping up
-    // to N batches queued; the loss curves are identical to sync mode.
-    let batching = match args.value("--prefetch", 0usize) {
-        0 => BatchingMode::Sync,
-        depth => BatchingMode::Prefetch { depth },
-    };
     let patience = args.value("--patience", 0usize); // 0 = train all epochs
     let telemetry = args.value("--telemetry", String::new());
     args.finish();
@@ -355,9 +348,7 @@ fn cmd_train(mut args: Args) -> Result<(), String> {
         }
         hooks
     };
-    let spec = TrainSpec::ddp(&gnn_cfg, sampler, ddp)
-        .with_batching(batching)
-        .with_hooks(&make_hooks);
+    let spec = TrainSpec::ddp(&gnn_cfg, sampler, ddp).with_hooks(&make_hooks);
     let result = train_gnn(&spec, &prepared[tr], &prepared[va])?;
     if patience > 0 && result.epochs.len() < gnn_cfg.epochs {
         println!(

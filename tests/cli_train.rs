@@ -78,6 +78,8 @@ fn what_the_command_line_does_not_understand_is_a_usage_error() {
         // Removed with the backward-overlapped bucket scheduler.
         ("train", &["--comm-overlap"]),
         ("train", &["--bucket-bytes", "4096"]),
+        // Removed with the background batch loader.
+        ("train", &["--prefetch", "2"]),
     ] {
         let mut trkx = Command::new(env!("CARGO_BIN_EXE_trkx"));
         let out = trkx.arg(cmd).args(flags).output().unwrap();
@@ -102,17 +104,10 @@ fn train_names_its_gemm_kernel_once_on_stderr() {
 }
 
 #[test]
-fn train_honours_telemetry_and_prefetch() {
+fn train_honours_telemetry() {
     let jsonl = tmp("telemetry.jsonl");
     let _ = std::fs::remove_file(&jsonl);
-    let out = trkx_train(&[
-        "--workers",
-        "2",
-        "--prefetch",
-        "2",
-        "--telemetry",
-        jsonl.to_str().unwrap(),
-    ]);
+    let out = trkx_train(&["--workers", "2", "--telemetry", jsonl.to_str().unwrap()]);
     assert!(
         out.status.success(),
         "{}",
@@ -120,11 +115,13 @@ fn train_honours_telemetry_and_prefetch() {
     );
     let records = std::fs::read_to_string(&jsonl).expect("telemetry written");
     assert_eq!(records.lines().count(), 2, "one record per epoch");
-    // Prefetched epochs are accounted as overlapped.
-    assert!(
-        records.lines().all(|l| l.contains("\"overlapped\":true")),
-        "{records}"
-    );
+    // Every epoch is sampling, then training, then communication.
+    for line in records.lines() {
+        for key in ["\"sampling_s\":", "\"train_s\":", "\"comm_virtual_s\":"] {
+            assert!(line.contains(key), "{key} missing: {line}");
+        }
+        assert!(!line.contains("overlapped"), "{line}");
+    }
     let _ = std::fs::remove_file(&jsonl);
     let _ = std::fs::remove_file(tmp("model.json"));
 }
