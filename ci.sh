@@ -3,8 +3,8 @@
 # are errors), release build, the full workspace test suite, the GEMM
 # arm-vs-arm parity test by name (its log line says which micro-kernel
 # arms this host ran) and the ReLU-gate parity test, the buffer-reuse,
-# determinism / allocation / thread-budget / early-stop lockstep /
-# store-fault suites at two pool sizes, a smoke run of the Figure 3
+# determinism / allocation / thread-budget / GNN epoch-loop / early-stop
+# lockstep / store-fault suites at two pool sizes, a smoke run of the Figure 3
 # bin, a two-second run of each benchmark workload with a
 # 1 GB peak-RSS tripwire, and a check that the frozen benchmark's
 # tracked files did not change. Run from the repo root.
@@ -68,7 +68,7 @@ RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-serve --test batch_parity
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-serve --test batch_parity
 
 # Allocation budgets above the kernels, parallel gates forced on: a full
-# train step on a repeated shape (<= 72 allocs), stage-2 construction
+# train step on a repeated shape (<= 69 allocs), stage-2 construction
 # (<= 8 allocs per event), train steps whose shapes are each new to the
 # pool (fresh bytes <= 20 % of the tape's activation bytes), and served
 # events replayed in an order new to the pool (fresh bytes <= 12 %). The
@@ -96,6 +96,16 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-ddp --test alloc_probe
 # epoch on which early stopping says stop.
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test train_harness -- threaded_ddp_early_stops_in_lockstep hooks_fire_in_order
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test train_harness -- threaded_ddp_early_stops_in_lockstep hooks_fire_in_order
+
+# The GNN epoch loop goes chunk -> sample -> step, in lockstep across a
+# thread's ranks. At two pool sizes: all four training modes reproduce
+# their golden curves (and report sampling time), and with a batch below
+# the world size (batch 2 at p = 3) every schedule entry is one step on
+# every rank, the empty shard's included, threaded DDP and the simulator
+# train the same run bit for bit, and full-graph training takes one step
+# per usable graph.
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test train_harness -- every_mode_reproduces_its_golden every_schedule_entry_is_one_step_on_every_rank_below_the_world_size
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test train_harness -- every_mode_reproduces_its_golden every_schedule_entry_is_one_step_on_every_rank_below_the_world_size
 
 # A graph store fault ends training with a typed error, never a panic or
 # a hang, and a rank-local stop would desynchronise the collectives. So,

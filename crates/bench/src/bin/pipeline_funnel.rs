@@ -10,11 +10,13 @@
 use rand::{rngs::StdRng, SeedableRng};
 use trkx_bench::{arg_value, Table};
 use trkx_core::{
-    build_tracks, infer_logits, prepare_graphs, roc_auc, train_pipeline, EmbeddingConfig,
+    build_tracks, infer_logits_with, prepare_graphs, roc_auc, train_pipeline, EmbeddingConfig,
     GnnTrainConfig, PipelineConfig, PreparedGraph, SamplerKind,
 };
 use trkx_detector::{simulate_event, DetectorGeometry, GunConfig};
+use trkx_nn::Bindings;
 use trkx_sampling::ShadowConfig;
+use trkx_tensor::Tape;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -65,7 +67,9 @@ fn main() {
         nf,
         trkx_detector::vertex_features(event, nf),
     );
-    let emb = pipeline.embedding.embed(&feats);
+    let emb = pipeline
+        .embedding
+        .embed_with(&mut Tape::new(), &mut Bindings::new(), &feats);
     // Warm the pooled constructor once, then time a steady-state build
     // (the serving-relevant number: index + scratch buffers recycled).
     let mut ctor = pipeline.new_constructor();
@@ -124,8 +128,13 @@ fn main() {
     };
     let prepared = PreparedGraph::from_event_graph(&graph);
     let t0 = std::time::Instant::now();
-    let filter_logits = pipeline.filter.logits(&prepared);
-    let kept = pipeline.filter.kept_edges(&prepared);
+    let filter_logits =
+        pipeline
+            .filter
+            .logits_with(&mut Tape::new(), &mut Bindings::new(), &prepared);
+    let kept = pipeline
+        .filter
+        .kept_edges_with(&mut Tape::new(), &mut Bindings::new(), &prepared);
     let filter_s = t0.elapsed().as_secs_f64();
     let kept_true = kept.iter().filter(|&&i| graph.labels[i] > 0.5).count();
     table.row(vec![
@@ -158,7 +167,12 @@ fn main() {
     };
     let prepared_pruned = prepare_graphs(std::slice::from_ref(&pruned));
     let t0 = std::time::Instant::now();
-    let gnn_logits = infer_logits(&pipeline.gnn, &prepared_pruned[0]);
+    let gnn_logits = infer_logits_with(
+        &mut Tape::new(),
+        &mut Bindings::new(),
+        &pipeline.gnn,
+        &prepared_pruned[0],
+    );
     let gnn_s = t0.elapsed().as_secs_f64();
     let gnn_kept: Vec<usize> = gnn_logits
         .iter()

@@ -228,10 +228,12 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gnn_stage::{infer_logits, prepare_graphs, GnnTrainConfig};
+    use crate::gnn_stage::{infer_logits_with, prepare_graphs, GnnTrainConfig};
     use rand::{rngs::StdRng, SeedableRng};
     use trkx_detector::DatasetConfig;
     use trkx_ignn::InteractionGnn;
+    use trkx_nn::Bindings;
+    use trkx_tensor::Tape;
 
     #[test]
     fn roundtrip_restores_predictions() {
@@ -243,7 +245,10 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(1);
         let model = InteractionGnn::new(cfg.ignn_config(6, 2), &mut rng);
-        let before = infer_logits(&model, &graphs[0]);
+        let infer_logits = |model: &InteractionGnn| {
+            infer_logits_with(&mut Tape::new(), &mut Bindings::new(), model, &graphs[0])
+        };
+        let before = infer_logits(&model);
 
         let ckpt = Checkpoint::from_params(&model.params());
         assert!(ckpt.numel() > 0);
@@ -251,7 +256,7 @@ mod tests {
         // A differently initialised model predicts differently...
         let mut rng2 = StdRng::seed_from_u64(2);
         let mut other = InteractionGnn::new(cfg.ignn_config(6, 2), &mut rng2);
-        let different = infer_logits(&other, &graphs[0]);
+        let different = infer_logits(&other);
         assert!(before
             .iter()
             .zip(&different)
@@ -260,7 +265,7 @@ mod tests {
         // ...until the checkpoint is applied.
         let mut params = other.params_mut();
         ckpt.apply_to(&mut params).unwrap();
-        let after = infer_logits(&other, &graphs[0]);
+        let after = infer_logits(&other);
         assert_eq!(before, after);
     }
 

@@ -3,7 +3,7 @@
 //! close together (paper §II-A), trained with a contrastive hinge loss on
 //! truth pairs.
 
-use crate::train::{EpochCtx, EpochReport, EpochStats, TrainLoop, TrainStep};
+use crate::train::{Engine, EpochReport, EpochStats, TrainLoop, TrainStep};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::convert::Infallible;
 use std::time::Instant;
@@ -124,16 +124,9 @@ impl EmbeddingStage {
         reports
     }
 
-    /// Embed a feature matrix (inference).
-    pub fn embed(&self, x: &Matrix) -> Matrix {
-        let mut tape = Tape::new();
-        let mut bind = Bindings::new();
-        self.embed_with(&mut tape, &mut bind, x)
-    }
-
-    /// [`EmbeddingStage::embed`] against a caller-pooled tape/bindings
-    /// pair, so repeated inference recycles buffers instead of allocating
-    /// fresh ones per call.
+    /// Embed a feature matrix (inference) against a caller-pooled
+    /// tape/bindings pair, so repeated inference recycles buffers instead
+    /// of allocating fresh ones per call.
     pub fn embed_with(&self, tape: &mut Tape, bind: &mut Bindings, x: &Matrix) -> Matrix {
         tape.reset();
         bind.reset();
@@ -156,9 +149,13 @@ struct EmbeddingTrainStep<'a> {
 impl TrainStep for EmbeddingTrainStep<'_> {
     type Error = Infallible;
 
-    fn train_epoch(&mut self, _epoch: usize, ctx: &mut EpochCtx) -> Result<EpochStats, Infallible> {
+    fn train_epoch(
+        &mut self,
+        _epoch: usize,
+        engine: &mut Engine,
+    ) -> Result<EpochStats, Infallible> {
         let t0 = Instant::now();
-        let mut loss_sum = 0.0;
+        let (mut loss_sum, mut steps) = (0.0, 0);
         for (event, x) in self.events {
             let (pi, pj, labels) = build_pairs(event, self.negatives_per_positive, &mut self.rng);
             if pi.is_empty() {
@@ -166,17 +163,18 @@ impl TrainStep for EmbeddingTrainStep<'_> {
             }
             let mlp = &*self.mlp;
             let margin = self.margin;
-            loss_sum += ctx.forward_backward(|tape, bind| {
+            loss_sum += engine.forward_backward(|tape, bind| {
                 let xv = tape.constant_copied(x);
                 let emb = mlp.forward(tape, bind, xv);
                 Some(contrastive_hinge_loss(tape, emb, &pi, &pj, &labels, margin))
             });
-            ctx.update(&mut self.mlp.params_mut());
+            engine.update(&mut self.mlp.params_mut());
+            steps += 1;
         }
         Ok(EpochStats {
             loss_sum,
             loss_denom: self.events.len(),
-            steps: ctx.steps(),
+            steps,
             timing: EpochTiming {
                 train_s: t0.elapsed().as_secs_f64(),
                 ..Default::default()
@@ -239,7 +237,7 @@ mod tests {
         assert!(last < first, "loss did not drop: {first} -> {last}");
 
         // Same-particle pairs end up closer than random pairs on average.
-        let emb = stage.embed(&x);
+        let emb = stage.embed_with(&mut Tape::new(), &mut Bindings::new(), &x);
         let truth = ev.truth_edges();
         let d2 = |a: u32, b: u32| -> f32 {
             emb.row(a as usize)
@@ -265,7 +263,7 @@ mod tests {
     fn embed_shape() {
         let (_, x) = event_and_features(9, 6);
         let stage = EmbeddingStage::new(6, EmbeddingConfig::default());
-        let emb = stage.embed(&x);
+        let emb = stage.embed_with(&mut Tape::new(), &mut Bindings::new(), &x);
         assert_eq!(emb.shape(), (x.rows(), 8));
     }
 }

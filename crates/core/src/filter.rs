@@ -4,7 +4,7 @@
 //! must hold in memory (paper §II-A).
 
 use crate::gnn_stage::PreparedGraph;
-use crate::train::{EpochCtx, EpochReport, EpochStats, TrainLoop, TrainStep};
+use crate::train::{Engine, EpochReport, EpochStats, TrainLoop, TrainStep};
 use rand::{rngs::StdRng, SeedableRng};
 use std::convert::Infallible;
 use std::sync::Arc;
@@ -65,20 +65,10 @@ impl FilterStage {
         Self { mlp, config }
     }
 
-    fn forward(&self, tape: &mut Tape, bind: &mut Bindings, g: &PreparedGraph) -> Var {
-        self.forward_arrays(
-            tape,
-            bind,
-            &g.x,
-            &g.y,
-            Arc::clone(&g.src),
-            Arc::clone(&g.dst),
-        )
-    }
-
-    /// Forward pass over raw matrices and edge arrays — the serving path
-    /// runs the filter on a batch-union graph that never materialises a
-    /// [`PreparedGraph`] (no sampler view, no edge plans needed here).
+    /// Forward pass over raw matrices and edge arrays. Training and
+    /// [`FilterStage::logits_with`] pass a [`PreparedGraph`]'s; the
+    /// serving path passes an event's candidate graph, which never
+    /// materialises one (no sampler view, no edge plans needed here).
     fn forward_arrays(
         &self,
         tape: &mut Tape,
@@ -109,20 +99,11 @@ impl FilterStage {
         reports
     }
 
-    /// Per-edge logits (inference).
-    pub fn logits(&self, g: &PreparedGraph) -> Vec<f32> {
-        let mut tape = Tape::new();
-        let mut bind = Bindings::new();
-        self.logits_with(&mut tape, &mut bind, g)
-    }
-
-    /// [`FilterStage::logits`] against a caller-pooled tape/bindings pair
-    /// (repeated inference recycles buffers).
+    /// Per-edge logits (inference) against a caller-pooled tape/bindings
+    /// pair (repeated inference recycles buffers).
     pub fn logits_with(&self, tape: &mut Tape, bind: &mut Bindings, g: &PreparedGraph) -> Vec<f32> {
-        tape.reset();
-        bind.reset();
-        let logits = self.forward(tape, bind, g);
-        tape.value(logits).data().to_vec()
+        let (src, dst) = (Arc::clone(&g.src), Arc::clone(&g.dst));
+        self.logits_arrays_with(tape, bind, &g.x, &g.y, src, dst)
     }
 
     /// [`FilterStage::logits_with`] over raw matrices and edge arrays.
@@ -147,15 +128,8 @@ impl FilterStage {
         (p / (1.0 - p)).ln()
     }
 
-    /// Indices of edges passing the threshold.
-    pub fn kept_edges(&self, g: &PreparedGraph) -> Vec<usize> {
-        let mut tape = Tape::new();
-        let mut bind = Bindings::new();
-        self.kept_edges_with(&mut tape, &mut bind, g)
-    }
-
-    /// [`FilterStage::kept_edges`] against a caller-pooled tape/bindings
-    /// pair.
+    /// Indices of edges passing the threshold, against a caller-pooled
+    /// tape/bindings pair.
     pub fn kept_edges_with(
         &self,
         tape: &mut Tape,
@@ -196,16 +170,21 @@ struct FilterTrainStep<'a> {
 impl TrainStep for FilterTrainStep<'_> {
     type Error = Infallible;
 
-    fn train_epoch(&mut self, _epoch: usize, ctx: &mut EpochCtx) -> Result<EpochStats, Infallible> {
+    fn train_epoch(
+        &mut self,
+        _epoch: usize,
+        engine: &mut Engine,
+    ) -> Result<EpochStats, Infallible> {
         let t0 = Instant::now();
-        let mut loss_sum = 0.0;
+        let (mut loss_sum, mut steps) = (0.0, 0);
         for g in self.graphs {
             if g.labels.is_empty() {
                 continue;
             }
             let stage = &*self.stage;
-            loss_sum += ctx.forward_backward(|tape, bind| {
-                let logits = stage.forward(tape, bind, g);
+            loss_sum += engine.forward_backward(|tape, bind| {
+                let (src, dst) = (Arc::clone(&g.src), Arc::clone(&g.dst));
+                let logits = stage.forward_arrays(tape, bind, &g.x, &g.y, src, dst);
                 Some(bce_with_logits(
                     tape,
                     logits,
@@ -213,12 +192,13 @@ impl TrainStep for FilterTrainStep<'_> {
                     stage.config.pos_weight,
                 ))
             });
-            ctx.update(&mut self.stage.mlp.params_mut());
+            engine.update(&mut self.stage.mlp.params_mut());
+            steps += 1;
         }
         Ok(EpochStats {
             loss_sum,
             loss_denom: self.graphs.len(),
-            steps: ctx.steps(),
+            steps,
             timing: EpochTiming {
                 train_s: t0.elapsed().as_secs_f64(),
                 ..Default::default()
@@ -276,7 +256,7 @@ mod tests {
         let mut stage = FilterStage::new(6, 2, cfg);
         stage.train(&graphs);
         for g in &graphs {
-            let kept = stage.kept_edges(g);
+            let kept = stage.kept_edges_with(&mut Tape::new(), &mut Bindings::new(), g);
             assert!(kept.len() < g.num_edges(), "filter removed nothing");
             // Most truth edges survive.
             let kept_set: std::collections::HashSet<usize> = kept.iter().copied().collect();
@@ -298,6 +278,7 @@ mod tests {
     fn logit_count_matches_edges() {
         let graphs = small_graphs();
         let stage = FilterStage::new(6, 2, FilterConfig::default());
-        assert_eq!(stage.logits(&graphs[0]).len(), graphs[0].num_edges());
+        let logits = stage.logits_with(&mut Tape::new(), &mut Bindings::new(), &graphs[0]);
+        assert_eq!(logits.len(), graphs[0].num_edges());
     }
 }

@@ -8,9 +8,8 @@
 //! the epoch-time breakdowns of Figure 3.
 
 use crate::train::{
-    plan_chunks, BatchSource, BatchingMode, EpochCtx, EpochReport, EpochStats, FullGraphSource,
-    Hook, RoundRobin, SampledBatch, SampledBatchSource, ShardChunks, TrainError, TrainLoop,
-    TrainStep, ValMetrics,
+    plan_chunks, BatchingMode, Engine, EpochReport, EpochStats, Hook, SampleChunk, ShardChunks,
+    TrainError, TrainLoop, TrainStep, ValMetrics,
 };
 use rand::{rngs::StdRng, SeedableRng};
 use std::ops::Range;
@@ -257,15 +256,9 @@ pub struct TrainResult {
     pub skipped_graphs: usize,
 }
 
-/// Run full-graph inference, returning per-edge logits.
-pub fn infer_logits(model: &InteractionGnn, g: &PreparedGraph) -> Vec<f32> {
-    let mut tape = Tape::new();
-    let mut bind = Bindings::new();
-    infer_logits_with(&mut tape, &mut bind, model, g)
-}
-
-/// [`infer_logits`] against a caller-pooled tape/bindings pair, so
-/// repeated inference recycles buffers instead of allocating fresh ones.
+/// Run full-graph inference, returning per-edge logits, against a
+/// caller-pooled tape/bindings pair, so repeated inference recycles
+/// buffers instead of allocating fresh ones.
 pub fn infer_logits_with(
     tape: &mut Tape,
     bind: &mut Bindings,
@@ -412,7 +405,8 @@ enum Link {
 /// Train the Interaction GNN as `spec` describes, validating on `val`
 /// after every epoch. A graph store that fails while sampling ends the
 /// run with [`TrainError::Store`] at the end of that epoch, on every rank
-/// alike (see [`SampledBatchSource`]).
+/// alike: the chunks sampled on or after the fault train as empty batches
+/// until then, so the ranks' collectives stay aligned.
 pub fn train(
     spec: &TrainSpec,
     train: &[PreparedGraph],
@@ -522,21 +516,80 @@ pub fn train_minibatch_opts(
     self::train(&spec, train, val).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// One minibatch's forward pass and loss (the batch is whatever its
-/// [`BatchSource`] produced — a sampled subgraph or a whole event graph);
-/// an empty shard declines to produce one.
-fn batch_loss<'b>(
-    model: &'b InteractionGnn,
-    batch: &'b SampledBatch,
-    pos_weight: f32,
-) -> impl FnOnce(&mut Tape, &mut Bindings) -> Option<Var> + 'b {
-    move |tape, bind| {
-        if batch.labels.is_empty() {
-            return None;
+/// One training-ready batch: a sampled subgraph's gathered features,
+/// labels and edge plans, or a copy of a whole event graph's.
+struct Batch {
+    x: Matrix,
+    y: Matrix,
+    labels: Vec<f32>,
+    plans: Arc<EdgePlans>,
+}
+
+impl Batch {
+    /// A whole event graph as one batch. The feature matrices are copied
+    /// out of the parent (a per-epoch cost that is negligible next to a
+    /// full-graph forward pass); the edge plans are shared.
+    fn whole(g: &PreparedGraph) -> Self {
+        Self {
+            x: g.x.clone(),
+            y: g.y.clone(),
+            labels: g.labels.clone(),
+            plans: g.plans.clone(),
         }
-        let logits = model.forward_planned(tape, bind, &batch.x, &batch.y, &batch.plans);
-        Some(bce_with_logits(tape, logits, &batch.labels, pos_weight))
     }
+
+    /// One rank's slice of a chunk: one `sample_bulk` call, then each
+    /// subgraph's gathers and edge plans. One batch per schedule entry,
+    /// an empty shard's included, so every rank takes the same steps.
+    fn sample(train: &[PreparedGraph], sampler: &dyn Sampler, chunk: &SampleChunk) -> Vec<Self> {
+        let g = &train[chunk.graph];
+        let mut subgraphs = sampler.sample_bulk(&g.sampler, &chunk.batches, chunk.seed);
+        // A chunk sampled on or after a store fault is poisoned: its
+        // batches go out empty (no labels, so no loss), but they go out,
+        // so every DDP rank makes the same collective calls and the
+        // trainer reads the fault at the epoch's end.
+        if g.sampler.fault().is_some() {
+            subgraphs.fill(SampledSubgraph::empty());
+        }
+        subgraphs
+            .into_iter()
+            .map(|sg| {
+                let (x, y, labels) = g.subgraph_matrices(&sg);
+                let (src, dst) = (Arc::new(sg.sub_src), Arc::new(sg.sub_dst));
+                let plans = Arc::new(EdgePlans::new(src, dst, x.rows()));
+                Self {
+                    x,
+                    y,
+                    labels,
+                    plans,
+                }
+            })
+            .collect()
+    }
+
+    /// The batch's forward pass and loss; an empty batch (an empty shard
+    /// or a poisoned chunk) declines to produce one.
+    fn loss<'b>(
+        &'b self,
+        model: &'b InteractionGnn,
+        pos_weight: f32,
+    ) -> impl FnOnce(&mut Tape, &mut Bindings) -> Option<Var> + 'b {
+        move |tape, bind| {
+            if self.labels.is_empty() {
+                return None;
+            }
+            let logits = model.forward_planned(tape, bind, &self.x, &self.y, &self.plans);
+            Some(bce_with_logits(tape, logits, &self.labels, pos_weight))
+        }
+    }
+}
+
+/// Run `f`, adding the seconds it took to `busy_s`.
+fn timed<T>(busy_s: &mut f64, f: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = f();
+    *busy_s += t.elapsed().as_secs_f64();
+    out
 }
 
 /// The per-epoch step schedule: `(graph index, global batch)` pairs, the
@@ -559,11 +612,13 @@ fn build_schedule(
     schedule
 }
 
-/// The one GNN training step: the ranks one thread runs, their batch
-/// streams, and the link that joins their gradients. Per optimizer step,
-/// each local rank's batch goes through forward/backward and is harvested
-/// into the thread's model (gradient accumulation when there are several),
-/// then the link finishes the step.
+/// The one GNN training step: the ranks one thread runs, the epoch's
+/// chunks, and the link that joins their gradients. Each chunk is
+/// prepared (sampled, or a whole graph copied out) for every local rank,
+/// then stepped through in lockstep: per optimizer step, each local
+/// rank's batch goes through forward/backward and is harvested into the
+/// thread's model (gradient accumulation when there are several), then
+/// the link finishes the step.
 struct RankStep<'a> {
     spec: &'a TrainSpec<'a>,
     /// One rank under threaded DDP; all `p` in the simulator.
@@ -583,98 +638,107 @@ struct RankStep<'a> {
     val_bind: Bindings,
 }
 
-impl RankStep<'_> {
-    fn run_epoch<S: BatchSource>(&mut self, ctx: &mut EpochCtx, sources: Vec<S>) -> EpochStats {
-        let (link, p, local) = (self.link, self.p, sources.len());
-        let strategy = self.strategy;
-        let mut rank_s = vec![0.0f64; local];
-        let (mut tail_s, mut comm_s, mut loss_sum) = (0.0f64, 0.0f64, 0.0f32);
-        let mut src = RoundRobin::new(sources);
-        let mut k = 0;
-        while let Some(batch) = src.next_batch() {
-            let rank = self.ranks.start + k;
-            let t = Instant::now();
-            let loss = ctx.forward_backward(batch_loss(&self.model, &batch, self.pos_weight));
-            ctx.harvest(&mut self.model.params_mut());
-            if k == 0 {
-                loss_sum += loss;
-            }
-            rank_s[k] += t.elapsed().as_secs_f64();
-            k += 1;
-            if k < local {
-                continue;
-            }
-            k = 0;
-
-            let t = Instant::now();
-            ctx.apply_with(&mut self.model.params_mut(), |params| match link {
-                // Runs even when this rank's shard sampled no edges,
-                // so every rank makes the same number of calls.
-                Link::Reduce(reducer) => reducer.sync_gradients(rank, params, strategy),
-                Link::Model if p > 1 => {
-                    let inv = 1.0 / p as f32;
-                    for prm in params.iter_mut() {
-                        prm.grad.apply(|v| v * inv);
-                    }
-                }
-                // One rank has nothing to average.
-                Link::Model => {}
-            });
-            comm_s += self.step_comm_s;
-            tail_s += t.elapsed().as_secs_f64();
-        }
-
-        EpochStats {
-            loss_sum,
-            loss_denom: ctx.steps(),
-            steps: ctx.steps(),
-            timing: EpochTiming {
-                sampling_s: src.sample_busy_s(),
-                // The slowest rank's forward/backward plus the step tail
-                // every rank runs.
-                train_s: rank_s.iter().copied().fold(0.0, f64::max) + tail_s,
-                comm_virtual_s: comm_s,
-            },
-            cache: shard_cache_stats(self.train),
-        }
-    }
-}
-
 impl TrainStep for RankStep<'_> {
     type Error = TrainError;
 
-    fn train_epoch(&mut self, epoch: usize, ctx: &mut EpochCtx) -> Result<EpochStats, TrainError> {
-        let stats = match self.batches {
+    fn train_epoch(&mut self, epoch: usize, engine: &mut Engine) -> Result<EpochStats, TrainError> {
+        let (cfg, train, p, local) = (self.spec.cfg, self.train, self.p, self.ranks.len());
+        // Each local rank's seconds preparing its batches (the Fig. 3
+        // sampling bar).
+        let mut sampling_s = vec![0.0f64; local];
+        // The epoch's chunks, each prepared just before it is trained: one
+        // batch list per local rank.
+        let chunks: Box<dyn Iterator<Item = Vec<Vec<Batch>>> + '_> = match self.batches {
+            // A full graph is a one-batch chunk; its copy-out counts as
+            // its sampling.
             Batches::Full(usable) => {
-                let items = usable.iter().copied().enumerate().collect();
-                self.run_epoch(ctx, vec![FullGraphSource::new(items)])
+                let busy_s = &mut sampling_s[0];
+                Box::new(
+                    usable
+                        .iter()
+                        .map(move |&g| vec![timed(&mut *busy_s, || vec![Batch::whole(g)])]),
+                )
             }
             Batches::Sampled {
                 sampler,
                 chunk_size,
             } => {
-                let (cfg, train, p) = (self.spec.cfg, self.train, self.p);
                 let schedule = build_schedule(train, cfg.batch_size, cfg.seed, epoch);
-                let chunks = plan_chunks(&schedule, *chunk_size, cfg.seed, epoch);
-                // One stream per local rank: the global chunk plan, sharded.
-                let sources = self
+                let plan = plan_chunks(&schedule, *chunk_size, cfg.seed, epoch);
+                // Each local rank's slice of the global chunk plan.
+                let shards: Vec<Vec<SampleChunk>> = self
                     .ranks
                     .clone()
-                    .map(|rank| {
-                        let shard = ShardChunks::new(chunks.clone().into_iter(), rank, p);
-                        SampledBatchSource::new(train, &**sampler, shard)
-                    })
+                    .map(|rank| ShardChunks::new(plan.iter().cloned(), rank, p).collect())
                     .collect();
-                self.run_epoch(ctx, sources)
+                let busy_s = &mut sampling_s;
+                Box::new((0..plan.len()).map(move |c| {
+                    (shards.iter().zip(busy_s.iter_mut()))
+                        .map(|(shard, s)| timed(s, || Batch::sample(train, &**sampler, &shard[c])))
+                        .collect()
+                }))
             }
         };
+
+        let (link, strategy) = (self.link, self.strategy);
+        let mut rank_s = vec![0.0f64; local];
+        let (mut tail_s, mut comm_s, mut loss_sum, mut steps) = (0.0f64, 0.0f64, 0.0f32, 0usize);
+        for chunk in chunks {
+            for b in 0..chunk[0].len() {
+                for (k, batches) in chunk.iter().enumerate() {
+                    let t = Instant::now();
+                    let loss =
+                        engine.forward_backward(batches[b].loss(&self.model, self.pos_weight));
+                    engine.harvest(&mut self.model.params_mut());
+                    if k == 0 {
+                        loss_sum += loss;
+                    }
+                    rank_s[k] += t.elapsed().as_secs_f64();
+                }
+
+                let t = Instant::now();
+                engine.apply_with(&mut self.model.params_mut(), |params| match link {
+                    // The thread's one rank. Runs even when its shard
+                    // sampled no edges, so every rank makes the same
+                    // number of calls.
+                    Link::Reduce(reducer) => {
+                        reducer.sync_gradients(self.ranks.start, params, strategy)
+                    }
+                    Link::Model if p > 1 => {
+                        let inv = 1.0 / p as f32;
+                        for prm in params.iter_mut() {
+                            prm.grad.apply(|v| v * inv);
+                        }
+                    }
+                    // One rank has nothing to average.
+                    Link::Model => {}
+                });
+                steps += 1;
+                comm_s += self.step_comm_s;
+                tail_s += t.elapsed().as_secs_f64();
+            }
+        }
+
         // After the epoch's last collective every rank has sampled all it
         // will, so every rank reads the same (shared) fault slots here and
         // ends the run alike, before validation and hooks.
-        match self.train.iter().find_map(|g| g.sampler.fault()) {
-            Some(e) => Err(TrainError::Store(e)),
-            None => Ok(stats),
+        if let Some(e) = train.iter().find_map(|g| g.sampler.fault()) {
+            return Err(TrainError::Store(e));
         }
+        Ok(EpochStats {
+            loss_sum,
+            loss_denom: steps,
+            steps,
+            timing: EpochTiming {
+                // Real ranks sample concurrently: the slowest one's time.
+                sampling_s: sampling_s.iter().copied().fold(0.0, f64::max),
+                // The slowest rank's forward/backward plus the step tail
+                // every rank runs.
+                train_s: rank_s.iter().copied().fold(0.0, f64::max) + tail_s,
+                comm_virtual_s: comm_s,
+            },
+            cache: shard_cache_stats(train),
+        })
     }
 
     fn validate(&mut self, _epoch: usize) -> Option<ValMetrics> {
@@ -807,7 +871,7 @@ mod tests {
         let cfg = quick_cfg();
         let mut rng = StdRng::seed_from_u64(1);
         let model = InteractionGnn::new(cfg.ignn_config(6, 2), &mut rng);
-        let logits = infer_logits(&model, &train[0]);
+        let logits = infer_logits_with(&mut Tape::new(), &mut Bindings::new(), &model, &train[0]);
         assert_eq!(logits.len(), train[0].num_edges());
     }
 }

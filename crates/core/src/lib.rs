@@ -38,9 +38,9 @@ pub use early_stopping::EarlyStopping;
 pub use embedding::{EmbeddingConfig, EmbeddingStage};
 pub use filter::{FilterConfig, FilterStage};
 pub use gnn_stage::{
-    evaluate, evaluate_with, infer_logits, infer_logits_with, prepare_graphs,
-    prepare_graphs_sharded, train, train_minibatch_opts, GnnTrainConfig, HookFactory,
-    PreparedGraph, SamplerKind, TrainMode, TrainResult, TrainSpec,
+    evaluate, evaluate_with, infer_logits_with, prepare_graphs, prepare_graphs_sharded, train,
+    train_minibatch_opts, GnnTrainConfig, HookFactory, PreparedGraph, SamplerKind, TrainMode,
+    TrainResult, TrainSpec,
 };
 pub use graph_construction::{ConstructedGraph, ConstructionMethod, GraphConstructor};
 pub use metrics::{match_tracks, TrackMetrics};
@@ -49,7 +49,6 @@ pub use pipeline::{
 };
 pub use tracks::{build_tracks, build_tracks_oracle, TrackBuildResult};
 pub use train::{
-    plan_chunks, BatchSource, BatchingMode, Control, EarlyStoppingHook, Engine, EpochCtx,
-    EpochReport, EpochStats, FullGraphSource, Hook, Monitor, RoundRobin, SampleChunk, SampledBatch,
-    SampledBatchSource, ShardChunks, TelemetryHook, TrainError, TrainLoop, TrainStep, ValMetrics,
+    plan_chunks, BatchingMode, Control, EarlyStoppingHook, Engine, EpochReport, EpochStats, Hook,
+    Monitor, SampleChunk, ShardChunks, TelemetryHook, TrainError, TrainLoop, TrainStep, ValMetrics,
 };

@@ -208,62 +208,22 @@ impl std::error::Error for TrainError {}
 
 /// Per-stage training logic plugged into the [`TrainLoop`]: the schedule
 /// of steps within an epoch and the epoch-end validation pass. All step
-/// *mechanics* go through the [`EpochCtx`].
+/// *mechanics* go through the [`Engine`]; the stage counts its own
+/// optimizer steps into [`EpochStats::steps`].
 pub trait TrainStep {
     /// What ends a run early: [`TrainError`] for a stage that samples
     /// from a graph store, [`std::convert::Infallible`] for one that
     /// cannot fail.
     type Error;
 
-    /// Run one epoch of optimizer steps through `ctx`. An `Err` ends the
-    /// run before the epoch's validation pass and hooks.
-    fn train_epoch(&mut self, epoch: usize, ctx: &mut EpochCtx) -> Result<EpochStats, Self::Error>;
+    /// Run one epoch of optimizer steps through `engine`. An `Err` ends
+    /// the run before the epoch's validation pass and hooks.
+    fn train_epoch(&mut self, epoch: usize, engine: &mut Engine)
+        -> Result<EpochStats, Self::Error>;
 
     /// Epoch-end validation; `None` when the stage has no validation pass.
     fn validate(&mut self, _epoch: usize) -> Option<ValMetrics> {
         None
-    }
-}
-
-/// Handle given to [`TrainStep::train_epoch`]: forwards the [`Engine`]
-/// mechanics and counts the epoch's optimizer steps.
-pub struct EpochCtx<'a> {
-    engine: &'a mut Engine,
-    steps: usize,
-}
-
-impl EpochCtx<'_> {
-    /// See [`Engine::forward_backward`].
-    pub fn forward_backward<F>(&mut self, forward: F) -> f32
-    where
-        F: FnOnce(&mut Tape, &mut Bindings) -> Option<Var>,
-    {
-        self.engine.forward_backward(forward)
-    }
-
-    /// See [`Engine::harvest`].
-    pub fn harvest(&mut self, params: &mut [&mut Param]) {
-        self.engine.harvest(params);
-    }
-
-    /// See [`Engine::apply_with`]. Counts as one optimizer step.
-    pub fn apply_with<S>(&mut self, params: &mut [&mut Param], sync: S)
-    where
-        S: FnOnce(&mut [&mut Param]),
-    {
-        self.engine.apply_with(params, sync);
-        self.steps += 1;
-    }
-
-    /// See [`Engine::update`]. Counts as one optimizer step.
-    pub fn update(&mut self, params: &mut [&mut Param]) {
-        self.engine.update(params);
-        self.steps += 1;
-    }
-
-    /// Optimizer steps taken so far this epoch.
-    pub fn steps(&self) -> usize {
-        self.steps
     }
 }
 
@@ -305,13 +265,7 @@ impl TrainLoop {
     ) -> Result<Vec<EpochReport>, S::Error> {
         let mut reports = Vec::with_capacity(self.epochs);
         for epoch in 0..self.epochs {
-            let stats = step.train_epoch(
-                epoch,
-                &mut EpochCtx {
-                    engine: &mut self.engine,
-                    steps: 0,
-                },
-            )?;
+            let stats = step.train_epoch(epoch, &mut self.engine)?;
             let val = step.validate(epoch);
             let report = EpochReport {
                 epoch,

@@ -28,10 +28,7 @@ pub trait Hook {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Monitor {
     ValPrecision,
-    ValRecall,
     ValF1,
-    /// Negated training loss (for stages without a validation pass).
-    NegTrainLoss,
 }
 
 impl Monitor {
@@ -39,7 +36,6 @@ impl Monitor {
     pub fn value(self, report: &EpochReport) -> f64 {
         match self {
             Monitor::ValPrecision => report.val_precision,
-            Monitor::ValRecall => report.val_recall,
             Monitor::ValF1 => {
                 if report.has_val() {
                     report.val_f1()
@@ -47,7 +43,6 @@ impl Monitor {
                     f64::NAN
                 }
             }
-            Monitor::NegTrainLoss => -f64::from(report.train_loss),
         }
     }
 }

@@ -9,7 +9,8 @@ use trkx_core::{
 use trkx_detector::{
     edge_features, simulate_event, vertex_features, DetectorGeometry, EventGraph, GunConfig,
 };
-use trkx_tensor::Matrix;
+use trkx_nn::Bindings;
+use trkx_tensor::{Matrix, Tape};
 
 fn event_graph_from(
     ev: &trkx_detector::Event,
@@ -49,7 +50,7 @@ fn embedding_to_construction_preserves_truth_subset() {
         },
     );
     stage.train(&[(&ev, &x)]);
-    let emb = stage.embed(&x);
+    let emb = stage.embed_with(&mut Tape::new(), &mut Bindings::new(), &x);
     let g = GraphConstructor::default().construct(
         &ev,
         &emb,
@@ -86,7 +87,7 @@ fn filter_pruning_preserves_label_alignment() {
         },
     );
     filter.train(&prepared);
-    let kept = filter.kept_edges(&prepared[0]);
+    let kept = filter.kept_edges_with(&mut Tape::new(), &mut Bindings::new(), &prepared[0]);
     // Build the pruned graph and re-check that labels still match
     // particle identity edge by edge.
     for &i in &kept {

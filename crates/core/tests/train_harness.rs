@@ -1,6 +1,7 @@
 //! Unified-training-harness tests: golden-seed determinism (the ported
 //! trainers must reproduce the pre-harness per-epoch loss curves
-//! bit-for-bit), hook dispatch order, and early stopping.
+//! bit-for-bit), the GNN epoch loop's step count per schedule, hook
+//! dispatch order, early stopping, and store faults.
 
 use std::cell::RefCell;
 use std::convert::Infallible;
@@ -11,7 +12,7 @@ use std::time::Duration;
 
 use rand::{rngs::StdRng, SeedableRng};
 use trkx_core::train::{
-    EarlyStoppingHook, EpochCtx, EpochReport, EpochStats, Hook, Monitor, TelemetryHook, TrainError,
+    EarlyStoppingHook, Engine, EpochReport, EpochStats, Hook, Monitor, TelemetryHook, TrainError,
     TrainLoop, TrainStep, ValMetrics,
 };
 use trkx_core::{
@@ -243,6 +244,52 @@ fn threaded_ddp_early_stops_in_lockstep() {
     assert_eq!(vals, DDP_GOLDEN_VAL[..2]);
 }
 
+#[test]
+fn every_schedule_entry_is_one_step_on_every_rank_below_the_world_size() {
+    // Batch 2 at p = 3: rank 2's shard of every global batch is empty,
+    // and it must still train an (empty) batch per schedule entry, or the
+    // threaded ranks' collectives fall out of step. The simulator runs
+    // the same three ranks on one thread and must train the same run.
+    let (threaded, simulated, full, budgeted, nodes) = within_watchdog("batch 2 at p = 3", || {
+        let (train_set, val) = tiny_dataset();
+        let mut cfg = quick_cfg();
+        cfg.batch_size = 2;
+        cfg.epochs = 2;
+        let bulk = SamplerKind::Bulk { k: 2 };
+        let ddp3 = DdpConfig::new(3, AllReduceStrategy::Coalesced);
+        let run = |spec: TrainSpec| train(&spec, &train_set, &val).unwrap();
+        let threaded = run(TrainSpec::ddp(&cfg, bulk, ddp3));
+        let simulated = run(TrainSpec::simulated_ddp(&cfg, bulk, ddp3));
+        // Full-graph: every graph, then only the graphs within the
+        // smallest one's activation footprint.
+        let icfg = cfg.ignn_config(train_set[0].x.cols(), train_set[0].y.cols());
+        let footprint =
+            |g: &PreparedGraph| icfg.estimate_activation_floats(g.num_nodes, g.num_edges());
+        let smallest = train_set.iter().map(footprint).min();
+        let full = run(TrainSpec::full_graph(&cfg, None));
+        let budgeted = run(TrainSpec::full_graph(&cfg, smallest));
+        let nodes: Vec<usize> = train_set.iter().map(|g| g.num_nodes).collect();
+        (threaded, simulated, full, budgeted, nodes)
+    });
+    assert_same_run(&threaded, &simulated, "threaded vs simulated at p = 3");
+
+    // One optimizer step per global batch: Σ_g ⌈n_g / batch⌉.
+    let schedule_len: usize = nodes.iter().map(|n| n.div_ceil(2)).sum();
+    for run in [&threaded, &simulated] {
+        assert_eq!(run.epochs.len(), 2);
+        for e in &run.epochs {
+            assert_eq!(e.steps, schedule_len, "epoch {}", e.epoch);
+        }
+    }
+    // Full-graph: one step per usable graph.
+    assert_eq!(full.skipped_graphs, 0);
+    assert!(budgeted.skipped_graphs < nodes.len());
+    for run in [&full, &budgeted] {
+        let usable = nodes.len() - run.skipped_graphs;
+        assert!(run.epochs.iter().all(|e| e.steps == usable));
+    }
+}
+
 // ---------------------------------------------------------------------
 // Hook mechanics on a scripted TrainStep (no real model needed).
 // ---------------------------------------------------------------------
@@ -255,15 +302,21 @@ struct ScriptedStep {
 impl TrainStep for ScriptedStep {
     type Error = Infallible;
 
-    fn train_epoch(&mut self, _epoch: usize, ctx: &mut EpochCtx) -> Result<EpochStats, Infallible> {
+    fn train_epoch(
+        &mut self,
+        _epoch: usize,
+        engine: &mut Engine,
+    ) -> Result<EpochStats, Infallible> {
+        let mut steps = 0;
         for _ in 0..2 {
             let mut no_params: Vec<&mut Param> = Vec::new();
-            ctx.update(&mut no_params);
+            engine.update(&mut no_params);
+            steps += 1;
         }
         Ok(EpochStats {
             loss_sum: 1.0,
             loss_denom: 1,
-            steps: ctx.steps(),
+            steps,
             timing: Default::default(),
             cache: None,
         })

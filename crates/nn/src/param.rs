@@ -6,7 +6,6 @@
 //! the recorded `(param, leaf)` pairs pull gradients back out of the tape
 //! into `Param::grad` (see [`Bindings::harvest`]).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use trkx_tensor::{Matrix, Tape, Var};
 
@@ -91,15 +90,21 @@ impl Bindings {
         self.pairs.is_empty()
     }
 
-    /// Accumulate tape gradients into the matching params' `grad` fields.
-    /// Params bound multiple times accumulate each binding's gradient.
+    /// Accumulate tape gradients into the matching params' `grad` fields,
+    /// in binding order. Params bound multiple times accumulate each
+    /// binding's gradient. Allocates nothing: each binding's param is
+    /// found by id with a scan over `params` that starts just after the
+    /// previous match, so params bound in slice order (as every module
+    /// binds them) are found on the first comparison.
     pub fn harvest(&self, tape: &Tape, params: &mut [&mut Param]) {
-        let mut by_id: HashMap<u64, usize> = HashMap::with_capacity(params.len());
-        for (i, p) in params.iter().enumerate() {
-            by_id.insert(p.id, i);
-        }
+        let n = params.len();
+        let mut next = 0;
         for &(id, var) in &self.pairs {
-            if let (Some(&i), Some(g)) = (by_id.get(&id), tape.grad(var)) {
+            let Some(i) = (next..n).chain(0..next).find(|&i| params[i].id == id) else {
+                continue;
+            };
+            next = (i + 1) % n;
+            if let Some(g) = tape.grad(var) {
                 params[i].grad.add_assign(g);
             }
         }

@@ -25,7 +25,8 @@ pub fn vertex_batches(n: usize, batch_size: usize, rng: &mut impl Rng) -> Vec<Ve
 /// first `len mod p` workers taking one extra vertex. Concatenating the
 /// shards in rank order reproduces `batch` exactly, so every rank can
 /// recompute any rank's shard from the global batch alone — the property
-/// the DDP batch-source decorator relies on. When `p > batch.len()` the
+/// the GNN trainer's per-rank chunk slicing (`ShardChunks` in
+/// `trkx-core`) relies on. When `p > batch.len()` the
 /// trailing workers receive empty shards (they still participate in the
 /// gradient collective with zero local edges).
 pub fn shard_batch(batch: &[u32], p: usize) -> Vec<Vec<u32>> {

@@ -16,8 +16,8 @@
 //!
 //! [`EdgePlans`] bundles the two per-endpoint plans with the index
 //! arrays themselves so one `Arc` can be threaded through a whole
-//! forward pass (and cached alongside the batch by the data layer,
-//! moving plan construction off the training thread's critical path).
+//! forward pass (and built once per batch when the batch is sampled,
+//! counted as sampling time rather than as the forward pass's).
 
 use std::sync::Arc;
 

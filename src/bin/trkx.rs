@@ -48,15 +48,18 @@ use trkx::ddp::{AllReduceStrategy, DdpConfig};
 use trkx::detector::{
     dataset_stats, simulate_event, split_80_10_10, DatasetConfig, DetectorGeometry, GunConfig,
 };
+use trkx::nn::Bindings;
 use trkx::pipeline::{
-    best_f1_threshold, evaluate, infer_logits, prepare_graphs, prepare_graphs_sharded, roc_auc,
-    train, train_pipeline, Checkpoint, EarlyStoppingHook, EmbeddingConfig, GnnTrainConfig, Hook,
-    Monitor, PipelineConfig, PreparedGraph, SamplerKind, TelemetryHook, TrainResult, TrainSpec,
+    best_f1_threshold, evaluate, infer_logits_with, prepare_graphs, prepare_graphs_sharded,
+    roc_auc, train, train_pipeline, Checkpoint, EarlyStoppingHook, EmbeddingConfig, GnnTrainConfig,
+    Hook, Monitor, PipelineConfig, PreparedGraph, SamplerKind, TelemetryHook, TrainResult,
+    TrainSpec,
 };
 use trkx::sampling::{
     vertex_batches, BulkShadowSampler, Sampler, SamplerGraph, ShadowConfig, ShadowSampler,
 };
 use trkx::serve::{serve_stdio, serve_tcp, ModelRegistry, ServeConfig, ServerCore};
+use trkx::tensor::Tape;
 
 /// One subcommand's command line, consumed flag by flag: each accessor
 /// removes what it reads and [`Args::finish`] rejects whatever is left,
@@ -398,8 +401,9 @@ fn cmd_evaluate(mut args: Args) -> Result<(), String> {
     // Score-based metrics over the pooled test edges.
     let mut logits = Vec::new();
     let mut labels = Vec::new();
+    let (mut tape, mut bind) = (Tape::new(), Bindings::new());
     for g in test {
-        logits.extend(infer_logits(&model, g));
+        logits.extend(infer_logits_with(&mut tape, &mut bind, &model, g));
         labels.extend_from_slice(&g.labels);
     }
     println!("roc auc     : {:.4}", roc_auc(&logits, &labels));

@@ -5,9 +5,11 @@
 use rand::{rngs::StdRng, SeedableRng};
 use trkx::detector::{generate_cached, DatasetConfig};
 use trkx::ignn::InteractionGnn;
+use trkx::nn::Bindings;
 use trkx::pipeline::{
-    infer_logits, prepare_graphs, train, Checkpoint, GnnTrainConfig, SamplerKind, TrainSpec,
+    infer_logits_with, prepare_graphs, train, Checkpoint, GnnTrainConfig, SamplerKind, TrainSpec,
 };
+use trkx::tensor::Tape;
 
 #[test]
 fn trained_model_checkpoint_roundtrip_through_disk() {
@@ -27,7 +29,10 @@ fn trained_model_checkpoint_roundtrip_through_disk() {
         trkx::ddp::DdpConfig::single(),
     );
     let result = train(&spec, &graphs[..1], &graphs[1..]).unwrap();
-    let reference = infer_logits(&result.model, &graphs[0]);
+    let infer_logits = |model: &InteractionGnn| {
+        infer_logits_with(&mut Tape::new(), &mut Bindings::new(), model, &graphs[0])
+    };
+    let reference = infer_logits(&result.model);
 
     let path = std::env::temp_dir().join(format!("trkx_it_ckpt_{}.json", std::process::id()));
     Checkpoint::from_params(&result.model.params())
@@ -40,7 +45,7 @@ fn trained_model_checkpoint_roundtrip_through_disk() {
     let loaded = Checkpoint::load_json(&path).unwrap();
     let mut params = restored.params_mut();
     loaded.apply_to(&mut params).unwrap();
-    assert_eq!(infer_logits(&restored, &graphs[0]), reference);
+    assert_eq!(infer_logits(&restored), reference);
     let _ = std::fs::remove_file(path);
 }
 

@@ -5,11 +5,13 @@
 
 use trkx::ddp::DdpConfig;
 use trkx::detector::DatasetConfig;
+use trkx::nn::Bindings;
 use trkx::pipeline::{
-    best_f1_threshold, build_tracks, infer_logits, prepare_graphs, roc_auc, threshold_sweep, train,
-    GnnTrainConfig, SamplerKind, TrainSpec,
+    best_f1_threshold, build_tracks, infer_logits_with, prepare_graphs, roc_auc, threshold_sweep,
+    train, GnnTrainConfig, SamplerKind, TrainSpec,
 };
 use trkx::sampling::ShadowConfig;
+use trkx::tensor::Tape;
 
 #[test]
 fn trained_gnn_scores_have_high_auc() {
@@ -30,7 +32,7 @@ fn trained_gnn_scores_have_high_auc() {
     };
     let spec = TrainSpec::ddp(&cfg, SamplerKind::Bulk { k: 4 }, DdpConfig::single());
     let r = train(&spec, train_set, val).unwrap();
-    let logits = infer_logits(&r.model, &val[0]);
+    let logits = infer_logits_with(&mut Tape::new(), &mut Bindings::new(), &r.model, &val[0]);
     let auc = roc_auc(&logits, &val[0].labels);
     assert!(auc > 0.75, "trained AUC only {auc}");
 
@@ -38,7 +40,8 @@ fn trained_gnn_scores_have_high_auc() {
     use rand::{rngs::StdRng, SeedableRng};
     let mut rng = StdRng::seed_from_u64(123);
     let fresh = trkx::ignn::InteractionGnn::new(cfg.ignn_config(6, 2), &mut rng);
-    let fresh_auc = roc_auc(&infer_logits(&fresh, &val[0]), &val[0].labels);
+    let fresh_logits = infer_logits_with(&mut Tape::new(), &mut Bindings::new(), &fresh, &val[0]);
+    let fresh_auc = roc_auc(&fresh_logits, &val[0].labels);
     assert!(
         (0.2..0.8).contains(&fresh_auc),
         "untrained AUC suspiciously good/bad: {fresh_auc}"
