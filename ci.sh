@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Local CI gate: formatting, lints (warnings are errors), docs (warnings
 # are errors), release build, the full workspace test suite, the GEMM
-# arm-vs-arm parity test by name (its log line says which micro-kernel
-# arms this host ran) and the ReLU-gate parity test, the buffer-reuse,
+# arm-vs-arm parity tests by name (their log lines say which micro-kernel
+# arms this host ran; the driver-level one at two pool sizes) and the
+# ReLU-gate parity test, the buffer-reuse,
 # determinism / allocation / thread-budget / GNN epoch-loop / early-stop
 # lockstep / store-fault suites at two pool sizes, a smoke run of the Figure 3
 # bin, a two-second run of each benchmark workload with a
@@ -16,15 +17,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo build --workspace --release
 cargo test -q --workspace --release
 
-# GEMM micro-kernel arms against each other: the AVX2 and portable tile
-# and NT row (the AVX2 one fed Bᵀ, n from 1 to 35 around the 16-output
-# pass), bit for bit against naive references over ±0, subnormals, ±inf,
-# NaN and an FMA tripwire. The test prints which arms ran, so this log
-# records whether a host without AVX2 checked only the portable one.
-# Then the fused bias + ReLU backward's branch-free gate against the
-# branchy rule, bit for bit, over y = 0 / y < 0 rows, -0.0 / NaN / ±inf
-# upstream gradients and accumulators already holding -0.0.
+# GEMM micro-kernel arms against each other: every arm this CPU can run
+# (AVX-512, AVX2, portable) on the tile and NT row (the wide ones fed
+# Bᵀ, n from 1 to 35 around the 16-output pass), bit for bit against
+# naive references over ±0, subnormals, ±inf, NaN and an FMA tripwire.
+# The test prints which arms ran, so this log records which arms a host
+# checked. Then the four matmul drivers (NN overwrite and accumulate,
+# TN, NT) on every arm against the portable arm, over ragged shapes
+# whose last tiles repeat a row, at two pool sizes. Then the fused bias
+# + ReLU backward's branch-free gate against the branchy rule, bit for
+# bit, over y = 0 / y < 0 rows, -0.0 / NaN / ±inf upstream gradients and
+# accumulators already holding -0.0.
 cargo test -q --release -p trkx-tensor --lib gemm_arms_match_references_bit_for_bit -- --nocapture
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --lib gemm_drivers_match_portable_on_every_arm -- --nocapture
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --lib gemm_drivers_match_portable_on_every_arm -- --nocapture
 cargo test -q --release -p trkx-tensor --lib add_bias_relu_gate_is_the_branchy_rule_bit_for_bit
 
 # Tape buffers outlive the tape, at two pool sizes: a dropped pool's

@@ -23,12 +23,18 @@ fn pseudo_channel(hit_idx: usize, channel: u64) -> f32 {
     (x >> 40) as f32 / (1u64 << 24) as f32
 }
 
-fn hit_features(h: &Hit, idx: usize, geometry_max_r: f32, n: usize) -> Vec<f32> {
+/// Vertex features per hit (CTD width).
+const VERTEX_FEATURES: usize = 14;
+/// Edge features per edge (CTD width).
+const EDGE_FEATURES: usize = 8;
+
+/// Append hit `idx`'s first `n` features to `out`.
+fn hit_features(h: &Hit, idx: usize, geometry_max_r: f32, n: usize, out: &mut Vec<f32>) {
     let r = h.r();
     let phi = h.phi();
     let eta = h.eta();
     // Ordered by information content; truncated to n.
-    let all = [
+    let all: [f32; VERTEX_FEATURES] = [
         r / geometry_max_r,
         phi / std::f32::consts::PI,
         h.z,
@@ -48,31 +54,36 @@ fn hit_features(h: &Hit, idx: usize, geometry_max_r: f32, n: usize) -> Vec<f32> 
         pseudo_channel(idx, 3), // cluster width z
         pseudo_channel(idx, 4), // timing
     ];
-    assert!(
-        n <= all.len(),
-        "at most {} vertex features supported",
-        all.len()
-    );
-    all[..n].to_vec()
+    out.extend_from_slice(&all[..n]);
 }
 
 /// Row-major `num_hits x n` vertex feature matrix.
 pub fn vertex_features(event: &Event, n: usize) -> Vec<f32> {
+    assert!(
+        n <= VERTEX_FEATURES,
+        "at most {VERTEX_FEATURES} vertex features supported"
+    );
     let max_r = event.geometry.layer_radii.last().copied().unwrap_or(1.0);
     let mut out = Vec::with_capacity(event.num_hits() * n);
     for (i, h) in event.hits.iter().enumerate() {
-        out.extend(hit_features(h, i, max_r, n));
+        hit_features(h, i, max_r, n, &mut out);
     }
     out
 }
 
-fn pair_features(hi: &Hit, hj: &Hit, n: usize) -> Vec<f32> {
+/// Append the first `n` features of the edge `hi → hj` to `out`. The
+/// Ex3 width (2) stops before the radial and η differences.
+fn pair_features(hi: &Hit, hj: &Hit, n: usize, out: &mut Vec<f32>) {
     let dphi = wrap_phi(hj.phi() - hi.phi());
     let dz = hj.z - hi.z;
+    if n <= 2 {
+        out.extend_from_slice(&[dphi, dz][..n]);
+        return;
+    }
     let dr = hj.r() - hi.r();
     let deta = hj.eta() - hi.eta();
     let d_rphi = (deta * deta + dphi * dphi).sqrt();
-    let all = [
+    let all: [f32; EDGE_FEATURES] = [
         dphi,
         dz,
         dr,
@@ -83,25 +94,25 @@ fn pair_features(hi: &Hit, hj: &Hit, n: usize) -> Vec<f32> {
         // Curvature proxy: φ change per unit radial step.
         if dr.abs() > 1e-6 { dphi / dr } else { 0.0 },
     ];
-    assert!(
-        n <= all.len(),
-        "at most {} edge features supported",
-        all.len()
-    );
-    all[..n].to_vec()
+    out.extend_from_slice(&all[..n]);
 }
 
 /// Row-major `num_edges x n` edge feature matrix for directed edges
 /// `(src[i], dst[i])`.
 pub fn edge_features(event: &Event, src: &[u32], dst: &[u32], n: usize) -> Vec<f32> {
     assert_eq!(src.len(), dst.len(), "edge arrays length mismatch");
+    assert!(
+        n <= EDGE_FEATURES,
+        "at most {EDGE_FEATURES} edge features supported"
+    );
     let mut out = Vec::with_capacity(src.len() * n);
     for (&s, &d) in src.iter().zip(dst) {
-        out.extend(pair_features(
+        pair_features(
             &event.hits[s as usize],
             &event.hits[d as usize],
             n,
-        ));
+            &mut out,
+        );
     }
     out
 }
@@ -155,6 +166,30 @@ mod tests {
             let rev = edge_features(&ev, &g.dst[..1], &g.src[..1], 2);
             assert!((fwd[0] + rev[0]).abs() < 1e-5);
             assert!((fwd[1] + rev[1]).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn every_width_is_the_prefix_of_the_full_rows() {
+        let ev = event();
+        let g = crate::event::candidate_graph(&ev, 0.2, 0.3);
+        assert!(g.num_edges() > 0);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let full = vertex_features(&ev, VERTEX_FEATURES);
+        for n in 0..=VERTEX_FEATURES {
+            let f = vertex_features(&ev, n);
+            for (row, whole) in f.chunks(n.max(1)).zip(full.chunks(VERTEX_FEATURES)) {
+                assert_eq!(bits(row), bits(&whole[..n]), "vertex n={n}");
+            }
+            assert_eq!(f.len(), ev.num_hits() * n);
+        }
+        let full = edge_features(&ev, &g.src, &g.dst, EDGE_FEATURES);
+        for n in 0..=EDGE_FEATURES {
+            let f = edge_features(&ev, &g.src, &g.dst, n);
+            for (row, whole) in f.chunks(n.max(1)).zip(full.chunks(EDGE_FEATURES)) {
+                assert_eq!(bits(row), bits(&whole[..n]), "edge n={n}");
+            }
+            assert_eq!(f.len(), g.num_edges() * n);
         }
     }
 

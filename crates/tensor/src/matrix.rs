@@ -62,47 +62,51 @@ pub fn par_matmul_threshold() -> usize {
 // ---------------------------------------------------------------------
 // Blocked GEMM.
 //
-// `matmul` and `matmul_tn` funnel into one packed, cache-blocked core:
-// B is packed once per call into NR-wide column panels, then row blocks
-// of A (MC rows, full reduction depth) are packed into per-thread
-// scratch and swept with an MR×NR register-tile micro-kernel. The
-// parallel split is over row blocks of the output's m axis — every
-// output element is produced by exactly one block with a single
-// sequential accumulator over the reduction index, so results are
-// bit-identical at any thread count or block size. `matmul_nt` keeps
-// its own kernel, one `dot8` per output element, whose fixed lane
-// structure is its ordering contract.
+// `matmul` and `matmul_tn` funnel into one blocked core: B is packed
+// once per call into NR-wide column panels, and the output's m axis is
+// cut into row blocks (MC rows, full reduction depth) swept with an
+// MR×NR register-tile micro-kernel. The NN operand A is read where it
+// lies, row-major; the TN operand is packed per block into per-thread
+// scratch, because its rows are the reduction axis. The parallel split
+// is over row blocks — every output element is produced by exactly one
+// block with a single sequential accumulator over the reduction index,
+// so results are bit-identical at any thread count or block size.
+// `matmul_nt` keeps its own kernel, one `dot8` per output element,
+// whose fixed lane structure is its ordering contract.
 //
 // Each micro-kernel (`gemm_tile`, `nt_row`) has a portable Rust body —
 // the fallback on every target and the oracle the tests pin the other
-// arm to — and an explicit AVX2 arm (`mod avx2`) that x86-64 CPUs with
-// AVX2 run instead. `Kernel::detect` picks the arm once per GEMM call
-// from the CPU; nothing is configured. The AVX2 arm is the portable
-// arithmetic eight lanes to a register: each lane is one accumulator
-// doing a multiply, rounded, then an add, rounded, in the same
-// ascending-`kk` order, so both arms produce the same bits.
+// arms to — and two explicit x86-64 arms written once (`wide_arm!`):
+// `avx512` (one 16-lane ZMM register per tile row) on CPUs with
+// AVX-512F, `avx2` (a pair of 8-lane YMM registers) on CPUs with AVX2.
+// `Kernel::detect` picks the widest arm the CPU runs, once per GEMM
+// call; nothing is configured. Each wide arm is the portable arithmetic
+// many lanes to a register: each lane is one accumulator doing a
+// multiply, rounded, then an add, rounded, in the same ascending-`kk`
+// order, so all three arms produce the same bits.
 //
 // Mul+add, never FMA: a fused multiply-add rounds `a*b + c` once, which
 // is a different number than rounding the product and the sum apart,
 // and would move every golden curve. An FMA kernel is a different
-// numeric contract, not a faster build of this one. Rust never fuses a
-// separate multiply and add on its own, and no arm here enables the
-// `fma` target feature or calls an FMA intrinsic.
+// numeric contract, not a faster build of this one. No arm calls an FMA
+// intrinsic or enables the `fma` target feature by name. `avx512f`
+// implies `fma` in codegen, but Rust never fuses a separate multiply
+// and add on its own; the FMA tripwire in the arm tests would catch it.
 
 /// Micro-kernel tile width: each packed-B panel is NR columns, and the
-/// accumulator tile holds NR partial sums per row — two 256-bit YMM
-/// registers in the AVX2 arm, four 128-bit ones in the portable arm's
-/// baseline x86-64 codegen.
+/// accumulator tile holds NR partial sums per row — one 512-bit ZMM
+/// register in the AVX-512 arm, two 256-bit YMM registers in the AVX2
+/// arm, four 128-bit ones in the portable arm's baseline x86-64 codegen.
 const NR: usize = 16;
 
-/// Micro-kernel tile height: rows of packed A per tile. All MR rows
-/// share each NR-wide panel load, so the kernel performs MR×NR useful
+/// Micro-kernel tile height: rows of A per tile. All MR rows share each
+/// NR-wide panel load, so the kernel performs MR×NR useful
 /// multiply-adds per B load instead of 1×NR.
 const MR: usize = 8;
 
-/// Largest row-block size: rows of A packed per scratch block, a whole
+/// Largest row-block size: output rows per parallel task, a whole
 /// number of MR tiles. 128 rows at the model's reduction depths keeps a
-/// block's packed panel in L2 while the B panels stay L1-resident.
+/// block's rows of A in L2 while the B panels stay L1-resident.
 const MC: usize = 128;
 const _: () = assert!(MC.is_multiple_of(MR));
 
@@ -115,26 +119,49 @@ fn mc_for(m: usize) -> usize {
     target.next_multiple_of(MR).clamp(MR, MC)
 }
 
-/// The micro-kernel arm this CPU runs. Private, so `Kernel::Avx2` exists
-/// only once `detect` has seen AVX2 — the precondition of every call
-/// into `avx2`.
+/// A micro-kernel arm. A wide arm may be called only on a CPU that has
+/// its feature: every `Kernel` this module calls an arm on was checked
+/// by [`Kernel::runs_here`] (through [`Kernel::detect`], or the tests'
+/// filter over [`Kernel::WIDEST_FIRST`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Kernel {
     Portable,
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Kernel {
-    /// The one decision: AVX2 when the CPU has it, portable otherwise.
-    /// The standard library caches the CPUID probe, so this is a load
-    /// and a branch; it runs once per GEMM call.
-    fn detect() -> Self {
+    /// Every arm, widest first; the portable one runs anywhere.
+    const WIDEST_FIRST: &[Kernel] = &[
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Kernel::Avx2;
+        Kernel::Avx512,
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Avx2,
+        Kernel::Portable,
+    ];
+
+    /// Whether this CPU has the arm's target feature. The standard
+    /// library caches the CPUID probe, so this is a load and a branch.
+    fn runs_here(self) -> bool {
+        match self {
+            Kernel::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
         }
-        Kernel::Portable
+    }
+
+    /// The one decision: the widest arm this CPU runs. Once per GEMM
+    /// call.
+    fn detect() -> Self {
+        Self::WIDEST_FIRST
+            .iter()
+            .copied()
+            .find(|k| k.runs_here())
+            .unwrap_or(Kernel::Portable)
     }
 
     fn name(self) -> &'static str {
@@ -142,23 +169,28 @@ impl Kernel {
             Kernel::Portable => "portable",
             #[cfg(target_arch = "x86_64")]
             Kernel::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => "avx512",
         }
     }
 
     /// One MR×NR tile: [`gemm_tile`] on this arm.
     #[inline]
-    fn tile(self, ap: &[f32], bp: &[f32], k: usize) -> [[f32; NR]; MR] {
+    fn tile(self, at: ATile<'_>, bp: &[f32], k: usize) -> [[f32; NR]; MR] {
         match self {
-            Kernel::Portable => gemm_tile(ap, bp, k),
+            Kernel::Portable => gemm_tile(at, bp, k),
+            // SAFETY: a `Kernel` is only called on after `runs_here`
+            // saw the arm's feature (see the type's doc).
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Kernel::Avx2` is only built by `detect`, after
-            // `is_x86_feature_detected!("avx2")` returned true.
-            Kernel::Avx2 => unsafe { avx2::gemm_tile(ap, bp, k) },
+            Kernel::Avx2 => unsafe { avx2::gemm_tile(at, bp, k) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => unsafe { avx512::gemm_tile(at, bp, k) },
         }
     }
 
     /// Whether this arm's NT row reads Bᵀ (`k x n`) rather than B
-    /// (`n x k`): the AVX2 arm vectorises over outputs, so it wants the
+    /// (`n x k`): the wide arms vectorise over outputs, so they want the
     /// output index contiguous.
     #[inline]
     fn nt_reads_bt(self) -> bool {
@@ -166,22 +198,26 @@ impl Kernel {
     }
 
     /// One NT output row, `out[j] += dot8(a, b_j)`: [`nt_row`] over B on
-    /// the portable arm, `avx2::nt_row_t` over Bᵀ on the AVX2 arm (see
+    /// the portable arm, the wide arms' `nt_row_t` over Bᵀ (see
     /// [`Kernel::nt_reads_bt`]).
     #[inline]
     fn nt_row(self, a: &[f32], b_or_bt: &[f32], out: &mut [f32]) {
         match self {
             Kernel::Portable => nt_row(a, b_or_bt, out),
+            // SAFETY: as in `tile`.
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `tile` — `Kernel::Avx2` implies AVX2.
             Kernel::Avx2 => unsafe { avx2::nt_row_t(a, b_or_bt, out) },
+            // SAFETY: as in `tile`.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => unsafe { avx512::nt_row_t(a, b_or_bt, out) },
         }
     }
 }
 
-/// Which GEMM micro-kernel this process runs: `"avx2"` on an x86-64 CPU
-/// with AVX2, `"portable"` anywhere else. Chosen at run time from the
-/// CPU, not configured; both give bit-identical results.
+/// Which GEMM micro-kernel this process runs: `"avx512"` on an x86-64
+/// CPU with AVX-512F, `"avx2"` on one with AVX2, `"portable"` anywhere
+/// else. Chosen at run time from the CPU, not configured; all give
+/// bit-identical results.
 pub fn gemm_kernel() -> &'static str {
     Kernel::detect().name()
 }
@@ -189,7 +225,7 @@ pub fn gemm_kernel() -> &'static str {
 thread_local! {
     /// Packed-B column panels for the current GEMM call (caller thread).
     static PACK_B: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
-    /// Packed-A row-block scratch (one per pool thread).
+    /// Packed TN row-block scratch (one per pool thread).
     static PACK_A: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -237,39 +273,18 @@ fn pack_b(b: &[f32], k: usize, n: usize, bp: &mut Vec<f32>) {
     }
 }
 
-/// Pack `rows` rows of `a` (`.. x k` row-major) starting at `r0` into
-/// MR-row tiles: `ap[t*k*MR + kk*MR + r] = a[r0 + t*MR + r, kk]`,
-/// zero-padded on the ragged bottom edge.
-fn pack_a_block(a: &[f32], k: usize, r0: usize, rows: usize, ap: &mut Vec<f32>) {
-    let tiles = rows.div_ceil(MR);
-    ensure_len(ap, tiles * k * MR);
-    for t in 0..tiles {
-        let tile = &mut ap[t * k * MR..(t + 1) * k * MR];
-        let tr = (rows - t * MR).min(MR);
-        if tr < MR {
-            tile.fill(0.0);
-        }
-        for r in 0..tr {
-            let row = &a[(r0 + t * MR + r) * k..(r0 + t * MR + r + 1) * k];
-            for (kk, &v) in row.iter().enumerate() {
-                tile[kk * MR + r] = v;
-            }
-        }
-    }
-}
-
-/// Pack columns `c0..c0+cols` of `a` (`k x m` row-major) into MR-row
-/// tiles of `aᵀ`: produces exactly the layout [`pack_a_block`] would on
-/// the materialised transpose — `ap[t*k*MR + kk*MR + r] = a[kk, c0 +
-/// t*MR + r]` — but reads each of `a`'s rows once, contiguously, instead
-/// of paying a strided transpose pass first.
+/// Pack columns `c0..c0+cols` of `a` (`k x m` row-major, the TN
+/// operand) into MR-row tiles of `aᵀ`: `ap[t*k*MR + kk*MR + r] = a[kk,
+/// c0 + t*MR + r]`. Reads each of `a`'s rows once, contiguously. The
+/// lanes of a ragged last tile past `cols` keep whatever they held: the
+/// micro-kernel never reads them.
+///
+/// TN packs and NN does not because a TN tile's rows are columns of
+/// `a`: read in place, each of a tile's `k` steps would touch a
+/// different row of a `k x m` operand of tens of MB.
 fn pack_a_block_tn(a: &[f32], k: usize, m: usize, c0: usize, cols: usize, ap: &mut Vec<f32>) {
     let tiles = cols.div_ceil(MR);
     ensure_len(ap, tiles * k * MR);
-    if !cols.is_multiple_of(MR) {
-        // Zero the ragged last tile's pad lanes once up front.
-        ap[(tiles - 1) * k * MR..tiles * k * MR].fill(0.0);
-    }
     for kk in 0..k {
         let src = &a[kk * m + c0..kk * m + c0 + cols];
         for t in 0..tiles {
@@ -280,30 +295,36 @@ fn pack_a_block_tn(a: &[f32], k: usize, m: usize, c0: usize, cols: usize, ap: &m
     }
 }
 
-/// Which operand layout a GEMM row block packs its A tiles from.
+/// Which operand layout a GEMM row block reads its A tiles from.
 #[derive(Clone, Copy)]
 enum ASource<'a> {
-    /// `a` is `m x k` row-major; blocks cover row ranges.
+    /// `a` is `m x k` row-major; blocks cover row ranges, read in place.
     Rows(&'a [f32]),
     /// `a` is `k x m` row-major (the TN operand); blocks cover column
     /// ranges, packed transposed on the fly.
     TnCols(&'a [f32], usize),
 }
 
+/// Where one tile's MR rows of A are: element `kk` of row `r` is
+/// `a[row[r] + kk * step]`. Row-major A is read in place (`row[r]` is
+/// that row's start, `step` 1); a packed TN tile has `step` MR.
+#[derive(Clone, Copy)]
+struct ATile<'a> {
+    a: &'a [f32],
+    row: [usize; MR],
+    step: usize,
+}
+
 /// One MR×NR accumulator tile over the full reduction depth. Per output
 /// element this is a single sequential accumulator over `kk` ascending —
 /// the summation order every variant pins, independent of blocking.
-/// Portable arm and the oracle of `avx2::gemm_tile`.
+/// Portable arm and the oracle of the wide arms' `gemm_tile`.
 #[inline]
-fn gemm_tile(ap: &[f32], bp: &[f32], k: usize) -> [[f32; NR]; MR] {
+fn gemm_tile(at: ATile<'_>, bp: &[f32], k: usize) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
-    for (av, bv) in ap[..k * MR]
-        .chunks_exact(MR)
-        .zip(bp[..k * NR].chunks_exact(NR))
-    {
-        for r in 0..MR {
-            let a_rk = av[r];
-            let row = &mut acc[r];
+    for (kk, bv) in bp[..k * NR].chunks_exact(NR).enumerate() {
+        for (r, row) in acc.iter_mut().enumerate() {
+            let a_rk = at.a[at.row[r] + kk * at.step];
             for t in 0..NR {
                 row[t] += a_rk * bv[t];
             }
@@ -312,9 +333,10 @@ fn gemm_tile(ap: &[f32], bp: &[f32], k: usize) -> [[f32; NR]; MR] {
     acc
 }
 
-/// One packed row block of the GEMM: pack the `out_block.len() / n` rows
-/// of `a` from `r0` on into this thread's scratch, then sweep packed-B
-/// panels × MR-row tiles on `kernel`'s arm.
+/// One row block of the GEMM: the `out_block.len() / n` output rows
+/// from `r0` on. Row-major A is read where it lies; a TN block is first
+/// packed into this thread's scratch. Then packed-B panels × MR-row
+/// tiles are swept on `kernel`'s arm.
 /// `OVERWRITE` selects `out = A·B` (skips the caller's zero pass) versus
 /// `out += A·B`; both add the identical accumulator to the same start
 /// value, so they are bit-compatible.
@@ -327,41 +349,65 @@ fn gemm_block<const OVERWRITE: bool>(
     n: usize,
     out_block: &mut [f32],
 ) {
+    match a {
+        ASource::Rows(a) => sweep_block::<OVERWRITE>(kernel, bp, k, n, out_block, |rows| ATile {
+            a,
+            row: rows.map(|i| (r0 + i) * k),
+            step: 1,
+        }),
+        ASource::TnCols(a, m) => with_scratch(&PACK_A, |apack| {
+            pack_a_block_tn(a, k, m, r0, out_block.len() / n, apack);
+            // Block row `i` is lane `i % MR` of packed tile `i / MR`.
+            sweep_block::<OVERWRITE>(kernel, bp, k, n, out_block, |rows| ATile {
+                a: apack,
+                row: rows.map(|i| i / MR * k * MR + i % MR),
+                step: MR,
+            })
+        }),
+    }
+}
+
+/// Sweep one row block: `tile_of` places the block rows a tile covers
+/// (indices into the block) in A. A ragged last tile repeats the
+/// block's last row in its missing lanes, so the kernel reads only real
+/// rows and nothing is copied or padded; those lanes are not stored.
+fn sweep_block<'a, const OVERWRITE: bool>(
+    kernel: Kernel,
+    bp: &[f32],
+    k: usize,
+    n: usize,
+    out_block: &mut [f32],
+    tile_of: impl Fn([usize; MR]) -> ATile<'a>,
+) {
     let rows = out_block.len() / n;
-    with_scratch(&PACK_A, |apack| {
-        match a {
-            ASource::Rows(a) => pack_a_block(a, k, r0, rows, apack),
-            ASource::TnCols(a, m) => pack_a_block_tn(a, k, m, r0, rows, apack),
-        }
-        let tiles = rows.div_ceil(MR);
-        let panels = n.div_ceil(NR);
-        for p in 0..panels {
-            let j0 = p * NR;
-            let w = (n - j0).min(NR);
-            let bpanel = &bp[p * k * NR..(p + 1) * k * NR];
-            for t in 0..tiles {
-                let acc = kernel.tile(&apack[t * k * MR..(t + 1) * k * MR], bpanel, k);
-                let tr = (rows - t * MR).min(MR);
-                for (r, acc_row) in acc.iter().enumerate().take(tr) {
-                    let o0 = (t * MR + r) * n + j0;
-                    let dst = &mut out_block[o0..o0 + w];
-                    for (o, &v) in dst.iter_mut().zip(&acc_row[..w]) {
-                        if OVERWRITE {
-                            *o = v;
-                        } else {
-                            *o += v;
-                        }
+    for p in 0..n.div_ceil(NR) {
+        let j0 = p * NR;
+        let w = (n - j0).min(NR);
+        let bpanel = &bp[p * k * NR..(p + 1) * k * NR];
+        for t in 0..rows.div_ceil(MR) {
+            let tile = tile_of(std::array::from_fn(|r| (t * MR + r).min(rows - 1)));
+            let acc = kernel.tile(tile, bpanel, k);
+            let tr = (rows - t * MR).min(MR);
+            for (r, acc_row) in acc.iter().enumerate().take(tr) {
+                let o0 = (t * MR + r) * n + j0;
+                let dst = &mut out_block[o0..o0 + w];
+                for (o, &v) in dst.iter_mut().zip(&acc_row[..w]) {
+                    if OVERWRITE {
+                        *o = v;
+                    } else {
+                        *o += v;
                     }
                 }
             }
         }
-    });
+    }
 }
 
 /// Blocked-GEMM driver shared by `matmul` and `matmul_tn`:
-/// `out (+)= a · b` with `a` `m x k` row-major. Packs B once, then
-/// parallelises over MC-row blocks of the m axis.
+/// `out (+)= a · b` with `a` `m x k`, on `kernel`'s arm. Packs B once,
+/// then parallelises over MC-row blocks of the m axis.
 fn gemm_dispatch<const OVERWRITE: bool>(
+    kernel: Kernel,
     a: ASource<'_>,
     m: usize,
     k: usize,
@@ -376,7 +422,6 @@ fn gemm_dispatch<const OVERWRITE: bool>(
         pack_b(b, k, n, bp);
         let bp = &bp[..n.div_ceil(NR) * k * NR];
         let mc = mc_for(m);
-        let kernel = Kernel::detect();
         let body = |(ci, chunk): (usize, &mut [f32])| {
             gemm_block::<OVERWRITE>(kernel, a, k, ci * mc, bp, n, chunk);
         };
@@ -386,6 +431,42 @@ fn gemm_dispatch<const OVERWRITE: bool>(
             out.chunks_mut(mc * n).enumerate().for_each(body);
         }
     });
+}
+
+/// NT driver: `out += a · bᵀ` with `a` `m x k` and `b` `n x k`, on
+/// `kernel`'s arm, parallel over output rows. A wide arm reads Bᵀ,
+/// transposed once per call into this thread's `PACK_B` scratch.
+fn nt_dispatch(
+    kernel: Kernel,
+    a: &[f32],
+    m: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    let rows = |bop: &[f32], out: &mut [f32]| {
+        let body = |(r, out_row): (usize, &mut [f32])| {
+            kernel.nt_row(&a[r * k..(r + 1) * k], bop, out_row);
+        };
+        if m * n >= par_matmul_threshold() && m > 1 {
+            out.par_chunks_mut(n).enumerate().for_each(body);
+        } else {
+            out.chunks_mut(n).enumerate().for_each(body);
+        }
+    };
+    if kernel.nt_reads_bt() {
+        with_scratch(&PACK_B, |bt| {
+            ensure_len(bt, k * n);
+            transpose_buf(b, n, k, &mut bt[..k * n]);
+            rows(&bt[..k * n], out);
+        });
+    } else {
+        rows(b, out);
+    }
 }
 
 /// Eight-lane dot product: breaks the float add dependency chain so LLVM
@@ -419,7 +500,7 @@ fn dot8_finish(lanes: &[f32; 8], a_tail: &[f32], b_tail: &[f32]) -> f32 {
 
 /// One row of `out += a · bᵀ`: `out[j] += dot8(a, b_j)` for the `out.len()`
 /// rows `b_j = b[j*k..(j+1)*k]` of `b`, `k = a.len()`. Portable arm and
-/// the oracle of `avx2::nt_row`.
+/// the oracle of the wide arms' `nt_row_t`.
 fn nt_row(a: &[f32], b: &[f32], out: &mut [f32]) {
     let k = a.len();
     for (j, o) in out.iter_mut().enumerate() {
@@ -427,149 +508,238 @@ fn nt_row(a: &[f32], b: &[f32], out: &mut [f32]) {
     }
 }
 
-/// The AVX2 arms of the micro-kernels: the portable bodies' arithmetic,
-/// eight `f32` lanes per YMM register, separate multiply and add.
+/// The wide micro-kernel arms, written once. Expanded inside an arm's
+/// module, which names its register type `Reg`, that register's
+/// unaligned load / store, set-to-zero, broadcast, add and multiply
+/// intrinsics (`reg_load`, …, `reg_mul`), how many registers make one
+/// NR-float vector (`REGS`) and how many tile rows one sweep keeps in
+/// accumulators (`ROWS`). Each lane operation is one IEEE operation per
+/// lane, rounded, so every arm computes the portable body's numbers.
 ///
-/// The functions are safe to call only on a CPU with AVX2 — calling a
-/// `#[target_feature]` function from code without the feature is
-/// `unsafe`, and [`Kernel`] is the one caller. Operand bounds are checked
-/// once per tile or row before the loads that rely on them.
+/// The functions are safe to call only on a CPU with the feature —
+/// calling a `#[target_feature]` function from code without it is
+/// `unsafe`, and [`Kernel`] is the one caller. Operand bounds are
+/// checked once per tile or row before the reads that rely on them.
+#[cfg(target_arch = "x86_64")]
+macro_rules! wide_arm {
+    ($feature:literal) => {
+        use super::{ATile, MR, NR};
+
+        /// One NR-float vector: `REGS` registers of `LANES` floats.
+        type V = [Reg; REGS];
+        const LANES: usize = NR / REGS;
+        // `load` / `store` move exactly NR floats, and the sweeps of
+        // `gemm_tile` cover every tile row.
+        const _: () = assert!(REGS * std::mem::size_of::<Reg>() == NR * 4);
+        const _: () = assert!(MR % ROWS == 0);
+
+        #[target_feature(enable = $feature)]
+        #[inline]
+        fn zero() -> V {
+            [reg_zero(); REGS]
+        }
+
+        #[target_feature(enable = $feature)]
+        #[inline]
+        fn splat(x: f32) -> V {
+            [reg_splat(x); REGS]
+        }
+
+        #[target_feature(enable = $feature)]
+        #[inline]
+        fn add(mut x: V, y: V) -> V {
+            for (x, y) in x.iter_mut().zip(y) {
+                *x = reg_add(*x, y);
+            }
+            x
+        }
+
+        #[target_feature(enable = $feature)]
+        #[inline]
+        fn mul(mut x: V, y: V) -> V {
+            for (x, y) in x.iter_mut().zip(y) {
+                *x = reg_mul(*x, y);
+            }
+            x
+        }
+
+        /// # Safety
+        /// `p` must point at NR readable floats.
+        #[target_feature(enable = $feature)]
+        #[inline]
+        unsafe fn load(p: *const f32) -> V {
+            let mut v = zero();
+            for (i, r) in v.iter_mut().enumerate() {
+                // SAFETY: register `i` reads floats `i * LANES..(i + 1)
+                // * LANES` of the NR at `p` the caller guarantees.
+                *r = unsafe { reg_load(p.add(i * LANES)) };
+            }
+            v
+        }
+
+        /// # Safety
+        /// `p` must point at NR writable floats.
+        #[target_feature(enable = $feature)]
+        #[inline]
+        unsafe fn store(p: *mut f32, v: V) {
+            for (i, r) in v.into_iter().enumerate() {
+                // SAFETY: register `i` writes floats `i * LANES..(i + 1)
+                // * LANES` of the NR at `p` the caller guarantees.
+                unsafe { reg_store(p.add(i * LANES), r) };
+            }
+        }
+
+        /// [`super::gemm_tile`] at this arm's width, bit-identical to
+        /// it. The tile runs as `MR / ROWS` sweeps of `ROWS` rows over
+        /// the same B panel: per `kk`, `ROWS` accumulators, one B load
+        /// and one broadcast of A per row, all resident for the whole
+        /// reduction.
+        #[target_feature(enable = $feature)]
+        pub(super) fn gemm_tile(at: ATile<'_>, bp: &[f32], k: usize) -> [[f32; NR]; MR] {
+            let bp = &bp[..k * NR];
+            let span = k.saturating_sub(1).saturating_mul(at.step);
+            let in_bounds = |r: usize| r < at.a.len() && at.a.len() - r > span;
+            assert!(
+                k == 0 || at.row.iter().all(|&r| in_bounds(r)),
+                "A tile out of bounds"
+            );
+            let mut out = [[0.0f32; NR]; MR];
+            for (sweep, rows) in out.chunks_exact_mut(ROWS).enumerate() {
+                let base: [*const f32; ROWS] =
+                    std::array::from_fn(|r| at.a.as_ptr().wrapping_add(at.row[sweep * ROWS + r]));
+                let mut acc = [zero(); ROWS];
+                for (kk, bv) in bp.chunks_exact(NR).enumerate() {
+                    // SAFETY: `bv` is one NR-float row of the panel.
+                    let b = unsafe { load(bv.as_ptr()) };
+                    let off = kk * at.step;
+                    for (acc, &p) in acc.iter_mut().zip(&base) {
+                        // SAFETY: `p` is `a` at `row[r]`, and `kk < k`
+                        // (so `k > 0`), so `row[r] + off <= row[r] +
+                        // span < a.len()` by the assert above.
+                        let x = unsafe { *p.add(off) };
+                        *acc = add(*acc, mul(splat(x), b));
+                    }
+                }
+                for (row, acc) in rows.iter_mut().zip(acc) {
+                    // SAFETY: `row` holds NR floats.
+                    unsafe { store(row.as_mut_ptr(), acc) };
+                }
+            }
+            out
+        }
+
+        /// [`super::nt_row`] over Bᵀ, bit-identical to it, vectorised
+        /// over outputs rather than over one dot's lanes: `bt` is `k x
+        /// n` row-major with `bt[i * n + j] = b_j[i]`, `n = out.len()`.
+        /// For NR outputs at a time, each `dot8` lane `t` is one vector
+        /// that starts at `0.0` and adds `a[8c + t] · bᵀ[8c + t, j..j +
+        /// NR]` for `c` ascending; a sum vector starting at `-0.0` adds
+        /// the eight lanes in `t` order, then the tail vector (the
+        /// products past the last full chunk), and the result is added
+        /// into `out`. That is exactly the additions of `dot8` +
+        /// `dot8_finish` per output, with no shuffle and no horizontal
+        /// add. The `n % NR` outputs left over run the same sequence in
+        /// scalar code.
+        #[target_feature(enable = $feature)]
+        pub(super) fn nt_row_t(a: &[f32], bt: &[f32], out: &mut [f32]) {
+            let (k, n) = (a.len(), out.len());
+            assert_eq!(bt.len(), k * n, "nt operands");
+            let body = k - k % 8;
+            let full = n - n % NR;
+            for j in (0..full).step_by(NR) {
+                let col = |i: usize| bt.as_ptr().wrapping_add(i * n + j);
+                let mut sum = splat(-0.0);
+                // Two lanes per sweep of the chunks, for two independent
+                // add chains; they join the sum in `t` order all the same.
+                for t in (0..8).step_by(2) {
+                    let mut lanes = [zero(); 2];
+                    let mut p = col(t);
+                    for ac in a[..body].chunks_exact(8) {
+                        // SAFETY: `p` is row `8c + t` of `bt` at column
+                        // `j` for this chunk `c`. Rows `8c + t + 1 < body
+                        // <= k` and `j + NR <= n`, so both NR-float reads
+                        // end within `k * n = bt.len()`.
+                        unsafe {
+                            lanes[0] = madd(lanes[0], ac[t], p);
+                            lanes[1] = madd(lanes[1], ac[t + 1], p.wrapping_add(n));
+                        }
+                        p = p.wrapping_add(8 * n);
+                    }
+                    for lane in lanes {
+                        sum = add(sum, lane);
+                    }
+                }
+                let mut tail = zero();
+                for (i, &x) in a.iter().enumerate().skip(body) {
+                    // SAFETY: `i < k` and `j + NR <= n`: within `bt`.
+                    tail = unsafe { madd(tail, x, col(i)) };
+                }
+                // SAFETY: `j + NR <= n = out.len()`: an NR-float load and
+                // store in bounds.
+                unsafe {
+                    let o = out.as_mut_ptr().add(j);
+                    store(o, add(load(o), add(sum, tail)));
+                }
+            }
+            for (j, o) in out.iter_mut().enumerate().skip(full) {
+                let mut sum = -0.0f32;
+                for t in 0..8 {
+                    let mut lane = 0.0f32;
+                    for i in (t..body).step_by(8) {
+                        lane += a[i] * bt[i * n + j];
+                    }
+                    sum += lane;
+                }
+                let mut tail = 0.0f32;
+                for (i, &x) in a.iter().enumerate().skip(body) {
+                    tail += x * bt[i * n + j];
+                }
+                *o += sum + tail;
+            }
+        }
+
+        /// `acc + x · p[0..NR]`: a multiply, rounded, then an add,
+        /// rounded.
+        ///
+        /// # Safety
+        /// `p` must point at NR readable floats.
+        #[target_feature(enable = $feature)]
+        #[inline]
+        unsafe fn madd(acc: V, x: f32, p: *const f32) -> V {
+            // SAFETY: the caller guarantees NR readable floats at `p`.
+            add(acc, mul(splat(x), unsafe { load(p) }))
+        }
+    };
+}
+
+/// The AVX-512F arm: one 16-lane ZMM register per NR-float vector, so
+/// the whole 8-row tile is one sweep of 8 accumulators (of 32
+/// registers), each `kk` one B load and a broadcast operand per row.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::{
+        __m512 as Reg, _mm512_add_ps as reg_add, _mm512_loadu_ps as reg_load,
+        _mm512_mul_ps as reg_mul, _mm512_set1_ps as reg_splat, _mm512_setzero_ps as reg_zero,
+        _mm512_storeu_ps as reg_store,
+    };
+    const REGS: usize = 1;
+    const ROWS: usize = 8;
+    wide_arm!("avx512f");
+}
+
+/// The AVX2 arm: a pair of 8-lane YMM registers per NR-float vector. A
+/// whole 8×16 tile would need 16 accumulators plus operands in the 16
+/// registers, so it runs as two 4-row sweeps of 8 accumulators.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{MR, NR};
     use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
+        __m256 as Reg, _mm256_add_ps as reg_add, _mm256_loadu_ps as reg_load,
+        _mm256_mul_ps as reg_mul, _mm256_set1_ps as reg_splat, _mm256_setzero_ps as reg_zero,
+        _mm256_storeu_ps as reg_store,
     };
-
-    /// [`super::gemm_tile`] at YMM width, bit-identical to it. The full
-    /// 8×16 tile would need 16 accumulators plus operands in 16
-    /// registers, so it runs as two 4×16 halves over the same packed
-    /// panel: per `kk`, 8 accumulators, two B loads and one broadcast, all
-    /// resident for the whole reduction.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn gemm_tile(ap: &[f32], bp: &[f32], k: usize) -> [[f32; NR]; MR] {
-        let (ap, bp) = (&ap[..k * MR], &bp[..k * NR]);
-        let mut out = [[0.0f32; NR]; MR];
-        for (half, rows) in out.chunks_exact_mut(MR / 2).enumerate() {
-            let r0 = half * (MR / 2);
-            let mut acc = [[_mm256_setzero_ps(); 2]; MR / 2];
-            for (av, bv) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-                // SAFETY: `bv` is one NR = 16-float row of the panel, so
-                // both 8-float loads are in bounds.
-                let (b0, b1) = unsafe {
-                    (
-                        _mm256_loadu_ps(bv.as_ptr()),
-                        _mm256_loadu_ps(bv.as_ptr().add(8)),
-                    )
-                };
-                for (r, acc) in acc.iter_mut().enumerate() {
-                    let a = _mm256_set1_ps(av[r0 + r]);
-                    acc[0] = _mm256_add_ps(acc[0], _mm256_mul_ps(a, b0));
-                    acc[1] = _mm256_add_ps(acc[1], _mm256_mul_ps(a, b1));
-                }
-            }
-            for (row, acc) in rows.iter_mut().zip(acc) {
-                // SAFETY: `row` holds NR = 16 floats: two 8-float stores.
-                unsafe {
-                    _mm256_storeu_ps(row.as_mut_ptr(), acc[0]);
-                    _mm256_storeu_ps(row.as_mut_ptr().add(8), acc[1]);
-                }
-            }
-        }
-        out
-    }
-
-    /// [`super::nt_row`] over Bᵀ, bit-identical to it, vectorised over
-    /// outputs rather than over one dot's lanes: `bt` is `k x n`
-    /// row-major with `bt[i * n + j] = b_j[i]`, `n = out.len()`. For NR
-    /// outputs at a time, each `dot8` lane `t` is one register pair that
-    /// starts at `0.0` and adds `a[8c + t] · bᵀ[8c + t, j..j + NR]` for `c`
-    /// ascending; a sum pair starting at `-0.0` adds the eight lanes in `t`
-    /// order, then the tail pair (the products past the last full chunk),
-    /// and the result is added into `out`. That is exactly the additions
-    /// of `dot8` + `dot8_finish` per output, with no shuffle and no
-    /// horizontal add. The `n % NR` outputs left over run the same
-    /// sequence in scalar code.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn nt_row_t(a: &[f32], bt: &[f32], out: &mut [f32]) {
-        let (k, n) = (a.len(), out.len());
-        assert_eq!(bt.len(), k * n, "nt operands");
-        let body = k - k % 8;
-        let full = n - n % NR;
-        for j in (0..full).step_by(NR) {
-            let col = |i: usize| bt.as_ptr().wrapping_add(i * n + j);
-            let mut sum = [_mm256_set1_ps(-0.0); 2];
-            // Two lanes per sweep of the chunks, for two independent add
-            // chains; they join the sum in `t` order all the same.
-            for t in (0..8).step_by(2) {
-                let mut lanes = [[_mm256_setzero_ps(); 2]; 2];
-                let mut p = col(t);
-                for ac in a[..body].chunks_exact(8) {
-                    // SAFETY: `p` is row `8c + t` of `bt` at column `j`
-                    // for this chunk `c`. Rows `8c + t + 1 < body <= k`
-                    // and `j + NR <= n`, so both NR-float reads end within
-                    // `k * n = bt.len()`.
-                    unsafe {
-                        madd(&mut lanes[0], ac[t], p);
-                        madd(&mut lanes[1], ac[t + 1], p.wrapping_add(n));
-                    }
-                    p = p.wrapping_add(8 * n);
-                }
-                for lane in lanes {
-                    sum = [
-                        _mm256_add_ps(sum[0], lane[0]),
-                        _mm256_add_ps(sum[1], lane[1]),
-                    ];
-                }
-            }
-            let mut tail = [_mm256_setzero_ps(); 2];
-            for (i, &x) in a.iter().enumerate().skip(body) {
-                // SAFETY: `i < k` and `j + NR <= n`: within `bt`.
-                unsafe { madd(&mut tail, x, col(i)) };
-            }
-            // SAFETY: `j + NR <= n = out.len()`: two 8-float loads and
-            // stores in bounds.
-            unsafe {
-                let o = out.as_mut_ptr().add(j);
-                let dot = [
-                    _mm256_add_ps(sum[0], tail[0]),
-                    _mm256_add_ps(sum[1], tail[1]),
-                ];
-                _mm256_storeu_ps(o, _mm256_add_ps(_mm256_loadu_ps(o), dot[0]));
-                _mm256_storeu_ps(o.add(8), _mm256_add_ps(_mm256_loadu_ps(o.add(8)), dot[1]));
-            }
-        }
-        for (j, o) in out.iter_mut().enumerate().skip(full) {
-            let mut sum = -0.0f32;
-            for t in 0..8 {
-                let mut lane = 0.0f32;
-                for i in (t..body).step_by(8) {
-                    lane += a[i] * bt[i * n + j];
-                }
-                sum += lane;
-            }
-            let mut tail = 0.0f32;
-            for (i, &x) in a.iter().enumerate().skip(body) {
-                tail += x * bt[i * n + j];
-            }
-            *o += sum + tail;
-        }
-    }
-
-    /// `acc += x · p[0..NR]`: a multiply, rounded, then an add, rounded.
-    ///
-    /// # Safety
-    /// `p` must point at NR = 16 readable floats.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn madd(acc: &mut [__m256; 2], x: f32, p: *const f32) {
-        let x = _mm256_set1_ps(x);
-        // SAFETY: the caller guarantees 16 readable floats at `p`.
-        let (b0, b1) = unsafe { (_mm256_loadu_ps(p), _mm256_loadu_ps(p.add(8))) };
-        acc[0] = _mm256_add_ps(acc[0], _mm256_mul_ps(x, b0));
-        acc[1] = _mm256_add_ps(acc[1], _mm256_mul_ps(x, b1));
-    }
+    const REGS: usize = 2;
+    const ROWS: usize = 4;
+    wide_arm!("avx2");
 }
 
 /// Blocked transpose of `src` (`rows x cols`) into `dst` (`cols x rows`),
@@ -794,7 +964,15 @@ impl Matrix {
         );
         let (m, k, n) = (self.rows, self.cols, b.cols);
         assert_eq!(out.shape(), (m, n), "matmul output shape mismatch");
-        gemm_dispatch::<true>(ASource::Rows(&self.data), m, k, &b.data, n, &mut out.data);
+        gemm_dispatch::<true>(
+            Kernel::detect(),
+            ASource::Rows(&self.data),
+            m,
+            k,
+            &b.data,
+            n,
+            &mut out.data,
+        );
     }
 
     /// `out += self * b`, accumulating into a caller-provided buffer.
@@ -806,7 +984,15 @@ impl Matrix {
         );
         let (m, k, n) = (self.rows, self.cols, b.cols);
         assert_eq!(out.shape(), (m, n), "matmul output shape mismatch");
-        gemm_dispatch::<false>(ASource::Rows(&self.data), m, k, &b.data, n, &mut out.data);
+        gemm_dispatch::<false>(
+            Kernel::detect(),
+            ASource::Rows(&self.data),
+            m,
+            k,
+            &b.data,
+            n,
+            &mut out.data,
+        );
     }
 
     /// `selfᵀ * b` without materialising the transpose in the caller.
@@ -834,6 +1020,7 @@ impl Matrix {
         let (m, k, n) = (self.cols, self.rows, b.cols);
         assert_eq!(out.shape(), (m, n), "matmul_tn output shape mismatch");
         gemm_dispatch::<false>(
+            Kernel::detect(),
             ASource::TnCols(&self.data, m),
             m,
             k,
@@ -853,9 +1040,9 @@ impl Matrix {
     /// `out += self * bᵀ`: each output element is one `dot8` of `self`'s
     /// row against a B row. The portable arm reads B as it is (both
     /// operands are contiguous along the reduction axis) and does one dot
-    /// at a time. The AVX2 arm transposes B once per call into this
+    /// at a time. A wide arm transposes B once per call into this
     /// thread's `PACK_B` scratch (B is the weight, a few thousand floats)
-    /// and runs NR dots per pass, one register pair per `dot8` lane.
+    /// and runs NR dots per pass, one NR-lane vector per `dot8` lane.
     pub fn matmul_nt_acc(&self, b: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, b.cols,
@@ -864,30 +1051,15 @@ impl Matrix {
         );
         let (m, k, n) = (self.rows, self.cols, b.rows);
         assert_eq!(out.shape(), (m, n), "matmul_nt output shape mismatch");
-        if m == 0 || n == 0 {
-            return;
-        }
-        let a = &self.data;
-        let kernel = Kernel::detect();
-        let rows = |bop: &[f32], out: &mut [f32]| {
-            let body = |(r, out_row): (usize, &mut [f32])| {
-                kernel.nt_row(&a[r * k..(r + 1) * k], bop, out_row);
-            };
-            if m * n >= par_matmul_threshold() && m > 1 {
-                out.par_chunks_mut(n).enumerate().for_each(body);
-            } else {
-                out.chunks_mut(n).enumerate().for_each(body);
-            }
-        };
-        if kernel.nt_reads_bt() {
-            with_scratch(&PACK_B, |bt| {
-                ensure_len(bt, k * n);
-                transpose_buf(&b.data, n, k, &mut bt[..k * n]);
-                rows(&bt[..k * n], &mut out.data);
-            });
-        } else {
-            rows(&b.data, &mut out.data);
-        }
+        nt_dispatch(
+            Kernel::detect(),
+            &self.data,
+            m,
+            k,
+            &b.data,
+            n,
+            &mut out.data,
+        );
     }
 
     /// Materialised transpose. Parallel over blocks of output rows, with
@@ -1392,17 +1564,18 @@ mod tests {
         assert!(c.approx_eq(&r, 1e-3));
     }
 
-    /// Every micro-kernel arm this CPU can run, portable first. Says
-    /// which ran, so a log shows when only one arm was checked.
+    /// Every micro-kernel arm this CPU can run, widest first (the
+    /// portable arm last). Says which ran, so a log shows which arms
+    /// were checked on this host.
     fn gemm_arms() -> Vec<Kernel> {
-        let host = Kernel::detect();
-        if host == Kernel::Portable {
-            println!("gemm arms: only the portable arm ran (this CPU has no AVX2)");
-            vec![Kernel::Portable]
-        } else {
-            println!("gemm arms: checked portable and {}", host.name());
-            vec![Kernel::Portable, host]
-        }
+        let arms: Vec<Kernel> = Kernel::WIDEST_FIRST
+            .iter()
+            .copied()
+            .filter(|k| k.runs_here())
+            .collect();
+        let names: Vec<&str> = arms.iter().map(|k| k.name()).collect();
+        println!("gemm arms: checked {}", names.join(", "));
+        arms
     }
 
     /// Bitwise equality, except that any NaN equals any NaN (payloads may
@@ -1490,7 +1663,12 @@ mod tests {
                 }
                 for &arm in &arms {
                     let what = format!("{} k={k} {fill}", arm.name());
-                    let got = arm.tile(&ap, &bp, k);
+                    let packed = ATile {
+                        a: &ap,
+                        row: std::array::from_fn(|r| r),
+                        step: MR,
+                    };
+                    let got = arm.tile(packed, &bp, k);
                     for r in 0..MR {
                         for t in 0..NR {
                             let (g, e) = (got[r][t], expect[r][t]);
@@ -1555,6 +1733,58 @@ mod tests {
                         arm.nt_row(&a, operand, &mut out);
                         for (j, (&g, &e)) in out.iter().zip(&nt_expect).enumerate() {
                             assert!(same_bits(g, e), "nt {what} output {j}: {g:e} vs {e:e}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The four GEMM entry points through their drivers, on every arm
+    /// against the portable one, bit for bit: `matmul_into` onto a
+    /// NaN-filled `out`, `matmul_acc`, `matmul_tn_acc` and
+    /// `matmul_nt_acc` onto a dirty one. The m values put ragged last
+    /// tiles (a tile's missing rows read the block's last row) in single-
+    /// and multi-tile blocks, and m = 130 with n >= 16 runs the parallel
+    /// split.
+    #[test]
+    fn gemm_drivers_match_portable_on_every_arm() {
+        let arms = gemm_arms();
+        let mut rng = StdRng::seed_from_u64(29);
+        for m in [1, 7, 8, 9, 15, 17, 130] {
+            for k in PARITY_K {
+                for n in [1, 15, 16, 17, 32, 33] {
+                    for fill in ["uniform", "specials"] {
+                        let a = fill_values(fill, m * k, &mut rng);
+                        let a_t = fill_values(fill, k * m, &mut rng);
+                        let b = fill_values(fill, k * n, &mut rng);
+                        let b_nt = fill_values(fill, n * k, &mut rng);
+                        let dirty = parity_values(m * n, 0, &mut rng);
+                        let run = |arm: Kernel| {
+                            let mut into = vec![f32::NAN; m * n];
+                            gemm_dispatch::<true>(arm, ASource::Rows(&a), m, k, &b, n, &mut into);
+                            let mut acc = dirty.clone();
+                            gemm_dispatch::<false>(arm, ASource::Rows(&a), m, k, &b, n, &mut acc);
+                            let mut tn = dirty.clone();
+                            let a_tn = ASource::TnCols(&a_t, m);
+                            gemm_dispatch::<false>(arm, a_tn, m, k, &b, n, &mut tn);
+                            let mut nt = dirty.clone();
+                            nt_dispatch(arm, &a, m, k, &b_nt, n, &mut nt);
+                            [
+                                ("matmul_into", into),
+                                ("matmul_acc", acc),
+                                ("matmul_tn_acc", tn),
+                                ("matmul_nt_acc", nt),
+                            ]
+                        };
+                        let expect = run(Kernel::Portable);
+                        for &arm in &arms {
+                            for ((op, got), (_, want)) in run(arm).iter().zip(&expect) {
+                                let what = format!("{op} {} m={m} k={k} n={n} {fill}", arm.name());
+                                for (i, (&g, &e)) in got.iter().zip(want).enumerate() {
+                                    assert!(same_bits(g, e), "{what} [{i}]: {g:e} vs {e:e}");
+                                }
+                            }
                         }
                     }
                 }

@@ -16,8 +16,9 @@
 //! equality at any pool size also proves thread-count invariance;
 //! `ci.sh` runs this binary under `RAYON_NUM_THREADS=1` and `=4`. The
 //! kernels run whichever micro-kernel arm the CPU selects
-//! (`trkx_tensor::gemm_kernel()`), so on an AVX2 host these pin the AVX2
-//! arm; the arm-vs-arm unit test in `matrix.rs` pins both directly.
+//! (`trkx_tensor::gemm_kernel()`), so on an AVX-512 host these pin the
+//! AVX-512 arm; the arm-vs-arm unit tests in `matrix.rs` pin every arm
+//! the CPU can run directly.
 //!
 //! Outputs start dirty: the overwriting `matmul_into` gets a NaN-filled
 //! buffer (it must never read `out`), and every accumulating variant a

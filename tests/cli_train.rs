@@ -97,7 +97,10 @@ fn train_names_its_gemm_kernel_once_on_stderr() {
         .filter(|l| l.starts_with("gemm kernel: "))
         .collect();
     assert!(
-        matches!(lines[..], ["gemm kernel: avx2" | "gemm kernel: portable"]),
+        matches!(
+            lines[..],
+            ["gemm kernel: avx512" | "gemm kernel: avx2" | "gemm kernel: portable"]
+        ),
         "{stderr}"
     );
     let _ = std::fs::remove_file(tmp("model.json"));
