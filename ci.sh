@@ -2,7 +2,9 @@
 # Local CI gate: formatting, lints (warnings are errors), docs (warnings
 # are errors), release build, the full workspace test suite, the GEMM
 # arm-vs-arm parity tests by name (their log lines say which micro-kernel
-# arms this host ran; the driver-level one at two pool sizes) and the
+# arms this host ran; the driver-level one, whose depths cross the KC
+# reduction blocks, at two pool sizes), the first-touch NT gradient
+# overwrite against the zero-fill path at two pool sizes and the
 # ReLU-gate parity test, the buffer-reuse,
 # determinism / allocation / thread-budget / GNN epoch-loop / early-stop
 # lockstep / store-fault suites at two pool sizes, a smoke run of the Figure 3
@@ -18,19 +20,28 @@ cargo build --workspace --release
 cargo test -q --workspace --release
 
 # GEMM micro-kernel arms against each other: every arm this CPU can run
-# (AVX-512, AVX2, portable) on the tile and NT row (the wide ones fed
-# Bᵀ, n from 1 to 35 around the 16-output pass), bit for bit against
-# naive references over ±0, subnormals, ±inf, NaN and an FMA tripwire.
-# The test prints which arms ran, so this log records which arms a host
-# checked. Then the four matmul drivers (NN overwrite and accumulate,
-# TN, NT) on every arm against the portable arm, over ragged shapes
-# whose last tiles repeat a row, at two pool sizes. Then the fused bias
-# + ReLU backward's branch-free gate against the branchy rule, bit for
-# bit, over y = 0 / y < 0 rows, -0.0 / NaN / ±inf upstream gradients and
-# accumulators already holding -0.0.
+# (AVX-512, AVX2, portable) on the tile (resuming a parked accumulator)
+# and the NT rows (the wide ones fed Bᵀ, one row and a group of 11, n
+# from 1 to 35 around the 16-output pass, accumulating and
+# overwriting), bit for bit against naive references over ±0,
+# subnormals, ±inf, NaN and an FMA tripwire. The test prints which arms
+# ran, so this log records which arms a host checked. Then the five
+# matmul drivers (NN overwrite and accumulate, TN, NT accumulate and
+# overwrite) on every arm against naive references and the portable
+# arm, over ragged shapes whose last tiles repeat a row, NT row counts
+# with every remainder of an 8-row group, and depths on both sides of
+# one and two KC blocks and past 3,000, at two pool sizes. Then the
+# MatMul backward's first-touch overwrite of an empty input-gradient
+# slot against zero-filling it and adding, bit for bit, with fanned-out
+# nodes and -0.0 / NaN / ±inf upstream, at two pool sizes. Then the
+# fused bias + ReLU backward's branch-free gate against the branchy
+# rule, bit for bit, over y = 0 / y < 0 rows, -0.0 / NaN / ±inf upstream
+# gradients and accumulators already holding -0.0.
 cargo test -q --release -p trkx-tensor --lib gemm_arms_match_references_bit_for_bit -- --nocapture
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --lib gemm_drivers_match_portable_on_every_arm -- --nocapture
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --lib gemm_drivers_match_portable_on_every_arm -- --nocapture
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --lib fresh_gemm_gradient_slots_match_the_zero_fill_path_bit_for_bit
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --lib fresh_gemm_gradient_slots_match_the_zero_fill_path_bit_for_bit
 cargo test -q --release -p trkx-tensor --lib add_bias_relu_gate_is_the_branchy_rule_bit_for_bit
 
 # Tape buffers outlive the tape, at two pool sizes: a dropped pool's
@@ -53,8 +64,8 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test determinism
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --test matmul_blocked
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test matmul_blocked
 
-# Zero-alloc steady state for the GEMM kernels at a multi-thread pool
-# size, and the rayon shim's own suite at two pool sizes: the pool
+# Zero-alloc steady state for the GEMM kernels (a TN product deeper
+# than one KC block included) at a multi-thread pool size, and the rayon shim's own suite at two pool sizes: the pool
 # executor (zero-alloc dispatch, with and without a held core) and the
 # one thread budget (another thread's core narrows the split by one, a
 # thread's own does not, never below 1, released on unwinding, always 1

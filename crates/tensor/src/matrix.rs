@@ -64,17 +64,20 @@ pub fn par_matmul_threshold() -> usize {
 //
 // `matmul` and `matmul_tn` funnel into one blocked core: B is packed
 // once per call into NR-wide column panels, and the output's m axis is
-// cut into row blocks (MC rows, full reduction depth) swept with an
-// MR×NR register-tile micro-kernel. The NN operand A is read where it
-// lies, row-major; the TN operand is packed per block into per-thread
-// scratch, because its rows are the reduction axis. The parallel split
-// is over row blocks — every output element is produced by exactly one
-// block with a single sequential accumulator over the reduction index,
-// so results are bit-identical at any thread count or block size.
+// cut into row blocks (MC rows) swept with an MR×NR register-tile
+// micro-kernel. A is read where it lies, the NN operand at step 1 along
+// the reduction and the TN operand (whose rows are the reduction axis)
+// at step m. The reduction is walked in KC-deep blocks: between blocks
+// each tile parks its f32 accumulator in per-thread scratch and resumes
+// from it, so every output element is still one sequential accumulator
+// over the ascending reduction index. The parallel split is over row
+// blocks — every output element is produced by exactly one block — so
+// results are bit-identical at any thread count or block size.
 // `matmul_nt` keeps its own kernel, one `dot8` per output element,
-// whose fixed lane structure is its ordering contract.
+// whose fixed lane structure is its ordering contract; the wide arms
+// run it over a group of output rows per pass.
 //
-// Each micro-kernel (`gemm_tile`, `nt_row`) has a portable Rust body —
+// Each micro-kernel (`gemm_tile`, `nt_rows`) has a portable Rust body —
 // the fallback on every target and the oracle the tests pin the other
 // arms to — and two explicit x86-64 arms written once (`wide_arm!`):
 // `avx512` (one 16-lane ZMM register per tile row) on CPUs with
@@ -110,13 +113,29 @@ const MR: usize = 8;
 const MC: usize = 128;
 const _: () = assert!(MC.is_multiple_of(MR));
 
-/// Row-block size for an `m`-row product: at most [`MC`], shrunk when
-/// `m` is small so the pool still sees several blocks (the `matmul_tn`
-/// backward has m = hidden width, not edge count). Block geometry never
-/// affects results, only the parallel split.
-fn mc_for(m: usize) -> usize {
-    let target = m.div_ceil(4 * rayon::current_num_threads().max(1));
-    target.next_multiple_of(MR).clamp(MR, MC)
+/// Reduction block: rows of the reduction a tile walks before it parks
+/// its accumulator and the sweep moves to the next tile. 256 keeps a TN
+/// block's slice of A (KC rows × its columns) in L2 and a B panel's
+/// slice (KC × NR floats, 16 KB) in L1 while every tile of the block
+/// reuses them. Blocking never affects results: a parked f32 resumes
+/// exactly where it stopped.
+const KC: usize = 256;
+
+/// One tile's MR×NR accumulators.
+type Tile = [[f32; NR]; MR];
+
+/// Row-block size for an `m`-row product of reduction depth `k`: at most
+/// [`MC`], shrunk when `m` is small so the pool still sees several
+/// blocks. A reduction deeper than one [`KC`] block (the `matmul_tn`
+/// backward: m = hidden width, k = edge count) instead gets one block
+/// per thread, because every row block streams all of B. Block geometry
+/// never affects results, only the parallel split.
+fn mc_for(m: usize, k: usize) -> usize {
+    let threads = rayon::current_num_threads().max(1);
+    if k > KC {
+        return m.div_ceil(threads).next_multiple_of(MR);
+    }
+    m.div_ceil(4 * threads).next_multiple_of(MR).clamp(MR, MC)
 }
 
 /// A micro-kernel arm. A wide arm may be called only on a CPU that has
@@ -174,22 +193,25 @@ impl Kernel {
         }
     }
 
-    /// One MR×NR tile: [`gemm_tile`] on this arm.
-    #[inline]
-    fn tile(self, at: ATile<'_>, bp: &[f32], k: usize) -> [[f32; NR]; MR] {
+    /// One MR×NR tile, `start + A·B` over `k` reduction steps:
+    /// [`gemm_tile`] on this arm. Always inlined: an outlined dispatch
+    /// costs a call and a copy of the returned tile per tile, which is
+    /// several per cent of a shallow product.
+    #[inline(always)]
+    fn tile(self, at: ATile<'_>, bp: &[f32], k: usize, start: Option<&Tile>) -> Tile {
         match self {
-            Kernel::Portable => gemm_tile(at, bp, k),
+            Kernel::Portable => gemm_tile(at, bp, k, start),
             // SAFETY: a `Kernel` is only called on after `runs_here`
             // saw the arm's feature (see the type's doc).
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => unsafe { avx2::gemm_tile(at, bp, k) },
+            Kernel::Avx2 => unsafe { avx2::gemm_tile(at, bp, k, start) },
             // SAFETY: as above.
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512 => unsafe { avx512::gemm_tile(at, bp, k) },
+            Kernel::Avx512 => unsafe { avx512::gemm_tile(at, bp, k, start) },
         }
     }
 
-    /// Whether this arm's NT row reads Bᵀ (`k x n`) rather than B
+    /// Whether this arm's NT rows read Bᵀ (`k x n`) rather than B
     /// (`n x k`): the wide arms vectorise over outputs, so they want the
     /// output index contiguous.
     #[inline]
@@ -197,19 +219,33 @@ impl Kernel {
         self != Kernel::Portable
     }
 
-    /// One NT output row, `out[j] += dot8(a, b_j)`: [`nt_row`] over B on
-    /// the portable arm, the wide arms' `nt_row_t` over Bᵀ (see
-    /// [`Kernel::nt_reads_bt`]).
+    /// Output rows one NT pass of this arm covers: the wide arm's
+    /// `NT_ROWS`, 1 on the portable arm. The NT driver splits the output
+    /// into groups of this many rows.
     #[inline]
-    fn nt_row(self, a: &[f32], b_or_bt: &[f32], out: &mut [f32]) {
+    fn nt_group(self) -> usize {
         match self {
-            Kernel::Portable => nt_row(a, b_or_bt, out),
+            Kernel::Portable => 1,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => avx2::NT_ROWS,
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => avx512::NT_ROWS,
+        }
+    }
+
+    /// NT output rows, `out[r, j] (+)= dot8(a_r, b_j)` for every `n`-wide
+    /// row `r` of `out`: [`nt_rows`] over B on the portable arm, the wide
+    /// arms' `nt_rows` over Bᵀ (see [`Kernel::nt_reads_bt`]).
+    #[inline]
+    fn nt_rows<const OVERWRITE: bool>(self, a: &[f32], b_or_bt: &[f32], n: usize, out: &mut [f32]) {
+        match self {
+            Kernel::Portable => nt_rows::<OVERWRITE>(a, b_or_bt, n, out),
             // SAFETY: as in `tile`.
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => unsafe { avx2::nt_row_t(a, b_or_bt, out) },
+            Kernel::Avx2 => unsafe { avx2::nt_rows::<OVERWRITE>(a, b_or_bt, n, out) },
             // SAFETY: as in `tile`.
             #[cfg(target_arch = "x86_64")]
-            Kernel::Avx512 => unsafe { avx512::nt_row_t(a, b_or_bt, out) },
+            Kernel::Avx512 => unsafe { avx512::nt_rows::<OVERWRITE>(a, b_or_bt, n, out) },
         }
     }
 }
@@ -225,8 +261,9 @@ pub fn gemm_kernel() -> &'static str {
 thread_local! {
     /// Packed-B column panels for the current GEMM call (caller thread).
     static PACK_B: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
-    /// Packed TN row-block scratch (one per pool thread).
-    static PACK_A: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
+    /// Parked tile accumulators of a row block whose reduction spans
+    /// more than one KC block (one per pool thread).
+    static PARK: RefCell<Vec<Vec<Tile>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Borrow a thread-local scratch buffer for the duration of `f`.
@@ -237,9 +274,9 @@ thread_local! {
 /// out — simply pops a second buffer, so nesting depth d parks at most d
 /// buffers per thread and the steady-state training loop performs no
 /// scratch allocation at any thread count.
-fn with_scratch<R>(
-    cell: &'static std::thread::LocalKey<RefCell<Vec<Vec<f32>>>>,
-    f: impl FnOnce(&mut Vec<f32>) -> R,
+fn with_scratch<T: 'static, R>(
+    cell: &'static std::thread::LocalKey<RefCell<Vec<Vec<T>>>>,
+    f: impl FnOnce(&mut Vec<T>) -> R,
 ) -> R {
     let mut buf = cell.with(|c| c.borrow_mut().pop().unwrap_or_default());
     let r = f(&mut buf);
@@ -248,9 +285,9 @@ fn with_scratch<R>(
 }
 
 /// Grow `buf` to at least `len` elements (never shrinks, keeps capacity).
-fn ensure_len(buf: &mut Vec<f32>, len: usize) {
+fn ensure_len<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
     if buf.len() < len {
-        buf.resize(len, 0.0);
+        buf.resize(len, T::default());
     }
 }
 
@@ -273,41 +310,59 @@ fn pack_b(b: &[f32], k: usize, n: usize, bp: &mut Vec<f32>) {
     }
 }
 
-/// Pack columns `c0..c0+cols` of `a` (`k x m` row-major, the TN
-/// operand) into MR-row tiles of `aᵀ`: `ap[t*k*MR + kk*MR + r] = a[kk,
-/// c0 + t*MR + r]`. Reads each of `a`'s rows once, contiguously. The
-/// lanes of a ragged last tile past `cols` keep whatever they held: the
-/// micro-kernel never reads them.
-///
-/// TN packs and NN does not because a TN tile's rows are columns of
-/// `a`: read in place, each of a tile's `k` steps would touch a
-/// different row of a `k x m` operand of tens of MB.
-fn pack_a_block_tn(a: &[f32], k: usize, m: usize, c0: usize, cols: usize, ap: &mut Vec<f32>) {
-    let tiles = cols.div_ceil(MR);
-    ensure_len(ap, tiles * k * MR);
-    for kk in 0..k {
-        let src = &a[kk * m + c0..kk * m + c0 + cols];
-        for t in 0..tiles {
-            let w = (cols - t * MR).min(MR);
-            let dst = &mut ap[t * k * MR + kk * MR..t * k * MR + kk * MR + w];
-            dst.copy_from_slice(&src[t * MR..t * MR + w]);
+/// Where a GEMM's A operand (logically `m x k`) lies: element `(i, kk)`
+/// is `a[i * row_step + kk * k_step]`. Both layouts are read in place.
+#[derive(Clone, Copy)]
+struct ASource<'a> {
+    a: &'a [f32],
+    row_step: usize,
+    k_step: usize,
+}
+
+impl<'a> ASource<'a> {
+    /// `a` is `m x k` row-major (NN): a tile's rows are eight streams
+    /// along the reduction.
+    fn rows(a: &'a [f32], k: usize) -> Self {
+        Self {
+            a,
+            row_step: k,
+            k_step: 1,
+        }
+    }
+
+    /// `a` is `k x m` row-major (the TN operand, read transposed): each
+    /// reduction step of a tile reads MR neighbouring floats of one row
+    /// of `a`, and KC blocking keeps the rows a block revisits in cache.
+    fn tn_cols(a: &'a [f32], m: usize) -> Self {
+        Self {
+            a,
+            row_step: 1,
+            k_step: m,
+        }
+    }
+
+    /// The operand from row `r0` on: its row `i` is this one's `r0 + i`.
+    /// An operand with no reduction steps (`k = 0`) is never read and
+    /// stays empty.
+    fn skip_rows(self, r0: usize) -> Self {
+        Self {
+            a: self.a.get(r0 * self.row_step..).unwrap_or_default(),
+            ..self
+        }
+    }
+
+    /// The tile of output rows `rows` from reduction step `k0` on.
+    fn tile(self, rows: [usize; MR], k0: usize) -> ATile<'a> {
+        ATile {
+            a: self.a,
+            row: rows.map(|i| i * self.row_step + k0 * self.k_step),
+            step: self.k_step,
         }
     }
 }
 
-/// Which operand layout a GEMM row block reads its A tiles from.
-#[derive(Clone, Copy)]
-enum ASource<'a> {
-    /// `a` is `m x k` row-major; blocks cover row ranges, read in place.
-    Rows(&'a [f32]),
-    /// `a` is `k x m` row-major (the TN operand); blocks cover column
-    /// ranges, packed transposed on the fly.
-    TnCols(&'a [f32], usize),
-}
-
 /// Where one tile's MR rows of A are: element `kk` of row `r` is
-/// `a[row[r] + kk * step]`. Row-major A is read in place (`row[r]` is
-/// that row's start, `step` 1); a packed TN tile has `step` MR.
+/// `a[row[r] + kk * step]`.
 #[derive(Clone, Copy)]
 struct ATile<'a> {
     a: &'a [f32],
@@ -315,13 +370,14 @@ struct ATile<'a> {
     step: usize,
 }
 
-/// One MR×NR accumulator tile over the full reduction depth. Per output
-/// element this is a single sequential accumulator over `kk` ascending —
-/// the summation order every variant pins, independent of blocking.
-/// Portable arm and the oracle of the wide arms' `gemm_tile`.
+/// One MR×NR tile over `k` reduction steps. Per output element this is
+/// one sequential accumulator over `kk` ascending, from `+0.0` or
+/// resumed from a parked `start` — the summation order every variant
+/// pins, independent of blocking. Portable arm and the oracle of the
+/// wide arms' `gemm_tile`.
 #[inline]
-fn gemm_tile(at: ATile<'_>, bp: &[f32], k: usize) -> [[f32; NR]; MR] {
-    let mut acc = [[0.0f32; NR]; MR];
+fn gemm_tile(at: ATile<'_>, bp: &[f32], k: usize, start: Option<&Tile>) -> Tile {
+    let mut acc = start.copied().unwrap_or([[0.0; NR]; MR]);
     for (kk, bv) in bp[..k * NR].chunks_exact(NR).enumerate() {
         for (r, row) in acc.iter_mut().enumerate() {
             let a_rk = at.a[at.row[r] + kk * at.step];
@@ -333,69 +389,74 @@ fn gemm_tile(at: ATile<'_>, bp: &[f32], k: usize) -> [[f32; NR]; MR] {
     acc
 }
 
-/// One row block of the GEMM: the `out_block.len() / n` output rows
-/// from `r0` on. Row-major A is read where it lies; a TN block is first
-/// packed into this thread's scratch. Then packed-B panels × MR-row
-/// tiles are swept on `kernel`'s arm.
+/// One row block of the GEMM: the `out_block.len() / n` output rows of
+/// `a` (which starts at the block's first row), read from A in place
+/// and swept as packed-B panels × MR-row tiles on `kernel`'s arm, one
+/// KC-deep reduction block at a time. Each tile starts from `+0.0`,
+/// parks its accumulator in this thread's `PARK` scratch between blocks,
+/// and after the last block is stored. A ragged last tile repeats the
+/// block's last row in its missing lanes, so the kernel reads only real
+/// rows and nothing is copied or padded; those lanes are not stored.
 /// `OVERWRITE` selects `out = A·B` (skips the caller's zero pass) versus
 /// `out += A·B`; both add the identical accumulator to the same start
 /// value, so they are bit-compatible.
-fn gemm_block<const OVERWRITE: bool>(
+fn sweep_block<const OVERWRITE: bool>(
     kernel: Kernel,
     a: ASource<'_>,
-    k: usize,
-    r0: usize,
     bp: &[f32],
+    k: usize,
     n: usize,
     out_block: &mut [f32],
 ) {
-    match a {
-        ASource::Rows(a) => sweep_block::<OVERWRITE>(kernel, bp, k, n, out_block, |rows| ATile {
-            a,
-            row: rows.map(|i| (r0 + i) * k),
-            step: 1,
-        }),
-        ASource::TnCols(a, m) => with_scratch(&PACK_A, |apack| {
-            pack_a_block_tn(a, k, m, r0, out_block.len() / n, apack);
-            // Block row `i` is lane `i % MR` of packed tile `i / MR`.
-            sweep_block::<OVERWRITE>(kernel, bp, k, n, out_block, |rows| ATile {
-                a: apack,
-                row: rows.map(|i| i / MR * k * MR + i % MR),
-                step: MR,
-            })
-        }),
+    // A reduction of one block never parks, so it borrows no scratch.
+    if k <= KC {
+        sweep::<OVERWRITE>(kernel, a, bp, k, n, out_block, &mut Vec::new());
+    } else {
+        with_scratch(&PARK, |park| {
+            sweep::<OVERWRITE>(kernel, a, bp, k, n, out_block, park)
+        });
     }
 }
 
-/// Sweep one row block: `tile_of` places the block rows a tile covers
-/// (indices into the block) in A. A ragged last tile repeats the
-/// block's last row in its missing lanes, so the kernel reads only real
-/// rows and nothing is copied or padded; those lanes are not stored.
-fn sweep_block<'a, const OVERWRITE: bool>(
+/// The body of [`sweep_block`], with `park` the parked accumulators.
+fn sweep<const OVERWRITE: bool>(
     kernel: Kernel,
+    a: ASource<'_>,
     bp: &[f32],
     k: usize,
     n: usize,
     out_block: &mut [f32],
-    tile_of: impl Fn([usize; MR]) -> ATile<'a>,
+    park: &mut Vec<Tile>,
 ) {
     let rows = out_block.len() / n;
-    for p in 0..n.div_ceil(NR) {
-        let j0 = p * NR;
-        let w = (n - j0).min(NR);
-        let bpanel = &bp[p * k * NR..(p + 1) * k * NR];
-        for t in 0..rows.div_ceil(MR) {
-            let tile = tile_of(std::array::from_fn(|r| (t * MR + r).min(rows - 1)));
-            let acc = kernel.tile(tile, bpanel, k);
-            let tr = (rows - t * MR).min(MR);
-            for (r, acc_row) in acc.iter().enumerate().take(tr) {
-                let o0 = (t * MR + r) * n + j0;
-                let dst = &mut out_block[o0..o0 + w];
-                for (o, &v) in dst.iter_mut().zip(&acc_row[..w]) {
-                    if OVERWRITE {
-                        *o = v;
-                    } else {
-                        *o += v;
+    let (panels, tiles) = (n.div_ceil(NR), rows.div_ceil(MR));
+    let blocks = k.div_ceil(KC).max(1);
+    ensure_len(park, if blocks > 1 { panels * tiles } else { 0 });
+    for kb in 0..blocks {
+        let k0 = kb * KC;
+        let kc = (k - k0).min(KC);
+        for p in 0..panels {
+            let j0 = p * NR;
+            let w = (n - j0).min(NR);
+            let bblock = &bp[(p * k + k0) * NR..(p * k + k0 + kc) * NR];
+            for t in 0..tiles {
+                let rows_of = std::array::from_fn(|r| (t * MR + r).min(rows - 1));
+                let start = (kb > 0).then(|| &park[p * tiles + t]);
+                let acc = kernel.tile(a.tile(rows_of, k0), bblock, kc, start);
+                if kb + 1 < blocks {
+                    park[p * tiles + t] = acc;
+                    continue;
+                }
+                let tr = (rows - t * MR).min(MR);
+                for (r, acc_row) in acc.iter().enumerate().take(tr) {
+                    let o0 = (t * MR + r) * n + j0;
+                    let dst = &mut out_block[o0..o0 + w];
+                    for (o, &v) in dst.iter_mut().zip(&acc_row[..w]) {
+                        if OVERWRITE {
+                            *o = v;
+                        } else {
+                            *o += v;
+                        }
                     }
                 }
             }
@@ -421,9 +482,9 @@ fn gemm_dispatch<const OVERWRITE: bool>(
     with_scratch(&PACK_B, |bp| {
         pack_b(b, k, n, bp);
         let bp = &bp[..n.div_ceil(NR) * k * NR];
-        let mc = mc_for(m);
+        let mc = mc_for(m, k);
         let body = |(ci, chunk): (usize, &mut [f32])| {
-            gemm_block::<OVERWRITE>(kernel, a, k, ci * mc, bp, n, chunk);
+            sweep_block::<OVERWRITE>(kernel, a.skip_rows(ci * mc), bp, k, n, chunk);
         };
         if m * n >= par_matmul_threshold() && m > 1 {
             out.par_chunks_mut(mc * n).enumerate().for_each(body);
@@ -433,10 +494,13 @@ fn gemm_dispatch<const OVERWRITE: bool>(
     });
 }
 
-/// NT driver: `out += a · bᵀ` with `a` `m x k` and `b` `n x k`, on
-/// `kernel`'s arm, parallel over output rows. A wide arm reads Bᵀ,
-/// transposed once per call into this thread's `PACK_B` scratch.
-fn nt_dispatch(
+/// NT driver: `out (+)= a · bᵀ` with `a` `m x k` and `b` `n x k`, on
+/// `kernel`'s arm, parallel over groups of [`Kernel::nt_group`] output
+/// rows. A wide arm reads Bᵀ, transposed once per call into this
+/// thread's `PACK_B` scratch. `OVERWRITE` as in [`sweep_block`]: every
+/// output is a `dot8` result, which is never `-0.0` (see
+/// [`Matrix::matmul_nt_into`]), so `0.0 + x` would be `x`.
+fn nt_dispatch<const OVERWRITE: bool>(
     kernel: Kernel,
     a: &[f32],
     m: usize,
@@ -448,14 +512,17 @@ fn nt_dispatch(
     if m == 0 || n == 0 {
         return;
     }
+    let group = kernel.nt_group();
     let rows = |bop: &[f32], out: &mut [f32]| {
-        let body = |(r, out_row): (usize, &mut [f32])| {
-            kernel.nt_row(&a[r * k..(r + 1) * k], bop, out_row);
+        let body = |(g, out_group): (usize, &mut [f32])| {
+            let r0 = g * group;
+            let a_group = &a[r0 * k..(r0 + out_group.len() / n) * k];
+            kernel.nt_rows::<OVERWRITE>(a_group, bop, n, out_group);
         };
         if m * n >= par_matmul_threshold() && m > 1 {
-            out.par_chunks_mut(n).enumerate().for_each(body);
+            out.par_chunks_mut(group * n).enumerate().for_each(body);
         } else {
-            out.chunks_mut(n).enumerate().for_each(body);
+            kernel.nt_rows::<OVERWRITE>(a, bop, n, out);
         }
     };
     if kernel.nt_reads_bt() {
@@ -498,13 +565,18 @@ fn dot8_finish(lanes: &[f32; 8], a_tail: &[f32], b_tail: &[f32]) -> f32 {
     lanes.iter().sum::<f32>() + tail
 }
 
-/// One row of `out += a · bᵀ`: `out[j] += dot8(a, b_j)` for the `out.len()`
-/// rows `b_j = b[j*k..(j+1)*k]` of `b`, `k = a.len()`. Portable arm and
-/// the oracle of the wide arms' `nt_row_t`.
-fn nt_row(a: &[f32], b: &[f32], out: &mut [f32]) {
-    let k = a.len();
-    for (j, o) in out.iter_mut().enumerate() {
-        *o += dot8(a, &b[j * k..(j + 1) * k]);
+/// NT output rows, one at a time: `out[r, j] (+)= dot8(a_r, b_j)` for
+/// every `n`-wide row `r` of `out`, with `a_r` row `r` of `a` and `b_j`
+/// row `j` of `b` (`n x k`). Portable arm and the oracle of the wide
+/// arms' `nt_rows`.
+fn nt_rows<const OVERWRITE: bool>(a: &[f32], b: &[f32], n: usize, out: &mut [f32]) {
+    let k = b.len() / n;
+    for (r, out_row) in out.chunks_exact_mut(n).enumerate() {
+        let a_r = &a[r * k..(r + 1) * k];
+        for (j, o) in out_row.iter_mut().enumerate() {
+            let v = dot8(a_r, &b[j * k..(j + 1) * k]);
+            *o = if OVERWRITE { v } else { *o + v };
+        }
     }
 }
 
@@ -512,9 +584,10 @@ fn nt_row(a: &[f32], b: &[f32], out: &mut [f32]) {
 /// module, which names its register type `Reg`, that register's
 /// unaligned load / store, set-to-zero, broadcast, add and multiply
 /// intrinsics (`reg_load`, …, `reg_mul`), how many registers make one
-/// NR-float vector (`REGS`) and how many tile rows one sweep keeps in
-/// accumulators (`ROWS`). Each lane operation is one IEEE operation per
-/// lane, rounded, so every arm computes the portable body's numbers.
+/// NR-float vector (`REGS`), how many tile rows one sweep keeps in
+/// accumulators (`ROWS`) and how many NT output rows one pass covers
+/// (`NT_ROWS`). Each lane operation is one IEEE operation per lane,
+/// rounded, so every arm computes the portable body's numbers.
 ///
 /// The functions are safe to call only on a CPU with the feature —
 /// calling a `#[target_feature]` function from code without it is
@@ -523,7 +596,7 @@ fn nt_row(a: &[f32], b: &[f32], out: &mut [f32]) {
 #[cfg(target_arch = "x86_64")]
 macro_rules! wide_arm {
     ($feature:literal) => {
-        use super::{ATile, MR, NR};
+        use super::{ATile, Tile, MR, NR};
 
         /// One NR-float vector: `REGS` registers of `LANES` floats.
         type V = [Reg; REGS];
@@ -591,11 +664,12 @@ macro_rules! wide_arm {
 
         /// [`super::gemm_tile`] at this arm's width, bit-identical to
         /// it. The tile runs as `MR / ROWS` sweeps of `ROWS` rows over
-        /// the same B panel: per `kk`, `ROWS` accumulators, one B load
-        /// and one broadcast of A per row, all resident for the whole
-        /// reduction.
+        /// the same B panel: per sweep, `ROWS` accumulators start at
+        /// zero or are loaded from `start`, then per `kk` take one B
+        /// load and one broadcast of A per row, all resident for the
+        /// whole reduction.
         #[target_feature(enable = $feature)]
-        pub(super) fn gemm_tile(at: ATile<'_>, bp: &[f32], k: usize) -> [[f32; NR]; MR] {
+        pub(super) fn gemm_tile(at: ATile<'_>, bp: &[f32], k: usize, start: Option<&Tile>) -> Tile {
             let bp = &bp[..k * NR];
             let span = k.saturating_sub(1).saturating_mul(at.step);
             let in_bounds = |r: usize| r < at.a.len() && at.a.len() - r > span;
@@ -607,107 +681,146 @@ macro_rules! wide_arm {
             for (sweep, rows) in out.chunks_exact_mut(ROWS).enumerate() {
                 let base: [*const f32; ROWS] =
                     std::array::from_fn(|r| at.a.as_ptr().wrapping_add(at.row[sweep * ROWS + r]));
-                let mut acc = [zero(); ROWS];
+                let mut regs = [zero(); ROWS];
+                if let Some(start) = start {
+                    for (reg, row) in regs.iter_mut().zip(&start[sweep * ROWS..]) {
+                        // SAFETY: `row` holds NR floats.
+                        *reg = unsafe { load(row.as_ptr()) };
+                    }
+                }
                 for (kk, bv) in bp.chunks_exact(NR).enumerate() {
                     // SAFETY: `bv` is one NR-float row of the panel.
                     let b = unsafe { load(bv.as_ptr()) };
                     let off = kk * at.step;
-                    for (acc, &p) in acc.iter_mut().zip(&base) {
+                    for (reg, &p) in regs.iter_mut().zip(&base) {
                         // SAFETY: `p` is `a` at `row[r]`, and `kk < k`
                         // (so `k > 0`), so `row[r] + off <= row[r] +
                         // span < a.len()` by the assert above.
                         let x = unsafe { *p.add(off) };
-                        *acc = add(*acc, mul(splat(x), b));
+                        *reg = add(*reg, mul(splat(x), b));
                     }
                 }
-                for (row, acc) in rows.iter_mut().zip(acc) {
+                for (row, reg) in rows.iter_mut().zip(regs) {
                     // SAFETY: `row` holds NR floats.
-                    unsafe { store(row.as_mut_ptr(), acc) };
+                    unsafe { store(row.as_mut_ptr(), reg) };
                 }
             }
             out
         }
 
-        /// [`super::nt_row`] over Bᵀ, bit-identical to it, vectorised
-        /// over outputs rather than over one dot's lanes: `bt` is `k x
-        /// n` row-major with `bt[i * n + j] = b_j[i]`, `n = out.len()`.
-        /// For NR outputs at a time, each `dot8` lane `t` is one vector
-        /// that starts at `0.0` and adds `a[8c + t] · bᵀ[8c + t, j..j +
-        /// NR]` for `c` ascending; a sum vector starting at `-0.0` adds
-        /// the eight lanes in `t` order, then the tail vector (the
-        /// products past the last full chunk), and the result is added
-        /// into `out`. That is exactly the additions of `dot8` +
+        /// [`super::nt_rows`] over Bᵀ, bit-identical to it: `bt` is `k x
+        /// n` row-major with `bt[i * n + j] = b_j[i]`, and each `n`-wide
+        /// row of `out` is one row of `a`. Full groups of `NT_ROWS` rows
+        /// run as one pass of [`nt_pass`], the rows left over one at a
+        /// time.
+        #[target_feature(enable = $feature)]
+        pub(super) fn nt_rows<const OVERWRITE: bool>(
+            a: &[f32],
+            bt: &[f32],
+            n: usize,
+            out: &mut [f32],
+        ) {
+            let (m, k) = (out.len() / n, bt.len() / n);
+            assert_eq!(a.len(), m * k, "nt operands");
+            let full = m - m % NT_ROWS;
+            for r0 in (0..full).step_by(NT_ROWS) {
+                let (a_g, out_g) = (
+                    &a[r0 * k..(r0 + NT_ROWS) * k],
+                    &mut out[r0 * n..(r0 + NT_ROWS) * n],
+                );
+                nt_pass::<NT_ROWS, OVERWRITE>(a_g, bt, out_g);
+            }
+            for r in full..m {
+                nt_pass::<1, OVERWRITE>(&a[r * k..(r + 1) * k], bt, &mut out[r * n..(r + 1) * n]);
+            }
+        }
+
+        /// `R` rows of [`super::nt_rows`] over Bᵀ, vectorised over
+        /// outputs rather than over one dot's lanes. For NR outputs at a
+        /// time and each `dot8` lane `t`, row `r`'s lane is one vector
+        /// that starts at `0.0` and adds `a_r[8c + t] · bᵀ[8c + t, j..j +
+        /// NR]` for `c` ascending; the one Bᵀ load per `c` feeds all `R`
+        /// rows, whose `R` lane vectors are independent add chains. Row
+        /// `r`'s sum vector starts at `-0.0` and adds its eight lanes in
+        /// `t` order, then its tail vector (the products past the last
+        /// full chunk), and the result is added into (or, `OVERWRITE`,
+        /// stored to) `out`. That is exactly the additions of `dot8` +
         /// `dot8_finish` per output, with no shuffle and no horizontal
         /// add. The `n % NR` outputs left over run the same sequence in
         /// scalar code.
         #[target_feature(enable = $feature)]
-        pub(super) fn nt_row_t(a: &[f32], bt: &[f32], out: &mut [f32]) {
-            let (k, n) = (a.len(), out.len());
-            assert_eq!(bt.len(), k * n, "nt operands");
+        #[inline]
+        fn nt_pass<const R: usize, const OVERWRITE: bool>(a: &[f32], bt: &[f32], out: &mut [f32]) {
+            let (k, n) = (a.len() / R, out.len() / R);
+            assert_eq!(
+                (a.len(), out.len(), bt.len()),
+                (R * k, R * n, k * n),
+                "nt operands"
+            );
             let body = k - k % 8;
             let full = n - n % NR;
+            let rows: [*const f32; R] = std::array::from_fn(|r| a.as_ptr().wrapping_add(r * k));
             for j in (0..full).step_by(NR) {
                 let col = |i: usize| bt.as_ptr().wrapping_add(i * n + j);
-                let mut sum = splat(-0.0);
-                // Two lanes per sweep of the chunks, for two independent
-                // add chains; they join the sum in `t` order all the same.
-                for t in (0..8).step_by(2) {
-                    let mut lanes = [zero(); 2];
-                    let mut p = col(t);
-                    for ac in a[..body].chunks_exact(8) {
-                        // SAFETY: `p` is row `8c + t` of `bt` at column
-                        // `j` for this chunk `c`. Rows `8c + t + 1 < body
-                        // <= k` and `j + NR <= n`, so both NR-float reads
-                        // end within `k * n = bt.len()`.
-                        unsafe {
-                            lanes[0] = madd(lanes[0], ac[t], p);
-                            lanes[1] = madd(lanes[1], ac[t + 1], p.wrapping_add(n));
-                        }
-                        p = p.wrapping_add(8 * n);
-                    }
-                    for lane in lanes {
-                        sum = add(sum, lane);
-                    }
-                }
-                let mut tail = zero();
-                for (i, &x) in a.iter().enumerate().skip(body) {
-                    // SAFETY: `i < k` and `j + NR <= n`: within `bt`.
-                    tail = unsafe { madd(tail, x, col(i)) };
-                }
-                // SAFETY: `j + NR <= n = out.len()`: an NR-float load and
-                // store in bounds.
-                unsafe {
-                    let o = out.as_mut_ptr().add(j);
-                    store(o, add(load(o), add(sum, tail)));
-                }
-            }
-            for (j, o) in out.iter_mut().enumerate().skip(full) {
-                let mut sum = -0.0f32;
+                let mut sum = [splat(-0.0); R];
                 for t in 0..8 {
-                    let mut lane = 0.0f32;
+                    let mut lanes = [zero(); R];
                     for i in (t..body).step_by(8) {
-                        lane += a[i] * bt[i * n + j];
+                        // SAFETY: `i < body <= k` and `j + NR <= n`, so
+                        // the NR-float read at row `i`, column `j` of
+                        // `bt` ends within `k * n = bt.len()`.
+                        let b = unsafe { load(col(i)) };
+                        for (lane, &p) in lanes.iter_mut().zip(&rows) {
+                            // SAFETY: `p` is row `r` of `a` (`k` floats
+                            // from `r * k`, within `R * k = a.len()`) and
+                            // `i < k`.
+                            let x = unsafe { *p.add(i) };
+                            *lane = add(*lane, mul(splat(x), b));
+                        }
                     }
-                    sum += lane;
+                    for (s, lane) in sum.iter_mut().zip(lanes) {
+                        *s = add(*s, lane);
+                    }
                 }
-                let mut tail = 0.0f32;
-                for (i, &x) in a.iter().enumerate().skip(body) {
-                    tail += x * bt[i * n + j];
+                let mut tail = [zero(); R];
+                for i in body..k {
+                    // SAFETY: `i < k` and `j + NR <= n`: within `bt`.
+                    let b = unsafe { load(col(i)) };
+                    for (tl, &p) in tail.iter_mut().zip(&rows) {
+                        // SAFETY: as for the lanes above.
+                        let x = unsafe { *p.add(i) };
+                        *tl = add(*tl, mul(splat(x), b));
+                    }
                 }
-                *o += sum + tail;
+                for (r, (s, tl)) in sum.into_iter().zip(tail).enumerate() {
+                    let v = add(s, tl);
+                    // SAFETY: `r * n + j + NR <= (r + 1) * n <= R * n =
+                    // out.len()`: an NR-float load and store in bounds.
+                    unsafe {
+                        let o = out.as_mut_ptr().add(r * n + j);
+                        store(o, if OVERWRITE { v } else { add(load(o), v) });
+                    }
+                }
             }
-        }
-
-        /// `acc + x · p[0..NR]`: a multiply, rounded, then an add,
-        /// rounded.
-        ///
-        /// # Safety
-        /// `p` must point at NR readable floats.
-        #[target_feature(enable = $feature)]
-        #[inline]
-        unsafe fn madd(acc: V, x: f32, p: *const f32) -> V {
-            // SAFETY: the caller guarantees NR readable floats at `p`.
-            add(acc, mul(splat(x), unsafe { load(p) }))
+            for r in 0..R {
+                let (a_r, out_r) = (&a[r * k..(r + 1) * k], &mut out[r * n..(r + 1) * n]);
+                for (j, o) in out_r.iter_mut().enumerate().skip(full) {
+                    let mut sum = -0.0f32;
+                    for t in 0..8 {
+                        let mut lane = 0.0f32;
+                        for i in (t..body).step_by(8) {
+                            lane += a_r[i] * bt[i * n + j];
+                        }
+                        sum += lane;
+                    }
+                    let mut tail = 0.0f32;
+                    for (i, &x) in a_r.iter().enumerate().skip(body) {
+                        tail += x * bt[i * n + j];
+                    }
+                    let v = sum + tail;
+                    *o = if OVERWRITE { v } else { *o + v };
+                }
+            }
         }
     };
 }
@@ -724,6 +837,8 @@ mod avx512 {
     };
     const REGS: usize = 1;
     const ROWS: usize = 8;
+    /// NT: 8 lane and 8 sum registers, one B load.
+    pub(super) const NT_ROWS: usize = 8;
     wide_arm!("avx512f");
 }
 
@@ -739,6 +854,9 @@ mod avx2 {
     };
     const REGS: usize = 2;
     const ROWS: usize = 4;
+    /// NT: three rows' lane pairs, sum pairs and a B pair are 14 of the
+    /// 16 YMM registers.
+    pub(super) const NT_ROWS: usize = 3;
     wide_arm!("avx2");
 }
 
@@ -966,7 +1084,7 @@ impl Matrix {
         assert_eq!(out.shape(), (m, n), "matmul output shape mismatch");
         gemm_dispatch::<true>(
             Kernel::detect(),
-            ASource::Rows(&self.data),
+            ASource::rows(&self.data, k),
             m,
             k,
             &b.data,
@@ -986,7 +1104,7 @@ impl Matrix {
         assert_eq!(out.shape(), (m, n), "matmul output shape mismatch");
         gemm_dispatch::<false>(
             Kernel::detect(),
-            ASource::Rows(&self.data),
+            ASource::rows(&self.data, k),
             m,
             k,
             &b.data,
@@ -1004,13 +1122,13 @@ impl Matrix {
 
     /// `out += selfᵀ * b` without materialising the transpose.
     ///
-    /// Runs the same blocked GEMM core as [`Matrix::matmul_acc`], with A
-    /// tiles packed transposed on the fly (`pack_a_block_tn`): per
-    /// element the same products are added by one accumulator in the same
+    /// Runs the same blocked GEMM core as [`Matrix::matmul_acc`], reading
+    /// `self` in place at step m along the reduction (each tile step reads
+    /// MR neighbouring floats of one row of `self`): per element the same
+    /// products are added by one accumulator in the same
     /// ascending-reduction order as the historical strided column walk,
-    /// so results are bit-identical — but every stream is contiguous, and
-    /// the parallel split is over output row blocks (the m axis) instead
-    /// of fighting the reduction layout.
+    /// so results are bit-identical, and the parallel split is over
+    /// output row blocks (the m axis) instead of the reduction.
     pub fn matmul_tn_acc(&self, b: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, b.rows,
@@ -1021,7 +1139,7 @@ impl Matrix {
         assert_eq!(out.shape(), (m, n), "matmul_tn output shape mismatch");
         gemm_dispatch::<false>(
             Kernel::detect(),
-            ASource::TnCols(&self.data, m),
+            ASource::tn_cols(&self.data, m),
             m,
             k,
             &b.data,
@@ -1042,16 +1160,11 @@ impl Matrix {
     /// operands are contiguous along the reduction axis) and does one dot
     /// at a time. A wide arm transposes B once per call into this
     /// thread's `PACK_B` scratch (B is the weight, a few thousand floats)
-    /// and runs NR dots per pass, one NR-lane vector per `dot8` lane.
+    /// and runs NR dots of each of a group of output rows per pass, one
+    /// NR-lane vector per row and `dot8` lane.
     pub fn matmul_nt_acc(&self, b: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, b.cols,
-            "matmul_nt shape mismatch: {}x{} * ({}x{})ᵀ",
-            self.rows, self.cols, b.rows, b.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, b.rows);
-        assert_eq!(out.shape(), (m, n), "matmul_nt output shape mismatch");
-        nt_dispatch(
+        let (m, k, n) = self.nt_shape(b, out);
+        nt_dispatch::<false>(
             Kernel::detect(),
             &self.data,
             m,
@@ -1060,6 +1173,38 @@ impl Matrix {
             n,
             &mut out.data,
         );
+    }
+
+    /// `out = self * bᵀ`, overwriting a caller-provided buffer of any
+    /// contents.
+    ///
+    /// Bit-identical to zeroing `out` and calling
+    /// [`Matrix::matmul_nt_acc`]: a `dot8` result is never `-0.0` (its
+    /// lanes and tail start at `+0.0` and only add, and a round-to-nearest
+    /// sum is `-0.0` only when both addends are), so `0.0 + x` is `x`.
+    pub fn matmul_nt_into(&self, b: &Matrix, out: &mut Matrix) {
+        let (m, k, n) = self.nt_shape(b, out);
+        nt_dispatch::<true>(
+            Kernel::detect(),
+            &self.data,
+            m,
+            k,
+            &b.data,
+            n,
+            &mut out.data,
+        );
+    }
+
+    /// `(m, k, n)` of `self * bᵀ` into `out`, checked.
+    fn nt_shape(&self, b: &Matrix, out: &Matrix) -> (usize, usize, usize) {
+        assert_eq!(
+            self.cols, b.cols,
+            "matmul_nt shape mismatch: {}x{} * ({}x{})ᵀ",
+            self.rows, self.cols, b.rows, b.cols
+        );
+        let (m, k, n) = (self.rows, self.cols, b.rows);
+        assert_eq!(out.shape(), (m, n), "matmul_nt output shape mismatch");
+        (m, k, n)
     }
 
     /// Materialised transpose. Parallel over blocks of output rows, with
@@ -1652,8 +1797,12 @@ mod tests {
                     // and 1: `c * 1`, then `x * y`.
                     (ap[0], bp[0], ap[MR], bp[NR]) = (c, 1.0, x, y);
                 }
-                // Tile: one accumulator per element over ascending kk.
-                let mut expect = [[0.0f32; NR]; MR];
+                // The tile resumes a parked accumulator (zero for the
+                // tripwire): one accumulator per element over ascending kk.
+                let start = fill_values(fill, MR * NR, &mut rng);
+                let acc0: Tile =
+                    std::array::from_fn(|r| std::array::from_fn(|t| start[r * NR + t]));
+                let mut expect = acc0;
                 for (r, row) in expect.iter_mut().enumerate() {
                     for (t, e) in row.iter_mut().enumerate() {
                         for kk in 0..k {
@@ -1668,7 +1817,7 @@ mod tests {
                         row: std::array::from_fn(|r| r),
                         step: MR,
                     };
-                    let got = arm.tile(packed, &bp, k);
+                    let got = arm.tile(packed, &bp, k, Some(&acc0));
                     for r in 0..MR {
                         for t in 0..NR {
                             let (g, e) = (got[r][t], expect[r][t]);
@@ -1681,58 +1830,83 @@ mod tests {
         check_nt_arms(&arms);
     }
 
-    /// The NT row on every arm (the AVX2 one fed Bᵀ) against `dot8`'s
-    /// sequence of additions, onto a non-zero `out`.
+    /// `dot8`'s sequence of additions, restated: 8 lanes filled
+    /// chunk-ascending, summed in order, plus a sequential tail.
+    fn ref_dot8(a: &[f32], b: &[f32]) -> f32 {
+        let k = a.len();
+        let mut lanes = [0.0f32; 8];
+        for i in 0..k / 8 * 8 {
+            lanes[i % 8] += a[i] * b[i];
+        }
+        let mut tail = 0.0f32;
+        for i in k / 8 * 8..k {
+            tail += a[i] * b[i];
+        }
+        lanes.iter().sum::<f32>() + tail
+    }
+
+    /// The NT rows on every arm (the wide ones fed Bᵀ) against `dot8`'s
+    /// sequence of additions, accumulating onto a non-zero `out` and
+    /// overwriting a NaN-filled one. One row runs the one-row pass; 11
+    /// rows run full groups of every wide arm's `NT_ROWS` and a ragged
+    /// rest.
     fn check_nt_arms(arms: &[Kernel]) {
         let (x, y, c) = FMA_TRIPWIRE;
         let mut rng = StdRng::seed_from_u64(23);
         // Below, at and around one and two NR-output passes, with the
         // scalar leftover of each.
         for n in [1, 8, 15, 16, 17, 19, 32, 35] {
-            for k in PARITY_K {
-                for fill in PARITY_FILLS {
-                    let mut a = fill_values(fill, k, &mut rng);
-                    let mut b = fill_values(fill, n * k, &mut rng);
-                    if fill == "fma tripwire" {
-                        // Two steps of one accumulator of every output:
-                        // `c * 1`, then `x * y`, in lane 0 (i = 0, 8) or
-                        // in the tail (its first two elements).
-                        let steps = match k {
-                            16.. => Some((0, 8)),
-                            _ if k % 8 >= 2 => Some((k / 8 * 8, k / 8 * 8 + 1)),
-                            _ => None,
-                        };
-                        if let Some((s0, s1)) = steps {
-                            (a[s0], a[s1]) = (c, x);
-                            for bj in b.chunks_exact_mut(k) {
-                                (bj[s0], bj[s1]) = (1.0, y);
+            for m in [1, 11] {
+                for k in PARITY_K {
+                    for fill in PARITY_FILLS {
+                        let mut a = fill_values(fill, m * k, &mut rng);
+                        let mut b = fill_values(fill, n * k, &mut rng);
+                        if fill == "fma tripwire" {
+                            // Two steps of one accumulator of every output:
+                            // `c * 1`, then `x * y`, in lane 0 (i = 0, 8) or
+                            // in the tail (its first two elements).
+                            let steps = match k {
+                                16.. => Some((0, 8)),
+                                _ if k % 8 >= 2 => Some((k / 8 * 8, k / 8 * 8 + 1)),
+                                _ => None,
+                            };
+                            if let Some((s0, s1)) = steps {
+                                for a_r in a.chunks_exact_mut(k) {
+                                    (a_r[s0], a_r[s1]) = (c, x);
+                                }
+                                for bj in b.chunks_exact_mut(k) {
+                                    (bj[s0], bj[s1]) = (1.0, y);
+                                }
                             }
                         }
-                    }
-                    // Onto a non-zero start: dot8's lane order, one add.
-                    let out0 = parity_values(n, 0, &mut rng);
-                    let nt_expect: Vec<f32> = (0..n)
-                        .map(|j| {
-                            let bj = &b[j * k..(j + 1) * k];
-                            let mut lanes = [0.0f32; 8];
-                            for i in 0..k / 8 * 8 {
-                                lanes[i % 8] += a[i] * bj[i];
+                        let dots: Vec<f32> = (0..m * n)
+                            .map(|i| {
+                                let (r, j) = (i / n, i % n);
+                                ref_dot8(&a[r * k..(r + 1) * k], &b[j * k..(j + 1) * k])
+                            })
+                            .collect();
+                        // Onto a non-zero start: one add after the dot.
+                        let out0 = parity_values(m * n, 0, &mut rng);
+                        let acc_expect: Vec<f32> =
+                            out0.iter().zip(&dots).map(|(o, d)| o + d).collect();
+                        let bt = Matrix::from_vec(n, k, b.clone()).transpose();
+                        for &arm in arms {
+                            let what = format!("{} m={m} n={n} k={k} {fill}", arm.name());
+                            let operand = if arm.nt_reads_bt() { bt.data() } else { &b[..] };
+                            let mut acc = out0.clone();
+                            arm.nt_rows::<false>(&a, operand, n, &mut acc);
+                            let mut into = vec![f32::NAN; m * n];
+                            arm.nt_rows::<true>(&a, operand, n, &mut into);
+                            for (op, got, want) in
+                                [("acc", &acc, &acc_expect), ("into", &into, &dots)]
+                            {
+                                for (i, (&g, &e)) in got.iter().zip(want).enumerate() {
+                                    assert!(
+                                        same_bits(g, e),
+                                        "nt {op} {what} output {i}: {g:e} vs {e:e}"
+                                    );
+                                }
                             }
-                            let mut tail = 0.0f32;
-                            for i in k / 8 * 8..k {
-                                tail += a[i] * bj[i];
-                            }
-                            out0[j] + (lanes.iter().sum::<f32>() + tail)
-                        })
-                        .collect();
-                    let bt = Matrix::from_vec(n, k, b.clone()).transpose();
-                    for &arm in arms {
-                        let what = format!("{} n={n} k={k} {fill}", arm.name());
-                        let operand = if arm.nt_reads_bt() { bt.data() } else { &b[..] };
-                        let mut out = out0.clone();
-                        arm.nt_row(&a, operand, &mut out);
-                        for (j, (&g, &e)) in out.iter().zip(&nt_expect).enumerate() {
-                            assert!(same_bits(g, e), "nt {what} output {j}: {g:e} vs {e:e}");
                         }
                     }
                 }
@@ -1740,19 +1914,51 @@ mod tests {
         }
     }
 
-    /// The four GEMM entry points through their drivers, on every arm
-    /// against the portable one, bit for bit: `matmul_into` onto a
-    /// NaN-filled `out`, `matmul_acc`, `matmul_tn_acc` and
-    /// `matmul_nt_acc` onto a dirty one. The m values put ragged last
-    /// tiles (a tile's missing rows read the block's last row) in single-
-    /// and multi-tile blocks, and m = 130 with n >= 16 runs the parallel
-    /// split.
+    /// `a (m x k) · b (k x n)` with element `(i, kk)` of A at `a[i *
+    /// row_step + kk * k_step]`: one sequential accumulator per element
+    /// over ascending `kk`, the NN / TN order.
+    fn naive_gemm(a: ASource<'_>, m: usize, k: usize, b: &[f32], n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                for kk in 0..k {
+                    out[i * n + j] += a.a[i * a.row_step + kk * a.k_step] * b[kk * n + j];
+                }
+            }
+        }
+        out
+    }
+
+    /// Reduction depths for the drivers: [`PARITY_K`] plus both sides of
+    /// one and two KC blocks (a parked accumulator resumed once and
+    /// twice, a last block of 1 and of 3 rows) and a deep reduction of
+    /// twelve blocks with a ragged last one.
+    const DRIVER_K: [usize; 17] = {
+        let mut ks = [0; 17];
+        let mut i = 0;
+        while i < PARITY_K.len() {
+            ks[i] = PARITY_K[i];
+            i += 1;
+        }
+        (ks[12], ks[13], ks[14], ks[15], ks[16]) = (KC - 1, KC, KC + 1, 2 * KC + 3, 11 * KC + 185);
+        ks
+    };
+
+    /// The five GEMM entry points through their drivers, on every arm
+    /// against naive references spelling out the pinned orders, bit for
+    /// bit: `matmul_into` and `matmul_nt_into` onto a NaN-filled `out`,
+    /// `matmul_acc`, `matmul_tn_acc` and `matmul_nt_acc` onto a dirty
+    /// one. The m values put ragged last tiles (a tile's missing rows
+    /// read the block's last row) in single- and multi-tile blocks, leave
+    /// every remainder 1..7 of a group of 8 NT rows over one to three
+    /// full groups, and m = 130 with n >= 16 runs the parallel split;
+    /// the depths cross KC blocks.
     #[test]
     fn gemm_drivers_match_portable_on_every_arm() {
         let arms = gemm_arms();
         let mut rng = StdRng::seed_from_u64(29);
-        for m in [1, 7, 8, 9, 15, 17, 130] {
-            for k in PARITY_K {
+        for m in [1, 7, 8, 9, 15, 17, 26, 27, 28, 29, 30, 130] {
+            for k in DRIVER_K {
                 for n in [1, 15, 16, 17, 32, 33] {
                     for fill in ["uniform", "specials"] {
                         let a = fill_values(fill, m * k, &mut rng);
@@ -1760,29 +1966,65 @@ mod tests {
                         let b = fill_values(fill, k * n, &mut rng);
                         let b_nt = fill_values(fill, n * k, &mut rng);
                         let dirty = parity_values(m * n, 0, &mut rng);
+                        let (nn, tn) = (ASource::rows(&a, k), ASource::tn_cols(&a_t, m));
                         let run = |arm: Kernel| {
                             let mut into = vec![f32::NAN; m * n];
-                            gemm_dispatch::<true>(arm, ASource::Rows(&a), m, k, &b, n, &mut into);
+                            gemm_dispatch::<true>(arm, nn, m, k, &b, n, &mut into);
                             let mut acc = dirty.clone();
-                            gemm_dispatch::<false>(arm, ASource::Rows(&a), m, k, &b, n, &mut acc);
-                            let mut tn = dirty.clone();
-                            let a_tn = ASource::TnCols(&a_t, m);
-                            gemm_dispatch::<false>(arm, a_tn, m, k, &b, n, &mut tn);
-                            let mut nt = dirty.clone();
-                            nt_dispatch(arm, &a, m, k, &b_nt, n, &mut nt);
+                            gemm_dispatch::<false>(arm, nn, m, k, &b, n, &mut acc);
+                            let mut tn_acc = dirty.clone();
+                            gemm_dispatch::<false>(arm, tn, m, k, &b, n, &mut tn_acc);
+                            let mut nt_acc = dirty.clone();
+                            nt_dispatch::<false>(arm, &a, m, k, &b_nt, n, &mut nt_acc);
+                            let mut nt_into = vec![f32::NAN; m * n];
+                            nt_dispatch::<true>(arm, &a, m, k, &b_nt, n, &mut nt_into);
                             [
                                 ("matmul_into", into),
                                 ("matmul_acc", acc),
-                                ("matmul_tn_acc", tn),
-                                ("matmul_nt_acc", nt),
+                                ("matmul_tn_acc", tn_acc),
+                                ("matmul_nt_acc", nt_acc),
+                                ("matmul_nt_into", nt_into),
                             ]
                         };
-                        let expect = run(Kernel::Portable);
+                        let plus_dirty = |v: Vec<f32>| -> Vec<f32> {
+                            dirty.iter().zip(v).map(|(d, v)| d + v).collect()
+                        };
+                        let nn_ref = naive_gemm(nn, m, k, &b, n);
+                        let nt_ref: Vec<f32> = (0..m * n)
+                            .map(|i| {
+                                let (r, j) = (i / n, i % n);
+                                ref_dot8(&a[r * k..(r + 1) * k], &b_nt[j * k..(j + 1) * k])
+                            })
+                            .collect();
+                        let expect = [
+                            nn_ref.clone(),
+                            plus_dirty(nn_ref),
+                            plus_dirty(naive_gemm(tn, m, k, &b, n)),
+                            plus_dirty(nt_ref.clone()),
+                            nt_ref,
+                        ];
+                        let portable = run(Kernel::Portable);
                         for &arm in &arms {
-                            for ((op, got), (_, want)) in run(arm).iter().zip(&expect) {
+                            let got = if arm == Kernel::Portable {
+                                portable.clone()
+                            } else {
+                                run(arm)
+                            };
+                            for (((op, got), want), (_, port)) in
+                                got.iter().zip(&expect).zip(&portable)
+                            {
                                 let what = format!("{op} {} m={m} k={k} n={n} {fill}", arm.name());
-                                for (i, (&g, &e)) in got.iter().zip(want).enumerate() {
-                                    assert!(same_bits(g, e), "{what} [{i}]: {g:e} vs {e:e}");
+                                for (i, ((&g, &e), &p)) in
+                                    got.iter().zip(want).zip(port).enumerate()
+                                {
+                                    assert!(
+                                        same_bits(g, e),
+                                        "{what} [{i}]: {g:e} vs reference {e:e}"
+                                    );
+                                    assert!(
+                                        same_bits(g, p),
+                                        "{what} [{i}]: {g:e} vs portable {p:e}"
+                                    );
                                 }
                             }
                         }

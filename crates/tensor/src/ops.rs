@@ -364,6 +364,25 @@ impl GradStore<'_> {
         debug_assert_eq!(g.shape(), (rows, cols), "gradient shape mismatch");
         Some(g)
     }
+
+    /// Like [`GradStore::acc`], but a slot touched for the first time
+    /// comes back with unspecified contents and `true`: the caller must
+    /// then overwrite every element instead of adding to it.
+    pub fn acc_or_fresh(
+        &mut self,
+        parent: usize,
+        rows: usize,
+        cols: usize,
+    ) -> Option<(&mut Matrix, bool)> {
+        if matches!(self.ops[parent], Op::Constant) {
+            return None;
+        }
+        let slot = &mut self.grads[parent];
+        let fresh = slot.is_none();
+        let g = slot.get_or_insert_with(|| self.pool.uninit(rows, cols));
+        debug_assert_eq!(g.shape(), (rows, cols), "gradient shape mismatch");
+        Some((g, fresh))
+    }
 }
 
 /// Backward pass for one op, accumulating `+=` into the parents' gradient
@@ -380,8 +399,14 @@ pub fn backward_into(
         Op::Leaf | Op::Constant => {}
         Op::MatMul { a, b } => {
             let (av, bv) = (&values[*a], &values[*b]);
-            if let Some(ga) = store.acc(*a, av.rows(), av.cols()) {
-                grad_out.matmul_nt_acc(bv, ga);
+            // A first touch runs the overwriting NT on an unfilled slot,
+            // bit-identical to zero-filling it and adding: a GEMM output
+            // starts at `+0.0` and only adds, so it is never `-0.0`, and
+            // `0.0 + x` is `x`.
+            match store.acc_or_fresh(*a, av.rows(), av.cols()) {
+                Some((ga, true)) => grad_out.matmul_nt_into(bv, ga),
+                Some((ga, false)) => grad_out.matmul_nt_acc(bv, ga),
+                None => {}
             }
             if let Some(gb) = store.acc(*b, bv.rows(), bv.cols()) {
                 av.matmul_tn_acc(grad_out, gb);

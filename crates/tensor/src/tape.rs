@@ -521,6 +521,88 @@ mod tests {
     }
 
     #[test]
+    fn fresh_gemm_gradient_slots_match_the_zero_fill_path_bit_for_bit() {
+        // `x` is only a GEMM's `a`, so its slot's first touch runs the
+        // overwriting NT. `z` takes a GEMM's gradient first and an add's
+        // after, `u` an add's first and a GEMM's after. Upstream rows hold
+        // all -0.0, a NaN, +inf and -inf, and the pool's spare buffers
+        // are NaN-filled, so an element the overwrite missed would show.
+        // Every gradient must equal zero-filling each slot and adding.
+        let (m, k, n) = (11, 19, 21);
+        let val = |rows, cols, seed: usize| {
+            Matrix::from_fn(rows, cols, |r, c| {
+                ((r * 7 + c * 3 + seed) % 13) as f32 * 0.37 - 2.0
+            })
+        };
+        let up = |rows, cols, shift: usize| {
+            Matrix::from_fn(rows, cols, |r, c| match r {
+                0 => -0.0,
+                1..=3 if c == (shift + r) % cols => {
+                    [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][r - 1]
+                }
+                _ => ((r * 5 + c * 11 + shift) % 17) as f32 * 0.25 - 2.0,
+            })
+        };
+        let mut t = Tape::new();
+        let (x, z, u) = (
+            t.leaf(val(m, k, 1)),
+            t.leaf(val(m, k, 2)),
+            t.leaf(val(m, k, 3)),
+        );
+        let w = t.leaf(val(k, n, 4));
+        let (cz, cu) = (
+            t.constant(Matrix::zeros(m, k)),
+            t.constant(Matrix::zeros(m, k)),
+        );
+        // Backward visits these last to first.
+        let s = t.matmul(u, w);
+        let add_z = t.add(z, cz);
+        let p = t.matmul(x, w);
+        let q = t.matmul(z, w);
+        let add_u = t.add(u, cu);
+        let go = [
+            (add_u, up(m, k, 0)),
+            (q, up(m, n, 1)),
+            (p, up(m, n, 2)),
+            (add_z, up(m, k, 3)),
+            (s, up(m, n, 4)),
+        ];
+        for _ in 0..4 {
+            t.pool.recycle(Matrix::full(m, k, f32::NAN));
+        }
+        let mut grads = vec![None; t.len()];
+        let mut store = GradStore {
+            ops: &t.ops,
+            grads: &mut grads,
+            pool: &mut t.pool,
+        };
+        for (node, g) in &go {
+            ops::backward_into(&t.ops[node.0], g, &t.values, &t.values[node.0], &mut store);
+        }
+
+        let value = |v: Var| &t.values[v.0];
+        let [go_add_u, go_q, go_p, go_add_z, go_s] = go.map(|(_, g)| g);
+        let nt = |g: &Matrix, acc: &mut Matrix| g.matmul_nt_acc(value(w), acc);
+        let mut gx = Matrix::zeros(m, k);
+        nt(&go_p, &mut gx);
+        let mut gz = Matrix::zeros(m, k);
+        nt(&go_q, &mut gz);
+        gz.add_assign(&go_add_z);
+        let mut gu = Matrix::zeros(m, k);
+        gu.add_assign(&go_add_u);
+        nt(&go_s, &mut gu);
+        let mut gw = Matrix::zeros(k, n);
+        value(z).matmul_tn_acc(&go_q, &mut gw);
+        value(x).matmul_tn_acc(&go_p, &mut gw);
+        value(u).matmul_tn_acc(&go_s, &mut gw);
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (what, v, expect) in [("x", x, gx), ("z", z, gz), ("u", u, gu), ("w", w, gw)] {
+            let got = grads[v.0].as_ref().unwrap();
+            assert_eq!(bits(got), bits(&expect), "{what} gradient");
+        }
+    }
+
+    #[test]
     fn in_place_accumulation_matches_manual_fanout() {
         // y = a*w1 + a*w2 + a ⊙ a: three gradient contributions accumulate
         // into `a` in place; compare against the hand-derived total.

@@ -1,10 +1,11 @@
 //! Steady-state allocation regression test for the GEMM kernels.
 //!
-//! Packing scratch comes from per-thread pooled buffers
-//! (`with_scratch`), so after warmup every matmul variant performs zero
-//! heap allocations into caller-provided outputs — at any thread count
-//! and even when the parallel path is forced on. Pins the invariant
-//! with a counting global allocator (hence its own test binary).
+//! Packing and parked-accumulator scratch comes from per-thread pooled
+//! buffers (`with_scratch`), so after warmup every matmul variant
+//! performs zero heap allocations into caller-provided outputs — at any
+//! thread count and even when the parallel path is forced on. Pins the
+//! invariant with a counting global allocator (hence its own test
+//! binary).
 
 use rand::SeedableRng;
 use trkx_tensor::Matrix;
@@ -30,4 +31,14 @@ fn matmul_kernels_allocate_nothing_after_warmup() {
     steady_state_allocs("matmul_acc", || a.matmul_acc(&b, &mut out));
     steady_state_allocs("matmul_tn_acc", || a.matmul_tn_acc(&g, &mut wgrad));
     steady_state_allocs("matmul_nt_acc", || g.matmul_nt_acc(&b, &mut xgrad));
+    steady_state_allocs("matmul_nt_into", || g.matmul_nt_into(&b, &mut xgrad));
+    // A TN reduction of 600 rows, two full KC = 256 blocks and a ragged
+    // third: its tiles park their accumulators in pooled scratch between
+    // blocks.
+    let x = Matrix::randn(600, 96, 1.0, &mut rng);
+    let dy = Matrix::randn(600, 16, 1.0, &mut rng);
+    let mut wgrad_small = Matrix::zeros(96, 16);
+    steady_state_allocs("matmul_tn_acc, 600 deep", || {
+        x.matmul_tn_acc(&dy, &mut wgrad_small)
+    });
 }

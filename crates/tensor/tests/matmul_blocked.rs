@@ -20,12 +20,15 @@
 //! AVX-512 arm; the arm-vs-arm unit tests in `matrix.rs` pin every arm
 //! the CPU can run directly.
 //!
-//! Outputs start dirty: the overwriting `matmul_into` gets a NaN-filled
-//! buffer (it must never read `out`), and every accumulating variant a
-//! random non-zero one, which must receive each product in exactly one
-//! add after its accumulation.
+//! Outputs start dirty: the overwriting `matmul_into` and
+//! `matmul_nt_into` get a NaN-filled buffer (they must never read
+//! `out`), and every accumulating variant a random non-zero one, which
+//! must receive each product in exactly one add after its accumulation.
 //! Shapes sweep every alignment class around the NR=16 panel width and
-//! MR=8 tile height: below, at, and one past each boundary.
+//! MR=8 tile height: below, at, and one past each boundary. Row counts
+//! also leave every remainder of a group of 8 NT rows over several
+//! groups, and reduction depths also cross the GEMM's KC = 256 blocks,
+//! where a tile parks its accumulator and resumes it.
 
 use proptest::prelude::*;
 use trkx_tensor::{force_parallel_kernels, Matrix};
@@ -34,8 +37,16 @@ use trkx_tensor::{force_parallel_kernels, Matrix};
 /// boundaries, plus the degenerate width 1.
 const DIMS: [usize; 8] = [1, 7, 15, 16, 17, 63, 64, 65];
 
-fn dim() -> impl Strategy<Value = usize> {
-    (0usize..DIMS.len()).prop_map(|i| DIMS[i])
+/// Row counts (m): [`DIMS`] plus 8-row groups with remainders 2 to 6.
+const ROWS: [usize; 13] = [1, 7, 15, 16, 17, 63, 64, 65, 18, 27, 36, 45, 54];
+
+/// Reduction depths (k): [`DIMS`] plus both sides of one and two
+/// KC = 256 blocks and a deep reduction of twelve blocks, the last
+/// ragged.
+const DEPTHS: [usize; 13] = [1, 7, 15, 16, 17, 63, 64, 65, 255, 256, 257, 515, 3001];
+
+fn pick(dims: &'static [usize]) -> impl Strategy<Value = usize> {
+    (0usize..dims.len()).prop_map(move |i| dims[i])
 }
 
 fn buf(len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -43,8 +54,8 @@ fn buf(len: usize) -> impl Strategy<Value = Vec<f32>> {
 }
 
 /// `a (m x k) * b (k x n)`, one sequential accumulator per element over
-/// ascending `kk` — the pinned order of `matmul` and (via on-the-fly
-/// transposed packing) `matmul_tn`.
+/// ascending `kk` — the pinned order of `matmul` and (reading its
+/// operand transposed) `matmul_tn`.
 fn naive_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
     for r in 0..m {
@@ -77,7 +88,7 @@ fn ref_dot8(a: &[f32], b: &[f32]) -> f32 {
 }
 
 fn case() -> impl Strategy<Value = (usize, usize, usize, Vec<f32>, Vec<f32>, Vec<f32>)> {
-    (dim(), dim(), dim()).prop_flat_map(|(m, k, n)| {
+    (pick(&ROWS), pick(&DEPTHS), pick(&DIMS)).prop_flat_map(|(m, k, n)| {
         (
             Just(m),
             Just(k),
@@ -145,8 +156,9 @@ proptest! {
         prop_assert_eq!(acc.data(), &expect[..]);
     }
 
-    // `matmul_nt` / `matmul_nt_acc` (`self * bᵀ`, b is `n x k`) match
-    // the dot8 lane-structure reference for every output element.
+    // `matmul_nt` / `matmul_nt_into` / `matmul_nt_acc` (`self * bᵀ`, b
+    // is `n x k`) match the dot8 lane-structure reference for every
+    // output element.
     #[test]
     fn nt_variants_match_dot8_reference((m, k, n, av, bv, pre) in case()) {
         force_parallel_kernels();
@@ -161,6 +173,12 @@ proptest! {
 
         let fresh = a.matmul_nt(&bt);
         prop_assert_eq!(fresh.data(), &naive[..]);
+
+        // The overwriting NT never reads `out`: a NaN-filled one comes
+        // back as the product, bit for bit.
+        let mut into = Matrix::full(m, n, f32::NAN);
+        a.matmul_nt_into(&bt, &mut into);
+        prop_assert_eq!(into.data(), &naive[..]);
 
         let mut acc = Matrix::from_vec(m, n, pre.clone());
         a.matmul_nt_acc(&bt, &mut acc);
