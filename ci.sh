@@ -7,8 +7,9 @@
 # overwrite against the zero-fill path at two pool sizes and the
 # ReLU-gate parity test, the buffer-reuse,
 # determinism / allocation / thread-budget / GNN epoch-loop / early-stop
-# lockstep / store-fault suites at two pool sizes, a smoke run of the Figure 3
-# bin, a two-second run of each benchmark workload with a
+# lockstep / store-fault suites at two pool sizes, bulk ShaDow's pinned
+# output hashes and its allocation probe at two pool sizes, a smoke run
+# of the Figure 3 bin, a two-second run of each benchmark workload with a
 # 1 GB peak-RSS tripwire, and a check that the frozen benchmark's
 # tracked files did not change. Run from the repo root.
 set -euo pipefail
@@ -175,8 +176,8 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-graph --test proptests
 # bulk) must be bit-identical over the file-backed ShardedCsr vs in-core
 # CSR across shard sizes and cache capacities, and every subgraph either
 # samples, sharded or not, must be valid with one component per batch
-# vertex (run at two pool sizes; at 4 threads bulk extraction reads one
-# sharded view from several threads), and the
+# vertex (run at two pool sizes; at 4 threads bulk extraction of several
+# minibatches reads one sharded view from several threads), and the
 # sharded-vs-in-core training curve must match bit for bit. The fault
 # count is a contract, checked as a count: a gather faults each shard it
 # touches exactly once, and a bulk epoch faults each shard at most once
@@ -189,6 +190,17 @@ RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-sampling --test sharded_pari
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-sampling --test sharded_parity bulk_faults_each_shard_at_most_once_per_walk_step
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core sharded_store_training_is_bit_identical_to_in_core
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core sharded_store_training_is_bit_identical_to_in_core
+
+# Bulk ShaDow's output is pinned: hashes of every output field on a
+# ladder, a hub and a fixed-seed Ex3-like event, at four (depth, fanout)
+# settings and k = 1 and 3 stacked minibatches, must equal constants
+# recorded from the sampler as first written (the benchmark's own hash is
+# computed by the code under test, so it cannot see a different draw).
+# And a warm bulk call's allocations must not grow with the number of
+# walks (256 vs 1,024 roots per batch). Both at two pool sizes: at 4 the
+# minibatches are extracted in parallel.
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-sampling --test bulk_pinned --test alloc_probe
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-sampling --test bulk_pinned --test alloc_probe
 
 # Frozen benchmark package: tier-1 never builds `benchmark/`, so a
 # public-API change that breaks it must fail here. Type-check it against

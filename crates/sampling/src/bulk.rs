@@ -11,9 +11,21 @@
 //! every batch at once. On a GPU this turns many small kernels into one
 //! large one; the CPU analogue implemented here amortises all per-call
 //! state across the stacked work — one splitmix-seeded inline PRNG per
-//! row (no generator construction), one generation-stamped
-//! [`InducedExtractor`] reused for every induced-subgraph extraction, and
-//! Rayon parallelism across the stacked rows when hardware threads exist.
+//! walk and step (no generator construction), and per minibatch one
+//! generation-stamped [`InducedExtractor`] and one node and edge buffer
+//! reused for every walk's extraction. Nothing is allocated per walk.
+//!
+//! `F` is kept as one CSR per walk level over a shared vertex buffer:
+//! level 0 holds the roots, level `l + 1` every walk's picks at step `l`,
+//! in walk order, with `walks + 1` offsets marking each walk's slice.
+//! Level `l` is also step `l`'s frontier `Q`, so a step samples each
+//! walk's slice of one level straight into the next. A walk's touched
+//! set is the union of its slices: an `n`-sized generation stamp keeps
+//! each vertex the first time it is seen, and only those survivors are
+//! sorted before extraction appends the walk's induced subgraph straight
+//! into its minibatch. With more than one pool thread the minibatches
+//! are extracted in parallel, one task per batch with its own scratch;
+//! the walk steps run serially, walk by walk.
 //!
 //! Because each `Q` row has exactly one nonzero, the nonzero pattern of
 //! row `i` of `Q·A` *is* the neighbour list of the frontier vertex in row
@@ -25,8 +37,8 @@
 //! The stacked form also means every row a step reads is known before
 //! any is read: the step's frontier *is* the row selection. Each walk
 //! step therefore makes one [`trkx_sparse::RowStore::gather`] of its
-//! frontier and the extraction pass one gather of every walk's touched
-//! set; sampling then reads rows from the returned view in frontier
+//! frontier level and the extraction pass one gather of every level;
+//! sampling then reads rows from the returned view in frontier
 //! order, so each walk's PRNG stream is consumed exactly as a
 //! row-at-a-time walk would consume it. Over a sharded graph this faults
 //! each shard at most once per step (plus once for extraction) instead
@@ -115,9 +127,65 @@ fn floyd_sample(neighbors: &[u32], fanout: usize, rng: &mut RowRng, out: &mut Ve
     }
 }
 
-/// One extracted walk component: sorted touched vertices plus local
-/// `(src, dst, orig_edge_id)` edges.
-type WalkComponent = (Vec<u32>, Vec<(u32, u32, u32)>);
+/// The stacked touched-set matrix `F`, kept as one CSR per walk level:
+/// level 0 holds the roots, level `l + 1` every walk's picks at step `l`,
+/// in walk order. All levels share one vertex buffer, so the extraction
+/// pass gathers it whole, and a level's slice is the next step's frontier.
+struct Levels {
+    /// Every level's vertices, level after level.
+    verts: Vec<u32>,
+    /// Per level, `walks + 1` offsets into `verts`: walk `w`'s slice of
+    /// level `l` is `verts[offsets[l][w]..offsets[l][w + 1]]`.
+    offsets: Vec<Vec<usize>>,
+}
+
+impl Levels {
+    /// Walk `w`'s touched vertices, sorted and duplicate-free, into
+    /// `scratch.nodes`: each vertex is kept the first time the stamp sees
+    /// it, so only the survivors are sorted.
+    fn walk_nodes(&self, w: usize, scratch: &mut Scratch) {
+        scratch.generation = scratch.generation.wrapping_add(1);
+        if scratch.generation == 0 {
+            // Extremely rare wraparound: hard reset.
+            scratch.seen.fill(0);
+            scratch.generation = 1;
+        }
+        scratch.nodes.clear();
+        for level in &self.offsets {
+            for &v in &self.verts[level[w]..level[w + 1]] {
+                let seen = &mut scratch.seen[v as usize];
+                if *seen != scratch.generation {
+                    *seen = scratch.generation;
+                    scratch.nodes.push(v);
+                }
+            }
+        }
+        scratch.nodes.sort_unstable();
+    }
+}
+
+/// Per-batch extraction state, reused across the batch's walks (and, on
+/// the serial path, across batches).
+struct Scratch {
+    /// `seen[v] == generation` iff `v` is already in `nodes`.
+    seen: Vec<u32>,
+    generation: u32,
+    nodes: Vec<u32>,
+    edges: Vec<(u32, u32, u32)>,
+    extractor: InducedExtractor,
+}
+
+impl Scratch {
+    fn new(n: usize) -> Self {
+        Self {
+            seen: vec![0; n],
+            generation: 0,
+            nodes: Vec::new(),
+            edges: Vec::new(),
+            extractor: InducedExtractor::new(n),
+        }
+    }
+}
 
 /// Bulk ShaDow sampler: samples `k` minibatches in one stacked pass.
 #[derive(Debug, Clone)]
@@ -131,7 +199,7 @@ impl BulkShadowSampler {
     }
 
     /// Sample `batches.len()` minibatches in bulk. Deterministic in
-    /// `seed`; per-row PRNG streams are derived from `(seed, step, walk)`
+    /// `seed`; per-walk PRNG streams are derived from `(seed, step, walk)`
     /// so execution order (sequential or parallel) cannot change results.
     pub fn sample_batches(
         &self,
@@ -140,104 +208,84 @@ impl BulkShadowSampler {
         seed: u64,
     ) -> Vec<SampledSubgraph> {
         // Stack all batch vertices (Eq. 1): walk index = global row.
-        let flat_batch: Vec<u32> = batches.iter().flatten().copied().collect();
-        let total = flat_batch.len();
-        // F: touched set per walk (batch vertex included from the start).
-        let mut touched: Vec<Vec<u32>> = flat_batch.iter().map(|&v| vec![v]).collect();
-        // Q^d: (owner walk, frontier vertex) rows.
-        let mut frontier_owner: Vec<u32> = (0..total as u32).collect();
-        let mut frontier_vertex: Vec<u32> = flat_batch.clone();
+        let levels = self.walk(graph, batches.iter().flatten().copied().collect(), seed);
 
+        // Bulk extraction: one induced subgraph per walk (the row/column
+        // selection SpGEMM of Fig. 2), every row read from one view over
+        // all levels, each walk's component appended straight into its
+        // minibatch. Parallel across batches when hardware threads exist.
+        let rows = graph.gather_directed(&levels.verts);
+        let mut spans = Vec::with_capacity(batches.len());
+        let mut start = 0;
+        for batch in batches {
+            spans.push(start..start + batch.len());
+            start += batch.len();
+        }
+        let extract = |scratch: &mut Scratch, walks: std::ops::Range<usize>| {
+            let mut sg = SampledSubgraph::empty();
+            for w in walks {
+                levels.walk_nodes(w, scratch);
+                scratch.edges.clear();
+                scratch
+                    .extractor
+                    .extract_into(&rows, &scratch.nodes, &mut scratch.edges);
+                sg.append_component(
+                    levels.verts[w],
+                    &scratch.nodes,
+                    scratch.edges.iter().copied(),
+                );
+            }
+            sg
+        };
+        if rayon::current_num_threads() > 1 && batches.len() > 1 {
+            spans
+                .into_par_iter()
+                .map_init(|| Scratch::new(graph.num_nodes), extract)
+                .collect()
+        } else {
+            let mut scratch = Scratch::new(graph.num_nodes);
+            spans
+                .into_iter()
+                .map(|s| extract(&mut scratch, s))
+                .collect()
+        }
+    }
+
+    /// The random walks: `depth` bulk steps over the stacked frontier,
+    /// conceptually `Q^{l-1} ← sample_s(row_normalize(Q^l · A))`, each
+    /// sampling one level of `F` straight into the next.
+    fn walk(&self, graph: &SamplerGraph, roots: Vec<u32>, seed: u64) -> Levels {
+        // Level 0: walk `w` starts at `roots[w]`.
+        let walks = roots.len();
+        let mut levels = Levels {
+            offsets: vec![(0..=walks).collect()],
+            verts: roots,
+        };
         for step in 0..self.config.depth {
-            // Bulk step over the whole stacked frontier: conceptually
-            // Q^{l-1} ← sample_s(row_normalize(Q^l · A)). One pass, one
-            // PRNG stream per walk.
-            let mut next_owner = Vec::with_capacity(frontier_owner.len() * self.config.fanout);
-            let mut next_vertex = Vec::with_capacity(frontier_owner.len() * self.config.fanout);
-            let mut picks: Vec<u32> = Vec::with_capacity(self.config.fanout);
-            // Per-walk RNGs persist across the rows of one step so that
-            // two rows of the same walk draw from one stream.
-            let mut rngs: Vec<RowRng> = (0..total)
-                .map(|w| RowRng::new(seed, step as u64, w as u64))
-                .collect();
+            let prev = levels.offsets.last().expect("level 0 exists");
+            let (lo, hi) = (prev[0], prev[walks]);
             // Rows are read in frontier order, not shard order: reordering
             // would reorder each walk's draws.
-            let rows = graph.gather_undirected(&frontier_vertex);
-            for (&owner, &vertex) in frontier_owner.iter().zip(&frontier_vertex) {
-                let (neighbors, _) = rows.row(vertex as usize);
-                if neighbors.is_empty() {
-                    continue;
+            let rows = graph.gather_undirected(&levels.verts[lo..hi]);
+            let mut next = Vec::with_capacity(walks + 1);
+            next.push(hi);
+            for w in 0..walks {
+                // One PRNG stream per walk and step, shared by the rows of
+                // the walk's frontier slice.
+                let mut rng = RowRng::new(seed, step as u64, w as u64);
+                for i in prev[w]..prev[w + 1] {
+                    let (neighbors, _) = rows.row(levels.verts[i] as usize);
+                    floyd_sample(neighbors, self.config.fanout, &mut rng, &mut levels.verts);
                 }
-                picks.clear();
-                floyd_sample(
-                    neighbors,
-                    self.config.fanout,
-                    &mut rngs[owner as usize],
-                    &mut picks,
-                );
-                touched[owner as usize].extend_from_slice(&picks);
-                for &v in &picks {
-                    next_owner.push(owner);
-                    next_vertex.push(v);
-                }
+                next.push(levels.verts.len());
             }
-            frontier_owner = next_owner;
-            frontier_vertex = next_vertex;
-            if frontier_owner.is_empty() {
+            let exhausted = next[walks] == hi;
+            levels.offsets.push(next);
+            if exhausted {
                 break;
             }
         }
-
-        // Bulk extraction: one induced subgraph per walk (the row/column
-        // selection SpGEMM of Fig. 2), with the generation-stamped
-        // extractor amortised across all k·b extractions, every row read
-        // from one view over the union of the touched sets. Parallel
-        // across walks when hardware threads exist.
-        let rows = graph.gather_directed(&touched.concat());
-        let components: Vec<WalkComponent> = if rayon::current_num_threads() > 1 && total > 8 {
-            touched
-                .into_par_iter()
-                .map_init(
-                    || InducedExtractor::new(graph.num_nodes),
-                    |extractor, mut nodes| {
-                        nodes.sort_unstable();
-                        nodes.dedup();
-                        let mut edges = Vec::new();
-                        extractor.extract_into(&rows, &nodes, &mut edges);
-                        (nodes, edges)
-                    },
-                )
-                .collect()
-        } else {
-            let mut extractor = InducedExtractor::new(graph.num_nodes);
-            touched
-                .into_iter()
-                .map(|mut nodes| {
-                    nodes.sort_unstable();
-                    nodes.dedup();
-                    let mut edges = Vec::new();
-                    extractor.extract_into(&rows, &nodes, &mut edges);
-                    (nodes, edges)
-                })
-                .collect()
-        };
-
-        // Release the view's shards before the output is assembled.
-        drop(rows);
-
-        // Reassemble per minibatch, preserving batch order.
-        let mut out = Vec::with_capacity(batches.len());
-        let mut cursor = 0usize;
-        for batch in batches {
-            let mut sg = SampledSubgraph::empty();
-            for &b in batch {
-                let (nodes, edges) = &components[cursor];
-                cursor += 1;
-                sg.append_component(b, nodes, edges.iter().copied());
-            }
-            out.push(sg);
-        }
-        out
+        levels
     }
 }
 

@@ -186,9 +186,8 @@ fn scattered_edges(n: usize, out_degree: usize) -> (Vec<u32>, Vec<u32>) {
 
 #[test]
 fn bulk_extraction_over_sharded_views_matches_in_core_with_three_batches() {
-    // 12 roots over k = 3 batches: more than the 8 walks below which bulk
-    // extraction stays serial, so under a multi-thread pool several
-    // threads read one sharded view at once.
+    // k = 3 batches: bulk extraction runs one task per batch under a
+    // multi-thread pool, so several threads read one sharded view at once.
     let n = 40;
     let (src, dst) = scattered_edges(n, 2);
     let incore = SamplerGraph::new(n, &src, &dst);

@@ -3,8 +3,8 @@
 //!
 //! Provided: `par_iter` / `par_iter_mut` (+ `zip`, `for_each`, `sum`),
 //! `par_chunks_mut().enumerate().for_each`, `par_sort_unstable`,
-//! `into_par_iter` on ranges and `Vec` (+ `map`, `map_init`,
-//! `flat_map_iter`, `collect`), and `current_num_threads`.
+//! `into_par_iter` on ranges and `Vec` (+ `map`, `map_init`, `collect`),
+//! and `current_num_threads`.
 //! Adapters are eager executors, not lazy combinator graphs — each
 //! terminal call fans blocks out over the pool via `pool::join_n`.
 //!
@@ -324,18 +324,6 @@ impl ParRange {
         ParMapped(collect_indexed(self.0.len(), |i| f(start + i)))
     }
 
-    pub fn flat_map_iter<U, I>(self, f: impl Fn(usize) -> I + Sync) -> ParMapped<U>
-    where
-        U: Send,
-        I: IntoIterator<Item = U>,
-    {
-        let start = self.0.start;
-        let nested = collect_indexed(self.0.len(), |i| {
-            f(start + i).into_iter().collect::<Vec<U>>()
-        });
-        ParMapped(nested.into_iter().flatten().collect())
-    }
-
     pub fn for_each(self, f: impl Fn(usize) + Sync) {
         let start = self.0.start;
         for_each_block(self.0.len(), 1, |r| {
@@ -467,18 +455,6 @@ mod tests {
             .zip(b.par_iter())
             .for_each(|(x, &y)| *x += y);
         assert!(a.iter().all(|&v| v == 3.0));
-    }
-
-    #[test]
-    fn flat_map_iter_concatenates_in_order() {
-        let v: Vec<usize> = (0..1000)
-            .into_par_iter()
-            .flat_map_iter(|i| (0..i % 3).map(move |j| i * 10 + j))
-            .collect();
-        let expect: Vec<usize> = (0..1000)
-            .flat_map(|i| (0..i % 3).map(move |j| i * 10 + j))
-            .collect();
-        assert_eq!(v, expect);
     }
 
     #[test]
