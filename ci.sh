@@ -8,7 +8,9 @@
 # ReLU-gate parity test, the buffer-reuse,
 # determinism / allocation / thread-budget / GNN epoch-loop / early-stop
 # lockstep / store-fault suites at two pool sizes, bulk ShaDow's pinned
-# output hashes and its allocation probe at two pool sizes, a smoke run
+# output hashes and its allocation probe at two pool sizes, eager
+# inference's logits against the recorded tape's and its peak-live-floats
+# bound at two pool sizes, a smoke run
 # of the Figure 3 bin, a two-second run of each benchmark workload with a
 # 1 GB peak-RSS tripwire, and a check that the frozen benchmark's
 # tracked files did not change. Run from the repo root.
@@ -89,10 +91,20 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-serve --test batch_parity
 # train step on a repeated shape (<= 69 allocs), stage-2 construction
 # (<= 8 allocs per event), train steps whose shapes are each new to the
 # pool (fresh bytes <= 20 % of the tape's activation bytes), and served
-# events replayed in an order new to the pool (fresh bytes <= 12 %). The
-# same bounds at both pool sizes are the flatness check.
+# events replayed in an order new to the pool (fresh bytes <= 5 % of the
+# bytes the tape's pool handed out to them). The same bounds at both pool
+# sizes are the flatness check.
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test alloc_probe
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test alloc_probe
+
+# Inference runs on the eager executor, which frees each buffer after
+# its last read. At two pool sizes, parallel kernels forced on: the
+# GNN's (with and without LayerNorm), the filter's and the embedding's
+# eager outputs equal a recorded tape's bit for bit on three events, and
+# one 8-layer GNN inference never has more than ~nine edge-by-hidden
+# matrices out of its pool at once.
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test eager_inference -- eager_logits_equal_tape_logits_bit_for_bit eager_inference_peak_live_floats_is_bounded
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test eager_inference -- eager_logits_equal_tape_logits_bit_for_bit eager_inference_peak_live_floats_is_bounded
 
 # DDP golden + determinism at two pool sizes: per-tensor and coalesced
 # all-reduce train bit-identically (loss, validation and final

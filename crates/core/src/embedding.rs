@@ -9,8 +9,10 @@ use std::convert::Infallible;
 use std::time::Instant;
 use trkx_ddp::EpochTiming;
 use trkx_detector::Event;
-use trkx_nn::{contrastive_hinge_loss, Activation, Adam, Bindings, Mlp, MlpConfig};
-use trkx_tensor::{Matrix, Tape};
+use trkx_nn::{
+    contrastive_hinge_loss, Activation, Adam, Bindings, Eager, Exec, Mlp, MlpConfig, Recorder,
+};
+use trkx_tensor::{Matrix, Tape, Var};
 
 /// Embedding-stage hyperparameters.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -124,15 +126,20 @@ impl EmbeddingStage {
         reports
     }
 
-    /// Embed a feature matrix (inference) against a caller-pooled
-    /// tape/bindings pair, so repeated inference recycles buffers instead
-    /// of allocating fresh ones per call.
+    /// Embed a feature matrix (inference) on the eager executor over
+    /// `tape`'s pool, so repeated inference recycles buffers instead of
+    /// allocating fresh ones per call (see [`crate::infer_logits_with`]).
     pub fn embed_with(&self, tape: &mut Tape, bind: &mut Bindings, x: &Matrix) -> Matrix {
-        tape.reset();
         bind.reset();
-        let xv = tape.constant_copied(x);
-        let emb = self.mlp.forward(tape, bind, xv);
-        tape.value(emb).clone()
+        let mut ex = Eager::new(tape);
+        let emb = self.forward(&mut ex, x);
+        ex.value(emb).clone()
+    }
+
+    /// The embedding of the feature matrix `x`, on any executor.
+    pub fn forward<'p, E: Exec<'p>>(&'p self, ex: &mut E, x: &'p Matrix) -> Var {
+        let xv = ex.input(x);
+        self.mlp.forward(ex, xv)
     }
 }
 
@@ -165,7 +172,7 @@ impl TrainStep for EmbeddingTrainStep<'_> {
             let margin = self.margin;
             loss_sum += engine.forward_backward(|tape, bind| {
                 let xv = tape.constant_copied(x);
-                let emb = mlp.forward(tape, bind, xv);
+                let emb = mlp.forward(&mut Recorder::new(tape, bind), xv);
                 Some(contrastive_hinge_loss(tape, emb, &pi, &pj, &labels, margin))
             });
             engine.update(&mut self.mlp.params_mut());

@@ -10,8 +10,10 @@ use std::convert::Infallible;
 use std::sync::Arc;
 use std::time::Instant;
 use trkx_ddp::EpochTiming;
-use trkx_nn::{bce_with_logits, Activation, Adam, BinaryStats, Bindings, Mlp, MlpConfig};
-use trkx_tensor::{Matrix, Tape, Var};
+use trkx_nn::{
+    bce_with_logits, Activation, Adam, BinaryStats, Bindings, Eager, Exec, Mlp, MlpConfig, Recorder,
+};
+use trkx_tensor::{Matrix, Op, Tape, Var};
 
 /// Filter-stage hyperparameters.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -65,25 +67,28 @@ impl FilterStage {
         Self { mlp, config }
     }
 
-    /// Forward pass over raw matrices and edge arrays. Training and
-    /// [`FilterStage::logits_with`] pass a [`PreparedGraph`]'s; the
-    /// serving path passes an event's candidate graph, which never
-    /// materialises one (no sampler view, no edge plans needed here).
-    fn forward_arrays(
-        &self,
-        tape: &mut Tape,
-        bind: &mut Bindings,
-        x: &Matrix,
-        y: &Matrix,
+    /// Forward pass over raw matrices and edge arrays, on any executor.
+    /// Training and [`FilterStage::logits_with`] pass a
+    /// [`PreparedGraph`]'s; the serving path passes an event's candidate
+    /// graph, which never materialises one (no sampler view, no edge plans
+    /// needed here).
+    pub fn forward<'p, E: Exec<'p>>(
+        &'p self,
+        ex: &mut E,
+        x: &'p Matrix,
+        y: &'p Matrix,
         src: Arc<Vec<u32>>,
         dst: Arc<Vec<u32>>,
     ) -> Var {
-        let x = tape.constant_copied(x);
-        let y = tape.constant_copied(y);
-        let xs = tape.gather(x, src);
-        let xd = tape.gather(x, dst);
-        let input = tape.concat_cols(&[xs, xd, y]);
-        self.mlp.forward(tape, bind, input)
+        let x = ex.input(x);
+        let y = ex.input(y);
+        let xs = ex.eval(Op::Gather { a: x.0, idx: src });
+        let xd = ex.eval(Op::Gather { a: x.0, idx: dst });
+        let input = ex.concat_cols(&[xs, xd, y]);
+        for v in [x, y, xs, xd] {
+            ex.release(v);
+        }
+        self.mlp.forward(ex, input)
     }
 
     /// Train over the given graphs through the unified [`TrainLoop`];
@@ -99,27 +104,15 @@ impl FilterStage {
         reports
     }
 
-    /// Per-edge logits (inference) against a caller-pooled tape/bindings
-    /// pair (repeated inference recycles buffers).
+    /// Per-edge logits (inference) on the eager executor over `tape`'s
+    /// pool (repeated inference recycles buffers; see
+    /// [`crate::infer_logits_with`]).
     pub fn logits_with(&self, tape: &mut Tape, bind: &mut Bindings, g: &PreparedGraph) -> Vec<f32> {
-        let (src, dst) = (Arc::clone(&g.src), Arc::clone(&g.dst));
-        self.logits_arrays_with(tape, bind, &g.x, &g.y, src, dst)
-    }
-
-    /// [`FilterStage::logits_with`] over raw matrices and edge arrays.
-    pub fn logits_arrays_with(
-        &self,
-        tape: &mut Tape,
-        bind: &mut Bindings,
-        x: &Matrix,
-        y: &Matrix,
-        src: Arc<Vec<u32>>,
-        dst: Arc<Vec<u32>>,
-    ) -> Vec<f32> {
-        tape.reset();
         bind.reset();
-        let logits = self.forward_arrays(tape, bind, x, y, src, dst);
-        tape.value(logits).data().to_vec()
+        let mut ex = Eager::new(tape);
+        let (src, dst) = (Arc::clone(&g.src), Arc::clone(&g.dst));
+        let logits = self.forward(&mut ex, &g.x, &g.y, src, dst);
+        ex.value(logits).data().to_vec()
     }
 
     /// Logit threshold corresponding to the configured probability cut.
@@ -184,7 +177,7 @@ impl TrainStep for FilterTrainStep<'_> {
             let stage = &*self.stage;
             loss_sum += engine.forward_backward(|tape, bind| {
                 let (src, dst) = (Arc::clone(&g.src), Arc::clone(&g.dst));
-                let logits = stage.forward_arrays(tape, bind, &g.x, &g.y, src, dst);
+                let logits = stage.forward(&mut Recorder::new(tape, bind), &g.x, &g.y, src, dst);
                 Some(bce_with_logits(
                     tape,
                     logits,

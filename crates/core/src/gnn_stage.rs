@@ -6,6 +6,13 @@
 //! (threaded or simulated) — as a [`TrainSpec`] over a single
 //! rank step. Produces the per-epoch convergence curves of Figure 4 and
 //! the epoch-time breakdowns of Figure 3.
+//!
+//! Training records each forward on a tape, whose every per-layer
+//! activation stays alive for backward. Inference ([`infer_logits_with`],
+//! [`evaluate`], epoch-end validation) runs the same forward on the eager
+//! executor instead, which frees each buffer after its last read: the
+//! memory a full event needs at evaluation is about one layer's, not all
+//! of them, and the logits are the same bits.
 
 use crate::train::{
     plan_chunks, BatchingMode, Engine, EpochReport, EpochStats, Hook, SampleChunk, ShardChunks,
@@ -18,7 +25,7 @@ use std::time::Instant;
 use trkx_ddp::{run_workers, AllReduceStrategy, AllReducer, DdpConfig, EpochTiming};
 use trkx_detector::EventGraph;
 use trkx_ignn::{IgnnConfig, InteractionGnn};
-use trkx_nn::{bce_with_logits, Adam, BinaryStats, Bindings};
+use trkx_nn::{bce_with_logits, Adam, BinaryStats, Bindings, Eager, Exec};
 use trkx_sampling::{
     vertex_batches, BulkShadowSampler, SampledSubgraph, Sampler, SamplerGraph, ShadowConfig,
     ShadowSampler,
@@ -256,19 +263,21 @@ pub struct TrainResult {
     pub skipped_graphs: usize,
 }
 
-/// Run full-graph inference, returning per-edge logits, against a
-/// caller-pooled tape/bindings pair, so repeated inference recycles
-/// buffers instead of allocating fresh ones.
+/// Run full-graph inference, returning per-edge logits. The forward runs
+/// on the eager executor over `tape`'s pool: nothing is recorded and
+/// each buffer goes back to the pool after its last use, so the working
+/// set is about one layer's, and repeated inference recycles the same
+/// buffers. `bind` is only cleared (the eager executor binds nothing).
 pub fn infer_logits_with(
     tape: &mut Tape,
     bind: &mut Bindings,
     model: &InteractionGnn,
     g: &PreparedGraph,
 ) -> Vec<f32> {
-    tape.reset();
     bind.reset();
-    let logits = model.forward_planned(tape, bind, &g.x, &g.y, &g.plans);
-    tape.value(logits).data().to_vec()
+    let mut ex = Eager::new(tape);
+    let logits = model.run(&mut ex, &g.x, &g.y, &g.plans);
+    ex.value(logits).data().to_vec()
 }
 
 /// Edge-classification metrics of `model` over `graphs`.
@@ -278,8 +287,9 @@ pub fn evaluate(model: &InteractionGnn, graphs: &[PreparedGraph], threshold: f32
     evaluate_with(&mut tape, &mut bind, model, graphs, threshold)
 }
 
-/// [`evaluate`] against a caller-pooled tape/bindings pair (one tape
-/// serves all graphs; epoch-end validation reuses the same buffers).
+/// [`evaluate`] against a caller-pooled tape/bindings pair (one tape's
+/// pool serves all graphs; epoch-end validation reuses the same buffers).
+/// Each graph runs through [`infer_logits_with`].
 pub fn evaluate_with(
     tape: &mut Tape,
     bind: &mut Bindings,

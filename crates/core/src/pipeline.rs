@@ -9,11 +9,11 @@ use crate::gnn_stage::{
 };
 use crate::graph_construction::{ConstructionMethod, GraphConstructor};
 use crate::metrics::TrackMetrics;
-use crate::tracks::{build_tracks, TrackBuildResult};
+use crate::tracks::{build_tracks, build_tracks_over, TrackBuildResult};
 use trkx_ddp::DdpConfig;
 use trkx_detector::{edge_features, vertex_features, Event, EventGraph};
 use trkx_ignn::InteractionGnn;
-use trkx_nn::Bindings;
+use trkx_nn::{Bindings, Eager, Exec};
 use trkx_tensor::{Matrix, Tape};
 
 /// Full-pipeline configuration.
@@ -340,7 +340,9 @@ impl TrainedPipeline {
 
     /// Inference on one event against caller-pooled tape, bindings and
     /// [`GraphConstructor`] (all three recycle their buffers): embed →
-    /// construct → filter → GNN → tracks. This is the one inference path;
+    /// construct → filter → GNN → tracks. The three learned stages run on
+    /// the eager executor over the tape's pool (nothing is recorded, and
+    /// each buffer is freed after its last use). This is the one inference path;
     /// [`TrainedPipeline::reconstruct`] calls it with fresh pools, and the
     /// output does not depend on what the pools served before
     /// (`crates/serve/tests/batch_parity.rs`).
@@ -356,22 +358,25 @@ impl TrainedPipeline {
         let (nf, ef) = (self.config.vertex_features, self.config.edge_features);
         let mut timings = StageTimings::default();
 
+        // Nothing is recorded, so nothing is bound.
+        bind.reset();
+
         // Stage 1: the metric-learning embedding.
         let t0 = Instant::now();
         let x = features_of(event, nf);
-        let emb = if x.rows() == 0 {
-            Matrix::zeros(0, self.config.embedding.dim)
-        } else {
-            self.embedding.embed_with(tape, bind, &x)
-        };
+        let mut ex = Eager::new(tape);
+        let emb = (x.rows() > 0).then(|| self.embedding.forward(&mut ex, &x));
         timings.embed_s = t0.elapsed().as_secs_f64();
 
-        // Stage 2: the fixed-radius graph in embedding space.
+        // Stage 2: the fixed-radius graph in embedding space, read from
+        // the embedding stage's output buffer.
         let t0 = Instant::now();
         let method = ConstructionMethod::FixedRadius {
             radius: self.radius,
         };
-        let cand = ctor.construct(event, &emb, method);
+        let no_hits = Matrix::zeros(0, self.config.embedding.dim);
+        let cand = ctor.construct(event, emb.map_or(&no_hits, |v| ex.value(v)), method);
+        drop(ex);
         let y = Matrix::from_vec(
             cand.num_edges(),
             ef,
@@ -380,63 +385,55 @@ impl TrainedPipeline {
         timings.construct_s = t0.elapsed().as_secs_f64();
         timings.construct_edges = cand.num_edges();
 
-        // Stage 3: the filter MLP over the candidate edges.
+        // Stage 3: the filter MLP over the candidate edges, thresholded
+        // straight from its output buffer.
         let t0 = Instant::now();
         let (src, dst) = (Arc::new(cand.src), Arc::new(cand.dst));
         let kept: Vec<u32> = if src.is_empty() {
             Vec::new()
         } else {
+            let mut ex = Eager::new(tape);
+            let logits = self
+                .filter
+                .forward(&mut ex, &x, &y, Arc::clone(&src), Arc::clone(&dst));
             let cut = self.filter.logit_cut();
-            self.filter
-                .logits_arrays_with(tape, bind, &x, &y, Arc::clone(&src), Arc::clone(&dst))
-                .iter()
-                .enumerate()
+            (ex.value(logits).data().iter().enumerate())
                 .filter(|(_, &l)| l > cut)
                 .map(|(i, _)| i as u32)
                 .collect()
         };
         timings.filter_s = t0.elapsed().as_secs_f64();
 
-        // Stage 4: the GNN over the pruned graph. The edge plans are built
-        // once here and reused by every GNN layer's gathers and scatters.
+        // Stage 4: the GNN over the pruned graph, on the eager executor
+        // over the tape's pool (each layer's buffers are freed as the next
+        // layer is built). The edge plans are built once here and reused
+        // by every GNN layer's gathers and scatters.
         let t0 = Instant::now();
         let pick = |v: &[u32]| -> Arc<Vec<u32>> {
             Arc::new(kept.iter().map(|&i| v[i as usize]).collect())
         };
         let (src, dst) = (pick(&src), pick(&dst));
-        let labels: Vec<f32> = kept.iter().map(|&i| cand.labels[i as usize]).collect();
         let y = y.gather_rows(&kept);
-        let logits: Vec<f32> = if src.is_empty() {
-            Vec::new()
-        } else {
-            tape.reset();
-            bind.reset();
+        let mut ex = Eager::new(tape);
+        let logits = (!src.is_empty()).then(|| {
             let plans = Arc::new(trkx_tensor::EdgePlans::new(
                 Arc::clone(&src),
                 Arc::clone(&dst),
                 event.num_hits(),
             ));
-            let v = self.gnn.forward_planned(tape, bind, &x, &y, &plans);
-            tape.value(v).data().to_vec()
-        };
+            self.gnn.run(&mut ex, &x, &y, &plans)
+        });
+        let logits = logits.map_or(&[][..], |v| ex.value(v).data());
         timings.gnn_s = t0.elapsed().as_secs_f64();
 
-        // Stage 5: connected components over the edges the GNN keeps.
+        // Stage 5: connected components over the edges the GNN keeps,
+        // read straight from the pruned edge lists and the event's hits.
         let t0 = Instant::now();
-        let graph = EventGraph {
-            num_nodes: event.num_hits(),
-            src: Arc::unwrap_or_clone(src),
-            dst: Arc::unwrap_or_clone(dst),
-            labels,
-            x: x.into_vec(),
-            num_vertex_features: nf,
-            y: y.into_vec(),
-            num_edge_features: ef,
-            event: event.clone(),
-        };
-        let result = build_tracks(
-            &graph,
-            &logits,
+        let result = build_tracks_over(
+            &event.hits,
+            &src,
+            &dst,
+            logits,
             self.config.track_threshold,
             self.config.min_hits,
         );
@@ -446,7 +443,7 @@ impl TrainedPipeline {
 
     /// [`TrainedPipeline::reconstruct_pooled`] over each event in turn,
     /// with the stage timings summed over the events. After the call the
-    /// tape holds only the last event's activations.
+    /// tape records nothing; its pool keeps the buffers for the next call.
     pub fn reconstruct_batch_pooled(
         &self,
         tape: &mut Tape,

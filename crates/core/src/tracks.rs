@@ -3,7 +3,7 @@
 //! particle track (paper §II-A).
 
 use crate::metrics::{match_tracks, TrackMetrics};
-use trkx_detector::EventGraph;
+use trkx_detector::{EventGraph, Hit};
 use trkx_graph::connected_components;
 
 /// Result of track building on one event graph.
@@ -28,25 +28,43 @@ pub fn build_tracks(
     threshold: f32,
     min_hits: usize,
 ) -> TrackBuildResult {
-    assert_eq!(
-        edge_logits.len(),
-        graph.num_edges(),
-        "one logit per edge required"
-    );
+    assert_eq!(graph.num_nodes, graph.event.num_hits(), "one node per hit");
+    build_tracks_over(
+        &graph.event.hits,
+        &graph.src,
+        &graph.dst,
+        edge_logits,
+        threshold,
+        min_hits,
+    )
+}
+
+/// [`build_tracks`] over an event's hits and an edge list directly (one
+/// node per hit), for callers that hold no [`EventGraph`] — the serving
+/// path reads the pruned edges and the request's hits where they lie.
+pub(crate) fn build_tracks_over(
+    hits: &[Hit],
+    src: &[u32],
+    dst: &[u32],
+    edge_logits: &[f32],
+    threshold: f32,
+    min_hits: usize,
+) -> TrackBuildResult {
+    assert_eq!(edge_logits.len(), src.len(), "one logit per edge required");
+    assert_eq!(src.len(), dst.len(), "src/dst length mismatch");
     let logit_cut = {
         let p = threshold.clamp(1e-6, 1.0 - 1e-6);
         (p / (1.0 - p)).ln()
     };
-    let kept: Vec<(u32, u32)> = graph
-        .src
+    let kept: Vec<(u32, u32)> = src
         .iter()
-        .zip(&graph.dst)
+        .zip(dst)
         .zip(edge_logits)
         .filter(|(_, &logit)| logit > logit_cut)
         .map(|((&s, &d), _)| (s, d))
         .collect();
-    let component_of_hit = connected_components(graph.num_nodes, &kept);
-    let particle_of_hit: Vec<Option<u32>> = graph.event.hits.iter().map(|h| h.particle).collect();
+    let component_of_hit = connected_components(hits.len(), &kept);
+    let particle_of_hit: Vec<Option<u32>> = hits.iter().map(|h| h.particle).collect();
     let metrics = match_tracks(&component_of_hit, &particle_of_hit, min_hits);
     TrackBuildResult {
         component_of_hit,

@@ -2,9 +2,9 @@
 //! kernels: one full Interaction-GNN train step through the training
 //! [`Engine`] and one stage-2 graph construction (allocations per call on
 //! a repeated shape), then the same train step when every call brings a
-//! shape the pool has not seen, and served events in an order the pool
-//! has not seen (bytes per call against the tape's activation
-//! footprint).
+//! shape the pool has not seen (bytes against the tape's activation
+//! footprint), and served events in an order the pool has not seen
+//! (bytes against the floats the tape's pool handed out to them).
 //!
 //! The test first forces the size-gated parallel kernels on (as
 //! `trkx-tensor`'s `determinism.rs` does), and `ci.sh` runs the binary at
@@ -74,14 +74,14 @@ fn train_step(engine: &mut Engine, model: &mut InteractionGnn, b: &Batch) -> usi
     floats
 }
 
-/// Of a window's `bytes` allocated against the `floats` its tapes held:
-/// at most `max_pct` percent of the activations may have come from the
-/// allocator.
+/// Of a window's `bytes` allocated against the `floats` its tapes held
+/// or their pools handed out: at most `max_pct` percent of that storage
+/// may have come from the allocator.
 fn assert_mostly_recycled(label: &str, bytes: usize, floats: usize, max_pct: usize) {
-    let activation_bytes = floats * std::mem::size_of::<f32>();
+    let storage_bytes = floats * std::mem::size_of::<f32>();
     assert!(
-        bytes * 100 <= activation_bytes * max_pct,
-        "{label}: {bytes} bytes allocated against {activation_bytes} bytes of activations"
+        bytes * 100 <= storage_bytes * max_pct,
+        "{label}: {bytes} bytes allocated against {storage_bytes} bytes of pool storage"
     );
 }
 
@@ -157,35 +157,40 @@ fn served_events_recycle_across_event_shapes() {
     // 36 requests of 8..=25 particles, served one event at a time, then
     // again in a shuffled order, so each event's buffers are requested
     // from a pool that the previous (differently sized) event left
-    // behind. What the second pass still allocates is the pipeline's
-    // own per-request vectors (features, candidate and pruned edge
-    // lists, kept ids, logits) and the `EventGraph` that copies the event
-    // (`event.clone()`) only so `build_tracks` can read it — not tape
-    // storage. Those two are the route to a ≤ 5 % bound.
+    // behind. The bytes the second pass allocates are bounded against
+    // the floats the tape's pool handed out over the same requests: the
+    // storage the three learned stages asked for, whether the pool had
+    // it or not. What is still allocated is the pipeline's own
+    // per-request vectors (features, candidate and pruned edge lists,
+    // kept ids, the truth edges and the track-matching maps), not pool
+    // storage: 4.94 % of it, at both pool sizes.
     let requests = events(36, |i| 8 + i * 7 % 18);
     let (mut tape, mut bind) = (Tape::new(), Bindings::new());
     let mut ctor = pipeline.new_constructor();
     let mut serve = |order: &[usize]| -> usize {
-        let mut floats = 0;
+        let before = tape.pool().handed_out_floats();
         for &i in order {
             pipeline.reconstruct_pooled(&mut tape, &mut bind, &mut ctor, &requests[i]);
-            floats += tape.activation_floats();
         }
-        floats
+        tape.pool().handed_out_floats() - before
     };
     let in_order: Vec<usize> = (0..36).collect();
     let shuffled: Vec<usize> = (0..36).map(|i| (i * 5 + 3) % 36).collect();
     serve(&in_order);
     let mut floats = 0;
     let bytes = count_alloc_bytes(|| floats = serve(&shuffled));
-    assert_mostly_recycled("re-ordered served events", bytes, floats, 12);
+    eprintln!(
+        "re-ordered served events: {bytes} bytes allocated against {} bytes handed out",
+        floats * std::mem::size_of::<f32>()
+    );
+    assert_mostly_recycled("re-ordered served events", bytes, floats, 5);
 }
 
 fn graph_construction_stays_within_its_allocation_budget() {
     // Embedding-space event at funnel scale: 44 clusters of eight hits,
     // one per layer, jittered around a uniform centre — the shape a
-    // trained embedding produces. The hits carry no truth particle:
-    // `Event::truth_edges` builds a map per call, which is the
+    // trained embedding produces. The hits carry no truth particle: the
+    // truth edges `Event::truth_edges` sorts out per call are the
     // detector's cost and not the pooled engine's.
     let (n, dim, radius) = (352usize, 8usize, 0.25f32);
     let mut rng = StdRng::seed_from_u64(31);

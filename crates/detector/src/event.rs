@@ -105,42 +105,43 @@ impl Event {
         self.hits.len()
     }
 
+    /// Signal hit indices in one stable sort by (particle, `t`): each
+    /// particle's hits form one run, ordered along the track, with equal
+    /// (or NaN) times in hit order.
+    fn hits_along_tracks(&self) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..self.hits.len() as u32)
+            .filter(|&i| self.hits[i as usize].particle.is_some())
+            .collect();
+        order.sort_by(|&a, &b| {
+            let (ha, hb) = (&self.hits[a as usize], &self.hits[b as usize]);
+            ha.particle.cmp(&hb.particle).then(ha.t.total_cmp(&hb.t))
+        });
+        order
+    }
+
+    fn same_particle(&self, a: u32, b: u32) -> bool {
+        self.hits[a as usize].particle == self.hits[b as usize].particle
+    }
+
     /// Ground-truth track edges: consecutive-layer hit pairs of the same
     /// particle, directed inner → outer.
     pub fn truth_edges(&self) -> Vec<(u32, u32)> {
-        let mut per_particle: std::collections::HashMap<u32, Vec<u32>> =
-            std::collections::HashMap::new();
-        for (i, h) in self.hits.iter().enumerate() {
-            if let Some(p) = h.particle {
-                per_particle.entry(p).or_default().push(i as u32);
-            }
-        }
-        let mut edges = Vec::new();
-        for (_, mut hits) in per_particle {
-            hits.sort_by(|&a, &b| self.hits[a as usize].t.total_cmp(&self.hits[b as usize].t));
-            for w in hits.windows(2) {
-                edges.push((w[0], w[1]));
-            }
-        }
+        let mut edges: Vec<(u32, u32)> = self
+            .hits_along_tracks()
+            .windows(2)
+            .filter(|w| self.same_particle(w[0], w[1]))
+            .map(|w| (w[0], w[1]))
+            .collect();
         edges.sort_unstable();
         edges
     }
 
     /// Hit indices of each particle's track, sorted by layer.
     pub fn truth_tracks(&self) -> Vec<Vec<u32>> {
-        let mut per_particle: std::collections::HashMap<u32, Vec<u32>> =
-            std::collections::HashMap::new();
-        for (i, h) in self.hits.iter().enumerate() {
-            if let Some(p) = h.particle {
-                per_particle.entry(p).or_default().push(i as u32);
-            }
-        }
-        let mut tracks: Vec<Vec<u32>> = per_particle
-            .into_values()
-            .map(|mut hits| {
-                hits.sort_by(|&a, &b| self.hits[a as usize].t.total_cmp(&self.hits[b as usize].t));
-                hits
-            })
+        let mut tracks: Vec<Vec<u32>> = self
+            .hits_along_tracks()
+            .chunk_by(|&a, &b| self.same_particle(a, b))
+            .map(<[u32]>::to_vec)
             .collect();
         tracks.sort();
         tracks
@@ -280,46 +281,47 @@ pub fn wrap_phi(dphi: f32) -> f32 {
     d
 }
 
-/// Build the doublet candidate graph: connect each hit on layer `l` to
-/// hits on layer `l+1` with `|Δφ| <= phi_window` and `|Δz| <= z_window`.
-pub fn candidate_graph(event: &Event, phi_window: f32, z_window: f32) -> CandidateGraph {
-    let n_layers = event.geometry.num_layers();
-    // Bucket hit indices by layer, sorted by φ for windowed scanning.
-    let mut by_layer: Vec<Vec<(f32, u32)>> = vec![Vec::new(); n_layers];
+/// Hit indices bucketed by layer, each bucket sorted by φ for windowed
+/// scanning.
+fn layer_buckets(event: &Event) -> Vec<Vec<(f32, u32)>> {
+    let mut by_layer: Vec<Vec<(f32, u32)>> = vec![Vec::new(); event.geometry.num_layers()];
     for (i, h) in event.hits.iter().enumerate() {
         by_layer[h.layer as usize].push((h.phi(), i as u32));
     }
     for bucket in &mut by_layer {
         bucket.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
     }
-    let mut g = CandidateGraph {
-        src: Vec::new(),
-        dst: Vec::new(),
-        labels: Vec::new(),
-    };
-    for l in 0..n_layers.saturating_sub(1) {
-        let (inner, outer) = (&by_layer[l], &by_layer[l + 1]);
+    by_layer
+}
+
+/// Call `edge(i, j)` for every doublet of [`candidate_graph`], in its
+/// order: each hit `i` on layer `l` against the hits `j` on layer `l+1`
+/// with `|Δφ| <= phi_window` (wrapping at ±π) and `|Δz| <= z_window`.
+fn scan_candidates(
+    event: &Event,
+    by_layer: &[Vec<(f32, u32)>],
+    phi_window: f32,
+    z_window: f32,
+    mut edge: impl FnMut(u32, u32),
+) {
+    use std::f32::consts::PI;
+    for pair in by_layer.windows(2) {
+        let (inner, outer) = (&pair[0], &pair[1]);
         if outer.is_empty() {
             continue;
         }
         for &(phi_i, i) in inner {
+            let zi = event.hits[i as usize].z;
+            let mut push = |j: u32| {
+                // Written as the rejection so that a NaN Δz keeps the edge.
+                if (event.hits[j as usize].z - zi).abs() > z_window {
+                    return;
+                }
+                edge(i, j);
+            };
             // Binary search the φ-sorted outer bucket, then scan the
             // window in both directions with wraparound.
             let start = outer.partition_point(|&(p, _)| p < phi_i - phi_window);
-            let mut push = |j: u32| {
-                let hi = &event.hits[i as usize];
-                let hj = &event.hits[j as usize];
-                if (hj.z - hi.z).abs() > z_window {
-                    return;
-                }
-                let label = match (hi.particle, hj.particle) {
-                    (Some(a), Some(b)) if a == b => 1.0,
-                    _ => 0.0,
-                };
-                g.src.push(i);
-                g.dst.push(j);
-                g.labels.push(label);
-            };
             for &(phi_j, j) in &outer[start..] {
                 if phi_j > phi_i + phi_window {
                     break;
@@ -327,8 +329,8 @@ pub fn candidate_graph(event: &Event, phi_window: f32, z_window: f32) -> Candida
                 push(j);
             }
             // Wraparound near ±π.
-            if phi_i + phi_window > std::f32::consts::PI {
-                let lim = phi_i + phi_window - 2.0 * std::f32::consts::PI;
+            if phi_i + phi_window > PI {
+                let lim = phi_i + phi_window - 2.0 * PI;
                 for &(phi_j, j) in outer.iter() {
                     if phi_j > lim {
                         break;
@@ -336,8 +338,8 @@ pub fn candidate_graph(event: &Event, phi_window: f32, z_window: f32) -> Candida
                     push(j);
                 }
             }
-            if phi_i - phi_window < -std::f32::consts::PI {
-                let lim = phi_i - phi_window + 2.0 * std::f32::consts::PI;
+            if phi_i - phi_window < -PI {
+                let lim = phi_i - phi_window + 2.0 * PI;
                 for &(phi_j, j) in outer.iter().rev() {
                     if phi_j < lim {
                         break;
@@ -347,17 +349,46 @@ pub fn candidate_graph(event: &Event, phi_window: f32, z_window: f32) -> Candida
             }
         }
     }
+}
+
+/// Build the doublet candidate graph: connect each hit on layer `l` to
+/// hits on layer `l+1` with `|Δφ| <= phi_window` and `|Δz| <= z_window`.
+pub fn candidate_graph(event: &Event, phi_window: f32, z_window: f32) -> CandidateGraph {
+    let mut g = CandidateGraph {
+        src: Vec::new(),
+        dst: Vec::new(),
+        labels: Vec::new(),
+    };
+    let by_layer = layer_buckets(event);
+    scan_candidates(event, &by_layer, phi_window, z_window, |i, j| {
+        let label = match (
+            event.hits[i as usize].particle,
+            event.hits[j as usize].particle,
+        ) {
+            (Some(a), Some(b)) if a == b => 1.0,
+            _ => 0.0,
+        };
+        g.src.push(i);
+        g.dst.push(j);
+        g.labels.push(label);
+    });
     g
 }
 
 /// Find the φ window that makes `candidate_graph` produce approximately
-/// `target_ratio` edges per vertex (bisection; z window fixed).
+/// `target_ratio` edges per vertex (bisection; z window fixed). The hits
+/// are bucketed once, and each probe counts its edges with the same scan
+/// `candidate_graph` runs, building none of them: the first probe's
+/// window is π/2, hundreds of edges per vertex on a dense event.
 pub fn tune_phi_window(event: &Event, z_window: f32, target_ratio: f32) -> f32 {
     let n = event.num_hits().max(1) as f32;
+    let by_layer = layer_buckets(event);
     let (mut lo, mut hi) = (1e-4f32, std::f32::consts::PI);
     for _ in 0..24 {
         let mid = 0.5 * (lo + hi);
-        let ratio = candidate_graph(event, mid, z_window).num_edges() as f32 / n;
+        let mut edges = 0usize;
+        scan_candidates(event, &by_layer, mid, z_window, |_, _| edges += 1);
+        let ratio = edges as f32 / n;
         if ratio < target_ratio {
             lo = mid;
         } else {
@@ -509,6 +540,94 @@ mod tests {
             (ratio - target).abs() / target < 0.25,
             "ratio {ratio} for target {target}"
         );
+    }
+
+    #[test]
+    fn tune_phi_window_is_pinned_on_three_events() {
+        // Windows the tuner returned when it still built each probe's
+        // graph, as f32 bits: counting the same scan must not move them.
+        use crate::DatasetConfig;
+        for (cfg, particles, seed, bits) in [
+            (DatasetConfig::ctd_like(0.002), 60, 1, 0x3fb0_3adc),
+            (DatasetConfig::ctd_like(0.01), 300, 2, 0x3e8b_21e5),
+            (DatasetConfig::ex3_like(0.1), 120, 3, 0x3dec_66f1),
+        ] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ev = simulate_event(
+                &cfg.geometry,
+                &cfg.gun,
+                particles,
+                cfg.noise_fraction,
+                &mut rng,
+            );
+            let w = tune_phi_window(&ev, cfg.z_window, cfg.edge_ratio());
+            assert_eq!(w.to_bits(), bits, "{}: window {w}", cfg.name);
+        }
+    }
+
+    /// Each particle's hits found by a scan over every hit and ordered by
+    /// an insertion sort on `t` (stable: ties keep hit order).
+    fn brute_force_truth(ev: &Event) -> (Vec<(u32, u32)>, Vec<Vec<u32>>) {
+        let (mut edges, mut tracks) = (Vec::new(), Vec::new());
+        let max = ev.hits.iter().filter_map(|h| h.particle).max();
+        for p in max.map_or(0..0, |m| 0..m + 1) {
+            let mut hits: Vec<u32> = (0..ev.hits.len() as u32)
+                .filter(|&i| ev.hits[i as usize].particle == Some(p))
+                .collect();
+            let t = |i: u32| ev.hits[i as usize].t;
+            for i in 1..hits.len() {
+                let mut j = i;
+                while j > 0 && t(hits[j - 1]).total_cmp(&t(hits[j])).is_gt() {
+                    hits.swap(j - 1, j);
+                    j -= 1;
+                }
+            }
+            if !hits.is_empty() {
+                edges.extend(hits.windows(2).map(|w| (w[0], w[1])));
+                tracks.push(hits);
+            }
+        }
+        edges.sort();
+        tracks.sort();
+        (edges, tracks)
+    }
+
+    #[test]
+    fn truth_edges_and_tracks_match_a_brute_force_reference() {
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let geometry = if seed % 3 == 0 {
+                endcap_geometry()
+            } else {
+                DetectorGeometry::default()
+            };
+            let particles = 5 + (seed as usize * 7) % 40;
+            let mut ev = simulate_event(&geometry, &GunConfig::default(), particles, 0.3, &mut rng);
+            // Shuffle the hits so hit order is not particle order, round
+            // `t` coarsely on every other event so that one particle's
+            // hits tie, and make a few times NaN.
+            for i in (1..ev.hits.len()).rev() {
+                ev.hits.swap(i, rng.gen_range(0..=i));
+            }
+            for (k, h) in ev.hits.iter_mut().enumerate() {
+                if seed % 2 == 1 {
+                    h.t = (h.t * 2.0).round() / 2.0;
+                }
+                if k % 17 == 5 {
+                    h.t = f32::NAN;
+                }
+            }
+            let ties = ev.hits.iter().enumerate().any(|(i, a)| {
+                ev.hits[i + 1..]
+                    .iter()
+                    .any(|b| a.particle.is_some() && a.particle == b.particle && a.t == b.t)
+            });
+            assert_eq!(ties, seed % 2 == 1, "seed {seed}: ties in t");
+            assert!(ev.hits.iter().any(|h| h.particle.is_none()), "no noise");
+            let (edges, tracks) = brute_force_truth(&ev);
+            assert_eq!(ev.truth_edges(), edges, "seed {seed}: truth edges");
+            assert_eq!(ev.truth_tracks(), tracks, "seed {seed}: truth tracks");
+        }
     }
 
     #[test]

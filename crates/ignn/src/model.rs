@@ -12,15 +12,19 @@
 //! return φ(Y^L)                                   (edge logits)
 //! ```
 //!
-//! Every `φ` is a distinct MLP. All four per-layer output matrices
-//! (`X^{l+1}`, `Y^{l+1}`, `M_src`, `M_dst`) stay alive on the autograd
-//! tape for backprop — the `O(L·m·f)` activation footprint that drives
-//! the paper's memory argument.
+//! Every `φ` is a distinct MLP. The forward is written once, over an
+//! executor ([`Exec`]). Training records it on a tape, where all four
+//! per-layer output matrices (`X^{l+1}`, `Y^{l+1}`, `M_src`, `M_dst`) stay
+//! alive for backprop — the `O(L·m·f)` activation footprint that drives
+//! the paper's memory argument. Inference runs it on the eager executor
+//! ([`trkx_nn::Eager`]), which frees each matrix after the step that
+//! last reads it, so about one layer's worth is alive at a time and the
+//! logits are the tape's bit for bit.
 
 use rand::Rng;
 use std::sync::Arc;
-use trkx_nn::{Activation, Bindings, Mlp, MlpConfig, Param};
-use trkx_tensor::{EdgePlans, Matrix, Tape, Var};
+use trkx_nn::{Activation, Bindings, Exec, Mlp, MlpConfig, Param, Recorder};
+use trkx_tensor::{EdgePlan, EdgePlans, Matrix, Op, Tape, Var};
 
 /// Interaction-GNN hyperparameters.
 #[derive(Debug, Clone)]
@@ -190,13 +194,8 @@ impl InteractionGnn {
         self.forward_planned(tape, bind, x, y, &plans)
     }
 
-    /// Fused forward pass over a precomputed edge plan: one
-    /// `GatherConcat` node assembles each layer's edge-MLP input in a
-    /// single pass (no `X'[src]`/`X'[dst]` intermediates on the tape) and
-    /// the AGG scatters run the deterministic parallel segment-reduce.
-    /// Bit-identical to the test-only unfused reference
-    /// (`forward_unfused`) in both values and gradients, at any thread
-    /// count.
+    /// [`InteractionGnn::run`] recorded on `tape`, its parameters bound
+    /// through `bind`: the training forward.
     pub fn forward_planned(
         &self,
         tape: &mut Tape,
@@ -205,34 +204,78 @@ impl InteractionGnn {
         y: &Matrix,
         plans: &Arc<EdgePlans>,
     ) -> Var {
+        self.run(&mut Recorder::new(tape, bind), x, y, plans)
+    }
+
+    /// Fused forward pass over a precomputed edge plan, on any executor:
+    /// one `GatherConcat` node assembles each layer's edge-MLP input in a
+    /// single pass (no `X'[src]`/`X'[dst]` intermediates) and the AGG
+    /// scatters run the deterministic parallel segment-reduce.
+    /// Bit-identical to the test-only unfused reference
+    /// (`forward_unfused`) in both values and gradients, at any thread
+    /// count. Each node is released after its last read, which frees it
+    /// on the eager executor and does nothing on a tape.
+    pub fn run<'p, E: Exec<'p>>(
+        &'p self,
+        ex: &mut E,
+        x: &'p Matrix,
+        y: &'p Matrix,
+        plans: &Arc<EdgePlans>,
+    ) -> Var {
         self.check_inputs(x, y, plans.num_edges());
         assert_eq!(plans.nodes(), x.rows(), "plan node count mismatch");
 
-        let xin = tape.constant_copied(x);
-        let yin = tape.constant_copied(y);
-        let x0 = self.node_encoder.forward(tape, bind, xin);
-        let y0 = self.edge_encoder.forward(tape, bind, yin);
+        let xin = ex.input(x);
+        let yin = ex.input(y);
+        let x0 = self.node_encoder.forward(ex, xin);
+        let y0 = self.edge_encoder.forward(ex, yin);
+        let last = self.config.gnn_layers.checked_sub(1);
         let mut xl = x0;
         let mut yl = y0;
         for l in 0..self.config.gnn_layers {
             // Skip-connections to the input encodings.
-            let x_cat = tape.concat_cols(&[xl, x0]);
-            let y_cat = tape.concat_cols(&[yl, y0]);
+            let x_cat = ex.concat_cols(&[xl, x0]);
+            let y_cat = ex.concat_cols(&[yl, y0]);
+            if l > 0 {
+                ex.release(xl);
+                ex.release(yl);
+            }
+            if Some(l) == last {
+                ex.release(x0);
+                ex.release(y0);
+            }
             // MSG: fused [Y' X'[src] X'[dst]] assembly + per-edge MLP.
-            let msg_in = tape.gather_concat(y_cat, x_cat, plans.clone());
-            let y_next = self.edge_mlps[l].forward(tape, bind, msg_in);
-            yl = y_next;
-            if l + 1 < self.config.gnn_layers {
+            let msg_in = ex.eval(Op::GatherConcat {
+                y: y_cat.0,
+                x: x_cat.0,
+                plans: plans.clone(),
+            });
+            ex.release(y_cat);
+            yl = self.edge_mlps[l].forward(ex, msg_in);
+            if Some(l) == last {
+                ex.release(x_cat);
+            } else {
                 // AGG: sum messages into both endpoints (plan-driven).
-                let m_src =
-                    tape.scatter_add_planned(y_next, plans.src.clone(), plans.src_plan.clone());
-                let m_dst =
-                    tape.scatter_add_planned(y_next, plans.dst.clone(), plans.dst_plan.clone());
-                let node_in = tape.concat_cols(&[m_src, m_dst, x_cat]);
-                xl = self.node_mlps[l].forward(tape, bind, node_in);
+                let scatter = |idx: &Arc<Vec<u32>>, plan: &Arc<EdgePlan>| Op::ScatterAdd {
+                    a: yl.0,
+                    idx: idx.clone(),
+                    plan: Some(plan.clone()),
+                    out_rows: plan.nodes(),
+                };
+                let m_src = ex.eval(scatter(&plans.src, &plans.src_plan));
+                let m_dst = ex.eval(scatter(&plans.dst, &plans.dst_plan));
+                let node_in = ex.concat_cols(&[m_src, m_dst, x_cat]);
+                for v in [m_src, m_dst, x_cat] {
+                    ex.release(v);
+                }
+                xl = self.node_mlps[l].forward(ex, node_in);
             }
         }
-        self.decoder.forward(tape, bind, yl)
+        if last.is_none() {
+            // No layers: the decoder reads Y⁰, and X⁰ has no reader.
+            ex.release(x0);
+        }
+        self.decoder.forward(ex, yl)
     }
 
     /// Unfused reference forward pass: explicit per-endpoint gathers and
@@ -254,8 +297,12 @@ impl InteractionGnn {
 
         let xin = tape.constant_copied(x);
         let yin = tape.constant_copied(y);
-        let x0 = self.node_encoder.forward(tape, bind, xin);
-        let y0 = self.edge_encoder.forward(tape, bind, yin);
+        let x0 = self
+            .node_encoder
+            .forward(&mut Recorder::new(tape, bind), xin);
+        let y0 = self
+            .edge_encoder
+            .forward(&mut Recorder::new(tape, bind), yin);
         let mut xl = x0;
         let mut yl = y0;
         for l in 0..self.config.gnn_layers {
@@ -267,17 +314,17 @@ impl InteractionGnn {
             let x_src = tape.gather(x_cat, src.clone());
             let x_dst = tape.gather(x_cat, dst.clone());
             let msg_in = tape.concat_cols(&[y_cat, x_src, x_dst]);
-            let y_next = self.edge_mlps[l].forward(tape, bind, msg_in);
+            let y_next = self.edge_mlps[l].forward(&mut Recorder::new(tape, bind), msg_in);
             yl = y_next;
             if l + 1 < self.config.gnn_layers {
                 // AGG: sum messages into both endpoints.
                 let m_src = tape.scatter_add(y_next, src.clone(), n);
                 let m_dst = tape.scatter_add(y_next, dst.clone(), n);
                 let node_in = tape.concat_cols(&[m_src, m_dst, x_cat]);
-                xl = self.node_mlps[l].forward(tape, bind, node_in);
+                xl = self.node_mlps[l].forward(&mut Recorder::new(tape, bind), node_in);
             }
         }
-        self.decoder.forward(tape, bind, yl)
+        self.decoder.forward(&mut Recorder::new(tape, bind), yl)
     }
 
     fn check_inputs(&self, x: &Matrix, y: &Matrix, num_edges: usize) {

@@ -1,0 +1,255 @@
+//! Where a forward pass runs. Every model's forward is written once, over
+//! [`Exec`], and runs on one of two executors:
+//!
+//! - [`Recorder`]: a [`Tape`] plus its [`Bindings`]. It records every
+//!   node for backward, binds each parameter as a gradient-tracked leaf
+//!   and copies fixed inputs in; [`Exec::release`] does nothing, because
+//!   backward reads every value. This is training.
+//! - [`Eager`]: no record. It reads parameters and inputs where they lie,
+//!   hands each buffer back to the tape's pool as soon as the forward
+//!   says nothing reads it any more, and adds an affine layer's bias (and
+//!   applies its ReLU) in place on the GEMM output. This is inference.
+//!
+//! Both evaluate the same [`Op`]s with the same [`ops::forward`] kernels
+//! in the same order, and the in-place bias runs the very per-element
+//! code the tape runs on a copy ([`ops::add_bias_in_place`]), so an eager
+//! forward's values are a recorded forward's bit for bit.
+
+use crate::param::{Bindings, Param};
+use std::ops::Index;
+use trkx_tensor::{ops, BufferPool, Matrix, Op, Tape, Var};
+
+/// The operations a model's forward is written against (see the module
+/// docs). A forward calls [`Exec::release`] on each node after its last
+/// read; every other op is an [`Op`] handed to [`Exec::eval`].
+pub trait Exec<'p> {
+    /// A fixed input (features): never differentiated.
+    fn input(&mut self, m: &'p Matrix) -> Var;
+    /// A trainable parameter.
+    fn param(&mut self, p: &'p Param) -> Var;
+    /// Evaluate one op.
+    fn eval(&mut self, op: Op) -> Var;
+    /// `x · w + bias`, then ReLU when `relu`.
+    fn affine(&mut self, x: Var, w: Var, bias: Var, relu: bool) -> Var;
+    /// Value of a live node.
+    fn value(&self, v: Var) -> &Matrix;
+    /// `v` has no later reader.
+    fn release(&mut self, v: Var);
+
+    /// Horizontal concatenation.
+    fn concat_cols(&mut self, parts: &[Var]) -> Var {
+        let widths = parts.iter().map(|&p| self.value(p).cols()).collect();
+        let parts = parts.iter().map(|p| p.0).collect();
+        self.eval(Op::ConcatCols { parts, widths })
+    }
+}
+
+/// The training executor: records on a tape and binds parameters.
+pub struct Recorder<'a> {
+    tape: &'a mut Tape,
+    bind: &'a mut Bindings,
+}
+
+impl<'a> Recorder<'a> {
+    pub fn new(tape: &'a mut Tape, bind: &'a mut Bindings) -> Self {
+        Self { tape, bind }
+    }
+}
+
+impl<'p> Exec<'p> for Recorder<'_> {
+    fn input(&mut self, m: &'p Matrix) -> Var {
+        self.tape.constant_copied(m)
+    }
+
+    fn param(&mut self, p: &'p Param) -> Var {
+        self.bind.bind(self.tape, p)
+    }
+
+    fn eval(&mut self, op: Op) -> Var {
+        self.tape.eval(op)
+    }
+
+    /// Two nodes, `MatMul` then `AddBias` / `AddBiasRelu` (fused: one
+    /// buffer and one pass instead of a separate ReLU node).
+    fn affine(&mut self, x: Var, w: Var, bias: Var, relu: bool) -> Var {
+        let xw = self.tape.matmul(x, w);
+        if relu {
+            self.tape.add_bias_relu(xw, bias)
+        } else {
+            self.tape.add_bias(xw, bias)
+        }
+    }
+
+    fn value(&self, v: Var) -> &Matrix {
+        self.tape.value(v)
+    }
+
+    /// Backward reads every value: nothing is freed before the reset.
+    fn release(&mut self, _: Var) {}
+}
+
+/// Where an eager node's value lives.
+enum Slot<'p> {
+    /// Computed here, in pooled storage.
+    Owned(Matrix),
+    /// An input or parameter read in place.
+    Borrowed(&'p Matrix),
+    /// Handed back: no later node reads it.
+    Released,
+}
+
+/// The eager node values, indexed like a tape's (what [`ops::forward`]
+/// reads its operands from).
+struct Slots<'p>(Vec<Slot<'p>>);
+
+impl Index<usize> for Slots<'_> {
+    type Output = Matrix;
+
+    fn index(&self, i: usize) -> &Matrix {
+        match &self.0[i] {
+            Slot::Owned(m) => m,
+            Slot::Borrowed(m) => m,
+            Slot::Released => panic!("eager node {i} read after its release"),
+        }
+    }
+}
+
+/// The inference executor (see the module docs). It borrows a tape's
+/// pool, so inference reuses the storage the caller's tape holds and
+/// leaves its own there for the next call; dropping it puts back every
+/// buffer it still holds.
+pub struct Eager<'t, 'p> {
+    pool: &'t mut BufferPool,
+    slots: Slots<'p>,
+}
+
+impl<'t> Eager<'t, '_> {
+    /// Reset `tape` (its recorded values go back to its pool) and evaluate
+    /// over its pool.
+    pub fn new(tape: &'t mut Tape) -> Self {
+        tape.reset();
+        Self {
+            pool: tape.pool_mut(),
+            slots: Slots(Vec::new()),
+        }
+    }
+}
+
+impl<'p> Eager<'_, 'p> {
+    fn push(&mut self, slot: Slot<'p>) -> Var {
+        self.slots.0.push(slot);
+        Var(self.slots.0.len() - 1)
+    }
+}
+
+impl<'p> Exec<'p> for Eager<'_, 'p> {
+    fn input(&mut self, m: &'p Matrix) -> Var {
+        self.push(Slot::Borrowed(m))
+    }
+
+    fn param(&mut self, p: &'p Param) -> Var {
+        self.push(Slot::Borrowed(&p.value))
+    }
+
+    fn eval(&mut self, op: Op) -> Var {
+        let value = ops::forward(&op, &self.slots, self.pool);
+        self.push(Slot::Owned(value))
+    }
+
+    /// The tape's `MatMul`, then its `AddBias` / `AddBiasRelu` arithmetic
+    /// applied in place on the product instead of on a copy of it.
+    fn affine(&mut self, x: Var, w: Var, bias: Var, relu: bool) -> Var {
+        let op = Op::MatMul { a: x.0, b: w.0 };
+        let mut out = ops::forward(&op, &self.slots, self.pool);
+        ops::add_bias_in_place(&mut out, &self.slots[bias.0], relu);
+        self.push(Slot::Owned(out))
+    }
+
+    fn value(&self, v: Var) -> &Matrix {
+        &self.slots[v.0]
+    }
+
+    /// A computed value's buffer goes back to the pool now. Reading or
+    /// releasing the node again panics.
+    fn release(&mut self, v: Var) {
+        match std::mem::replace(&mut self.slots.0[v.0], Slot::Released) {
+            Slot::Owned(m) => self.pool.recycle(m),
+            Slot::Borrowed(_) => {}
+            Slot::Released => panic!("eager node {} released twice", v.0),
+        }
+    }
+}
+
+impl Drop for Eager<'_, '_> {
+    fn drop(&mut self) {
+        for slot in self.slots.0.drain(..) {
+            if let Slot::Owned(m) = slot {
+                self.pool.recycle(m);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn eager_affine_matches_the_tape_bit_for_bit() {
+        // Values straddling zero, so the in-place ReLU clamps some and
+        // keeps others, and a bias with -0.0 in it.
+        let x = Matrix::from_fn(9, 5, |r, c| (r as f32 - 4.0) * 0.37 + c as f32 * 0.11);
+        let w = Matrix::from_fn(5, 7, |r, c| ((r * 7 + c) % 5) as f32 * 0.3 - 0.6);
+        let b = Matrix::from_vec(1, 7, vec![0.5, -0.0, -0.25, 0.0, 1.0, -1.5, 0.125]);
+        for relu in [false, true] {
+            let (mut tape, mut bind) = (Tape::new(), Bindings::new());
+            let mut rec = Recorder::new(&mut tape, &mut bind);
+            let (xv, wv, bv) = (rec.input(&x), rec.input(&w), rec.input(&b));
+            let y = rec.affine(xv, wv, bv, relu);
+            let want = bits(rec.value(y));
+
+            let mut tape = Tape::new();
+            let mut ex = Eager::new(&mut tape);
+            let (xv, wv, bv) = (ex.input(&x), ex.input(&w), ex.input(&b));
+            let y = ex.affine(xv, wv, bv, relu);
+            assert_eq!(bits(ex.value(y)), want, "relu = {relu}");
+        }
+    }
+
+    #[test]
+    fn released_buffers_serve_the_next_node() {
+        let x = Matrix::from_fn(16, 16, |r, c| (r + c) as f32 * 0.1 - 1.0);
+        let mut tape = Tape::new();
+        {
+            let mut ex = Eager::new(&mut tape);
+            let a = ex.input(&x);
+            let h = ex.eval(Op::Relu { a: a.0 });
+            let t = ex.eval(Op::Tanh { a: h.0 });
+            ex.release(h);
+            let s = ex.eval(Op::Scale { a: t.0, k: 2.0 });
+            ex.release(t);
+            let want = x.get(15, 15).max(0.0).tanh() * 2.0;
+            assert_eq!(ex.value(s).get(15, 15).to_bits(), want.to_bits());
+        }
+        // Two buffers out at most, and every one back after the drop.
+        assert_eq!(tape.pool().peak_live_floats(), 2 * 256);
+        assert_eq!(tape.pool().live_floats(), 0);
+        assert_eq!(tape.pool().parked(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "read after its release")]
+    fn a_released_eager_node_cannot_be_read() {
+        let x = Matrix::zeros(2, 2);
+        let mut tape = Tape::new();
+        let mut ex = Eager::new(&mut tape);
+        let a = ex.input(&x);
+        let r = ex.eval(Op::Relu { a: a.0 });
+        ex.release(r);
+        ex.eval(Op::Relu { a: r.0 });
+    }
+}

@@ -2,14 +2,15 @@
 //!
 //! Neural-network building blocks on top of [`trkx_tensor`]: parameters
 //! and tape bindings, Kaiming initialisation, `Linear`/`Mlp`/`LayerNorm`
-//! modules, the Adam optimizer (fixed learning rate, no clipping or
+//! modules written once over an executor ([`Exec`]: a recording tape for
+//! training, the eager executor for inference), the Adam optimizer (fixed learning rate, no clipping or
 //! schedule: the one way every stage trains), and the losses used by the
 //! Exa.TrkX pipeline stages (BCE-with-logits for edge classification,
 //! contrastive hinge for the metric-learning embedding).
 //!
 //! ```
 //! use rand::{rngs::StdRng, SeedableRng};
-//! use trkx_nn::{Adam, Bindings, Mlp, MlpConfig};
+//! use trkx_nn::{Adam, Bindings, Mlp, MlpConfig, Recorder};
 //! use trkx_tensor::{Matrix, Tape};
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
@@ -19,7 +20,7 @@
 //!     let mut tape = Tape::new();
 //!     let mut bind = Bindings::new();
 //!     let x = tape.constant(Matrix::from_vec(4, 2, vec![0.,0., 0.,1., 1.,0., 1.,1.]));
-//!     let logits = mlp.forward(&mut tape, &mut bind, x);
+//!     let logits = mlp.forward(&mut Recorder::new(&mut tape, &mut bind), x);
 //!     let loss = trkx_nn::bce_with_logits(&mut tape, logits, &[0., 1., 1., 0.], 1.0);
 //!     tape.backward(loss);
 //!     let mut params = mlp.params_mut();
@@ -30,6 +31,7 @@
 //! ```
 
 pub mod bucket;
+pub mod exec;
 pub mod init;
 pub mod linear;
 pub mod loss;
@@ -39,6 +41,7 @@ pub mod optim;
 pub mod param;
 
 pub use bucket::BucketLayout;
+pub use exec::{Eager, Exec, Recorder};
 pub use linear::Linear;
 pub use loss::{bce_with_logits, contrastive_hinge_loss, BinaryStats};
 pub use mlp::{Activation, Mlp, MlpConfig};

@@ -1,9 +1,10 @@
 //! Fully connected layers.
 
+use crate::exec::Exec;
 use crate::init;
-use crate::param::{Bindings, Param};
+use crate::param::Param;
 use rand::Rng;
-use trkx_tensor::{Matrix, Tape, Var};
+use trkx_tensor::{Matrix, Var};
 
 /// Affine layer `y = x W + b` with `W: in x out`, `b: 1 x out`.
 #[derive(Debug, Clone)]
@@ -32,22 +33,11 @@ impl Linear {
         self.weight.value.cols()
     }
 
-    /// Record the affine transform on the tape.
-    pub fn forward(&self, tape: &mut Tape, bind: &mut Bindings, x: Var) -> Var {
-        let w = bind.bind(tape, &self.weight);
-        let b = bind.bind(tape, &self.bias);
-        let xw = tape.matmul(x, w);
-        tape.add_bias(xw, b)
-    }
-
-    /// Affine transform fused with ReLU (`relu(x W + b)` as one tape node)
-    /// — saves an activation-sized buffer and a full read/write pass per
-    /// hidden layer.
-    pub fn forward_relu(&self, tape: &mut Tape, bind: &mut Bindings, x: Var) -> Var {
-        let w = bind.bind(tape, &self.weight);
-        let b = bind.bind(tape, &self.bias);
-        let xw = tape.matmul(x, w);
-        tape.add_bias_relu(xw, b)
+    /// The affine transform `x W + b`, with ReLU fused in when `relu`.
+    pub fn forward<'p, E: Exec<'p>>(&'p self, ex: &mut E, x: Var, relu: bool) -> Var {
+        let w = ex.param(&self.weight);
+        let b = ex.param(&self.bias);
+        ex.affine(x, w, b, relu)
     }
 
     pub fn params(&self) -> Vec<&Param> {
@@ -62,7 +52,9 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Bindings, Recorder};
     use rand::{rngs::StdRng, SeedableRng};
+    use trkx_tensor::Tape;
 
     #[test]
     fn forward_shape_and_bias() {
@@ -74,7 +66,7 @@ mod tests {
         let mut tape = Tape::new();
         let mut bind = Bindings::new();
         let x = tape.constant(Matrix::from_vec(1, 3, vec![1., 2., 3.]));
-        let y = l.forward(&mut tape, &mut bind, x);
+        let y = l.forward(&mut Recorder::new(&mut tape, &mut bind), x, false);
         assert_eq!(tape.value(y).data(), &[4.5, 4.5]);
         assert_eq!(bind.len(), 2);
     }
@@ -86,7 +78,7 @@ mod tests {
         let mut tape = Tape::new();
         let mut bind = Bindings::new();
         let x = tape.constant(Matrix::from_vec(3, 2, vec![1., 0., 0., 1., 1., 1.]));
-        let y = l.forward(&mut tape, &mut bind, x);
+        let y = l.forward(&mut Recorder::new(&mut tape, &mut bind), x, false);
         let loss = tape.sum_all(y);
         tape.backward(loss);
         let mut params = l.params_mut();

@@ -1,11 +1,12 @@
 //! Multi-layer perceptrons — the workhorse of every Exa.TrkX stage
 //! (embedding, filter, and each `φ` inside the Interaction GNN).
 
+use crate::exec::Exec;
 use crate::linear::Linear;
 use crate::norm::LayerNorm;
-use crate::param::{Bindings, Param};
+use crate::param::Param;
 use rand::Rng;
-use trkx_tensor::{Tape, Var};
+use trkx_tensor::{Op, Var};
 
 /// Activation applied between MLP layers (the output layer has none:
 /// every stage reads logits or raw embeddings).
@@ -16,11 +17,11 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply(self, tape: &mut Tape, x: Var) -> Var {
-        match self {
-            Activation::Relu => tape.relu(x),
-            Activation::Tanh => tape.tanh(x),
-        }
+    fn apply<'p>(self, ex: &mut impl Exec<'p>, x: Var) -> Var {
+        ex.eval(match self {
+            Activation::Relu => Op::Relu { a: x.0 },
+            Activation::Tanh => Op::Tanh { a: x.0 },
+        })
     }
 }
 
@@ -101,23 +102,28 @@ impl Mlp {
         self.layers.len()
     }
 
-    pub fn forward(&self, tape: &mut Tape, bind: &mut Bindings, mut x: Var) -> Var {
+    /// Forward pass on `ex`. The MLP consumes `x`: it is released once the
+    /// first layer has read it, and so is each hidden activation once the
+    /// next layer has.
+    pub fn forward<'p, E: Exec<'p>>(&'p self, ex: &mut E, mut x: Var) -> Var {
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            if i < last {
-                if self.config.activation == Activation::Relu {
-                    // Fused affine+ReLU: one tape node instead of two.
-                    x = layer.forward_relu(tape, bind, x);
-                } else {
-                    x = layer.forward(tape, bind, x);
-                    x = self.config.activation.apply(tape, x);
-                }
-                if let Some(ln) = &self.norms[i] {
-                    x = ln.forward(tape, bind, x);
-                }
-            } else {
-                x = layer.forward(tape, bind, x);
+            let hidden = i < last;
+            // ReLU is fused into the affine node: one buffer, not two.
+            let fused = hidden && self.config.activation == Activation::Relu;
+            let mut h = layer.forward(ex, x, fused);
+            ex.release(x);
+            if hidden && !fused {
+                let a = self.config.activation.apply(ex, h);
+                ex.release(h);
+                h = a;
             }
+            if let Some(ln) = &self.norms[i] {
+                let n = ln.forward(ex, h);
+                ex.release(h);
+                h = n;
+            }
+            x = h;
         }
         x
     }
@@ -153,8 +159,9 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Bindings, Recorder};
     use rand::{rngs::StdRng, SeedableRng};
-    use trkx_tensor::Matrix;
+    use trkx_tensor::{Matrix, Tape};
 
     #[test]
     fn shapes_and_param_count() {
@@ -168,7 +175,7 @@ mod tests {
         let mut tape = Tape::new();
         let mut bind = Bindings::new();
         let x = tape.constant(Matrix::zeros(5, 6));
-        let y = mlp.forward(&mut tape, &mut bind, x);
+        let y = mlp.forward(&mut Recorder::new(&mut tape, &mut bind), x);
         assert_eq!(tape.value(y).shape(), (5, 1));
     }
 
@@ -230,7 +237,7 @@ mod tests {
             let mut t = Tape::new();
             let mut b = Bindings::new();
             let xv = t.constant(x.clone());
-            let y = mlp.forward(&mut t, &mut b, xv);
+            let y = mlp.forward(&mut Recorder::new(&mut t, &mut b), xv);
             t.value(y).clone()
         };
         assert!(run(&mlp).approx_eq(&run(&mlp), 0.0));

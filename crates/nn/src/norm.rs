@@ -1,7 +1,8 @@
 //! Normalisation layers.
 
-use crate::param::{Bindings, Param};
-use trkx_tensor::{Matrix, Tape, Var};
+use crate::exec::Exec;
+use crate::param::Param;
+use trkx_tensor::{Matrix, Op, Var};
 
 /// Per-row LayerNorm with learned gain/offset, as used between the MLP
 /// layers of the acorn Interaction GNN.
@@ -21,10 +22,15 @@ impl LayerNorm {
         }
     }
 
-    pub fn forward(&self, tape: &mut Tape, bind: &mut Bindings, x: Var) -> Var {
-        let g = bind.bind(tape, &self.gamma);
-        let b = bind.bind(tape, &self.beta);
-        tape.layer_norm(x, g, b, self.eps)
+    pub fn forward<'p, E: Exec<'p>>(&'p self, ex: &mut E, x: Var) -> Var {
+        let g = ex.param(&self.gamma);
+        let b = ex.param(&self.beta);
+        ex.eval(Op::LayerNorm {
+            a: x.0,
+            gamma: g.0,
+            beta: b.0,
+            eps: self.eps,
+        })
     }
 
     pub fn params(&self) -> Vec<&Param> {
@@ -39,6 +45,8 @@ impl LayerNorm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Bindings, Recorder};
+    use trkx_tensor::Tape;
 
     #[test]
     fn normalises_rows() {
@@ -50,7 +58,7 @@ mod tests {
             4,
             vec![1., 2., 3., 4., 10., 10., 10., 10.],
         ));
-        let y = ln.forward(&mut tape, &mut bind, x);
+        let y = ln.forward(&mut Recorder::new(&mut tape, &mut bind), x);
         let v = tape.value(y);
         // Row 0: mean 2.5, normalised values symmetric around 0.
         let r0: f32 = v.row(0).iter().sum();
@@ -65,7 +73,7 @@ mod tests {
         let mut tape = Tape::new();
         let mut bind = Bindings::new();
         let x = tape.constant(Matrix::from_vec(2, 3, vec![1., 5., 2., 0., -1., 3.]));
-        let y = ln.forward(&mut tape, &mut bind, x);
+        let y = ln.forward(&mut Recorder::new(&mut tape, &mut bind), x);
         let sq = tape.hadamard(y, y);
         let loss = tape.mean_all(sq);
         tape.backward(loss);

@@ -3,7 +3,7 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use trkx_nn::{
     bce_with_logits, contrastive_hinge_loss, Activation, Adam, BinaryStats, Bindings, Mlp,
-    MlpConfig,
+    MlpConfig, Recorder,
 };
 use trkx_tensor::{Matrix, Tape};
 
@@ -14,7 +14,7 @@ fn train_bce(mlp: &mut Mlp, opt: &mut Adam, x: &Matrix, targets: &[f32], steps: 
         let mut tape = Tape::new();
         let mut bind = Bindings::new();
         let xv = tape.constant(x.clone());
-        let logits = mlp.forward(&mut tape, &mut bind, xv);
+        let logits = mlp.forward(&mut Recorder::new(&mut tape, &mut bind), xv);
         let loss = bce_with_logits(&mut tape, logits, targets, 1.0);
         last = tape.value(loss).as_scalar();
         tape.backward(loss);
@@ -46,7 +46,7 @@ fn mlp_learns_xor() {
     let mut tape = Tape::new();
     let mut bind = Bindings::new();
     let xv = tape.constant(x);
-    let logits = mlp.forward(&mut tape, &mut bind, xv);
+    let logits = mlp.forward(&mut Recorder::new(&mut tape, &mut bind), xv);
     let stats = BinaryStats::from_logits(tape.value(logits).data(), &t, 0.5);
     assert_eq!(stats.accuracy(), 1.0);
 }
@@ -114,7 +114,7 @@ fn metric_learning_embedding_separates_clusters() {
         let mut tape = Tape::new();
         let mut bind = Bindings::new();
         let xv = tape.constant(x.clone());
-        let emb = mlp.forward(&mut tape, &mut bind, xv);
+        let emb = mlp.forward(&mut Recorder::new(&mut tape, &mut bind), xv);
         let loss = contrastive_hinge_loss(&mut tape, emb, &pairs_i, &pairs_j, &labels, 1.0);
         tape.backward(loss);
         let mut params = mlp.params_mut();
@@ -128,7 +128,7 @@ fn metric_learning_embedding_separates_clusters() {
     let mut tape = Tape::new();
     let mut bind = Bindings::new();
     let xv = tape.constant(x);
-    let emb_var = mlp.forward(&mut tape, &mut bind, xv);
+    let emb_var = mlp.forward(&mut Recorder::new(&mut tape, &mut bind), xv);
     let emb = tape.value(emb_var);
     let d2 = |a: usize, b: usize| -> f32 {
         emb.row(a)
@@ -156,7 +156,7 @@ fn deeper_mlp_gradcheck_via_harvested_grads() {
         let mut tape = Tape::new();
         let mut bind = Bindings::new();
         let xv = tape.constant(x.clone());
-        let logits = mlp.forward(&mut tape, &mut bind, xv);
+        let logits = mlp.forward(&mut Recorder::new(&mut tape, &mut bind), xv);
         let loss = bce_with_logits(&mut tape, logits, &t, 1.0);
         tape.value(loss).as_scalar()
     };
@@ -165,7 +165,7 @@ fn deeper_mlp_gradcheck_via_harvested_grads() {
     let mut tape = Tape::new();
     let mut bind = Bindings::new();
     let xv = tape.constant(x.clone());
-    let logits = mlp.forward(&mut tape, &mut bind, xv);
+    let logits = mlp.forward(&mut Recorder::new(&mut tape, &mut bind), xv);
     let loss = bce_with_logits(&mut tape, logits, &t, 1.0);
     tape.backward(loss);
     {

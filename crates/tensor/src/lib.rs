@@ -7,9 +7,12 @@
 //!
 //! The design intentionally mirrors what the paper's memory argument
 //! depends on: a [`Tape`] retains every intermediate activation until
-//! dropped, so an L-layer Interaction GNN on an `m`-edge graph holds
-//! `O(L·m·f)` floats ([`Tape::activation_floats`]), which is what forces
-//! the original Exa.TrkX pipeline to skip large events.
+//! reset, so training an L-layer Interaction GNN on an `m`-edge graph
+//! holds `O(L·m·f)` floats ([`Tape::activation_floats`]), which is what
+//! forces the original Exa.TrkX pipeline to skip large events.
+//! Inference runs the same kernels on an eager executor instead
+//! (`trkx_nn::Eager`), which returns each buffer to a tape's pool after
+//! its last use.
 //!
 //! ```
 //! use trkx_tensor::{Matrix, Tape};

@@ -17,6 +17,7 @@ use crate::plan::{EdgePlan, EdgePlans};
 use crate::pool::BufferPool;
 use rayon::prelude::*;
 use std::cell::RefCell;
+use std::ops::Index;
 use std::sync::Arc;
 
 /// Fixed chunk width for parallel loss reductions. Chunk partials are
@@ -107,8 +108,13 @@ pub enum Op {
 }
 
 /// Compute the forward value of `op`. `values[i]` is node `i`'s value
-/// (borrowed — no operand is cloned); the output buffer comes from `pool`.
-pub fn forward(op: &Op, values: &[Matrix], pool: &mut BufferPool) -> Matrix {
+/// (borrowed — no operand is cloned): the tape's value slice, or the
+/// eager executor's slots (`trkx_nn::Eager`); the output buffer comes
+/// from `pool`.
+pub fn forward<V>(op: &Op, values: &V, pool: &mut BufferPool) -> Matrix
+where
+    V: Index<usize, Output = Matrix> + ?Sized,
+{
     match op {
         Op::Leaf | Op::Constant => unreachable!("leaves carry their own value"),
         Op::MatMul { a, b } => {
@@ -135,27 +141,13 @@ pub fn forward(op: &Op, values: &[Matrix], pool: &mut BufferPool) -> Matrix {
             out
         }
         Op::AddBias { a, bias } => {
-            let (a, bias) = (&values[*a], &values[*bias]);
-            assert_eq!(bias.rows(), 1, "bias must be a row vector");
-            assert_eq!(bias.cols(), a.cols(), "bias width mismatch");
-            let mut out = pool.copy_of(a);
-            for r in 0..out.rows() {
-                for (o, &b) in out.row_mut(r).iter_mut().zip(bias.data()) {
-                    *o += b;
-                }
-            }
+            let mut out = pool.copy_of(&values[*a]);
+            add_bias_in_place(&mut out, &values[*bias], false);
             out
         }
         Op::AddBiasRelu { a, bias } => {
-            let (a, bias) = (&values[*a], &values[*bias]);
-            assert_eq!(bias.rows(), 1, "bias must be a row vector");
-            assert_eq!(bias.cols(), a.cols(), "bias width mismatch");
-            let mut out = pool.copy_of(a);
-            for r in 0..out.rows() {
-                for (o, &b) in out.row_mut(r).iter_mut().zip(bias.data()) {
-                    *o = (*o + b).max(0.0);
-                }
-            }
+            let mut out = pool.copy_of(&values[*a]);
+            add_bias_in_place(&mut out, &values[*bias], true);
             out
         }
         Op::Scale { a, k } => {
@@ -312,6 +304,22 @@ pub fn forward(op: &Op, values: &[Matrix], pool: &mut BufferPool) -> Matrix {
             let mut out = pool.copy_of(&values[*a]);
             out.mul_assign(mask);
             out
+        }
+    }
+}
+
+/// `out += bias` on every row, then `max(·, 0)` when `relu`: the whole
+/// arithmetic of `AddBias` / `AddBiasRelu`, which run it on a copy of
+/// their input and the eager executor on the GEMM output itself.
+pub fn add_bias_in_place(out: &mut Matrix, bias: &Matrix, relu: bool) {
+    assert_eq!(bias.rows(), 1, "bias must be a row vector");
+    assert_eq!(bias.cols(), out.cols(), "bias width mismatch");
+    for r in 0..out.rows() {
+        let row = out.row_mut(r).iter_mut().zip(bias.data());
+        if relu {
+            row.for_each(|(o, &b)| *o = (*o + b).max(0.0));
+        } else {
+            row.for_each(|(o, &b)| *o += b);
         }
     }
 }

@@ -27,6 +27,16 @@
 //! pages, and a serve worker reuses what setup's training left. Nothing is
 //! trimmed, here or in the reservoir: a class holds at most as many
 //! buffers as were live in it at once.
+//!
+//! A pool counts in floats of capacity, with plain counters on `take`
+//! and `put`: what it handed out over its life
+//! ([`BufferPool::handed_out_floats`]), what is out now
+//! ([`BufferPool::live_floats`]) and the most that was out at once
+//! ([`BufferPool::peak_live_floats`]). The peak is the working set of
+//! what ran on the pool, read without the allocator or RSS: a training
+//! step's tape keeps every activation live until reset, while inference
+//! on the eager executor (`trkx_nn::Eager`) puts each buffer back after
+//! its last use.
 
 use crate::Matrix;
 use std::sync::{Mutex, MutexGuard};
@@ -77,6 +87,12 @@ fn reservoir() -> MutexGuard<'static, Vec<Vec<Vec<f32>>>> {
 pub struct BufferPool {
     /// `buckets[c]` parks buffers whose capacity is at least class `c`'s.
     buckets: Vec<Vec<Vec<f32>>>,
+    /// Capacity in floats of every buffer handed out so far.
+    handed_out: usize,
+    /// Capacity of the buffers handed out and not yet put back.
+    live: usize,
+    /// The most `live` has been.
+    peak_live: usize,
 }
 
 impl BufferPool {
@@ -90,11 +106,17 @@ impl BufferPool {
     /// reservoir's lock is released).
     fn take(&mut self, len: usize) -> Vec<f32> {
         let class = class_above(len);
-        if let Some(buf) = self.buckets.get_mut(class).and_then(Vec::pop) {
-            return buf;
-        }
-        let spare = reservoir().get_mut(class).and_then(Vec::pop);
-        spare.unwrap_or_else(|| Vec::with_capacity(class_capacity(class)))
+        let buf = match self.buckets.get_mut(class).and_then(Vec::pop) {
+            Some(buf) => buf,
+            None => {
+                let spare = reservoir().get_mut(class).and_then(Vec::pop);
+                spare.unwrap_or_else(|| Vec::with_capacity(class_capacity(class)))
+            }
+        };
+        self.handed_out += buf.capacity();
+        self.live += buf.capacity();
+        self.peak_live = self.peak_live.max(self.live);
+        buf
     }
 
     /// Take a buffer of exactly `len` elements, zero-filled.
@@ -143,6 +165,9 @@ impl BufferPool {
     /// Park a buffer under the largest class its capacity covers. Buffers
     /// below the smallest class are dropped.
     pub fn put(&mut self, buf: Vec<f32>) {
+        // A buffer this pool never handed out (a matrix given to
+        // `Tape::leaf`) cannot take `live` below zero.
+        self.live = self.live.saturating_sub(buf.capacity());
         if buf.capacity() < 1 << MIN_SHIFT {
             return;
         }
@@ -161,6 +186,23 @@ impl BufferPool {
     /// Number of buffers currently parked in the pool (for tests/metrics).
     pub fn parked(&self) -> usize {
         self.buckets.iter().map(Vec::len).sum()
+    }
+
+    /// Floats of capacity handed out over the pool's life, hits and
+    /// misses alike: the storage its callers asked for.
+    pub fn handed_out_floats(&self) -> usize {
+        self.handed_out
+    }
+
+    /// Floats of capacity handed out and not yet put back.
+    pub fn live_floats(&self) -> usize {
+        self.live
+    }
+
+    /// The most floats that were live at once over the pool's life: the
+    /// working set of whatever ran on it.
+    pub fn peak_live_floats(&self) -> usize {
+        self.peak_live
     }
 }
 
@@ -265,6 +307,27 @@ mod tests {
         let copy = pool.copy_of(&src);
         assert_eq!(copy.data().as_ptr(), ptr);
         assert!(copy.approx_eq(&src, 0.0));
+    }
+
+    #[test]
+    fn counters_follow_take_and_put() {
+        let mut pool = BufferPool::new();
+        let a = pool.zeros(10, 10); // class 112
+        let b = pool.uninit(1, 64); // class 64
+        assert_eq!(pool.handed_out_floats(), 176);
+        assert_eq!(pool.live_floats(), 176);
+        pool.recycle(a);
+        assert_eq!(pool.live_floats(), 64);
+        let c = pool.copy_of(&b);
+        assert_eq!(pool.live_floats(), 128);
+        assert_eq!(pool.peak_live_floats(), 176);
+        assert_eq!(pool.handed_out_floats(), 240);
+        pool.recycle(b);
+        pool.recycle(c);
+        // A buffer the pool never handed out does not drive `live` negative.
+        pool.put(vec![0.0; 500]);
+        assert_eq!(pool.live_floats(), 0);
+        assert_eq!(pool.peak_live_floats(), 176);
     }
 
     #[test]

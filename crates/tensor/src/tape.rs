@@ -22,16 +22,21 @@
 //! next training call's, a serve worker's) starts from them instead of
 //! from the allocator.
 //!
-//! The tape retains every intermediate value until it is reset — exactly
-//! the per-layer activation retention (`X^l`, `Y^l`, `M_src`, `M_dst`) that
-//! makes full-graph Interaction-GNN training memory-prohibitive in the
-//! paper (§III-B): an L-layer IGNN on a graph with `m` edges keeps `O(L·m·f)`
-//! floats alive. [`Tape::activation_floats`] exposes that footprint so the
+//! A training step's tape retains every intermediate value until it is
+//! reset, because backward reads them — exactly the per-layer activation
+//! retention (`X^l`, `Y^l`, `M_src`, `M_dst`) that makes full-graph
+//! Interaction-GNN *training* memory-prohibitive in the paper (§III-B):
+//! an L-layer IGNN on a graph with `m` edges keeps `O(L·m·f)` floats
+//! alive. [`Tape::activation_floats`] exposes that footprint so the
 //! pipeline can emulate the paper's skip-too-large-graphs behaviour.
+//! Inference records nothing: the eager executor (`trkx_nn::Eager`)
+//! borrows the tape's pool ([`Tape::pool_mut`]), runs the same kernels and
+//! hands each buffer back after its last use, so its working set is about
+//! one layer's rather than the whole forward's.
 
 use crate::matrix::Matrix;
 use crate::ops::{self, GradStore, Op};
-use crate::plan::{EdgePlan, EdgePlans};
+use crate::plan::EdgePlans;
 use crate::pool::BufferPool;
 use std::sync::Arc;
 
@@ -88,9 +93,22 @@ impl Tape {
         Var(self.ops.len() - 1)
     }
 
-    fn eval(&mut self, op: Op) -> Var {
-        let value = ops::forward(&op, &self.values, &mut self.pool);
+    /// Record `op`: evaluate it and keep its value for backward.
+    pub fn eval(&mut self, op: Op) -> Var {
+        let value = ops::forward(&op, self.values.as_slice(), &mut self.pool);
         self.push(op, value)
+    }
+
+    /// The tape's buffer pool, for its counters.
+    pub fn pool(&self) -> &BufferPool {
+        &self.pool
+    }
+
+    /// The tape's buffer pool, lent to an executor that evaluates without
+    /// recording (`trkx_nn::Eager`), so inference draws on and leaves its
+    /// buffers in this tape's storage.
+    pub fn pool_mut(&mut self) -> &mut BufferPool {
+        &mut self.pool
     }
 
     /// Gradient-tracked input (takes ownership of an existing matrix).
@@ -198,20 +216,6 @@ impl Tape {
             a: a.0,
             idx,
             plan: None,
-            out_rows,
-        })
-    }
-
-    /// [`Tape::scatter_add`] with a precomputed plan for `idx`: the
-    /// forward reduction runs the deterministic parallel segment-reduce.
-    /// The output row count is the plan's node count.
-    pub fn scatter_add_planned(&mut self, a: Var, idx: Arc<Vec<u32>>, plan: Arc<EdgePlan>) -> Var {
-        debug_assert_eq!(plan.num_edges(), idx.len(), "plan/idx length mismatch");
-        let out_rows = plan.nodes();
-        self.eval(Op::ScatterAdd {
-            a: a.0,
-            idx,
-            plan: Some(plan),
             out_rows,
         })
     }

@@ -14,7 +14,7 @@
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
-use trkx_tensor::{force_parallel_kernels, sigmoid, EdgePlan, EdgePlans, Matrix, Tape};
+use trkx_tensor::{force_parallel_kernels, sigmoid, EdgePlan, EdgePlans, Matrix, Op, Tape};
 
 /// Random COO endpoints over `nodes` vertices; with few nodes and many
 /// edges this produces heavy duplication, with many nodes and few edges
@@ -67,7 +67,12 @@ fn planned_tape_scatter_matches_serial_tape_scatter() {
         let mut t = Tape::new();
         let ev = t.leaf(e.clone());
         let s = if planned {
-            t.scatter_add_planned(ev, src.clone(), plan.clone())
+            t.eval(Op::ScatterAdd {
+                a: ev.0,
+                idx: src.clone(),
+                plan: Some(plan.clone()),
+                out_rows: nodes,
+            })
         } else {
             t.scatter_add(ev, src.clone(), nodes)
         };
