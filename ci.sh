@@ -5,7 +5,9 @@
 # arms this host ran; the driver-level one, whose depths cross the KC
 # reduction blocks, at two pool sizes), the first-touch NT gradient
 # overwrite against the zero-fill path at two pool sizes and the
-# ReLU-gate parity test, the buffer-reuse,
+# ReLU-gate parity test, tanh's arms against its portable body (a
+# strided sweep at two pool sizes, then every input once), the
+# buffer-reuse,
 # determinism / allocation / thread-budget / GNN epoch-loop / early-stop
 # lockstep / store-fault suites at two pool sizes, bulk ShaDow's pinned
 # output hashes and its allocation probe at two pool sizes, eager
@@ -47,6 +49,15 @@ RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --lib fresh_gemm_grad
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --lib fresh_gemm_gradient_slots_match_the_zero_fill_path_bit_for_bit
 cargo test -q --release -p trkx-tensor --lib add_bias_relu_gate_is_the_branchy_rule_bit_for_bit
 
+# Tanh on the GEMM's arms: every arm this CPU runs against the portable
+# lane body, bit for bit, over every 251st bit pattern, the pinned glibc
+# table's inputs and ragged slice tails, at two pool sizes (the log says
+# which arms ran). Then all 2^32 inputs on every arm once (about two
+# minutes on two cores).
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --lib tanh_matches_portable_on_every_arm -- --nocapture
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --lib tanh_matches_portable_on_every_arm -- --nocapture
+cargo test -q --release -p trkx-tensor --lib tanh_matches_portable_on_every_arm_exhaustively -- --ignored --nocapture
+
 # Tape buffers outlive the tape, at two pool sizes: a dropped pool's
 # buffers serve the next pool's misses class by class and a foreign-
 # capacity buffer never comes back (`reservoir`), and a second identical
@@ -59,18 +70,19 @@ RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test pool_reuse
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test pool_reuse
 
 # Determinism suites at two pool sizes with every size gate forced off:
-# the parallel kernels (message passing AND the blocked GEMM panels) are
-# pinned to serial references bit for bit, so passing at both sizes
-# proves thread-count invariance.
+# the parallel kernels (message passing, the blocked GEMM panels and
+# tanh's chunks) are pinned to serial references bit for bit, so
+# passing at both sizes proves thread-count invariance.
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --test determinism
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test determinism
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --test matmul_blocked
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test matmul_blocked
 
 # Zero-alloc steady state for the GEMM kernels (a TN product deeper
-# than one KC block included) at a multi-thread pool size, and the rayon shim's own suite at two pool sizes: the pool
-# executor (zero-alloc dispatch, with and without a held core) and the
-# one thread budget (another thread's core narrows the split by one, a
+# than one KC block included) and tanh at a multi-thread pool size,
+# and the rayon shim's own suite at two pool sizes: the pool executor
+# (zero-alloc dispatch, with and without a held core) and the one
+# thread budget (another thread's core narrows the split by one, a
 # thread's own does not, never below 1, released on unwinding, always 1
 # at pool size 1).
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test alloc_probe

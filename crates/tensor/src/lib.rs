@@ -31,6 +31,7 @@ pub mod matrix;
 pub mod ops;
 pub mod plan;
 pub mod pool;
+mod tanh;
 pub mod tape;
 
 pub use gradcheck::{gradcheck, GradCheckReport};

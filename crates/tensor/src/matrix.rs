@@ -15,6 +15,7 @@
 //! allocation (buffers come from [`crate::BufferPool`]).
 
 use crate::plan::EdgePlan;
+use crate::tanh::tanh_lane;
 use rand::Rng;
 use rayon::prelude::*;
 use std::cell::RefCell;
@@ -248,6 +249,20 @@ impl Kernel {
             Kernel::Avx512 => unsafe { avx512::nt_rows::<OVERWRITE>(a, b_or_bt, n, out) },
         }
     }
+
+    /// `out[i] = tanh(src[i])`: [`tanh_slice`] on this arm.
+    #[inline]
+    fn tanh(self, src: &[f32], out: &mut [f32]) {
+        match self {
+            Kernel::Portable => tanh_slice(src, out),
+            // SAFETY: as in `tile`.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => unsafe { avx2::tanh_slice(src, out) },
+            // SAFETY: as in `tile`.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => unsafe { avx512::tanh_slice(src, out) },
+        }
+    }
 }
 
 /// Which GEMM micro-kernel this process runs: `"avx512"` on an x86-64
@@ -256,6 +271,27 @@ impl Kernel {
 /// bit-identical results.
 pub fn gemm_kernel() -> &'static str {
     Kernel::detect().name()
+}
+
+// ---------------------------------------------------------------------
+// Elementwise tanh.
+//
+// `tanh_lane` (`crate::tanh`) is glibc 2.36's `tanhf` as one branch-free
+// body, so a loop over a slice vectorises. It runs on the GEMM's arms:
+// the portable loop, and the same loop compiled inside each wide arm's
+// `#[target_feature]`, where the compiler vectorises it at that width.
+// Every lane does the scalar body's IEEE operations in its order (mul
+// then add, never FMA), so all arms give the same bits.
+
+/// Elements per parallel task of [`Matrix::tanh_into`].
+const TANH_CHUNK: usize = 1024;
+
+/// The portable tanh loop; inlined into each wide arm's `tanh_slice`.
+#[inline(always)]
+fn tanh_slice(src: &[f32], out: &mut [f32]) {
+    for (o, &x) in out.iter_mut().zip(src) {
+        *o = tanh_lane(x);
+    }
 }
 
 thread_local! {
@@ -822,6 +858,13 @@ macro_rules! wide_arm {
                 }
             }
         }
+
+        /// [`super::tanh_slice`] compiled for this arm's feature, which
+        /// vectorises the lane body at its width, bit-identical to it.
+        #[target_feature(enable = $feature)]
+        pub(super) fn tanh_slice(src: &[f32], out: &mut [f32]) {
+            super::tanh_slice(src, out)
+        }
     };
 }
 
@@ -1304,6 +1347,23 @@ impl Matrix {
             self.data.par_iter_mut().for_each(|v| *v = f(*v));
         } else {
             self.data.iter_mut().for_each(|v| *v = f(*v));
+        }
+    }
+
+    /// Elementwise `tanh` into `out` (overwrites): glibc 2.36's `tanhf`
+    /// bit for bit on every host, at the widest arm the CPU runs,
+    /// parallel over fixed chunks above [`par_threshold`]. Each element
+    /// has one writer, so the split never changes a bit.
+    pub fn tanh_into(&self, out: &mut Matrix) {
+        assert_eq!(self.shape(), out.shape(), "tanh shape mismatch");
+        let (kernel, src) = (Kernel::detect(), &self.data);
+        if src.len() >= par_threshold() {
+            out.data
+                .par_chunks_mut(TANH_CHUNK)
+                .enumerate()
+                .for_each(|(c, o)| kernel.tanh(&src[c * TANH_CHUNK..][..o.len()], o));
+        } else {
+            kernel.tanh(src, &mut out.data);
         }
     }
 
@@ -2032,6 +2092,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `got` against the portable arm's `want`, bit for bit, NaN equal
+    /// to NaN.
+    fn assert_tanh_agrees(arm: Kernel, xs: &[f32], got: &[f32], want: &[f32]) {
+        for ((&x, &g), &w) in xs.iter().zip(got).zip(want) {
+            assert!(
+                same_bits(g, w),
+                "tanh {} at {:#010x}: {:#010x} vs portable {:#010x}",
+                arm.name(),
+                x.to_bits(),
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
+    /// The wide arms this CPU runs: the tanh tests' portable loop is
+    /// their reference.
+    fn wide_arms() -> Vec<Kernel> {
+        gemm_arms()
+            .into_iter()
+            .filter(|&k| k != Kernel::Portable)
+            .collect()
+    }
+
+    /// The tanh slice on every wide arm this CPU runs against the
+    /// portable arm, bit for bit: every 251st bit pattern (both signs,
+    /// every exponent, NaNs and infinities), both signs of every input
+    /// the pinned glibc table holds (`crate::tanh`), and slices of every
+    /// length up to 33 at an unaligned start, so each vector arm's
+    /// ragged tail runs too.
+    #[test]
+    fn tanh_matches_portable_on_every_arm() {
+        let mut xs: Vec<f32> = (0..=u32::MAX).step_by(251).map(f32::from_bits).collect();
+        for &(x, _, _) in crate::tanh::tests::PINNED {
+            xs.extend([f32::from_bits(x), f32::from_bits(x ^ 0x8000_0000)]);
+        }
+        let mut want = vec![0.0; xs.len()];
+        tanh_slice(&xs, &mut want);
+        for arm in wide_arms() {
+            let mut got = vec![f32::NAN; xs.len()];
+            arm.tanh(&xs, &mut got);
+            assert_tanh_agrees(arm, &xs, &got, &want);
+            let start = xs.len() - 37;
+            for len in 0..=33 {
+                let src = &xs[start..start + len];
+                let mut got = vec![f32::NAN; len];
+                arm.tanh(src, &mut got);
+                assert_tanh_agrees(arm, src, &got, &want[start..]);
+            }
+        }
+    }
+
+    /// Every `f32` bit pattern on every wide arm against the portable
+    /// one. `ci.sh` runs it once.
+    #[test]
+    #[ignore = "all 2^32 inputs on every arm; run with --ignored"]
+    fn tanh_matches_portable_on_every_arm_exhaustively() {
+        const BLOCK: usize = 1 << 16;
+        let arms = wide_arms();
+        (0..(1usize << 32) / BLOCK).into_par_iter().for_each(|b| {
+            let xs: Vec<f32> = (0..BLOCK)
+                .map(|i| f32::from_bits((b * BLOCK + i) as u32))
+                .collect();
+            let mut want = vec![0.0; BLOCK];
+            tanh_slice(&xs, &mut want);
+            let mut got = vec![0.0; BLOCK];
+            for &arm in &arms {
+                arm.tanh(&xs, &mut got);
+                assert_tanh_agrees(arm, &xs, &got, &want);
+            }
+        });
     }
 
     #[test]

@@ -175,8 +175,9 @@ where
             out
         }
         Op::Tanh { a } => {
-            let mut out = pool.copy_of(&values[*a]);
-            out.apply(f32::tanh);
+            let a = &values[*a];
+            let mut out = pool.uninit(a.rows(), a.cols());
+            a.tanh_into(&mut out);
             out
         }
         Op::Gather { a, idx } => {

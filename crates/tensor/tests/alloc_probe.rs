@@ -1,11 +1,12 @@
-//! Steady-state allocation regression test for the GEMM kernels.
+//! Steady-state allocation regression test for the GEMM kernels and
+//! the tanh kernel.
 //!
 //! Packing and parked-accumulator scratch comes from per-thread pooled
-//! buffers (`with_scratch`), so after warmup every matmul variant
-//! performs zero heap allocations into caller-provided outputs — at any
-//! thread count and even when the parallel path is forced on. Pins the
-//! invariant with a counting global allocator (hence its own test
-//! binary).
+//! buffers (`with_scratch`), so after warmup every matmul variant (and
+//! tanh, which needs no scratch) performs zero heap allocations into
+//! caller-provided outputs — at any thread count and even when the
+//! parallel path is forced on. Pins the invariant with a counting
+//! global allocator (hence its own test binary).
 
 use rand::SeedableRng;
 use trkx_tensor::Matrix;
@@ -32,6 +33,8 @@ fn matmul_kernels_allocate_nothing_after_warmup() {
     steady_state_allocs("matmul_tn_acc", || a.matmul_tn_acc(&g, &mut wgrad));
     steady_state_allocs("matmul_nt_acc", || g.matmul_nt_acc(&b, &mut xgrad));
     steady_state_allocs("matmul_nt_into", || g.matmul_nt_into(&b, &mut xgrad));
+    let mut h = Matrix::zeros(4096, 32);
+    steady_state_allocs("tanh_into", || out.tanh_into(&mut h));
     // A TN reduction of 600 rows, two full KC = 256 blocks and a ragged
     // third: its tiles park their accumulators in pooled scratch between
     // blocks.

@@ -272,3 +272,30 @@ fn blocked_matmul_is_thread_count_invariant() {
         }
     }
 }
+
+#[test]
+fn parallel_tanh_matches_row_by_row() {
+    force_parallel_kernels();
+    let mut rng = StdRng::seed_from_u64(41);
+    // The embedding stage's hidden shape (271 hits x 64): above the
+    // parallel gate, so it splits over the pool. Row by row, each call
+    // is one task.
+    let (rows, cols) = (271, 64);
+    let mut a = Matrix::randn(rows, cols, 3.0, &mut rng);
+    for (i, v) in a.data_mut().iter_mut().enumerate().step_by(97) {
+        *v = [0.0, -0.0, 1e-40, f32::INFINITY, f32::NAN, -30.0][i % 6];
+    }
+    let mut par = Matrix::zeros(rows, cols);
+    a.tanh_into(&mut par);
+    for r in 0..rows {
+        let row = Matrix::from_vec(1, cols, a.row(r).to_vec());
+        let mut serial = Matrix::zeros(1, cols);
+        row.tanh_into(&mut serial);
+        for (&p, &s) in par.row(r).iter().zip(serial.data()) {
+            assert!(
+                p.to_bits() == s.to_bits() || (p.is_nan() && s.is_nan()),
+                "row {r}: parallel {p:e} vs serial {s:e}"
+            );
+        }
+    }
+}
