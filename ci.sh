@@ -12,7 +12,8 @@
 # lockstep / store-fault suites at two pool sizes, bulk ShaDow's pinned
 # output hashes and its allocation probe at two pool sizes, eager
 # inference's logits against the recorded tape's and its peak-live-floats
-# bound at two pool sizes, a smoke run
+# bound at two pool sizes, the training tapes' held-floats formulas at
+# two pool sizes, a smoke run
 # of the Figure 3 bin, a two-second run of each benchmark workload with a
 # 1 GB peak-RSS tripwire, and a check that the frozen benchmark's
 # tracked files did not change. Run from the repo root.
@@ -61,8 +62,9 @@ cargo test -q --release -p trkx-tensor --lib tanh_matches_portable_on_every_arm_
 # Tape buffers outlive the tape, at two pool sizes: a dropped pool's
 # buffers serve the next pool's misses class by class and a foreign-
 # capacity buffer never comes back (`reservoir`), and a second identical
-# training call, single-rank and at p = 2, allocates at most a tenth of
-# the first's bytes with the same loss bits (`pool_reuse`). Each is a
+# training call, single-rank and at p = 2, allocates no more than the
+# bytes the first freed again plus a tenth of what it kept, and keeps at
+# most a tenth as much, with the same loss bits (`pool_reuse`). Each is a
 # binary of its own: the reservoir is process-wide.
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --test reservoir
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test reservoir
@@ -117,6 +119,14 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test alloc_probe
 # matrices out of its pool at once.
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test eager_inference -- eager_logits_equal_tape_logits_bit_for_bit eager_inference_peak_live_floats_is_bounded
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test eager_inference -- eager_logits_equal_tape_logits_bit_for_bit eager_inference_peak_live_floats_is_bounded
+
+# Training tapes hold what backward reads: at two pool sizes, one
+# recorded IGNN forward at train_dense's shape, one filter forward and one
+# embedding forward each hold exactly the parameters, the inputs, every
+# MLP's input and hidden activations and the output, and the IGNN step's
+# pool peak stays under the held floats plus backward's few gradients.
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test train_footprint
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test train_footprint
 
 # DDP golden + determinism at two pool sizes: per-tensor and coalesced
 # all-reduce train bit-identically (loss, validation and final

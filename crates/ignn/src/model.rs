@@ -13,13 +13,16 @@
 //! ```
 //!
 //! Every `φ` is a distinct MLP. The forward is written once, over an
-//! executor ([`Exec`]). Training records it on a tape, where all four
-//! per-layer output matrices (`X^{l+1}`, `Y^{l+1}`, `M_src`, `M_dst`) stay
-//! alive for backprop — the `O(L·m·f)` activation footprint that drives
+//! executor ([`Exec`]), and releases each matrix after the step that
+//! last reads it. Training records it on a tape, which frees a released
+//! matrix unless backward reads it: `X^{l+1}`, `Y^{l+1}`, `M_src`,
+//! `M_dst` and the skip concatenations go, while each MLP's input (the
+//! 6h-wide message input, the 4h-wide node input) and hidden activations
+//! stay for backprop — the `O(L·m·f)` activation footprint that drives
 //! the paper's memory argument. Inference runs it on the eager executor
-//! ([`trkx_nn::Eager`]), which frees each matrix after the step that
-//! last reads it, so about one layer's worth is alive at a time and the
-//! logits are the tape's bit for bit.
+//! ([`trkx_nn::Eager`]), which frees every released matrix, so about one
+//! layer's worth is alive at a time and the logits are the tape's bit for
+//! bit.
 
 use rand::Rng;
 use std::sync::Arc;
@@ -88,6 +91,10 @@ impl IgnnConfig {
     /// (`GatherConcat`) path, which assembles the edge-MLP input directly
     /// — there are no materialized `X'[src]`/`X'[dst]` intermediates
     /// (the `4h·m` per layer the unfused path would additionally retain).
+    /// It still counts the concatenations, aggregates and layer outputs
+    /// a recorded tape now frees, and is kept as it was so the
+    /// full-graph arm skips the same graphs: the measured tape is below
+    /// it.
     pub fn estimate_activation_floats(&self, n: usize, m: usize) -> usize {
         let h = self.hidden;
         let d = self.mlp_depth;
@@ -214,7 +221,7 @@ impl InteractionGnn {
     /// Bit-identical to the test-only unfused reference
     /// (`forward_unfused`) in both values and gradients, at any thread
     /// count. Each node is released after its last read, which frees it
-    /// on the eager executor and does nothing on a tape.
+    /// on the eager executor, and on a tape unless backward reads it.
     pub fn run<'p, E: Exec<'p>>(
         &'p self,
         ex: &mut E,
@@ -545,8 +552,14 @@ mod tests {
 
     #[test]
     fn fused_tape_drops_gather_intermediates() {
-        // Per layer the fused path retains 4h·m fewer floats (the two
-        // m×2h endpoint gathers never materialize).
+        // After the forward, the fused tape holds the parameters, the two
+        // inputs and what backward reads: each MLP's input and hidden
+        // activations (the GEMMs' left factors, Y^L as the decoder's
+        // input) and the logits. The unfused reference releases nothing
+        // it records itself, so it also holds the two m×2h endpoint
+        // gathers per layer (4h·m), which the fused path never
+        // materialises, beside the concatenations, aggregates and layer
+        // outputs the fused path frees.
         let mut rng = StdRng::seed_from_u64(10);
         let cfg = tiny_config();
         let model = InteractionGnn::new(cfg.clone(), &mut rng);
@@ -564,9 +577,20 @@ mod tests {
         };
         let fused = measure(true);
         let unfused = measure(false);
-        let m = y.rows();
-        let saved_per_layer = 4 * cfg.hidden * m;
-        assert_eq!(unfused - fused, cfg.gnn_layers * saved_per_layer);
+        let (n, m, h, l) = (x.rows(), y.rows(), cfg.hidden, cfg.gnn_layers);
+        let hidden = (cfg.mlp_depth - 1) * h;
+        let held = model.num_parameters()
+            + x.len()
+            + y.len()
+            + hidden * (n + m)
+            + l * m * (6 * h + hidden)
+            + (l - 1) * n * (4 * h + hidden)
+            + m * (h + hidden + 1);
+        assert_eq!(fused, held);
+        // [Xˡ X⁰] and [Yˡ Y⁰] per layer; M_src, M_dst, X^{l+1} and
+        // Y^{l+1} per layer but the last; X⁰ and Y⁰.
+        let freed = l * 2 * h * (n + m) + (l - 1) * h * (3 * n + m) + h * (n + m);
+        assert_eq!(unfused - fused, l * 4 * h * m + freed);
     }
 
     #[test]

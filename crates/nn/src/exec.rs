@@ -3,8 +3,9 @@
 //!
 //! - [`Recorder`]: a [`Tape`] plus its [`Bindings`]. It records every
 //!   node for backward, binds each parameter as a gradient-tracked leaf
-//!   and copies fixed inputs in; [`Exec::release`] does nothing, because
-//!   backward reads every value. This is training.
+//!   and copies fixed inputs in; [`Exec::release`] frees a value unless
+//!   a recorded backward rule reads it ([`Tape::release`]). This is
+//!   training.
 //! - [`Eager`]: no record. It reads parameters and inputs where they lie,
 //!   hands each buffer back to the tape's pool as soon as the forward
 //!   says nothing reads it any more, and adds an affine layer's bias (and
@@ -70,22 +71,28 @@ impl<'p> Exec<'p> for Recorder<'_> {
     }
 
     /// Two nodes, `MatMul` then `AddBias` / `AddBiasRelu` (fused: one
-    /// buffer and one pass instead of a separate ReLU node).
+    /// buffer and one pass instead of a separate ReLU node). The product
+    /// is freed once the bias node has read it: neither backward rule
+    /// reads it.
     fn affine(&mut self, x: Var, w: Var, bias: Var, relu: bool) -> Var {
         let xw = self.tape.matmul(x, w);
-        if relu {
+        let y = if relu {
             self.tape.add_bias_relu(xw, bias)
         } else {
             self.tape.add_bias(xw, bias)
-        }
+        };
+        self.tape.release(xw);
+        y
     }
 
     fn value(&self, v: Var) -> &Matrix {
         self.tape.value(v)
     }
 
-    /// Backward reads every value: nothing is freed before the reset.
-    fn release(&mut self, _: Var) {}
+    /// Frees `v` unless backward reads it (see [`Tape::release`]).
+    fn release(&mut self, v: Var) {
+        self.tape.release(v);
+    }
 }
 
 /// Where an eager node's value lives.

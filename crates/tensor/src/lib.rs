@@ -6,10 +6,11 @@
 //! (IPPS 2025).
 //!
 //! The design intentionally mirrors what the paper's memory argument
-//! depends on: a [`Tape`] retains every intermediate activation until
-//! reset, so training an L-layer Interaction GNN on an `m`-edge graph
-//! holds `O(L·m·f)` floats ([`Tape::activation_floats`]), which is what
-//! forces the original Exa.TrkX pipeline to skip large events.
+//! depends on: a [`Tape`] retains every activation a backward rule reads
+//! until reset (and frees the rest as the forward releases them), so
+//! training an L-layer Interaction GNN on an `m`-edge graph holds
+//! `O(L·m·f)` floats ([`Tape::activation_floats`]), which is what forces
+//! the original Exa.TrkX pipeline to skip large events.
 //! Inference runs the same kernels on an eager executor instead
 //! (`trkx_nn::Eager`), which returns each buffer to a tape's pool after
 //! its last use.

@@ -991,6 +991,16 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
+    /// A `rows x cols` shape with no elements: what a tape keeps of a
+    /// released value, whose backward readers read only its shape.
+    pub(crate) fn shape_only(rows: usize, cols: usize) -> Self {
+        Self {
+            rows,
+            cols,
+            data: Vec::new(),
+        }
+    }
+
     /// Build from a per-element function of `(row, col)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
         let mut data = Vec::with_capacity(rows * cols);

@@ -165,7 +165,7 @@ where
         Op::ConcatCols { parts, .. } => {
             let refs: Vec<&Matrix> = parts.iter().map(|&p| &values[p]).collect();
             let cols: usize = refs.iter().map(|p| p.cols()).sum();
-            let mut out = pool.zeros(refs[0].rows(), cols);
+            let mut out = pool.uninit(refs[0].rows(), cols);
             Matrix::concat_cols_into(&refs, &mut out);
             out
         }
@@ -182,7 +182,7 @@ where
         }
         Op::Gather { a, idx } => {
             let a = &values[*a];
-            let mut out = pool.zeros(idx.len(), a.cols());
+            let mut out = pool.uninit(idx.len(), a.cols());
             a.gather_rows_into(idx, &mut out);
             out
         }
@@ -211,7 +211,8 @@ where
             );
             let (wy, wx) = (yv.cols(), xv.cols());
             let cols = wy + 2 * wx;
-            let mut out = pool.zeros(m, cols);
+            // Every row is written whole below.
+            let mut out = pool.uninit(m, cols);
             if cols == 0 {
                 return out;
             }
@@ -394,9 +395,28 @@ impl GradStore<'_> {
     }
 }
 
+/// The values [`backward_into`] reads of `op` beyond their shapes: the
+/// operand nodes whose elements its rule reads, and whether it reads the
+/// op's own output. Every other rule reads only shapes, or the op's own
+/// fields. A tape pins what is listed here when it records `op` and may
+/// free any other value once the forward is done with it
+/// ([`crate::Tape::release`]).
+pub(crate) fn backward_reads(op: &Op) -> ([Option<usize>; 2], bool) {
+    match *op {
+        Op::MatMul { a, b } | Op::Hadamard { a, b } => ([Some(a), Some(b)], false),
+        Op::LayerNorm { a, gamma, .. } => ([Some(a), Some(gamma)], false),
+        // MeanAll reads `a`'s element count.
+        Op::Relu { a } | Op::MeanAll { a } => ([Some(a), None], false),
+        Op::BceWithLogits { logits, .. } => ([Some(logits), None], false),
+        Op::AddBiasRelu { .. } | Op::Tanh { .. } => ([None, None], true),
+        _ => ([None, None], false),
+    }
+}
+
 /// Backward pass for one op, accumulating `+=` into the parents' gradient
 /// buffers in `store`. `grad_out` is dL/d(output); `values[i]` is the value
-/// of node `i`; `out_value` is this node's own forward output.
+/// of node `i`; `out_value` is this node's own forward output. A value
+/// `backward_reads` does not list may be a shape-only placeholder.
 pub fn backward_into(
     op: &Op,
     grad_out: &Matrix,

@@ -9,13 +9,18 @@
 //! and edge count twice, so buffers are matched by **size class**, not
 //! exact length: four classes per octave (capacities `{4, 5, 6, 7} · 2^k`
 //! elements; the smallest, 64, also serves every tinier request). A
-//! request is rounded up to its class, a fresh buffer allocated at class
-//! capacity (≤ 25 % over-allocation above the smallest class) and handed
-//! out with `len` set exactly, so `Matrix::len` never sees the slack. A
-//! returned buffer is filed under the largest class its *capacity* covers
-//! (a matrix given to `Tape::leaf` recycles like one made here), so any
-//! buffer in a bucket fits any request of that class: one index, no
-//! search.
+//! request is rounded up to its class and handed out with `len` set
+//! exactly, so `Matrix::len` never sees the slack. A returned buffer is
+//! filed under the largest class its *capacity* covers (a matrix given to
+//! `Tape::leaf` recycles like one made here), so any buffer in a bucket
+//! fits any request of that class or below: one index, no search. A
+//! request its own class cannot serve takes the smallest parked buffer of
+//! the next four classes up (one octave: at most twice its capacity)
+//! before it goes to the reservoir or the allocator: a step whose sizes
+//! drift from the last one's reuses the last one's buffers instead of
+//! adding a class's worth of fresh ones. A fresh buffer is allocated at
+//! class capacity, at most 25 % over its request above the smallest
+//! class.
 //!
 //! Buffers outlive the tape that used them. Dropping a [`crate::Tape`]
 //! parks its values and gradients in its pool, and dropping a pool moves
@@ -34,9 +39,9 @@
 //! ([`BufferPool::live_floats`]) and the most that was out at once
 //! ([`BufferPool::peak_live_floats`]). The peak is the working set of
 //! what ran on the pool, read without the allocator or RSS: a training
-//! step's tape keeps every activation live until reset, while inference
-//! on the eager executor (`trkx_nn::Eager`) puts each buffer back after
-//! its last use.
+//! step's tape keeps the activations backward reads live until reset,
+//! while inference on the eager executor (`trkx_nn::Eager`) puts each
+//! buffer back after its last use.
 
 use crate::Matrix;
 use std::sync::{Mutex, MutexGuard};
@@ -47,6 +52,9 @@ const SUB_BITS: usize = 2;
 const PER_OCTAVE: usize = 1 << SUB_BITS;
 /// log2 of the smallest class's capacity (64 elements).
 const MIN_SHIFT: usize = 6;
+/// How many classes above its own a request may take a parked buffer
+/// from: one octave.
+const SPAN: usize = PER_OCTAVE;
 
 /// The largest class whose capacity is ≤ `cap`, for `cap ≥ 2^MIN_SHIFT`.
 fn class_below(cap: usize) -> usize {
@@ -101,12 +109,14 @@ impl BufferPool {
     }
 
     /// A buffer with room for `len` elements, its length and contents
-    /// unspecified: a parked one of `len`'s class, else one from the
-    /// reservoir, else a fresh one at class capacity (allocated after the
-    /// reservoir's lock is released).
+    /// unspecified: a parked one of `len`'s class or of the smallest
+    /// class up to [`SPAN`] above it, else one from the reservoir, else a
+    /// fresh one at class capacity (allocated after the reservoir's lock
+    /// is released).
     fn take(&mut self, len: usize) -> Vec<f32> {
         let class = class_above(len);
-        let buf = match self.buckets.get_mut(class).and_then(Vec::pop) {
+        let mut parked = self.buckets.iter_mut().skip(class).take(SPAN + 1);
+        let buf = match parked.find_map(Vec::pop) {
             Some(buf) => buf,
             None => {
                 let spare = reservoir().get_mut(class).and_then(Vec::pop);
@@ -313,21 +323,59 @@ mod tests {
     fn counters_follow_take_and_put() {
         let mut pool = BufferPool::new();
         let a = pool.zeros(10, 10); // class 112
+        let a_ptr = a.data().as_ptr();
         let b = pool.uninit(1, 64); // class 64
         assert_eq!(pool.handed_out_floats(), 176);
         assert_eq!(pool.live_floats(), 176);
         pool.recycle(a);
         assert_eq!(pool.live_floats(), 64);
+        // Class 64 has nothing parked, so the copy takes `a`'s buffer,
+        // three classes up, and counts its whole capacity.
         let c = pool.copy_of(&b);
-        assert_eq!(pool.live_floats(), 128);
+        assert_eq!(c.data().as_ptr(), a_ptr);
+        assert_eq!(pool.live_floats(), 176);
         assert_eq!(pool.peak_live_floats(), 176);
-        assert_eq!(pool.handed_out_floats(), 240);
+        assert_eq!(pool.handed_out_floats(), 288);
         pool.recycle(b);
         pool.recycle(c);
         // A buffer the pool never handed out does not drive `live` negative.
         pool.put(vec![0.0; 500]);
         assert_eq!(pool.live_floats(), 0);
         assert_eq!(pool.peak_live_floats(), 176);
+    }
+
+    #[test]
+    fn a_miss_takes_the_smallest_parked_class_within_one_octave() {
+        // A 128-float request (class 128) may take classes 128 to 256.
+        let mut pool = BufferPool::new();
+        let [big, mid] = [256, 192].map(|len| pool.take_raw(len));
+        let (big_ptr, mid_ptr) = (big.as_ptr(), mid.as_ptr());
+        pool.put(big);
+        pool.put(mid);
+        let first = pool.take_zeroed(128);
+        assert_eq!(first.as_ptr(), mid_ptr, "the smallest class up comes first");
+        assert_eq!(first, vec![0.0; 128]);
+        let second = pool.take_raw(120);
+        assert_eq!(second.as_ptr(), big_ptr, "one octave up is still in reach");
+        assert_eq!(second.len(), 120);
+        assert_eq!(pool.live_floats(), 448);
+        assert_eq!(pool.parked(), 0);
+    }
+
+    #[test]
+    fn a_buffer_more_than_an_octave_up_stays_parked() {
+        // Class 320 is five classes above 128: out of a 128 request's
+        // reach, which goes to the reservoir or the allocator instead.
+        let mut pool = BufferPool::new();
+        let far = pool.take_raw(320);
+        let far_ptr = far.as_ptr();
+        pool.put(far);
+        let near = pool.take_raw(128);
+        assert_ne!(near.as_ptr(), far_ptr);
+        assert_eq!(near.capacity(), 128);
+        assert_eq!(pool.parked(), 1);
+        let own = pool.take_raw(257);
+        assert_eq!(own.as_ptr(), far_ptr, "class 320's own request takes it");
     }
 
     #[test]

@@ -22,27 +22,43 @@
 //! next training call's, a serve worker's) starts from them instead of
 //! from the allocator.
 //!
-//! A training step's tape retains every intermediate value until it is
-//! reset, because backward reads them — exactly the per-layer activation
-//! retention (`X^l`, `Y^l`, `M_src`, `M_dst`) that makes full-graph
-//! Interaction-GNN *training* memory-prohibitive in the paper (§III-B):
-//! an L-layer IGNN on a graph with `m` edges keeps `O(L·m·f)` floats
-//! alive. [`Tape::activation_floats`] exposes that footprint so the
-//! pipeline can emulate the paper's skip-too-large-graphs behaviour.
-//! Inference records nothing: the eager executor (`trkx_nn::Eager`)
-//! borrows the tape's pool ([`Tape::pool_mut`]), runs the same kernels and
-//! hands each buffer back after its last use, so its working set is about
-//! one layer's rather than the whole forward's.
+//! A training step's tape keeps a value only while something will read
+//! it. Each op's backward rule reads few of its operands' elements
+//! (`ops::backward_reads`): a GEMM reads both factors, a fused
+//! bias + ReLU and a tanh their own output, a concatenation, gather or
+//! scatter none. Recording an op pins the values its rule reads, and
+//! [`Tape::release`] hands any other computed value back to the pool
+//! once the forward says nothing reads it any more, keeping only its
+//! shape. What stays is still the per-layer retention (each MLP's inputs
+//! and hidden activations, `O(L·m·f)`) that makes full-graph
+//! Interaction-GNN *training* memory-prohibitive in the paper (§III-B).
+//! [`Tape::activation_floats`] exposes that footprint. Inference records
+//! nothing: the eager executor (`trkx_nn::Eager`) borrows the tape's pool
+//! ([`Tape::pool_mut`]), runs the same kernels and hands each buffer back
+//! after its last use, so its working set is about one layer's rather
+//! than the whole forward's.
 
 use crate::matrix::Matrix;
 use crate::ops::{self, GradStore, Op};
 use crate::plan::EdgePlans;
 use crate::pool::BufferPool;
+use std::ops::Index;
 use std::sync::Arc;
 
 /// Handle to a tape node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Var(pub usize);
+
+/// Whether a node's value is still held.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Hold {
+    /// Held until [`Tape::release`] or the reset.
+    Free,
+    /// A recorded backward rule reads it: held until the reset.
+    Pinned,
+    /// Handed back to the pool; only its shape is left.
+    Released,
+}
 
 /// Reverse-mode autograd tape. Create once and [`Tape::reset`] between
 /// training steps to recycle its buffers.
@@ -50,8 +66,34 @@ pub struct Var(pub usize);
 pub struct Tape {
     ops: Vec<Op>,
     values: Vec<Matrix>,
+    hold: Vec<Hold>,
     grads: Vec<Option<Matrix>>,
     pool: BufferPool,
+}
+
+/// The tape's values as [`ops::forward`] reads them: reading a released
+/// one panics with its index, as on the eager executor.
+struct Held<'a> {
+    values: &'a [Matrix],
+    hold: &'a [Hold],
+}
+
+impl<'a> Held<'a> {
+    fn get(&self, i: usize) -> &'a Matrix {
+        assert!(
+            self.hold[i] != Hold::Released,
+            "tape node {i} read after its release"
+        );
+        &self.values[i]
+    }
+}
+
+impl Index<usize> for Held<'_> {
+    type Output = Matrix;
+
+    fn index(&self, i: usize) -> &Matrix {
+        self.get(i)
+    }
 }
 
 impl Tape {
@@ -72,6 +114,7 @@ impl Tape {
     /// buffers to the internal pool for the next step to reuse.
     pub fn reset(&mut self) {
         self.ops.clear();
+        self.hold.clear();
         for v in self.values.drain(..) {
             self.pool.recycle(v);
         }
@@ -80,8 +123,8 @@ impl Tape {
         }
     }
 
-    /// Total `f32` elements held alive by the tape (values only) — the
-    /// activation-memory footprint used for the paper's OOM-skip emulation.
+    /// Total `f32` elements the tape holds in values (released ones hold
+    /// none): the activation-memory footprint of what was recorded.
     pub fn activation_floats(&self) -> usize {
         self.values.iter().map(Matrix::len).sum()
     }
@@ -89,14 +132,42 @@ impl Tape {
     fn push(&mut self, op: Op, value: Matrix) -> Var {
         self.ops.push(op);
         self.values.push(value);
+        self.hold.push(Hold::Free);
         self.grads.push(None);
         Var(self.ops.len() - 1)
     }
 
-    /// Record `op`: evaluate it and keep its value for backward.
+    /// Record `op`: evaluate it, and pin the values its backward rule
+    /// reads (its own output among them, for some ops).
     pub fn eval(&mut self, op: Op) -> Var {
-        let value = ops::forward(&op, self.values.as_slice(), &mut self.pool);
-        self.push(op, value)
+        let held = Held {
+            values: &self.values,
+            hold: &self.hold,
+        };
+        let value = ops::forward(&op, &held, &mut self.pool);
+        let (operands, output) = ops::backward_reads(&op);
+        for p in operands.into_iter().flatten() {
+            self.hold[p] = Hold::Pinned;
+        }
+        let v = self.push(op, value);
+        if output {
+            self.hold[v.0] = Hold::Pinned;
+        }
+        v
+    }
+
+    /// `v` has no later forward reader. Unless a recorded backward rule
+    /// reads it (it is pinned) or it is a leaf or constant, its buffer
+    /// goes back to the pool now and only its shape stays for backward;
+    /// a later op or [`Tape::value`] reading it panics.
+    pub fn release(&mut self, v: Var) {
+        if self.hold[v.0] != Hold::Free || matches!(self.ops[v.0], Op::Leaf | Op::Constant) {
+            return;
+        }
+        self.hold[v.0] = Hold::Released;
+        let (rows, cols) = self.values[v.0].shape();
+        let value = std::mem::replace(&mut self.values[v.0], Matrix::shape_only(rows, cols));
+        self.pool.recycle(value);
     }
 
     /// The tape's buffer pool, for its counters.
@@ -134,9 +205,16 @@ impl Tape {
         self.push(Op::Constant, value)
     }
 
-    /// Value of a node.
+    fn held(&self) -> Held<'_> {
+        Held {
+            values: &self.values,
+            hold: &self.hold,
+        }
+    }
+
+    /// Value of a node. Panics if it was released.
     pub fn value(&self, v: Var) -> &Matrix {
-        &self.values[v.0]
+        self.held().get(v.0)
     }
 
     /// Accumulated gradient of a leaf (after [`Tape::backward`]); kept
@@ -403,6 +481,186 @@ mod tests {
         }));
         assert!(result.is_err());
         let _ = r; // silence unused
+    }
+
+    /// Index of `op`'s variant. A new variant does not compile here until
+    /// `backward_reads_only_what_the_table_lists` covers it.
+    fn variant(op: &Op) -> usize {
+        match op {
+            Op::Leaf => 0,
+            Op::Constant => 1,
+            Op::MatMul { .. } => 2,
+            Op::Add { .. } => 3,
+            Op::Sub { .. } => 4,
+            Op::Hadamard { .. } => 5,
+            Op::AddBias { .. } => 6,
+            Op::AddBiasRelu { .. } => 7,
+            Op::Scale { .. } => 8,
+            Op::AddScalar { .. } => 9,
+            Op::ConcatCols { .. } => 10,
+            Op::Relu { .. } => 11,
+            Op::Tanh { .. } => 12,
+            Op::Gather { .. } => 13,
+            Op::ScatterAdd { .. } => 14,
+            Op::GatherConcat { .. } => 15,
+            Op::RowSum { .. } => 16,
+            Op::SumAll { .. } => 17,
+            Op::MeanAll { .. } => 18,
+            Op::BceWithLogits { .. } => 19,
+            Op::LayerNorm { .. } => 20,
+            Op::MulMask { .. } => 21,
+        }
+    }
+
+    #[test]
+    fn backward_reads_only_what_the_table_lists() {
+        // One node of every differentiable variant over leaves whose
+        // values straddle zero. Each rule runs twice on one upstream
+        // gradient: over the real values, then with every value the
+        // table does not list for it (other operands, its own output,
+        // every other node) replaced by the shape-only placeholder a
+        // release leaves. Reading a placeholder's elements panics or
+        // loses terms, so the gradients differ.
+        let val = |rows, cols, seed: usize| {
+            Matrix::from_fn(rows, cols, |r, c| {
+                ((r * 7 + c * 3 + seed) % 13) as f32 * 0.37 - 2.2
+            })
+        };
+        let mut t = Tape::new();
+        let (a, b) = (t.leaf(val(6, 5, 1)), t.leaf(val(6, 5, 2)));
+        let w = t.leaf(val(5, 4, 3));
+        let (gamma, beta) = (t.leaf(val(1, 5, 4)), t.leaf(val(1, 5, 5)));
+        let x = t.leaf(val(4, 5, 6));
+        let c = t.constant(val(6, 5, 7));
+        let idx = Arc::new(vec![2u32, 0, 3, 3, 1, 0]);
+        let plans = Arc::new(EdgePlans::new(
+            Arc::new(vec![0, 1, 2, 3, 3, 0]),
+            Arc::new(vec![1, 2, 3, 0, 2, 1]),
+            4,
+        ));
+        let first = t.len();
+        t.matmul(a, w);
+        t.add(a, b);
+        t.sub(a, b);
+        t.hadamard(a, b);
+        t.add_bias(a, gamma);
+        t.add_bias_relu(a, gamma);
+        t.scale(a, -1.5);
+        t.add_scalar(a, 0.25);
+        t.concat_cols(&[a, c, b]);
+        t.relu(a);
+        t.tanh(a);
+        t.gather(x, idx.clone());
+        t.scatter_add(a, idx.clone(), 4);
+        t.eval(Op::ScatterAdd {
+            a: a.0,
+            idx: plans.src.clone(),
+            plan: Some(plans.src_plan.clone()),
+            out_rows: 4,
+        });
+        t.gather_concat(a, x, plans);
+        t.row_sum(a);
+        t.sum_all(a);
+        t.mean_all(a);
+        let targets = (0..30).map(|i| (i % 3 == 0) as u8 as f32).collect();
+        t.bce_with_logits(a, Arc::new(targets), 2.0);
+        t.layer_norm(a, gamma, beta, 1e-5);
+        t.mul_mask(a, Arc::new(val(6, 5, 8)));
+
+        let bits = |m: &Option<Matrix>| {
+            m.as_ref()
+                .map(|m| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        let mut covered = [false; 22];
+        for n in first..t.len() {
+            let op = &t.ops[n];
+            covered[variant(op)] = true;
+            let (rows, cols) = t.values[n].shape();
+            let go = val(rows, cols, 9 + n);
+            let run = |values: &[Matrix]| {
+                let (mut grads, mut pool) = (vec![None; n], BufferPool::new());
+                let mut store = GradStore {
+                    ops: &t.ops,
+                    grads: &mut grads,
+                    pool: &mut pool,
+                };
+                ops::backward_into(op, &go, values, &values[n], &mut store);
+                grads.iter().map(bits).collect::<Vec<_>>()
+            };
+            let (operands, output) = ops::backward_reads(op);
+            let listed = |i: usize| operands.contains(&Some(i)) || (output && i == n);
+            let placeheld: Vec<Matrix> = (t.values.iter().enumerate())
+                .map(|(i, v)| match listed(i) {
+                    true => v.clone(),
+                    false => Matrix::shape_only(v.rows(), v.cols()),
+                })
+                .collect();
+            let want = run(&t.values);
+            assert!(want.iter().any(Option::is_some), "node {n}: no gradient");
+            let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&placeheld)));
+            assert!(
+                got.as_ref().is_ok_and(|got| *got == want),
+                "node {n}: the rule of variant {} reads a value its table entry does not list",
+                variant(op)
+            );
+        }
+        assert!(covered[2..].iter().all(|&c| c), "a variant has no case");
+    }
+
+    #[test]
+    fn release_frees_what_backward_does_not_read_with_the_same_gradients() {
+        // relu(a·w) + 2·a: the product is the relu's input, which the
+        // relu's rule reads; the relu's output and 2·a no rule reads.
+        let step = |release: bool| {
+            let mut t = Tape::new();
+            let a = t.leaf(Matrix::from_fn(8, 8, |r, c| {
+                (r * 8 + c) as f32 * 0.05 - 1.5
+            }));
+            let w = t.leaf(Matrix::from_fn(8, 8, |r, c| {
+                ((r + 2 * c) % 5) as f32 * 0.3 - 0.6
+            }));
+            let p = t.matmul(a, w);
+            let h = t.relu(p);
+            let s = t.scale(a, 2.0);
+            let y = t.add(h, s);
+            let live_before = t.pool.live_floats();
+            if release {
+                for v in [a, w, p, s, h] {
+                    t.release(v);
+                }
+                // `a` and `w` are leaves and `p` is pinned: only `s`
+                // and `h` go back.
+                assert_eq!(t.pool.live_floats(), live_before - 2 * 64);
+                assert_eq!(t.activation_floats(), 4 * 64);
+            }
+            let loss = t.mean_all(y);
+            t.backward(loss);
+            [a, w].map(|v| t.grad(v).unwrap().clone())
+        };
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (kept, freed) in step(false).iter().zip(&step(true)) {
+            assert_eq!(bits(kept), bits(freed));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tape node 1 read after its release")]
+    fn a_later_op_cannot_read_a_released_node() {
+        let mut t = Tape::new();
+        let a = t.leaf(Matrix::zeros(2, 2));
+        let s = t.scale(a, 2.0);
+        t.release(s);
+        t.relu(s);
+    }
+
+    #[test]
+    #[should_panic(expected = "tape node 1 read after its release")]
+    fn a_released_node_has_no_value() {
+        let mut t = Tape::new();
+        let a = t.leaf(Matrix::zeros(2, 2));
+        let s = t.scale(a, 2.0);
+        t.release(s);
+        t.value(s);
     }
 
     #[test]

@@ -28,11 +28,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// System allocator that counts every allocation and its bytes.
+/// System allocator that counts every allocation and its bytes, and the
+/// bytes freed.
 pub struct Counting;
 
 static COUNT: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
+static FREED: AtomicUsize = AtomicUsize::new(0);
 static TRACE: AtomicBool = AtomicBool::new(false);
 static TRACE_LEFT: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
@@ -63,6 +65,7 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.alloc(l) }
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
+        FREED.fetch_add(l.size(), Ordering::Relaxed);
         unsafe { System.dealloc(p, l) }
     }
 }
@@ -86,6 +89,17 @@ pub fn count_alloc_bytes(f: impl FnOnce()) -> usize {
     let before = BYTES.load(Ordering::Relaxed);
     f();
     BYTES.load(Ordering::Relaxed) - before
+}
+
+/// Bytes requested by any thread while `f` runs, and how many of them
+/// are still held when it returns: the bytes requested less the bytes
+/// freed meanwhile (older storage freed in the window counts against it).
+pub fn count_alloc_and_kept_bytes(f: impl FnOnce()) -> (usize, isize) {
+    let (bytes, freed) = (BYTES.load(Ordering::Relaxed), FREED.load(Ordering::Relaxed));
+    f();
+    let bytes = BYTES.load(Ordering::Relaxed) - bytes;
+    let freed = FREED.load(Ordering::Relaxed) - freed;
+    (bytes, bytes as isize - freed as isize)
 }
 
 /// Assert that `f` allocates at most `max_per_call` times per call, as a
