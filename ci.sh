@@ -3,7 +3,8 @@
 # are errors), release build, the full workspace test suite, the GEMM
 # arm-vs-arm parity tests by name (their log lines say which micro-kernel
 # arms this host ran; the driver-level one, whose depths cross the KC
-# reduction blocks, at two pool sizes), the first-touch NT gradient
+# reduction blocks, and the GEMM over parts against the materialised
+# operand, at two pool sizes), the first-touch NT gradient
 # overwrite against the zero-fill path at two pool sizes and the
 # ReLU-gate parity test, tanh's arms against its portable body (a
 # strided sweep at two pool sizes, then every input once), the
@@ -46,6 +47,18 @@ cargo test -q --workspace --release
 cargo test -q --release -p trkx-tensor --lib gemm_arms_match_references_bit_for_bit -- --nocapture
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --lib gemm_drivers_match_portable_on_every_arm -- --nocapture
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --lib gemm_drivers_match_portable_on_every_arm -- --nocapture
+
+# The GEMM over a left operand made of parts (how every MLP's first
+# layer reads its concatenated, gathered input without building it): NN
+# over parts read in place and through a row index, and TN over them
+# (the weight gradient, each KC block of an indexed part gathered into
+# per-thread scratch), against the same GEMM on the materialised
+# operand and against the portable arm, bit for bit, on every arm this
+# CPU runs. Part widths are not multiples of 8 or 16, one part is empty
+# and one crosses KC, row counts are not multiples of MR and cross two
+# KC blocks of the TN reduction, and indices repeat. At two pool sizes.
+RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --lib gemm_parts_match_the_materialised_operand_on_every_arm -- --nocapture
+RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --lib gemm_parts_match_the_materialised_operand_on_every_arm -- --nocapture
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --lib fresh_gemm_gradient_slots_match_the_zero_fill_path_bit_for_bit
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --lib fresh_gemm_gradient_slots_match_the_zero_fill_path_bit_for_bit
 cargo test -q --release -p trkx-tensor --lib add_bias_relu_gate_is_the_branchy_rule_bit_for_bit
@@ -95,19 +108,21 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --test alloc_probe
 # as pool threads each see a split width of 1 and give their cores back,
 # and served tracks equal `reconstruct`'s at 1, 2 and 4 workers (at pool
 # 4, one worker's kernels split four ways and four workers' run
-# serially).
+# serially). The same binary pins `reconstruct`'s tracks and the bits of
+# each learned stage's output (embedding rows, filter logits, GNN
+# logits), on the single-event and the batch path, to golden hashes.
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-ddp --test thread_budget
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-ddp --test thread_budget
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-serve --test batch_parity
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-serve --test batch_parity
 
 # Allocation budgets above the kernels, parallel gates forced on: a full
-# train step on a repeated shape (<= 69 allocs), stage-2 construction
+# train step on a repeated shape (<= 58 allocs), stage-2 construction
 # (<= 8 allocs per event), train steps whose shapes are each new to the
 # pool (fresh bytes <= 20 % of the tape's activation bytes), and served
-# events replayed in an order new to the pool (fresh bytes <= 5 % of the
-# bytes the tape's pool handed out to them). The same bounds at both pool
-# sizes are the flatness check.
+# events replayed in an order new to the pool (no buffer the pool did
+# not park before, and <= 55,000 fresh bytes per request). The same
+# bounds at both pool sizes are the flatness check.
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test alloc_probe
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test alloc_probe
 
@@ -115,16 +130,18 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test alloc_probe
 # its last read. At two pool sizes, parallel kernels forced on: the
 # GNN's (with and without LayerNorm), the filter's and the embedding's
 # eager outputs equal a recorded tape's bit for bit on three events, and
-# one 8-layer GNN inference never has more than ~nine edge-by-hidden
-# matrices out of its pool at once.
+# one 8-layer GNN inference never has more than four edge-by-hidden
+# matrices out of its pool at once (no MLP input is built).
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test eager_inference -- eager_logits_equal_tape_logits_bit_for_bit eager_inference_peak_live_floats_is_bounded
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test eager_inference -- eager_logits_equal_tape_logits_bit_for_bit eager_inference_peak_live_floats_is_bounded
 
 # Training tapes hold what backward reads: at two pool sizes, one
 # recorded IGNN forward at train_dense's shape, one filter forward and one
-# embedding forward each hold exactly the parameters, the inputs, every
-# MLP's input and hidden activations and the output, and the IGNN step's
-# pool peak stays under the held floats plus backward's few gradients.
+# embedding forward each hold exactly the parameters, the inputs, the
+# pieces every MLP's first GEMM reads in place (its concatenated,
+# gathered input is never built), the hidden activations and the
+# output, and the IGNN step's pool peak stays under the held floats plus
+# backward's few gradients.
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test train_footprint
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test train_footprint
 

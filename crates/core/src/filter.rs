@@ -71,7 +71,9 @@ impl FilterStage {
     /// Training and [`FilterStage::logits_with`] pass a
     /// [`PreparedGraph`]'s; the serving path passes an event's candidate
     /// graph, which never materialises one (no sampler view, no edge plans
-    /// needed here).
+    /// needed here). The MLP's input `[X[src] X[dst] Y]` is a view: its
+    /// first GEMM reads the endpoint rows of `X` through `src` and `dst`
+    /// and `Y` where they lie.
     pub fn forward<'p, E: Exec<'p>>(
         &'p self,
         ex: &mut E,
@@ -82,13 +84,14 @@ impl FilterStage {
     ) -> Var {
         let x = ex.input(x);
         let y = ex.input(y);
-        let xs = ex.eval(Op::Gather { a: x.0, idx: src });
-        let xd = ex.eval(Op::Gather { a: x.0, idx: dst });
+        let xs = ex.view(Op::Gather { a: x.0, idx: src });
+        let xd = ex.view(Op::Gather { a: x.0, idx: dst });
         let input = ex.concat_cols(&[xs, xd, y]);
-        for v in [x, y, xs, xd] {
+        let logits = self.mlp.forward(ex, input);
+        for v in [x, y] {
             ex.release(v);
         }
-        self.mlp.forward(ex, input)
+        logits
     }
 
     /// Train over the given graphs through the unified [`TrainLoop`];

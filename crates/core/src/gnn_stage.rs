@@ -477,8 +477,6 @@ pub fn train(
             val,
             pos_weight,
             run_validation: thread == 0 || spec.hooks.is_some(),
-            val_tape: Tape::new(),
-            val_bind: Bindings::new(),
         };
         let hooks = spec.hooks.map_or_else(Vec::new, |factory| factory(thread));
         let reports = TrainLoop::new(Adam::new(cfg.learning_rate), cfg.epochs)
@@ -644,8 +642,6 @@ struct RankStep<'a> {
     val: &'a [PreparedGraph],
     pos_weight: f32,
     run_validation: bool,
-    val_tape: Tape,
-    val_bind: Bindings,
 }
 
 impl TrainStep for RankStep<'_> {
@@ -751,17 +747,14 @@ impl TrainStep for RankStep<'_> {
         })
     }
 
-    fn validate(&mut self, _epoch: usize) -> Option<ValMetrics> {
+    /// Validation runs on the thread's step tape, whose pool holds what
+    /// the last step parked: it allocates no working set of its own.
+    fn validate(&mut self, _epoch: usize, engine: &mut Engine) -> Option<ValMetrics> {
         if !self.run_validation {
             return None;
         }
-        let stats = evaluate_with(
-            &mut self.val_tape,
-            &mut self.val_bind,
-            &self.model,
-            self.val,
-            self.spec.cfg.threshold,
-        );
+        let (tape, bind) = engine.pools();
+        let stats = evaluate_with(tape, bind, &self.model, self.val, self.spec.cfg.threshold);
         Some(ValMetrics {
             precision: stats.precision(),
             recall: stats.recall(),

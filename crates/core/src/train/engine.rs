@@ -64,6 +64,15 @@ impl Engine {
         forward(&mut self.tape, &mut self.bind)
     }
 
+    /// The step tape and bindings, for an inference pass between steps
+    /// (epoch-end validation): the eager executor resets the tape and
+    /// runs over its pool, so validation reuses the buffers the last step
+    /// parked there instead of allocating its own working set beside
+    /// them. The next step resets both again.
+    pub fn pools(&mut self) -> (&mut Tape, &mut Bindings) {
+        (&mut self.tape, &mut self.bind)
+    }
+
     /// Accumulate the tape's gradients into `params` (no-op if the last
     /// `forward` bound nothing). Split out from [`Engine::apply_with`] for
     /// gradient-accumulation schedules (the simulated-DDP trainer harvests
@@ -221,8 +230,9 @@ pub trait TrainStep {
     fn train_epoch(&mut self, epoch: usize, engine: &mut Engine)
         -> Result<EpochStats, Self::Error>;
 
-    /// Epoch-end validation; `None` when the stage has no validation pass.
-    fn validate(&mut self, _epoch: usize) -> Option<ValMetrics> {
+    /// Epoch-end validation, free to run inference over `engine`'s pools
+    /// ([`Engine::pools`]); `None` when the stage has no validation pass.
+    fn validate(&mut self, _epoch: usize, _engine: &mut Engine) -> Option<ValMetrics> {
         None
     }
 }
@@ -266,7 +276,7 @@ impl TrainLoop {
         let mut reports = Vec::with_capacity(self.epochs);
         for epoch in 0..self.epochs {
             let stats = step.train_epoch(epoch, &mut self.engine)?;
-            let val = step.validate(epoch);
+            let val = step.validate(epoch, &mut self.engine);
             let report = EpochReport {
                 epoch,
                 train_loss: stats.loss_sum / stats.loss_denom.max(1) as f32,

@@ -2,14 +2,17 @@
 //!
 //! Recording an op pins the operand values its backward rule reads, and
 //! the forwards release every other matrix after its last forward read.
-//! So after one forward the tape holds, besides the parameters and the
-//! inputs, each MLP's input and hidden activations (the left factors of
-//! its GEMMs, and the tanh outputs the tanh rule reads) and the output:
+//! An MLP's concatenated, gathered input is a view, never built: its
+//! first GEMM reads (and pins) the pieces. So after one forward the tape
+//! holds, besides the parameters and the inputs, the pieces of each
+//! MLP's input, its hidden activations (the left factors of its other
+//! GEMMs, and the tanh outputs the tanh rule reads) and the output:
 //! exact formulas, checked here for the Interaction GNN at the shape of
 //! the benchmark's `train_dense` (hidden 32, 4 layers, MLP depth 3), the
-//! filter and the embedding. A tape that keeps every value also holds
-//! the GEMM products, the skip concatenations, the aggregates, the layer
-//! outputs, the filter's gathers and the pre-tanh values, and fails each
+//! filter and the embedding. A tape that builds the MLP inputs holds
+//! their `6h·m` and `4h·n` per layer and the filter's `(2f + f_e)·m`, and
+//! one that keeps every value also the GEMM products, the aggregates'
+//! copies, the layer outputs and the pre-tanh values; each fails its
 //! formula. The step's pool peak (forward and backward) is bounded too.
 //! `ci.sh` runs this at `RAYON_NUM_THREADS=1` and `4`.
 
@@ -47,15 +50,18 @@ fn a_training_tape_holds_what_backward_reads() {
     let logits = model.forward_planned(&mut tape, &mut bind, &g.x, &g.y, &g.plans);
     let hidden = (d - 1) * h;
     // Parameters and inputs; the encoders' hidden layers; per layer the
-    // edge MLP's [Y' X'src X'dst] (6h) and hidden layers, and but for the
-    // last the node MLP's [M_src M_dst X'] (4h) and hidden layers; Y^L,
-    // the decoder's hidden layers and the logits.
+    // edge MLP's hidden layers and the Yˡ and Xˡ its first GEMM reads
+    // (Y⁰ and X⁰ at layer 0), and but for the last the node MLP's M_src,
+    // M_dst (2h) and hidden layers; Y^L, the decoder's hidden layers and
+    // the logits. The inputs [Y' X'src X'dst] (6h·m) and [M_src M_dst X']
+    // (4h·n) are never built.
     let held = model.num_parameters()
         + n * nf
         + m * ef
         + hidden * (n + m)
-        + l * m * (6 * h + hidden)
-        + (l - 1) * n * (4 * h + hidden)
+        + l * h * (n + m)
+        + l * m * hidden
+        + (l - 1) * n * (2 * h + hidden)
         + m * (h + hidden + 1);
     let floats = tape.activation_floats();
     let loss = bce_with_logits(&mut tape, logits, &g.labels, 1.0);
@@ -64,7 +70,8 @@ fn a_training_tape_holds_what_backward_reads() {
     println!("IGNN on {n} vertices / {m} edges: {floats} floats held, pool peak {peak}");
     assert_eq!(floats, held, "IGNN tape after the forward");
     // Backward holds the parameters' gradients, and at most, while a
-    // layer's message input hands its gradient (6h·m) to [Yˡ Y⁰] (2h·m)
+    // layer's message input hands its gradient (6h·m, still built by the
+    // GEMM's NT, so every gradient is summed as before) to [Yˡ Y⁰] (2h·m)
     // and [Xˡ X⁰] (2h·n), those and the gradients of Y⁰ and X⁰. A fresh
     // buffer's size class rounds it up by at most 1/4; one reused from a
     // class above may round up more, but not in this step.
@@ -92,11 +99,9 @@ fn a_training_tape_holds_what_backward_reads() {
     let params = filter.mlp.params().iter().map(|p| p.numel()).sum::<usize>();
     let hidden = (filter.config.depth - 1) * filter.config.hidden;
     let floats = tape.activation_floats();
-    // Parameters, inputs, [X[src] X[dst] Y], hidden layers and logits.
-    assert_eq!(
-        floats,
-        params + n * nf + m * ef + m * (2 * nf + ef + hidden + 1)
-    );
+    // Parameters, inputs, hidden layers and logits: [X[src] X[dst] Y] is
+    // never built, its GEMM reads X and Y where they lie.
+    assert_eq!(floats, params + n * nf + m * ef + m * (hidden + 1));
 
     let embedding = EmbeddingStage::new(
         nf,

@@ -322,7 +322,7 @@ impl TrainStep for ScriptedStep {
         })
     }
 
-    fn validate(&mut self, epoch: usize) -> Option<ValMetrics> {
+    fn validate(&mut self, epoch: usize, _engine: &mut Engine) -> Option<ValMetrics> {
         let v = self.vals[epoch];
         Some(ValMetrics {
             precision: v,

@@ -14,12 +14,16 @@
 //!
 //! Every `φ` is a distinct MLP. The forward is written once, over an
 //! executor ([`Exec`]), and releases each matrix after the step that
-//! last reads it. Training records it on a tape, which frees a released
-//! matrix unless backward reads it: `X^{l+1}`, `Y^{l+1}`, `M_src`,
-//! `M_dst` and the skip concatenations go, while each MLP's input (the
-//! 6h-wide message input, the 4h-wide node input) and hidden activations
-//! stay for backprop — the `O(L·m·f)` activation footprint that drives
-//! the paper's memory argument. Inference runs it on the eager executor
+//! last reads it. The concatenated, gathered MLP inputs `[Y' X'[src]
+//! X'[dst]]` and `[M_src M_dst X']` are views ([`Exec::view`]): never
+//! built, their MLP's first GEMM reads `Yˡ`, `Y⁰`, `Xˡ`, `X⁰`, `M_src`
+//! and `M_dst` where they lie, so each of those is released only after
+//! the MLP that reads it. Training records the forward on a tape, which
+//! frees a released matrix unless backward reads it: those parts and
+//! each MLP's hidden activations stay for backprop — the `O(L·m·f)`
+//! activation footprint that drives the paper's memory argument — while
+//! the views keep their backward rules, so every gradient is summed as
+//! if the inputs had been built. Inference runs it on the eager executor
 //! ([`trkx_nn::Eager`]), which frees every released matrix, so about one
 //! layer's worth is alive at a time and the logits are the tape's bit for
 //! bit.
@@ -91,8 +95,9 @@ impl IgnnConfig {
     /// (`GatherConcat`) path, which assembles the edge-MLP input directly
     /// — there are no materialized `X'[src]`/`X'[dst]` intermediates
     /// (the `4h·m` per layer the unfused path would additionally retain).
-    /// It still counts the concatenations, aggregates and layer outputs
-    /// a recorded tape now frees, and is kept as it was so the
+    /// It still counts the MLP inputs and concatenations a recorded
+    /// tape never builds and the aggregates and layer outputs it frees,
+    /// and is kept as it was so the
     /// full-graph arm skips the same graphs: the measured tape is below
     /// it.
     pub fn estimate_activation_floats(&self, n: usize, m: usize) -> usize {
@@ -215,10 +220,11 @@ impl InteractionGnn {
     }
 
     /// Fused forward pass over a precomputed edge plan, on any executor:
-    /// one `GatherConcat` node assembles each layer's edge-MLP input in a
-    /// single pass (no `X'[src]`/`X'[dst]` intermediates) and the AGG
-    /// scatters run the deterministic parallel segment-reduce.
-    /// Bit-identical to the test-only unfused reference
+    /// each layer's edge-MLP input is a `GatherConcat` view of the skip
+    /// concatenations (themselves views), which the MLP's first GEMM
+    /// reads in place (no `X'[src]`/`X'[dst]` and no concatenation is
+    /// built), and the AGG scatters run the deterministic parallel
+    /// segment-reduce. Bit-identical to the test-only unfused reference
     /// (`forward_unfused`) in both values and gradients, at any thread
     /// count. Each node is released after its last read, which frees it
     /// on the eager executor, and on a tape unless backward reads it.
@@ -240,27 +246,27 @@ impl InteractionGnn {
         let mut xl = x0;
         let mut yl = y0;
         for l in 0..self.config.gnn_layers {
-            // Skip-connections to the input encodings.
+            // Skip-connections to the input encodings, and MSG: the
+            // [Y' X'[src] X'[dst]] assembly, all views read by the
+            // per-edge MLP's first GEMM.
             let x_cat = ex.concat_cols(&[xl, x0]);
             let y_cat = ex.concat_cols(&[yl, y0]);
-            if l > 0 {
-                ex.release(xl);
-                ex.release(yl);
-            }
-            if Some(l) == last {
-                ex.release(x0);
-                ex.release(y0);
-            }
-            // MSG: fused [Y' X'[src] X'[dst]] assembly + per-edge MLP.
-            let msg_in = ex.eval(Op::GatherConcat {
+            let msg_in = ex.view(Op::GatherConcat {
                 y: y_cat.0,
                 x: x_cat.0,
                 plans: plans.clone(),
             });
-            ex.release(y_cat);
-            yl = self.edge_mlps[l].forward(ex, msg_in);
+            let y_next = self.edge_mlps[l].forward(ex, msg_in);
+            if l > 0 {
+                ex.release(yl);
+            }
+            yl = y_next;
             if Some(l) == last {
-                ex.release(x_cat);
+                ex.release(y0);
+                if l > 0 {
+                    ex.release(xl);
+                }
+                ex.release(x0);
             } else {
                 // AGG: sum messages into both endpoints (plan-driven).
                 let scatter = |idx: &Arc<Vec<u32>>, plan: &Arc<EdgePlan>| Op::ScatterAdd {
@@ -272,10 +278,14 @@ impl InteractionGnn {
                 let m_src = ex.eval(scatter(&plans.src, &plans.src_plan));
                 let m_dst = ex.eval(scatter(&plans.dst, &plans.dst_plan));
                 let node_in = ex.concat_cols(&[m_src, m_dst, x_cat]);
-                for v in [m_src, m_dst, x_cat] {
+                let x_next = self.node_mlps[l].forward(ex, node_in);
+                for v in [m_src, m_dst] {
                     ex.release(v);
                 }
-                xl = self.node_mlps[l].forward(ex, node_in);
+                if l > 0 {
+                    ex.release(xl);
+                }
+                xl = x_next;
             }
         }
         if last.is_none() {
@@ -553,13 +563,14 @@ mod tests {
     #[test]
     fn fused_tape_drops_gather_intermediates() {
         // After the forward, the fused tape holds the parameters, the two
-        // inputs and what backward reads: each MLP's input and hidden
-        // activations (the GEMMs' left factors, Y^L as the decoder's
-        // input) and the logits. The unfused reference releases nothing
-        // it records itself, so it also holds the two m×2h endpoint
-        // gathers per layer (4h·m), which the fused path never
-        // materialises, beside the concatenations, aggregates and layer
-        // outputs the fused path frees.
+        // inputs and what backward reads: the pieces of each MLP's input
+        // (Yˡ, Y⁰, Xˡ, X⁰, M_src, M_dst, read by its first GEMM where they
+        // lie), each MLP's hidden activations, Y^L as the decoder's input
+        // and the logits. The unfused reference releases nothing it
+        // records itself, so it also holds every input it builds: per
+        // layer [Xˡ X⁰] (2h·n), [Yˡ Y⁰] (2h·m), the two endpoint gathers
+        // (4h·m) and [Y' X'src X'dst] (6h·m), and but for the last layer
+        // [M_src M_dst X'] (4h·n).
         let mut rng = StdRng::seed_from_u64(10);
         let cfg = tiny_config();
         let model = InteractionGnn::new(cfg.clone(), &mut rng);
@@ -583,14 +594,15 @@ mod tests {
             + x.len()
             + y.len()
             + hidden * (n + m)
-            + l * m * (6 * h + hidden)
-            + (l - 1) * n * (4 * h + hidden)
+            + l * h * (n + m)
+            + l * m * hidden
+            + (l - 1) * n * (2 * h + hidden)
             + m * (h + hidden + 1);
         assert_eq!(fused, held);
-        // [Xˡ X⁰] and [Yˡ Y⁰] per layer; M_src, M_dst, X^{l+1} and
-        // Y^{l+1} per layer but the last; X⁰ and Y⁰.
-        let freed = l * 2 * h * (n + m) + (l - 1) * h * (3 * n + m) + h * (n + m);
-        assert_eq!(unfused - fused, l * 4 * h * m + freed);
+        assert_eq!(
+            unfused - fused,
+            l * h * (2 * n + 12 * m) + (l - 1) * 4 * h * n
+        );
     }
 
     #[test]

@@ -15,10 +15,15 @@
 //! in the same order, and the in-place bias runs the very per-element
 //! code the tape runs on a copy ([`ops::add_bias_in_place`]), so an eager
 //! forward's values are a recorded forward's bit for bit.
+//!
+//! On both, a concatenation or gather that only feeds an affine layer
+//! is a view ([`Exec::view`]): it is never built, and the layer's GEMM
+//! reads its parts where they lie. A forward keeps each part until that
+//! GEMM has run.
 
 use crate::param::{Bindings, Param};
 use std::ops::Index;
-use trkx_tensor::{ops, BufferPool, Matrix, Op, Tape, Var};
+use trkx_tensor::{ops, BufferPool, Matrix, NodeValues, Op, Tape, Var};
 
 /// The operations a model's forward is written against (see the module
 /// docs). A forward calls [`Exec::release`] on each node after its last
@@ -30,18 +35,25 @@ pub trait Exec<'p> {
     fn param(&mut self, p: &'p Param) -> Var;
     /// Evaluate one op.
     fn eval(&mut self, op: Op) -> Var;
+    /// Record `op` — a concatenation, a gather or a `GatherConcat` — as
+    /// a view, with a shape and no value: only an affine layer's GEMM
+    /// (which reads its parts where they lie) or another view may read
+    /// it, and its operands must stay unreleased until that GEMM has run.
+    fn view(&mut self, op: Op) -> Var;
     /// `x · w + bias`, then ReLU when `relu`.
     fn affine(&mut self, x: Var, w: Var, bias: Var, relu: bool) -> Var;
-    /// Value of a live node.
+    /// Value of a live node that is not a view.
     fn value(&self, v: Var) -> &Matrix;
+    /// `(rows, cols)` of a live node or a view.
+    fn shape(&self, v: Var) -> (usize, usize);
     /// `v` has no later reader.
     fn release(&mut self, v: Var);
 
-    /// Horizontal concatenation.
+    /// Horizontal concatenation, as a view (see [`Exec::view`]).
     fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        let widths = parts.iter().map(|&p| self.value(p).cols()).collect();
+        let widths = parts.iter().map(|&p| self.shape(p).1).collect();
         let parts = parts.iter().map(|p| p.0).collect();
-        self.eval(Op::ConcatCols { parts, widths })
+        self.view(Op::ConcatCols { parts, widths })
     }
 }
 
@@ -70,6 +82,10 @@ impl<'p> Exec<'p> for Recorder<'_> {
         self.tape.eval(op)
     }
 
+    fn view(&mut self, op: Op) -> Var {
+        self.tape.view(op)
+    }
+
     /// Two nodes, `MatMul` then `AddBias` / `AddBiasRelu` (fused: one
     /// buffer and one pass instead of a separate ReLU node). The product
     /// is freed once the bias node has read it: neither backward rule
@@ -89,6 +105,10 @@ impl<'p> Exec<'p> for Recorder<'_> {
         self.tape.value(v)
     }
 
+    fn shape(&self, v: Var) -> (usize, usize) {
+        self.tape.shape(v)
+    }
+
     /// Frees `v` unless backward reads it (see [`Tape::release`]).
     fn release(&mut self, v: Var) {
         self.tape.release(v);
@@ -101,22 +121,49 @@ enum Slot<'p> {
     Owned(Matrix),
     /// An input or parameter read in place.
     Borrowed(&'p Matrix),
+    /// A view: its index in [`Slots`]' views.
+    View(usize),
     /// Handed back: no later node reads it.
     Released,
 }
 
 /// The eager node values, indexed like a tape's (what [`ops::forward`]
-/// reads its operands from).
-struct Slots<'p>(Vec<Slot<'p>>);
+/// reads its operands from). A view's op is kept apart from the slots,
+/// in the lending tape's op list ([`Tape::lend`]), so a slot stays the
+/// size of a matrix and no forward grows a list of its own for them.
+struct Slots<'t, 'p> {
+    slots: Vec<Slot<'p>>,
+    views: &'t mut Vec<Op>,
+}
 
-impl Index<usize> for Slots<'_> {
+impl Slots<'_, '_> {
+    /// Node `i`'s `(rows, cols)`; a view's from its operands'.
+    fn shape(&self, i: usize) -> (usize, usize) {
+        match &self.slots[i] {
+            Slot::View(v) => ops::view_shape(&self.views[*v], |j| self.shape(j)),
+            _ => self[i].shape(),
+        }
+    }
+}
+
+impl Index<usize> for Slots<'_, '_> {
     type Output = Matrix;
 
     fn index(&self, i: usize) -> &Matrix {
-        match &self.0[i] {
+        match &self.slots[i] {
             Slot::Owned(m) => m,
             Slot::Borrowed(m) => m,
+            Slot::View(_) => panic!("eager node {i} is a view: only a GEMM reads it"),
             Slot::Released => panic!("eager node {i} read after its release"),
+        }
+    }
+}
+
+impl NodeValues for Slots<'_, '_> {
+    fn view(&self, i: usize) -> Option<&Op> {
+        match self.slots[i] {
+            Slot::View(v) => Some(&self.views[v]),
+            _ => None,
         }
     }
 }
@@ -127,25 +174,28 @@ impl Index<usize> for Slots<'_> {
 /// buffer it still holds.
 pub struct Eager<'t, 'p> {
     pool: &'t mut BufferPool,
-    slots: Slots<'p>,
+    slots: Slots<'t, 'p>,
 }
 
 impl<'t> Eager<'t, '_> {
     /// Reset `tape` (its recorded values go back to its pool) and evaluate
-    /// over its pool.
+    /// over its storage.
     pub fn new(tape: &'t mut Tape) -> Self {
-        tape.reset();
+        let (pool, views) = tape.lend();
         Self {
-            pool: tape.pool_mut(),
-            slots: Slots(Vec::new()),
+            pool,
+            slots: Slots {
+                slots: Vec::new(),
+                views,
+            },
         }
     }
 }
 
 impl<'p> Eager<'_, 'p> {
     fn push(&mut self, slot: Slot<'p>) -> Var {
-        self.slots.0.push(slot);
-        Var(self.slots.0.len() - 1)
+        self.slots.slots.push(slot);
+        Var(self.slots.slots.len() - 1)
     }
 }
 
@@ -163,6 +213,12 @@ impl<'p> Exec<'p> for Eager<'_, 'p> {
         self.push(Slot::Owned(value))
     }
 
+    fn view(&mut self, op: Op) -> Var {
+        ops::view_shape(&op, |i| self.slots.shape(i));
+        self.slots.views.push(op);
+        self.push(Slot::View(self.slots.views.len() - 1))
+    }
+
     /// The tape's `MatMul`, then its `AddBias` / `AddBiasRelu` arithmetic
     /// applied in place on the product instead of on a copy of it.
     fn affine(&mut self, x: Var, w: Var, bias: Var, relu: bool) -> Var {
@@ -176,12 +232,20 @@ impl<'p> Exec<'p> for Eager<'_, 'p> {
         &self.slots[v.0]
     }
 
+    fn shape(&self, v: Var) -> (usize, usize) {
+        self.slots.shape(v.0)
+    }
+
     /// A computed value's buffer goes back to the pool now. Reading or
-    /// releasing the node again panics.
+    /// releasing the node again panics. A view holds no buffer and stays
+    /// readable by later views.
     fn release(&mut self, v: Var) {
-        match std::mem::replace(&mut self.slots.0[v.0], Slot::Released) {
+        if matches!(self.slots.slots[v.0], Slot::View(_)) {
+            return;
+        }
+        match std::mem::replace(&mut self.slots.slots[v.0], Slot::Released) {
             Slot::Owned(m) => self.pool.recycle(m),
-            Slot::Borrowed(_) => {}
+            Slot::Borrowed(_) | Slot::View(_) => {}
             Slot::Released => panic!("eager node {} released twice", v.0),
         }
     }
@@ -189,11 +253,12 @@ impl<'p> Exec<'p> for Eager<'_, 'p> {
 
 impl Drop for Eager<'_, '_> {
     fn drop(&mut self) {
-        for slot in self.slots.0.drain(..) {
+        for slot in self.slots.slots.drain(..) {
             if let Slot::Owned(m) = slot {
                 self.pool.recycle(m);
             }
         }
+        self.slots.views.clear();
     }
 }
 
@@ -246,6 +311,37 @@ mod tests {
         assert_eq!(tape.pool().peak_live_floats(), 2 * 256);
         assert_eq!(tape.pool().live_floats(), 0);
         assert_eq!(tape.pool().parked(), 2);
+    }
+
+    #[test]
+    fn an_eager_view_keeps_its_op_in_the_tape_and_hands_it_back() {
+        let (x, y) = (Matrix::ones(3, 2), Matrix::ones(3, 1));
+        let (w, b) = (Matrix::ones(3, 4), Matrix::zeros(1, 4));
+        let mut tape = Tape::new();
+        for _ in 0..2 {
+            let mut ex = Eager::new(&mut tape);
+            let (xv, yv) = (ex.input(&x), ex.input(&y));
+            let v = ex.concat_cols(&[xv, yv]);
+            assert_eq!(ex.shape(v), (3, 3));
+            let (wv, bv) = (ex.input(&w), ex.input(&b));
+            let out = ex.affine(v, wv, bv, false);
+            assert_eq!(ex.value(out).data(), &[3.0; 12]);
+        }
+        // The view's op was kept in the tape's op list and taken out again.
+        assert!(tape.is_empty());
+        let a = tape.leaf(Matrix::ones(1, 1));
+        assert_eq!(a.0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "eager node 2 is a view: only a GEMM reads it")]
+    fn an_eager_view_has_no_value() {
+        let (x, y) = (Matrix::zeros(2, 2), Matrix::zeros(2, 1));
+        let mut tape = Tape::new();
+        let mut ex = Eager::new(&mut tape);
+        let (xv, yv) = (ex.input(&x), ex.input(&y));
+        let v = ex.concat_cols(&[xv, yv]);
+        ex.value(v);
     }
 
     #[test]

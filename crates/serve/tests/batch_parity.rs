@@ -12,16 +12,18 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use trkx_core::{
-    train_pipeline, EmbeddingConfig, GnnTrainConfig, PipelineConfig, SamplerKind, TrackBuildResult,
-    TrainedPipeline,
+    build_tracks, train_pipeline, ConstructionMethod, EmbeddingConfig, GnnTrainConfig,
+    GraphConstructor, PipelineConfig, SamplerKind, TrackBuildResult, TrainedPipeline,
 };
-use trkx_detector::{simulate_event, DetectorGeometry, Event, GunConfig};
-use trkx_nn::Bindings;
+use trkx_detector::{
+    edge_features, simulate_event, vertex_features, DetectorGeometry, Event, EventGraph, GunConfig,
+};
+use trkx_nn::{Bindings, Eager, Exec};
 use trkx_sampling::ShadowConfig;
 use trkx_serve::{
     tracks_from_components, ModelRegistry, Response, ServeConfig, ServerCore, MAX_JOBS_PER_WAKE,
 };
-use trkx_tensor::Tape;
+use trkx_tensor::{EdgePlans, Matrix, Tape};
 
 fn tiny_pipeline() -> (TrainedPipeline, Vec<Event>) {
     let geometry = DetectorGeometry::default();
@@ -58,22 +60,126 @@ fn tiny_pipeline() -> (TrainedPipeline, Vec<Event>) {
     (pipeline, requests)
 }
 
+/// An FNV-1a hash, fed bytes in order.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn feed(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Each float's bit pattern, little-endian: a change in any bit of
+    /// any value changes the hash.
+    fn feed_floats(&mut self, xs: &[f32]) {
+        for x in xs {
+            self.feed(&x.to_bits().to_le_bytes());
+        }
+    }
+}
+
 /// FNV-1a over each result's `edges_kept` (as a little-endian `u64`)
 /// followed by its `component_of_hit` (little-endian `u32`s).
 fn fnv1a(results: &[TrackBuildResult]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv::new();
     for r in results {
-        feed(&(r.edges_kept as u64).to_le_bytes());
+        h.feed(&(r.edges_kept as u64).to_le_bytes());
         for &c in &r.component_of_hit {
-            feed(&c.to_le_bytes());
+            h.feed(&c.to_le_bytes());
         }
     }
-    h
+    h.0
+}
+
+/// Hashes of the learned stages' float outputs over a run of events:
+/// the embedding rows, the filter logits and the GNN logits.
+struct StageHashes {
+    embedding: Fnv,
+    filter: Fnv,
+    gnn: Fnv,
+}
+
+impl StageHashes {
+    fn new() -> Self {
+        Self {
+            embedding: Fnv::new(),
+            filter: Fnv::new(),
+            gnn: Fnv::new(),
+        }
+    }
+
+    fn values(&self) -> [u64; 3] {
+        [self.embedding.0, self.filter.0, self.gnn.0]
+    }
+}
+
+/// `TrainedPipeline::reconstruct_pooled`'s five stages, step for step
+/// through the public stage APIs on the eager executor over `tape`'s
+/// pool, feeding each learned stage's output floats to `hashes`.
+/// Returns the tracks, which the caller checks against the library
+/// path's: a replay that drifted from it would fail there.
+fn replay(
+    p: &TrainedPipeline,
+    tape: &mut Tape,
+    ctor: &mut GraphConstructor,
+    event: &Event,
+    hashes: &mut StageHashes,
+) -> TrackBuildResult {
+    let (nf, ef) = (p.config.vertex_features, p.config.edge_features);
+    let x = Matrix::from_vec(event.num_hits(), nf, vertex_features(event, nf));
+    let mut ex = Eager::new(tape);
+    let emb = p.embedding.forward(&mut ex, &x);
+    hashes.embedding.feed_floats(ex.value(emb).data());
+    let method = ConstructionMethod::FixedRadius { radius: p.radius };
+    let cand = ctor.construct(event, ex.value(emb), method);
+    drop(ex);
+    let y = Matrix::from_vec(
+        cand.num_edges(),
+        ef,
+        edge_features(event, &cand.src, &cand.dst, ef),
+    );
+    let (src, dst) = (Arc::new(cand.src), Arc::new(cand.dst));
+    let mut ex = Eager::new(tape);
+    let logits = p
+        .filter
+        .forward(&mut ex, &x, &y, Arc::clone(&src), Arc::clone(&dst));
+    let logits = ex.value(logits).data();
+    hashes.filter.feed_floats(logits);
+    let cut = p.filter.logit_cut();
+    let kept: Vec<u32> = (0..logits.len() as u32)
+        .filter(|&i| logits[i as usize] > cut)
+        .collect();
+    drop(ex);
+    let pick = |v: &[u32]| -> Vec<u32> { kept.iter().map(|&i| v[i as usize]).collect() };
+    let (src, dst) = (Arc::new(pick(&src)), Arc::new(pick(&dst)));
+    let y = y.gather_rows(&kept);
+    let plans = Arc::new(EdgePlans::new(
+        Arc::clone(&src),
+        Arc::clone(&dst),
+        event.num_hits(),
+    ));
+    let mut ex = Eager::new(tape);
+    let logits = p.gnn.run(&mut ex, &x, &y, &plans);
+    let logits = ex.value(logits).data().to_vec();
+    drop(ex);
+    hashes.gnn.feed_floats(&logits);
+    let graph = EventGraph {
+        num_nodes: event.num_hits(),
+        src: src.to_vec(),
+        dst: dst.to_vec(),
+        labels: Vec::new(),
+        x: Vec::new(),
+        num_vertex_features: nf,
+        y: Vec::new(),
+        num_edge_features: ef,
+        event: event.clone(),
+    };
+    build_tracks(&graph, &logits, p.config.track_threshold, p.config.min_hits)
 }
 
 #[test]
@@ -85,6 +191,37 @@ fn reconstruct_output_matches_its_golden_hash() {
     let results: Vec<_> = requests.iter().map(|e| pipeline.reconstruct(e)).collect();
     assert!(results.iter().all(|r| r.edges_kept > 0), "nothing kept");
     assert_eq!(fnv1a(&results), 0x41f2_7516_c95c_09e6);
+
+    // The floats under those tracks, bit for bit: the track hash sees a
+    // float only where it moves an edge across a threshold. Once with
+    // fresh pools per event (the single-event path), once with one set
+    // of pools across all of them (the batch path), each replay's tracks
+    // checked against the library path's.
+    const STAGES: [u64; 3] = [
+        0x9ad8_7bbd_cdf6_12b1,
+        0x6762_af2b_5fda_e2fd,
+        0xe102_773b_ee2d_081b,
+    ];
+    let mut single = StageHashes::new();
+    for (e, want) in requests.iter().zip(&results) {
+        let (mut tape, mut ctor) = (Tape::new(), GraphConstructor::default());
+        let got = replay(&pipeline, &mut tape, &mut ctor, e, &mut single);
+        assert_eq!(got.component_of_hit, want.component_of_hit);
+        assert_eq!(got.edges_kept, want.edges_kept);
+    }
+    let (mut tape, mut bind, mut ctor) =
+        (Tape::new(), Bindings::new(), GraphConstructor::default());
+    let all: Vec<&Event> = requests.iter().collect();
+    let (batch, _) = pipeline.reconstruct_batch_pooled(&mut tape, &mut bind, &mut ctor, &all);
+    let mut pooled = StageHashes::new();
+    let replayed: Vec<_> = requests
+        .iter()
+        .map(|e| replay(&pipeline, &mut tape, &mut ctor, e, &mut pooled))
+        .collect();
+    assert_eq!(fnv1a(&replayed), fnv1a(&batch));
+    println!("stage hashes: {:#018x?}", single.values());
+    assert_eq!(single.values(), STAGES, "single-event path");
+    assert_eq!(pooled.values(), STAGES, "batch path");
 }
 
 #[test]

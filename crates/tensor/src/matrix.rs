@@ -300,6 +300,9 @@ thread_local! {
     /// Parked tile accumulators of a row block whose reduction spans
     /// more than one KC block (one per pool thread).
     static PARK: RefCell<Vec<Vec<Tile>>> = const { RefCell::new(Vec::new()) };
+    /// Copies of A a sweep reads: one KC block of a gathered TN part's
+    /// rows, or one packed tile over parts (one per pool thread).
+    static COPY_A: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Borrow a thread-local scratch buffer for the duration of `f`.
@@ -346,20 +349,60 @@ fn pack_b(b: &[f32], k: usize, n: usize, bp: &mut Vec<f32>) {
     }
 }
 
-/// Where a GEMM's A operand (logically `m x k`) lies: element `(i, kk)`
-/// is `a[i * row_step + kk * k_step]`. Both layouts are read in place.
+/// One part of a GEMM's left operand made of parts laid side by side
+/// along the reduction ([`Matrix::matmul_parts_into`],
+/// [`Matrix::matmul_parts_tn_acc`]): `m` read in place, or with `idx`
+/// its rows `idx` (the part's row `i` is `m`'s row `idx[i]`). Either
+/// way nothing is copied into a concatenated or gathered buffer.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct APart<'a> {
+    pub(crate) m: &'a Matrix,
+    pub(crate) idx: Option<&'a [u32]>,
+}
+
+impl APart<'_> {
+    /// The part's row count: `idx`'s length, or `m`'s.
+    pub(crate) fn rows(&self) -> usize {
+        self.idx.map_or(self.m.rows, <[u32]>::len)
+    }
+
+    /// The row of `m` that is the part's row `i`.
+    #[inline(always)]
+    fn row(&self, i: usize) -> usize {
+        self.idx.map_or(i, |idx| idx[i] as usize)
+    }
+}
+
+/// Where a GEMM's A operand (logically `m x k`) lies. A strided operand
+/// is read in place; the sweep copies parts one tile at a time, and a
+/// gathered TN part, whose reduction steps are scattered rows, one KC
+/// block at a time ([`ASource::block`]), into per-thread scratch.
 #[derive(Clone, Copy)]
-struct ASource<'a> {
-    a: &'a [f32],
-    row_step: usize,
-    k_step: usize,
+enum ASource<'a> {
+    /// Element `(i, kk)` is `a[i * row_step + kk * k_step]`.
+    Strided {
+        a: &'a [f32],
+        row_step: usize,
+        k_step: usize,
+    },
+    /// NN over parts side by side along the reduction, from output row
+    /// `r0` on: element `(i, kk)` is the part holding column `kk` at its
+    /// row `r0 + i`.
+    Parts { parts: &'a [APart<'a>], r0: usize },
+    /// TN over `m`'s rows `idx`, from output row `r0` on: element
+    /// `(i, kk)` is `m[idx[kk], r0 + i]`.
+    TnGathered {
+        m: &'a Matrix,
+        idx: &'a [u32],
+        r0: usize,
+    },
 }
 
 impl<'a> ASource<'a> {
     /// `a` is `m x k` row-major (NN): a tile's rows are eight streams
     /// along the reduction.
     fn rows(a: &'a [f32], k: usize) -> Self {
-        Self {
+        ASource::Strided {
             a,
             row_step: k,
             k_step: 1,
@@ -370,7 +413,7 @@ impl<'a> ASource<'a> {
     /// reduction step of a tile reads MR neighbouring floats of one row
     /// of `a`, and KC blocking keeps the rows a block revisits in cache.
     fn tn_cols(a: &'a [f32], m: usize) -> Self {
-        Self {
+        ASource::Strided {
             a,
             row_step: 1,
             k_step: m,
@@ -381,18 +424,64 @@ impl<'a> ASource<'a> {
     /// An operand with no reduction steps (`k = 0`) is never read and
     /// stays empty.
     fn skip_rows(self, r0: usize) -> Self {
-        Self {
-            a: self.a.get(r0 * self.row_step..).unwrap_or_default(),
-            ..self
+        match self {
+            ASource::Strided {
+                a,
+                row_step,
+                k_step,
+            } => ASource::Strided {
+                a: a.get(r0 * row_step..).unwrap_or_default(),
+                row_step,
+                k_step,
+            },
+            ASource::Parts { parts, r0: s } => ASource::Parts { parts, r0: s + r0 },
+            ASource::TnGathered { m, idx, r0: s } => ASource::TnGathered { m, idx, r0: s + r0 },
         }
     }
 
-    /// The tile of output rows `rows` from reduction step `k0` on.
+    /// What the tiles of reduction block `[k0, k0 + kc)` of a `rows`-row
+    /// block read, and the step that block starts at in it: this source
+    /// from `k0`, or for a gathered TN part the block's `kc` rows of
+    /// `m`, columns `r0..r0 + rows`, copied into `scratch` (`kc x rows`,
+    /// the [`ASource::tn_cols`] layout) from step 0. The copy holds the
+    /// same floats, so it changes no product.
+    fn block<'s>(
+        self,
+        k0: usize,
+        kc: usize,
+        rows: usize,
+        scratch: &'s mut Vec<f32>,
+    ) -> (ASource<'s>, usize)
+    where
+        'a: 's,
+    {
+        let ASource::TnGathered { m, idx, r0 } = self else {
+            return (self, k0);
+        };
+        ensure_len(scratch, kc * rows);
+        let block = &mut scratch[..kc * rows];
+        for (dst, &e) in block.chunks_exact_mut(rows).zip(&idx[k0..k0 + kc]) {
+            dst.copy_from_slice(&m.row(e as usize)[r0..r0 + rows]);
+        }
+        (ASource::tn_cols(block, rows), 0)
+    }
+
+    /// The tile of output rows `rows` from reduction step `k0` on. Parts
+    /// and a gathered TN part are copied first ([`sweep`],
+    /// [`ASource::block`]), so only a strided source is read here.
     fn tile(self, rows: [usize; MR], k0: usize) -> ATile<'a> {
+        let ASource::Strided {
+            a,
+            row_step,
+            k_step,
+        } = self
+        else {
+            unreachable!("the sweep reads a copy of parts and of gathered rows");
+        };
         ATile {
-            a: self.a,
-            row: rows.map(|i| i * self.row_step + k0 * self.k_step),
-            step: self.k_step,
+            a,
+            row: rows.map(|i| i * row_step + k0 * k_step),
+            step: k_step,
         }
     }
 }
@@ -444,17 +533,27 @@ fn sweep_block<const OVERWRITE: bool>(
     n: usize,
     out_block: &mut [f32],
 ) {
-    // A reduction of one block never parks, so it borrows no scratch.
+    // A reduction of one block never parks, and a strided operand is
+    // never copied, so neither borrows scratch it does not use.
+    let mut run = |park: &mut Vec<Tile>| {
+        if matches!(a, ASource::Strided { .. }) {
+            sweep::<OVERWRITE>(kernel, a, bp, k, n, out_block, park, &mut Vec::new())
+        } else {
+            with_scratch(&COPY_A, |copy| {
+                sweep::<OVERWRITE>(kernel, a, bp, k, n, out_block, park, copy)
+            })
+        }
+    };
     if k <= KC {
-        sweep::<OVERWRITE>(kernel, a, bp, k, n, out_block, &mut Vec::new());
+        run(&mut Vec::new());
     } else {
-        with_scratch(&PARK, |park| {
-            sweep::<OVERWRITE>(kernel, a, bp, k, n, out_block, park)
-        });
+        with_scratch(&PARK, run);
     }
 }
 
-/// The body of [`sweep_block`], with `park` the parked accumulators.
+/// The body of [`sweep_block`], with `park` the parked accumulators and
+/// `copy` the scratch for copies of A.
+#[allow(clippy::too_many_arguments)]
 fn sweep<const OVERWRITE: bool>(
     kernel: Kernel,
     a: ASource<'_>,
@@ -463,39 +562,97 @@ fn sweep<const OVERWRITE: bool>(
     n: usize,
     out_block: &mut [f32],
     park: &mut Vec<Tile>,
+    copy: &mut Vec<f32>,
 ) {
     let rows = out_block.len() / n;
     let (panels, tiles) = (n.div_ceil(NR), rows.div_ceil(MR));
     let blocks = k.div_ceil(KC).max(1);
     ensure_len(park, if blocks > 1 { panels * tiles } else { 0 });
+    // Park a tile's accumulator before the last block, store it after.
+    let mut finish = |p: usize, t: usize, acc: Tile, park: &mut Vec<Tile>, last: bool| {
+        if !last {
+            park[p * tiles + t] = acc;
+            return;
+        }
+        let (j0, tr) = (p * NR, (rows - t * MR).min(MR));
+        let w = (n - j0).min(NR);
+        for (r, acc_row) in acc.iter().enumerate().take(tr) {
+            let o0 = (t * MR + r) * n + j0;
+            let dst = &mut out_block[o0..o0 + w];
+            for (o, &v) in dst.iter_mut().zip(&acc_row[..w]) {
+                if OVERWRITE {
+                    *o = v;
+                } else {
+                    *o += v;
+                }
+            }
+        }
+    };
     for kb in 0..blocks {
         let k0 = kb * KC;
         let kc = (k - k0).min(KC);
+        let last = kb + 1 == blocks;
+        let bblock = |p: usize| &bp[(p * k + k0) * NR..(p * k + k0 + kc) * NR];
+        if let ASource::Parts { parts, r0 } = a {
+            // Over parts, each tile's rows are copied once into `pack`
+            // (MR x kc: the same floats in the same order), tiles outer,
+            // and every panel's kernel call reads them there: one call
+            // per tile and panel, on rows that stay in L1, whatever the
+            // part widths.
+            ensure_len(copy, MR * kc);
+            let pack = &mut copy[..MR * kc];
+            for t in 0..tiles {
+                let rows_of: [usize; MR] = std::array::from_fn(|r| (t * MR + r).min(rows - 1));
+                pack_tile(parts, r0, rows_of, k0, kc, pack);
+                let at = ATile {
+                    a: pack,
+                    row: std::array::from_fn(|r| r * kc),
+                    step: 1,
+                };
+                for p in 0..panels {
+                    let start = (kb > 0).then(|| &park[p * tiles + t]);
+                    let acc = kernel.tile(at, bblock(p), kc, start);
+                    finish(p, t, acc, park, last);
+                }
+            }
+            continue;
+        }
+        let (src, s0) = a.block(k0, kc, rows, copy);
         for p in 0..panels {
-            let j0 = p * NR;
-            let w = (n - j0).min(NR);
-            let bblock = &bp[(p * k + k0) * NR..(p * k + k0 + kc) * NR];
             for t in 0..tiles {
                 let rows_of = std::array::from_fn(|r| (t * MR + r).min(rows - 1));
                 let start = (kb > 0).then(|| &park[p * tiles + t]);
-                let acc = kernel.tile(a.tile(rows_of, k0), bblock, kc, start);
-                if kb + 1 < blocks {
-                    park[p * tiles + t] = acc;
-                    continue;
-                }
-                let tr = (rows - t * MR).min(MR);
-                for (r, acc_row) in acc.iter().enumerate().take(tr) {
-                    let o0 = (t * MR + r) * n + j0;
-                    let dst = &mut out_block[o0..o0 + w];
-                    for (o, &v) in dst.iter_mut().zip(&acc_row[..w]) {
-                        if OVERWRITE {
-                            *o = v;
-                        } else {
-                            *o += v;
-                        }
-                    }
-                }
+                let acc = kernel.tile(src.tile(rows_of, s0), bblock(p), kc, start);
+                finish(p, t, acc, park, last);
             }
+        }
+    }
+}
+
+/// Copy reduction steps `[k0, k0 + kc)` of the tile rows `rows` (of
+/// the operand from output row `r0` on) out of `parts` into `pack`,
+/// `MR x kc` row-major.
+fn pack_tile(
+    parts: &[APart<'_>],
+    r0: usize,
+    rows: [usize; MR],
+    k0: usize,
+    kc: usize,
+    pack: &mut [f32],
+) {
+    if kc == 0 {
+        return;
+    }
+    for (r, dst) in rows.iter().zip(pack.chunks_exact_mut(kc)) {
+        let mut p0 = 0;
+        for part in parts {
+            let w = part.m.cols;
+            let (lo, hi) = (k0.max(p0), (k0 + kc).min(p0 + w));
+            if lo < hi {
+                let row = part.m.row(part.row(r0 + r));
+                dst[lo - k0..hi - k0].copy_from_slice(&row[lo - p0..hi - p0]);
+            }
+            p0 += w;
         }
     }
 }
@@ -526,6 +683,80 @@ fn gemm_dispatch<const OVERWRITE: bool>(
             out.par_chunks_mut(mc * n).enumerate().for_each(body);
         } else {
             out.chunks_mut(mc * n).enumerate().for_each(body);
+        }
+    });
+}
+
+/// Check that `parts` are a `rows x k` operand, and return `k`: every
+/// part has `rows` rows, and every index addresses a row of its matrix.
+fn parts_shape(parts: &[APart<'_>], rows: usize) -> usize {
+    for part in parts {
+        assert_eq!(part.rows(), rows, "GEMM part row count mismatch");
+        if let Some(idx) = part.idx {
+            Matrix::assert_row_indices(idx, part.m.rows, "GEMM part");
+        }
+    }
+    parts.iter().map(|p| p.m.cols).sum()
+}
+
+/// [`Matrix::matmul_parts_into`] on `kernel`'s arm.
+fn parts_nn(kernel: Kernel, parts: &[APart<'_>], b: &Matrix, out: &mut Matrix) {
+    let k = parts_shape(parts, out.rows);
+    assert_eq!(
+        k, b.rows,
+        "matmul_parts shape mismatch: {k} columns x {} rows",
+        b.rows
+    );
+    assert_eq!(out.cols, b.cols, "matmul_parts output shape mismatch");
+    let a = ASource::Parts { parts, r0: 0 };
+    gemm_dispatch::<true>(kernel, a, out.rows, k, &b.data, b.cols, &mut out.data);
+}
+
+/// [`Matrix::matmul_parts_tn_acc`] on `kernel`'s arm. Each part's
+/// columns are its own rows of `out`, a TN product over the part read
+/// in place, or through its index ([`ASource::TnGathered`]). B is packed
+/// once, and the output rows of all parts are split into the row blocks
+/// of one `m = Σ widths` product, so the parallel split is the
+/// concatenated operand's; a block that spans parts sweeps each part's
+/// rows of it in turn. Every output row is still one sweep over the
+/// whole reduction.
+fn parts_tn(kernel: Kernel, parts: &[APart<'_>], g: &Matrix, out: &mut Matrix) {
+    let (k, n) = g.shape();
+    let m = parts_shape(parts, k);
+    assert_eq!(out.shape(), (m, n), "matmul_parts_tn output shape mismatch");
+    if m == 0 || n == 0 {
+        return;
+    }
+    with_scratch(&PACK_B, |bp| {
+        pack_b(&g.data, k, n, bp);
+        let bp = &bp[..n.div_ceil(NR) * k * NR];
+        let mc = mc_for(m, k);
+        let body = |(ci, chunk): (usize, &mut [f32])| {
+            let (r_lo, r_hi) = (ci * mc, ci * mc + chunk.len() / n);
+            let (mut rest, mut p0) = (chunk, 0);
+            for part in parts {
+                let w = part.m.cols;
+                let (lo, hi) = (r_lo.max(p0), r_hi.min(p0 + w));
+                if lo < hi {
+                    let a = match part.idx {
+                        None => ASource::tn_cols(&part.m.data, w),
+                        Some(idx) => ASource::TnGathered {
+                            m: part.m,
+                            idx,
+                            r0: 0,
+                        },
+                    };
+                    let (rows, tail) = std::mem::take(&mut rest).split_at_mut((hi - lo) * n);
+                    sweep_block::<false>(kernel, a.skip_rows(lo - p0), bp, k, n, rows);
+                    rest = tail;
+                }
+                p0 += w;
+            }
+        };
+        if m * n >= par_matmul_threshold() && m > 1 {
+            out.data.par_chunks_mut(mc * n).enumerate().for_each(body);
+        } else {
+            out.data.chunks_mut(mc * n).enumerate().for_each(body);
         }
     });
 }
@@ -992,8 +1223,9 @@ impl Matrix {
     }
 
     /// A `rows x cols` shape with no elements: what a tape keeps of a
-    /// released value, whose backward readers read only its shape.
-    pub(crate) fn shape_only(rows: usize, cols: usize) -> Self {
+    /// released value, whose backward readers read only its shape, and
+    /// the value of a view (`Tape::view`).
+    pub const fn shape_only(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
@@ -1199,6 +1431,28 @@ impl Matrix {
             n,
             &mut out.data,
         );
+    }
+
+    /// `out = [parts] · b`, overwriting: the left operand is `parts`
+    /// laid side by side along the reduction (each one `out.rows()`
+    /// rows), read where they lie, gathered parts through their row
+    /// index. Bit-identical to [`Matrix::matmul_into`] on the
+    /// concatenated, gathered operand: each tile resumes its accumulator
+    /// across a part boundary as it does across a KC block, so every
+    /// output element is still one sequential accumulator over the
+    /// ascending reduction index.
+    pub(crate) fn matmul_parts_into(parts: &[APart<'_>], b: &Matrix, out: &mut Matrix) {
+        parts_nn(Kernel::detect(), parts, b, out);
+    }
+
+    /// `out += [parts]ᵀ · g`, the weight gradient of
+    /// [`Matrix::matmul_parts_into`]: each part's columns are its own
+    /// rows of `out`, a TN product over the part read in place, or for a
+    /// gathered part over each KC block of its rows copied into
+    /// per-thread scratch. Bit-identical to [`Matrix::matmul_tn_acc`] on
+    /// the concatenated, gathered operand.
+    pub(crate) fn matmul_parts_tn_acc(parts: &[APart<'_>], g: &Matrix, out: &mut Matrix) {
+        parts_tn(Kernel::detect(), parts, g, out);
     }
 
     /// `self * bᵀ` without materialising the transpose.
@@ -1988,11 +2242,19 @@ mod tests {
     /// row_step + kk * k_step]`: one sequential accumulator per element
     /// over ascending `kk`, the NN / TN order.
     fn naive_gemm(a: ASource<'_>, m: usize, k: usize, b: &[f32], n: usize) -> Vec<f32> {
+        let ASource::Strided {
+            a,
+            row_step,
+            k_step,
+        } = a
+        else {
+            unreachable!("the reference reads a strided operand");
+        };
         let mut out = vec![0.0f32; m * n];
         for i in 0..m {
             for j in 0..n {
                 for kk in 0..k {
-                    out[i * n + j] += a.a[i * a.row_step + kk * a.k_step] * b[kk * n + j];
+                    out[i * n + j] += a[i * row_step + kk * k_step] * b[kk * n + j];
                 }
             }
         }
@@ -2102,6 +2364,142 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The GEMM over parts against the materialised operand, on every
+    /// arm and against the portable arm, bit for bit: NN over parts
+    /// (`matmul_parts_into`, onto a NaN-filled `out`) against
+    /// `matmul_into` on the concatenated, gathered operand, and TN over
+    /// them (`matmul_parts_tn_acc`, onto a dirty `out`) against
+    /// `matmul_tn_acc` on it. Part widths are not multiples of 8 or 16,
+    /// one part is empty, one crosses KC, eleven are one to nine wide,
+    /// and the layouts include the Interaction GNN's six-part message
+    /// input. Row counts are not multiples of MR, cross one and two KC
+    /// blocks of the TN reduction, and run the parallel split; indices
+    /// repeat rows and address fewer rows than the part has. n = 1, 17
+    /// and 33 read one, two and three panels of each copied tile.
+    #[test]
+    fn gemm_parts_match_the_materialised_operand_on_every_arm() {
+        // (width, gathered) per part; a gathered part reads `idx_a` or
+        // `idx_b`, both repeating rows.
+        let layouts: [&[(usize, Option<bool>)]; 6] = [
+            &[
+                (3, None),
+                (5, Some(false)),
+                (1, None),
+                (2, Some(true)),
+                (4, None),
+                (6, Some(false)),
+                (7, None),
+                (1, Some(true)),
+                (2, None),
+                (9, Some(false)),
+                (3, None),
+            ],
+            &[
+                (13, Some(false)),
+                (0, None),
+                (300, None),
+                (5, Some(true)),
+                (37, Some(false)),
+            ],
+            &[
+                (21, None),
+                (21, None),
+                (21, Some(false)),
+                (21, Some(false)),
+                (21, Some(true)),
+                (21, Some(true)),
+            ],
+            &[(259, Some(true))],
+            &[(3, None), (0, Some(false)), (7, None)],
+            &[(0, None)],
+        ];
+        let arms = gemm_arms();
+        let mut rng = StdRng::seed_from_u64(31);
+        for layout in layouts {
+            for rows in [1, 7, 9, 130, 521] {
+                let src_rows = rows / 3 + 2;
+                let index = |rng: &mut StdRng| -> Vec<u32> {
+                    (0..rows)
+                        .map(|_| rng.gen_range(0..src_rows as u32))
+                        .collect()
+                };
+                let idx = [index(&mut rng), index(&mut rng)];
+                for n in [1, 17, 33] {
+                    for fill in ["uniform", "specials"] {
+                        let mats: Vec<Matrix> = (layout.iter())
+                            .map(|&(w, gathered)| {
+                                let r = if gathered.is_some() { src_rows } else { rows };
+                                Matrix::from_vec(r, w, fill_values(fill, r * w, &mut rng))
+                            })
+                            .collect();
+                        let parts: Vec<APart<'_>> = (layout.iter().zip(&mats))
+                            .map(|(&(_, gathered), m)| APart {
+                                m,
+                                idx: gathered.map(|b| &idx[b as usize][..]),
+                            })
+                            .collect();
+                        let k: usize = layout.iter().map(|&(w, _)| w).sum();
+                        let whole = Matrix::from_fn(rows, k, |i, c| {
+                            let mut c = c;
+                            let part = parts
+                                .iter()
+                                .find(|p| {
+                                    let inside = c < p.m.cols;
+                                    if !inside {
+                                        c -= p.m.cols;
+                                    }
+                                    inside
+                                })
+                                .unwrap();
+                            part.m.get(part.row(i), c)
+                        });
+                        let b = Matrix::from_vec(k, n, fill_values(fill, k * n, &mut rng));
+                        let g = Matrix::from_vec(rows, n, fill_values(fill, rows * n, &mut rng));
+                        let dirty = Matrix::from_vec(k, n, parity_values(k * n, 0, &mut rng));
+                        let run = |arm: Kernel| {
+                            let mut nn = Matrix::full(rows, n, f32::NAN);
+                            parts_nn(arm, &parts, &b, &mut nn);
+                            let mut tn = dirty.clone();
+                            parts_tn(arm, &parts, &g, &mut tn);
+                            let mut nn_ref = Matrix::full(rows, n, f32::NAN);
+                            let a = ASource::rows(&whole.data, k);
+                            gemm_dispatch::<true>(arm, a, rows, k, &b.data, n, &mut nn_ref.data);
+                            let mut tn_ref = dirty.clone();
+                            let a = ASource::tn_cols(&whole.data, k);
+                            gemm_dispatch::<false>(arm, a, k, rows, &g.data, n, &mut tn_ref.data);
+                            [("nn", nn, nn_ref), ("tn", tn, tn_ref)]
+                        };
+                        let portable = run(Kernel::Portable);
+                        for &arm in &arms {
+                            for ((op, got, want), (_, port, _)) in run(arm).iter().zip(&portable) {
+                                let what = format!(
+                                    "{op} {} {layout:?} rows={rows} n={n} {fill}",
+                                    arm.name()
+                                );
+                                for (i, ((&gv, &w), &p)) in
+                                    (got.data.iter().zip(&want.data).zip(&port.data)).enumerate()
+                                {
+                                    assert!(
+                                        same_bits(gv, w),
+                                        "{what} [{i}]: {gv:e} vs materialised {w:e}"
+                                    );
+                                    assert!(
+                                        same_bits(gv, p),
+                                        "{what} [{i}]: {gv:e} vs portable {p:e}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        println!(
+            "gemm parts checked on: {}",
+            arms.iter().map(|a| a.name()).collect::<Vec<_>>().join(", ")
+        );
     }
 
     /// `got` against the portable arm's `want`, bit for bit, NaN equal

@@ -12,7 +12,7 @@
 //! or accumulating a gradient never clones an operand and (once the pool is
 //! warm) never allocates.
 
-use crate::matrix::{par_threshold, Matrix};
+use crate::matrix::{par_threshold, APart, Matrix};
 use crate::plan::{EdgePlan, EdgePlans};
 use crate::pool::BufferPool;
 use rayon::prelude::*;
@@ -107,22 +107,153 @@ pub enum Op {
     MulMask { a: usize, mask: Arc<Matrix> },
 }
 
-/// Compute the forward value of `op`. `values[i]` is node `i`'s value
-/// (borrowed — no operand is cloned): the tape's value slice, or the
-/// eager executor's slots (`trkx_nn::Eager`); the output buffer comes
-/// from `pool`.
+/// The nodes the ops read: `values[i]` is node `i`'s value (borrowed —
+/// no operand is cloned), and [`NodeValues::view`] names the nodes
+/// recorded as views. A view (a [`Op::ConcatCols`], [`Op::Gather`] or
+/// [`Op::GatherConcat`] whose only reader is a GEMM) has a shape but no
+/// elements: a GEMM reads it as its parts, where they lie, and its own
+/// backward rule reads only shapes.
+pub trait NodeValues: Index<usize, Output = Matrix> {
+    /// `Some(op)` if node `i` was recorded as the view `op`.
+    fn view(&self, i: usize) -> Option<&Op>;
+}
+
+/// Plain values: no node is a view.
+impl NodeValues for [Matrix] {
+    fn view(&self, _: usize) -> Option<&Op> {
+        None
+    }
+}
+
+/// Most parts a view resolves into; the Interaction GNN's message input
+/// `[Yˡ Y⁰ Xˡ[src] X⁰[src] Xˡ[dst] X⁰[dst]]` has six.
+const MAX_PARTS: usize = 8;
+
+/// Placeholder for the unused slots of a [`Parts`].
+static NO_PART: Matrix = Matrix::shape_only(0, 0);
+
+/// A GEMM's left operand as its parts, in column order: the node and
+/// the [`APart`] of each. Held on the stack, so reading a view
+/// allocates nothing.
+pub(crate) struct Parts<'v> {
+    len: usize,
+    nodes: [usize; MAX_PARTS],
+    parts: [APart<'v>; MAX_PARTS],
+}
+
+impl<'v> Parts<'v> {
+    /// The parts of node `a`: `a` itself if it has a value, else its
+    /// view's operands' parts — a concatenation's side by side, a
+    /// gather's through its index, a `GatherConcat`'s `y`, then `x`
+    /// through `src`, then `x` through `dst`.
+    pub(crate) fn of<V: NodeValues + ?Sized>(values: &'v V, a: usize) -> Self {
+        let mut parts = Self {
+            len: 0,
+            nodes: [0; MAX_PARTS],
+            parts: [APart {
+                m: &NO_PART,
+                idx: None,
+            }; MAX_PARTS],
+        };
+        parts.collect(values, a, None);
+        parts
+    }
+
+    fn collect<V: NodeValues + ?Sized>(&mut self, values: &'v V, a: usize, idx: Option<&'v [u32]>) {
+        let Some(view) = values.view(a) else {
+            assert!(
+                self.len < MAX_PARTS,
+                "a view of more than {MAX_PARTS} parts"
+            );
+            self.nodes[self.len] = a;
+            self.parts[self.len] = APart { m: &values[a], idx };
+            self.len += 1;
+            return;
+        };
+        let gather_once = |inner: &'v [u32]| {
+            assert!(idx.is_none(), "a gather of a gathered view");
+            Some(inner)
+        };
+        match view {
+            Op::ConcatCols { parts, .. } => {
+                for &p in parts {
+                    self.collect(values, p, idx);
+                }
+            }
+            Op::Gather { a, idx: rows } => self.collect(values, *a, gather_once(rows)),
+            Op::GatherConcat { y, x, plans } => {
+                self.collect(values, *y, idx);
+                self.collect(values, *x, gather_once(&plans.src));
+                self.collect(values, *x, gather_once(&plans.dst));
+            }
+            _ => unreachable!("only concatenations and gathers are views"),
+        }
+    }
+
+    /// The parts, for [`Matrix::matmul_parts_into`] and
+    /// [`Matrix::matmul_parts_tn_acc`].
+    pub(crate) fn parts(&self) -> &[APart<'v>] {
+        &self.parts[..self.len]
+    }
+
+    /// The node each part reads, in the same order: the first `n` of
+    /// the array, held apart from the values the parts borrow.
+    pub(crate) fn node_array(&self) -> ([usize; MAX_PARTS], usize) {
+        (self.nodes, self.len)
+    }
+
+    /// The operand's row count.
+    fn rows(&self) -> usize {
+        self.parts[0].rows()
+    }
+}
+
+/// The `(rows, cols)` of a view of `op`, checked, given each node's
+/// shape: a concatenation's, a gather's or a `GatherConcat`'s output.
+pub fn view_shape(op: &Op, shape: impl Fn(usize) -> (usize, usize)) -> (usize, usize) {
+    match op {
+        Op::ConcatCols { parts, widths } => {
+            assert!(!parts.is_empty(), "concat_cols of nothing");
+            let rows = shape(parts[0]).0;
+            for (&p, &w) in parts.iter().zip(widths) {
+                assert_eq!(shape(p), (rows, w), "concat_cols part shape mismatch");
+            }
+            (rows, widths.iter().sum())
+        }
+        Op::Gather { a, idx } => (idx.len(), shape(*a).1),
+        Op::GatherConcat { y, x, plans } => {
+            let ((ym, wy), (xn, wx)) = (shape(*y), shape(*x));
+            assert_eq!(ym, plans.num_edges(), "gather_concat edge count mismatch");
+            assert_eq!(xn, plans.nodes(), "gather_concat node count mismatch");
+            (ym, wy + 2 * wx)
+        }
+        _ => panic!("only concatenations and gathers are views"),
+    }
+}
+
+/// Compute the forward value of `op`. `values` are the tape's values,
+/// or the eager executor's slots (`trkx_nn::Eager`); the output buffer
+/// comes from `pool`. A GEMM whose left operand is a view reads its
+/// parts where they lie.
 pub fn forward<V>(op: &Op, values: &V, pool: &mut BufferPool) -> Matrix
 where
-    V: Index<usize, Output = Matrix> + ?Sized,
+    V: NodeValues + ?Sized,
 {
     match op {
         Op::Leaf | Op::Constant => unreachable!("leaves carry their own value"),
         Op::MatMul { a, b } => {
-            let (a, b) = (&values[*a], &values[*b]);
+            let bv = &values[*b];
             // Overwriting product: bit-identical to zeroing + `matmul_acc`
             // but skips clearing the recycled buffer.
-            let mut out = pool.uninit(a.rows(), b.cols());
-            a.matmul_into(b, &mut out);
+            if values.view(*a).is_some() {
+                let parts = Parts::of(values, *a);
+                let mut out = pool.uninit(parts.rows(), bv.cols());
+                Matrix::matmul_parts_into(parts.parts(), bv, &mut out);
+                return out;
+            }
+            let av = &values[*a];
+            let mut out = pool.uninit(av.rows(), bv.cols());
+            av.matmul_into(bv, &mut out);
             out
         }
         Op::Add { a, b } => {
@@ -398,9 +529,9 @@ impl GradStore<'_> {
 /// The values [`backward_into`] reads of `op` beyond their shapes: the
 /// operand nodes whose elements its rule reads, and whether it reads the
 /// op's own output. Every other rule reads only shapes, or the op's own
-/// fields. A tape pins what is listed here when it records `op` and may
-/// free any other value once the forward is done with it
-/// ([`crate::Tape::release`]).
+/// fields. A tape pins what is listed here when it records `op` (a view
+/// operand's parts, in its place) and may free any other value once the
+/// forward is done with it ([`crate::Tape::release`]).
 pub(crate) fn backward_reads(op: &Op) -> ([Option<usize>; 2], bool) {
     match *op {
         Op::MatMul { a, b } | Op::Hadamard { a, b } => ([Some(a), Some(b)], false),
@@ -416,14 +547,17 @@ pub(crate) fn backward_reads(op: &Op) -> ([Option<usize>; 2], bool) {
 /// Backward pass for one op, accumulating `+=` into the parents' gradient
 /// buffers in `store`. `grad_out` is dL/d(output); `values[i]` is the value
 /// of node `i`; `out_value` is this node's own forward output. A value
-/// `backward_reads` does not list may be a shape-only placeholder.
-pub fn backward_into(
+/// `backward_reads` does not list may be a shape-only placeholder, and
+/// so is a view's: a GEMM reads a view operand's parts.
+pub fn backward_into<V>(
     op: &Op,
     grad_out: &Matrix,
-    values: &[Matrix],
+    values: &V,
     out_value: &Matrix,
     store: &mut GradStore<'_>,
-) {
+) where
+    V: NodeValues + ?Sized,
+{
     match op {
         Op::Leaf | Op::Constant => {}
         Op::MatMul { a, b } => {
@@ -438,7 +572,11 @@ pub fn backward_into(
                 None => {}
             }
             if let Some(gb) = store.acc(*b, bv.rows(), bv.cols()) {
-                av.matmul_tn_acc(grad_out, gb);
+                if values.view(*a).is_some() {
+                    Matrix::matmul_parts_tn_acc(Parts::of(values, *a).parts(), grad_out, gb);
+                } else {
+                    av.matmul_tn_acc(grad_out, gb);
+                }
             }
         }
         Op::Add { a, b } => {

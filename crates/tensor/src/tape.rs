@@ -34,12 +34,12 @@
 //! Interaction-GNN *training* memory-prohibitive in the paper (§III-B).
 //! [`Tape::activation_floats`] exposes that footprint. Inference records
 //! nothing: the eager executor (`trkx_nn::Eager`) borrows the tape's pool
-//! ([`Tape::pool_mut`]), runs the same kernels and hands each buffer back
+//! ([`Tape::lend`]), runs the same kernels and hands each buffer back
 //! after its last use, so its working set is about one layer's rather
 //! than the whole forward's.
 
 use crate::matrix::Matrix;
-use crate::ops::{self, GradStore, Op};
+use crate::ops::{self, GradStore, NodeValues, Op, Parts};
 use crate::plan::EdgePlans;
 use crate::pool::BufferPool;
 use std::ops::Index;
@@ -58,6 +58,8 @@ enum Hold {
     Pinned,
     /// Handed back to the pool; only its shape is left.
     Released,
+    /// Recorded by [`Tape::view`]: a shape, never a value.
+    View,
 }
 
 /// Reverse-mode autograd tape. Create once and [`Tape::reset`] between
@@ -71,19 +73,29 @@ pub struct Tape {
     pool: BufferPool,
 }
 
-/// The tape's values as [`ops::forward`] reads them: reading a released
-/// one panics with its index, as on the eager executor.
+/// The tape's nodes as the ops read them. In the forward (`strict`),
+/// reading a released value panics with its index, as on the eager
+/// executor, and so does reading a view's as a value; backward reads
+/// their shapes.
 struct Held<'a> {
+    ops: &'a [Op],
     values: &'a [Matrix],
     hold: &'a [Hold],
+    strict: bool,
 }
 
 impl<'a> Held<'a> {
     fn get(&self, i: usize) -> &'a Matrix {
-        assert!(
-            self.hold[i] != Hold::Released,
-            "tape node {i} read after its release"
-        );
+        if self.strict {
+            assert!(
+                self.hold[i] != Hold::Released,
+                "tape node {i} read after its release"
+            );
+            assert!(
+                self.hold[i] != Hold::View,
+                "tape node {i} is a view: only a GEMM reads it"
+            );
+        }
         &self.values[i]
     }
 }
@@ -93,6 +105,12 @@ impl Index<usize> for Held<'_> {
 
     fn index(&self, i: usize) -> &Matrix {
         self.get(i)
+    }
+}
+
+impl NodeValues for Held<'_> {
+    fn view(&self, i: usize) -> Option<&Op> {
+        (self.hold[i] == Hold::View).then(|| &self.ops[i])
     }
 }
 
@@ -138,16 +156,26 @@ impl Tape {
     }
 
     /// Record `op`: evaluate it, and pin the values its backward rule
-    /// reads (its own output among them, for some ops).
+    /// reads (its own output among them, for some ops; a view operand's
+    /// parts in the view's place).
     pub fn eval(&mut self, op: Op) -> Var {
         let held = Held {
+            ops: &self.ops,
             values: &self.values,
             hold: &self.hold,
+            strict: true,
         };
         let value = ops::forward(&op, &held, &mut self.pool);
         let (operands, output) = ops::backward_reads(&op);
         for p in operands.into_iter().flatten() {
-            self.hold[p] = Hold::Pinned;
+            if self.hold[p] != Hold::View {
+                self.hold[p] = Hold::Pinned;
+                continue;
+            }
+            let (nodes, n) = Parts::of(&self.held(), p).node_array();
+            for &q in &nodes[..n] {
+                self.hold[q] = Hold::Pinned;
+            }
         }
         let v = self.push(op, value);
         if output {
@@ -156,10 +184,24 @@ impl Tape {
         v
     }
 
+    /// Record `op` — a concatenation, a gather or a `GatherConcat` — as
+    /// a view: a node with its shape but no value, whose only readers
+    /// are a GEMM's left operand ([`Tape::matmul`], which reads its
+    /// operands where they lie and pins them) and other views. Nothing
+    /// is copied. Its backward rule runs as if it had been evaluated, so
+    /// every gradient is summed in the same grouping and order.
+    pub fn view(&mut self, op: Op) -> Var {
+        let (rows, cols) = ops::view_shape(&op, |i| self.values[i].shape());
+        let v = self.push(op, Matrix::shape_only(rows, cols));
+        self.hold[v.0] = Hold::View;
+        v
+    }
+
     /// `v` has no later forward reader. Unless a recorded backward rule
-    /// reads it (it is pinned) or it is a leaf or constant, its buffer
-    /// goes back to the pool now and only its shape stays for backward;
-    /// a later op or [`Tape::value`] reading it panics.
+    /// reads it (it is pinned), it is a leaf or constant, or it is a
+    /// view (which holds nothing), its buffer goes back to the pool now
+    /// and only its shape stays for backward; a later op or
+    /// [`Tape::value`] reading it panics.
     pub fn release(&mut self, v: Var) {
         if self.hold[v.0] != Hold::Free || matches!(self.ops[v.0], Op::Leaf | Op::Constant) {
             return;
@@ -175,11 +217,15 @@ impl Tape {
         &self.pool
     }
 
-    /// The tape's buffer pool, lent to an executor that evaluates without
-    /// recording (`trkx_nn::Eager`), so inference draws on and leaves its
-    /// buffers in this tape's storage.
-    pub fn pool_mut(&mut self) -> &mut BufferPool {
-        &mut self.pool
+    /// Empty the tape and lend its storage to an executor that evaluates
+    /// without recording (`trkx_nn::Eager`): the buffer pool, so inference
+    /// draws on and leaves its buffers here, and the emptied op list, where
+    /// that executor keeps the views it records, so one forward after
+    /// another grows no list of its own. The borrower empties the list
+    /// again before the tape records anything.
+    pub fn lend(&mut self) -> (&mut BufferPool, &mut Vec<Op>) {
+        self.reset();
+        (&mut self.pool, &mut self.ops)
     }
 
     /// Gradient-tracked input (takes ownership of an existing matrix).
@@ -207,14 +253,22 @@ impl Tape {
 
     fn held(&self) -> Held<'_> {
         Held {
+            ops: &self.ops,
             values: &self.values,
             hold: &self.hold,
+            strict: true,
         }
     }
 
-    /// Value of a node. Panics if it was released.
+    /// Value of a node. Panics if it was released or is a view.
     pub fn value(&self, v: Var) -> &Matrix {
         self.held().get(v.0)
+    }
+
+    /// `(rows, cols)` of a node, whether it holds a value, was released
+    /// or is a view.
+    pub fn shape(&self, v: Var) -> (usize, usize) {
+        self.values[v.0].shape()
     }
 
     /// Accumulated gradient of a leaf (after [`Tape::backward`]); kept
@@ -376,10 +430,16 @@ impl Tape {
                         grads: earlier,
                         pool: &mut self.pool,
                     };
+                    let nodes = Held {
+                        ops: &self.ops,
+                        values: &self.values,
+                        hold: &self.hold,
+                        strict: false,
+                    };
                     ops::backward_into(
                         &self.ops[i],
                         &grad_out,
-                        &self.values,
+                        &nodes,
                         &self.values[i],
                         &mut store,
                     );
@@ -595,7 +655,7 @@ mod tests {
                     false => Matrix::shape_only(v.rows(), v.cols()),
                 })
                 .collect();
-            let want = run(&t.values);
+            let want = run(&t.values[..]);
             assert!(want.iter().any(Option::is_some), "node {n}: no gradient");
             let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&placeheld)));
             assert!(
@@ -641,6 +701,113 @@ mod tests {
         for (kept, freed) in step(false).iter().zip(&step(true)) {
             assert_eq!(bits(kept), bits(freed));
         }
+    }
+
+    #[test]
+    fn a_view_gives_the_built_operand_s_values_and_gradients_bit_for_bit() {
+        // [y  gather(z)] and [y  x[src]  x[dst]] as a GEMM's left operand,
+        // built on one tape and as views on another: the same product
+        // and the same gradient bits for every leaf, while the views hold
+        // no floats and pin what the GEMM reads in their place.
+        let val = |rows, cols, seed: usize| {
+            Matrix::from_fn(rows, cols, |r, c| {
+                ((r * 7 + c * 3 + seed) % 13) as f32 * 0.37 - 2.2
+            })
+        };
+        let plans = Arc::new(EdgePlans::new(
+            Arc::new(vec![0, 1, 2, 3, 3, 0]),
+            Arc::new(vec![1, 2, 3, 0, 2, 1]),
+            4,
+        ));
+        let idx = Arc::new(vec![2u32, 0, 3, 3, 1, 0]);
+        let run = |view: bool| {
+            let mut t = Tape::new();
+            let (y, x, z) = (
+                t.leaf(val(6, 3, 1)),
+                t.leaf(val(4, 2, 2)),
+                t.leaf(val(4, 5, 3)),
+            );
+            let (w1, w2) = (t.leaf(val(8, 4, 4)), t.leaf(val(7, 4, 5)));
+            let (a1, a2) = if view {
+                let g = t.view(Op::Gather {
+                    a: z.0,
+                    idx: idx.clone(),
+                });
+                let c = t.view(Op::ConcatCols {
+                    parts: vec![y.0, g.0],
+                    widths: vec![3, 5],
+                });
+                let gc = t.view(Op::GatherConcat {
+                    y: y.0,
+                    x: x.0,
+                    plans: plans.clone(),
+                });
+                (c, gc)
+            } else {
+                let g = t.gather(z, idx.clone());
+                (t.concat_cols(&[y, g]), t.gather_concat(y, x, plans.clone()))
+            };
+            let (p1, p2) = (t.matmul(a1, w1), t.matmul(a2, w2));
+            let s = t.add(p1, p2);
+            let floats = t.activation_floats();
+            let loss = t.mean_all(s);
+            let value = t.value(s).clone();
+            t.backward(loss);
+            let grads = [y, x, z, w1, w2].map(|v| t.grad(v).unwrap().clone());
+            (value, grads, floats)
+        };
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (built, viewed) = (run(false), run(true));
+        assert_eq!(bits(&viewed.0), bits(&built.0), "product");
+        for (g, (v, b)) in viewed.1.iter().zip(&built.1).enumerate() {
+            assert_eq!(bits(v), bits(b), "gradient of leaf {g}");
+        }
+        // The built tape also holds gather(z), [y gather(z)] and
+        // [y x[src] x[dst]].
+        assert_eq!(built.2 - viewed.2, 6 * 5 + 6 * 8 + 6 * 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "tape node 3 is a view: only a GEMM reads it")]
+    fn only_a_gemm_reads_a_view() {
+        let mut t = Tape::new();
+        let (a, b) = (t.leaf(Matrix::zeros(2, 2)), t.leaf(Matrix::zeros(2, 3)));
+        let c = t.leaf(Matrix::zeros(2, 1));
+        let v = t.view(Op::ConcatCols {
+            parts: vec![a.0, b.0, c.0],
+            widths: vec![2, 3, 1],
+        });
+        t.relu(v);
+    }
+
+    #[test]
+    #[should_panic(expected = "tape node 2 is a view: only a GEMM reads it")]
+    fn a_view_has_a_shape_and_no_value() {
+        let mut t = Tape::new();
+        let (a, b) = (t.leaf(Matrix::zeros(2, 2)), t.leaf(Matrix::zeros(2, 3)));
+        let v = t.view(Op::ConcatCols {
+            parts: vec![a.0, b.0],
+            widths: vec![2, 3],
+        });
+        assert_eq!(t.shape(v), (2, 5));
+        t.value(v);
+    }
+
+    #[test]
+    fn a_gemm_pins_the_parts_of_its_view() {
+        let mut t = Tape::new();
+        let w = t.leaf(Matrix::zeros(4, 1));
+        let x = t.leaf(Matrix::zeros(3, 2));
+        let (a, b) = (t.scale(x, 2.0), t.scale(x, 3.0));
+        let v = t.view(Op::ConcatCols {
+            parts: vec![a.0, b.0],
+            widths: vec![2, 2],
+        });
+        t.matmul(v, w);
+        for node in [a, b, v] {
+            t.release(node);
+        }
+        assert_eq!(t.activation_floats(), 4 + 6 + 6 + 6 + 3);
     }
 
     #[test]
@@ -761,7 +928,7 @@ mod tests {
             pool: &mut t.pool,
         };
         for g in [&go1, &go2] {
-            ops::backward_into(&t.ops[y.0], g, &t.values, &yv, &mut store);
+            ops::backward_into(&t.ops[y.0], g, &t.values[..], &yv, &mut store);
         }
 
         let (mut ga, mut gb) = (ga0, gb0);
@@ -839,7 +1006,13 @@ mod tests {
             pool: &mut t.pool,
         };
         for (node, g) in &go {
-            ops::backward_into(&t.ops[node.0], g, &t.values, &t.values[node.0], &mut store);
+            ops::backward_into(
+                &t.ops[node.0],
+                g,
+                &t.values[..],
+                &t.values[node.0],
+                &mut store,
+            );
         }
 
         let value = |v: Var| &t.values[v.0];
