@@ -14,10 +14,11 @@
 # output hashes and its allocation probe at two pool sizes, eager
 # inference's logits against the recorded tape's and its peak-live-floats
 # bound at two pool sizes, the training tapes' held-floats formulas at
-# two pool sizes, a smoke run
+# two pool sizes, the backward-over-views kernels and the tape's
+# backward frees at two pool sizes, a smoke run
 # of the Figure 3 bin, a two-second run of each benchmark workload with a
-# 1 GB peak-RSS tripwire, and a check that the frozen benchmark's
-# tracked files did not change. Run from the repo root.
+# 1 GB peak-RSS tripwire, the mutant corpus, and a check that the frozen
+# benchmark's tracked files did not change. Run from the repo root.
 set -euo pipefail
 
 cargo fmt --check
@@ -61,6 +62,25 @@ RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --lib gemm_parts_matc
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --lib gemm_parts_match_the_materialised_operand_on_every_arm -- --nocapture
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-tensor --lib fresh_gemm_gradient_slots_match_the_zero_fill_path_bit_for_bit
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-tensor --lib fresh_gemm_gradient_slots_match_the_zero_fill_path_bit_for_bit
+
+# The backward over a view builds no gradient of the view: the GEMM
+# writes each part's share straight into its gradient. At two pool
+# sizes: the three kernels that do it (a column block of `g · bᵀ`, a
+# GatherConcat's gathered node summing its dst then src edges' shares
+# per node across the parallel node blocks, a gather's source) against
+# building `g · bᵀ` and running the views' rules on it, on every arm
+# this CPU runs; an Interaction-GNN layer's views, and a view two GEMMs
+# read, against the same forward built; and backward frees each value
+# only after the rule of its lowest-indexed reader (two GEMMs reading
+# one value, gradients equal to the kernels' own arithmetic), after
+# which reading it panics.
+for n in 1 4; do
+    RAYON_NUM_THREADS=$n cargo test -q --release -p trkx-tensor --lib nt_into_parts_matches_the_built_gradient_on_every_arm
+    RAYON_NUM_THREADS=$n cargo test -q --release -p trkx-tensor --lib -- \
+        tape::tests::views_read_more_than_once_give_the_built_gradients_bit_for_bit \
+        tape::tests::a_value_read_twice_is_freed_after_its_lower_indexed_reader \
+        tape::tests::a_value_backward_freed_cannot_be_read
+done
 cargo test -q --release -p trkx-tensor --lib add_bias_relu_gate_is_the_branchy_rule_bit_for_bit
 
 # Tanh on the GEMM's arms: every arm this CPU runs against the portable
@@ -117,7 +137,7 @@ RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-serve --test batch_parity
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-serve --test batch_parity
 
 # Allocation budgets above the kernels, parallel gates forced on: a full
-# train step on a repeated shape (<= 58 allocs), stage-2 construction
+# train step on a repeated shape (<= 36 allocs), stage-2 construction
 # (<= 8 allocs per event), train steps whose shapes are each new to the
 # pool (fresh bytes <= 20 % of the tape's activation bytes), and served
 # events replayed in an order new to the pool (no buffer the pool did
@@ -127,11 +147,13 @@ RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test alloc_probe
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test alloc_probe
 
 # Inference runs on the eager executor, which frees each buffer after
-# its last read. At two pool sizes, parallel kernels forced on: the
+# its last read and runs the edge MLPs, the decoder and the filter in
+# row windows. At two pool sizes, parallel kernels forced on: the
 # GNN's (with and without LayerNorm), the filter's and the embedding's
-# eager outputs equal a recorded tape's bit for bit on three events, and
-# one 8-layer GNN inference never has more than four edge-by-hidden
-# matrices out of its pool at once (no MLP input is built).
+# eager outputs equal a recorded tape's bit for bit on three events of
+# several windows each, and one 8-layer GNN inference never has more
+# than two edge-by-hidden and two window-by-hidden matrices out of its
+# pool at once beside the node side (no MLP input is built).
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test eager_inference -- eager_logits_equal_tape_logits_bit_for_bit eager_inference_peak_live_floats_is_bounded
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test eager_inference -- eager_logits_equal_tape_logits_bit_for_bit eager_inference_peak_live_floats_is_bounded
 
@@ -140,8 +162,9 @@ RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test eager_inference 
 # embedding forward each hold exactly the parameters, the inputs, the
 # pieces every MLP's first GEMM reads in place (its concatenated,
 # gathered input is never built), the hidden activations and the
-# output, and the IGNN step's pool peak stays under the held floats plus
-# backward's few gradients.
+# output; the IGNN step's pool peak stays under the held floats plus
+# backward's few gradients (no view gradient); and once backward ends
+# the tape holds only the parameters, the inputs and the loss.
 RAYON_NUM_THREADS=1 cargo test -q --release -p trkx-core --test train_footprint
 RAYON_NUM_THREADS=4 cargo test -q --release -p trkx-core --test train_footprint
 
@@ -277,6 +300,15 @@ for w in train_dense train_ddp2 sample_incore sample_oocore serve_open serve_clo
         exit 1
     fi
 done
+
+# The mutant corpus: each mutants/*.patch is a deliberate defect (a
+# regrouped X gradient, a backward freeing at the wrong reader, a GEMM
+# over parts restarting its accumulator per part, a reassociated tanh)
+# that the test named in it must catch. The runner builds a scratch
+# copy of the tracked tree, checks each named test passes there, then
+# fails if any mutant's test still passes (about two minutes on two
+# cores).
+bash mutants/run.sh
 
 # The benchmark is frozen: building and running it must leave its
 # tracked files (its lock file included) byte-identical.

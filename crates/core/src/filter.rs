@@ -73,7 +73,8 @@ impl FilterStage {
     /// graph, which never materialises one (no sampler view, no edge plans
     /// needed here). The MLP's input `[X[src] X[dst] Y]` is a view: its
     /// first GEMM reads the endpoint rows of `X` through `src` and `dst`
-    /// and `Y` where they lie.
+    /// and `Y` where they lie. Inference runs the MLP a window of edges
+    /// at a time ([`Exec::map_rows`]).
     pub fn forward<'p, E: Exec<'p>>(
         &'p self,
         ex: &mut E,
@@ -87,7 +88,7 @@ impl FilterStage {
         let xs = ex.view(Op::Gather { a: x.0, idx: src });
         let xd = ex.view(Op::Gather { a: x.0, idx: dst });
         let input = ex.concat_cols(&[xs, xd, y]);
-        let logits = self.mlp.forward(ex, input);
+        let logits = ex.map_rows(input, None, |ex, rows| self.mlp.forward(ex, rows));
         for v in [x, y] {
             ex.release(v);
         }

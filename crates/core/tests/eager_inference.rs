@@ -4,10 +4,14 @@
 //! Two checks. The eager logits of the Interaction GNN, the filter and the
 //! embedding equal the ones a recorded tape computes, bit for bit, on three
 //! fixed events (`ci.sh` runs this at `RAYON_NUM_THREADS=1` and `4`, with
-//! the parallel kernels forced on). And one GNN inference's working set,
-//! the most floats its pool had out at once, stays four edge-by-hidden
-//! matrices, independent of the layer count: a forward that builds an
-//! MLP's input, or keeps every layer alive, needs more than the bound.
+//! the parallel kernels forced on); their edge counts span several eager
+//! windows, so the windowed edge MLPs, decoder and filter are checked
+//! against the tape's one pass over all rows. And one GNN inference's
+//! working set, the most floats its pool had out at once, stays two
+//! edge-by-hidden matrices and two window-by-hidden ones, independent of
+//! the layer count: a forward that runs an edge MLP over all edges at
+//! once, builds an MLP's input, or keeps every layer alive, needs more
+//! than the bound.
 
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
@@ -17,7 +21,7 @@ use trkx_core::{
 };
 use trkx_detector::DatasetConfig;
 use trkx_ignn::{IgnnConfig, InteractionGnn};
-use trkx_nn::{Bindings, Recorder};
+use trkx_nn::{Bindings, Recorder, CHUNK_ROWS};
 use trkx_tensor::{Matrix, Tape};
 
 fn bits(m: &[f32]) -> Vec<u32> {
@@ -122,14 +126,21 @@ fn eager_inference_peak_live_floats_is_bounded() {
     let mut tape = Tape::new();
     infer_logits_with(&mut tape, &mut Bindings::new(), &model, g);
     // No MLP input is built: each MLP's first GEMM reads its parts where
-    // they lie. So at most four `m x h` matrices are out at once, while
-    // the edge MLP runs (`Y⁰`, `Yˡ` and its two hidden layers), beside
-    // `X⁰` and `Xˡ`; and while the node MLP runs, `Y⁰` and `Yˡ⁺¹` beside
-    // six `n x h` ones (`M_src`, `M_dst`, `X⁰`, `Xˡ` and two hidden
-    // layers). Size classes round each up by at most 1/4. Building the
+    // they lie. And each edge MLP (and the decoder) runs a window of
+    // `CHUNK_ROWS` edges at a time, each window's output overwriting the
+    // `Yˡ` rows it read. So while an edge MLP runs, two `m x h` matrices
+    // are out (`Y⁰` and `Yˡ`, or at layer 0 `Y⁰` and the new `Y¹`) beside
+    // a window's two (a hidden layer and the next one, or the output)
+    // and `X⁰`, `Xˡ` (the edge encoder, also run in windows, has `Y⁰` and
+    // a window's two out beside `X⁰`); and while the node MLP runs, `Y⁰`
+    // and `Yˡ⁺¹` are out
+    // beside six `n x h` (`M_src`, `M_dst`, `X⁰`, `Xˡ` and two hidden
+    // layers). Size classes round each up by at most 1/4. An edge MLP run
+    // whole adds its two hidden layers, 2h·m; building the
     // `[Y' X'src X'dst]` input alone would add 6h·m; a recorded forward
     // keeps every layer's ~(8 + depth)·h·m floats.
-    let bound = (4 * m + 2 * n).max(2 * m + 6 * n) * h * 5 / 4;
+    let window = CHUNK_ROWS.min(m);
+    let bound = (2 * m + 2 * window + 2 * n).max(2 * m + 6 * n) * h * 5 / 4;
     let peak = tape.pool().peak_live_floats();
     println!("eager GNN inference on {n} vertices / {m} edges at hidden {h}: pool peak {peak}");
     assert!(

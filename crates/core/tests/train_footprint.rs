@@ -13,7 +13,9 @@
 //! their `6h·m` and `4h·n` per layer and the filter's `(2f + f_e)·m`, and
 //! one that keeps every value also the GEMM products, the aggregates'
 //! copies, the layer outputs and the pre-tanh values; each fails its
-//! formula. The step's pool peak (forward and backward) is bounded too.
+//! formula. The step's pool peak (forward and backward) is bounded too,
+//! with no room for a gradient of a view, and once backward ends the
+//! tape holds no activation.
 //! `ci.sh` runs this at `RAYON_NUM_THREADS=1` and `4`.
 
 use rand::{rngs::StdRng, SeedableRng};
@@ -69,15 +71,27 @@ fn a_training_tape_holds_what_backward_reads() {
     let peak = tape.pool().peak_live_floats();
     println!("IGNN on {n} vertices / {m} edges: {floats} floats held, pool peak {peak}");
     assert_eq!(floats, held, "IGNN tape after the forward");
-    // Backward holds the parameters' gradients, and at most, while a
-    // layer's message input hands its gradient (6h·m, still built by the
-    // GEMM's NT, so every gradient is summed as before) to [Yˡ Y⁰] (2h·m)
-    // and [Xˡ X⁰] (2h·n), those and the gradients of Y⁰ and X⁰. A fresh
-    // buffer's size class rounds it up by at most 1/4; one reused from a
-    // class above may round up more, but not in this step.
-    let grads = model.num_parameters() + 9 * h * m + 3 * h * n;
+    // Backward builds no view's gradient: each MLP's first GEMM writes
+    // its input's gradient straight into the parts'. So beside what the
+    // forward held (which backward frees as it goes) and the parameters'
+    // gradients, at most three m-row gradients are out at once (a GEMM's
+    // upstream gradient and the Yˡ and Y⁰ ones it writes) and six n-row
+    // ones (X⁰'s, Xˡ's, M_src's, M_dst's, a node GEMM's upstream one, and
+    // [Xˡ X⁰]'s, 2h wide, which sums the edge and node GEMMs' shares). A
+    // fresh buffer's size class rounds it up by at most 1/4; one reused
+    // from a class above may round up more, but not in this step. A
+    // backward that builds each message input's gradient (6h·m) goes over.
+    let grads = model.num_parameters() + 3 * h * m + 6 * h * n;
     let bound = (held + grads) * 5 / 4;
     assert!(peak <= bound, "IGNN step: pool peak {peak} over {bound}");
+    // Once backward ends, only the parameters, the inputs and the loss
+    // are held: every activation went back to the pool after the rule
+    // that read it last.
+    assert_eq!(
+        tape.activation_floats(),
+        model.num_parameters() + n * nf + m * ef + 1,
+        "IGNN tape after the backward"
+    );
 
     let filter = FilterStage::new(
         nf,

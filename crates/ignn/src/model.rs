@@ -24,9 +24,12 @@
 //! activation footprint that drives the paper's memory argument — while
 //! the views keep their backward rules, so every gradient is summed as
 //! if the inputs had been built. Inference runs it on the eager executor
-//! ([`trkx_nn::Eager`]), which frees every released matrix, so about one
-//! layer's worth is alive at a time and the logits are the tape's bit for
-//! bit.
+//! ([`trkx_nn::Eager`]), which frees every released matrix and runs
+//! the edge encoder, each edge MLP and the decoder a window of rows at a
+//! time
+//! ([`Exec::map_rows`]), so about `Y⁰`, `Yˡ` and the `X`s are alive at a
+//! time beside one window's hidden layers, and the logits are the tape's
+//! bit for bit.
 
 use rand::Rng;
 use std::sync::Arc;
@@ -241,7 +244,7 @@ impl InteractionGnn {
         let xin = ex.input(x);
         let yin = ex.input(y);
         let x0 = self.node_encoder.forward(ex, xin);
-        let y0 = self.edge_encoder.forward(ex, yin);
+        let y0 = ex.map_rows(yin, None, |ex, rows| self.edge_encoder.forward(ex, rows));
         let last = self.config.gnn_layers.checked_sub(1);
         let mut xl = x0;
         let mut yl = y0;
@@ -256,11 +259,13 @@ impl InteractionGnn {
                 x: x_cat.0,
                 plans: plans.clone(),
             });
-            let y_next = self.edge_mlps[l].forward(ex, msg_in);
-            if l > 0 {
-                ex.release(yl);
-            }
-            yl = y_next;
+            // Edge-local, so the eager executor runs it a window of
+            // rows at a time, each window's Yˡ⁺¹ rows overwriting the Yˡ
+            // rows it read (Y⁰ stays: every layer reads it).
+            let edge_mlp = &self.edge_mlps[l];
+            yl = ex.map_rows(msg_in, (l > 0).then_some(yl), |ex, rows| {
+                edge_mlp.forward(ex, rows)
+            });
             if Some(l) == last {
                 ex.release(y0);
                 if l > 0 {
@@ -292,7 +297,7 @@ impl InteractionGnn {
             // No layers: the decoder reads Y⁰, and X⁰ has no reader.
             ex.release(x0);
         }
-        self.decoder.forward(ex, yl)
+        ex.map_rows(yl, None, |ex, rows| self.decoder.forward(ex, rows))
     }
 
     /// Unfused reference forward pass: explicit per-endpoint gathers and
@@ -541,8 +546,9 @@ mod tests {
                 model.forward_unfused(&mut tape, &mut bind, &x, &y, src, dst)
             };
             let loss = trkx_nn::bce_with_logits(&mut tape, logits, &targets, 1.0);
-            tape.backward(loss);
+            // Backward frees the logits with every value it reads.
             let out = tape.value(logits).clone();
+            tape.backward(loss);
             let mut params = model.params_mut();
             for p in params.iter_mut() {
                 p.zero_grad();

@@ -20,10 +20,21 @@
 //! is a view ([`Exec::view`]): it is never built, and the layer's GEMM
 //! reads its parts where they lie. A forward keeps each part until that
 //! GEMM has run.
+//!
+//! A row-local MLP (each output row reads only its own input row) runs
+//! through [`Exec::map_rows`]: a tape records it once over every row,
+//! and the eager executor runs it on windows of [`CHUNK_ROWS`] rows, so
+//! its hidden layers are a window's size rather than the graph's. Every
+//! output row is the same arithmetic either way.
 
 use crate::param::{Bindings, Param};
 use std::ops::Index;
-use trkx_tensor::{ops, BufferPool, Matrix, NodeValues, Op, Tape, Var};
+use trkx_tensor::{ops, BufferPool, Concat, Matrix, NodeValues, Op, Tape, Var};
+
+/// Rows per window of the eager executor's [`Exec::map_rows`]: a
+/// constant, so a window's hidden layers stay a fixed size however
+/// large the graph, and wide enough to keep every GEMM's row split busy.
+pub const CHUNK_ROWS: usize = 4096;
 
 /// The operations a model's forward is written against (see the module
 /// docs). A forward calls [`Exec::release`] on each node after its last
@@ -49,11 +60,24 @@ pub trait Exec<'p> {
     /// `v` has no later reader.
     fn release(&mut self, v: Var);
 
+    /// The row-local `f` (an MLP: it reads each row of its input only
+    /// for that row of its output, and releases its input) over `x`,
+    /// which it consumes. A tape records `f(x)` once. The eager executor
+    /// runs `f` on [`Op::Rows`] windows of [`CHUNK_ROWS`] rows and
+    /// copies each window's output into the result as it goes: into
+    /// `into`'s buffer when given (a node of the result's shape that a
+    /// window of `x` reads at its own rows only, so each window can
+    /// overwrite the rows it has read), else into a fresh one. `into` is
+    /// released either way.
+    fn map_rows<F>(&mut self, x: Var, into: Option<Var>, f: F) -> Var
+    where
+        F: FnMut(&mut Self, Var) -> Var,
+        Self: Sized;
+
     /// Horizontal concatenation, as a view (see [`Exec::view`]).
     fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        let widths = parts.iter().map(|&p| self.shape(p).1).collect();
-        let parts = parts.iter().map(|p| p.0).collect();
-        self.view(Op::ConcatCols { parts, widths })
+        let concat = Concat::new(parts.iter().map(|&p| (p.0, self.shape(p).1)));
+        self.view(Op::ConcatCols(concat))
     }
 }
 
@@ -112,6 +136,18 @@ impl<'p> Exec<'p> for Recorder<'_> {
     /// Frees `v` unless backward reads it (see [`Tape::release`]).
     fn release(&mut self, v: Var) {
         self.tape.release(v);
+    }
+
+    /// `f(x)`, recorded once over every row.
+    fn map_rows<F>(&mut self, x: Var, into: Option<Var>, mut f: F) -> Var
+    where
+        F: FnMut(&mut Self, Var) -> Var,
+    {
+        let out = f(self, x);
+        if let Some(v) = into {
+            self.release(v);
+        }
+        out
     }
 }
 
@@ -234,6 +270,56 @@ impl<'p> Exec<'p> for Eager<'_, 'p> {
 
     fn shape(&self, v: Var) -> (usize, usize) {
         self.slots.shape(v.0)
+    }
+
+    /// Windows of [`CHUNK_ROWS`] rows when `x` has more, each window's
+    /// output copied into the result's rows before the next runs.
+    fn map_rows<F>(&mut self, x: Var, into: Option<Var>, mut f: F) -> Var
+    where
+        F: FnMut(&mut Self, Var) -> Var,
+    {
+        let rows = self.shape(x).0;
+        if rows <= CHUNK_ROWS {
+            let out = f(self, x);
+            if let Some(v) = into {
+                self.release(v);
+            }
+            return out;
+        }
+        let mut fresh = None;
+        for start in (0..rows).step_by(CHUNK_ROWS) {
+            let n = CHUNK_ROWS.min(rows - start);
+            let window = self.view(Op::Rows {
+                a: x.0,
+                start,
+                rows: n,
+            });
+            let y = f(self, window);
+            let Slot::Owned(part) = std::mem::replace(&mut self.slots.slots[y.0], Slot::Released)
+            else {
+                panic!("eager node {} is no computed value", y.0);
+            };
+            let cols = part.cols();
+            let out = match into {
+                Some(v) => match &mut self.slots.slots[v.0] {
+                    Slot::Owned(m) => m,
+                    _ => panic!("eager node {} is no computed value to write into", v.0),
+                },
+                None => fresh.get_or_insert_with(|| self.pool.uninit(rows, cols)),
+            };
+            assert_eq!(out.shape(), (rows, cols), "map_rows output shape mismatch");
+            out.data_mut()[start * cols..(start + n) * cols].copy_from_slice(part.data());
+            self.pool.recycle(part);
+        }
+        self.release(x);
+        let out = match into {
+            Some(v) => match std::mem::replace(&mut self.slots.slots[v.0], Slot::Released) {
+                Slot::Owned(m) => m,
+                _ => unreachable!("checked for every window"),
+            },
+            None => fresh.expect("more than one window"),
+        };
+        self.push(Slot::Owned(out))
     }
 
     /// A computed value's buffer goes back to the pool now. Reading or

@@ -41,7 +41,7 @@ pub mod optim;
 pub mod param;
 
 pub use bucket::BucketLayout;
-pub use exec::{Eager, Exec, Recorder};
+pub use exec::{Eager, Exec, Recorder, CHUNK_ROWS};
 pub use linear::Linear;
 pub use loss::{bce_with_logits, contrastive_hinge_loss, BinaryStats};
 pub use mlp::{Activation, Mlp, MlpConfig};

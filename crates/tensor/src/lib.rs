@@ -39,7 +39,7 @@ pub use gradcheck::{gradcheck, GradCheckReport};
 #[doc(hidden)]
 pub use matrix::force_parallel_kernels;
 pub use matrix::{gemm_kernel, Matrix};
-pub use ops::{sigmoid, NodeValues, Op};
+pub use ops::{sigmoid, Concat, NodeValues, Op, MAX_PARTS};
 pub use plan::{EdgePlan, EdgePlans};
 pub use pool::BufferPool;
 // The one thread budget: a thread doing top-level work (a serve worker

@@ -14,7 +14,7 @@
 //! pass uses these to accumulate gradients in place with no per-op
 //! allocation (buffers come from [`crate::BufferPool`]).
 
-use crate::plan::EdgePlan;
+use crate::plan::{EdgePlan, EdgePlans};
 use crate::tanh::tanh_lane;
 use rand::Rng;
 use rayon::prelude::*;
@@ -700,15 +700,19 @@ fn parts_shape(parts: &[APart<'_>], rows: usize) -> usize {
 }
 
 /// [`Matrix::matmul_parts_into`] on `kernel`'s arm.
-fn parts_nn(kernel: Kernel, parts: &[APart<'_>], b: &Matrix, out: &mut Matrix) {
-    let k = parts_shape(parts, out.rows);
+fn parts_nn(kernel: Kernel, parts: &[APart<'_>], r0: usize, b: &Matrix, out: &mut Matrix) {
+    let k = parts_shape(parts, parts.first().map_or(0, APart::rows));
+    assert!(
+        parts.is_empty() || r0 + out.rows <= parts[0].rows(),
+        "matmul_parts row window past the parts' last row"
+    );
     assert_eq!(
         k, b.rows,
         "matmul_parts shape mismatch: {k} columns x {} rows",
         b.rows
     );
     assert_eq!(out.cols, b.cols, "matmul_parts output shape mismatch");
-    let a = ASource::Parts { parts, r0: 0 };
+    let a = ASource::Parts { parts, r0 };
     gemm_dispatch::<true>(kernel, a, out.rows, k, &b.data, b.cols, &mut out.data);
 }
 
@@ -802,6 +806,137 @@ fn nt_dispatch<const OVERWRITE: bool>(
         rows(b, out);
     }
 }
+
+/// NT rows of B's row block `k0..k0 + w` (`b` is `n_b x k`), read as
+/// [`Kernel::nt_rows`] wants them: the block itself on the portable
+/// arm, its transpose (into this thread's `PACK_B` scratch) on a wide
+/// one. `f` gets the operand and `w`.
+fn with_nt_block<R>(
+    kernel: Kernel,
+    b: &Matrix,
+    k0: usize,
+    w: usize,
+    f: impl FnOnce(&[f32]) -> R,
+) -> R {
+    let k = b.cols;
+    assert!(k0 + w <= b.rows, "NT block past B's last row");
+    let block = &b.data[k0 * k..(k0 + w) * k];
+    if kernel.nt_reads_bt() {
+        with_scratch(&PACK_B, |bt| {
+            ensure_len(bt, k * w);
+            transpose_buf(block, w, k, &mut bt[..k * w]);
+            f(&bt[..k * w])
+        })
+    } else {
+        f(block)
+    }
+}
+
+/// [`Matrix::matmul_nt_block`] on `kernel`'s arm.
+fn nt_block(kernel: Kernel, g: &Matrix, b: &Matrix, k0: usize, out: &mut Matrix, overwrite: bool) {
+    let (m, k, w) = (g.rows, g.cols, out.cols);
+    assert_eq!(b.cols, k, "matmul_nt_block shape mismatch");
+    assert_eq!(out.rows, m, "matmul_nt_block output shape mismatch");
+    assert!(k0 + w <= b.rows, "matmul_nt_block past B's last row");
+    let block = &b.data[k0 * k..(k0 + w) * k];
+    if overwrite {
+        nt_dispatch::<true>(kernel, &g.data, m, k, block, w, &mut out.data);
+    } else {
+        nt_dispatch::<false>(kernel, &g.data, m, k, block, w, &mut out.data);
+    }
+}
+
+/// [`Matrix::matmul_nt_scatter_acc`] on `kernel`'s arm.
+fn nt_scatter(kernel: Kernel, g: &Matrix, b: &Matrix, k0: usize, idx: &[u32], out: &mut Matrix) {
+    let (k, w) = (g.cols, out.cols);
+    assert_eq!(b.cols, k, "matmul_nt_scatter shape mismatch");
+    assert_eq!(idx.len(), g.rows, "matmul_nt_scatter index length mismatch");
+    Matrix::assert_row_indices(idx, out.rows, "matmul_nt_scatter");
+    if w == 0 {
+        return;
+    }
+    with_nt_block(kernel, b, k0, w, |bop| {
+        for (i, &r) in idx.iter().enumerate() {
+            let r = r as usize;
+            let row = &mut out.data[r * w..(r + 1) * w];
+            kernel.nt_rows::<false>(g.row(i), bop, w, row);
+        }
+    });
+}
+
+/// [`Matrix::matmul_nt_edges_acc`] on `kernel`'s arm.
+fn nt_edges(
+    kernel: Kernel,
+    g: &Matrix,
+    b: &Matrix,
+    (k_src, k_dst): (usize, usize),
+    plans: &EdgePlans,
+    out: &mut Matrix,
+) {
+    let (k, w) = (g.cols, out.cols);
+    assert_eq!(b.cols, k, "matmul_nt_edges shape mismatch");
+    assert_eq!(
+        g.rows,
+        plans.num_edges(),
+        "matmul_nt_edges edge count mismatch"
+    );
+    assert_eq!(
+        out.rows,
+        plans.nodes(),
+        "matmul_nt_edges node count mismatch"
+    );
+    if w == 0 || out.rows == 0 {
+        return;
+    }
+    let group = kernel.nt_group();
+    with_nt_block(kernel, b, k_src, w, |b_src| {
+        with_nt_block(kernel, b, k_dst, w, |b_dst| {
+            // A block of nodes' rows: every dst edge's product added to
+            // its node's row, then every src edge's, each plan's edges
+            // walked node by node and ascending within a node, so each
+            // row adds its dst shares, then its src shares, in edge
+            // order. The walk runs `group` edge rows at a time through
+            // the kernel (copied side by side, products overwriting
+            // scratch: the same `dot8` values), whichever nodes they
+            // belong to.
+            let body = |(blk, rows): (usize, &mut [f32])| {
+                let lo = blk * NODE_BLOCK;
+                let hi = lo + rows.len() / w;
+                with_scratch(&COPY_A, |copy| {
+                    ensure_len(copy, group * (k + w));
+                    let (a, prod) = copy.split_at_mut(group * k);
+                    for (plan, idx, bop) in [
+                        (&plans.dst_plan, &plans.dst, b_dst),
+                        (&plans.src_plan, &plans.src, b_src),
+                    ] {
+                        for edges in plan.incident_to_range(lo, hi).chunks(group) {
+                            for (i, &e) in edges.iter().enumerate() {
+                                a[i * k..(i + 1) * k].copy_from_slice(g.row(e as usize));
+                            }
+                            let n = edges.len();
+                            kernel.nt_rows::<true>(&a[..n * k], bop, w, &mut prod[..n * w]);
+                            for (&e, p) in edges.iter().zip(prod.chunks_exact(w)) {
+                                let r = idx[e as usize] as usize - lo;
+                                for (o, &v) in rows[r * w..(r + 1) * w].iter_mut().zip(p) {
+                                    *o += v;
+                                }
+                            }
+                        }
+                    }
+                });
+            };
+            let block = NODE_BLOCK * w;
+            if g.rows * w >= par_matmul_threshold() && out.rows > NODE_BLOCK {
+                out.data.par_chunks_mut(block).enumerate().for_each(body);
+            } else {
+                out.data.chunks_mut(block).enumerate().for_each(body);
+            }
+        })
+    });
+}
+
+/// Nodes per task of [`Matrix::matmul_nt_edges_acc`].
+const NODE_BLOCK: usize = 64;
 
 /// Eight-lane dot product: breaks the float add dependency chain so LLVM
 /// vectorizes the reduction (a plain `zip().sum()` must stay scalar).
@@ -1441,8 +1576,8 @@ impl Matrix {
     /// across a part boundary as it does across a KC block, so every
     /// output element is still one sequential accumulator over the
     /// ascending reduction index.
-    pub(crate) fn matmul_parts_into(parts: &[APart<'_>], b: &Matrix, out: &mut Matrix) {
-        parts_nn(Kernel::detect(), parts, b, out);
+    pub(crate) fn matmul_parts_into(parts: &[APart<'_>], r0: usize, b: &Matrix, out: &mut Matrix) {
+        parts_nn(Kernel::detect(), parts, r0, b, out);
     }
 
     /// `out += [parts]ᵀ · g`, the weight gradient of
@@ -1453,6 +1588,48 @@ impl Matrix {
     /// the concatenated, gathered operand.
     pub(crate) fn matmul_parts_tn_acc(parts: &[APart<'_>], g: &Matrix, out: &mut Matrix) {
         parts_tn(Kernel::detect(), parts, g, out);
+    }
+
+    /// `out (+)= self · b[k0..k0 + w]ᵀ`, `w` being `out`'s width: the
+    /// columns `k0..k0 + w` of `self · bᵀ`, the share of a GEMM's left
+    /// operand gradient that belongs to the part at those columns.
+    /// `overwrite` as [`Matrix::matmul_nt_into`], else as
+    /// [`Matrix::matmul_nt_acc`]; each element is the same `dot8` as
+    /// theirs.
+    pub(crate) fn matmul_nt_block(&self, b: &Matrix, k0: usize, out: &mut Matrix, overwrite: bool) {
+        nt_block(Kernel::detect(), self, b, k0, out, overwrite);
+    }
+
+    /// The gradient a `GatherConcat`'s `x` takes from the GEMM that reads
+    /// it, without building the operand's: for every row `r` of `out`
+    /// (`x`'s gradient, `w` wide), `out[r] += self[e] · b[k_dst..k_dst +
+    /// w]ᵀ` for each edge `e` with `dst[e] = r`, then `out[r] += self[e] ·
+    /// b[k_src..k_src + w]ᵀ` for each with `src[e] = r`, `e` ascending.
+    /// Bit-identical to building `self · bᵀ` and running the
+    /// `GatherConcat` rule on it. Parallel over rows, one writer each.
+    pub(crate) fn matmul_nt_edges_acc(
+        &self,
+        b: &Matrix,
+        k_src: usize,
+        k_dst: usize,
+        plans: &EdgePlans,
+        out: &mut Matrix,
+    ) {
+        nt_edges(Kernel::detect(), self, b, (k_src, k_dst), plans, out);
+    }
+
+    /// The gradient a gather's source takes from the GEMM that reads
+    /// the gather: `out[idx[i]] += self[i] · b[k0..k0 + w]ᵀ` for `i`
+    /// ascending, `w` being `out`'s width. Bit-identical to building
+    /// `self · bᵀ` and scattering its columns `k0..k0 + w`. Serial.
+    pub(crate) fn matmul_nt_scatter_acc(
+        &self,
+        b: &Matrix,
+        k0: usize,
+        idx: &[u32],
+        out: &mut Matrix,
+    ) {
+        nt_scatter(Kernel::detect(), self, b, k0, idx, out);
     }
 
     /// `self * bᵀ` without materialising the transpose.
@@ -1917,6 +2094,7 @@ impl Matrix {
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
+    use std::sync::Arc;
 
     #[test]
     fn construction_and_access() {
@@ -2379,6 +2557,102 @@ mod tests {
     /// repeat rows and address fewer rows than the part has. n = 1, 17
     /// and 33 read one, two and three panels of each copied tile.
     #[test]
+    fn nt_into_parts_matches_the_built_gradient_on_every_arm() {
+        // The three ways a GEMM over a view writes its input gradient
+        // straight into the parts' (a column block, a GatherConcat's
+        // gathered node, a gather's source) against building the whole
+        // `g · bᵀ` on the portable arm and running the view rules' adds
+        // on it, bit for bit, on every arm this CPU runs. Accumulators
+        // start from values with -0.0 and specials in them; node counts
+        // cross the parallel node blocks, degrees are ragged (some
+        // nodes have no edge), and widths and depths are not multiples
+        // of the kernels' lane counts.
+        let arms = gemm_arms();
+        let mut rng = StdRng::seed_from_u64(43);
+        for (nodes, edges) in [(1, 0), (3, 5), (9, 40), (200, 700)] {
+            let idx = |rng: &mut StdRng| -> Vec<u32> {
+                (0..edges).map(|_| rng.gen_range(0..nodes as u32)).collect()
+            };
+            let (src, dst) = (Arc::new(idx(&mut rng)), Arc::new(idx(&mut rng)));
+            let plans = EdgePlans::new(src.clone(), dst.clone(), nodes);
+            for (k, w) in [(1, 1), (17, 5), (32, 16), (40, 33)] {
+                for fill in ["uniform", "specials"] {
+                    let total = 3 * w + 2;
+                    let g = Matrix::from_vec(edges, k, fill_values(fill, edges * k, &mut rng));
+                    let b = Matrix::from_vec(total, k, fill_values(fill, total * k, &mut rng));
+                    let mut full = vec![0.0; edges * total];
+                    nt_dispatch::<true>(
+                        Kernel::Portable,
+                        &g.data,
+                        edges,
+                        k,
+                        &b.data,
+                        total,
+                        &mut full,
+                    );
+                    let col = |e: usize, c: usize| full[e * total + c];
+                    let mut start =
+                        |rows| Matrix::from_vec(rows, w, fill_values(fill, rows * w, &mut rng));
+                    let (k_src, k_dst, k0) = (2, 2 + w, 1);
+                    let (acc_n, acc_e) = (start(nodes), start(edges));
+                    let mut want_edges = acc_n.clone();
+                    for r in 0..nodes {
+                        for (plan, kb) in [(&plans.dst_plan, k_dst), (&plans.src_plan, k_src)] {
+                            for &e in plan.incident(r) {
+                                for j in 0..w {
+                                    let v = want_edges.get(r, j) + col(e as usize, kb + j);
+                                    want_edges.set(r, j, v);
+                                }
+                            }
+                        }
+                    }
+                    let mut want_scatter = acc_n.clone();
+                    for (i, &r) in src.iter().enumerate() {
+                        for j in 0..w {
+                            let v = want_scatter.get(r as usize, j) + col(i, k0 + j);
+                            want_scatter.set(r as usize, j, v);
+                        }
+                    }
+                    let mut want_block = acc_e.clone();
+                    let mut want_fresh = acc_e.clone();
+                    for e in 0..edges {
+                        for j in 0..w {
+                            want_block.set(e, j, want_block.get(e, j) + col(e, k0 + j));
+                            want_fresh.set(e, j, col(e, k0 + j));
+                        }
+                    }
+                    for &arm in &arms {
+                        let what = format!(
+                            "{} nodes={nodes} edges={edges} k={k} w={w} {fill}",
+                            arm.name()
+                        );
+                        let check = |name: &str, got: &Matrix, want: &Matrix| {
+                            for (i, (&x, &y)) in got.data.iter().zip(&want.data).enumerate() {
+                                assert!(
+                                    same_bits(x, y),
+                                    "{name} {what} at {i}: {x:e} vs built {y:e}"
+                                );
+                            }
+                        };
+                        let mut got = acc_n.clone();
+                        nt_edges(arm, &g, &b, (k_src, k_dst), &plans, &mut got);
+                        check("edges", &got, &want_edges);
+                        let mut got = acc_n.clone();
+                        nt_scatter(arm, &g, &b, k0, &src, &mut got);
+                        check("scatter", &got, &want_scatter);
+                        let mut got = acc_e.clone();
+                        nt_block(arm, &g, &b, k0, &mut got, false);
+                        check("block", &got, &want_block);
+                        let mut got = Matrix::full(edges, w, f32::NAN);
+                        nt_block(arm, &g, &b, k0, &mut got, true);
+                        check("fresh block", &got, &want_fresh);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn gemm_parts_match_the_materialised_operand_on_every_arm() {
         // (width, gathered) per part; a gathered part reads `idx_a` or
         // `idx_b`, both repeating rows.
@@ -2460,7 +2734,7 @@ mod tests {
                         let dirty = Matrix::from_vec(k, n, parity_values(k * n, 0, &mut rng));
                         let run = |arm: Kernel| {
                             let mut nn = Matrix::full(rows, n, f32::NAN);
-                            parts_nn(arm, &parts, &b, &mut nn);
+                            parts_nn(arm, &parts, 0, &b, &mut nn);
                             let mut tn = dirty.clone();
                             parts_tn(arm, &parts, &g, &mut tn);
                             let mut nn_ref = Matrix::full(rows, n, f32::NAN);

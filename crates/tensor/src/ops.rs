@@ -56,10 +56,7 @@ pub enum Op {
     /// `C = A + k` elementwise.
     AddScalar { a: usize, k: f32 },
     /// Horizontal concatenation of equal-row-count parents.
-    ConcatCols {
-        parts: Vec<usize>,
-        widths: Vec<usize>,
-    },
+    ConcatCols(Concat),
     /// `C = max(A, 0)`.
     Relu { a: usize },
     /// Hyperbolic tangent.
@@ -105,6 +102,66 @@ pub enum Op {
     },
     /// Elementwise multiply by a fixed mask (label weighting).
     MulMask { a: usize, mask: Arc<Matrix> },
+    /// `A[start..start + rows, :]`: a window of rows, only ever a view,
+    /// and only a GEMM's whole left operand (a window of the view or node
+    /// below it). The eager executor runs a row-local MLP a window at a
+    /// time through it (`trkx_nn::Exec::map_rows`); a tape never records
+    /// one, so it has no value and no backward rule.
+    Rows { a: usize, start: usize, rows: usize },
+}
+
+/// Most parts a concatenation or a view resolves into; the Interaction
+/// GNN's message input `[Yˡ Y⁰ Xˡ[src] X⁰[src] Xˡ[dst] X⁰[dst]]` has six.
+pub const MAX_PARTS: usize = 8;
+
+/// The operands of an [`Op::ConcatCols`] in column order, with their
+/// widths: at most [`MAX_PARTS`], held inline, so recording a
+/// concatenation allocates nothing.
+#[derive(Clone, Copy, Debug)]
+pub struct Concat {
+    len: usize,
+    parts: [usize; MAX_PARTS],
+    widths: [usize; MAX_PARTS],
+}
+
+impl Concat {
+    /// The `(node, width)` pairs, side by side. Panics on none or on
+    /// more than [`MAX_PARTS`].
+    pub fn new(pairs: impl IntoIterator<Item = (usize, usize)>) -> Self {
+        let mut c = Self {
+            len: 0,
+            parts: [0; MAX_PARTS],
+            widths: [0; MAX_PARTS],
+        };
+        for (p, w) in pairs {
+            assert!(
+                c.len < MAX_PARTS,
+                "concat_cols of more than {MAX_PARTS} parts"
+            );
+            (c.parts[c.len], c.widths[c.len]) = (p, w);
+            c.len += 1;
+        }
+        assert!(c.len > 0, "concat_cols of nothing");
+        c
+    }
+
+    /// The operand nodes, in column order.
+    pub fn parts(&self) -> &[usize] {
+        &self.parts[..self.len]
+    }
+
+    /// Their widths.
+    pub fn widths(&self) -> &[usize] {
+        &self.widths[..self.len]
+    }
+
+    /// `(node, width)` pairs, in column order.
+    pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.parts()
+            .iter()
+            .copied()
+            .zip(self.widths().iter().copied())
+    }
 }
 
 /// The nodes the ops read: `values[i]` is node `i`'s value (borrowed —
@@ -116,6 +173,15 @@ pub enum Op {
 pub trait NodeValues: Index<usize, Output = Matrix> {
     /// `Some(op)` if node `i` was recorded as the view `op`.
     fn view(&self, i: usize) -> Option<&Op>;
+
+    /// Whether view `i` has exactly one reader. Its gradient is then that
+    /// reader's alone, so a GEMM reading it writes each part's share
+    /// straight into the part's gradient and the view's own is never
+    /// built. A view read more than once sums its readers' shares in its
+    /// own gradient first, as an evaluated node would.
+    fn single_reader(&self, _i: usize) -> bool {
+        false
+    }
 }
 
 /// Plain values: no node is a view.
@@ -125,28 +191,31 @@ impl NodeValues for [Matrix] {
     }
 }
 
-/// Most parts a view resolves into; the Interaction GNN's message input
-/// `[Yˡ Y⁰ Xˡ[src] X⁰[src] Xˡ[dst] X⁰[dst]]` has six.
-const MAX_PARTS: usize = 8;
-
 /// Placeholder for the unused slots of a [`Parts`].
 static NO_PART: Matrix = Matrix::shape_only(0, 0);
 
 /// A GEMM's left operand as its parts, in column order: the node and
-/// the [`APart`] of each. Held on the stack, so reading a view
-/// allocates nothing.
+/// the [`APart`] of each, and the window of their rows the operand is.
+/// Held on the stack, so reading a view allocates nothing.
 pub(crate) struct Parts<'v> {
     len: usize,
     nodes: [usize; MAX_PARTS],
     parts: [APart<'v>; MAX_PARTS],
+    r0: usize,
+    rows: usize,
 }
 
 impl<'v> Parts<'v> {
     /// The parts of node `a`: `a` itself if it has a value, else its
     /// view's operands' parts — a concatenation's side by side, a
     /// gather's through its index, a `GatherConcat`'s `y`, then `x`
-    /// through `src`, then `x` through `dst`.
+    /// through `src`, then `x` through `dst`. A row window
+    /// ([`Op::Rows`]) reads its rows of the parts below it.
     pub(crate) fn of<V: NodeValues + ?Sized>(values: &'v V, a: usize) -> Self {
+        let (inner, r0, rows) = match values.view(a) {
+            Some(&Op::Rows { a, start, rows }) => (a, start, Some(rows)),
+            _ => (a, 0, None),
+        };
         let mut parts = Self {
             len: 0,
             nodes: [0; MAX_PARTS],
@@ -154,8 +223,11 @@ impl<'v> Parts<'v> {
                 m: &NO_PART,
                 idx: None,
             }; MAX_PARTS],
+            r0,
+            rows: 0,
         };
-        parts.collect(values, a, None);
+        parts.collect(values, inner, None);
+        parts.rows = rows.unwrap_or_else(|| parts.parts[0].rows());
         parts
     }
 
@@ -175,8 +247,8 @@ impl<'v> Parts<'v> {
             Some(inner)
         };
         match view {
-            Op::ConcatCols { parts, .. } => {
-                for &p in parts {
+            Op::ConcatCols(c) => {
+                for &p in c.parts() {
                     self.collect(values, p, idx);
                 }
             }
@@ -186,7 +258,8 @@ impl<'v> Parts<'v> {
                 self.collect(values, *x, gather_once(&plans.src));
                 self.collect(values, *x, gather_once(&plans.dst));
             }
-            _ => unreachable!("only concatenations and gathers are views"),
+            Op::Rows { .. } => panic!("a row window is only ever a GEMM's whole operand"),
+            _ => unreachable!("only concatenations, gathers and row windows are views"),
         }
     }
 
@@ -204,7 +277,135 @@ impl<'v> Parts<'v> {
 
     /// The operand's row count.
     fn rows(&self) -> usize {
-        self.parts[0].rows()
+        self.rows
+    }
+}
+
+/// Where a GEMM over a view sends its left operand's gradient: into the
+/// gradient of each node a block of the operand's columns comes from.
+/// A block of a single-reader view ([`NodeValues::single_reader`]) goes
+/// on down to the view's own operands; any other node takes its block
+/// whole, and a node read through row indices takes each of its rows'
+/// sum over the operand rows that read it.
+enum Route<'v> {
+    /// Columns `k0..` (`node`'s width) go to `node`'s gradient row for
+    /// row.
+    Cols { node: usize, k0: usize },
+    /// A `GatherConcat`'s `x`: row `r` of its gradient adds the columns
+    /// `k_dst..` of each operand row `e` with `dst[e] = r`, then the
+    /// columns `k_src..` of each with `src[e] = r`, `e` ascending — the
+    /// order of the `GatherConcat` backward rule.
+    Edges {
+        node: usize,
+        k_src: usize,
+        k_dst: usize,
+        plans: &'v EdgePlans,
+    },
+    /// A gather's `a`: row `idx[i]` of its gradient adds columns `k0..`
+    /// of operand row `i`, `i` ascending — the gather's rule.
+    Gathered {
+        node: usize,
+        k0: usize,
+        idx: &'v [u32],
+    },
+}
+
+/// The [`Route`]s of view `a`'s columns from `k0` on, in column order,
+/// held on the stack.
+struct Routes<'v> {
+    len: usize,
+    routes: [Option<Route<'v>>; MAX_PARTS],
+}
+
+impl<'v> Routes<'v> {
+    fn of<V: NodeValues + ?Sized>(values: &'v V, a: usize) -> Self {
+        let mut routes = Self {
+            len: 0,
+            routes: Default::default(),
+        };
+        routes.through(values, a, 0);
+        routes
+    }
+
+    fn push(&mut self, route: Route<'v>) {
+        assert!(
+            self.len < MAX_PARTS,
+            "a view of more than {MAX_PARTS} parts"
+        );
+        self.routes[self.len] = Some(route);
+        self.len += 1;
+    }
+
+    fn through<V: NodeValues + ?Sized>(&mut self, values: &'v V, a: usize, k0: usize) {
+        let view = values.view(a).filter(|_| values.single_reader(a));
+        match view {
+            None => self.push(Route::Cols { node: a, k0 }),
+            Some(Op::ConcatCols(c)) => {
+                let mut k = k0;
+                for (p, w) in c.pairs() {
+                    self.through(values, p, k);
+                    k += w;
+                }
+            }
+            Some(Op::Gather { a: x, idx }) => self.push(Route::Gathered { node: *x, k0, idx }),
+            Some(Op::GatherConcat { y, x, plans }) => {
+                self.through(values, *y, k0);
+                let (wy, wx) = (values[*y].cols(), values[*x].cols());
+                self.push(Route::Edges {
+                    node: *x,
+                    k_src: k0 + wy,
+                    k_dst: k0 + wy + wx,
+                    plans,
+                });
+            }
+            Some(_) => unreachable!("a row window has no backward"),
+        }
+    }
+
+    /// Send `grad_out · bᵀ`'s blocks down each route into `store`.
+    fn run<V: NodeValues + ?Sized>(
+        &self,
+        values: &V,
+        grad_out: &Matrix,
+        b: &Matrix,
+        store: &mut GradStore<'_>,
+    ) {
+        for route in self.routes[..self.len].iter().flatten() {
+            match *route {
+                Route::Cols { node, k0 } => {
+                    let (rows, w) = values[node].shape();
+                    if w == 0 {
+                        continue;
+                    }
+                    if let Some((g, fresh)) = store.acc_or_fresh(node, rows, w) {
+                        grad_out.matmul_nt_block(b, k0, g, fresh);
+                    }
+                }
+                Route::Edges {
+                    node,
+                    k_src,
+                    k_dst,
+                    plans,
+                } => {
+                    let w = values[node].cols();
+                    if w == 0 {
+                        continue;
+                    }
+                    if let Some(g) = store.acc(node, plans.nodes(), w) {
+                        grad_out.matmul_nt_edges_acc(b, k_src, k_dst, plans, g);
+                    }
+                }
+                Route::Gathered { node, k0, idx } => {
+                    let (rows, w) = values[node].shape();
+                    if w == 0 {
+                        continue;
+                    }
+                    if let Some(g) = store.acc(node, rows, w) {
+                        grad_out.matmul_nt_scatter_acc(b, k0, idx, g);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -212,13 +413,12 @@ impl<'v> Parts<'v> {
 /// shape: a concatenation's, a gather's or a `GatherConcat`'s output.
 pub fn view_shape(op: &Op, shape: impl Fn(usize) -> (usize, usize)) -> (usize, usize) {
     match op {
-        Op::ConcatCols { parts, widths } => {
-            assert!(!parts.is_empty(), "concat_cols of nothing");
-            let rows = shape(parts[0]).0;
-            for (&p, &w) in parts.iter().zip(widths) {
+        Op::ConcatCols(c) => {
+            let rows = shape(c.parts()[0]).0;
+            for (p, w) in c.pairs() {
                 assert_eq!(shape(p), (rows, w), "concat_cols part shape mismatch");
             }
-            (rows, widths.iter().sum())
+            (rows, c.widths().iter().sum())
         }
         Op::Gather { a, idx } => (idx.len(), shape(*a).1),
         Op::GatherConcat { y, x, plans } => {
@@ -227,7 +427,12 @@ pub fn view_shape(op: &Op, shape: impl Fn(usize) -> (usize, usize)) -> (usize, u
             assert_eq!(xn, plans.nodes(), "gather_concat node count mismatch");
             (ym, wy + 2 * wx)
         }
-        _ => panic!("only concatenations and gathers are views"),
+        Op::Rows { a, start, rows } => {
+            let (m, cols) = shape(*a);
+            assert!(start + rows <= m, "row window past the last row");
+            (*rows, cols)
+        }
+        _ => panic!("only concatenations, gathers and row windows are views"),
     }
 }
 
@@ -248,7 +453,7 @@ where
             if values.view(*a).is_some() {
                 let parts = Parts::of(values, *a);
                 let mut out = pool.uninit(parts.rows(), bv.cols());
-                Matrix::matmul_parts_into(parts.parts(), bv, &mut out);
+                Matrix::matmul_parts_into(parts.parts(), parts.r0, bv, &mut out);
                 return out;
             }
             let av = &values[*a];
@@ -293,11 +498,13 @@ where
             out.apply(|v| v + k);
             out
         }
-        Op::ConcatCols { parts, .. } => {
-            let refs: Vec<&Matrix> = parts.iter().map(|&p| &values[p]).collect();
+        Op::ConcatCols(c) => {
+            let refs: [&Matrix; MAX_PARTS] =
+                std::array::from_fn(|i| c.parts().get(i).map_or(&NO_PART, |&p| &values[p]));
+            let refs = &refs[..c.parts().len()];
             let cols: usize = refs.iter().map(|p| p.cols()).sum();
             let mut out = pool.uninit(refs[0].rows(), cols);
-            Matrix::concat_cols_into(&refs, &mut out);
+            Matrix::concat_cols_into(refs, &mut out);
             out
         }
         Op::Relu { a } => {
@@ -438,6 +645,7 @@ where
             out.mul_assign(mask);
             out
         }
+        Op::Rows { .. } => unreachable!("a row window is only ever a view"),
     }
 }
 
@@ -560,6 +768,18 @@ pub fn backward_into<V>(
 {
     match op {
         Op::Leaf | Op::Constant => {}
+        Op::MatMul { a, b } if values.view(*a).is_some() => {
+            // No gradient of the view is built unless it has more than
+            // one reader: each block of `grad_out · bᵀ` is written into
+            // the gradient it would have been added to, in the order the
+            // views' rules would have added it (see `Route`).
+            let bv = &values[*b];
+            let parts = Parts::of(values, *a);
+            Routes::of(values, *a).run(values, grad_out, bv, store);
+            if let Some(gb) = store.acc(*b, bv.rows(), bv.cols()) {
+                Matrix::matmul_parts_tn_acc(parts.parts(), grad_out, gb);
+            }
+        }
         Op::MatMul { a, b } => {
             let (av, bv) = (&values[*a], &values[*b]);
             // A first touch runs the overwriting NT on an unfilled slot,
@@ -572,11 +792,7 @@ pub fn backward_into<V>(
                 None => {}
             }
             if let Some(gb) = store.acc(*b, bv.rows(), bv.cols()) {
-                if values.view(*a).is_some() {
-                    Matrix::matmul_parts_tn_acc(Parts::of(values, *a).parts(), grad_out, gb);
-                } else {
-                    av.matmul_tn_acc(grad_out, gb);
-                }
+                av.matmul_tn_acc(grad_out, gb);
             }
         }
         Op::Add { a, b } => {
@@ -654,10 +870,10 @@ pub fn backward_into<V>(
                 ga.add_assign(grad_out);
             }
         }
-        Op::ConcatCols { parts, widths } => {
+        Op::ConcatCols(c) => {
             let rows = grad_out.rows();
             let mut off = 0;
-            for (&p, &w) in parts.iter().zip(widths) {
+            for (p, w) in c.pairs() {
                 if w == 0 {
                     continue;
                 }
@@ -890,5 +1106,6 @@ pub fn backward_into<V>(
                 ga.hadamard_acc(grad_out, mask);
             }
         }
+        Op::Rows { .. } => unreachable!("a row window is only ever a view"),
     }
 }

@@ -92,6 +92,13 @@ impl EdgePlan {
         &self.order[lo..hi]
     }
 
+    /// Edge ids incident to nodes `lo..hi`, node by node, each node's
+    /// ascending: their [`EdgePlan::incident`] lists end to end.
+    #[inline]
+    pub(crate) fn incident_to_range(&self, lo: usize, hi: usize) -> &[u32] {
+        &self.order[self.offsets[lo] as usize..self.offsets[hi] as usize]
+    }
+
     /// Degree of `node` under this plan's endpoint.
     pub fn degree(&self, node: usize) -> usize {
         (self.offsets[node + 1] - self.offsets[node]) as usize

@@ -32,6 +32,10 @@
 //! shape. What stays is still the per-layer retention (each MLP's inputs
 //! and hidden activations, `O(L·m·f)`) that makes full-graph
 //! Interaction-GNN *training* memory-prohibitive in the paper (§III-B).
+//! Backward gives it back as it goes: each value returns to the pool
+//! right after the rule of its last reader, and a GEMM over a view
+//! writes its input's gradient straight into the parts' gradients, so
+//! no gradient of a concatenated, gathered MLP input is built.
 //! [`Tape::activation_floats`] exposes that footprint. Inference records
 //! nothing: the eager executor (`trkx_nn::Eager`) borrows the tape's pool
 //! ([`Tape::lend`]), runs the same kernels and hands each buffer back
@@ -39,7 +43,7 @@
 //! than the whole forward's.
 
 use crate::matrix::Matrix;
-use crate::ops::{self, GradStore, NodeValues, Op, Parts};
+use crate::ops::{self, Concat, GradStore, NodeValues, Op, Parts};
 use crate::plan::EdgePlans;
 use crate::pool::BufferPool;
 use std::ops::Index;
@@ -58,8 +62,9 @@ enum Hold {
     Pinned,
     /// Handed back to the pool; only its shape is left.
     Released,
-    /// Recorded by [`Tape::view`]: a shape, never a value.
-    View,
+    /// Recorded by [`Tape::view`]: a shape, never a value. Counts the
+    /// ops that read it.
+    View(u32),
 }
 
 /// Reverse-mode autograd tape. Create once and [`Tape::reset`] between
@@ -70,6 +75,12 @@ pub struct Tape {
     values: Vec<Matrix>,
     hold: Vec<Hold>,
     grads: Vec<Option<Matrix>>,
+    /// `(op, node)`: `op` was the first to pin the computed value of
+    /// `node`, so it is the last backward rule that reads it. Ascending
+    /// in `op`, as recorded.
+    frees: Vec<(usize, usize)>,
+    /// Whether backward has run (and freed what it read) since the reset.
+    differentiated: bool,
     pool: BufferPool,
 }
 
@@ -92,7 +103,7 @@ impl<'a> Held<'a> {
                 "tape node {i} read after its release"
             );
             assert!(
-                self.hold[i] != Hold::View,
+                !matches!(self.hold[i], Hold::View(_)),
                 "tape node {i} is a view: only a GEMM reads it"
             );
         }
@@ -110,7 +121,11 @@ impl Index<usize> for Held<'_> {
 
 impl NodeValues for Held<'_> {
     fn view(&self, i: usize) -> Option<&Op> {
-        (self.hold[i] == Hold::View).then(|| &self.ops[i])
+        matches!(self.hold[i], Hold::View(_)).then(|| &self.ops[i])
+    }
+
+    fn single_reader(&self, i: usize) -> bool {
+        self.hold[i] == Hold::View(1)
     }
 }
 
@@ -133,6 +148,8 @@ impl Tape {
     pub fn reset(&mut self) {
         self.ops.clear();
         self.hold.clear();
+        self.frees.clear();
+        self.differentiated = false;
         for v in self.values.drain(..) {
             self.pool.recycle(v);
         }
@@ -155,9 +172,55 @@ impl Tape {
         Var(self.ops.len() - 1)
     }
 
+    /// The nodes whose values the backward rule of `op` (recorded as
+    /// node `at`) reads: its operands' that [`ops::backward_reads`]
+    /// lists (a view operand's parts in the view's place), and `at`
+    /// itself if the rule reads its own output.
+    fn backward_read_nodes(&self, op: &Op, at: usize) -> ([usize; ops::MAX_PARTS + 2], usize) {
+        let (mut nodes, mut n) = ([0; ops::MAX_PARTS + 2], 0);
+        let (operands, output) = ops::backward_reads(op);
+        for p in operands.into_iter().flatten() {
+            if !matches!(self.hold[p], Hold::View(_)) {
+                nodes[n] = p;
+                n += 1;
+                continue;
+            }
+            let (parts, len) = Parts::of(&self.held(), p).node_array();
+            nodes[n..n + len].copy_from_slice(&parts[..len]);
+            n += len;
+        }
+        if output {
+            nodes[n] = at;
+            n += 1;
+        }
+        (nodes, n)
+    }
+
+    /// Count `op` as a reader of each view among its operands: a GEMM's
+    /// left operand or another view's (any other op reading a view
+    /// panics in its forward).
+    fn count_view_readers(&mut self, op: &Op) {
+        let mut count = |p: usize| {
+            if let Hold::View(readers) = &mut self.hold[p] {
+                *readers += 1;
+            }
+        };
+        match op {
+            Op::MatMul { a, .. } | Op::Gather { a, .. } => count(*a),
+            Op::ConcatCols(c) => c.parts().iter().for_each(|&p| count(p)),
+            Op::GatherConcat { y, x, .. } => {
+                count(*y);
+                count(*x);
+            }
+            _ => {}
+        }
+    }
+
     /// Record `op`: evaluate it, and pin the values its backward rule
     /// reads (its own output among them, for some ops; a view operand's
-    /// parts in the view's place).
+    /// parts in the view's place). The first op to pin a computed value
+    /// is the last to read it in backward, which frees it after that
+    /// op's rule.
     pub fn eval(&mut self, op: Op) -> Var {
         let held = Held {
             ops: &self.ops,
@@ -166,20 +229,15 @@ impl Tape {
             strict: true,
         };
         let value = ops::forward(&op, &held, &mut self.pool);
-        let (operands, output) = ops::backward_reads(&op);
-        for p in operands.into_iter().flatten() {
-            if self.hold[p] != Hold::View {
-                self.hold[p] = Hold::Pinned;
-                continue;
-            }
-            let (nodes, n) = Parts::of(&self.held(), p).node_array();
-            for &q in &nodes[..n] {
-                self.hold[q] = Hold::Pinned;
-            }
-        }
+        let at = self.ops.len();
+        self.count_view_readers(&op);
+        let (nodes, n) = self.backward_read_nodes(&op, at);
         let v = self.push(op, value);
-        if output {
-            self.hold[v.0] = Hold::Pinned;
+        for &q in &nodes[..n] {
+            if self.hold[q] == Hold::Free && !matches!(self.ops[q], Op::Leaf | Op::Constant) {
+                self.frees.push((at, q));
+            }
+            self.hold[q] = Hold::Pinned;
         }
         v
     }
@@ -188,12 +246,21 @@ impl Tape {
     /// a view: a node with its shape but no value, whose only readers
     /// are a GEMM's left operand ([`Tape::matmul`], which reads its
     /// operands where they lie and pins them) and other views. Nothing
-    /// is copied. Its backward rule runs as if it had been evaluated, so
-    /// every gradient is summed in the same grouping and order.
+    /// is copied. In backward the GEMM writes each operand's share of
+    /// the gradient straight into that operand's, in the grouping and
+    /// order the view's rule would have added it; a view read more than
+    /// once gets a gradient of its own and its rule runs as if it had
+    /// been evaluated. A row window ([`Op::Rows`]) is the eager
+    /// executor's alone: it has no backward.
     pub fn view(&mut self, op: Op) -> Var {
+        assert!(
+            !matches!(op, Op::Rows { .. }),
+            "a row window is a view on the eager executor only"
+        );
         let (rows, cols) = ops::view_shape(&op, |i| self.values[i].shape());
+        self.count_view_readers(&op);
         let v = self.push(op, Matrix::shape_only(rows, cols));
-        self.hold[v.0] = Hold::View;
+        self.hold[v.0] = Hold::View(0);
         v
     }
 
@@ -206,9 +273,14 @@ impl Tape {
         if self.hold[v.0] != Hold::Free || matches!(self.ops[v.0], Op::Leaf | Op::Constant) {
             return;
         }
-        self.hold[v.0] = Hold::Released;
-        let (rows, cols) = self.values[v.0].shape();
-        let value = std::mem::replace(&mut self.values[v.0], Matrix::shape_only(rows, cols));
+        self.free(v.0);
+    }
+
+    /// Hand node `i`'s buffer back to the pool, keeping its shape.
+    fn free(&mut self, i: usize) {
+        self.hold[i] = Hold::Released;
+        let (rows, cols) = self.values[i].shape();
+        let value = std::mem::replace(&mut self.values[i], Matrix::shape_only(rows, cols));
         self.pool.recycle(value);
     }
 
@@ -322,11 +394,8 @@ impl Tape {
 
     /// Horizontal concatenation.
     pub fn concat_cols(&mut self, parts: &[Var]) -> Var {
-        let widths = parts.iter().map(|p| self.values[p.0].cols()).collect();
-        self.eval(Op::ConcatCols {
-            parts: parts.iter().map(|p| p.0).collect(),
-            widths,
-        })
+        let concat = Concat::new(parts.iter().map(|p| (p.0, self.values[p.0].cols())));
+        self.eval(Op::ConcatCols(concat))
     }
 
     pub fn relu(&mut self, a: Var) -> Var {
@@ -404,12 +473,23 @@ impl Tape {
     /// ancestor leaves become available through [`Tape::grad`]. All
     /// accumulation is in place (`+=` into pooled buffers) — no
     /// per-contribution allocation.
+    ///
+    /// Each computed value goes back to the pool right after the rule of
+    /// its last reader (the first op that pinned it) has run, so once
+    /// backward ends the tape holds only leaves, constants and the
+    /// values no rule read (the loss among them); [`Tape::value`] of a
+    /// freed node panics. So backward runs once per recording.
     pub fn backward(&mut self, root: Var) {
         assert_eq!(
             self.values[root.0].shape(),
             (1, 1),
             "backward root must be a scalar loss"
         );
+        assert!(
+            !self.differentiated,
+            "backward runs once per recording: it frees what it read"
+        );
+        self.differentiated = true;
         for g in &mut self.grads {
             if let Some(m) = g.take() {
                 self.pool.recycle(m);
@@ -418,12 +498,26 @@ impl Tape {
         let mut seed = self.pool.zeros(1, 1);
         seed.set(0, 0, 1.0);
         self.grads[root.0] = Some(seed);
+        let mut frees = std::mem::take(&mut self.frees);
         for i in (0..=root.0).rev() {
+            // Op i + 1's rule has run (at the root: ops past it never
+            // run theirs): free the values it was the last to read.
+            while let Some(&(_, q)) = frees.last().filter(|&&(op, _)| op > i) {
+                self.free(q);
+                frees.pop();
+            }
             if !matches!(self.ops[i], Op::Leaf | Op::Constant) {
                 // Take node i's gradient out of the slot so the store can
                 // hand out disjoint borrows of the earlier slots (parents
                 // of node i always have smaller indices).
                 if let Some(grad_out) = self.grads[i].take() {
+                    let (reads, n) = self.backward_read_nodes(&self.ops[i], i);
+                    for &q in &reads[..n] {
+                        assert!(
+                            self.hold[q] != Hold::Released,
+                            "tape node {q} read after its release"
+                        );
+                    }
                     let (earlier, _) = self.grads.split_at_mut(i);
                     let mut store = GradStore {
                         ops: &self.ops,
@@ -449,6 +543,10 @@ impl Tape {
                 }
             }
         }
+        while let Some((_, q)) = frees.pop() {
+            self.free(q);
+        }
+        self.frees = frees;
     }
 }
 
@@ -569,6 +667,7 @@ mod tests {
             Op::BceWithLogits { .. } => 19,
             Op::LayerNorm { .. } => 20,
             Op::MulMask { .. } => 21,
+            Op::Rows { .. } => 22,
         }
     }
 
@@ -631,7 +730,7 @@ mod tests {
             m.as_ref()
                 .map(|m| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
         };
-        let mut covered = [false; 22];
+        let mut covered = [false; 23];
         for n in first..t.len() {
             let op = &t.ops[n];
             covered[variant(op)] = true;
@@ -664,7 +763,8 @@ mod tests {
                 variant(op)
             );
         }
-        assert!(covered[2..].iter().all(|&c| c), "a variant has no case");
+        // A row window (22) is only ever an eager view: it has no rule.
+        assert!(covered[2..22].iter().all(|&c| c), "a variant has no case");
     }
 
     #[test]
@@ -733,10 +833,7 @@ mod tests {
                     a: z.0,
                     idx: idx.clone(),
                 });
-                let c = t.view(Op::ConcatCols {
-                    parts: vec![y.0, g.0],
-                    widths: vec![3, 5],
-                });
+                let c = t.view(Op::ConcatCols(Concat::new([(y.0, 3), (g.0, 5)])));
                 let gc = t.view(Op::GatherConcat {
                     y: y.0,
                     x: x.0,
@@ -768,15 +865,122 @@ mod tests {
     }
 
     #[test]
+    fn views_read_more_than_once_give_the_built_gradients_bit_for_bit() {
+        // One Interaction-GNN layer's views, and a view two GEMMs read,
+        // on one tape built and on another as views. [x1 x0] is read by
+        // the edge GEMM's GatherConcat and by the node GEMM's
+        // concatenation, so its gradient sums two shares before its rule
+        // splits it; [y1 y0] and the two GEMM operands have one reader
+        // each, so the GEMMs write straight into y1, y0, m and x's
+        // gradient. Every leaf's gradient must keep the built tape's bits.
+        let val = |rows, cols, seed: usize| {
+            Matrix::from_fn(rows, cols, |r, c| {
+                ((r * 7 + c * 3 + seed) % 13) as f32 * 0.37 - 2.2
+            })
+        };
+        let plans = Arc::new(EdgePlans::new(
+            Arc::new(vec![0, 1, 2, 3, 3, 0, 4, 1]),
+            Arc::new(vec![1, 2, 3, 0, 2, 1, 1, 4]),
+            5,
+        ));
+        let run = |view: bool| {
+            let mut t = Tape::new();
+            let (x1, x0) = (t.leaf(val(5, 3, 1)), t.leaf(val(5, 2, 2)));
+            let (y1, y0) = (t.leaf(val(8, 4, 3)), t.leaf(val(8, 1, 4)));
+            let m = t.leaf(val(5, 6, 5));
+            let (we, wn) = (t.leaf(val(15, 4, 6)), t.leaf(val(11, 3, 7)));
+            let (wa, wb) = (t.leaf(val(11, 2, 8)), t.leaf(val(11, 5, 9)));
+            let mut record = |op: Op| if view { t.view(op) } else { t.eval(op) };
+            let xc = record(Op::ConcatCols(Concat::new([(x1.0, 3), (x0.0, 2)])));
+            let yc = record(Op::ConcatCols(Concat::new([(y1.0, 4), (y0.0, 1)])));
+            let msg = record(Op::GatherConcat {
+                y: yc.0,
+                x: xc.0,
+                plans: plans.clone(),
+            });
+            let node = record(Op::ConcatCols(Concat::new([(m.0, 6), (xc.0, 5)])));
+            let twice = record(Op::ConcatCols(Concat::new([
+                (m.0, 6),
+                (x0.0, 2),
+                (x1.0, 3),
+            ])));
+            let pe = t.matmul(msg, we);
+            let pn = t.matmul(node, wn);
+            let (pa, pb) = (t.matmul(twice, wa), t.matmul(twice, wb));
+            let s = [pe, pn, pa, pb].map(|p| t.mean_all(p));
+            let s01 = t.add(s[0], s[1]);
+            let s23 = t.add(s[2], s[3]);
+            let loss = t.add(s01, s23);
+            t.backward(loss);
+            [x1, x0, y1, y0, m, we, wn, wa, wb].map(|v| t.grad(v).unwrap().clone())
+        };
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (g, (v, b)) in run(true).iter().zip(&run(false)).enumerate() {
+            assert_eq!(bits(v), bits(b), "gradient of leaf {g}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "read after its release")]
+    fn a_value_backward_freed_cannot_be_read() {
+        let mut t = Tape::new();
+        let a = t.leaf(Matrix::from_fn(4, 3, |r, c| (r + c) as f32 * 0.25 - 0.5));
+        let w = t.leaf(Matrix::from_fn(3, 2, |r, c| (r * 2 + c) as f32 * 0.1));
+        let h = t.tanh(a);
+        let p = t.matmul(h, w);
+        let loss = t.mean_all(p);
+        t.backward(loss);
+        assert!(t.grad(w).is_some());
+        // The GEMM's rule was the last to read `h`.
+        t.value(h);
+    }
+
+    #[test]
+    fn a_value_read_twice_is_freed_after_its_lower_indexed_reader() {
+        // `v` is read by two GEMMs. Backward runs the later one's rule
+        // first, so `v` must stay until the earlier one's has run; each
+        // gradient is the kernels' own arithmetic in that order.
+        let a = Matrix::from_fn(6, 5, |r, c| ((r * 5 + c) % 7) as f32 * 0.3 - 0.9);
+        let w1 = Matrix::from_fn(5, 4, |r, c| ((r + 3 * c) % 5) as f32 * 0.25 - 0.5);
+        let w2 = Matrix::from_fn(5, 4, |r, c| ((2 * r + c) % 6) as f32 * 0.2 - 0.55);
+        let mut t = Tape::new();
+        let (av, w1v, w2v) = (t.leaf_copied(&a), t.leaf_copied(&w1), t.leaf_copied(&w2));
+        let v = t.scale(av, 2.0);
+        let p1 = t.matmul(v, w1v);
+        let p2 = t.matmul(v, w2v);
+        let s = t.add(p1, p2);
+        let loss = t.mean_all(s);
+        let held = t.activation_floats();
+        t.backward(loss);
+        // What the rules read is back in the pool: the leaves stay, and
+        // so do the two products and the loss, which no rule reads (a
+        // model's forward would have released the products).
+        assert!(t.hold[v.0] == Hold::Released && t.hold[s.0] == Hold::Released);
+        assert_eq!(t.activation_floats(), 6 * 5 + 2 * 5 * 4 + 2 * 6 * 4 + 1);
+        assert_eq!(held - t.activation_floats(), 6 * 5 + 6 * 4);
+
+        let vm = a.scale(2.0);
+        let go = Matrix::full(6, 4, 1.0 / 24.0);
+        let mut gv = go.matmul_nt(&w2);
+        go.matmul_nt_acc(&w1, &mut gv);
+        let mut ga = Matrix::zeros(6, 5);
+        ga.axpy(2.0, &gv);
+        let (mut gw1, mut gw2) = (Matrix::zeros(5, 4), Matrix::zeros(5, 4));
+        vm.matmul_tn_acc(&go, &mut gw1);
+        vm.matmul_tn_acc(&go, &mut gw2);
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (what, node, want) in [("a", av, ga), ("w1", w1v, gw1), ("w2", w2v, gw2)] {
+            assert_eq!(bits(t.grad(node).unwrap()), bits(&want), "{what} gradient");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "tape node 3 is a view: only a GEMM reads it")]
     fn only_a_gemm_reads_a_view() {
         let mut t = Tape::new();
         let (a, b) = (t.leaf(Matrix::zeros(2, 2)), t.leaf(Matrix::zeros(2, 3)));
         let c = t.leaf(Matrix::zeros(2, 1));
-        let v = t.view(Op::ConcatCols {
-            parts: vec![a.0, b.0, c.0],
-            widths: vec![2, 3, 1],
-        });
+        let v = t.view(Op::ConcatCols(Concat::new([(a.0, 2), (b.0, 3), (c.0, 1)])));
         t.relu(v);
     }
 
@@ -785,10 +989,7 @@ mod tests {
     fn a_view_has_a_shape_and_no_value() {
         let mut t = Tape::new();
         let (a, b) = (t.leaf(Matrix::zeros(2, 2)), t.leaf(Matrix::zeros(2, 3)));
-        let v = t.view(Op::ConcatCols {
-            parts: vec![a.0, b.0],
-            widths: vec![2, 3],
-        });
+        let v = t.view(Op::ConcatCols(Concat::new([(a.0, 2), (b.0, 3)])));
         assert_eq!(t.shape(v), (2, 5));
         t.value(v);
     }
@@ -799,10 +1000,7 @@ mod tests {
         let w = t.leaf(Matrix::zeros(4, 1));
         let x = t.leaf(Matrix::zeros(3, 2));
         let (a, b) = (t.scale(x, 2.0), t.scale(x, 3.0));
-        let v = t.view(Op::ConcatCols {
-            parts: vec![a.0, b.0],
-            widths: vec![2, 2],
-        });
+        let v = t.view(Op::ConcatCols(Concat::new([(a.0, 2), (b.0, 2)])));
         t.matmul(v, w);
         for node in [a, b, v] {
             t.release(node);
@@ -864,6 +1062,7 @@ mod tests {
         let ab = t1.add_bias(x1, b1);
         let y1 = t1.relu(ab);
         let l1 = t1.mean_all(y1);
+        let v1 = t1.value(y1).clone();
         t1.backward(l1);
 
         let mut t2 = Tape::new();
@@ -871,9 +1070,10 @@ mod tests {
         let b2 = t2.leaf_copied(&bias);
         let y2 = t2.add_bias_relu(x2, b2);
         let l2 = t2.mean_all(y2);
+        let v2 = t2.value(y2).clone();
         t2.backward(l2);
 
-        assert!(t1.value(y1).approx_eq(t2.value(y2), 1e-6));
+        assert!(v1.approx_eq(&v2, 1e-6));
         assert!(t1.grad(x1).unwrap().approx_eq(t2.grad(x2).unwrap(), 1e-6));
         assert!(t1.grad(b1).unwrap().approx_eq(t2.grad(b2).unwrap(), 1e-6));
     }
@@ -1079,7 +1279,8 @@ mod tests {
             let loss = t.mean_all(s);
             t.backward(loss);
             assert!(t.grad(a).is_some());
-            t.values.len() + t.grads.iter().flatten().count() + t.pool.parked()
+            let held = t.hold.iter().filter(|&&h| h != Hold::Released).count();
+            held + t.grads.iter().flatten().count() + t.pool.parked()
         };
 
         let owned1 = step(&mut t);
@@ -1102,8 +1303,10 @@ mod tests {
             assert!(t.grad(interior).is_none());
         }
         assert_eq!(t.grad(a).unwrap().shape(), (16, 16));
-        // The seed and the gradients of s and h are already back.
-        assert_eq!(t.pool.parked(), 3);
+        // The seed and the gradients of s and h are already back, and so
+        // is h's value; s's value, back after the mean's rule, was the
+        // buffer h's gradient reused.
+        assert_eq!(t.pool.parked(), 4);
     }
 
     #[test]

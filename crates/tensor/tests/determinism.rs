@@ -122,9 +122,11 @@ fn gather_concat_matches_unfused_composite() {
             let wv = t.constant(w.clone());
             let h = t.hadamard(cat, wv);
             let loss = t.sum_all(h);
+            // Backward frees what it read, the concatenation among them.
+            let cat = t.value(cat).clone();
             t.backward(loss);
             (
-                t.value(cat).clone(),
+                cat,
                 t.grad(xv).unwrap().clone(),
                 t.grad(yv).unwrap().clone(),
             )
